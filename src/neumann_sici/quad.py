@@ -1,11 +1,17 @@
 """Numerical integration engine and one operation per verified integral.
 
+Integrands are array callables: ``f(t)`` takes a 1-D float ndarray of
+abscissae and returns the integrand values as an array of the same shape.
+The engine evaluates only interior Gauss-Kronrod nodes, so an integrand
+with a removable singularity at an endpoint (``cot t`` or ``1/t`` at 0)
+needs no special value there.
+
 Two layers:
 
-* ``integrate_finite`` -- adaptive 15-point Gauss-Kronrod with bisection
-  refinement, for the cot-weighted integrals on [0, pi/2].  Removable
-  endpoint singularities are handled by annotating the limit value on the
-  ``Integrand``.
+* ``integrate_finite`` -- adaptive 15-point Gauss-Kronrod (QUADPACK dqk15)
+  with bisection refinement, for the cot-weighted integrals on [0, pi/2].
+  Each step bisects the panel with the largest error estimate and evaluates
+  both halves in one integrand call.
 * ``oscillatory_semiinf`` -- a Longman-style scheme for the semi-infinite
   Bessel integrals: integrate between consecutive sign-change brackets
   (spaced by the asymptotic Bessel period pi), suppress the alternating
@@ -16,6 +22,11 @@ Two layers:
   alternating-series acceleration cannot see, so the averaged partial sums
   are collocated against b^(-3/2), b^(-3/2) log b, ... on geometrically
   spaced truncation points and extrapolated to b = infinity.
+  Partitions are integrated a block at a time: the block runs up to the
+  next extrapolation checkpoint, every partition in it gets one GK15 panel
+  in a single integrand call, and only the partitions whose error estimate
+  exceeds the per-partition tolerance are refined, all of them together
+  with one call per refinement step.
 
 Each verified integral gets its own operation below so the harness can bind
 it to an exact or closed-form counterpart.
@@ -26,7 +37,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -35,7 +46,6 @@ from . import specfun
 
 __all__ = [
     "QuadResult",
-    "Integrand",
     "QuadratureError",
     "integrate_finite",
     "oscillatory_semiinf",
@@ -54,6 +64,8 @@ __all__ = [
     "corollary6_intermediate_integral",
 ]
 
+ArrayFn = Callable[[np.ndarray], np.ndarray]
+
 
 class QuadratureError(RuntimeError):
     """Raised on non-convergence or a non-finite integrand evaluation."""
@@ -66,30 +78,6 @@ class QuadResult:
     subdivisions: int
     partitions_used: int = 0
     converged: bool = True
-
-
-@dataclass
-class Integrand:
-    """Callable plus removable-singularity annotations.
-
-    ``limits`` maps abscissae (interval endpoints, in practice) to the finite
-    limit value of the integrand there; evaluation within 1e-300 of an
-    annotated point returns the limit instead of calling ``f``.
-    """
-
-    f: Callable[[float], float]
-    limits: tuple[tuple[float, float], ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        for point, value in self.limits:
-            if not math.isfinite(value):
-                raise ValueError(f"annotated limit at {point} must be finite")
-
-    def __call__(self, t: float) -> float:
-        for point, value in self.limits:
-            if abs(t - point) < 1e-300:
-                return value
-        return self.f(t)
 
 
 # 15-point Kronrod nodes with embedded 7-point Gauss rule (QUADPACK dqk15).
@@ -119,41 +107,97 @@ _WG = (
 )
 _WG_CENTER = 0.4179591836734694
 
+# The rule in node order: center, then -x, +x for each Kronrod abscissa x.
+# Column 0 holds the Kronrod weights, column 1 the Gauss weights (the Gauss
+# rule uses the center and every second abscissa).
+_NODE_X = np.array([0.0, *(sign * x for x in _XGK for sign in (-1.0, 1.0))])
+_NODE_W = np.array(
+    [(_WGK_CENTER, _WG_CENTER)]
+    + [(_WGK[i], _WG[i // 2] if i % 2 else 0.0) for i in range(7) for _ in range(2)]
+)
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel; returns (integral, error estimate)."""
+
+def _gk15(f: ArrayFn, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Kronrod panels [a[i], b[i]] in one integrand call.
+
+    Returns the arrays (integral, error estimate).
+    """
     center = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fc = f(center)
-    resg = _WG_CENTER * fc
-    resk = _WGK_CENTER * fc
-    values = [fc]
-    for i in range(7):
-        dx = h * _XGK[i]
-        f1 = f(center - dx)
-        f2 = f(center + dx)
-        values.append(f1)
-        values.append(f2)
-        resk += _WGK[i] * (f1 + f2)
-        if i % 2 == 1:
-            resg += _WG[(i - 1) // 2] * (f1 + f2)
-    if not all(math.isfinite(v) for v in values):
-        raise QuadratureError(f"integrand returned a non-finite value on [{a}, {b}]")
-    mean = 0.5 * resk
-    resasc = _WGK_CENTER * abs(fc - mean)
-    idx = 1
-    for i in range(7):
-        resasc += _WGK[i] * (abs(values[idx] - mean) + abs(values[idx + 1] - mean))
-        idx += 2
-    resasc *= abs(h)
-    err = abs((resk - resg) * h)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    nodes = np.multiply.outer(h, _NODE_X)
+    nodes += center[:, None]
+    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    sums = values @ _NODE_W
+    resk, resg = sums[:, 0], sums[:, 1]
+    # every Kronrod weight is positive, so any non-finite value reaches resk
+    finite = np.isfinite(resk)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise QuadratureError(
+            f"integrand returned a non-finite value on [{a[bad]}, {b[bad]}]"
+        )
+    abs_h = np.abs(h)
+    resasc = (np.abs(values - 0.5 * resk[:, None]) @ _NODE_W[:, 0]) * abs_h
+    err = np.abs(resk - resg) * abs_h
+    # QUADPACK's rescaling of the Gauss-Kronrod difference
+    nonzero = resasc != 0.0
+    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=nonzero)
+    err = np.where(nonzero, resasc * np.minimum(1.0, ratio**1.5), err)
     return resk * h, err
 
 
+def _integrate_intervals(
+    f: ArrayFn, a: np.ndarray, b: np.ndarray, tol: float, max_subdivisions: int
+) -> tuple[list[float], list[float], list[int]]:
+    """Adaptive GK15 on each [a[i], b[i]] separately, each to absolute tol.
+
+    Every interval keeps its own heap of panels.  A step bisects the worst
+    panel of every interval whose error sum still exceeds tol and evaluates
+    all the halves in one integrand call.  Returns per-interval lists of
+    values, error estimates and panel counts.
+    """
+    values, errors = _gk15(f, a, b)
+    # heap items are (-err, seq, a, b, value, err); seq breaks ties deterministically
+    heaps = [
+        [(-e, 0, lo, hi, v, e)]
+        for lo, hi, v, e in zip(a.tolist(), b.tolist(), values.tolist(), errors.tolist())
+    ]
+    total_err = errors.tolist()
+    panels = [1] * len(heaps)
+    active = [i for i, e in enumerate(total_err) if e > tol]
+    seq = 1
+    while active:
+        for i in active:
+            if panels[i] >= max_subdivisions:
+                raise QuadratureError(
+                    f"no convergence after {panels[i]} subdivisions "
+                    f"(err estimate {total_err[i]:.2e} > tol {tol:.2e})"
+                )
+        worst = [heapq.heappop(heaps[i]) for i in active]
+        lo = [item[2] for item in worst]
+        hi = [item[3] for item in worst]
+        mid = [0.5 * (left + right) for left, right in zip(lo, hi)]
+        halves, halves_err = _gk15(f, np.array(lo + mid), np.array(mid + hi))
+        halves, halves_err = halves.tolist(), halves_err.tolist()
+        n = len(active)
+        for j, i in enumerate(active):
+            lerr, rerr = halves_err[j], halves_err[n + j]
+            total_err[i] += lerr + rerr - worst[j][5]
+            heapq.heappush(heaps[i], (-lerr, seq, lo[j], mid[j], halves[j], lerr))
+            heapq.heappush(heaps[i], (-rerr, seq + 1, mid[j], hi[j], halves[n + j], rerr))
+            panels[i] += 1
+        seq += 2
+        active = [i for i in active if total_err[i] > tol]
+    # resum from the heaps for sharper values (avoids drift in the updates)
+    return (
+        [math.fsum(item[4] for item in heap) for heap in heaps],
+        [math.fsum(item[5] for item in heap) for heap in heaps],
+        panels,
+    )
+
+
 def integrate_finite(
-    f: Callable[[float], float],
+    f: ArrayFn,
     a: float,
     b: float,
     tol: float = 1e-12,
@@ -164,32 +208,10 @@ def integrate_finite(
         raise ValueError("requires a < b")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    val, err = _gk15(f, a, b)
-    # heap of (-err, seq, a, b, value, err); seq breaks ties deterministically
-    heap = [(-err, 0, a, b, val, err)]
-    seq = 1
-    total_val, total_err = val, err
-    panels = 1
-    while total_err > tol:
-        if panels >= max_subdivisions:
-            raise QuadratureError(
-                f"no convergence after {panels} subdivisions "
-                f"(err estimate {total_err:.2e} > tol {tol:.2e})"
-            )
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        lval, lerr = _gk15(f, pa, mid)
-        rval, rerr = _gk15(f, mid, pb)
-        total_val += lval + rval - pval
-        total_err += lerr + rerr - perr
-        heapq.heappush(heap, (-lerr, seq, pa, mid, lval, lerr))
-        heapq.heappush(heap, (-rerr, seq + 1, mid, pb, rval, rerr))
-        seq += 2
-        panels += 1
-    # resum from the heap for a sharper value (avoids drift in the updates)
-    total_val = math.fsum(item[4] for item in heap)
-    total_err = math.fsum(item[5] for item in heap)
-    return QuadResult(total_val, total_err, panels)
+    values, errors, panels = _integrate_intervals(
+        f, np.array([a], dtype=float), np.array([b], dtype=float), tol, max_subdivisions
+    )
+    return QuadResult(values[0], errors[0], panels[0])
 
 
 _AVERAGING_PASSES = 4          # Euler averaging to kill the alternating part
@@ -236,7 +258,7 @@ def _tail_extrapolate(sums: list[float], edges: list[float]) -> tuple[float, flo
 
 
 def oscillatory_semiinf(
-    f: Callable[[float], float],
+    f: ArrayFn,
     zero_spacing_hint: float,
     tol: float = 1e-7,
     *,
@@ -250,9 +272,10 @@ def oscillatory_semiinf(
 
     Partition boundaries default to (m + phase_offset) * zero_spacing_hint;
     exact zero locations do not matter since the acceleration only needs
-    eventually-alternating partial sums.  The reported error combines the
-    accumulated per-partition quadrature errors with the (safety-padded)
-    extrapolation estimate.
+    eventually-alternating partial sums.  The partitions up to each
+    extrapolation checkpoint are integrated as one block (see the module
+    docstring).  The reported error combines the accumulated per-partition
+    quadrature errors with the (safety-padded) extrapolation estimate.
     """
     if zero_spacing_hint <= 0:
         raise ValueError("zero_spacing_hint must be positive")
@@ -270,34 +293,45 @@ def oscillatory_semiinf(
     best: tuple[float, float] | None = None
     prev_value: float | None = None
     while len(partial_sums) < max_partitions:
-        try:
-            edge = next(break_iter)
-        except StopIteration:  # caller-supplied finite break list exhausted
+        block_end = min(checkpoint, max_partitions)
+        lows: list[float] = []
+        highs: list[float] = []
+        while len(partial_sums) + len(highs) < block_end:
+            try:
+                edge = next(break_iter)
+            except StopIteration:  # caller-supplied finite break list exhausted
+                break
+            if edge <= prev:
+                continue
+            lows.append(prev)
+            highs.append(edge)
+            prev = edge
+        if highs:
+            values, errors, panels = _integrate_intervals(
+                f, np.array(lows), np.array(highs), seg_tol, 2000
+            )
+            for value, err, count, edge in zip(values, errors, panels, highs):
+                running += value
+                quad_err += err
+                subdivisions += count
+                partial_sums.append(running)
+                edges.append(edge)
+        if len(partial_sums) < block_end:  # the break list ran out mid-block
             break
-        if edge <= prev:
-            continue
-        seg = integrate_finite(f, prev, edge, seg_tol)
-        prev = edge
-        running += seg.value
-        quad_err += seg.abs_err_estimate
-        subdivisions += seg.subdivisions
-        partial_sums.append(running)
-        edges.append(edge)
-        if len(partial_sums) >= checkpoint or len(partial_sums) == max_partitions:
-            checkpoint = int(checkpoint * 1.5)
-            value, raw_est = _tail_extrapolate(partial_sums, edges)
-            # the shift since the previous checkpoint guards against
-            # optimistic dips of the drop-one-point estimate
-            if prev_value is not None:
-                raw_est = max(raw_est, 0.5 * abs(value - prev_value))
-            est = _EST_SAFETY * raw_est + quad_err
-            if prev_value is not None:
-                best = (value, est)
-                if est <= tol:
-                    return QuadResult(
-                        value, est, subdivisions, partitions_used=len(partial_sums)
-                    )
-            prev_value = value
+        checkpoint = int(checkpoint * 1.5)
+        value, raw_est = _tail_extrapolate(partial_sums, edges)
+        # the shift since the previous checkpoint guards against
+        # optimistic dips of the drop-one-point estimate
+        if prev_value is not None:
+            raw_est = max(raw_est, 0.5 * abs(value - prev_value))
+        est = _EST_SAFETY * raw_est + quad_err
+        if prev_value is not None:
+            best = (value, est)
+            if est <= tol:
+                return QuadResult(
+                    value, est, subdivisions, partitions_used=len(partial_sums)
+                )
+        prev_value = value
     raise QuadratureError(
         f"oscillatory integral did not reach tol {tol:.1e} within "
         f"{len(partial_sums)} partitions"
@@ -317,8 +351,9 @@ def lemma1_integral(n: int, tol: float = 1e-12) -> QuadResult:
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = 2 * n + 1
-    f = Integrand(lambda t: math.sin(m * t) * math.cos(t) / math.sin(t), ((0.0, float(m)),))
-    return integrate_finite(f, 0.0, _HALF_PI, max(tol, 1e-13))
+    return integrate_finite(
+        lambda t: np.sin(m * t) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, max(tol, 1e-13)
+    )
 
 
 def lemma3_integral(n: int, tol: float = 1e-12) -> QuadResult:
@@ -326,27 +361,28 @@ def lemma3_integral(n: int, tol: float = 1e-12) -> QuadResult:
     if n < 1:
         raise ValueError("n must be a positive integer")
     m = 2 * n
-    f = Integrand(lambda t: (1.0 - math.cos(m * t)) * math.cos(t) / math.sin(t), ((0.0, 0.0),))
-    return integrate_finite(f, 0.0, _HALF_PI, max(tol, 1e-13))
+    return integrate_finite(
+        lambda t: (1.0 - np.cos(m * t)) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, max(tol, 1e-13)
+    )
 
 
 def si_transform_integral(a: float, tol: float = 1e-12) -> QuadResult:
     """int_0^{pi/2} sin(a sin t) cot(t) dt = Si(a)."""
     if a < 0:
         raise ValueError("a must be nonnegative")
-    f = Integrand(lambda t: math.sin(a * math.sin(t)) * math.cos(t) / math.sin(t), ((0.0, a),))
-    return integrate_finite(f, 0.0, _HALF_PI, max(tol, 1e-13))
+    return integrate_finite(
+        lambda t: np.sin(a * np.sin(t)) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, max(tol, 1e-13)
+    )
 
 
 def ci_transform_integral(a: float, tol: float = 1e-12) -> QuadResult:
     """int_0^{pi/2} [1 - cos(a sin t)] cot(t) dt = gamma + log(a) - Ci(a)."""
     if a <= 0:
         raise ValueError("a must be positive")
-    f = Integrand(
-        lambda t: (1.0 - math.cos(a * math.sin(t))) * math.cos(t) / math.sin(t),
-        ((0.0, 0.0),),
+    return integrate_finite(
+        lambda t: (1.0 - np.cos(a * np.sin(t))) * np.cos(t) / np.sin(t),
+        0.0, _HALF_PI, max(tol, 1e-13),
     )
-    return integrate_finite(f, 0.0, _HALF_PI, max(tol, 1e-13))
 
 
 def clausen_cot_integral(k: int, tol: float = 1e-9) -> QuadResult:
@@ -359,10 +395,12 @@ def clausen_cot_integral(k: int, tol: float = 1e-9) -> QuadResult:
         raise ValueError("k must be nonnegative")
     weight = 2 * k + 3
     z = specfun.zeta(weight)
-    f = Integrand(
-        lambda t: (z - specfun.clausen_odd(weight, 2.0 * t)) * math.cos(t) / math.sin(t),
-        ((0.0, 0.0),),
-    )
+
+    def f(t: np.ndarray) -> np.ndarray:
+        # clausen_odd is scalar: each call already sums 10^5 terms as an array
+        cl = np.array([specfun.clausen_odd(weight, u) for u in (2.0 * t).tolist()])
+        return (z - cl) * np.cos(t) / np.sin(t)
+
     return integrate_finite(f, 0.0, _HALF_PI, tol, max_subdivisions=4000)
 
 
@@ -375,13 +413,11 @@ def si_bessel_integral(n: int, tol: float = 1e-7) -> QuadResult:
     if n < 0:
         raise ValueError("n must be nonnegative")
     order = 2 * n + 1
-    f = Integrand(
-        lambda t: specfun.si(t) * specfun.bessel_j(order, t) / t, ((0.0, 0.0),)
-    )
     # High orders need a longer run before the collocation window sits in the
     # settled Hankel regime, so both partition limits scale with the order.
     return oscillatory_semiinf(
-        f, math.pi, tol,
+        lambda t: specfun.si(t) * specfun.bessel_j(order, t) / t,
+        math.pi, tol,
         phase_offset=0.5 * order + 0.25,
         max_partitions=400 + 40 * order,
         min_partitions=max(32, (3 * order * order) // 4),
@@ -393,12 +429,9 @@ def ci_bessel_integral(n: int, tol: float = 1e-7) -> QuadResult:
     if n < 1:
         raise ValueError("n must be a positive integer")
     order = 2 * n
-    f = Integrand(
-        lambda t: specfun.gamma_log_minus_ci(t) * specfun.bessel_j(order, t) / t,
-        ((0.0, 0.0),),
-    )
     return oscillatory_semiinf(
-        f, math.pi, tol,
+        lambda t: specfun.gamma_log_minus_ci(t) * specfun.bessel_j(order, t) / t,
+        math.pi, tol,
         phase_offset=0.5 * order + 0.25,
         max_partitions=400 + 40 * order,
         min_partitions=max(32, (3 * order * order) // 4),
@@ -407,17 +440,17 @@ def ci_bessel_integral(n: int, tol: float = 1e-7) -> QuadResult:
 
 def j0_orthogonality_integral(tol: float = 1e-6) -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_0(t) dt/t, which vanishes."""
-    f = Integrand(
+    return oscillatory_semiinf(
         lambda t: specfun.gamma_log_minus_ci(t) * specfun.bessel_j(0, t) / t,
-        ((0.0, 0.0),),
+        math.pi, tol, phase_offset=0.25,
     )
-    return oscillatory_semiinf(f, math.pi, tol, phase_offset=0.25)
 
 
 def bessel_j1_over_t_integral(tol: float = 1e-9) -> QuadResult:
     """Engine self-test: int_0^inf J_1(t)/t dt = 1."""
-    f = Integrand(lambda t: specfun.bessel_j(1, t) / t, ((0.0, 0.5),))
-    return oscillatory_semiinf(f, math.pi, tol, phase_offset=0.75)
+    return oscillatory_semiinf(
+        lambda t: specfun.bessel_j(1, t) / t, math.pi, tol, phase_offset=0.75
+    )
 
 
 def example2_integral(tol: float = 1e-6) -> QuadResult:
@@ -427,21 +460,19 @@ def example2_integral(tol: float = 1e-6) -> QuadResult:
     pieces inside the bracket are combined before the multiplication; their
     difference stays O(1) as t -> 0.
     """
-    def bracket(t: float) -> float:
-        return (
+    def f(t: np.ndarray) -> np.ndarray:
+        bracket = (
             _HALF_PI * specfun.bessel_y(0, t)
-            - math.log(0.5 * t) * specfun.bessel_j(0, t)
+            - np.log(0.5 * t) * specfun.bessel_j(0, t)
         )
+        return specfun.gamma_log_minus_ci(t) / t * bracket
 
-    f = Integrand(
-        lambda t: specfun.gamma_log_minus_ci(t) / t * bracket(t), ((0.0, 0.0),)
-    )
     return oscillatory_semiinf(f, math.pi, tol, phase_offset=0.25)
 
 
-def _corollary6_bracket(t: float) -> float:
+def _corollary6_bracket(t: np.ndarray) -> np.ndarray:
     return (
-        math.log(0.5 * t) * specfun.bessel_j(1, t)
+        np.log(0.5 * t) * specfun.bessel_j(1, t)
         - _HALF_PI * specfun.bessel_y(1, t)
         - specfun.bessel_j(0, t) / t
     )
@@ -449,20 +480,21 @@ def _corollary6_bracket(t: float) -> float:
 
 def corollary6_integral(tol: float = 1e-6) -> QuadResult:
     """int_0^inf Si(t) (log(t/2) J_1 - pi/2 Y_1 - J_0/t) dt/t = 4 - 4G - gamma."""
-    f = Integrand(lambda t: specfun.si(t) / t * _corollary6_bracket(t), ((0.0, 0.0),))
-    return oscillatory_semiinf(f, math.pi, tol, phase_offset=0.75)
+    return oscillatory_semiinf(
+        lambda t: specfun.si(t) / t * _corollary6_bracket(t),
+        math.pi, tol, phase_offset=0.75,
+    )
 
 
 def corollary6_intermediate_integral(tol: float = 1e-6) -> QuadResult:
     """Same integral with the (gamma - 1) J_1 term kept inside; equals 3 - 4G."""
     g1 = specfun.CONSTANTS.euler_gamma - 1.0
 
-    def f_raw(t: float) -> float:
+    def f(t: np.ndarray) -> np.ndarray:
         return specfun.si(t) / t * (
             _corollary6_bracket(t) + g1 * specfun.bessel_j(1, t)
         )
 
-    f = Integrand(f_raw, ((0.0, 0.0),))
     return oscillatory_semiinf(f, math.pi, tol, phase_offset=0.75)
 
 
@@ -474,12 +506,6 @@ def corollary5_rhs(a: float, tol: float = 1e-6) -> QuadResult:
     sqrt(a^2 + t^2) reaches (m + 1/4) pi.
     """
     a = abs(a)
-    f = Integrand(
-        lambda t: specfun.gamma_log_minus_ci(t)
-        * specfun.bessel_j(0, math.sqrt(a * a + t * t))
-        / t,
-        ((0.0, 0.0),),
-    )
 
     def edges():
         for m in itertools.count(1):
@@ -490,7 +516,10 @@ def corollary5_rhs(a: float, tol: float = 1e-6) -> QuadResult:
     # the residual phase drift a^2/(2t) of the shifted argument must have
     # settled inside the collocation window, so the limits scale with a
     return oscillatory_semiinf(
-        f, math.pi, tol,
+        lambda t: specfun.gamma_log_minus_ci(t)
+        * specfun.bessel_j(0, np.sqrt(a * a + t * t))
+        / t,
+        math.pi, tol,
         breaks=edges(),
         max_partitions=400 + int(40 * a),
         min_partitions=max(32, int(0.75 * a * a)),

@@ -5,6 +5,13 @@ the sine and cosine integrals, odd-index Clausen functions, zeta/eta values
 and a table of named constants.  All functions are pure; the only
 module-level state is a memo of immutable weight arrays, so values can be
 shared freely across threads.
+
+``bessel_j``, ``bessel_y``, ``si``, ``ci`` and ``gamma_log_minus_ci`` also
+accept a float ndarray and return an array of the same shape.  Each element
+takes the branch the scalar kernel would take for it (selected by mask), and
+every iterative branch runs until each element meets the scalar stopping
+test, so an array result agrees with the scalar one to rounding.  A Python
+float runs the scalar code.
 """
 
 from __future__ import annotations
@@ -16,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EvalOptions",
     "Constants",
     "CONSTANTS",
-    "DEFAULT_OPTIONS",
     "bessel_j",
     "bessel_j_all",
     "bessel_y",
@@ -30,23 +35,6 @@ __all__ = [
     "zeta",
     "eta",
 ]
-
-
-@dataclass(frozen=True)
-class EvalOptions:
-    """Truncation controls shared by the series kernels."""
-
-    target_abs_tol: float = 1e-14
-    max_terms: int = 10**8
-
-    def __post_init__(self):
-        if not self.target_abs_tol > 0:
-            raise ValueError("target_abs_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_OPTIONS = EvalOptions()
 
 
 @dataclass(frozen=True)
@@ -74,12 +62,39 @@ _SICI_CROSSOVER = 8.0
 _Y_SERIES_MAX = 8.0
 _Y_ASYMPTOTIC_MIN = 17.0
 
+# Relative stopping tolerances of the power series.
+_J_SERIES_TOL = 1e-17
+_SICI_SERIES_TOL = 1e-18
+
+
+def _checked_array(x: np.ndarray, positive: bool) -> np.ndarray:
+    # The array counterpart of the scalar kernels' domain checks.
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
+    if positive and (x <= 0.0).any():
+        raise ValueError("x must be positive")
+    if (x < 0.0).any():
+        raise ValueError("x must be nonnegative")
+    return x
+
+
+def _retire(done: np.ndarray, out: np.ndarray, idx: np.ndarray, result: np.ndarray, *state):
+    # Store the finished elements of an elementwise iteration in out and drop
+    # them from its state.  Elements run along the last axis of every array;
+    # idx holds their positions in out.
+    out[..., idx[done]] = result[..., done]
+    keep = ~done
+    return (idx[keep], result[..., keep], *(s[..., keep] for s in state))
+
 
 # ---------------------------------------------------------------------------
 # Bessel functions of the first kind
 # ---------------------------------------------------------------------------
 
-def _bessel_j_series(order: int, x: float, tol: float, max_terms: int = 500) -> float:
+def _bessel_j_series(
+    order: int, x: float, tol: float = _J_SERIES_TOL, max_terms: int = 500
+) -> float:
     # Ascending series sum_k (-1)^k (x/2)^(order+2k) / (k! (order+k)!).
     half = 0.5 * x
     if x == 0.0:
@@ -96,6 +111,31 @@ def _bessel_j_series(order: int, x: float, tol: float, max_terms: int = 500) -> 
         total += term
         if abs(term) < tol * max(abs(total), 1e-300) or k >= max_terms:
             return total
+
+
+def _bessel_j_series_array(order: int, x: np.ndarray) -> np.ndarray:
+    # _bessel_j_series elementwise (tol and max_terms at their defaults), for x > 0.
+    half = 0.5 * x
+    # math.log/math.exp, as in the scalar kernel: near x = 8 the sum cancels
+    # to 1e-14, so an ulp in the first term would show in the result.
+    lg = math.lgamma(order + 1)
+    log_t0 = np.array([order * math.log(h) - lg for h in half.tolist()])
+    out = np.zeros_like(x)
+    idx = np.flatnonzero(log_t0 >= -745.0)
+    total = np.array([math.exp(v) for v in log_t0[idx].tolist()])
+    term = total.copy()
+    step = -half[idx] * half[idx]
+    k = 0
+    while idx.size:
+        k += 1
+        term *= step / (k * (order + k))
+        total += term
+        done = np.abs(term) < _J_SERIES_TOL * np.maximum(np.abs(total), 1e-300)
+        if k >= 500:
+            done[:] = True
+        if done.any():
+            idx, total, term, step = _retire(done, out, idx, total, term, step)
+    return out
 
 
 def _miller_array(nmax: int, x: float) -> list[float]:
@@ -123,7 +163,39 @@ def _miller_array(nmax: int, x: float) -> list[float]:
     return [v / norm for v in out]
 
 
-def bessel_j(order: int, x: float, options: EvalOptions = DEFAULT_OPTIONS) -> float:
+def _miller_j_array(order: int, x: np.ndarray) -> np.ndarray:
+    # _miller_array(order, x)[order] elementwise.  Each element starts its
+    # recurrence at its own depth m; sorted by decreasing m, the elements
+    # running at step k are a prefix of the arrays.
+    m = order + np.ceil(1.5 * x).astype(np.int64) + 40
+    m += m % 2
+    perm = np.argsort(-m, kind="stable")
+    xs, neg_m = x[perm], -m[perm]
+    jp = np.zeros_like(xs)
+    j = np.full_like(xs, 1e-30)
+    even_sum = np.zeros_like(xs)
+    val = np.zeros_like(xs)
+    steps = np.arange(int(m.max(initial=0)), 0, -1)
+    running = np.searchsorted(neg_m, -steps, side="right").tolist()
+    for k, n in zip(steps.tolist(), running):
+        jm = (2.0 * k / xs[:n]) * j[:n] - jp[:n]
+        jp[:n] = j[:n]
+        j[:n] = jm
+        if k - 1 == order:
+            val[:n] = jm
+        if (k - 1) % 2 == 0 and k - 1 > 0:
+            even_sum[:n] += jm
+        big = np.abs(jm) > 1e250
+        if big.any():
+            big = np.flatnonzero(big)
+            for arr in (j, jp, even_sum, val):
+                arr[big] *= 1e-250
+    out = np.empty_like(x)
+    out[perm] = val / (j + 2.0 * even_sum)
+    return out
+
+
+def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
     """Bessel function of the first kind J_order(x) for integer order >= 0.
 
     Small arguments (and any argument dominated by the order) go through the
@@ -133,6 +205,8 @@ def bessel_j(order: int, x: float, options: EvalOptions = DEFAULT_OPTIONS) -> fl
     """
     if order < 0:
         raise ValueError("order must be a nonnegative integer")
+    if isinstance(x, np.ndarray):
+        return _bessel_j_array(order, _checked_array(x, positive=False))
     if x < 0:
         raise ValueError("x must be nonnegative")
     if x == 0.0:
@@ -140,14 +214,23 @@ def bessel_j(order: int, x: float, options: EvalOptions = DEFAULT_OPTIONS) -> fl
     # With (x/2)^2 <= order + 1 the series terms decrease from the start, so
     # there is no cancellation regardless of how large the order is.
     if x <= _SICI_CROSSOVER or 0.25 * x * x <= order + 1:
-        return _bessel_j_series(
-            order, x, options.target_abs_tol * 1e-3, min(500, options.max_terms)
-        )
+        return _bessel_j_series(order, x)
     if x >= max(25.0, 0.5 * order * order):
         p, q = _hankel_pq(order, x)
         chi = x - (0.5 * order + 0.25) * math.pi
         return math.sqrt(2.0 / (math.pi * x)) * (math.cos(chi) * p - math.sin(chi) * q)
     return _miller_array(order, x)[order]
+
+
+def _bessel_j_array(order: int, x: np.ndarray) -> np.ndarray:
+    out = np.full_like(x, 1.0 if order == 0 else 0.0)  # the x == 0 value
+    series = (x > 0.0) & ((x <= _SICI_CROSSOVER) | (0.25 * x * x <= order + 1))
+    hankel = ~series & (x >= max(25.0, 0.5 * order * order))
+    miller = (x > 0.0) & ~series & ~hankel
+    out[series] = _bessel_j_series_array(order, x[series])
+    out[hankel] = _hankel_array(order, x[hankel], first_kind=True)
+    out[miller] = _miller_j_array(order, x[miller])
+    return out
 
 
 def bessel_j_all(nmax: int, x: float) -> list[float]:
@@ -193,6 +276,39 @@ def _bessel_y_series(order: int, x: float) -> float:
     return (2.0 / math.pi) * (lg * j1 - 1.0 / x) - x / (2.0 * math.pi) * s
 
 
+def _bessel_y_series_array(order: int, x: np.ndarray) -> np.ndarray:
+    # _bessel_y_series elementwise, for 0 < x <= _Y_SERIES_MAX.
+    step = -(0.25 * x * x)
+    s_final = np.empty_like(x)
+    idx = np.arange(x.size)
+    s = np.zeros_like(x)
+    term = np.ones_like(x)
+    hk, hk1, k = 0.0, 1.0, 0
+    while idx.size:
+        if order == 0:
+            k += 1
+            term *= step / (k * k)
+            hk += 1.0 / k
+            s += hk * term
+            done = np.abs(term) * (hk + 1.0) < 1e-18 * np.maximum(np.abs(s), 1e-10)
+        else:
+            s += (hk + hk1 - 2.0 * _EULER_GAMMA) * term
+            term *= step / ((k + 1) * (k + 2))
+            k += 1
+            hk += 1.0 / k
+            hk1 += 1.0 / (k + 1)
+            done = np.abs(term) * (hk + hk1 + 2.0) < 1e-18 * np.maximum(np.abs(s), 1e-10)
+        if k > 500:
+            done[:] = True
+        if done.any():
+            idx, s, term, step = _retire(done, s_final, idx, s, term, step)
+    lg = np.log(0.5 * x)
+    j = _bessel_j_series_array(order, x)
+    if order == 0:
+        return (2.0 / math.pi) * ((lg + _EULER_GAMMA) * j - s_final)
+    return (2.0 / math.pi) * (lg * j - 1.0 / x) - x / (2.0 * math.pi) * s_final
+
+
 def _bessel_y_bridge(order: int, x: float) -> float:
     # Neumann-series identities (GR 8.515.7 / 8.514.9) expressing Y_0, Y_1
     # through J_n; accurate to machine precision for moderate x where both
@@ -227,10 +343,45 @@ def _hankel_pq(order: int, x: float) -> tuple[float, float]:
     return p, q
 
 
-def bessel_y(order: int, x: float) -> float:
+def _hankel_array(order: int, x: np.ndarray, first_kind: bool) -> np.ndarray:
+    # J_order (first_kind) or Y_order from _hankel_pq, elementwise; every
+    # element truncates its own series at its smallest term.
+    mu = 4.0 * order * order
+    out = np.empty((2, x.size))
+    idx = np.arange(x.size)
+    pq = np.zeros((2, x.size))
+    pq[0] = 1.0
+    t = np.ones_like(x)
+    last = np.ones_like(x)
+    xs = x
+    for m in range(80):
+        if not idx.size:
+            break
+        t = t * ((mu - (2 * m + 1) ** 2) / ((m + 1) * 8.0 * xs))
+        size = np.abs(t)
+        small = size < 1e-18
+        grow = size >= last
+        signed = -t if (m + 1) // 2 % 2 else t
+        pq[(m + 1) % 2] += np.where(grow & ~small, 0.0, signed)
+        last = size
+        done = small | grow
+        if done.any():
+            idx, pq, t, last, xs = _retire(done, out, idx, pq, t, last, xs)
+    out[:, idx] = pq
+    p, q = out
+    chi = x - (0.5 * order + 0.25) * math.pi
+    amp = np.sqrt(2.0 / (math.pi * x))
+    if first_kind:
+        return amp * (np.cos(chi) * p - np.sin(chi) * q)
+    return amp * (np.sin(chi) * p + np.cos(chi) * q)
+
+
+def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
     """Bessel function of the second kind Y_0(x) or Y_1(x), x > 0."""
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
+    if isinstance(x, np.ndarray):
+        return _bessel_y_array(order, _checked_array(x, positive=True))
     if x <= 0:
         raise ValueError("x must be positive")
     if x <= _Y_SERIES_MAX:
@@ -242,11 +393,23 @@ def bessel_y(order: int, x: float) -> float:
     return math.sqrt(2.0 / (math.pi * x)) * (math.sin(chi) * p + math.cos(chi) * q)
 
 
+def _bessel_y_array(order: int, x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    series = x <= _Y_SERIES_MAX
+    hankel = x >= _Y_ASYMPTOTIC_MIN
+    bridge = ~series & ~hankel
+    out[series] = _bessel_y_series_array(order, x[series])
+    out[hankel] = _hankel_array(order, x[hankel], first_kind=False)
+    # an integrand puts only a few nodes into the bridge window
+    out[bridge] = [_bessel_y_bridge(order, v) for v in x[bridge].tolist()]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Sine and cosine integrals
 # ---------------------------------------------------------------------------
 
-def _si_series(x: float, tol: float = 1e-18, max_terms: int = 300) -> float:
+def _si_series(x: float, tol: float = _SICI_SERIES_TOL, max_terms: int = 300) -> float:
     # sum_n (-1)^(n-1) x^(2n-1) / ((2n-1) (2n-1)!); odd in x by construction.
     total = 0.0
     term = x  # x^(2n-1)/(2n-1)!
@@ -259,7 +422,7 @@ def _si_series(x: float, tol: float = 1e-18, max_terms: int = 300) -> float:
             return total
 
 
-def _glmc_series(x: float, tol: float = 1e-18, max_terms: int = 300) -> float:
+def _glmc_series(x: float, tol: float = _SICI_SERIES_TOL, max_terms: int = 300) -> float:
     # sum_n (-1)^(n-1) x^(2n) / (2n (2n)!) -- the entire part of gamma+log-Ci.
     total = 0.0
     term = 0.5 * x * x  # x^(2n)/(2n)!
@@ -270,6 +433,30 @@ def _glmc_series(x: float, tol: float = 1e-18, max_terms: int = 300) -> float:
         n += 1
         if abs(term) / (2 * n) < tol * max(1.0, abs(total)) or n > max_terms:
             return total
+
+
+def _sici_series_array(x: np.ndarray, shift: int) -> np.ndarray:
+    # _si_series (shift 0) or _glmc_series (shift 1) elementwise, with their
+    # default tol and max_terms: the sum of
+    # (-1)^(n-1) x^(2n-1+shift) / ((2n-1+shift) (2n-1+shift)!).
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    total = np.zeros_like(x)
+    term = 0.5 * x * x if shift else x.copy()
+    step = -x * x
+    n = 1
+    while idx.size:
+        total += term / (2 * n - 1 + shift)
+        term *= step / ((2 * n + shift) * (2 * n + 1 + shift))
+        n += 1
+        done = np.abs(term) / (2 * n - 1 + shift) < _SICI_SERIES_TOL * np.maximum(
+            1.0, np.abs(total)
+        )
+        if n > 300:
+            done[:] = True
+        if done.any():
+            idx, total, term, step = _retire(done, out, idx, total, term, step)
+    return out
 
 
 def _e1_of_ix(x: float) -> complex:
@@ -292,40 +479,91 @@ def _e1_of_ix(x: float) -> complex:
     return cmath.exp(-z) * h
 
 
-def si(x: float, options: EvalOptions = DEFAULT_OPTIONS) -> float:
+def _e1_of_ix_array(x: np.ndarray) -> np.ndarray:
+    # _e1_of_ix elementwise; each element stops at its own convergence.
+    z = x * 1j
+    out = np.empty_like(z)
+    idx = np.arange(x.size)
+    b = z + 1.0
+    c = np.full_like(z, 1e308)
+    d = 1.0 / b
+    h = d.copy()
+    for i in range(1, 300):
+        if not idx.size:
+            break
+        a = -float(i * i)
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h = h * delta
+        done = (np.abs(delta.real - 1.0) < 1e-16) & (np.abs(delta.imag) < 1e-16)
+        if done.any():
+            idx, h, b, c, d = _retire(done, out, idx, h, b, c, d)
+    out[idx] = h
+    return np.exp(-z) * out
+
+
+def _sici_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Masks of the series branch (0 < x <= crossover) and the continued fraction.
+    return (x > 0.0) & (x <= _SICI_CROSSOVER), x > _SICI_CROSSOVER
+
+
+def si(x: float | np.ndarray) -> float | np.ndarray:
     """Sine integral Si(x) = int_0^x sin(t)/t dt, x >= 0."""
+    if isinstance(x, np.ndarray):
+        x = _checked_array(x, positive=False)
+        out = np.zeros_like(x)
+        series, cf = _sici_split(x)
+        out[series] = _sici_series_array(x[series], 0)
+        out[cf] = _e1_of_ix_array(x[cf]).imag + 0.5 * math.pi
+        return out
     if x < 0:
         raise ValueError("x must be nonnegative")
     if x == 0.0:
         return 0.0
     if x <= _SICI_CROSSOVER:
-        return _si_series(x, options.target_abs_tol * 1e-4, min(300, options.max_terms))
+        return _si_series(x)
     return _e1_of_ix(x).imag + 0.5 * math.pi
 
 
-def ci(x: float, options: EvalOptions = DEFAULT_OPTIONS) -> float:
+def ci(x: float | np.ndarray) -> float | np.ndarray:
     """Cosine integral Ci(x), x > 0."""
+    if isinstance(x, np.ndarray):
+        x = _checked_array(x, positive=True)
+        out = np.empty_like(x)
+        series, cf = _sici_split(x)
+        xs = x[series]
+        out[series] = _EULER_GAMMA + np.log(xs) - _sici_series_array(xs, 1)
+        out[cf] = -_e1_of_ix_array(x[cf]).real
+        return out
     if x <= 0:
         raise ValueError("x must be positive")
     if x <= _SICI_CROSSOVER:
-        return _EULER_GAMMA + math.log(x) - _glmc_series(
-            x, options.target_abs_tol * 1e-4, min(300, options.max_terms)
-        )
+        return _EULER_GAMMA + math.log(x) - _glmc_series(x)
     return -_e1_of_ix(x).real
 
 
-def gamma_log_minus_ci(x: float, options: EvalOptions = DEFAULT_OPTIONS) -> float:
+def gamma_log_minus_ci(x: float | np.ndarray) -> float | np.ndarray:
     """gamma + log(x) - Ci(x), evaluated without cancellation near 0.
 
     This combination is what the integral identities actually use; below the
     crossover it comes straight from the entire series x^2/4 - x^4/96 + ...
     """
+    if isinstance(x, np.ndarray):
+        x = _checked_array(x, positive=False)
+        out = np.zeros_like(x)
+        series, cf = _sici_split(x)
+        out[series] = _sici_series_array(x[series], 1)
+        xc = x[cf]
+        out[cf] = _EULER_GAMMA + np.log(xc) + _e1_of_ix_array(xc).real
+        return out
     if x < 0:
         raise ValueError("x must be nonnegative")
     if x == 0.0:
         return 0.0
     if x <= _SICI_CROSSOVER:
-        return _glmc_series(x, options.target_abs_tol * 1e-4, min(300, options.max_terms))
+        return _glmc_series(x)
     return _EULER_GAMMA + math.log(x) + _e1_of_ix(x).real
 
 

@@ -1,11 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from neumann_sici import coeffs, eulersum, neumann
 from neumann_sici import specfun as sf
 from neumann_sici.quad import (
-    Integrand,
     QuadratureError,
     bessel_j1_over_t_integral,
     ci_bessel_integral,
@@ -32,7 +32,7 @@ HALF_PI = 0.5 * math.pi
 # ---------------------------------------------------------------------------
 
 def test_integrate_cos_exactly():
-    r = integrate_finite(math.cos, 0.0, HALF_PI, 1e-14)
+    r = integrate_finite(np.cos, 0.0, HALF_PI, 1e-14)
     assert abs(r.value - 1.0) <= 1e-14
     assert r.abs_err_estimate <= 1e-14
     assert r.subdivisions >= 1
@@ -40,7 +40,7 @@ def test_integrate_cos_exactly():
 
 def test_cos_times_cos2kt_elementary_integral():
     # int_0^{pi/2} cos t cos(2kt) dt = -cos(pi k)/(4k^2 - 1); k = 3 gives 1/35
-    r = integrate_finite(lambda t: math.cos(t) * math.cos(6.0 * t), 0.0, HALF_PI, 1e-14)
+    r = integrate_finite(lambda t: np.cos(t) * np.cos(6.0 * t), 0.0, HALF_PI, 1e-14)
     assert abs(r.value - 1.0 / 35.0) <= 1e-14
 
 
@@ -48,7 +48,7 @@ def test_cos_times_cos2kt_elementary_integral():
 def test_cos_times_sin_odd_antiderivative_oracle(k):
     # int_0^{pi/2} 2 cos t sin((2k-1)t) dt = (1-(-1)^k)/(2k) + (1+(-1)^k)/(2k-2)
     r = integrate_finite(
-        lambda t: 2.0 * math.cos(t) * math.sin((2 * k - 1) * t), 0.0, HALF_PI, 1e-14
+        lambda t: 2.0 * np.cos(t) * np.sin((2 * k - 1) * t), 0.0, HALF_PI, 1e-14
     )
     expected = (1.0 - (-1.0) ** k) / (2.0 * k) + (1.0 + (-1.0) ** k) / (2.0 * k - 2.0)
     assert abs(r.value - expected) <= 1e-13
@@ -56,32 +56,20 @@ def test_cos_times_sin_odd_antiderivative_oracle(k):
 
 def test_cos_times_sin_k_equals_one():
     # the k = 1 instance of the closed form is 0/0; the integral itself is 1
-    r = integrate_finite(lambda t: 2.0 * math.cos(t) * math.sin(t), 0.0, HALF_PI, 1e-14)
+    r = integrate_finite(lambda t: 2.0 * np.cos(t) * np.sin(t), 0.0, HALF_PI, 1e-14)
     assert abs(r.value - 1.0) <= 1e-14
-
-
-def test_integrand_annotation_used_at_endpoint():
-    f = Integrand(lambda t: math.sin(3.0 * t) / math.sin(t) * math.cos(t), ((0.0, 3.0),))
-    assert f(0.0) == 3.0
-    assert f(1e-301) == 3.0
-    assert f(0.5) == math.sin(1.5) / math.sin(0.5) * math.cos(0.5)
-
-
-def test_integrand_rejects_nonfinite_annotation():
-    with pytest.raises(ValueError):
-        Integrand(lambda t: t, ((0.0, math.inf),))
 
 
 def test_integrate_finite_validates_interval():
     with pytest.raises(ValueError):
-        integrate_finite(math.cos, 1.0, 1.0, 1e-10)
+        integrate_finite(np.cos, 1.0, 1.0, 1e-10)
     with pytest.raises(ValueError):
-        integrate_finite(math.cos, 0.0, 1.0, 0.0)
+        integrate_finite(np.cos, 0.0, 1.0, 0.0)
 
 
 def test_nan_integrand_raises():
     with pytest.raises(QuadratureError):
-        integrate_finite(lambda t: math.nan, 0.0, 1.0, 1e-10)
+        integrate_finite(lambda t: np.full_like(t, np.nan), 0.0, 1.0, 1e-10)
 
 
 def test_nonintegrable_endpoint_raises_nonconvergence():
@@ -138,13 +126,42 @@ def test_engine_selftest_unit_bessel_integral():
 
 def test_oscillatory_rejects_bad_spacing():
     with pytest.raises(ValueError):
-        oscillatory_semiinf(lambda t: 0.0, -1.0, 1e-6)
+        oscillatory_semiinf(np.zeros_like, -1.0, 1e-6)
 
 
 def test_oscillatory_nonconvergence_raises():
-    f = Integrand(lambda t: math.sin(t) / t, ((0.0, 1.0),))
     with pytest.raises(QuadratureError):
-        oscillatory_semiinf(f, math.pi, 1e-16, max_partitions=40)
+        oscillatory_semiinf(lambda t: np.sin(t) / t, math.pi, 1e-16, max_partitions=40)
+
+
+def test_oscillatory_engine_batches_partitions_per_block():
+    # J_1(t)/t, counting the integrand calls and the nodes in each
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return sf.bessel_j(1, t) / t
+
+    r = oscillatory_semiinf(f, math.pi, 2e-10, phase_offset=0.75)
+    assert abs(r.value - 1.0) <= 1e-9
+    # extrapolation checkpoints at 32, 48, 72, ... partitions; one block each
+    checkpoints = [32]
+    while checkpoints[-1] < r.partitions_used:
+        checkpoints.append(int(1.5 * checkpoints[-1]))
+    assert checkpoints[-1] == r.partitions_used
+    bisections = r.subdivisions - r.partitions_used
+    assert bisections >= 1
+    # one call per block plus one per refinement step; here every refinement
+    # step bisects a single panel
+    assert len(calls) == len(checkpoints) + bisections
+    assert calls[0] == 15 * checkpoints[0]
+    assert min(calls) >= 15
+    assert sum(calls) == 15 * (r.partitions_used + 2 * bisections)
+
+
+@pytest.mark.parametrize("n,partitions", [(0, 243), (4, 681)])
+def test_si_bessel_integral_partition_counts(n, partitions):
+    assert si_bessel_integral(n, 1e-8).partitions_used == partitions
 
 
 def test_si_weighted_j1_moment_is_one():

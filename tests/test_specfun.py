@@ -7,7 +7,6 @@ import pytest
 from neumann_sici import specfun as sf
 from neumann_sici.specfun import (
     CONSTANTS,
-    EvalOptions,
     bessel_j,
     bessel_j_all,
     bessel_y,
@@ -23,15 +22,8 @@ mp.mp.dps = 40
 
 
 # ---------------------------------------------------------------------------
-# options / constants
+# constants
 # ---------------------------------------------------------------------------
-
-def test_eval_options_validation():
-    with pytest.raises(ValueError):
-        EvalOptions(target_abs_tol=0.0)
-    with pytest.raises(ValueError):
-        EvalOptions(max_terms=0)
-
 
 def test_named_constants_full_double_precision():
     assert CONSTANTS.euler_gamma == pytest.approx(float(mp.euler), abs=1e-16)
@@ -154,11 +146,9 @@ def test_si_at_zero():
 
 
 def test_si_at_pi_matches_quadrature_oracle():
-    from neumann_sici.quad import Integrand, integrate_finite
+    from neumann_sici.quad import integrate_finite
 
-    oracle = integrate_finite(
-        Integrand(lambda t: math.sin(t) / t, ((0.0, 1.0),)), 0.0, math.pi, 1e-14
-    )
+    oracle = integrate_finite(lambda t: np.sin(t) / t, 0.0, math.pi, 1e-14)
     assert abs(si(math.pi) - oracle.value) <= 1e-12
 
 
@@ -199,6 +189,85 @@ def test_si_ci_domain_errors():
         ci(0.0)
     with pytest.raises(ValueError):
         gamma_log_minus_ci(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# array arguments agree with the scalar kernels
+# ---------------------------------------------------------------------------
+
+def _branch_grid(order=0):
+    # both sides of every branch boundary (x = 8, 17, 25, order^2/2 and
+    # (x/2)^2 = order + 1) plus a log-spaced sweep
+    edges = [8.0, 17.0, 25.0, 0.5 * order * order, 2.0 * math.sqrt(order + 1.0)]
+    near = [e * s for e in edges if e > 0.0 for s in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)]
+    return np.array(sorted(near + list(np.geomspace(1e-3, 3000.0, 160))))
+
+
+def _assert_matches_scalar(fn, x):
+    values = fn(x)
+    assert isinstance(values, np.ndarray) and values.shape == x.shape
+    for xi, v in zip(x.tolist(), values.tolist()):
+        ref = fn(xi)
+        assert abs(v - ref) <= 1e-14 * max(1.0, abs(ref)), (xi, v, ref)
+
+
+@pytest.mark.parametrize("order", list(range(22)) + [60])
+def test_bessel_j_array_matches_scalar(order):
+    x = np.concatenate([[0.0], _branch_grid(order)])
+    _assert_matches_scalar(lambda v: bessel_j(order, v), x)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_bessel_y_array_matches_scalar(order):
+    _assert_matches_scalar(lambda v: bessel_y(order, v), _branch_grid())
+
+
+@pytest.mark.parametrize("fn", [si, gamma_log_minus_ci])
+def test_si_glmc_array_matches_scalar(fn):
+    _assert_matches_scalar(fn, np.concatenate([[0.0], _branch_grid()]))
+
+
+def test_ci_array_matches_scalar():
+    _assert_matches_scalar(ci, _branch_grid())
+
+
+def test_array_kernels_single_element_and_mixed_branches():
+    one = np.array([12.5])
+    mixed = np.array([30.0, 0.5, 12.0, 8.0, 100.0, 17.0, 3.0, 25.0])
+    kernels = [
+        lambda v: bessel_j(3, v),
+        lambda v: bessel_j(20, v),
+        lambda v: bessel_y(0, v),
+        lambda v: bessel_y(1, v),
+        si,
+        ci,
+        gamma_log_minus_ci,
+    ]
+    for fn in kernels:
+        _assert_matches_scalar(fn, one)
+        _assert_matches_scalar(fn, mixed)
+
+
+def test_array_kernels_domain_errors():
+    with pytest.raises(ValueError):
+        bessel_j(1, np.array([1.0, -0.5]))
+    with pytest.raises(ValueError):
+        bessel_y(0, np.array([2.0, 0.0]))
+    with pytest.raises(ValueError):
+        bessel_y(1, np.array([-1.0]))
+    with pytest.raises(ValueError):
+        si(np.array([3.0, -0.1]))
+    with pytest.raises(ValueError):
+        ci(np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        gamma_log_minus_ci(np.array([-1.0]))
+    with pytest.raises(ValueError):
+        bessel_j(0, np.array([1.0, np.nan]))
+    # zero is in the domain wherever the scalar kernel accepts it
+    assert bessel_j(0, np.array([0.0]))[0] == 1.0
+    assert bessel_j(2, np.array([0.0]))[0] == 0.0
+    assert si(np.array([0.0]))[0] == 0.0
+    assert gamma_log_minus_ci(np.array([0.0]))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
