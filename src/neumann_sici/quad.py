@@ -397,9 +397,7 @@ def clausen_cot_integral(k: int, tol: float = 1e-9) -> QuadResult:
     z = specfun.zeta(weight)
 
     def f(t: np.ndarray) -> np.ndarray:
-        # clausen_odd is scalar: each call already sums 10^5 terms as an array
-        cl = np.array([specfun.clausen_odd(weight, u) for u in (2.0 * t).tolist()])
-        return (z - cl) * np.cos(t) / np.sin(t)
+        return (z - specfun.clausen_odd(weight, 2.0 * t)) * np.cos(t) / np.sin(t)
 
     return integrate_finite(f, 0.0, _HALF_PI, tol, max_subdivisions=4000)
 

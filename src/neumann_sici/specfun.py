@@ -3,22 +3,27 @@
 Everything the identity checks reference lives here: Bessel J_n, Y_0, Y_1,
 the sine and cosine integrals, odd-index Clausen functions, zeta/eta values
 and a table of named constants.  All functions are pure; the only
-module-level state is a memo of immutable weight arrays, so values can be
-shared freely across threads.
+module-level state is a per-weight cache of immutable Clausen series
+coefficients, so values can be shared freely across threads.
 
 ``bessel_j``, ``bessel_y``, ``si``, ``ci`` and ``gamma_log_minus_ci`` also
 accept a float ndarray and return an array of the same shape.  Each element
 takes the branch the scalar kernel would take for it (selected by mask), and
 every iterative branch runs until each element meets the scalar stopping
 test, so an array result agrees with the scalar one to rounding.  A Python
-float runs the scalar code.
+float runs the scalar code.  ``clausen_odd`` has no branches: a float and an
+array run the same arithmetic, so they agree exactly.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -65,6 +70,15 @@ _Y_ASYMPTOTIC_MIN = 17.0
 # Relative stopping tolerances of the power series.
 _J_SERIES_TOL = 1e-17
 _SICI_SERIES_TOL = 1e-18
+
+
+def _integer(value: int, message: str) -> int:
+    # An integer argument (int, numpy integer, ...) as int; anything else,
+    # a float with an integer value included, is a domain error.
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(message) from None
 
 
 def _checked_array(x: np.ndarray, positive: bool) -> np.ndarray:
@@ -571,73 +585,78 @@ def gamma_log_minus_ci(x: float | np.ndarray) -> float | np.ndarray:
 # Clausen functions of odd index
 # ---------------------------------------------------------------------------
 
-_CLAUSEN_TERMS = 10**5
-_clausen_cache: dict[int, np.ndarray] = {}
+_TWO_PI = 2.0 * math.pi
+
+# Terms of order theta^(2 m) and beyond with m > 30 stay below 1e-50 on
+# [0, pi], so a larger weight keeps 30 terms of P and drops the log term.
+_CLAUSEN_MAX_ORDER = 30
 
 
-def _clausen_weights(weight: int) -> np.ndarray:
-    w = _clausen_cache.get(weight)
-    if w is None:
-        n = np.arange(1.0, _CLAUSEN_TERMS + 1.0)
-        w = n ** (-float(weight))
-        _clausen_cache[weight] = w
-    return w
+@functools.cache
+def _clausen_coefficients(weight: int) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
+    # Lewin's series for Cl_{2m+1} on 0 <= theta <= pi, with x = theta^2 and
+    # s = x^m / (2m)!:
+    #   Cl_{2m+1}(theta) = P(x) + (-1)^m s (H_2m - log theta + Q(x)),
+    #   P(x) = sum_{j<m} (-1)^j zeta(2m+1-2j) x^j / (2j)!,
+    #   Q(x) = sum_{k>=1} zeta(2k) x^k / (k (2 pi)^2k binom(2k+2m, 2k)).
+    # Q's terms fall faster than 4^-k at theta = pi; the sum stops where they
+    # drop below 1e-18 there.  Returns P's coefficients, H_2m and Q's
+    # coefficients over x, highest power first; Q's are empty when the log
+    # term is dropped.
+    m = weight // 2
+    p = [
+        (-1) ** j * zeta(weight - 2 * j) / math.factorial(2 * j)
+        for j in range(min(m, _CLAUSEN_MAX_ORDER))
+    ]
+    if m > _CLAUSEN_MAX_ORDER:
+        return tuple(reversed(p)), 0.0, ()
+    q = []
+    for k in itertools.count(1):
+        c = zeta(2 * k) / (k * _TWO_PI ** (2 * k) * math.comb(2 * k + 2 * m, 2 * k))
+        if c * math.pi ** (2 * k) < 1e-18:
+            break
+        q.append(c)
+    h = float(sum(Fraction(1, i) for i in range(1, 2 * m + 1)))
+    return tuple(reversed(p)), h, tuple(reversed(q))
 
 
-def _cos_tail_integral(k: int, a: float) -> float:
-    # C_k(a) = int_a^inf cos(u) u^-k du for odd k, reduced by parts down to
-    # C_1(a) = -Ci(a).
-    c = -ci(a)
-    s = 0.0
-    for j in range(1, k, 2):
-        # S_{j+1} from C_j, then C_{j+2} from S_{j+1}
-        s = math.sin(a) * a ** (-j) / j + c / j
-        c = math.cos(a) * a ** (-j - 1) / (j + 1) - s / (j + 1)
-    return c
-
-
-def clausen_odd(weight: int, theta: float) -> float:
+def clausen_odd(weight: int, theta: float | np.ndarray) -> float | np.ndarray:
     """Clausen-type function Cl_weight(theta) = sum_n cos(n theta)/n^weight.
 
-    Only odd weights >= 3 are supported.  Direct summation of 10^5 terms plus
-    an Euler-Maclaurin tail.  The angle is mirrored into [0, pi] first --
-    cos(n theta) is unchanged at integer n, and the continuous integrand in
-    the tail must be slowly varying for Euler-Maclaurin to hold.
+    Only odd weights >= 3 are supported.  The angle is mirrored into
+    [0, pi] (Cl is even and 2 pi-periodic) and the function summed from
+    Lewin's log-series (L. Lewin, *Polylogarithms and Associated Functions*,
+    1981, ch. 4): a polynomial in theta^2 with zeta(odd) coefficients, a
+    theta^(2m) (H_2m - log theta) term and a power series in
+    (theta / 2 pi)^2.  A float ndarray theta runs the same arithmetic
+    elementwise and returns an array of the same shape.
     """
+    weight = _integer(weight, "weight must be an odd integer >= 3")
     if weight < 3 or weight % 2 == 0:
         raise ValueError("weight must be an odd integer >= 3")
-    theta = math.fmod(theta, 2.0 * math.pi)
-    if theta < 0.0:
-        theta += 2.0 * math.pi
-    if theta > math.pi:
-        theta = 2.0 * math.pi - theta
-    if theta == 0.0:
-        return zeta(weight)
-    n = _CLAUSEN_TERMS
-    w = _clausen_weights(weight)
-    head = float(np.dot(np.cos(theta * np.arange(1.0, n + 1.0)), w))
-    k = weight
-    a = theta * n
-    if a < 1e-3:
-        # cos(m theta) = 1 - O((m theta)^2) out to m ~ 1/theta; the plain
-        # zeta tail differs by less than theta^2 log(1/a), below 1e-17 here
-        tail = (
-            float(n) ** (1 - k) / (k - 1)
-            - 0.5 * float(n) ** -k
-            + k * float(n) ** (-k - 1) / 12.0
-        )
-        return head + tail
-    tail = theta ** (k - 1) * _cos_tail_integral(k, a)
-    tail -= 0.5 * math.cos(a) / n**k
-    tail += (theta * math.sin(a) / n**k + k * math.cos(a) / n ** (k + 1)) / 12.0
-    # third correction, needed once theta is of order 1
-    f3 = (
-        theta**3 * math.sin(a) / n**k
-        + 3.0 * theta**2 * k * math.cos(a) / n ** (k + 1)
-        - 3.0 * theta * k * (k + 1) * math.sin(a) / n ** (k + 2)
-        - k * (k + 1) * (k + 2) * math.cos(a) / n ** (k + 3)
-    )
-    return head + tail + f3 / 720.0
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
+    p, h, q = _clausen_coefficients(weight)
+    # Cl is even and 2 pi-periodic; both steps are exact in floating point
+    r = abs(theta) % _TWO_PI
+    r = abs(r - _TWO_PI * (r > math.pi))
+    x = r * r
+    out = p[0]
+    for c in p[1:]:
+        out = out * x + c
+    if q:
+        series = q[0]
+        for c in q[1:]:
+            series = series * x + c
+        s = x / 2.0
+        for j in range(2, weight // 2 + 1):
+            s = s * x / ((2 * j - 1) * (2 * j))
+        # at r = 0, where s = 0, log(1) stands in for log(r)
+        log_r = np.log(r + (r == 0.0))
+        if weight % 4 == 3:  # (-1)^m for m = weight // 2 odd
+            s = -s
+        out = out + s * (h + series * x - log_r)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +699,7 @@ _ZETA_TABLE = {
 
 def zeta(s: int) -> float:
     """Riemann zeta at integer s >= 2."""
+    s = _integer(s, "zeta requires an integer s >= 2")
     if s < 2:
         raise ValueError("zeta requires an integer s >= 2")
     v = _ZETA_TABLE.get(s)
@@ -698,6 +718,7 @@ def zeta(s: int) -> float:
 
 def eta(s: int) -> float:
     """Dirichlet eta at integer s >= 1; eta(1) = log 2."""
+    s = _integer(s, "eta requires an integer s >= 1")
     if s < 1:
         raise ValueError("eta requires an integer s >= 1")
     if s == 1:

@@ -225,6 +225,22 @@ def test_clausen_cot_integral_weight5_matches_closed_form():
     assert abs(r.value - 0.5 * eulersum.corollary3_rhs(4).value) <= 1e-9
 
 
+@pytest.mark.parametrize("k,subdivisions", [(0, 14), (1, 4)])
+def test_clausen_cot_integral_one_kernel_call_per_gk_step(monkeypatch, k, subdivisions):
+    sizes = []
+    kernel = sf.clausen_odd
+
+    def counting(weight, theta):
+        sizes.append(np.size(theta))
+        return kernel(weight, theta)
+
+    monkeypatch.setattr(sf, "clausen_odd", counting)
+    r = clausen_cot_integral(k, 1e-10)
+    assert r.subdivisions == subdivisions
+    # the first step evaluates one panel, every bisection step two
+    assert sizes == [15] + [30] * (subdivisions - 1)
+
+
 def test_clausen_cot_integral_domain():
     with pytest.raises(ValueError):
         clausen_cot_integral(-1)

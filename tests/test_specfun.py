@@ -277,6 +277,9 @@ def test_array_kernels_domain_errors():
 def test_clausen_at_zero_is_zeta():
     assert clausen_odd(3, 0.0) == zeta(3)
     assert clausen_odd(5, 2.0 * math.pi) == zeta(5)
+    for weight in (3, 5, 7, 21, 63):
+        assert clausen_odd(weight, 0.0) == zeta(weight)
+        assert clausen_odd(weight, np.array([0.0]))[0] == zeta(weight)
 
 
 def test_clausen_at_pi_is_minus_eta():
@@ -314,6 +317,72 @@ def test_clausen_domain_errors():
         clausen_odd(4, 1.0)
     with pytest.raises(ValueError):
         clausen_odd(1, 1.0)
+    # the weight must be an integer type; a numpy integer is one
+    for weight in (3.0, 2.5, "3", None):
+        with pytest.raises(ValueError):
+            clausen_odd(weight, 1.0)
+    assert clausen_odd(np.int64(5), 1.0) == clausen_odd(5, 1.0)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_clausen_rejects_nonfinite_angle(theta):
+    with pytest.raises(ValueError):
+        clausen_odd(3, theta)
+    with pytest.raises(ValueError):
+        clausen_odd(3, np.array([1.0, theta]))
+
+
+_CLAUSEN_EDGE_ANGLES = [
+    1e-300, 1e-12, math.pi - 1e-9, math.pi, math.pi + 1e-9, 2.0 * math.pi - 1e-10,
+]
+
+
+def _clcos(weight, theta):
+    with mp.workdps(40):
+        return float(mp.clcos(weight, mp.mpf(theta)))
+
+
+# 63 and 201 run the cut series of weights above 61
+@pytest.mark.parametrize("weight", [3, 5, 7, 9, 15, 21, 63, 201])
+def test_clausen_matches_mpmath_clcos(weight):
+    thetas = np.linspace(0.0, 2.0 * math.pi, 98)[1:-1].tolist() + _CLAUSEN_EDGE_ANGLES
+    for theta in thetas:
+        assert abs(clausen_odd(weight, theta) - _clcos(weight, theta)) <= 1e-14, theta
+
+
+@pytest.mark.parametrize("weight", [3, 5, 9, 21])
+def test_clausen_array_equals_scalar_calls(weight):
+    one = np.array([1.3])
+    assert clausen_odd(weight, one)[0] == clausen_odd(weight, 1.3)
+    mixed = np.array(
+        [0.0, -0.0, 1e-300, 1e-12, 0.7, -2.0, math.pi, 4.0, 2.0 * math.pi, 7.5, -99.0]
+        + _CLAUSEN_EDGE_ANGLES
+    )
+    out = clausen_odd(weight, mixed)
+    assert out.shape == mixed.shape
+    assert out.tolist() == [clausen_odd(weight, t) for t in mixed.tolist()]
+    assert isinstance(clausen_odd(weight, 0.7), float)
+
+
+def test_clausen_property_symmetries_and_mpmath():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(
+        weight=st.integers(1, 10).map(lambda m: 2 * m + 1),
+        theta=st.floats(-100.0, 100.0, allow_nan=False),
+    )
+    def check(weight, theta):
+        v = clausen_odd(weight, theta)
+        assert abs(v - _clcos(weight, theta)) <= 1e-14
+        assert clausen_odd(weight, -theta) == v
+        # 2 pi - theta is itself rounded; |d Cl / d theta| <= 1.02 bounds the shift
+        mirrored = 2.0 * math.pi - theta
+        slack = 1e-14 + 2.0 * math.ulp(mirrored)
+        assert abs(clausen_odd(weight, mirrored) - v) <= slack
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +416,15 @@ def test_zeta_eta_domain_errors():
         zeta(1)
     with pytest.raises(ValueError):
         eta(0)
+    # s must be an integer type; a numpy integer is one
+    assert zeta(np.int64(3)) == zeta(3)
+    assert eta(np.int64(1)) == eta(1)
+
+
+@pytest.mark.parametrize("s", [2.5, 3.0, "3", None])
+def test_zeta_eta_reject_non_integer_at_once(s):
+    # a non-integer s used to fall through to a direct sum of ~1e12 terms
+    with pytest.raises(ValueError):
+        zeta(s)
+    with pytest.raises(ValueError):
+        eta(s)
