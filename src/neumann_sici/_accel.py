@@ -1,12 +1,14 @@
 """Limit extraction for eventually-alternating partial-sum sequences.
 
 Averaging (the Euler transformation) kills the alternating component, but
-several of the series here carry a smooth monotone remainder as well: when
-the summand couples two alternating factors, the product of their sign
-patterns is constant (for example alternating-harmonic tails inside an
-alternating sum).  The averaged sums are therefore collocated against an
-integer power ladder 1/m, 1/m^2, ... on geometrically spaced indices and
-extrapolated to m = infinity.
+the sequences here carry a smooth monotone remainder as well: when the
+summand couples two alternating factors, the product of their sign patterns
+is constant (alternating-harmonic tails inside an alternating Euler sum; a
+Si or Ci tail against a Bessel function in a Longman integral).  The
+averaged sums are collocated against a basis of smooth modes on
+geometrically spaced truncation points and extrapolated to infinity: the
+integer power ladder 1, 1/m, ..., 1/m^5 for the Euler sums, and b^(-3/2),
+b^(-3/2) log b, ... at the partition edges b for ``quad``'s Longman sums.
 """
 
 from __future__ import annotations
@@ -19,43 +21,52 @@ import numpy as np
 __all__ = ["alternating_series_limit"]
 
 _AVERAGING_PASSES = 4
-_POINTS = 7
+_POINTS = 7  # collocation points, spaced by a factor sqrt(2)
+POWER_LADDER = tuple((q, False) for q in range(6))
 
 
 def alternating_series_limit(
-    partial_sums: Sequence[float], averaging_passes: int = _AVERAGING_PASSES
+    partial_sums: Sequence[float],
+    positions: Sequence[float] | None = None,
+    basis: Sequence[tuple[float, bool]] = POWER_LADDER,
 ) -> tuple[float, float]:
-    """Extrapolated limit of ``partial_sums`` and an error estimate.
+    """Extrapolated limit of ``partial_sums`` and the drop-one-point shift.
 
-    The estimate combines the shift from dropping the farthest-back
-    collocation point with an ulp-scale floor; callers should treat it as a
-    one-sigma-style indicator, not a rigorous bound.
+    ``positions`` are the truncation points (default 1, 2, ...) and each
+    ``basis`` entry ``(q, with_log)`` a column scale^(-q), times log(scale)
+    if with_log; the first must be the constant.  The shift, how far the
+    limit moves when the farthest-back collocation point is dropped, is left
+    to the caller to turn into an error estimate.
     """
     if len(partial_sums) == 0:
         raise ValueError("need at least one partial sum")
     y = np.asarray(partial_sums, dtype=float)
     if len(y) < 16:
         return float(y[-1]), float(abs(y[-1] - y[len(y) // 2]))
-    m = np.arange(1.0, len(y) + 1.0)
-    for _ in range(averaging_passes):
+    if positions is None:
+        positions = range(1, len(y) + 1)
+    b = np.asarray(positions, dtype=float)
+    for _ in range(_AVERAGING_PASSES):
         y = 0.5 * (y[1:] + y[:-1])
-        m = 0.5 * (m[1:] + m[:-1])
+        b = 0.5 * (b[1:] + b[:-1])
     idx: list[int] = []
-    target = m[-1]
+    target = b[-1]
     for _ in range(_POINTS):
-        i = int(np.argmin(np.abs(m - target)))
+        i = int(np.argmin(np.abs(b - target)))
         if not idx or i != idx[-1]:
             idx.append(i)
         target /= math.sqrt(2.0)
     idx = sorted(set(idx))
-    mp_, yp = m[idx], y[idx]
-    scale = mp_ / mp_[-1]
-    n_basis = min(6, len(mp_) - 1)
-    design = np.stack([scale ** -q for q in range(n_basis)], axis=1)
+    bp, yp = b[idx], y[idx]
+    scale = bp / bp[-1]
+    n_basis = min(len(basis), len(bp) - 1)
+    design = np.stack([
+        scale ** -q * np.log(scale) if with_log else scale ** -q
+        for q, with_log in basis[:n_basis]
+    ], axis=1)
     full = float(np.linalg.lstsq(design, yp, rcond=None)[0][0])
-    if len(mp_) < 3:
+    if len(bp) < 3:
         return full, abs(full - float(yp[-1]))
-    n2 = min(n_basis, len(mp_) - 2)
+    n2 = min(n_basis, len(bp) - 2)
     dropped = float(np.linalg.lstsq(design[1:, :n2], yp[1:], rcond=None)[0][0])
-    floor = 4e-16 * max(1.0, abs(full))
-    return full, max(2.0 * abs(full - dropped), floor)
+    return full, abs(full - dropped)

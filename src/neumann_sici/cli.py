@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-n", type=int, default=None, metavar="N",
                         help="cap the n ranges of indexed check families")
     parser.add_argument("--jobs", type=int, default=None, metavar="J",
-                        help="parallel check execution (default: logical cores)")
+                        help="accepted for compatibility; checks run serially in registry order")
     parser.add_argument("--config", metavar="PATH", default=None,
                         help="flat key=value config file; CLI flags win")
     parser.add_argument("--convergence-out", metavar="PATH", default=None,
@@ -103,7 +103,8 @@ def main(argv: list[str] | None = None) -> int:
         jobs_s = pick(args.jobs, "jobs", None)
         try:
             max_n = int(max_n_s) if max_n_s is not None else None
-            jobs = int(jobs_s) if jobs_s is not None else None
+            if jobs_s is not None:
+                int(jobs_s)  # validated, but has no effect
         except ValueError as exc:
             raise harness.UsageError(f"bad integer option: {exc}") from exc
         override_texts = list(config.get("tol_override", []))
@@ -122,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise harness.UsageError(f"bad grid value: {exc}") from exc
             harness.emit_convergence_tables(a_grid, n_grid, convergence_out)
 
-        report = harness.run_registry(check, overrides, jobs=jobs, max_n=max_n)
+        report = harness.run_registry(check, overrides, max_n=max_n)
         harness.emit_report(report, fmt, out)
     except harness.UsageError as exc:
         print(f"neumann-sici: error: {exc}", file=sys.stderr)

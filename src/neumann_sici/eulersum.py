@@ -244,7 +244,8 @@ def nielsen_sum_oracle(k: int, terms: int = _N_DIRECT) -> float:
 # ---------------------------------------------------------------------------
 
 def _accelerated(partial: np.ndarray, tol: float, what: str) -> float:
-    value, est = alternating_series_limit(partial)
+    value, shift = alternating_series_limit(partial)
+    est = max(2.0 * shift, 4e-16 * max(1.0, abs(value)))
     if est > tol:
         raise RuntimeError(f"{what}: acceleration stalled at {est:.2e} > tol {tol:.2e}")
     return value

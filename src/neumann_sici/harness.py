@@ -10,7 +10,6 @@ is inconsistent), so filters look like ``coeffs.*`` or ``si_coeff_integral.*``.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import fnmatch
 import io
@@ -383,10 +382,9 @@ def _run_check(check: IdentityCheck, tolerance: float) -> CheckOutcome:
 def run_registry(
     filter_glob: str = "*",
     tol_overrides: dict[str, float] | None = None,
-    jobs: int | None = None,
     max_n: int | None = None,
 ) -> Report:
-    """Execute all registry checks matching ``filter_glob``.
+    """Execute all registry checks matching ``filter_glob``, in registry order.
 
     Tolerances come from the registry, scaled by the ``NEUMANN_SICI_TOL_SCALE``
     environment variable when set, with per-id overrides taking precedence.
@@ -414,27 +412,19 @@ def run_registry(
             return overrides[check.id]
         return check.tolerance * scale
 
-    workers = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
     options = {
         "filter": filter_glob,
         "tol_overrides": {k: overrides[k] for k in sorted(overrides)},
-        "jobs": workers,
+        "jobs": 1,  # checks run serially; the key keeps the report schema
         "max_n": max_n,
         "tol_scale": scale,
     }
-    report = Report(
+    return Report(
         version=__version__,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         options=options,
+        checks=[_run_check(c, tol_for(c)) for c in matched],
     )
-    if workers == 1:
-        report.checks = [_run_check(c, tol_for(c)) for c in matched]
-        return report
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_check, c, tol_for(c)) for c in matched]
-        # registry order regardless of completion order
-        report.checks = [f.result() for f in futures]
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ beta_n <= H_n + A_n + 1/n.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -41,32 +41,20 @@ class SeriesEval:
     converged: bool
 
 
-_cache_lock = threading.Lock()
-_alpha_float: list[float] = []
-_beta_float: list[float] = [0.0]
-_beta_bound: list[float] = [0.0]  # H_n + A_n + 1/n
-
-
+@functools.cache
 def _alpha(n: int) -> float:
-    with _cache_lock:
-        while len(_alpha_float) <= n:
-            _alpha_float.append(float(coeffs.alpha(len(_alpha_float))))
-        return _alpha_float[n]
+    return float(coeffs.alpha(n))
 
 
+@functools.cache
 def _beta(n: int) -> float:
-    with _cache_lock:
-        while len(_beta_float) <= n:
-            k = len(_beta_float)
-            _beta_float.append(float(coeffs.beta(k)))
-            _beta_bound.append(float(coeffs.harmonic(k) + coeffs.alt_harmonic(k)) + 1.0 / k)
-        return _beta_float[n]
+    return float(coeffs.beta(n))
 
 
+@functools.cache
 def _beta_coeff_bound(n: int) -> float:
-    _beta(n)
-    with _cache_lock:
-        return _beta_bound[n]
+    # H_n + A_n + 1/n
+    return float(coeffs.harmonic(n) + coeffs.alt_harmonic(n)) + 1.0 / n
 
 
 def _bessel_majorant(a: float, m: int) -> float:
@@ -123,6 +111,8 @@ def _alpha_bound(n: int) -> float:
 
 def si_neumann(a: float, tol: float = 1e-12, max_terms: int = 400) -> SeriesEval:
     """Truncated Si expansion with tail bound <= tol."""
+    if not math.isfinite(a):
+        raise ValueError("a must be finite")
     if a < 0:
         raise ValueError("a must be nonnegative (the expansion is stated for a >= 0)")
     if a == 0.0:
@@ -140,6 +130,8 @@ def si_neumann(a: float, tol: float = 1e-12, max_terms: int = 400) -> SeriesEval
 
 def ci_neumann(a: float, tol: float = 1e-12, max_terms: int = 400) -> SeriesEval:
     """Truncated Ci expansion with tail bound <= tol."""
+    if not math.isfinite(a):
+        raise ValueError("a must be finite")
     if a <= 0:
         raise ValueError("a must be positive")
     limit = min(max_terms, int(a) + 80)

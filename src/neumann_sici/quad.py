@@ -21,7 +21,8 @@ Two layers:
   Bessel function) carry a non-alternating t^(-5/2) component that plain
   alternating-series acceleration cannot see, so the averaged partial sums
   are collocated against b^(-3/2), b^(-3/2) log b, ... on geometrically
-  spaced truncation points and extrapolated to b = infinity.
+  spaced truncation points and extrapolated to b = infinity with the Euler
+  sums' extrapolator, ``_accel.alternating_series_limit``.
   Partitions are integrated a block at a time: the block runs up to the
   next extrapolation checkpoint, every partition in it gets one GK15 panel
   in a single integrand call, and only the partitions whose error estimate
@@ -42,7 +43,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import specfun
+from . import _accel, specfun
 
 __all__ = [
     "QuadResult",
@@ -214,47 +215,10 @@ def integrate_finite(
     return QuadResult(values[0], errors[0], panels[0])
 
 
-_AVERAGING_PASSES = 4          # Euler averaging to kill the alternating part
-_COLLOCATION_POINTS = 7        # geometric truncation points, ratio sqrt(2)
 _EST_SAFETY = 3.0
-
-
-def _tail_extrapolate(sums: list[float], edges: list[float]) -> tuple[float, float]:
-    """Limit of Longman partial sums: averaging plus smooth-tail collocation.
-
-    After the averaging passes the remainder at truncation point b behaves
-    like b^(-3/2) (c0 + c1 log b) + O(b^(-5/2) log b); those modes are fitted
-    on geometrically spaced points and removed.  The error estimate is the
-    shift of the extrapolated limit when the farthest-back point is dropped.
-    """
-    y = np.asarray(sums)
-    b = np.asarray(edges)
-    for _ in range(_AVERAGING_PASSES):
-        y = 0.5 * (y[1:] + y[:-1])
-        b = 0.5 * (b[1:] + b[:-1])
-    idx: list[int] = []
-    target = b[-1]
-    for _ in range(_COLLOCATION_POINTS):
-        i = int(np.argmin(np.abs(b - target)))
-        if not idx or i != idx[-1]:
-            idx.append(i)
-        target /= math.sqrt(2.0)
-    idx = sorted(set(idx))
-    bp, yp = b[idx], y[idx]
-    scale = bp / bp[-1]
-    columns = [np.ones_like(bp)]
-    for q in (1.5, 2.5, 3.5):
-        columns.append(scale ** -q)
-        if q < 3.0:
-            columns.append(scale ** -q * np.log(scale))
-    n_basis = min(len(columns), len(bp) - 1)
-    design = np.stack(columns[:n_basis], axis=1)
-    full = float(np.linalg.lstsq(design, yp, rcond=None)[0][0])
-    if len(bp) < 3:
-        return full, abs(full - yp[-1])
-    n_basis2 = min(n_basis, len(bp) - 2)
-    dropped = float(np.linalg.lstsq(design[1:, :n_basis2], yp[1:], rcond=None)[0][0])
-    return full, abs(full - dropped)
+# Smooth modes left after averaging the Longman partial sums: the remainder
+# at partition edge b behaves like b^(-3/2) (c0 + c1 log b) + O(b^(-5/2) log b).
+_LONGMAN_BASIS = ((0, False), (1.5, False), (1.5, True), (2.5, False), (2.5, True), (3.5, False))
 
 
 def oscillatory_semiinf(
@@ -319,7 +283,7 @@ def oscillatory_semiinf(
         if len(partial_sums) < block_end:  # the break list ran out mid-block
             break
         checkpoint = int(checkpoint * 1.5)
-        value, raw_est = _tail_extrapolate(partial_sums, edges)
+        value, raw_est = _accel.alternating_series_limit(partial_sums, edges, _LONGMAN_BASIS)
         # the shift since the previous checkpoint guards against
         # optimistic dips of the drop-one-point estimate
         if prev_value is not None:
@@ -348,8 +312,7 @@ _HALF_PI = 0.5 * math.pi
 
 def lemma1_integral(n: int, tol: float = 1e-12) -> QuadResult:
     """int_0^{pi/2} sin((2n+1)t) cot(t) dt; equals the exact coefficient alpha_n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = specfun._integer(n, "n must be a nonnegative integer", 0)
     m = 2 * n + 1
     return integrate_finite(
         lambda t: np.sin(m * t) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, max(tol, 1e-13)
@@ -358,8 +321,7 @@ def lemma1_integral(n: int, tol: float = 1e-12) -> QuadResult:
 
 def lemma3_integral(n: int, tol: float = 1e-12) -> QuadResult:
     """int_0^{pi/2} [1 - cos(2nt)] cot(t) dt; equals the exact coefficient beta_n."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = specfun._integer(n, "n must be a positive integer", 1)
     m = 2 * n
     return integrate_finite(
         lambda t: (1.0 - np.cos(m * t)) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, max(tol, 1e-13)
@@ -391,8 +353,7 @@ def clausen_cot_integral(k: int, tol: float = 1e-9) -> QuadResult:
     For k = 0 this evaluates to (7/4) log(2) zeta(3); for k >= 1 it equals
     half the even-weight Euler-sum closed form of weight 2k+3.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = specfun._integer(k, "k must be a nonnegative integer", 0)
     weight = 2 * k + 3
     z = specfun.zeta(weight)
 
@@ -408,8 +369,7 @@ def clausen_cot_integral(k: int, tol: float = 1e-9) -> QuadResult:
 
 def si_bessel_integral(n: int, tol: float = 1e-7) -> QuadResult:
     """int_0^inf Si(t) J_{2n+1}(t) dt/t; equals alpha_n/(2n+1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = specfun._integer(n, "n must be a nonnegative integer", 0)
     order = 2 * n + 1
     # High orders need a longer run before the collocation window sits in the
     # settled Hankel regime, so both partition limits scale with the order.
@@ -424,8 +384,7 @@ def si_bessel_integral(n: int, tol: float = 1e-7) -> QuadResult:
 
 def ci_bessel_integral(n: int, tol: float = 1e-7) -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_{2n}(t) dt/t; equals beta_n/(2n)."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = specfun._integer(n, "n must be a positive integer", 1)
     order = 2 * n
     return oscillatory_semiinf(
         lambda t: specfun.gamma_log_minus_ci(t) * specfun.bessel_j(order, t) / t,

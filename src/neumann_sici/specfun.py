@@ -72,13 +72,16 @@ _J_SERIES_TOL = 1e-17
 _SICI_SERIES_TOL = 1e-18
 
 
-def _integer(value: int, message: str) -> int:
-    # An integer argument (int, numpy integer, ...) as int; anything else,
-    # a float with an integer value included, is a domain error.
+def _integer(value: int, message: str, minimum: int) -> int:
+    # An integer argument (int, numpy integer, ...) >= minimum as int; anything
+    # else, a float with an integer value included, is a domain error.
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(message) from None
+    if value < minimum:
+        raise ValueError(message)
+    return value
 
 
 def _checked_array(x: np.ndarray, positive: bool) -> np.ndarray:
@@ -631,8 +634,8 @@ def clausen_odd(weight: int, theta: float | np.ndarray) -> float | np.ndarray:
     (theta / 2 pi)^2.  A float ndarray theta runs the same arithmetic
     elementwise and returns an array of the same shape.
     """
-    weight = _integer(weight, "weight must be an odd integer >= 3")
-    if weight < 3 or weight % 2 == 0:
+    weight = _integer(weight, "weight must be an odd integer >= 3", 3)
+    if weight % 2 == 0:
         raise ValueError("weight must be an odd integer >= 3")
     if not np.isfinite(theta).all():
         raise ValueError("theta must be finite")
@@ -699,9 +702,7 @@ _ZETA_TABLE = {
 
 def zeta(s: int) -> float:
     """Riemann zeta at integer s >= 2."""
-    s = _integer(s, "zeta requires an integer s >= 2")
-    if s < 2:
-        raise ValueError("zeta requires an integer s >= 2")
+    s = _integer(s, "zeta requires an integer s >= 2", 2)
     v = _ZETA_TABLE.get(s)
     if v is not None:
         return v
@@ -718,9 +719,7 @@ def zeta(s: int) -> float:
 
 def eta(s: int) -> float:
     """Dirichlet eta at integer s >= 1; eta(1) = log 2."""
-    s = _integer(s, "eta requires an integer s >= 1")
-    if s < 1:
-        raise ValueError("eta requires an integer s >= 1")
+    s = _integer(s, "eta requires an integer s >= 1", 1)
     if s == 1:
         return CONSTANTS.log2
     return (1.0 - 2.0 ** (1.0 - s)) * zeta(s)

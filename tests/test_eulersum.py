@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from neumann_sici import quad
 from neumann_sici import specfun as sf
+from neumann_sici._accel import alternating_series_limit
 from neumann_sici.eulersum import (
     assembly_value,
     beta_weighted_partial_sums,
@@ -175,3 +177,28 @@ def test_catalan_sums_reject_bad_tol():
         catalan_alpha_sum(0.0)
     with pytest.raises(ValueError):
         catalan_auxiliary_sum(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# The shared extrapolator
+# ---------------------------------------------------------------------------
+
+def test_extrapolator_power_ladder_removes_smooth_remainder():
+    # sum (-1)^(m+1)/m + 1/m^2: averaging alone leaves the 1/m tail of zeta(2)
+    m = np.arange(1.0, 2001.0)
+    partial = np.cumsum((-1.0) ** (m + 1) / m + 1.0 / m**2)
+    value, shift = alternating_series_limit(partial)
+    assert abs(value - (LOG2 + math.pi**2 / 6.0)) <= 1e-12
+    assert shift <= 1e-12
+
+
+def test_extrapolator_uses_the_given_basis():
+    # Longman-like partial sums at partition edges b: a b^(-3/2) (1 + 0.3 log b)
+    # remainder that the integer power ladder cannot represent
+    k = np.arange(1.0, 200.0)
+    b = (k + 0.25) * math.pi
+    partial = 1.0 - b**-1.5 * (1.0 + 0.3 * np.log(b)) + (-1.0) ** k / b
+    longman, _ = alternating_series_limit(partial, b, quad._LONGMAN_BASIS)
+    ladder, _ = alternating_series_limit(partial, b)
+    assert abs(longman - 1.0) <= 1e-7
+    assert abs(ladder - 1.0) >= 100.0 * abs(longman - 1.0)

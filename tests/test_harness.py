@@ -66,14 +66,14 @@ def test_max_n_caps_indexed_families():
 
 
 def test_exact_coefficient_checks_all_pass_with_zero_tolerance():
-    report = harness.run_registry("coeffs.*", max_n=25, jobs=1)
+    report = harness.run_registry("coeffs.*", max_n=25)
     assert report.summary["fail"] == 0 and report.summary["error"] == 0
     assert all(c.tolerance == 0.0 for c in report.checks)
     assert all(c.abs_diff == 0.0 for c in report.checks)
 
 
 def test_single_check_lemma1_n0():
-    report = harness.run_registry("lemma1_quad.n=0", jobs=1)
+    report = harness.run_registry("lemma1_quad.n=0")
     (c,) = report.checks
     assert c.status == "pass"
     assert c.lhs == pytest.approx(1.0, abs=1e-12)
@@ -91,20 +91,18 @@ def test_unknown_override_id_is_usage_error():
 
 
 def test_tolerance_override_can_force_failure():
-    report = harness.run_registry(
-        "si_expansion.a=2", {"si_expansion.a=2": 1e-18}, jobs=1
-    )
+    report = harness.run_registry("si_expansion.a=2", {"si_expansion.a=2": 1e-18})
     assert report.checks[0].status == "fail"
     assert report.summary["fail"] == 1
 
 
 def test_tol_scale_env_applies_to_defaults(monkeypatch):
     monkeypatch.setenv(harness.TOL_SCALE_ENV, "1e6")
-    report = harness.run_registry("si_expansion.a=2", jobs=1)
+    report = harness.run_registry("si_expansion.a=2")
     assert report.checks[0].tolerance == pytest.approx(1e-10 * 1e6)
     monkeypatch.setenv(harness.TOL_SCALE_ENV, "bogus")
     with pytest.raises(harness.UsageError):
-        harness.run_registry("si_expansion.a=2", jobs=1)
+        harness.run_registry("si_expansion.a=2")
 
 
 def test_error_status_on_exception(monkeypatch):
@@ -112,7 +110,7 @@ def test_error_status_on_exception(monkeypatch):
         harness.IdentityCheck("boom", "always raises", lambda: 1 / 0, lambda: 0.0, 1e-9)
     ]
     monkeypatch.setattr(harness, "build_registry", lambda max_n=None: checks)
-    report = harness.run_registry("*", jobs=1)
+    report = harness.run_registry("*")
     assert report.checks[0].status == "error"
     assert "ZeroDivisionError" in report.checks[0].detail
     assert math.isnan(report.checks[0].lhs)
@@ -127,7 +125,7 @@ def test_error_status_on_exception(monkeypatch):
 
 @pytest.fixture(scope="module")
 def small_report():
-    return harness.run_registry("coeffs.beta_forms.*", max_n=8, jobs=1)
+    return harness.run_registry("coeffs.beta_forms.*", max_n=8)
 
 
 def test_json_roundtrip(small_report, tmp_path):
@@ -178,18 +176,32 @@ def test_full_registry_csv_row_count(tmp_path):
 
 
 def test_closed_form_assembly_lands_in_report_detail():
-    report = harness.run_registry("euler_sum_alt.k=1", jobs=1)
+    report = harness.run_registry("euler_sum_alt.k=1")
     (c,) = report.checks
     assert c.status == "pass"
     assert "assembly:" in c.detail
     assert "zeta(3)" in c.detail and "eta(1)*eta(2)" in c.detail
 
 
-def test_determinism_of_numeric_fields():
-    a = harness.run_registry("si_expansion.*", jobs=2)
-    b = harness.run_registry("si_expansion.*", jobs=1)
-    for ca, cb in zip(a.checks, b.checks):
-        assert (ca.id, ca.lhs, ca.rhs, ca.abs_diff) == (cb.id, cb.lhs, cb.rhs, cb.abs_diff)
+def test_jobs_option_is_accepted_and_runs_serially(tmp_path, capsys):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("jobs = 3\n")
+    runs = []
+    for extra in (["--jobs", "2"], ["--jobs", "1"], ["--config", str(cfg)]):
+        out = tmp_path / f"r{len(runs)}.json"
+        rc = cli.main(["--check", "si_expansion.*", "--format", "json", "--out", str(out), *extra])
+        assert rc == 0
+        parsed = json.loads(out.read_text())
+        assert parsed["options"]["jobs"] == 1
+        runs.append([(c["id"], c["lhs"], c["rhs"], c["abs_diff"], c["lhs_err"], c["rhs_err"])
+                     for c in parsed["checks"]])
+    assert len(runs[0]) == 7
+    assert runs[0] == runs[1] == runs[2]
+    # a non-integer is still a usage error
+    assert cli.main(["--check", "si_expansion.*", "--jobs", "x"]) == 2
+    cfg.write_text("jobs = x\n")
+    assert cli.main(["--check", "si_expansion.*", "--config", str(cfg)]) == 2
+    capsys.readouterr()
 
 
 def test_emit_convergence_tables(tmp_path):

@@ -54,6 +54,14 @@ def test_domain_rejections():
         corollary5_series(math.inf)
 
 
+@pytest.mark.parametrize("fn", (si_neumann, ci_neumann))
+@pytest.mark.parametrize("a", (math.nan, math.inf, -math.inf))
+def test_expansions_reject_nonfinite_argument(fn, a):
+    # nan used to leak int()'s conversion error and inf an OverflowError
+    with pytest.raises(ValueError, match="a must be finite"):
+        fn(a)
+
+
 @pytest.mark.parametrize("a", (0.5, 2.0, 10.0))
 def test_tail_bound_soundness(a):
     # the remainder actually observed against a much deeper evaluation never

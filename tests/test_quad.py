@@ -246,6 +246,29 @@ def test_clausen_cot_integral_domain():
         clausen_cot_integral(-1)
 
 
+_INDEXED = (
+    (lemma1_integral, "n", 0),
+    (lemma3_integral, "n", 1),
+    (si_bessel_integral, "n", 0),
+    (ci_bessel_integral, "n", 1),
+    (clausen_cot_integral, "k", 0),
+    *((getattr(coeffs, name), "n", 0) for name in (
+        "harmonic", "alt_harmonic", "alpha", "lemma1_closed", "alpha_factorial_form")),
+    *((getattr(coeffs, name), "n", 1) for name in (
+        "beta", "beta_variant", "beta_factorial_form")),
+)
+
+
+@pytest.mark.parametrize("fn,arg,smallest", _INDEXED, ids=lambda v: getattr(v, "__name__", ""))
+def test_indexed_operations_take_only_integers(fn, arg, smallest):
+    # a float index used to be evaluated as if the identity held for it
+    # (si_bessel_integral(1.5) gave the J_4 moment) or leaked a TypeError
+    for bad in (1.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match=f"^{arg} must be"):
+            fn(bad)
+    assert fn(np.int64(smallest)) == fn(smallest)
+
+
 def test_corollary5_rhs_matches_series():
     series = neumann.corollary5_series(2.0, 1e-10)
     r = corollary5_rhs(2.0, 2e-7)
