@@ -59,7 +59,7 @@ def _beta_coeff_bound(n: int) -> float:
 
 def _bessel_majorant(a: float, m: int) -> float:
     # |J_m(a)| <= (a/2)^m / m!
-    if a == 0.0:
+    if 0.5 * a == 0.0:
         return 1.0 if m == 0 else 0.0
     logv = m * math.log(0.5 * a) - math.lgamma(m + 1)
     if logv > 709.0:  # majorant overflows long before the factorial wins
@@ -80,6 +80,8 @@ def _tail_bound(a: float, first_n: int, order_of, coeff_bound) -> float:
         m = order_of(n)
         cb = coeff_bound(n)
         term = _bessel_majorant(a, m) * cb
+        if math.isinf(term):
+            return math.inf
         total += term
         ratio = (0.5 * a) ** 2 / ((m + 1.0) * (m + 2.0))
         if cb > 0.0:

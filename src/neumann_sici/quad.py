@@ -13,16 +13,17 @@ Two layers:
   Each step bisects the panel with the largest error estimate and evaluates
   both halves in one integrand call.
 * ``oscillatory_semiinf`` -- a Longman-style scheme for the semi-infinite
-  Bessel integrals: integrate between consecutive sign-change brackets
-  (spaced by the asymptotic Bessel period pi), suppress the alternating
-  component of the partial sums by repeated averaging (Euler
-  transformation), then remove the residual smooth tail.  That residue is
-  real: products of two oscillatory factors (Si or Ci tails against a
-  Bessel function) carry a non-alternating t^(-5/2) component that plain
-  alternating-series acceleration cannot see, so the averaged partial sums
-  are collocated against b^(-3/2), b^(-3/2) log b, ... on geometrically
-  spaced truncation points and extrapolated to b = infinity with the Euler
-  sums' extrapolator, ``_accel.alternating_series_limit``.
+  Bessel integrals: integrate between consecutive partition edges, given
+  by an edge function m -> edge(m) (for a Bessel integrand its asymptotic
+  zeros, spaced by the period pi), suppress the alternating component of
+  the partial sums by repeated averaging (Euler transformation), then
+  remove the residual smooth tail.  That residue is real: products of two
+  oscillatory factors (Si or Ci tails against a Bessel function) carry a
+  non-alternating t^(-5/2) component that plain alternating-series
+  acceleration cannot see, so the averaged partial sums are collocated
+  against b^(-3/2), b^(-3/2) log b, ... on geometrically spaced truncation
+  points and extrapolated to b = infinity with the Euler sums'
+  extrapolator, ``_accel.alternating_series_limit``.
   Partitions are integrated a block at a time: the block runs up to the
   next extrapolation checkpoint, every partition in it gets one GK15 panel
   in a single integrand call, and only the partitions whose error estimate
@@ -36,10 +37,9 @@ it to an exact or closed-form counterpart.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class QuadResult:
     abs_err_estimate: float
     subdivisions: int
     partitions_used: int = 0
-    converged: bool = True
 
 
 # 15-point Kronrod nodes with embedded 7-point Gauss rule (QUADPACK dqk15).
@@ -223,65 +222,49 @@ _LONGMAN_BASIS = ((0, False), (1.5, False), (1.5, True), (2.5, False), (2.5, Tru
 
 def oscillatory_semiinf(
     f: ArrayFn,
-    zero_spacing_hint: float,
+    edge: Callable[[int], float],
     tol: float = 1e-7,
     *,
-    phase_offset: float = 0.25,
-    start: float = 0.0,
-    breaks: Iterable[float] | None = None,
     max_partitions: int = 400,
     min_partitions: int = 32,
 ) -> QuadResult:
-    """Longman scheme for int_start^inf f of a decaying oscillatory integrand.
+    """Longman scheme for int_0^inf f of a decaying oscillatory integrand.
 
-    Partition boundaries default to (m + phase_offset) * zero_spacing_hint;
-    exact zero locations do not matter since the acceleration only needs
-    eventually-alternating partial sums.  The partitions up to each
-    extrapolation checkpoint are integrated as one block (see the module
-    docstring).  The reported error combines the accumulated per-partition
-    quadrature errors with the (safety-padded) extrapolation estimate.
+    Partition m = 1, 2, ... runs from edge(m - 1) to edge(m), with edge(0)
+    taken as 0; exact zero locations do not matter since the acceleration
+    only needs eventually-alternating partial sums.  The partitions up to
+    each extrapolation checkpoint are integrated as one block (see the
+    module docstring); a block whose edges do not rise strictly from 0
+    raises ValueError.  The reported error combines the accumulated
+    per-partition quadrature errors with the (safety-padded) extrapolation
+    estimate.
     """
-    if zero_spacing_hint <= 0:
-        raise ValueError("zero_spacing_hint must be positive")
-    if breaks is None:
-        breaks = ((m + phase_offset) * zero_spacing_hint for m in itertools.count(1))
-    break_iter: Iterator[float] = iter(breaks)
     seg_tol = max(tol * 2e-4, 5e-15)
     partial_sums: list[float] = []
     edges: list[float] = []
     running = 0.0
     quad_err = 0.0
     subdivisions = 0
-    prev = start
+    prev = 0.0
     checkpoint = max(min_partitions, 24)
     best: tuple[float, float] | None = None
     prev_value: float | None = None
     while len(partial_sums) < max_partitions:
         block_end = min(checkpoint, max_partitions)
-        lows: list[float] = []
-        highs: list[float] = []
-        while len(partial_sums) + len(highs) < block_end:
-            try:
-                edge = next(break_iter)
-            except StopIteration:  # caller-supplied finite break list exhausted
-                break
-            if edge <= prev:
-                continue
-            lows.append(prev)
-            highs.append(edge)
-            prev = edge
-        if highs:
-            values, errors, panels = _integrate_intervals(
-                f, np.array(lows), np.array(highs), seg_tol, 2000
-            )
-            for value, err, count, edge in zip(values, errors, panels, highs):
-                running += value
-                quad_err += err
-                subdivisions += count
-                partial_sums.append(running)
-                edges.append(edge)
-        if len(partial_sums) < block_end:  # the break list ran out mid-block
-            break
+        highs = [edge(m) for m in range(len(partial_sums) + 1, block_end + 1)]
+        lows = [prev] + highs[:-1]
+        if not all(lo < hi for lo, hi in zip(lows, highs)):
+            raise ValueError("partition edges must rise strictly from 0")
+        prev = highs[-1]
+        values, errors, panels = _integrate_intervals(
+            f, np.array(lows), np.array(highs), seg_tol, 2000
+        )
+        for value, err, count in zip(values, errors, panels):
+            running += value
+            quad_err += err
+            subdivisions += count
+            partial_sums.append(running)
+        edges += highs
         checkpoint = int(checkpoint * 1.5)
         value, raw_est = _accel.alternating_series_limit(partial_sums, edges, _LONGMAN_BASIS)
         # the shift since the previous checkpoint guards against
@@ -303,6 +286,12 @@ def oscillatory_semiinf(
     )
 
 
+def _period_edges(phase: float) -> Callable[[int], float]:
+    # Edges (m + phase) pi: a Bessel function of order nu changes sign near
+    # (m + nu/2 + 1/4) pi, so phase = nu/2 + 1/4 puts the edges at its zeros.
+    return lambda m: (m + phase) * math.pi
+
+
 # ---------------------------------------------------------------------------
 # Finite cot-weighted integrals on [0, pi/2]
 # ---------------------------------------------------------------------------
@@ -310,41 +299,39 @@ def oscillatory_semiinf(
 _HALF_PI = 0.5 * math.pi
 
 
+def _cot_integral(g: ArrayFn, tol: float) -> QuadResult:
+    # int_0^{pi/2} g(t) cot(t) dt
+    return integrate_finite(
+        lambda t: g(t) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, max(tol, 1e-13)
+    )
+
+
 def lemma1_integral(n: int, tol: float = 1e-12) -> QuadResult:
     """int_0^{pi/2} sin((2n+1)t) cot(t) dt; equals the exact coefficient alpha_n."""
     n = specfun._integer(n, "n must be a nonnegative integer", 0)
     m = 2 * n + 1
-    return integrate_finite(
-        lambda t: np.sin(m * t) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, max(tol, 1e-13)
-    )
+    return _cot_integral(lambda t: np.sin(m * t), tol)
 
 
 def lemma3_integral(n: int, tol: float = 1e-12) -> QuadResult:
     """int_0^{pi/2} [1 - cos(2nt)] cot(t) dt; equals the exact coefficient beta_n."""
     n = specfun._integer(n, "n must be a positive integer", 1)
     m = 2 * n
-    return integrate_finite(
-        lambda t: (1.0 - np.cos(m * t)) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, max(tol, 1e-13)
-    )
+    return _cot_integral(lambda t: 1.0 - np.cos(m * t), tol)
 
 
 def si_transform_integral(a: float, tol: float = 1e-12) -> QuadResult:
     """int_0^{pi/2} sin(a sin t) cot(t) dt = Si(a)."""
     if a < 0:
         raise ValueError("a must be nonnegative")
-    return integrate_finite(
-        lambda t: np.sin(a * np.sin(t)) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, max(tol, 1e-13)
-    )
+    return _cot_integral(lambda t: np.sin(a * np.sin(t)), tol)
 
 
 def ci_transform_integral(a: float, tol: float = 1e-12) -> QuadResult:
     """int_0^{pi/2} [1 - cos(a sin t)] cot(t) dt = gamma + log(a) - Ci(a)."""
     if a <= 0:
         raise ValueError("a must be positive")
-    return integrate_finite(
-        lambda t: (1.0 - np.cos(a * np.sin(t))) * np.cos(t) / np.sin(t),
-        0.0, _HALF_PI, max(tol, 1e-13),
-    )
+    return _cot_integral(lambda t: 1.0 - np.cos(a * np.sin(t)), tol)
 
 
 def clausen_cot_integral(k: int, tol: float = 1e-9) -> QuadResult:
@@ -356,58 +343,47 @@ def clausen_cot_integral(k: int, tol: float = 1e-9) -> QuadResult:
     k = specfun._integer(k, "k must be a nonnegative integer", 0)
     weight = 2 * k + 3
     z = specfun.zeta(weight)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return (z - specfun.clausen_odd(weight, 2.0 * t)) * np.cos(t) / np.sin(t)
-
-    return integrate_finite(f, 0.0, _HALF_PI, tol, max_subdivisions=4000)
+    return _cot_integral(lambda t: z - specfun.clausen_odd(weight, 2.0 * t), tol)
 
 
 # ---------------------------------------------------------------------------
 # Semi-infinite oscillatory Bessel integrals
 # ---------------------------------------------------------------------------
 
-def si_bessel_integral(n: int, tol: float = 1e-7) -> QuadResult:
-    """int_0^inf Si(t) J_{2n+1}(t) dt/t; equals alpha_n/(2n+1)."""
-    n = specfun._integer(n, "n must be a nonnegative integer", 0)
-    order = 2 * n + 1
-    # High orders need a longer run before the collocation window sits in the
-    # settled Hankel regime, so both partition limits scale with the order.
+def _bessel_moment(weight: ArrayFn, order: int, tol: float) -> QuadResult:
+    # int_0^inf weight(t) J_order(t) dt/t, with partition edges at the zeros
+    # of J_order.  High orders need a longer run before the collocation
+    # window sits in the settled Hankel regime, so both partition limits
+    # scale with the order.
     return oscillatory_semiinf(
-        lambda t: specfun.si(t) * specfun.bessel_j(order, t) / t,
-        math.pi, tol,
-        phase_offset=0.5 * order + 0.25,
+        lambda t: weight(t) * specfun.bessel_j(order, t) / t,
+        _period_edges(0.5 * order + 0.25),
+        tol,
         max_partitions=400 + 40 * order,
         min_partitions=max(32, (3 * order * order) // 4),
     )
+
+
+def si_bessel_integral(n: int, tol: float = 1e-7) -> QuadResult:
+    """int_0^inf Si(t) J_{2n+1}(t) dt/t; equals alpha_n/(2n+1)."""
+    n = specfun._integer(n, "n must be a nonnegative integer", 0)
+    return _bessel_moment(specfun.si, 2 * n + 1, tol)
 
 
 def ci_bessel_integral(n: int, tol: float = 1e-7) -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_{2n}(t) dt/t; equals beta_n/(2n)."""
     n = specfun._integer(n, "n must be a positive integer", 1)
-    order = 2 * n
-    return oscillatory_semiinf(
-        lambda t: specfun.gamma_log_minus_ci(t) * specfun.bessel_j(order, t) / t,
-        math.pi, tol,
-        phase_offset=0.5 * order + 0.25,
-        max_partitions=400 + 40 * order,
-        min_partitions=max(32, (3 * order * order) // 4),
-    )
+    return _bessel_moment(specfun.gamma_log_minus_ci, 2 * n, tol)
 
 
 def j0_orthogonality_integral(tol: float = 1e-6) -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_0(t) dt/t, which vanishes."""
-    return oscillatory_semiinf(
-        lambda t: specfun.gamma_log_minus_ci(t) * specfun.bessel_j(0, t) / t,
-        math.pi, tol, phase_offset=0.25,
-    )
+    return _bessel_moment(specfun.gamma_log_minus_ci, 0, tol)
 
 
 def bessel_j1_over_t_integral(tol: float = 1e-9) -> QuadResult:
     """Engine self-test: int_0^inf J_1(t)/t dt = 1."""
-    return oscillatory_semiinf(
-        lambda t: specfun.bessel_j(1, t) / t, math.pi, tol, phase_offset=0.75
-    )
+    return oscillatory_semiinf(lambda t: specfun.bessel_j(1, t) / t, _period_edges(0.75), tol)
 
 
 def example2_integral(tol: float = 1e-6) -> QuadResult:
@@ -424,7 +400,7 @@ def example2_integral(tol: float = 1e-6) -> QuadResult:
         )
         return specfun.gamma_log_minus_ci(t) / t * bracket
 
-    return oscillatory_semiinf(f, math.pi, tol, phase_offset=0.25)
+    return oscillatory_semiinf(f, _period_edges(0.25), tol)
 
 
 def _corollary6_bracket(t: np.ndarray) -> np.ndarray:
@@ -438,8 +414,7 @@ def _corollary6_bracket(t: np.ndarray) -> np.ndarray:
 def corollary6_integral(tol: float = 1e-6) -> QuadResult:
     """int_0^inf Si(t) (log(t/2) J_1 - pi/2 Y_1 - J_0/t) dt/t = 4 - 4G - gamma."""
     return oscillatory_semiinf(
-        lambda t: specfun.si(t) / t * _corollary6_bracket(t),
-        math.pi, tol, phase_offset=0.75,
+        lambda t: specfun.si(t) / t * _corollary6_bracket(t), _period_edges(0.75), tol
     )
 
 
@@ -452,23 +427,25 @@ def corollary6_intermediate_integral(tol: float = 1e-6) -> QuadResult:
             _corollary6_bracket(t) + g1 * specfun.bessel_j(1, t)
         )
 
-    return oscillatory_semiinf(f, math.pi, tol, phase_offset=0.75)
+    return oscillatory_semiinf(f, _period_edges(0.75), tol)
 
 
 def corollary5_rhs(a: float, tol: float = 1e-6) -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_0(sqrt(a^2 + t^2)) dt/t.
 
     Equals the alternating Neumann series sum_n (-1)^n J_{2n}(a) beta_n / n.
-    Partition edges follow the shifted argument: the m-th edge sits where
-    sqrt(a^2 + t^2) reaches (m + 1/4) pi.
+    Partition edges follow the shifted argument: they sit where
+    sqrt(a^2 + t^2) reaches (k + 1/4) pi, for each k >= 1 with (k + 1/4) pi > a.
     """
     a = abs(a)
+    # edges (k + 1/4) pi <= a have no real counterpart in t
+    skipped = 0
+    while (skipped + 1.25) * math.pi <= a:
+        skipped += 1
 
-    def edges():
-        for m in itertools.count(1):
-            phase = (m + 0.25) * math.pi
-            if phase > a:
-                yield math.sqrt(phase * phase - a * a)
+    def edge(m: int) -> float:
+        phase = (m + skipped + 0.25) * math.pi
+        return math.sqrt(phase * phase - a * a)
 
     # the residual phase drift a^2/(2t) of the shifted argument must have
     # settled inside the collocation window, so the limits scale with a
@@ -476,8 +453,8 @@ def corollary5_rhs(a: float, tol: float = 1e-6) -> QuadResult:
         lambda t: specfun.gamma_log_minus_ci(t)
         * specfun.bessel_j(0, np.sqrt(a * a + t * t))
         / t,
-        math.pi, tol,
-        breaks=edges(),
+        edge,
+        tol,
         max_partitions=400 + int(40 * a),
         min_partitions=max(32, int(0.75 * a * a)),
     )

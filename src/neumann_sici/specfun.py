@@ -84,8 +84,19 @@ def _integer(value: int, message: str, minimum: int) -> int:
     return value
 
 
+def _checked_scalar(x: float, positive: bool) -> float:
+    # The domain of the kernels: x finite, and positive or nonnegative.
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    if positive and x <= 0:
+        raise ValueError("x must be positive")
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    return x
+
+
 def _checked_array(x: np.ndarray, positive: bool) -> np.ndarray:
-    # The array counterpart of the scalar kernels' domain checks.
+    # _checked_scalar for every element.
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
@@ -109,12 +120,10 @@ def _retire(done: np.ndarray, out: np.ndarray, idx: np.ndarray, result: np.ndarr
 # Bessel functions of the first kind
 # ---------------------------------------------------------------------------
 
-def _bessel_j_series(
-    order: int, x: float, tol: float = _J_SERIES_TOL, max_terms: int = 500
-) -> float:
+def _bessel_j_series(order: int, x: float) -> float:
     # Ascending series sum_k (-1)^k (x/2)^(order+2k) / (k! (order+k)!).
     half = 0.5 * x
-    if x == 0.0:
+    if half == 0.0:  # x = 0, or x/2 below the smallest subnormal
         return 1.0 if order == 0 else 0.0
     log_t0 = order * math.log(half) - math.lgamma(order + 1)
     if log_t0 < -745.0:  # first term underflows; remaining terms are smaller still
@@ -126,12 +135,12 @@ def _bessel_j_series(
         k += 1
         term *= -half * half / (k * (order + k))
         total += term
-        if abs(term) < tol * max(abs(total), 1e-300) or k >= max_terms:
+        if abs(term) < _J_SERIES_TOL * max(abs(total), 1e-300) or k >= 500:
             return total
 
 
 def _bessel_j_series_array(order: int, x: np.ndarray) -> np.ndarray:
-    # _bessel_j_series elementwise (tol and max_terms at their defaults), for x > 0.
+    # _bessel_j_series elementwise, for x / 2 > 0.
     half = 0.5 * x
     # math.log/math.exp, as in the scalar kernel: near x = 8 the sum cancels
     # to 1e-14, so an ulp in the first term would show in the result.
@@ -220,14 +229,10 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
     auxiliary functions; the middle range runs a backward Miller recurrence
     normalized with J_0(x) + 2 sum_k J_2k(x) = 1.
     """
-    if order < 0:
-        raise ValueError("order must be a nonnegative integer")
+    order = _integer(order, "order must be a nonnegative integer", 0)
     if isinstance(x, np.ndarray):
         return _bessel_j_array(order, _checked_array(x, positive=False))
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
+    x = _checked_scalar(x, positive=False)
     # With (x/2)^2 <= order + 1 the series terms decrease from the start, so
     # there is no cancellation regardless of how large the order is.
     if x <= _SICI_CROSSOVER or 0.25 * x * x <= order + 1:
@@ -240,10 +245,12 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
 
 
 def _bessel_j_array(order: int, x: np.ndarray) -> np.ndarray:
-    out = np.full_like(x, 1.0 if order == 0 else 0.0)  # the x == 0 value
-    series = (x > 0.0) & ((x <= _SICI_CROSSOVER) | (0.25 * x * x <= order + 1))
+    # the value where x / 2 is 0, as in the scalar series
+    out = np.full_like(x, 1.0 if order == 0 else 0.0)
+    positive = 0.5 * x > 0.0
+    series = positive & ((x <= _SICI_CROSSOVER) | (0.25 * x * x <= order + 1))
     hankel = ~series & (x >= max(25.0, 0.5 * order * order))
-    miller = (x > 0.0) & ~series & ~hankel
+    miller = positive & ~series & ~hankel
     out[series] = _bessel_j_series_array(order, x[series])
     out[hankel] = _hankel_array(order, x[hankel], first_kind=True)
     out[miller] = _miller_j_array(order, x[miller])
@@ -251,13 +258,20 @@ def _bessel_j_array(order: int, x: np.ndarray) -> np.ndarray:
 
 
 def bessel_j_all(nmax: int, x: float) -> list[float]:
-    """All of J_0(x) .. J_nmax(x) from a single Miller pass."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return [1.0] + [0.0] * nmax
+    """All of J_0(x) .. J_nmax(x), x >= 0.
+
+    One Miller pass in general.  Where (x/2)^2 < 2^-53 each order's series
+    is its first term (the backward recurrence would overflow), and where
+    bessel_j takes every order n <= nmax from its Hankel expansion (x >=
+    max(25, nmax^2/2)) the values come from there (a Miller pass would run
+    about 1.5 x steps).
+    """
+    nmax = _integer(nmax, "nmax must be a nonnegative integer", 0)
+    x = _checked_scalar(x, positive=False)
+    if 0.25 * x * x < 2.0**-53:
+        return [_bessel_j_series(n, x) for n in range(nmax + 1)]
+    if x >= max(25.0, 0.5 * nmax * nmax):
+        return [bessel_j(n, x) for n in range(nmax + 1)]
     return _miller_array(nmax, x)
 
 
@@ -395,12 +409,12 @@ def _hankel_array(order: int, x: np.ndarray, first_kind: bool) -> np.ndarray:
 
 def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
     """Bessel function of the second kind Y_0(x) or Y_1(x), x > 0."""
-    if order not in (0, 1):
+    order = _integer(order, "order must be 0 or 1", 0)
+    if order > 1:
         raise ValueError("order must be 0 or 1")
     if isinstance(x, np.ndarray):
         return _bessel_y_array(order, _checked_array(x, positive=True))
-    if x <= 0:
-        raise ValueError("x must be positive")
+    x = _checked_scalar(x, positive=True)
     if x <= _Y_SERIES_MAX:
         return _bessel_y_series(order, x)
     if x < _Y_ASYMPTOTIC_MIN:
@@ -426,36 +440,23 @@ def _bessel_y_array(order: int, x: np.ndarray) -> np.ndarray:
 # Sine and cosine integrals
 # ---------------------------------------------------------------------------
 
-def _si_series(x: float, tol: float = _SICI_SERIES_TOL, max_terms: int = 300) -> float:
-    # sum_n (-1)^(n-1) x^(2n-1) / ((2n-1) (2n-1)!); odd in x by construction.
+def _sici_series(x: float, shift: int) -> float:
+    # The sum of (-1)^(n-1) x^(2n-1+shift) / ((2n-1+shift) (2n-1+shift)!):
+    # Si(x) for shift 0 (odd in x by construction) and the entire part
+    # gamma + log x - Ci(x) for shift 1.
     total = 0.0
-    term = x  # x^(2n-1)/(2n-1)!
+    term = 0.5 * x * x if shift else x  # x^(2n-1+shift)/(2n-1+shift)!
     n = 1
     while True:
-        total += term / (2 * n - 1)
-        term *= -x * x / ((2 * n) * (2 * n + 1))
+        total += term / (2 * n - 1 + shift)
+        term *= -x * x / ((2 * n + shift) * (2 * n + 1 + shift))
         n += 1
-        if abs(term) / (2 * n - 1) < tol * max(1.0, abs(total)) or n > max_terms:
-            return total
-
-
-def _glmc_series(x: float, tol: float = _SICI_SERIES_TOL, max_terms: int = 300) -> float:
-    # sum_n (-1)^(n-1) x^(2n) / (2n (2n)!) -- the entire part of gamma+log-Ci.
-    total = 0.0
-    term = 0.5 * x * x  # x^(2n)/(2n)!
-    n = 1
-    while True:
-        total += term / (2 * n)
-        term *= -x * x / ((2 * n + 1) * (2 * n + 2))
-        n += 1
-        if abs(term) / (2 * n) < tol * max(1.0, abs(total)) or n > max_terms:
+        if n > 300 or abs(term) / (2 * n - 1 + shift) < _SICI_SERIES_TOL * max(1.0, abs(total)):
             return total
 
 
 def _sici_series_array(x: np.ndarray, shift: int) -> np.ndarray:
-    # _si_series (shift 0) or _glmc_series (shift 1) elementwise, with their
-    # default tol and max_terms: the sum of
-    # (-1)^(n-1) x^(2n-1+shift) / ((2n-1+shift) (2n-1+shift)!).
+    # _sici_series elementwise.
     out = np.empty_like(x)
     idx = np.arange(x.size)
     total = np.zeros_like(x)
@@ -535,12 +536,11 @@ def si(x: float | np.ndarray) -> float | np.ndarray:
         out[series] = _sici_series_array(x[series], 0)
         out[cf] = _e1_of_ix_array(x[cf]).imag + 0.5 * math.pi
         return out
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    x = _checked_scalar(x, positive=False)
     if x == 0.0:
         return 0.0
     if x <= _SICI_CROSSOVER:
-        return _si_series(x)
+        return _sici_series(x, 0)
     return _e1_of_ix(x).imag + 0.5 * math.pi
 
 
@@ -554,10 +554,9 @@ def ci(x: float | np.ndarray) -> float | np.ndarray:
         out[series] = _EULER_GAMMA + np.log(xs) - _sici_series_array(xs, 1)
         out[cf] = -_e1_of_ix_array(x[cf]).real
         return out
-    if x <= 0:
-        raise ValueError("x must be positive")
+    x = _checked_scalar(x, positive=True)
     if x <= _SICI_CROSSOVER:
-        return _EULER_GAMMA + math.log(x) - _glmc_series(x)
+        return _EULER_GAMMA + math.log(x) - _sici_series(x, 1)
     return -_e1_of_ix(x).real
 
 
@@ -575,12 +574,11 @@ def gamma_log_minus_ci(x: float | np.ndarray) -> float | np.ndarray:
         xc = x[cf]
         out[cf] = _EULER_GAMMA + np.log(xc) + _e1_of_ix_array(xc).real
         return out
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    x = _checked_scalar(x, positive=False)
     if x == 0.0:
         return 0.0
     if x <= _SICI_CROSSOVER:
-        return _glmc_series(x)
+        return _sici_series(x, 1)
     return _EULER_GAMMA + math.log(x) + _e1_of_ix(x).real
 
 

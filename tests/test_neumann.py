@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
+import mpmath as mp
 import pytest
 
+import neumann_sici
 from neumann_sici import quad
 from neumann_sici import specfun as sf
 from neumann_sici.neumann import (
@@ -60,6 +65,51 @@ def test_expansions_reject_nonfinite_argument(fn, a):
     # nan used to leak int()'s conversion error and inf an OverflowError
     with pytest.raises(ValueError, match="a must be finite"):
         fn(a)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "specfun.bessel_j_all(3, 1e300)",
+        "neumann.si_neumann(1e300)",
+        "neumann.ci_neumann(1e300)",
+        "neumann.corollary5_series(1e300)",
+        "neumann.addition_theorem_check(1e300, 1.0)",
+        "neumann.si_neumann(1e5)",
+    ],
+)
+def test_huge_arguments_return(call):
+    # A Miller pass used to start 1.5 a steps deep, and each truncation's
+    # tail bound summed 10^4 infinite majorant terms.  In a subprocess, so
+    # that a regression fails here instead of hanging the suite.
+    code = f"from neumann_sici import neumann, specfun; print(repr({call}))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert done.returncode == 0, done.stderr
+    assert "nan" not in done.stdout
+
+
+@pytest.mark.parametrize("a", (1e-100, 1e-60, 5e-324))
+def test_expansions_at_tiny_arguments_match_mpmath(a):
+    # J_n(a) from the Miller pass was nan below about 1e-57, and 0.5 a
+    # underflowed to 0 before math.log at 5e-324
+    def close(value, ref):
+        return abs(value - ref) <= 1e-13 * abs(ref) or abs(value - ref) <= 1e-323
+
+    with mp.workdps(40):
+        x = mp.mpf(a)
+        r = si_neumann(a)
+        assert r.converged and close(r.value, float(mp.si(x)))
+        r = ci_neumann(a)
+        assert r.converged and close(r.value, float(mp.ci(x)))
+        # beta_1 = 1 and beta_2 = 2, so the series starts -J_2(a) + J_4(a)
+        r = corollary5_series(a)
+        assert r.converged and close(r.value, float(-mp.besselj(2, x) + mp.besselj(4, x)))
+        lhs, rhs = addition_theorem_check(a, 1.0)
+        ref = float(mp.besselj(0, mp.sqrt(x * x + 1)) - mp.besselj(0, x) * mp.besselj(0, 1))
+        assert abs(lhs - ref) <= 1e-16 and abs(rhs - ref) <= 1e-16
 
 
 @pytest.mark.parametrize("a", (0.5, 2.0, 10.0))

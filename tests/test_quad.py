@@ -125,13 +125,31 @@ def test_engine_selftest_unit_bessel_integral():
 
 
 def test_oscillatory_rejects_bad_spacing():
-    with pytest.raises(ValueError):
-        oscillatory_semiinf(np.zeros_like, -1.0, 1e-6)
+    # a block's edges must rise strictly from 0
+    bad_edges = [
+        lambda m: -m * math.pi,
+        lambda m: 0.0 * m,  # the first partition is empty
+        lambda m: 1.0,
+        lambda m: (m + 0.25) * math.pi if m < 10 else 5.0,  # falls mid-block
+        lambda m: math.nan,
+    ]
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return np.zeros_like(t)
+
+    for edge in bad_edges:
+        with pytest.raises(ValueError, match="rise strictly"):
+            oscillatory_semiinf(f, edge, 1e-6)
+    assert not calls  # rejected before the integrand runs
 
 
 def test_oscillatory_nonconvergence_raises():
     with pytest.raises(QuadratureError):
-        oscillatory_semiinf(lambda t: np.sin(t) / t, math.pi, 1e-16, max_partitions=40)
+        oscillatory_semiinf(
+            lambda t: np.sin(t) / t, lambda m: m * math.pi, 1e-16, max_partitions=40
+        )
 
 
 def test_oscillatory_engine_batches_partitions_per_block():
@@ -142,7 +160,7 @@ def test_oscillatory_engine_batches_partitions_per_block():
         calls.append(t.size)
         return sf.bessel_j(1, t) / t
 
-    r = oscillatory_semiinf(f, math.pi, 2e-10, phase_offset=0.75)
+    r = oscillatory_semiinf(f, lambda m: (m + 0.75) * math.pi, 2e-10)
     assert abs(r.value - 1.0) <= 1e-9
     # extrapolation checkpoints at 32, 48, 72, ... partitions; one block each
     checkpoints = [32]

@@ -70,6 +70,44 @@ def test_bessel_j_domain_errors():
         bessel_j(0, -0.5)
 
 
+def _close_to_mpmath(value, ref, rel):
+    # relative to the reference, or within two subnormal steps of it
+    return abs(value - ref) <= rel * abs(ref) or abs(value - ref) <= 1e-323
+
+
+@pytest.mark.parametrize("x", [1e-100, 1e-60, 5e-324])
+@pytest.mark.parametrize("nmax", [0, 3, 161])
+def test_bessel_j_all_tiny_arguments_match_mpmath(nmax, x):
+    # the Miller recurrence overflowed to nan below about 1e-57
+    j = bessel_j_all(nmax, x)
+    assert len(j) == nmax + 1
+    for n, v in enumerate(j):
+        ref = float(mp.besselj(n, mp.mpf(x)))
+        # the series' first term goes through log/exp: ~1e-13 relative here
+        assert _close_to_mpmath(v, ref, 2e-13), (n, v, ref)
+        assert v == bessel_j(n, x)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 20])
+def test_bessel_j_subnormal_argument(order):
+    # x / 2 underflows to 0, which used to reach math.log
+    x = 5e-324
+    ref = float(mp.besselj(order, mp.mpf(x)))
+    assert bessel_j(order, x) == ref
+    assert bessel_j(order, np.array([x, 1e-100]))[0] == ref
+
+
+@pytest.mark.parametrize("nmax", [0, 30])
+def test_bessel_j_all_on_both_sides_of_its_range_limits(nmax):
+    # (x/2)^2 = 2^-53 (first terms below, Miller above) and the Hankel
+    # threshold max(25, nmax^2/2) (Miller below, bessel_j's Hankel above)
+    tiny = 2.0**-25.5
+    hankel = max(25.0, 0.5 * nmax * nmax)
+    for x in (tiny * (1 - 1e-9), tiny * (1 + 1e-9), hankel * (1 - 1e-9), hankel):
+        for n, v in enumerate(bessel_j_all(nmax, x)):
+            assert abs(v - float(mp.besselj(n, x))) <= 1e-13, (x, n)
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
 def test_even_order_normalization(a):
     # J_0(a) + 2 sum_{n=1..N} J_{2n}(a) = 1 with N = ceil(a) + 40
@@ -162,7 +200,7 @@ def test_glmc_vanishes_at_zero():
 def test_si_series_is_odd():
     # the series evaluator itself is odd in x (bitwise, odd powers only)
     for x in (0.3, 1.7, 5.0, 7.9):
-        assert sf._si_series(-x) == -sf._si_series(x)
+        assert sf._sici_series(-x, 0) == -sf._sici_series(x, 0)
 
 
 def test_glmc_nonnegative_and_increasing():
@@ -189,6 +227,42 @@ def test_si_ci_domain_errors():
         ci(0.0)
     with pytest.raises(ValueError):
         gamma_log_minus_ci(-1.0)
+
+
+_SCALAR_KERNELS = [
+    lambda v: bessel_j(3, v),
+    lambda v: bessel_j_all(3, v),
+    lambda v: bessel_y(0, v),
+    lambda v: bessel_y(1, v),
+    si,
+    ci,
+    gamma_log_minus_ci,
+]
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_scalar_kernels_reject_nonfinite_argument(x):
+    # nan used to leak int()'s conversion error or come back as nan; the
+    # array path already raised the same error
+    for fn in _SCALAR_KERNELS:
+        with pytest.raises(ValueError, match="x must be finite"):
+            fn(x)
+
+
+def test_orders_take_only_integers():
+    # 2.5 used to leak a TypeError; numpy integers are integers
+    for bad in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="order"):
+            bessel_j(bad, 20.0)
+        with pytest.raises(ValueError, match="order"):
+            bessel_j(bad, np.array([20.0]))
+        with pytest.raises(ValueError, match="nmax"):
+            bessel_j_all(bad, 20.0)
+    with pytest.raises(ValueError, match="order"):
+        bessel_y(0.0, 1.0)
+    assert bessel_j(np.int64(3), 20.0) == bessel_j(3, 20.0)
+    assert bessel_j_all(np.int64(3), 20.0) == bessel_j_all(3, 20.0)
+    assert bessel_y(np.int64(1), 2.0) == bessel_y(1, 2.0)
 
 
 # ---------------------------------------------------------------------------
