@@ -6,12 +6,12 @@ of the even and alternating beta-sum identities) are built purely from the
 zeta/eta tables in ``specfun``, so one constants table is the sole numeric
 authority.  Each closed form has an independent partial-sum oracle:
 
-* non-alternating sums are evaluated directly over 10^5 terms with an
-  analytic Euler-Maclaurin tail (the integrands decay like log(n)/n^s, far
-  too slowly for a bare truncation);
-* alternating sums go through averaging of the partial sums (Euler
-  transformation) plus a power-law extrapolation of the smooth remainder
-  that survives it (see ``_accel``).
+* non-alternating sums are evaluated directly over a fixed 10^5 terms with
+  an analytic Euler-Maclaurin tail (the integrands decay like log(n)/n^s,
+  far too slowly for a bare truncation);
+* alternating sums take a fixed 20000 terms through averaging of the
+  partial sums (Euler transformation) plus a power-law extrapolation of the
+  smooth remainder that survives it (see ``_accel``).
 """
 
 from __future__ import annotations
@@ -57,14 +57,8 @@ class ClosedFormValue:
 
 
 def _resolve_factor(name: str) -> float:
-    if name == "one":
-        return 1.0
     if name == "log2":
         return _LOG2
-    if name == "euler_gamma":
-        return _GAMMA
-    if name == "catalan":
-        return CONSTANTS.catalan_g
     if name.startswith("zeta(") and name.endswith(")"):
         return zeta(int(name[5:-1]))
     if name.startswith("eta(") and name.endswith(")"):
@@ -204,93 +198,90 @@ def _log_zeta_tail(s: float, n: int) -> float:
     return integral - 0.5 * ln * nf ** (-s) - (1.0 - s * ln) * nf ** (-s - 1.0) / 12.0
 
 
-def _grid(n: int) -> np.ndarray:
-    return np.arange(1.0, n + 1.0)
+def _grid(terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """n = 1 .. terms and the sign (-1)^(n-1)."""
+    n = np.arange(1.0, terms + 1.0)
+    return n, np.where(np.arange(1, terms + 1) % 2 == 1, 1.0, -1.0)
 
 
-def euler_sum_oracle(k: int, terms: int = _N_DIRECT) -> float:
+def euler_sum_oracle(k: int) -> float:
     """Direct evaluation of 2 sum H_{n-1}/n^k (Euler-Maclaurin tail)."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    n = _grid(terms)
+    n = np.arange(1.0, _N_DIRECT + 1.0)
     hm1 = np.cumsum(1.0 / n) - 1.0 / n
     head = 2.0 * float(np.dot(hm1, n ** (-float(k))))
     # H_{n-1} = log n + gamma - 1/(2n) - 1/(12 n^2) + 1/(120 n^4) - ...
     tail = (
-        _log_zeta_tail(k, terms)
-        + _GAMMA * _zeta_tail(k, terms)
-        - 0.5 * _zeta_tail(k + 1, terms)
-        - _zeta_tail(k + 2, terms) / 12.0
-        + _zeta_tail(k + 4, terms) / 120.0
+        _log_zeta_tail(k, _N_DIRECT)
+        + _GAMMA * _zeta_tail(k, _N_DIRECT)
+        - 0.5 * _zeta_tail(k + 1, _N_DIRECT)
+        - _zeta_tail(k + 2, _N_DIRECT) / 12.0
+        + _zeta_tail(k + 4, _N_DIRECT) / 120.0
     )
     return head + 2.0 * tail
 
 
-def nielsen_sum_oracle(k: int, terms: int = _N_DIRECT) -> float:
+def nielsen_sum_oracle(k: int) -> float:
     """Direct evaluation of 2 sum A_{n-1}/n^k (Euler-Maclaurin tail)."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    n = _grid(terms)
-    sign = np.where(np.arange(1, terms + 1) % 2 == 1, 1.0, -1.0)
+    n, sign = _grid(_N_DIRECT)
     am1 = np.cumsum(sign / n) - sign / n
     head = 2.0 * float(np.dot(am1, n ** (-float(k))))
     # A_{n-1} = log 2 + (-1)^n T_{n-1} with 0 < T_m < 1/(2m); the alternating
     # remainder is below 1/N^{k+1} and is dropped.
-    return head + 2.0 * _LOG2 * _zeta_tail(k, terms)
+    return head + 2.0 * _LOG2 * _zeta_tail(k, _N_DIRECT)
 
 
 # ---------------------------------------------------------------------------
 # Alternating oracles (Euler transformation)
 # ---------------------------------------------------------------------------
 
-def _accelerated(partial: np.ndarray, tol: float, what: str) -> float:
-    value, shift = alternating_series_limit(partial)
+_N_ACCEL = 20000
+
+
+def _accelerated(terms: np.ndarray, tol: float, what: str) -> float:
+    value, shift = alternating_series_limit(np.cumsum(terms))
     est = max(2.0 * shift, 4e-16 * max(1.0, abs(value)))
     if est > tol:
         raise RuntimeError(f"{what}: acceleration stalled at {est:.2e} > tol {tol:.2e}")
     return value
 
 
-def sitaramachandrarao_h_oracle(k: int, tol: float = 1e-10, terms: int = 20000) -> float:
+def sitaramachandrarao_h_oracle(k: int, tol: float = 1e-10) -> float:
     """Accelerated 2 sum (-1)^n H_{n-1}/n^{2k}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = _grid(terms)
+    n, sign = _grid(_N_ACCEL)
     hm1 = np.cumsum(1.0 / n) - 1.0 / n
-    sign = np.where(np.arange(1, terms + 1) % 2 == 0, 1.0, -1.0)
-    partial = np.cumsum(2.0 * sign * hm1 * n ** (-2.0 * k))
-    return _accelerated(partial, tol, "sitaramachandrarao_h oracle")
+    return _accelerated(-2.0 * sign * hm1 * n ** (-2.0 * k), tol, "sitaramachandrarao_h oracle")
 
 
-def sitaramachandrarao_a_oracle(k: int, tol: float = 1e-10, terms: int = 20000) -> float:
+def sitaramachandrarao_a_oracle(k: int, tol: float = 1e-10) -> float:
     """Accelerated 2 sum (-1)^n A_{n-1}/n^{2k}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = _grid(terms)
-    alt = np.where(np.arange(1, terms + 1) % 2 == 1, 1.0, -1.0)
-    am1 = np.cumsum(alt / n) - alt / n
-    sign = -alt
-    partial = np.cumsum(2.0 * sign * am1 * n ** (-2.0 * k))
-    return _accelerated(partial, tol, "sitaramachandrarao_a oracle")
+    n, sign = _grid(_N_ACCEL)
+    am1 = np.cumsum(sign / n) - sign / n
+    return _accelerated(-2.0 * sign * am1 * n ** (-2.0 * k), tol, "sitaramachandrarao_a oracle")
 
 
-def _beta_array(terms: int) -> np.ndarray:
-    n = _grid(terms)
-    h = np.cumsum(1.0 / n)
-    alt = np.where(np.arange(1, terms + 1) % 2 == 1, 1.0, -1.0)
-    a = np.cumsum(alt / n)
-    return h + a - (1.0 + alt) / (2.0 * n)
+def _beta_weighted_terms(exponent: int, alternating: bool, count: int) -> np.ndarray:
+    # 2 (+-1)^n beta_n / n^exponent, beta_n = H_n + A_n - (1 + (-1)^(n-1)) / (2n)
+    n, sign = _grid(count)
+    beta = np.cumsum(1.0 / n) + np.cumsum(sign / n) - (1.0 + sign) / (2.0 * n)
+    terms = 2.0 * beta * n ** (-float(exponent))
+    if alternating:
+        terms *= -sign
+    return terms
 
 
 def beta_weighted_partial_sums(
     exponent: int, alternating: bool, count: int
 ) -> np.ndarray:
     """Partial sums of 2 sum (+-1)^n beta_n / n^exponent (oracle ingredient)."""
-    n = _grid(count)
-    terms = 2.0 * _beta_array(count) * n ** (-float(exponent))
-    if alternating:
-        terms *= np.where(np.arange(1, count + 1) % 2 == 0, 1.0, -1.0)
-    return np.cumsum(terms)
+    return np.cumsum(_beta_weighted_terms(exponent, alternating, count))
 
 
 def beta_weighted_sum(exponent: int, alternating: bool, tol: float = 1e-10) -> float:
@@ -301,43 +292,38 @@ def beta_weighted_sum(exponent: int, alternating: bool, tol: float = 1e-10) -> f
     analytic Euler-Maclaurin tail from beta_n = log n + gamma + log 2 + O(n^-2).
     """
     if alternating:
-        partial = beta_weighted_partial_sums(exponent, True, 20000)
-        return _accelerated(partial, tol, "alternating beta sum")
+        terms = _beta_weighted_terms(exponent, True, _N_ACCEL)
+        return _accelerated(terms, tol, "alternating beta sum")
     if exponent < 2:
         raise ValueError("non-alternating beta sums require exponent >= 2")
-    terms = _N_DIRECT
-    head = float(beta_weighted_partial_sums(exponent, False, terms)[-1])
+    head = float(beta_weighted_partial_sums(exponent, False, _N_DIRECT)[-1])
     s = float(exponent)
     # beta_n = log n + gamma + log 2 - 1/(12 n^2) - (-1)^(n-1)/(4 n^2) + O(n^-4)
     tail = (
-        _log_zeta_tail(s, terms)
-        + (_GAMMA + _LOG2) * _zeta_tail(s, terms)
-        - _zeta_tail(s + 2.0, terms) / 12.0
+        _log_zeta_tail(s, _N_DIRECT)
+        + (_GAMMA + _LOG2) * _zeta_tail(s, _N_DIRECT)
+        - _zeta_tail(s + 2.0, _N_DIRECT) / 12.0
     )
-    est = float(terms) ** (-s - 2.0) + 1e-13
+    est = float(_N_DIRECT) ** (-s - 2.0) + 1e-13
     if est > tol:
         raise RuntimeError(f"beta_weighted_sum: tail bound {est:.2e} exceeds tol")
     return head + 2.0 * tail
 
 
-def catalan_alpha_sum(tol: float = 1e-10, terms: int = 20000) -> float:
+def catalan_alpha_sum(tol: float = 1e-10) -> float:
     """Accelerated sum (-1)^n alpha_n / (n(n+1)); evaluates to 3 - 4G."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = _grid(terms)
-    leib = np.cumsum(np.where(np.arange(1, terms + 1) % 2 == 1, 1.0, -1.0) / (2.0 * n - 1.0))
-    sign = np.where(np.arange(1, terms + 1) % 2 == 0, 1.0, -1.0)
-    alpha = 2.0 * leib + sign / (2.0 * n + 1.0)
-    partial = np.cumsum(sign * alpha / (n * (n + 1.0)))
-    return _accelerated(partial, tol, "catalan alpha sum")
+    n, sign = _grid(_N_ACCEL)
+    leib = np.cumsum(sign / (2.0 * n - 1.0))
+    alpha = 2.0 * leib - sign / (2.0 * n + 1.0)
+    return _accelerated(-sign * alpha / (n * (n + 1.0)), tol, "catalan alpha sum")
 
 
-def catalan_auxiliary_sum(tol: float = 1e-10, terms: int = 20000) -> float:
+def catalan_auxiliary_sum(tol: float = 1e-10) -> float:
     """Accelerated sum (-1)^n/n * sum_{k<=n} (-1)^(k-1)/(2k-1); evaluates to -G."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = _grid(terms)
-    leib = np.cumsum(np.where(np.arange(1, terms + 1) % 2 == 1, 1.0, -1.0) / (2.0 * n - 1.0))
-    sign = np.where(np.arange(1, terms + 1) % 2 == 0, 1.0, -1.0)
-    partial = np.cumsum(sign * leib / n)
-    return _accelerated(partial, tol, "catalan auxiliary sum")
+    n, sign = _grid(_N_ACCEL)
+    leib = np.cumsum(sign / (2.0 * n - 1.0))
+    return _accelerated(-sign * leib / n, tol, "catalan auxiliary sum")

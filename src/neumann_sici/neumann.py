@@ -8,7 +8,10 @@ The two expansions are
 with the exact rational coefficients provided by ``coeffs``.  Truncations
 carry a rigorous tail bound built from |J_m(a)| <= (a/2)^m / m! and the
 elementary coefficient bounds alpha_n <= pi/2 + 3/(2n+1) and
-beta_n <= H_n + A_n + 1/n.
+beta_n <= H_n + A_n + 1/n.  Both expansions and the alternating series of
+Corollary 5 share one truncation loop: it stops at the first n whose tail
+bound is <= tol, and after at most min(400, int(a) + 80) terms returns with
+``converged`` False.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import coeffs
 from .specfun import CONSTANTS, bessel_j_all, si as si_kernel
@@ -28,8 +30,6 @@ __all__ = [
     "corollary5_series",
     "addition_theorem_check",
     "convergence_table",
-    "si_expansion_terms",
-    "ci_expansion_terms",
 ]
 
 
@@ -67,8 +67,8 @@ def _bessel_majorant(a: float, m: int) -> float:
     return math.exp(logv)
 
 
-def _tail_bound(a: float, first_n: int, order_of, coeff_bound) -> float:
-    """sum_{n >= first_n} majorant(order(n)) * coeff_bound(n), closed with a
+def _tail_bound(a: float, first_n: int, parity: int, coeff_bound) -> float:
+    """sum_{n >= first_n} majorant(2n + parity) * coeff_bound(n), closed with a
     geometric factor once the term ratio drops below 1/2.
 
     The closing ratio includes the coefficient-bound growth (the Ci bound
@@ -77,7 +77,7 @@ def _tail_bound(a: float, first_n: int, order_of, coeff_bound) -> float:
     total = 0.0
     n = first_n
     while True:
-        m = order_of(n)
+        m = 2 * n + parity
         cb = coeff_bound(n)
         term = _bessel_majorant(a, m) * cb
         if math.isinf(term):
@@ -93,25 +93,32 @@ def _tail_bound(a: float, first_n: int, order_of, coeff_bound) -> float:
             return math.inf
 
 
-def si_expansion_terms(a: float, count: int) -> Iterator[tuple[int, float, float]]:
-    """Yield (order, J_order(a), coefficient) for the Si expansion."""
-    j = bessel_j_all(2 * count + 1, a)
-    for n in range(count):
-        yield 2 * n + 1, j[2 * n + 1], _alpha(n)
-
-
-def ci_expansion_terms(a: float, count: int) -> Iterator[tuple[int, float, float]]:
-    """Yield (order, J_order(a), coefficient) for the Ci expansion."""
-    j = bessel_j_all(2 * count + 2, a)
-    for n in range(1, count + 1):
-        yield 2 * n, j[2 * n], _beta(n)
-
-
 def _alpha_bound(n: int) -> float:
     return 0.5 * math.pi + 3.0 / (2 * n + 1)
 
 
-def si_neumann(a: float, tol: float = 1e-12, max_terms: int = 400) -> SeriesEval:
+def _truncate(
+    a: float, tol: float, start: float, first: int, parity: int, term, coeff_bound, scale: float
+) -> SeriesEval:
+    """start + sum_{n >= first} term(n, J), where J[m] = J_m(a).
+
+    Stops at the first n whose tail bound, scale times the majorant sum over
+    the orders 2k + parity for k > n, is <= tol; otherwise after
+    min(400, int(a) + 80) terms, with converged False.
+    """
+    limit = min(400, int(a) + 80)
+    j = bessel_j_all(2 * (limit + first) + parity, a)
+    total = start
+    tail = math.inf
+    for n in range(first, first + limit):
+        total += term(n, j)
+        tail = scale * _tail_bound(a, n + 1, parity, coeff_bound)
+        if tail <= tol:
+            return SeriesEval(total, n - first + 1, tail, True)
+    return SeriesEval(total, limit, tail, False)
+
+
+def si_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
     """Truncated Si expansion with tail bound <= tol."""
     if not math.isfinite(a):
         raise ValueError("a must be finite")
@@ -119,68 +126,52 @@ def si_neumann(a: float, tol: float = 1e-12, max_terms: int = 400) -> SeriesEval
         raise ValueError("a must be nonnegative (the expansion is stated for a >= 0)")
     if a == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
-    limit = min(max_terms, int(a) + 80)
-    total = 0.0
-    tail = math.inf
-    for idx, (order, jval, c) in enumerate(si_expansion_terms(a, limit)):
-        total += 2.0 * jval * c
-        tail = 2.0 * _tail_bound(a, idx + 1, lambda n: 2 * n + 1, _alpha_bound)
-        if tail <= tol:
-            return SeriesEval(total, idx + 1, tail, True)
-    return SeriesEval(total, limit, tail, False)
+    return _truncate(
+        a, tol, 0.0, 0, 1, lambda n, j: 2.0 * j[2 * n + 1] * _alpha(n), _alpha_bound, 2.0
+    )
 
 
-def ci_neumann(a: float, tol: float = 1e-12, max_terms: int = 400) -> SeriesEval:
+def ci_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
     """Truncated Ci expansion with tail bound <= tol."""
     if not math.isfinite(a):
         raise ValueError("a must be finite")
     if a <= 0:
         raise ValueError("a must be positive")
-    limit = min(max_terms, int(a) + 80)
-    total = CONSTANTS.euler_gamma + math.log(a)
-    tail = math.inf
-    for idx, (order, jval, c) in enumerate(ci_expansion_terms(a, limit)):
-        n = idx + 1
-        total -= 2.0 * jval * c
-        tail = 2.0 * _tail_bound(a, n + 1, lambda m: 2 * m, _beta_coeff_bound)
-        if tail <= tol:
-            return SeriesEval(total, n, tail, True)
-    return SeriesEval(total, limit, tail, False)
+    return _truncate(
+        a, tol, CONSTANTS.euler_gamma + math.log(a), 1, 0,
+        lambda n, j: -2.0 * j[2 * n] * _beta(n), _beta_coeff_bound, 2.0,
+    )
 
 
-def corollary5_series(a: float, tol: float = 1e-12, max_terms: int = 400) -> SeriesEval:
+def corollary5_series(a: float, tol: float = 1e-12) -> SeriesEval:
     """sum_{n>=1} (-1)^n J_{2n}(a) beta_n / n (even in a)."""
     if not math.isfinite(a):
         raise ValueError("a must be finite")
     a = abs(a)
     if a == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
-    limit = min(max_terms, int(a) + 80)
-    j = bessel_j_all(2 * limit + 2, a)
-    total = 0.0
-    tail = math.inf
-    for n in range(1, limit + 1):
-        total += ((-1) ** n) * j[2 * n] * _beta(n) / n
-        tail = _tail_bound(a, n + 1, lambda m: 2 * m, lambda m: _beta_coeff_bound(m) / m)
-        if tail <= tol:
-            return SeriesEval(total, n, tail, True)
-    return SeriesEval(total, limit, tail, False)
+    return _truncate(
+        a, tol, 0.0, 1, 0, lambda n, j: ((-1) ** n) * j[2 * n] * _beta(n) / n,
+        lambda n: _beta_coeff_bound(n) / n, 1.0,
+    )
 
 
-def addition_theorem_check(a: float, t: float, terms: int = 40) -> tuple[float, float]:
+def addition_theorem_check(a: float, t: float) -> tuple[float, float]:
     """LHS and truncated RHS of the phi = pi/2 Neumann addition theorem:
 
     J_0(sqrt(a^2+t^2)) - J_0(a) J_0(t) = 2 sum_{n>=1} (-1)^n J_{2n}(a) J_{2n}(t)
+
+    with the right side cut after 40 terms.
     """
     if not (math.isfinite(a) and math.isfinite(t)):
         raise ValueError("a and t must be finite")
     a, t = abs(a), abs(t)  # even orders only: both sides are even in a and t
-    ja = bessel_j_all(2 * terms, a)
-    jt = bessel_j_all(2 * terms, t)
+    ja = bessel_j_all(80, a)
+    jt = bessel_j_all(80, t)
     # same Miller path for all three J_0 evaluations keeps the trivial
     # points (a = 0 or t = 0) exactly zero
     lhs = bessel_j_all(0, math.hypot(a, t))[0] - ja[0] * jt[0]
-    rhs = 2.0 * math.fsum(((-1) ** n) * ja[2 * n] * jt[2 * n] for n in range(1, terms + 1))
+    rhs = 2.0 * math.fsum(((-1) ** n) * ja[2 * n] * jt[2 * n] for n in range(1, 41))
     return lhs, rhs
 
 
@@ -198,9 +189,8 @@ def convergence_table(
             if a == 0.0:
                 rows.append((a, n_terms, 0.0, 0.0))
                 continue
-            partial = 0.0
-            for _, jval, c in si_expansion_terms(a, n_terms):
-                partial += 2.0 * jval * c
-            tail = 2.0 * _tail_bound(a, n_terms, lambda n: 2 * n + 1, _alpha_bound)
+            j = bessel_j_all(2 * n_terms + 1, a)
+            partial = sum((2.0 * j[2 * n + 1] * _alpha(n) for n in range(n_terms)), 0.0)
+            tail = 2.0 * _tail_bound(a, n_terms, 1, _alpha_bound)
             rows.append((a, n_terms, abs(partial - ref), tail))
     return rows

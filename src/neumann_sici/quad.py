@@ -436,8 +436,24 @@ def corollary5_rhs(a: float, tol: float = 1e-6) -> QuadResult:
     Equals the alternating Neumann series sum_n (-1)^n J_{2n}(a) beta_n / n.
     Partition edges follow the shifted argument: they sit where
     sqrt(a^2 + t^2) reaches (k + 1/4) pi, for each k >= 1 with (k + 1/4) pi > a.
+    Raises QuadratureError without integrating once the partition floor
+    max(32, 0.75 a^2) reaches the cap 400 + 40 a, which happens from a ~ 62.
     """
+    if not math.isfinite(a):
+        raise ValueError("a must be finite")
     a = abs(a)
+    # the residual phase drift a^2/(2t) of the shifted argument must have
+    # settled inside the collocation window, so the limits scale with a;
+    # past a = 1e6 the floor is far above the cap, and the clamp keeps the
+    # products finite
+    capped = min(a, 1e6)
+    max_partitions = 400 + int(40 * capped)
+    min_partitions = max(32, int(0.75 * capped * capped))
+    if min_partitions >= max_partitions:
+        raise QuadratureError(
+            f"oscillatory integral cannot reach tol {tol:.1e} for a = {a:g}: "
+            f"the partition floor max(32, 0.75 a^2) reaches the cap 400 + 40 a"
+        )
     # edges (k + 1/4) pi <= a have no real counterpart in t
     skipped = 0
     while (skipped + 1.25) * math.pi <= a:
@@ -447,14 +463,12 @@ def corollary5_rhs(a: float, tol: float = 1e-6) -> QuadResult:
         phase = (m + skipped + 0.25) * math.pi
         return math.sqrt(phase * phase - a * a)
 
-    # the residual phase drift a^2/(2t) of the shifted argument must have
-    # settled inside the collocation window, so the limits scale with a
     return oscillatory_semiinf(
         lambda t: specfun.gamma_log_minus_ci(t)
         * specfun.bessel_j(0, np.sqrt(a * a + t * t))
         / t,
         edge,
         tol,
-        max_partitions=400 + int(40 * a),
-        min_partitions=max(32, int(0.75 * a * a)),
+        max_partitions=max_partitions,
+        min_partitions=min_partitions,
     )

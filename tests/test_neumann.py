@@ -11,11 +11,9 @@ from neumann_sici import quad
 from neumann_sici import specfun as sf
 from neumann_sici.neumann import (
     addition_theorem_check,
-    ci_expansion_terms,
     ci_neumann,
     convergence_table,
     corollary5_series,
-    si_expansion_terms,
     si_neumann,
 )
 
@@ -127,15 +125,14 @@ def test_tail_bound_soundness(a):
 def test_converged_flag_consistent_with_bound():
     r = si_neumann(5.0, 1e-12)
     assert r.converged == (r.tail_bound <= 1e-12)
-    r2 = si_neumann(20.0, 1e-30, max_terms=10)  # unreachable tolerance
-    assert not r2.converged
 
 
-def test_term_generators_use_correct_parities():
-    orders_si = [order for order, _, _ in si_expansion_terms(3.0, 12)]
-    assert all(order % 2 == 1 for order in orders_si)
-    orders_ci = [order for order, _, _ in ci_expansion_terms(3.0, 12)]
-    assert all(order % 2 == 0 for order in orders_ci)
+@pytest.mark.parametrize("fn", (si_neumann, ci_neumann, corollary5_series))
+def test_expansions_stop_at_the_term_cap(fn):
+    # min(400, int(a) + 80) terms: at a = 1e5 the tail bound is still
+    # infinite when the cap is reached
+    r = fn(1e5)
+    assert r.terms_used == 400 and r.converged is False
 
 
 def test_corollary5_series_basics():
@@ -172,7 +169,7 @@ def test_addition_theorem_trivial_points():
 
 @pytest.mark.parametrize("a,t", [(2.0, 3.0), (1.0, 5.0), (4.0, 0.5)])
 def test_addition_theorem_spot_checks(a, t):
-    lhs, rhs = addition_theorem_check(a, t, terms=40)
+    lhs, rhs = addition_theorem_check(a, t)
     assert abs(lhs - rhs) <= 1e-12
 
 

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import neumann_sici
 from neumann_sici import coeffs, eulersum, neumann
 from neumann_sici import specfun as sf
 from neumann_sici.quad import (
@@ -285,6 +289,34 @@ def test_indexed_operations_take_only_integers(fn, arg, smallest):
         with pytest.raises(ValueError, match=f"^{arg} must be"):
             fn(bad)
     assert fn(np.int64(smallest)) == fn(smallest)
+
+
+@pytest.mark.parametrize(
+    "a,error",
+    [
+        ("math.nan", "ValueError"),
+        ("math.inf", "ValueError"),
+        ("1e300", "QuadratureError"),
+        ("62.0", "QuadratureError"),
+    ],
+)
+def test_corollary5_rhs_rejects_unreachable_arguments(a, error):
+    # nan leaked int()'s conversion error, and inf and 1e300 counted skipped
+    # edges forever.  In a subprocess, so that a regression fails here
+    # instead of hanging the suite.
+    code = (
+        "import math\n"
+        "from neumann_sici import quad\n"
+        f"try:\n    quad.corollary5_rhs({a})\n"
+        "except (ValueError, quad.QuadratureError) as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == error
 
 
 def test_corollary5_rhs_matches_series():
