@@ -34,15 +34,12 @@ def alternating_series_limit(
 
     ``positions`` are the truncation points (default 1, 2, ...) and each
     ``basis`` entry ``(q, with_log)`` a column scale^(-q), times log(scale)
-    if with_log; the first must be the constant.  The shift, how far the
-    limit moves when the farthest-back collocation point is dropped, is left
-    to the caller to turn into an error estimate.
+    if with_log; the first must be the constant.  Callers pass at least 32
+    partial sums, which leaves at least three collocation points.  The
+    shift, how far the limit moves when the farthest-back collocation point
+    is dropped, is left to the caller to turn into an error estimate.
     """
-    if len(partial_sums) == 0:
-        raise ValueError("need at least one partial sum")
     y = np.asarray(partial_sums, dtype=float)
-    if len(y) < 16:
-        return float(y[-1]), float(abs(y[-1] - y[len(y) // 2]))
     if positions is None:
         positions = range(1, len(y) + 1)
     b = np.asarray(positions, dtype=float)
@@ -65,8 +62,6 @@ def alternating_series_limit(
         for q, with_log in basis[:n_basis]
     ], axis=1)
     full = float(np.linalg.lstsq(design, yp, rcond=None)[0][0])
-    if len(bp) < 3:
-        return full, abs(full - float(yp[-1]))
     n2 = min(n_basis, len(bp) - 2)
     dropped = float(np.linalg.lstsq(design[1:, :n2], yp[1:], rcond=None)[0][0])
     return full, abs(full - dropped)

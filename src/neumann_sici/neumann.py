@@ -143,15 +143,15 @@ def ci_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
     )
 
 
-def corollary5_series(a: float, tol: float = 1e-12) -> SeriesEval:
-    """sum_{n>=1} (-1)^n J_{2n}(a) beta_n / n (even in a)."""
+def corollary5_series(a: float) -> SeriesEval:
+    """sum_{n>=1} (-1)^n J_{2n}(a) beta_n / n (even in a), with tail bound <= 1e-10."""
     if not math.isfinite(a):
         raise ValueError("a must be finite")
     a = abs(a)
     if a == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
     return _truncate(
-        a, tol, 0.0, 1, 0, lambda n, j: ((-1) ** n) * j[2 * n] * _beta(n) / n,
+        a, 1e-10, 0.0, 1, 0, lambda n, j: ((-1) ** n) * j[2 * n] * _beta(n) / n,
         lambda n: _beta_coeff_bound(n) / n, 1.0,
     )
 

@@ -220,13 +220,23 @@ _EST_SAFETY = 3.0
 _LONGMAN_BASIS = ((0, False), (1.5, False), (1.5, True), (2.5, False), (2.5, True), (3.5, False))
 
 
+def _partition_limits(scale: float) -> tuple[int, int]:
+    # Floor and cap on the partition count.  An integrand settles into its
+    # asymptotic oscillation after a run that grows with the scale s (a Bessel
+    # order, Corollary 5's shift a); the clamp at 1e6 keeps the products finite.
+    s = min(scale, 1e6)
+    floor = max(32, int(0.75 * s * s))
+    cap = 400 + int(40 * s)
+    if floor >= cap:
+        raise QuadratureError(
+            f"oscillatory integral at scale {scale:g} cannot converge: "
+            f"the partition floor max(32, 0.75 s^2) reaches the cap 400 + 40 s"
+        )
+    return floor, cap
+
+
 def oscillatory_semiinf(
-    f: ArrayFn,
-    edge: Callable[[int], float],
-    tol: float = 1e-7,
-    *,
-    max_partitions: int = 400,
-    min_partitions: int = 32,
+    f: ArrayFn, edge: Callable[[int], float], tol: float, *, scale: float = 0.0
 ) -> QuadResult:
     """Longman scheme for int_0^inf f of a decaying oscillatory integrand.
 
@@ -237,8 +247,10 @@ def oscillatory_semiinf(
     module docstring); a block whose edges do not rise strictly from 0
     raises ValueError.  The reported error combines the accumulated
     per-partition quadrature errors with the (safety-padded) extrapolation
-    estimate.
+    estimate.  ``scale`` s sets the partition floor max(32, 0.75 s^2) and cap
+    400 + 40 s; a floor at or above the cap raises QuadratureError at once.
     """
+    checkpoint, cap = _partition_limits(scale)
     seg_tol = max(tol * 2e-4, 5e-15)
     partial_sums: list[float] = []
     edges: list[float] = []
@@ -246,11 +258,10 @@ def oscillatory_semiinf(
     quad_err = 0.0
     subdivisions = 0
     prev = 0.0
-    checkpoint = max(min_partitions, 24)
     best: tuple[float, float] | None = None
     prev_value: float | None = None
-    while len(partial_sums) < max_partitions:
-        block_end = min(checkpoint, max_partitions)
+    while len(partial_sums) < cap:
+        block_end = min(checkpoint, cap)
         highs = [edge(m) for m in range(len(partial_sums) + 1, block_end + 1)]
         lows = [prev] + highs[:-1]
         if not all(lo < hi for lo, hi in zip(lows, highs)):
@@ -301,40 +312,42 @@ _HALF_PI = 0.5 * math.pi
 
 def _cot_integral(g: ArrayFn, tol: float) -> QuadResult:
     # int_0^{pi/2} g(t) cot(t) dt
-    return integrate_finite(
-        lambda t: g(t) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, max(tol, 1e-13)
-    )
+    return integrate_finite(lambda t: g(t) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, tol)
 
 
-def lemma1_integral(n: int, tol: float = 1e-12) -> QuadResult:
+def lemma1_integral(n: int) -> QuadResult:
     """int_0^{pi/2} sin((2n+1)t) cot(t) dt; equals the exact coefficient alpha_n."""
     n = specfun._integer(n, "n must be a nonnegative integer", 0)
     m = 2 * n + 1
-    return _cot_integral(lambda t: np.sin(m * t), tol)
+    return _cot_integral(lambda t: np.sin(m * t), 1e-12)
 
 
-def lemma3_integral(n: int, tol: float = 1e-12) -> QuadResult:
+def lemma3_integral(n: int) -> QuadResult:
     """int_0^{pi/2} [1 - cos(2nt)] cot(t) dt; equals the exact coefficient beta_n."""
     n = specfun._integer(n, "n must be a positive integer", 1)
     m = 2 * n
-    return _cot_integral(lambda t: 1.0 - np.cos(m * t), tol)
+    return _cot_integral(lambda t: 1.0 - np.cos(m * t), 1e-12)
 
 
-def si_transform_integral(a: float, tol: float = 1e-12) -> QuadResult:
+def si_transform_integral(a: float) -> QuadResult:
     """int_0^{pi/2} sin(a sin t) cot(t) dt = Si(a)."""
+    if not math.isfinite(a):
+        raise ValueError("a must be finite")
     if a < 0:
         raise ValueError("a must be nonnegative")
-    return _cot_integral(lambda t: np.sin(a * np.sin(t)), tol)
+    return _cot_integral(lambda t: np.sin(a * np.sin(t)), 1e-12)
 
 
-def ci_transform_integral(a: float, tol: float = 1e-12) -> QuadResult:
+def ci_transform_integral(a: float) -> QuadResult:
     """int_0^{pi/2} [1 - cos(a sin t)] cot(t) dt = gamma + log(a) - Ci(a)."""
+    if not math.isfinite(a):
+        raise ValueError("a must be finite")
     if a <= 0:
         raise ValueError("a must be positive")
-    return _cot_integral(lambda t: 1.0 - np.cos(a * np.sin(t)), tol)
+    return _cot_integral(lambda t: 1.0 - np.cos(a * np.sin(t)), 1e-12)
 
 
-def clausen_cot_integral(k: int, tol: float = 1e-9) -> QuadResult:
+def clausen_cot_integral(k: int) -> QuadResult:
     """int_0^{pi/2} [zeta(2k+3) - Cl_{2k+3}(2t)] cot(t) dt.
 
     For k = 0 this evaluates to (7/4) log(2) zeta(3); for k >= 1 it equals
@@ -343,7 +356,7 @@ def clausen_cot_integral(k: int, tol: float = 1e-9) -> QuadResult:
     k = specfun._integer(k, "k must be a nonnegative integer", 0)
     weight = 2 * k + 3
     z = specfun.zeta(weight)
-    return _cot_integral(lambda t: z - specfun.clausen_odd(weight, 2.0 * t), tol)
+    return _cot_integral(lambda t: z - specfun.clausen_odd(weight, 2.0 * t), 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -353,40 +366,38 @@ def clausen_cot_integral(k: int, tol: float = 1e-9) -> QuadResult:
 def _bessel_moment(weight: ArrayFn, order: int, tol: float) -> QuadResult:
     # int_0^inf weight(t) J_order(t) dt/t, with partition edges at the zeros
     # of J_order.  High orders need a longer run before the collocation
-    # window sits in the settled Hankel regime, so both partition limits
-    # scale with the order.
+    # window sits in the settled Hankel regime, so the order sets the scale.
     return oscillatory_semiinf(
         lambda t: weight(t) * specfun.bessel_j(order, t) / t,
         _period_edges(0.5 * order + 0.25),
         tol,
-        max_partitions=400 + 40 * order,
-        min_partitions=max(32, (3 * order * order) // 4),
+        scale=order,
     )
 
 
-def si_bessel_integral(n: int, tol: float = 1e-7) -> QuadResult:
+def si_bessel_integral(n: int) -> QuadResult:
     """int_0^inf Si(t) J_{2n+1}(t) dt/t; equals alpha_n/(2n+1)."""
     n = specfun._integer(n, "n must be a nonnegative integer", 0)
-    return _bessel_moment(specfun.si, 2 * n + 1, tol)
+    return _bessel_moment(specfun.si, 2 * n + 1, 1e-8)
 
 
-def ci_bessel_integral(n: int, tol: float = 1e-7) -> QuadResult:
+def ci_bessel_integral(n: int) -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_{2n}(t) dt/t; equals beta_n/(2n)."""
     n = specfun._integer(n, "n must be a positive integer", 1)
-    return _bessel_moment(specfun.gamma_log_minus_ci, 2 * n, tol)
+    return _bessel_moment(specfun.gamma_log_minus_ci, 2 * n, 1e-8)
 
 
-def j0_orthogonality_integral(tol: float = 1e-6) -> QuadResult:
+def j0_orthogonality_integral() -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_0(t) dt/t, which vanishes."""
-    return _bessel_moment(specfun.gamma_log_minus_ci, 0, tol)
+    return _bessel_moment(specfun.gamma_log_minus_ci, 0, 2e-7)
 
 
-def bessel_j1_over_t_integral(tol: float = 1e-9) -> QuadResult:
+def bessel_j1_over_t_integral() -> QuadResult:
     """Engine self-test: int_0^inf J_1(t)/t dt = 1."""
-    return oscillatory_semiinf(lambda t: specfun.bessel_j(1, t) / t, _period_edges(0.75), tol)
+    return oscillatory_semiinf(lambda t: specfun.bessel_j(1, t) / t, _period_edges(0.75), 2e-10)
 
 
-def example2_integral(tol: float = 1e-6) -> QuadResult:
+def example2_integral() -> QuadResult:
     """int_0^inf (glmc(t)/t) (pi/2 Y_0(t) - log(t/2) J_0(t)) dt.
 
     Evaluates to (pi^2/4) log 2 - (7/8) zeta(3).  The two log-divergent
@@ -400,7 +411,7 @@ def example2_integral(tol: float = 1e-6) -> QuadResult:
         )
         return specfun.gamma_log_minus_ci(t) / t * bracket
 
-    return oscillatory_semiinf(f, _period_edges(0.25), tol)
+    return oscillatory_semiinf(f, _period_edges(0.25), 2e-6)
 
 
 def _corollary6_bracket(t: np.ndarray) -> np.ndarray:
@@ -411,14 +422,14 @@ def _corollary6_bracket(t: np.ndarray) -> np.ndarray:
     )
 
 
-def corollary6_integral(tol: float = 1e-6) -> QuadResult:
+def corollary6_integral() -> QuadResult:
     """int_0^inf Si(t) (log(t/2) J_1 - pi/2 Y_1 - J_0/t) dt/t = 4 - 4G - gamma."""
     return oscillatory_semiinf(
-        lambda t: specfun.si(t) / t * _corollary6_bracket(t), _period_edges(0.75), tol
+        lambda t: specfun.si(t) / t * _corollary6_bracket(t), _period_edges(0.75), 2e-5
     )
 
 
-def corollary6_intermediate_integral(tol: float = 1e-6) -> QuadResult:
+def corollary6_intermediate_integral() -> QuadResult:
     """Same integral with the (gamma - 1) J_1 term kept inside; equals 3 - 4G."""
     g1 = specfun.CONSTANTS.euler_gamma - 1.0
 
@@ -427,33 +438,24 @@ def corollary6_intermediate_integral(tol: float = 1e-6) -> QuadResult:
             _corollary6_bracket(t) + g1 * specfun.bessel_j(1, t)
         )
 
-    return oscillatory_semiinf(f, _period_edges(0.75), tol)
+    return oscillatory_semiinf(f, _period_edges(0.75), 2e-5)
 
 
-def corollary5_rhs(a: float, tol: float = 1e-6) -> QuadResult:
+def corollary5_rhs(a: float) -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_0(sqrt(a^2 + t^2)) dt/t.
 
     Equals the alternating Neumann series sum_n (-1)^n J_{2n}(a) beta_n / n.
     Partition edges follow the shifted argument: they sit where
     sqrt(a^2 + t^2) reaches (k + 1/4) pi, for each k >= 1 with (k + 1/4) pi > a.
-    Raises QuadratureError without integrating once the partition floor
-    max(32, 0.75 a^2) reaches the cap 400 + 40 a, which happens from a ~ 62.
+    The residual phase drift a^2/(2t) of the shifted argument must settle
+    inside the collocation window, so a sets the partition scale; from
+    a ~ 62 on the floor reaches the cap, and QuadratureError is raised
+    without integrating.
     """
     if not math.isfinite(a):
         raise ValueError("a must be finite")
     a = abs(a)
-    # the residual phase drift a^2/(2t) of the shifted argument must have
-    # settled inside the collocation window, so the limits scale with a;
-    # past a = 1e6 the floor is far above the cap, and the clamp keeps the
-    # products finite
-    capped = min(a, 1e6)
-    max_partitions = 400 + int(40 * capped)
-    min_partitions = max(32, int(0.75 * capped * capped))
-    if min_partitions >= max_partitions:
-        raise QuadratureError(
-            f"oscillatory integral cannot reach tol {tol:.1e} for a = {a:g}: "
-            f"the partition floor max(32, 0.75 a^2) reaches the cap 400 + 40 a"
-        )
+    _partition_limits(a)  # raise before counting edges, which spins at huge a
     # edges (k + 1/4) pi <= a have no real counterpart in t
     skipped = 0
     while (skipped + 1.25) * math.pi <= a:
@@ -468,7 +470,6 @@ def corollary5_rhs(a: float, tol: float = 1e-6) -> QuadResult:
         * specfun.bessel_j(0, np.sqrt(a * a + t * t))
         / t,
         edge,
-        tol,
-        max_partitions=max_partitions,
-        min_partitions=min_partitions,
+        2e-7,
+        scale=a,
     )

@@ -280,9 +280,11 @@ def bessel_j_all(nmax: int, x: float) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _bessel_y_series(order: int, x: float) -> float:
-    # DLMF 10.8.1 ascending series, stable for x <= _Y_SERIES_MAX.
+    # DLMF 10.8.1 ascending series, stable for x <= _Y_SERIES_MAX.  Y_1's
+    # -2/(pi x) overflows to -inf below about 6e-309.
     u = 0.25 * x * x
-    lg = math.log(0.5 * x)
+    half = 0.5 * x  # rounds for a subnormal x, to 0 at 5e-324
+    lg = math.log(half) if half + half == x else math.log(x) - CONSTANTS.log2
     if order == 0:
         j0 = bessel_j(0, x)
         term, hk, s, k = 1.0, 0.0, 0.0, 0
@@ -333,11 +335,15 @@ def _bessel_y_series_array(order: int, x: np.ndarray) -> np.ndarray:
             done[:] = True
         if done.any():
             idx, s, term, step = _retire(done, s_final, idx, s, term, step)
-    lg = np.log(0.5 * x)
-    j = _bessel_j_series_array(order, x)
+    half = 0.5 * x  # as in the scalar kernel
+    rounded = half + half != x
+    lg = np.log(np.where(rounded, x, half))
+    lg[rounded] -= CONSTANTS.log2
+    j = _bessel_j_array(order, x)
     if order == 0:
         return (2.0 / math.pi) * ((lg + _EULER_GAMMA) * j - s_final)
-    return (2.0 / math.pi) * (lg * j - 1.0 / x) - x / (2.0 * math.pi) * s_final
+    with np.errstate(over="ignore"):  # -inf, as for a float
+        return (2.0 / math.pi) * (lg * j - 1.0 / x) - x / (2.0 * math.pi) * s_final
 
 
 def _bessel_y_bridge(order: int, x: float) -> float:

@@ -62,8 +62,8 @@ def test_sitaramachandrarao_h_k1_trivial_form():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_sitaramachandrarao_formulas_match_oracles(k):
-    assert abs(sitaramachandrarao_h(k) - sitaramachandrarao_h_oracle(k, 1e-10)) <= 1e-9
-    assert abs(sitaramachandrarao_a(k) - sitaramachandrarao_a_oracle(k, 1e-10)) <= 1e-9
+    assert abs(sitaramachandrarao_h(k) - sitaramachandrarao_h_oracle(k)) <= 1e-9
+    assert abs(sitaramachandrarao_a(k) - sitaramachandrarao_a_oracle(k)) <= 1e-9
 
 
 def test_closed_form_domains():
@@ -81,6 +81,41 @@ def test_closed_form_domains():
         corollary4_rhs(0)
 
 
+_K_INDEXED = (
+    (euler_linear_sum, 2),
+    (nielsen_sum, 2),
+    (sitaramachandrarao_h, 1),
+    (sitaramachandrarao_a, 1),
+    (corollary3_rhs, 1),
+    (corollary4_rhs, 1),
+    (euler_sum_oracle, 2),
+    (nielsen_sum_oracle, 2),
+    (sitaramachandrarao_h_oracle, 1),
+    (sitaramachandrarao_a_oracle, 1),
+)
+
+
+@pytest.mark.parametrize("fn,smallest", _K_INDEXED, ids=lambda v: getattr(v, "__name__", ""))
+def test_euler_sums_take_only_integer_indices(fn, smallest):
+    # euler_sum_oracle(2.5) was evaluated (1.033); 3.0, "3" and None leaked
+    # a TypeError or zeta's message
+    for bad in (2.5, 3.0, "3", None, smallest - 1):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            fn(bad)
+    assert fn(np.int64(smallest)) == fn(smallest)
+
+
+@pytest.mark.parametrize("alternating,smallest", [(True, 1), (False, 2)])
+def test_beta_weighted_sum_takes_only_integer_exponents(alternating, smallest):
+    # beta_weighted_sum("3", True) returned -1.618
+    for bad in (2.5, 3.0, "3", None, smallest - 1):
+        with pytest.raises(ValueError, match="exponent"):
+            beta_weighted_sum(bad, alternating)
+    assert beta_weighted_sum(np.int64(smallest), alternating) == beta_weighted_sum(
+        smallest, alternating
+    )
+
+
 # ---------------------------------------------------------------------------
 # assembled right-hand sides vs the beta-weighted oracles
 # ---------------------------------------------------------------------------
@@ -94,7 +129,7 @@ def test_corollary3_k1_assembly_value():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_corollary3_matches_beta_oracle(k):
-    assert abs(corollary3_rhs(k).value - beta_weighted_sum(k + 1, False, 1e-10)) <= 1e-8
+    assert abs(corollary3_rhs(k).value - beta_weighted_sum(k + 1, False)) <= 1e-8
 
 
 def test_corollary4_k1_is_paper_example_value():
@@ -104,13 +139,13 @@ def test_corollary4_k1_is_paper_example_value():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_corollary4_matches_beta_oracle(k):
-    assert abs(corollary4_rhs(k).value - beta_weighted_sum(2 * k, True, 1e-10)) <= 1e-8
+    assert abs(corollary4_rhs(k).value - beta_weighted_sum(2 * k, True)) <= 1e-8
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_corollary4_decomposition_identity(k):
     # 2 sum (-1)^n beta_n/n^2k = sitaH(k) + sitaA(k) - zeta(2k+1) - eta(2k+1)
-    lhs = beta_weighted_sum(2 * k, True, 1e-10)
+    lhs = beta_weighted_sum(2 * k, True)
     rhs = (
         sitaramachandrarao_h(k)
         + sitaramachandrarao_a(k)
@@ -150,33 +185,21 @@ def test_beta_weighted_requires_exponent_two():
         beta_weighted_sum(1, False)
 
 
-def test_beta_weighted_unreachable_tolerance():
-    with pytest.raises(RuntimeError):
-        beta_weighted_sum(2, False, 1e-16)
-
-
 # ---------------------------------------------------------------------------
 # Catalan evaluations
 # ---------------------------------------------------------------------------
 
 def test_catalan_alpha_sum():
-    assert abs(catalan_alpha_sum(1e-11) - (3.0 - 4.0 * G)) <= 1e-10
+    assert abs(catalan_alpha_sum() - (3.0 - 4.0 * G)) <= 1e-10
 
 
 def test_catalan_auxiliary_sum():
-    assert abs(catalan_auxiliary_sum(1e-11) - (-G)) <= 1e-10
+    assert abs(catalan_auxiliary_sum() - (-G)) <= 1e-10
 
 
 def test_corollary6_rhs_value():
     assert corollary6_rhs() == 4.0 - 4.0 * G - sf.CONSTANTS.euler_gamma
     assert corollary6_rhs() == pytest.approx(4.0 - 4.0 * 0.9159655941 - 0.5772156649, abs=1e-9)
-
-
-def test_catalan_sums_reject_bad_tol():
-    with pytest.raises(ValueError):
-        catalan_alpha_sum(0.0)
-    with pytest.raises(ValueError):
-        catalan_auxiliary_sum(-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -118,12 +118,20 @@ def test_ci_transform_integral():
         ci_transform_integral(0.0)
 
 
+@pytest.mark.parametrize("fn", (si_transform_integral, ci_transform_integral))
+def test_transforms_reject_non_finite_arguments(fn):
+    # nan and +inf reached the integrand and raised QuadratureError
+    for a in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="a must be finite"):
+            fn(a)
+
+
 # ---------------------------------------------------------------------------
 # oscillatory engine and the semi-infinite Bessel moments
 # ---------------------------------------------------------------------------
 
 def test_engine_selftest_unit_bessel_integral():
-    r = bessel_j1_over_t_integral(2e-10)
+    r = bessel_j1_over_t_integral()
     assert abs(r.value - 1.0) <= 1e-9
     assert r.partitions_used > 0
 
@@ -151,9 +159,31 @@ def test_oscillatory_rejects_bad_spacing():
 
 def test_oscillatory_nonconvergence_raises():
     with pytest.raises(QuadratureError):
-        oscillatory_semiinf(
-            lambda t: np.sin(t) / t, lambda m: m * math.pi, 1e-16, max_partitions=40
-        )
+        oscillatory_semiinf(lambda t: np.sin(t) / t, lambda m: m * math.pi, 1e-16)
+
+
+def test_oscillatory_partition_floor_above_cap_raises_before_any_edge():
+    # scale 62: the floor max(32, 0.75 s^2) = 2883 exceeds the cap 400 + 40 s = 2880
+    edges = []
+
+    def edge(m):
+        edges.append(m)
+        return m * math.pi
+
+    with pytest.raises(QuadratureError, match="partition floor"):
+        oscillatory_semiinf(lambda t: np.sin(t) / t, edge, 1e-6, scale=62.0)
+    assert not edges
+
+
+def test_high_order_bessel_moment_raises_without_integrating(monkeypatch):
+    # J_81: the floor 4920 exceeds the cap 3640, which the moment used to
+    # reach only after integrating all 3640 partitions
+    def unreachable(order, t):
+        raise AssertionError("integrand evaluated")
+
+    monkeypatch.setattr(sf, "bessel_j", unreachable)
+    with pytest.raises(QuadratureError, match="partition floor"):
+        si_bessel_integral(40)
 
 
 def test_oscillatory_engine_batches_partitions_per_block():
@@ -183,28 +213,28 @@ def test_oscillatory_engine_batches_partitions_per_block():
 
 @pytest.mark.parametrize("n,partitions", [(0, 243), (4, 681)])
 def test_si_bessel_integral_partition_counts(n, partitions):
-    assert si_bessel_integral(n, 1e-8).partitions_used == partitions
+    assert si_bessel_integral(n).partitions_used == partitions
 
 
 def test_si_weighted_j1_moment_is_one():
-    r = si_bessel_integral(0, 1e-8)
+    r = si_bessel_integral(0)
     assert abs(r.value - 1.0) <= 1e-8
 
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_si_bessel_integral_matches_exact_coefficient(n):
-    r = si_bessel_integral(n, 1e-8)
+    r = si_bessel_integral(n)
     assert abs(r.value - float(coeffs.alpha(n)) / (2 * n + 1)) <= 1e-8
 
 
 @pytest.mark.parametrize("n", [1, 2, 6])
 def test_ci_bessel_integral_matches_exact_coefficient(n):
-    r = ci_bessel_integral(n, 1e-8)
+    r = ci_bessel_integral(n)
     assert abs(r.value - float(coeffs.beta(n)) / (2 * n)) <= 1e-8
 
 
 def test_j0_weighted_moment_vanishes():
-    r = j0_orthogonality_integral(2e-7)
+    r = j0_orthogonality_integral()
     assert abs(r.value) <= 1e-6
 
 
@@ -224,7 +254,7 @@ def _example2_target():
 
 
 def test_example2_integral():
-    r = example2_integral(2e-6)
+    r = example2_integral()
     assert abs(r.value - _example2_target()) <= 1e-5
 
 
@@ -238,12 +268,12 @@ def test_example2_integrand_small_t_leading_order():
 
 
 def test_clausen_cot_integral_weight3():
-    r = clausen_cot_integral(0, 1e-10)
+    r = clausen_cot_integral(0)
     assert abs(r.value - 1.75 * sf.CONSTANTS.log2 * sf.zeta(3)) <= 1e-9
 
 
 def test_clausen_cot_integral_weight5_matches_closed_form():
-    r = clausen_cot_integral(1, 1e-10)
+    r = clausen_cot_integral(1)
     assert abs(r.value - 0.5 * eulersum.corollary3_rhs(4).value) <= 1e-9
 
 
@@ -257,7 +287,7 @@ def test_clausen_cot_integral_one_kernel_call_per_gk_step(monkeypatch, k, subdiv
         return kernel(weight, theta)
 
     monkeypatch.setattr(sf, "clausen_odd", counting)
-    r = clausen_cot_integral(k, 1e-10)
+    r = clausen_cot_integral(k)
     assert r.subdivisions == subdivisions
     # the first step evaluates one panel, every bisection step two
     assert sizes == [15] + [30] * (subdivisions - 1)
@@ -320,16 +350,16 @@ def test_corollary5_rhs_rejects_unreachable_arguments(a, error):
 
 
 def test_corollary5_rhs_matches_series():
-    series = neumann.corollary5_series(2.0, 1e-10)
-    r = corollary5_rhs(2.0, 2e-7)
+    series = neumann.corollary5_series(2.0)
+    r = corollary5_rhs(2.0)
     assert abs(r.value - series.value) <= 1e-6
 
 
 def test_corollary6_integrals():
     g = sf.CONSTANTS
-    r = corollary6_integral(2e-5)
+    r = corollary6_integral()
     assert abs(r.value - (4.0 - 4.0 * g.catalan_g - g.euler_gamma)) <= 1e-4
-    ri = corollary6_intermediate_integral(2e-5)
+    ri = corollary6_intermediate_integral()
     assert abs(ri.value - (3.0 - 4.0 * g.catalan_g)) <= 1e-4
 
 
@@ -342,13 +372,13 @@ def test_error_estimates_are_honest():
         (lemma1_integral(12), float(coeffs.alpha(12))),
         (lemma3_integral(12), float(coeffs.beta(12))),
         (si_transform_integral(5.0), sf.si(5.0)),
-        (bessel_j1_over_t_integral(2e-10), 1.0),
-        (si_bessel_integral(0, 1e-8), 1.0),
-        (si_bessel_integral(3, 1e-8), float(coeffs.alpha(3)) / 7.0),
-        (ci_bessel_integral(2, 1e-8), 0.5),
-        (j0_orthogonality_integral(2e-7), 0.0),
-        (example2_integral(2e-6), _example2_target()),
-        (clausen_cot_integral(0, 1e-10), 1.75 * sf.CONSTANTS.log2 * sf.zeta(3)),
+        (bessel_j1_over_t_integral(), 1.0),
+        (si_bessel_integral(0), 1.0),
+        (si_bessel_integral(3), float(coeffs.alpha(3)) / 7.0),
+        (ci_bessel_integral(2), 0.5),
+        (j0_orthogonality_integral(), 0.0),
+        (example2_integral(), _example2_target()),
+        (clausen_cot_integral(0), 1.75 * sf.CONSTANTS.log2 * sf.zeta(3)),
     ]
     for result, target in cases:
         assert abs(result.value - target) <= 5.0 * max(result.abs_err_estimate, 1e-16)

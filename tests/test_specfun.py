@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -164,6 +165,22 @@ def test_bessel_y1_is_negative_derivative_of_y0():
 @pytest.mark.parametrize("x", [1e-4, 0.3, 1.0, 4.0, 8.9, 9.1, 12.0, 16.9, 17.1, 30.0, 64.0, 100.0])
 def test_bessel_y_absolute_accuracy(order, x):
     assert abs(bessel_y(order, x) - float(mp.bessely(order, x))) <= 1e-12
+
+
+@pytest.mark.parametrize("x", [5e-324, 1.5e-323, 1e-310])
+def test_bessel_y_subnormal_argument(x):
+    # halving x rounds (to 0 at 5e-324, where math.log raised "math domain
+    # error"); Y_0 keeps its log-series value and Y_1's -2/(pi x) overflows
+    # to -inf, for a float and an array alike
+    ref = float(mp.bessely(0, mp.mpf(x)))
+    assert abs(bessel_y(0, x) - ref) <= 2e-16 * abs(ref)
+    assert bessel_y(1, x) == -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y0 = bessel_y(0, np.array([x, 1.0]))
+        y1 = bessel_y(1, np.array([x, 1.0]))
+    assert y0[0] == bessel_y(0, x) and y0[1] == bessel_y(0, 1.0)
+    assert y1[0] == -math.inf and y1[1] == bessel_y(1, 1.0)
 
 
 def test_bessel_y_domain_errors():
