@@ -9,9 +9,9 @@ authority.  Each closed form has an independent partial-sum oracle:
 * non-alternating sums are evaluated directly over a fixed 10^5 terms with
   an analytic Euler-Maclaurin tail (the integrands decay like log(n)/n^s,
   far too slowly for a bare truncation);
-* alternating sums take a fixed 20000 terms through averaging of the
-  partial sums (Euler transformation) plus a power-law extrapolation of the
-  smooth remainder that survives it (see ``_accel``).
+* alternating sums take a fixed 20000 terms, whose partial sums are fitted
+  by least squares with alternating and smooth n^(-q) and n^(-q) log n
+  remainders (see ``_accel``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import alternating_series_limit
+from ._accel import alternating_series_limit, sums_from_last
 from .specfun import CONSTANTS, _integer, eta, zeta
 
 __all__ = [
@@ -227,14 +227,17 @@ def nielsen_sum_oracle(k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Alternating oracles (Euler transformation)
+# Alternating oracles (least-squares limit of the partial sums)
 # ---------------------------------------------------------------------------
 
 _N_ACCEL = 20000
+# The remainders carry log n from the harmonic numbers: n^(-q) and n^(-q) log n.
+_LOG_LADDER = ((0, False), *((q, with_log) for q in (1, 2, 3) for with_log in (False, True)))
 
 
 def _accelerated(terms: np.ndarray, tol: float, what: str) -> float:
-    value, shift = alternating_series_limit(np.cumsum(terms))
+    limit, shift = alternating_series_limit(sums_from_last(terms), None, _LOG_LADDER)
+    value = float(np.sum(terms)) + limit
     est = max(2.0 * shift, 4e-16 * max(1.0, abs(value)))
     if est > tol:
         raise RuntimeError(f"{what}: acceleration stalled at {est:.2e} > tol {tol:.2e}")
@@ -277,9 +280,10 @@ def beta_weighted_partial_sums(
 def beta_weighted_sum(exponent: int, alternating: bool) -> float:
     """Oracle for the beta-weighted sums 2 sum (+-1)^n beta_n / n^exponent.
 
-    Alternating sums are Euler-accelerated; non-alternating sums (which decay
-    like log(n)/n^exponent and need exponent >= 2) are summed directly with an
-    analytic Euler-Maclaurin tail from beta_n = log n + gamma + log 2 + O(n^-2).
+    Alternating sums are accelerated (see ``_accel``); non-alternating sums
+    (which decay like log(n)/n^exponent and need exponent >= 2) are summed
+    directly with an analytic Euler-Maclaurin tail from
+    beta_n = log n + gamma + log 2 + O(n^-2).
     The dropped tail terms are O(N^-(exponent+2)) at N = 10^5.
     """
     minimum = 1 if alternating else 2

@@ -15,20 +15,24 @@ Two layers:
 * ``oscillatory_semiinf`` -- a Longman-style scheme for the semi-infinite
   Bessel integrals: integrate between consecutive partition edges, given
   by an edge function m -> edge(m) (for a Bessel integrand its asymptotic
-  zeros, spaced by the period pi), suppress the alternating component of
-  the partial sums by repeated averaging (Euler transformation), then
-  remove the residual smooth tail.  That residue is real: products of two
-  oscillatory factors (Si or Ci tails against a Bessel function) carry a
-  non-alternating t^(-5/2) component that plain alternating-series
-  acceleration cannot see, so the averaged partial sums are collocated
-  against b^(-3/2), b^(-3/2) log b, ... on geometrically spaced truncation
-  points and extrapolated to b = infinity with the Euler sums'
-  extrapolator, ``_accel.alternating_series_limit``.
-  Partitions are integrated a block at a time: the block runs up to the
-  next extrapolation checkpoint, every partition in it gets one GK15 panel
-  in a single integrand call, and only the partitions whose error estimate
+  extrema, spaced by the period pi), and extrapolate the partial sums to
+  b = infinity with the Euler sums' extrapolator,
+  ``_accel.alternating_series_limit``: one least-squares fit of the raw
+  sums over the last half of the edges, with an alternating and a smooth
+  column for each of b^(-1), b^(-3/2), b^(-3/2) log b, ...  The smooth
+  columns are needed: products of two oscillatory factors (Si or Ci tails
+  against a Bessel function) carry a non-alternating t^(-5/2) component
+  that plain alternating-series acceleration cannot see.  The sums are
+  passed measured from the last one, so that their rounding is the size
+  of the tail.  Partitions are integrated a block at a time: the block runs
+  up to the next extrapolation checkpoint and every partition in it gets
+  one GK15 panel in a single integrand call.  The first partition, where
+  the integrand has not yet settled into its oscillation (it spans
+  (5/4 + nu/2) pi for a Bessel moment of order nu), is cut into panels at
+  most pi/2 wide in that same call.  Only partitions whose error estimate
   exceeds the per-partition tolerance are refined, all of them together
-  with one call per refinement step.
+  with one call per refinement step; no integral in the registry needs
+  one.
 
 Each verified integral gets its own operation below so the harness can bind
 it to an exact or closed-form counterpart.
@@ -215,9 +219,14 @@ def integrate_finite(
 
 
 _EST_SAFETY = 3.0
-# Smooth modes left after averaging the Longman partial sums: the remainder
-# at partition edge b behaves like b^(-3/2) (c0 + c1 log b) + O(b^(-5/2) log b).
-_LONGMAN_BASIS = ((0, False), (1.5, False), (1.5, True), (2.5, False), (2.5, True), (3.5, False))
+# The remainder at partition edge b: t^(-3/2) amplitudes, times log t where a
+# weight carries log t, integrated from b; the b^(-1) entry covers integrands
+# that decay like 1/t, such as sin(t)/t.
+_LONGMAN_BASIS = (
+    (0, False), (1, False), (1.5, False), (1.5, True),
+    (2.5, False), (2.5, True), (3.5, False), (4.5, False),
+)
+_HALF_PI = 0.5 * math.pi
 
 
 def _partition_limits(scale: float) -> tuple[int, int]:
@@ -241,73 +250,81 @@ def oscillatory_semiinf(
     """Longman scheme for int_0^inf f of a decaying oscillatory integrand.
 
     Partition m = 1, 2, ... runs from edge(m - 1) to edge(m), with edge(0)
-    taken as 0; exact zero locations do not matter since the acceleration
-    only needs eventually-alternating partial sums.  The partitions up to
-    each extrapolation checkpoint are integrated as one block (see the
-    module docstring); a block whose edges do not rise strictly from 0
-    raises ValueError.  The reported error combines the accumulated
-    per-partition quadrature errors with the (safety-padded) extrapolation
-    estimate.  ``scale`` s sets the partition floor max(32, 0.75 s^2) and cap
-    400 + 40 s; a floor at or above the cap raises QuadratureError at once.
+    taken as 0; exact extremum locations do not matter since the
+    extrapolation only needs eventually-alternating partial sums.  The
+    partitions up to each extrapolation checkpoint are integrated as one
+    block (see the module docstring); a block whose edges are not finite or
+    do not rise strictly from 0 raises ValueError.  The reported error is
+    3 times the larger of the fit's two moves (dropping its last column pair;
+    since the previous checkpoint) plus the summed panel error estimates.
+    ``tol`` must be finite and positive and ``scale`` finite and
+    nonnegative, else ValueError; s sets the partition floor max(32, 0.75 s^2)
+    and cap 400 + 40 s, and a floor at or above the cap raises
+    QuadratureError at once.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError("scale must be finite and nonnegative")
     checkpoint, cap = _partition_limits(scale)
     seg_tol = max(tol * 2e-4, 5e-15)
-    partial_sums: list[float] = []
+    parts: list[float] = []
     edges: list[float] = []
-    running = 0.0
     quad_err = 0.0
     subdivisions = 0
-    prev = 0.0
     best: tuple[float, float] | None = None
     prev_value: float | None = None
-    while len(partial_sums) < cap:
+    while len(parts) < cap:
         block_end = min(checkpoint, cap)
-        highs = [edge(m) for m in range(len(partial_sums) + 1, block_end + 1)]
-        lows = [prev] + highs[:-1]
-        if not all(lo < hi for lo, hi in zip(lows, highs)):
-            raise ValueError("partition edges must rise strictly from 0")
-        prev = highs[-1]
+        highs = [edge(m) for m in range(len(parts) + 1, block_end + 1)]
+        lows = [edges[-1] if edges else 0.0] + highs[:-1]
+        if not (all(lo < hi for lo, hi in zip(lows, highs)) and math.isfinite(highs[-1])):
+            raise ValueError("partition edges must be finite and rise strictly from 0")
+        edges += highs
+        pieces = 1
+        if not parts:
+            # the first partition, before the oscillation settles, is cut into
+            # panels at most pi/2 wide (at most as many as the block has
+            # partitions) and summed back into one partition
+            pieces = min(math.ceil(highs[0] / _HALF_PI), len(highs))
+            cuts = [highs[0] * i / pieces for i in range(1, pieces)]
+            lows, highs = [0.0, *cuts, *lows[1:]], [*cuts, *highs]
         values, errors, panels = _integrate_intervals(
             f, np.array(lows), np.array(highs), seg_tol, 2000
         )
-        for value, err, count in zip(values, errors, panels):
-            running += value
-            quad_err += err
-            subdivisions += count
-            partial_sums.append(running)
-        edges += highs
+        parts += [math.fsum(values[:pieces]), *values[pieces:]]
+        quad_err += math.fsum(errors)
+        subdivisions += sum(panels)
         checkpoint = int(checkpoint * 1.5)
-        value, raw_est = _accel.alternating_series_limit(partial_sums, edges, _LONGMAN_BASIS)
-        # the shift since the previous checkpoint guards against
-        # optimistic dips of the drop-one-point estimate
+        limit, shift = _accel.alternating_series_limit(
+            _accel.sums_from_last(np.array(parts)), edges, _LONGMAN_BASIS
+        )
+        value = math.fsum(parts) + limit
         if prev_value is not None:
-            raw_est = max(raw_est, 0.5 * abs(value - prev_value))
-        est = _EST_SAFETY * raw_est + quad_err
-        if prev_value is not None:
+            # the move since the previous checkpoint guards against a fit
+            # that is stable in its basis but not yet in the partition count
+            est = _EST_SAFETY * max(shift, abs(value - prev_value)) + quad_err
             best = (value, est)
             if est <= tol:
-                return QuadResult(
-                    value, est, subdivisions, partitions_used=len(partial_sums)
-                )
+                return QuadResult(value, est, subdivisions, partitions_used=len(parts))
         prev_value = value
     raise QuadratureError(
         f"oscillatory integral did not reach tol {tol:.1e} within "
-        f"{len(partial_sums)} partitions"
+        f"{len(parts)} partitions"
         + (f" (best estimate {best[1]:.2e})" if best else "")
     )
 
 
 def _period_edges(phase: float) -> Callable[[int], float]:
-    # Edges (m + phase) pi: a Bessel function of order nu changes sign near
-    # (m + nu/2 + 1/4) pi, so phase = nu/2 + 1/4 puts the edges at its zeros.
+    # Edges (m + phase) pi: a Bessel function of order nu has its asymptotic
+    # extrema at (m + nu/2 + 1/4) pi, so phase = nu/2 + 1/4 puts the edges
+    # there and the partition integrals alternate in sign.
     return lambda m: (m + phase) * math.pi
 
 
 # ---------------------------------------------------------------------------
 # Finite cot-weighted integrals on [0, pi/2]
 # ---------------------------------------------------------------------------
-
-_HALF_PI = 0.5 * math.pi
 
 
 def _cot_integral(g: ArrayFn, tol: float) -> QuadResult:
@@ -364,9 +381,9 @@ def clausen_cot_integral(k: int) -> QuadResult:
 # ---------------------------------------------------------------------------
 
 def _bessel_moment(weight: ArrayFn, order: int, tol: float) -> QuadResult:
-    # int_0^inf weight(t) J_order(t) dt/t, with partition edges at the zeros
-    # of J_order.  High orders need a longer run before the collocation
-    # window sits in the settled Hankel regime, so the order sets the scale.
+    # int_0^inf weight(t) J_order(t) dt/t, with partition edges at the
+    # asymptotic extrema of J_order.  High orders need a longer run before the
+    # fit window sits in the settled Hankel regime, so the order sets the scale.
     return oscillatory_semiinf(
         lambda t: weight(t) * specfun.bessel_j(order, t) / t,
         _period_edges(0.5 * order + 0.25),
@@ -448,7 +465,7 @@ def corollary5_rhs(a: float) -> QuadResult:
     Partition edges follow the shifted argument: they sit where
     sqrt(a^2 + t^2) reaches (k + 1/4) pi, for each k >= 1 with (k + 1/4) pi > a.
     The residual phase drift a^2/(2t) of the shifted argument must settle
-    inside the collocation window, so a sets the partition scale; from
+    inside the fit window, so a sets the partition scale; from
     a ~ 62 on the floor reaches the cap, and QuadratureError is raised
     without integrating.
     """

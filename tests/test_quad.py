@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 import neumann_sici
-from neumann_sici import coeffs, eulersum, neumann
+from neumann_sici import coeffs, eulersum, harness, neumann
 from neumann_sici import specfun as sf
 from neumann_sici.quad import (
     QuadratureError,
+    QuadResult,
     bessel_j1_over_t_integral,
     ci_bessel_integral,
     ci_transform_integral,
@@ -137,13 +139,14 @@ def test_engine_selftest_unit_bessel_integral():
 
 
 def test_oscillatory_rejects_bad_spacing():
-    # a block's edges must rise strictly from 0
+    # a block's edges must be finite and rise strictly from 0
     bad_edges = [
         lambda m: -m * math.pi,
         lambda m: 0.0 * m,  # the first partition is empty
         lambda m: 1.0,
         lambda m: (m + 0.25) * math.pi if m < 10 else 5.0,  # falls mid-block
         lambda m: math.nan,
+        lambda m: (m + 0.25) * math.pi if m < 32 else math.inf,  # rises to inf
     ]
     calls = []
 
@@ -155,6 +158,32 @@ def test_oscillatory_rejects_bad_spacing():
         with pytest.raises(ValueError, match="rise strictly"):
             oscillatory_semiinf(f, edge, 1e-6)
     assert not calls  # rejected before the integrand runs
+
+
+@pytest.mark.parametrize(
+    "tol,scale",
+    [
+        (0.0, 0.0),
+        (-1.0, 0.0),
+        (math.nan, 0.0),
+        (math.inf, 0.0),
+        (1e-6, math.nan),
+        (1e-6, -5.0),
+        (1e-6, math.inf),
+    ],
+)
+def test_oscillatory_rejects_bad_tol_and_scale_before_any_edge(tol, scale):
+    # a nan scale leaked int()'s conversion error, a negative one was taken
+    # as a cap of 400 + 40 s, and a bad tol ran the partition cap out first
+    edges = []
+
+    def edge(m):
+        edges.append(m)
+        return m * math.pi
+
+    with pytest.raises(ValueError, match="must be finite"):
+        oscillatory_semiinf(lambda t: np.sin(t) / t, edge, tol, scale=scale)
+    assert not edges
 
 
 def test_oscillatory_nonconvergence_raises():
@@ -201,17 +230,37 @@ def test_oscillatory_engine_batches_partitions_per_block():
     while checkpoints[-1] < r.partitions_used:
         checkpoints.append(int(1.5 * checkpoints[-1]))
     assert checkpoints[-1] == r.partitions_used
-    bisections = r.subdivisions - r.partitions_used
-    assert bisections >= 1
-    # one call per block plus one per refinement step; here every refinement
-    # step bisects a single panel
-    assert len(calls) == len(checkpoints) + bisections
-    assert calls[0] == 15 * checkpoints[0]
-    assert min(calls) >= 15
-    assert sum(calls) == 15 * (r.partitions_used + 2 * bisections)
+    # one call per block and no bisection: the first partition [0, 1.75 pi]
+    # is pre-split into 4 panels at most pi/2 wide, every other partition is
+    # one panel
+    assert len(calls) == len(checkpoints)
+    assert r.subdivisions == r.partitions_used + 3
+    assert calls[0] == 15 * (checkpoints[0] + 3)
+    assert sum(calls) == 15 * r.subdivisions
 
 
-@pytest.mark.parametrize("n,partitions", [(0, 243), (4, 681)])
+def test_high_order_moment_makes_one_integrand_call_per_block(monkeypatch):
+    # J_21: checkpoints at 330, 495, 742, ... partitions.  The first
+    # partition [0, 11.75 pi] is evaluated in the first block's call, with no
+    # serial bisection calls after it.
+    sizes = []
+    kernel = sf.bessel_j
+
+    def counting(order, t):
+        sizes.append(np.size(t))
+        return kernel(order, t)
+
+    monkeypatch.setattr(sf, "bessel_j", counting)
+    r = si_bessel_integral(10)
+    checkpoints = [330]
+    while checkpoints[-1] < r.partitions_used:
+        checkpoints.append(int(1.5 * checkpoints[-1]))
+    assert checkpoints[-1] == r.partitions_used <= 1000
+    assert len(sizes) == len(checkpoints)
+    assert sum(sizes) == 15 * r.subdivisions
+
+
+@pytest.mark.parametrize("n,partitions", [(0, 48), (4, 303)])
 def test_si_bessel_integral_partition_counts(n, partitions):
     assert si_bessel_integral(n).partitions_used == partitions
 
@@ -366,6 +415,32 @@ def test_corollary6_integrals():
 # ---------------------------------------------------------------------------
 # error-estimate honesty on exact targets
 # ---------------------------------------------------------------------------
+
+_OSCILLATORY_IDS = re.compile(
+    r"(si|ci)_coeff_integral\.n=\d+|j0_orthogonality|engine_selftest\.j1_over_t"
+    r"|example2|catalan_(eval|intermediate)|corollary5\.a=[\d.]+"
+)
+_OSCILLATORY_CHECKS = [
+    c for c in harness.build_registry() if _OSCILLATORY_IDS.fullmatch(c.id)
+]
+
+
+def test_oscillatory_deck_is_complete():
+    # 21 moments, j0, J_1/t, example 2, both Corollary 6 integrals, corollary 5 at 3 shifts
+    assert len(_OSCILLATORY_CHECKS) == 29
+
+
+@pytest.mark.parametrize("check", _OSCILLATORY_CHECKS, ids=lambda c: c.id)
+def test_oscillatory_estimates_hold_over_the_registry_deck(check):
+    # the estimate holds with no slack, and |diff| stays under 0.03 of the
+    # registry tolerance, below the deck's worst ratio 0.0307 (ci_expansion.a=1)
+    sides = [check.lhs(), check.rhs()]
+    (integral,) = [side for side in sides if isinstance(side, QuadResult)]
+    (other,) = [side for side in sides if side is not integral]
+    diff = abs(integral.value - getattr(other, "value", other))
+    assert diff <= integral.abs_err_estimate
+    assert diff <= 0.03 * check.tolerance
+
 
 def test_error_estimates_are_honest():
     cases = [
