@@ -15,9 +15,8 @@ with s = b_m / b_max, over the non-constant entries (q, with_log) of a basis,
 and the constant I is the limit.  This is Sidi's GREP with an alternating and
 a smooth shape function (A. Sidi, *Practical Extrapolation Methods*,
 Cambridge UP, 2003, ch. 4 and 11).  The fit takes the last half of the sums
-and normalised columns.  The default basis is the integer power ladder
-1, 1/m, ..., 1/m^4; the Euler sums add log m twins, and ``quad`` passes
-half-integer powers of the partition edge.
+and normalised columns.  The Euler sums pass integer powers of m with log m
+twins, and ``quad`` passes half-integer powers of the partition edge.
 """
 
 from __future__ import annotations
@@ -29,17 +28,15 @@ import numpy as np
 
 __all__ = ["alternating_series_limit", "sums_from_last"]
 
-POWER_LADDER = tuple((q, False) for q in range(5))
-
 
 def alternating_series_limit(
     partial_sums: Sequence[float],
-    positions: Sequence[float] | None = None,
-    basis: Sequence[tuple[float, bool]] = POWER_LADDER,
+    positions: Sequence[float] | None,
+    basis: Sequence[tuple[float, bool]],
 ) -> tuple[float, float]:
     """Fitted limit of ``partial_sums`` and its shift without the last basis entry.
 
-    ``positions`` are the truncation points (default 1, 2, ...) and each
+    ``positions`` are the truncation points (None for 1, 2, ...) and each
     ``basis`` entry ``(q, with_log)`` gives an alternating and a smooth column
     scale^(-q), times log(scale) if with_log; the first must be the constant.
     Callers pass at least twice as many sums as the fit has columns.  The

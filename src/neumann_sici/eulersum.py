@@ -4,19 +4,15 @@ The closed forms (Euler's linear-sum evaluation, Nielsen's formula, the two
 Sitaramachandrarao alternating formulas, and the assembled right-hand sides
 of the even and alternating beta-sum identities) are built purely from the
 zeta/eta tables in ``specfun``, so one constants table is the sole numeric
-authority.  Each closed form has an independent partial-sum oracle:
-
-* non-alternating sums are evaluated directly over a fixed 10^5 terms with
-  an analytic Euler-Maclaurin tail (the integrands decay like log(n)/n^s,
-  far too slowly for a bare truncation);
-* alternating sums take a fixed 20000 terms, whose partial sums are fitted
-  by least squares with alternating and smooth n^(-q) and n^(-q) log n
-  remainders (see ``_accel``).
+authority.  Each closed form has an independent oracle: the partial sums of
+a fixed 20000 terms, fitted by least squares with alternating and smooth
+n^(-q) and n^(-q) log n remainders (see ``_accel``).  The non-alternating
+sums, whose terms decay like log(n)/n^s, far too slowly for a bare
+truncation, lean on the smooth columns, the alternating sums on both.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +30,6 @@ __all__ = [
     "corollary3_rhs",
     "corollary4_rhs",
     "beta_weighted_sum",
-    "beta_weighted_partial_sums",
     "euler_sum_oracle",
     "nielsen_sum_oracle",
     "sitaramachandrarao_h_oracle",
@@ -167,72 +162,18 @@ def corollary6_rhs() -> float:
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin tails for the direct (non-alternating) oracles
+# Oracles (least-squares limit of the partial sums)
 # ---------------------------------------------------------------------------
 
-_N_DIRECT = 10**5
-
-
-def _zeta_tail(s: float, n: int) -> float:
-    # sum_{m>n} m^-s
-    nf = float(n)
-    return (
-        nf ** (1.0 - s) / (s - 1.0)
-        - 0.5 * nf ** (-s)
-        + s * nf ** (-s - 1.0) / 12.0
-        - s * (s + 1.0) * (s + 2.0) * nf ** (-s - 3.0) / 720.0
-    )
-
-
-def _log_zeta_tail(s: float, n: int) -> float:
-    # sum_{m>n} log(m) m^-s
-    nf = float(n)
-    ln = math.log(nf)
-    integral = nf ** (1.0 - s) * (ln / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
-    return integral - 0.5 * ln * nf ** (-s) - (1.0 - s * ln) * nf ** (-s - 1.0) / 12.0
+_N_ACCEL = 20000
+# The remainders carry log n from the harmonic numbers: n^(-q) and n^(-q) log n.
+_LOG_LADDER = ((0, False), *((q, with_log) for q in (1, 2, 3) for with_log in (False, True)))
 
 
 def _grid(terms: int) -> tuple[np.ndarray, np.ndarray]:
     """n = 1 .. terms and the sign (-1)^(n-1)."""
     n = np.arange(1.0, terms + 1.0)
     return n, np.where(np.arange(1, terms + 1) % 2 == 1, 1.0, -1.0)
-
-
-def euler_sum_oracle(k: int) -> float:
-    """Direct evaluation of 2 sum H_{n-1}/n^k (Euler-Maclaurin tail)."""
-    k = _integer(k, "k must be an integer >= 2", 2)
-    n = np.arange(1.0, _N_DIRECT + 1.0)
-    hm1 = np.cumsum(1.0 / n) - 1.0 / n
-    head = 2.0 * float(np.dot(hm1, n ** (-float(k))))
-    # H_{n-1} = log n + gamma - 1/(2n) - 1/(12 n^2) + 1/(120 n^4) - ...
-    tail = (
-        _log_zeta_tail(k, _N_DIRECT)
-        + _GAMMA * _zeta_tail(k, _N_DIRECT)
-        - 0.5 * _zeta_tail(k + 1, _N_DIRECT)
-        - _zeta_tail(k + 2, _N_DIRECT) / 12.0
-        + _zeta_tail(k + 4, _N_DIRECT) / 120.0
-    )
-    return head + 2.0 * tail
-
-
-def nielsen_sum_oracle(k: int) -> float:
-    """Direct evaluation of 2 sum A_{n-1}/n^k (Euler-Maclaurin tail)."""
-    k = _integer(k, "k must be an integer >= 2", 2)
-    n, sign = _grid(_N_DIRECT)
-    am1 = np.cumsum(sign / n) - sign / n
-    head = 2.0 * float(np.dot(am1, n ** (-float(k))))
-    # A_{n-1} = log 2 + (-1)^n T_{n-1} with 0 < T_m < 1/(2m); the alternating
-    # remainder is below 1/N^{k+1} and is dropped.
-    return head + 2.0 * _LOG2 * _zeta_tail(k, _N_DIRECT)
-
-
-# ---------------------------------------------------------------------------
-# Alternating oracles (least-squares limit of the partial sums)
-# ---------------------------------------------------------------------------
-
-_N_ACCEL = 20000
-# The remainders carry log n from the harmonic numbers: n^(-q) and n^(-q) log n.
-_LOG_LADDER = ((0, False), *((q, with_log) for q in (1, 2, 3) for with_log in (False, True)))
 
 
 def _accelerated(terms: np.ndarray, tol: float, what: str) -> float:
@@ -242,6 +183,22 @@ def _accelerated(terms: np.ndarray, tol: float, what: str) -> float:
     if est > tol:
         raise RuntimeError(f"{what}: acceleration stalled at {est:.2e} > tol {tol:.2e}")
     return value
+
+
+def euler_sum_oracle(k: int) -> float:
+    """Accelerated 2 sum H_{n-1}/n^k."""
+    k = _integer(k, "k must be an integer >= 2", 2)
+    n, _ = _grid(_N_ACCEL)
+    hm1 = np.cumsum(1.0 / n) - 1.0 / n
+    return _accelerated(2.0 * hm1 * n ** (-float(k)), 1e-10, "euler sum oracle")
+
+
+def nielsen_sum_oracle(k: int) -> float:
+    """Accelerated 2 sum A_{n-1}/n^k."""
+    k = _integer(k, "k must be an integer >= 2", 2)
+    n, sign = _grid(_N_ACCEL)
+    am1 = np.cumsum(sign / n) - sign / n
+    return _accelerated(2.0 * am1 * n ** (-float(k)), 1e-10, "nielsen sum oracle")
 
 
 def sitaramachandrarao_h_oracle(k: int) -> float:
@@ -270,36 +227,16 @@ def _beta_weighted_terms(exponent: int, alternating: bool, count: int) -> np.nda
     return terms
 
 
-def beta_weighted_partial_sums(
-    exponent: int, alternating: bool, count: int
-) -> np.ndarray:
-    """Partial sums of 2 sum (+-1)^n beta_n / n^exponent (oracle ingredient)."""
-    return np.cumsum(_beta_weighted_terms(exponent, alternating, count))
-
-
 def beta_weighted_sum(exponent: int, alternating: bool) -> float:
-    """Oracle for the beta-weighted sums 2 sum (+-1)^n beta_n / n^exponent.
+    """Accelerated 2 sum (+-1)^n beta_n / n^exponent.
 
-    Alternating sums are accelerated (see ``_accel``); non-alternating sums
-    (which decay like log(n)/n^exponent and need exponent >= 2) are summed
-    directly with an analytic Euler-Maclaurin tail from
-    beta_n = log n + gamma + log 2 + O(n^-2).
-    The dropped tail terms are O(N^-(exponent+2)) at N = 10^5.
+    The non-alternating sum decays like log(n)/n^exponent and needs
+    exponent >= 2; the alternating one converges for exponent >= 1.
     """
     minimum = 1 if alternating else 2
     exponent = _integer(exponent, f"exponent must be an integer >= {minimum}", minimum)
-    if alternating:
-        terms = _beta_weighted_terms(exponent, True, _N_ACCEL)
-        return _accelerated(terms, 1e-10, "alternating beta sum")
-    head = float(beta_weighted_partial_sums(exponent, False, _N_DIRECT)[-1])
-    s = float(exponent)
-    # beta_n = log n + gamma + log 2 - 1/(12 n^2) - (-1)^(n-1)/(4 n^2) + O(n^-4)
-    tail = (
-        _log_zeta_tail(s, _N_DIRECT)
-        + (_GAMMA + _LOG2) * _zeta_tail(s, _N_DIRECT)
-        - _zeta_tail(s + 2.0, _N_DIRECT) / 12.0
-    )
-    return head + 2.0 * tail
+    terms = _beta_weighted_terms(exponent, alternating, _N_ACCEL)
+    return _accelerated(terms, 1e-10, "beta-weighted sum")
 
 
 def catalan_alpha_sum() -> float:

@@ -388,6 +388,8 @@ def run_registry(
 
     Tolerances come from the registry, scaled by the ``NEUMANN_SICI_TOL_SCALE``
     environment variable when set, with per-id overrides taking precedence.
+    A scale that is not finite and positive, or an override that is not
+    finite, raises UsageError.
     """
     overrides = dict(tol_overrides or {})
     scale = 1.0
@@ -397,8 +399,8 @@ def run_registry(
             scale = float(raw_scale)
         except ValueError as exc:
             raise UsageError(f"bad {TOL_SCALE_ENV} value {raw_scale!r}") from exc
-        if scale <= 0:
-            raise UsageError(f"{TOL_SCALE_ENV} must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            raise UsageError(f"{TOL_SCALE_ENV} must be finite and positive")
     registry = build_registry(max_n=max_n)
     matched = [c for c in registry if fnmatch.fnmatchcase(c.id, filter_glob)]
     if not matched:
@@ -406,6 +408,9 @@ def run_registry(
     unknown = set(overrides) - {c.id for c in registry}
     if unknown:
         raise UsageError(f"tolerance overrides for unknown ids: {sorted(unknown)}")
+    nonfinite = sorted(k for k, v in overrides.items() if not math.isfinite(v))
+    if nonfinite:
+        raise UsageError(f"tolerance overrides must be finite: {nonfinite}")
 
     def tol_for(check: IdentityCheck) -> float:
         if check.id in overrides:

@@ -150,15 +150,19 @@ def _gk15(f: ArrayFn, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     return resk * h, err
 
 
+_MAX_SUBDIVISIONS = 2000
+
+
 def _integrate_intervals(
-    f: ArrayFn, a: np.ndarray, b: np.ndarray, tol: float, max_subdivisions: int
+    f: ArrayFn, a: np.ndarray, b: np.ndarray, tol: float
 ) -> tuple[list[float], list[float], list[int]]:
     """Adaptive GK15 on each [a[i], b[i]] separately, each to absolute tol.
 
     Every interval keeps its own heap of panels.  A step bisects the worst
     panel of every interval whose error sum still exceeds tol and evaluates
-    all the halves in one integrand call.  Returns per-interval lists of
-    values, error estimates and panel counts.
+    all the halves in one integrand call; an interval that reaches
+    ``_MAX_SUBDIVISIONS`` panels unconverged raises QuadratureError.  Returns
+    per-interval lists of values, error estimates and panel counts.
     """
     values, errors = _gk15(f, a, b)
     # heap items are (-err, seq, a, b, value, err); seq breaks ties deterministically
@@ -172,7 +176,7 @@ def _integrate_intervals(
     seq = 1
     while active:
         for i in active:
-            if panels[i] >= max_subdivisions:
+            if panels[i] >= _MAX_SUBDIVISIONS:
                 raise QuadratureError(
                     f"no convergence after {panels[i]} subdivisions "
                     f"(err estimate {total_err[i]:.2e} > tol {tol:.2e})"
@@ -200,20 +204,20 @@ def _integrate_intervals(
     )
 
 
-def integrate_finite(
-    f: ArrayFn,
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    max_subdivisions: int = 2000,
-) -> QuadResult:
-    """Adaptive Gauss-Kronrod integration of f over [a, b] to absolute tol."""
+def integrate_finite(f: ArrayFn, a: float, b: float, tol: float = 1e-12) -> QuadResult:
+    """Adaptive Gauss-Kronrod integration of f over [a, b] to absolute tol.
+
+    ``a`` and ``b`` must be finite with a < b, and ``tol`` finite and
+    positive, else ValueError before any integrand call.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("a and b must be finite")
     if not a < b:
         raise ValueError("requires a < b")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     values, errors, panels = _integrate_intervals(
-        f, np.array([a], dtype=float), np.array([b], dtype=float), tol, max_subdivisions
+        f, np.array([a], dtype=float), np.array([b], dtype=float), tol
     )
     return QuadResult(values[0], errors[0], panels[0])
 
@@ -289,9 +293,7 @@ def oscillatory_semiinf(
             pieces = min(math.ceil(highs[0] / _HALF_PI), len(highs))
             cuts = [highs[0] * i / pieces for i in range(1, pieces)]
             lows, highs = [0.0, *cuts, *lows[1:]], [*cuts, *highs]
-        values, errors, panels = _integrate_intervals(
-            f, np.array(lows), np.array(highs), seg_tol, 2000
-        )
+        values, errors, panels = _integrate_intervals(f, np.array(lows), np.array(highs), seg_tol)
         parts += [math.fsum(values[:pieces]), *values[pieces:]]
         quad_err += math.fsum(errors)
         subdivisions += sum(panels)

@@ -8,11 +8,16 @@ coefficients, so values can be shared freely across threads.
 
 ``bessel_j``, ``bessel_y``, ``si``, ``ci`` and ``gamma_log_minus_ci`` also
 accept a float ndarray and return an array of the same shape.  Each element
-takes the branch the scalar kernel would take for it (selected by mask), and
-every iterative branch runs until each element meets the scalar stopping
-test, so an array result agrees with the scalar one to rounding.  A Python
-float runs the scalar code.  ``clausen_odd`` has no branches: a float and an
-array run the same arithmetic, so they agree exactly.
+takes the branch the scalar kernel would take for it (selected by mask).  The
+power series and the Y bridge call the scalar code once per element, so there
+an array result equals the scalar one exactly; the Miller recurrence, the
+Hankel expansion and the continued fraction run as array iterations until
+each element meets the scalar stopping test, so there it agrees to rounding.
+These three keep array code because they take most of the integrand nodes:
+mapping the scalar code over their nodes made a registry pass about four
+times slower.  A Python float runs the scalar code.  ``clausen_odd`` has no
+branches: a float and an array run the same arithmetic, so they agree
+exactly.
 """
 
 from __future__ import annotations
@@ -139,31 +144,6 @@ def _bessel_j_series(order: int, x: float) -> float:
             return total
 
 
-def _bessel_j_series_array(order: int, x: np.ndarray) -> np.ndarray:
-    # _bessel_j_series elementwise, for x / 2 > 0.
-    half = 0.5 * x
-    # math.log/math.exp, as in the scalar kernel: near x = 8 the sum cancels
-    # to 1e-14, so an ulp in the first term would show in the result.
-    lg = math.lgamma(order + 1)
-    log_t0 = np.array([order * math.log(h) - lg for h in half.tolist()])
-    out = np.zeros_like(x)
-    idx = np.flatnonzero(log_t0 >= -745.0)
-    total = np.array([math.exp(v) for v in log_t0[idx].tolist()])
-    term = total.copy()
-    step = -half[idx] * half[idx]
-    k = 0
-    while idx.size:
-        k += 1
-        term *= step / (k * (order + k))
-        total += term
-        done = np.abs(term) < _J_SERIES_TOL * np.maximum(np.abs(total), 1e-300)
-        if k >= 500:
-            done[:] = True
-        if done.any():
-            idx, total, term, step = _retire(done, out, idx, total, term, step)
-    return out
-
-
 def _miller_array(nmax: int, x: float) -> list[float]:
     # Backward (Miller) recurrence normalized by J_0 + 2 sum J_{2k} = 1.
     m = nmax + int(math.ceil(1.5 * x)) + 40
@@ -245,13 +225,11 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
 
 
 def _bessel_j_array(order: int, x: np.ndarray) -> np.ndarray:
-    # the value where x / 2 is 0, as in the scalar series
-    out = np.full_like(x, 1.0 if order == 0 else 0.0)
-    positive = 0.5 * x > 0.0
-    series = positive & ((x <= _SICI_CROSSOVER) | (0.25 * x * x <= order + 1))
+    out = np.empty_like(x)
+    series = (x <= _SICI_CROSSOVER) | (0.25 * x * x <= order + 1)
     hankel = ~series & (x >= max(25.0, 0.5 * order * order))
-    miller = positive & ~series & ~hankel
-    out[series] = _bessel_j_series_array(order, x[series])
+    miller = ~series & ~hankel
+    out[series] = [_bessel_j_series(order, v) for v in x[series].tolist()]
     out[hankel] = _hankel_array(order, x[hankel], first_kind=True)
     out[miller] = _miller_j_array(order, x[miller])
     return out
@@ -307,43 +285,6 @@ def _bessel_y_series(order: int, x: float) -> float:
         if abs(term) * (hk + hk1 + 2.0) < 1e-18 * max(abs(s), 1e-10) or k > 500:
             break
     return (2.0 / math.pi) * (lg * j1 - 1.0 / x) - x / (2.0 * math.pi) * s
-
-
-def _bessel_y_series_array(order: int, x: np.ndarray) -> np.ndarray:
-    # _bessel_y_series elementwise, for 0 < x <= _Y_SERIES_MAX.
-    step = -(0.25 * x * x)
-    s_final = np.empty_like(x)
-    idx = np.arange(x.size)
-    s = np.zeros_like(x)
-    term = np.ones_like(x)
-    hk, hk1, k = 0.0, 1.0, 0
-    while idx.size:
-        if order == 0:
-            k += 1
-            term *= step / (k * k)
-            hk += 1.0 / k
-            s += hk * term
-            done = np.abs(term) * (hk + 1.0) < 1e-18 * np.maximum(np.abs(s), 1e-10)
-        else:
-            s += (hk + hk1 - 2.0 * _EULER_GAMMA) * term
-            term *= step / ((k + 1) * (k + 2))
-            k += 1
-            hk += 1.0 / k
-            hk1 += 1.0 / (k + 1)
-            done = np.abs(term) * (hk + hk1 + 2.0) < 1e-18 * np.maximum(np.abs(s), 1e-10)
-        if k > 500:
-            done[:] = True
-        if done.any():
-            idx, s, term, step = _retire(done, s_final, idx, s, term, step)
-    half = 0.5 * x  # as in the scalar kernel
-    rounded = half + half != x
-    lg = np.log(np.where(rounded, x, half))
-    lg[rounded] -= CONSTANTS.log2
-    j = _bessel_j_array(order, x)
-    if order == 0:
-        return (2.0 / math.pi) * ((lg + _EULER_GAMMA) * j - s_final)
-    with np.errstate(over="ignore"):  # -inf, as for a float
-        return (2.0 / math.pi) * (lg * j - 1.0 / x) - x / (2.0 * math.pi) * s_final
 
 
 def _bessel_y_bridge(order: int, x: float) -> float:
@@ -435,9 +376,8 @@ def _bessel_y_array(order: int, x: np.ndarray) -> np.ndarray:
     series = x <= _Y_SERIES_MAX
     hankel = x >= _Y_ASYMPTOTIC_MIN
     bridge = ~series & ~hankel
-    out[series] = _bessel_y_series_array(order, x[series])
+    out[series] = [_bessel_y_series(order, v) for v in x[series].tolist()]
     out[hankel] = _hankel_array(order, x[hankel], first_kind=False)
-    # an integrand puts only a few nodes into the bridge window
     out[bridge] = [_bessel_y_bridge(order, v) for v in x[bridge].tolist()]
     return out
 
@@ -461,26 +401,9 @@ def _sici_series(x: float, shift: int) -> float:
             return total
 
 
-def _sici_series_array(x: np.ndarray, shift: int) -> np.ndarray:
-    # _sici_series elementwise.
-    out = np.empty_like(x)
-    idx = np.arange(x.size)
-    total = np.zeros_like(x)
-    term = 0.5 * x * x if shift else x.copy()
-    step = -x * x
-    n = 1
-    while idx.size:
-        total += term / (2 * n - 1 + shift)
-        term *= step / ((2 * n + shift) * (2 * n + 1 + shift))
-        n += 1
-        done = np.abs(term) / (2 * n - 1 + shift) < _SICI_SERIES_TOL * np.maximum(
-            1.0, np.abs(total)
-        )
-        if n > 300:
-            done[:] = True
-        if done.any():
-            idx, total, term, step = _retire(done, out, idx, total, term, step)
-    return out
+def _ci_series(x: float) -> float:
+    # Ci(x) below the crossover
+    return _EULER_GAMMA + math.log(x) - _sici_series(x, 1)
 
 
 def _e1_of_ix(x: float) -> complex:
@@ -528,23 +451,16 @@ def _e1_of_ix_array(x: np.ndarray) -> np.ndarray:
     return np.exp(-z) * out
 
 
-def _sici_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Masks of the series branch (0 < x <= crossover) and the continued fraction.
-    return (x > 0.0) & (x <= _SICI_CROSSOVER), x > _SICI_CROSSOVER
-
-
 def si(x: float | np.ndarray) -> float | np.ndarray:
     """Sine integral Si(x) = int_0^x sin(t)/t dt, x >= 0."""
     if isinstance(x, np.ndarray):
         x = _checked_array(x, positive=False)
-        out = np.zeros_like(x)
-        series, cf = _sici_split(x)
-        out[series] = _sici_series_array(x[series], 0)
-        out[cf] = _e1_of_ix_array(x[cf]).imag + 0.5 * math.pi
+        out = np.empty_like(x)
+        series = x <= _SICI_CROSSOVER
+        out[series] = [_sici_series(v, 0) for v in x[series].tolist()]
+        out[~series] = _e1_of_ix_array(x[~series]).imag + 0.5 * math.pi
         return out
     x = _checked_scalar(x, positive=False)
-    if x == 0.0:
-        return 0.0
     if x <= _SICI_CROSSOVER:
         return _sici_series(x, 0)
     return _e1_of_ix(x).imag + 0.5 * math.pi
@@ -555,14 +471,13 @@ def ci(x: float | np.ndarray) -> float | np.ndarray:
     if isinstance(x, np.ndarray):
         x = _checked_array(x, positive=True)
         out = np.empty_like(x)
-        series, cf = _sici_split(x)
-        xs = x[series]
-        out[series] = _EULER_GAMMA + np.log(xs) - _sici_series_array(xs, 1)
-        out[cf] = -_e1_of_ix_array(x[cf]).real
+        series = x <= _SICI_CROSSOVER
+        out[series] = [_ci_series(v) for v in x[series].tolist()]
+        out[~series] = -_e1_of_ix_array(x[~series]).real
         return out
     x = _checked_scalar(x, positive=True)
     if x <= _SICI_CROSSOVER:
-        return _EULER_GAMMA + math.log(x) - _sici_series(x, 1)
+        return _ci_series(x)
     return -_e1_of_ix(x).real
 
 
@@ -574,15 +489,13 @@ def gamma_log_minus_ci(x: float | np.ndarray) -> float | np.ndarray:
     """
     if isinstance(x, np.ndarray):
         x = _checked_array(x, positive=False)
-        out = np.zeros_like(x)
-        series, cf = _sici_split(x)
-        out[series] = _sici_series_array(x[series], 1)
-        xc = x[cf]
-        out[cf] = _EULER_GAMMA + np.log(xc) + _e1_of_ix_array(xc).real
+        out = np.empty_like(x)
+        series = x <= _SICI_CROSSOVER
+        out[series] = [_sici_series(v, 1) for v in x[series].tolist()]
+        xc = x[~series]
+        out[~series] = _EULER_GAMMA + np.log(xc) + _e1_of_ix_array(xc).real
         return out
     x = _checked_scalar(x, positive=False)
-    if x == 0.0:
-        return 0.0
     if x <= _SICI_CROSSOVER:
         return _sici_series(x, 1)
     return _EULER_GAMMA + math.log(x) + _e1_of_ix(x).real

@@ -100,9 +100,10 @@ def test_tol_scale_env_applies_to_defaults(monkeypatch):
     monkeypatch.setenv(harness.TOL_SCALE_ENV, "1e6")
     report = harness.run_registry("si_expansion.a=2")
     assert report.checks[0].tolerance == pytest.approx(1e-10 * 1e6)
-    monkeypatch.setenv(harness.TOL_SCALE_ENV, "bogus")
-    with pytest.raises(harness.UsageError):
-        harness.run_registry("si_expansion.a=2")
+    for bad in ("bogus", "0", "-1", "nan", "inf", "-inf"):
+        monkeypatch.setenv(harness.TOL_SCALE_ENV, bad)
+        with pytest.raises(harness.UsageError):
+            harness.run_registry("si_expansion.a=2")
 
 
 def test_error_status_on_exception(monkeypatch):
@@ -250,6 +251,12 @@ def test_cli_forced_failure_exits_one(tmp_path):
 
 def test_cli_bad_override_syntax_exits_two(capsys):
     assert cli.main(["--tol-override", "no-equals-sign"]) == 2
+    # a non-finite tolerance would put NaN or Infinity into the JSON report
+    for value in ("nan", "inf", "-inf"):
+        assert cli.main(["--check", "si_expansion.a=2",
+                         "--tol-override", f"si_expansion.a=2={value}"]) == 2
+    with pytest.raises(harness.UsageError):
+        harness.run_registry("si_expansion.a=2", {"si_expansion.a=2": math.nan})
     capsys.readouterr()
 
 

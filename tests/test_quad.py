@@ -79,8 +79,32 @@ def test_nan_integrand_raises():
 
 
 def test_nonintegrable_endpoint_raises_nonconvergence():
+    # sin(1/t) oscillates without bound towards 0: the panel budget runs out
     with pytest.raises(QuadratureError):
-        integrate_finite(lambda t: t ** -0.9, 1e-300, 1.0, 1e-12, max_subdivisions=300)
+        integrate_finite(lambda t: np.sin(1.0 / t), 1e-300, 1.0, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, b, tol",
+    [
+        (0.0, math.inf, 1e-10),
+        (-math.inf, 1.0, 1e-10),
+        (math.nan, 1.0, 1e-10),
+        (0.0, math.nan, 1e-10),
+        (0.0, 3.0, math.nan),
+        (0.0, 3.0, math.inf),
+    ],
+)
+def test_integrate_finite_rejects_nonfinite_input_before_any_call(a, b, tol):
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return np.sin(50.0 * t)
+
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate_finite(f, a, b, tol)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
