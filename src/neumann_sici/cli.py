@@ -116,12 +116,12 @@ def main(argv: list[str] | None = None) -> int:
         if convergence_out is not None:
             a_grid_s = pick(args.a_grid, "a_grid", _DEFAULT_A_GRID)
             n_grid_s = pick(args.n_grid, "n_grid", _DEFAULT_N_GRID)
-            try:
+            try:  # convergence_table rejects a value outside the expansion's domain
                 a_grid = [float(v) for v in a_grid_s.split(",") if v.strip()]
                 n_grid = [int(v) for v in n_grid_s.split(",") if v.strip()]
+                harness.emit_convergence_tables(a_grid, n_grid, convergence_out)
             except ValueError as exc:
                 raise harness.UsageError(f"bad grid value: {exc}") from exc
-            harness.emit_convergence_tables(a_grid, n_grid, convergence_out)
 
         report = harness.run_registry(check, overrides, max_n=max_n)
         harness.emit_report(report, fmt, out)

@@ -6,22 +6,23 @@ The two expansions are
     Ci(a) = gamma + log(a) - 2 sum_{n>=1} J_{2n}(a) beta_n
 
 with the exact rational coefficients provided by ``coeffs``.  Truncations
-carry a rigorous tail bound built from |J_m(a)| <= (a/2)^m / m! and the
-elementary coefficient bounds alpha_n <= pi/2 + 3/(2n+1) and
-beta_n <= H_n + A_n + 1/n.  Both expansions and the alternating series of
-Corollary 5 share one truncation loop: it stops at the first n whose tail
-bound is <= tol, and after at most min(400, int(a) + 80) terms returns with
-``converged`` False.
+carry a rigorous tail bound built from |J_m(a)| <= (a/2)^m / m! (DLMF
+10.14.4) and the elementary coefficient bounds alpha_n <= pi/2 + 3/(2n+1)
+and beta_n <= H_n + A_n + 1/n.  Both expansions and the alternating series
+of Corollary 5 share one truncation: one pass over the majorant finds the
+first n whose tail bound is <= tol (at most min(400, int(a) + 80) terms,
+else ``converged`` is False) before any J_m(a) is computed.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 from . import coeffs
-from .specfun import CONSTANTS, bessel_j_all, si as si_kernel
+from .specfun import CONSTANTS, _integer, bessel_j_all, si as si_kernel
 
 __all__ = [
     "SeriesEval",
@@ -42,8 +43,12 @@ class SeriesEval:
 
 
 @functools.cache
-def _alpha(n: int) -> float:
-    return float(coeffs.alpha(n))
+def _si_coeff(n: int) -> float:
+    return 2.0 * float(coeffs.alpha(n))
+
+
+def _si_bound(n: int) -> float:
+    return 2.0 * (0.5 * math.pi + 3.0 / (2 * n + 1))
 
 
 @functools.cache
@@ -57,65 +62,57 @@ def _beta_coeff_bound(n: int) -> float:
     return float(coeffs.harmonic(n) + coeffs.alt_harmonic(n)) + 1.0 / n
 
 
-def _bessel_majorant(a: float, m: int) -> float:
-    # |J_m(a)| <= (a/2)^m / m!
-    if 0.5 * a == 0.0:
-        return 1.0 if m == 0 else 0.0
-    logv = m * math.log(0.5 * a) - math.lgamma(m + 1)
-    if logv > 709.0:  # majorant overflows long before the factorial wins
-        return math.inf
-    return math.exp(logv)
+def _tail_bounds(a: float, first: int, parity: int, bound, floor: float):
+    """tail(N), a bound on sum_{k >= first + N} bound(k) |J_{2k+parity}(a)|.
 
-
-def _tail_bound(a: float, first_n: int, parity: int, coeff_bound) -> float:
-    """sum_{n >= first_n} majorant(2n + parity) * coeff_bound(n), closed with a
-    geometric factor once the term ratio drops below 1/2.
-
-    The closing ratio includes the coefficient-bound growth (the Ci bound
-    H_n + A_n + 1/n increases), so the result stays a true upper bound.
+    One pass generates each majorant term bound(k) (a/2)^m / m!, m = 2k +
+    parity, up to the first term <= floor with a step ratio below 1/2.  A
+    geometric factor closes the sum there (its ratio includes the growth of
+    the Ci bound) and bounds every tail past that term.  An infinite term
+    makes every tail infinite.
     """
-    total = 0.0
-    n = first_n
-    while True:
-        m = 2 * n + parity
-        cb = coeff_bound(n)
-        term = _bessel_majorant(a, m) * cb
+    half = 0.5 * a
+    # multiplied out: (a/2)**m overflows for huge a
+    majorant = math.prod(half / i for i in range(1, 2 * first + parity + 1))
+    terms = []
+    for k in itertools.count(first):
+        m = 2 * k + parity
+        b = bound(k)
+        term = majorant * b
         if math.isinf(term):
-            return math.inf
-        total += term
-        ratio = (0.5 * a) ** 2 / ((m + 1.0) * (m + 2.0))
-        if cb > 0.0:
-            ratio *= max(1.0, coeff_bound(n + 1) / cb)
-        if ratio < 0.5 and (term == 0.0 or term < 1e-4 * max(total, 1e-300)):
-            return total + term * ratio / (1.0 - ratio)
-        n += 1
-        if n - first_n > 10000:  # unreachable for sane arguments
-            return math.inf
+            return lambda n: math.inf
+        terms.append(term)
+        step = half * half / ((m + 1.0) * (m + 2.0))
+        ratio = step * max(1.0, bound(k + 1) / b)
+        if ratio < 0.5 and term <= floor:
+            break
+        majorant *= step
+    closure = term * ratio / (1.0 - ratio)
+    tails = list(itertools.accumulate(reversed(terms), initial=closure))[::-1]
+    return lambda n: tails[min(n, len(tails) - 1)]
 
 
-def _alpha_bound(n: int) -> float:
-    return 0.5 * math.pi + 3.0 / (2 * n + 1)
+def _partial_sums(a: float, start: float, first: int, parity: int, coeff, terms: int):
+    """start + sum_{first <= n < first + N} coeff(n) J_{2n+parity}(a) for N = 0 .. terms."""
+    j = bessel_j_all(max(0, 2 * (first + terms - 1) + parity), a)
+    products = (coeff(n) * j[2 * n + parity] for n in range(first, first + terms))
+    return list(itertools.accumulate(products, initial=start))
 
 
 def _truncate(
-    a: float, tol: float, start: float, first: int, parity: int, term, coeff_bound, scale: float
+    a: float, tol: float, start: float, first: int, parity: int, coeff, bound
 ) -> SeriesEval:
-    """start + sum_{n >= first} term(n, J), where J[m] = J_m(a).
+    """start + sum_{n >= first} coeff(n) J_{2n+parity}(a), where |coeff(n)| <= bound(n).
 
-    Stops at the first n whose tail bound, scale times the majorant sum over
-    the orders 2k + parity for k > n, is <= tol; otherwise after
-    min(400, int(a) + 80) terms, with converged False.
+    Sums up to the first n whose tail bound is <= tol, else min(400,
+    int(a) + 80) terms with converged False.  The majorant pass runs down to
+    terms of 1e-4 tol, so tails near tol are explicit sums.
     """
     limit = min(400, int(a) + 80)
-    j = bessel_j_all(2 * (limit + first) + parity, a)
-    total = start
-    tail = math.inf
-    for n in range(first, first + limit):
-        total += term(n, j)
-        tail = scale * _tail_bound(a, n + 1, parity, coeff_bound)
-        if tail <= tol:
-            return SeriesEval(total, n - first + 1, tail, True)
-    return SeriesEval(total, limit, tail, False)
+    tail = _tail_bounds(a, first, parity, bound, 1e-4 * tol)
+    used = next((n for n in range(1, limit + 1) if tail(n) <= tol), limit)
+    value = _partial_sums(a, start, first, parity, coeff, used)[-1]
+    return SeriesEval(value, used, tail(used), tail(used) <= tol)
 
 
 def si_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
@@ -124,11 +121,11 @@ def si_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
         raise ValueError("a must be finite")
     if a < 0:
         raise ValueError("a must be nonnegative (the expansion is stated for a >= 0)")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     if a == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
-    return _truncate(
-        a, tol, 0.0, 0, 1, lambda n, j: 2.0 * j[2 * n + 1] * _alpha(n), _alpha_bound, 2.0
-    )
+    return _truncate(a, tol, 0.0, 0, 1, _si_coeff, _si_bound)
 
 
 def ci_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
@@ -137,9 +134,11 @@ def ci_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
         raise ValueError("a must be finite")
     if a <= 0:
         raise ValueError("a must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     return _truncate(
         a, tol, CONSTANTS.euler_gamma + math.log(a), 1, 0,
-        lambda n, j: -2.0 * j[2 * n] * _beta(n), _beta_coeff_bound, 2.0,
+        lambda n: -2.0 * _beta(n), lambda n: 2.0 * _beta_coeff_bound(n),
     )
 
 
@@ -151,8 +150,8 @@ def corollary5_series(a: float) -> SeriesEval:
     if a == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
     return _truncate(
-        a, 1e-10, 0.0, 1, 0, lambda n, j: ((-1) ** n) * j[2 * n] * _beta(n) / n,
-        lambda n: _beta_coeff_bound(n) / n, 1.0,
+        a, 1e-10, 0.0, 1, 0, lambda n: (-1) ** n * _beta(n) / n,
+        lambda n: _beta_coeff_bound(n) / n,
     )
 
 
@@ -182,15 +181,13 @@ def convergence_table(
     expansion against the independent Si kernel, sorted by (a, N)."""
     if not a_grid or not n_grid:
         raise ValueError("grids must be nonempty")
+    if not all(math.isfinite(a) and a >= 0 for a in a_grid):
+        raise ValueError("a_grid values must be finite and nonnegative")
+    n_grid = sorted(_integer(n, "n_grid values must be nonnegative integers", 0) for n in n_grid)
     rows = []
     for a in sorted(a_grid):
         ref = si_kernel(a)
-        for n_terms in sorted(n_grid):
-            if a == 0.0:
-                rows.append((a, n_terms, 0.0, 0.0))
-                continue
-            j = bessel_j_all(2 * n_terms + 1, a)
-            partial = sum((2.0 * j[2 * n + 1] * _alpha(n) for n in range(n_terms)), 0.0)
-            tail = 2.0 * _tail_bound(a, n_terms, 1, _alpha_bound)
-            rows.append((a, n_terms, abs(partial - ref), tail))
+        tail = _tail_bounds(a, 0, 1, _si_bound, 0.0)
+        sums = _partial_sums(a, 0.0, 0, 1, _si_coeff, n_grid[-1])
+        rows.extend((a, n, abs(sums[n] - ref), tail(n)) for n in n_grid)
     return rows

@@ -226,7 +226,8 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
 
 def _bessel_j_array(order: int, x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
-    series = (x <= _SICI_CROSSOVER) | (0.25 * x * x <= order + 1)
+    with np.errstate(over="ignore"):  # x * x is inf above ~1.3e154, as for a float
+        series = (x <= _SICI_CROSSOVER) | (0.25 * x * x <= order + 1)
     hankel = ~series & (x >= max(25.0, 0.5 * order * order))
     miller = ~series & ~hankel
     out[series] = [_bessel_j_series(order, v) for v in x[series].tolist()]
@@ -321,6 +322,7 @@ def _hankel_pq(order: int, x: float) -> tuple[float, float]:
     return p, q
 
 
+@np.errstate(over="ignore")  # (m + 1) 8 x may be inf, as for a float in _hankel_pq
 def _hankel_array(order: int, x: np.ndarray, first_kind: bool) -> np.ndarray:
     # J_order (first_kind) or Y_order from _hankel_pq, elementwise; every
     # element truncates its own series at its smallest term.

@@ -297,3 +297,15 @@ def test_cli_convergence_table(tmp_path):
     assert rc == 0
     rows = list(csv.reader(io.StringIO(table.read_text())))
     assert len(rows) - 1 == 4
+
+
+@pytest.mark.parametrize(
+    "grid", ["--n-grid=-3", "--n-grid=", "--a-grid=-1", "--a-grid=nan", "--a-grid=inf"]
+)
+def test_cli_bad_convergence_grid_exits_two(tmp_path, capsys, grid):
+    # each used to print a traceback from convergence_table and exit 1
+    rc = cli.main(["--check", "coeffs.beta_forms.n=1", "--out", str(tmp_path / "r.txt"),
+                   "--convergence-out", str(tmp_path / "conv.csv"), grid])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "grid" in err

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 import neumann_sici
-from neumann_sici import quad
+from neumann_sici import coeffs, neumann, quad
 from neumann_sici import specfun as sf
 from neumann_sici.neumann import (
     addition_theorem_check,
@@ -110,16 +110,54 @@ def test_expansions_at_tiny_arguments_match_mpmath(a):
         assert abs(lhs - ref) <= 1e-16 and abs(rhs - ref) <= 1e-16
 
 
-@pytest.mark.parametrize("a", (0.5, 2.0, 10.0))
+@pytest.mark.parametrize("a", (0.5, 2.0, 10.0, 20.0))
 def test_tail_bound_soundness(a):
-    # the remainder actually observed against a much deeper evaluation never
-    # exceeds the reported bound
-    coarse = si_neumann(a, 1e-6)
-    fine = si_neumann(a, 1e-14)
-    assert abs(coarse.value - fine.value) <= coarse.tail_bound
-    coarse_ci = ci_neumann(a, 1e-6)
-    fine_ci = ci_neumann(a, 1e-14)
-    assert abs(coarse_ci.value - fine_ci.value) <= coarse_ci.tail_bound
+    # the actual error against mpmath never exceeds the reported bound
+    with mp.workdps(30):
+        x = mp.mpf(a)
+        beta = [mp.mpf(b.numerator) / b.denominator for b in map(coeffs.beta, range(1, 80))]
+        cor5 = mp.fsum((-1) ** n * mp.besselj(2 * n, x) * beta[n - 1] / n for n in range(1, 80))
+        cases = [
+            (si_neumann(a, 1e-6), mp.si(x)),
+            (ci_neumann(a, 1e-6), mp.ci(x)),
+            (corollary5_series(a), cor5),
+        ]
+        for r, ref in cases:
+            assert r.converged and abs(r.value - ref) <= r.tail_bound
+
+
+def test_terms_used_on_the_registry_grid():
+    # the term counts of the registry's si_expansion, ci_expansion and
+    # corollary5 checks, which run on the same grid
+    assert [si_neumann(a, 1e-11).terms_used for a in GRID] == [3, 5, 6, 7, 11, 15, 23]
+    assert [ci_neumann(a, 1e-11).terms_used for a in GRID] == [3, 4, 5, 7, 10, 15, 23]
+    assert [corollary5_series(a).terms_used for a in (0.0, 2.0, 5.0)] == [0, 6, 9]
+
+
+@pytest.mark.parametrize(
+    "fn,first,parity", [(si_neumann, 0, 1), (ci_neumann, 1, 0), (corollary5_series, 1, 0)]
+)
+@pytest.mark.parametrize("a", (0.5, 10.0, 62.0))
+def test_truncation_computes_only_the_orders_it_sums(monkeypatch, fn, first, parity, a):
+    # J used to be computed up to order 2 (int(a) + 80 + first) + parity
+    requested = []
+
+    def spy(nmax, x):
+        requested.append(nmax)
+        return sf.bessel_j_all(nmax, x)
+
+    monkeypatch.setattr(neumann, "bessel_j_all", spy)
+    r = fn(a)
+    assert r.converged and requested
+    assert max(requested) <= 2 * (r.terms_used + first) + parity
+
+
+@pytest.mark.parametrize("fn", (si_neumann, ci_neumann))
+@pytest.mark.parametrize("tol", (math.nan, -1.0, 0.0, math.inf))
+def test_expansions_reject_nonsense_tol(fn, tol):
+    # nan and -1 used to give 81 terms with tail_bound 0.0 but converged False
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        fn(1.0, tol)
 
 
 def test_converged_flag_consistent_with_bound():
@@ -193,6 +231,17 @@ def test_convergence_table_monotone_beyond_threshold():
     errs = [err for _, _, err, _ in rows]
     # monotone nonincreasing down to the double-precision floor
     assert all(b <= max(a, 1e-15) for a, b in zip(errs, errs[1:]))
+
+
+@pytest.mark.parametrize(
+    "a_grid,n_grid,named",
+    [([1.0], [2.5], "n_grid"), ([1.0], [-3], "n_grid"), ([-1.0], [2], "a_grid"),
+     ([math.nan], [2], "a_grid"), ([math.inf], [2], "a_grid")],
+)
+def test_convergence_table_rejects_bad_grid_values(a_grid, n_grid, named):
+    # N = 2.5 used to fail inside bessel_j_all with a message about nmax
+    with pytest.raises(ValueError, match=named):
+        convergence_table(a_grid, n_grid)
 
 
 def test_convergence_table_rejects_empty_grid():

@@ -344,6 +344,17 @@ def test_array_kernels_single_element_and_mixed_branches():
         _assert_matches_scalar(fn, mixed)
 
 
+@pytest.mark.parametrize(
+    "kernel,order,x",
+    [(bessel_j, n, x) for n in (0, 3) for x in (1e200, 1e300, 1.7e308)]
+    + [(bessel_y, n, 1.7e308) for n in (0, 1)],
+)
+def test_array_kernels_are_silent_at_huge_arguments(kernel, order, x):
+    # 0.25 x x in the J series mask and (m + 1) 8 x in the Hankel terms used to
+    # emit overflow RuntimeWarnings that the float path never gave
+    assert kernel(order, np.array([x]))[0] == kernel(order, x)
+
+
 def test_array_kernels_domain_errors():
     with pytest.raises(ValueError):
         bessel_j(1, np.array([1.0, -0.5]))
