@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 
+# No truncation sums more terms; the convergence table takes no longer N.
+_MAX_TERMS = 400
+
+
 @dataclass
 class SeriesEval:
     value: float
@@ -108,7 +112,7 @@ def _truncate(
     int(a) + 80) terms with converged False.  The majorant pass runs down to
     terms of 1e-4 tol, so tails near tol are explicit sums.
     """
-    limit = min(400, int(a) + 80)
+    limit = min(_MAX_TERMS, int(a) + 80)
     tail = _tail_bounds(a, first, parity, bound, 1e-4 * tol)
     used = next((n for n in range(1, limit + 1) if tail(n) <= tol), limit)
     value = _partial_sums(a, start, first, parity, coeff, used)[-1]
@@ -178,12 +182,15 @@ def convergence_table(
     a_grid: list[float], n_grid: list[int]
 ) -> list[tuple[float, int, float, float]]:
     """Rows (a, N, abs_error, tail_bound) for N-term truncations of the Si
-    expansion against the independent Si kernel, sorted by (a, N)."""
+    expansion against the independent Si kernel, sorted by (a, N); N is at
+    most 400, the expansions' term cap."""
     if not a_grid or not n_grid:
         raise ValueError("grids must be nonempty")
     if not all(math.isfinite(a) and a >= 0 for a in a_grid):
         raise ValueError("a_grid values must be finite and nonnegative")
     n_grid = sorted(_integer(n, "n_grid values must be nonnegative integers", 0) for n in n_grid)
+    if n_grid[-1] > _MAX_TERMS:
+        raise ValueError(f"n_grid values must be at most {_MAX_TERMS}, the expansions' term cap")
     rows = []
     for a in sorted(a_grid):
         ref = si_kernel(a)

@@ -6,18 +6,23 @@ and a table of named constants.  All functions are pure; the only
 module-level state is a per-weight cache of immutable Clausen series
 coefficients, so values can be shared freely across threads.
 
+Si and Ci have three branches: the power series up to x = 8, the E_1(ix)
+continued fraction below x = 50 and the asymptotic series of their auxiliary
+functions from there on.
+
 ``bessel_j``, ``bessel_y``, ``si``, ``ci`` and ``gamma_log_minus_ci`` also
 accept a float ndarray and return an array of the same shape.  Each element
 takes the branch the scalar kernel would take for it (selected by mask).  The
 power series and the Y bridge call the scalar code once per element, so there
-an array result equals the scalar one exactly; the Miller recurrence, the
-Hankel expansion and the continued fraction run as array iterations until
-each element meets the scalar stopping test, so there it agrees to rounding.
-These three keep array code because they take most of the integrand nodes:
-mapping the scalar code over their nodes made a registry pass about four
-times slower.  A Python float runs the scalar code.  ``clausen_odd`` has no
-branches: a float and an array run the same arithmetic, so they agree
-exactly.
+an array result equals the scalar one exactly.  The Miller recurrence, the
+Hankel expansion, the continued fraction and the Si/Ci asymptotic series run
+as array iterations, so there it agrees to rounding; the last three run one
+step or term count per call, the one the scalar code takes at the smallest
+element, since larger arguments converge no slower.  These keep array code
+because they take most of the integrand nodes: mapping the scalar code over
+their nodes made a registry pass about four times slower.  A Python float
+runs the scalar code.  ``clausen_odd`` has no branches: a float and an array
+run the same arithmetic, so they agree exactly.
 """
 
 from __future__ import annotations
@@ -66,6 +71,11 @@ _EULER_GAMMA = CONSTANTS.euler_gamma
 # Lentz continued fraction is already at machine precision.
 _SICI_CROSSOVER = 8.0
 
+# From here on Si/Ci come from the asymptotic series of their auxiliary
+# functions, whose smallest term is about e^-x: 14 terms reach 1e-18 at 50,
+# and much below 40 the series cannot reach double precision.
+_SICI_ASYMPTOTIC_MIN = 50.0
+
 # Bessel Y branch limits: the ascending log-series keeps ~1e-13 up to 8,
 # the Hankel asymptotic series reaches 1e-14 beyond ~17, and the window in
 # between is bridged by Neumann-series identities (see bessel_y).
@@ -110,15 +120,6 @@ def _checked_array(x: np.ndarray, positive: bool) -> np.ndarray:
     if (x < 0.0).any():
         raise ValueError("x must be nonnegative")
     return x
-
-
-def _retire(done: np.ndarray, out: np.ndarray, idx: np.ndarray, result: np.ndarray, *state):
-    # Store the finished elements of an elementwise iteration in out and drop
-    # them from its state.  Elements run along the last axis of every array;
-    # idx holds their positions in out.
-    out[..., idx[done]] = result[..., done]
-    keep = ~done
-    return (idx[keep], result[..., keep], *(s[..., keep] for s in state))
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +219,7 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
     if x <= _SICI_CROSSOVER or 0.25 * x * x <= order + 1:
         return _bessel_j_series(order, x)
     if x >= max(25.0, 0.5 * order * order):
-        p, q = _hankel_pq(order, x)
-        chi = x - (0.5 * order + 0.25) * math.pi
-        return math.sqrt(2.0 / (math.pi * x)) * (math.cos(chi) * p - math.sin(chi) * q)
+        return _hankel_scalar(order, x, first_kind=True)
     return _miller_array(order, x)[order]
 
 
@@ -305,55 +304,68 @@ def _bessel_y_bridge(order: int, x: float) -> float:
     return (2.0 / math.pi) * ((lg - 1.0) * j[1] - j[0] / x - s)
 
 
-def _hankel_pq(order: int, x: float) -> tuple[float, float]:
-    # Asymptotic auxiliary functions P, Q with optimal truncation.
+def _hankel_terms(order: int, x: float) -> list[float]:
+    # The terms t_m = prod_{i<m} (mu - (2i+1)^2) / ((i+1) 8 x) of the Hankel
+    # asymptotic series, mu = 4 order^2, up to its smallest term or to the
+    # first below 1e-18.  The float path sums them; the array path takes
+    # their count at its smallest argument.
     mu = 4.0 * order * order
     terms = [1.0]
     t = 1.0
     for m in range(80):
         t *= (mu - (2 * m + 1) ** 2) / ((m + 1) * 8.0 * x)
-        if abs(t) >= abs(terms[-1]) or abs(t) < 1e-18:
-            if abs(t) < 1e-18:
-                terms.append(t)
+        if abs(t) >= abs(terms[-1]):
             break
         terms.append(t)
+        if abs(t) < 1e-18:
+            break
+    return terms
+
+
+def _hankel(order: int, x, p, q, first_kind: bool, lib):
+    # J_order (first_kind) or Y_order from the auxiliary functions P and Q,
+    # for a float (lib = math) or an array (lib = numpy).  The phase
+    # chi = x - (2 order + 1) pi / 4 goes in by angle addition: libm reduces
+    # x exactly, where a rounded chi would be off by ulp(x).  cos and sin of
+    # (2 order + 1) pi / 4 are +-sqrt(2)/2, and the amplitude sqrt(2 / (pi x))
+    # over sqrt(2) is sqrt(1 / (pi x)).
+    r = (2 * order + 1) % 8
+    cs = 1.0 if r in (1, 7) else -1.0
+    sn = 1.0 if r in (1, 3) else -1.0
+    c, s = lib.cos(x), lib.sin(x)
+    cos_chi = cs * c + sn * s  # sqrt(2) cos(chi)
+    sin_chi = cs * s - sn * c  # sqrt(2) sin(chi)
+    amp = lib.sqrt(1.0 / math.pi / x)  # pi x would overflow near 1.8e308
+    if first_kind:
+        return amp * (cos_chi * p - sin_chi * q)
+    return amp * (sin_chi * p + cos_chi * q)
+
+
+def _hankel_scalar(order: int, x: float, first_kind: bool) -> float:
+    terms = _hankel_terms(order, x)
     p = sum((-1) ** (m // 2) * terms[m] for m in range(0, len(terms), 2))
     q = sum((-1) ** (m // 2) * terms[m] for m in range(1, len(terms), 2))
-    return p, q
+    return _hankel(order, x, p, q, first_kind, math)
 
 
-@np.errstate(over="ignore")  # (m + 1) 8 x may be inf, as for a float in _hankel_pq
 def _hankel_array(order: int, x: np.ndarray, first_kind: bool) -> np.ndarray:
-    # J_order (first_kind) or Y_order from _hankel_pq, elementwise; every
-    # element truncates its own series at its smallest term.
+    # _hankel_scalar elementwise.  Every element sums as many terms as the
+    # float path takes at the smallest element: each term falls with x, so
+    # the first one left out is smaller there still.
     mu = 4.0 * order * order
-    out = np.empty((2, x.size))
-    idx = np.arange(x.size)
-    pq = np.zeros((2, x.size))
-    pq[0] = 1.0
+    count = len(_hankel_terms(order, float(x.min()))) if x.size else 0
+    p = np.ones_like(x)
+    q = np.zeros_like(x)
     t = np.ones_like(x)
-    last = np.ones_like(x)
-    xs = x
-    for m in range(80):
-        if not idx.size:
-            break
-        t = t * ((mu - (2 * m + 1) ** 2) / ((m + 1) * 8.0 * xs))
-        size = np.abs(t)
-        small = size < 1e-18
-        grow = size >= last
-        signed = -t if (m + 1) // 2 % 2 else t
-        pq[(m + 1) % 2] += np.where(grow & ~small, 0.0, signed)
-        last = size
-        done = small | grow
-        if done.any():
-            idx, pq, t, last, xs = _retire(done, out, idx, pq, t, last, xs)
-    out[:, idx] = pq
-    p, q = out
-    chi = x - (0.5 * order + 0.25) * math.pi
-    amp = np.sqrt(2.0 / (math.pi * x))
-    if first_kind:
-        return amp * (np.cos(chi) * p - np.sin(chi) * q)
-    return amp * (np.sin(chi) * p + np.cos(chi) * q)
+    u = 0.125 / x
+    for m in range(1, count):
+        t *= (mu - (2 * m - 1) ** 2) / m * u
+        pq = q if m % 2 else p
+        if m // 2 % 2:
+            pq -= t
+        else:
+            pq += t
+    return _hankel(order, x, p, q, first_kind, np)
 
 
 def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -368,9 +380,7 @@ def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
         return _bessel_y_series(order, x)
     if x < _Y_ASYMPTOTIC_MIN:
         return _bessel_y_bridge(order, x)
-    p, q = _hankel_pq(order, x)
-    chi = x - (0.5 * order + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (math.sin(chi) * p + math.cos(chi) * q)
+    return _hankel_scalar(order, x, first_kind=False)
 
 
 def _bessel_y_array(order: int, x: np.ndarray) -> np.ndarray:
@@ -408,9 +418,12 @@ def _ci_series(x: float) -> float:
     return _EULER_GAMMA + math.log(x) - _sici_series(x, 1)
 
 
-def _e1_of_ix(x: float) -> complex:
-    # E_1(ix) by the modified Lentz continued fraction; Ci(x) = -Re, and
-    # Si(x) - pi/2 = Im.  Converges to machine precision for x >= ~2.
+def _e1_of_ix(x: float) -> tuple[complex, int]:
+    # E_1(ix) by the modified Lentz continued fraction, and the number of
+    # steps it took; Ci(x) = -Re, and Si(x) - pi/2 = Im.  Converges to
+    # machine precision for x >= ~2, in fewer steps the larger x is: 25 to 32
+    # near x = 8, 7 at x = 50.  The stopping test sits at the rounding floor,
+    # so the count varies by a few steps between nearby x.
     z = complex(0.0, x)
     b = z + 1.0
     c = complex(1e308, 0.0)
@@ -425,32 +438,76 @@ def _e1_of_ix(x: float) -> complex:
         h *= delta
         if abs(delta.real - 1.0) < 1e-16 and abs(delta.imag) < 1e-16:
             break
-    return cmath.exp(-z) * h
+    return cmath.exp(-z) * h, i
 
 
 def _e1_of_ix_array(x: np.ndarray) -> np.ndarray:
-    # _e1_of_ix elementwise; each element stops at its own convergence.
+    # _e1_of_ix elementwise.  Every element runs the steps the float path
+    # takes at the smallest element: the truncation error after n steps falls
+    # with x, so they suffice for the larger ones.
+    steps = _e1_of_ix(float(x.min()))[1] if x.size else 0
     z = x * 1j
-    out = np.empty_like(z)
-    idx = np.arange(x.size)
     b = z + 1.0
     c = np.full_like(z, 1e308)
     d = 1.0 / b
-    h = d.copy()
-    for i in range(1, 300):
-        if not idx.size:
-            break
+    h = d
+    for i in range(1, steps + 1):
         a = -float(i * i)
         b = b + 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
-        delta = c * d
-        h = h * delta
-        done = (np.abs(delta.real - 1.0) < 1e-16) & (np.abs(delta.imag) < 1e-16)
-        if done.any():
-            idx, h, b, c, d = _retire(done, out, idx, h, b, c, d)
-    out[idx] = h
-    return np.exp(-z) * out
+        h = h * (c * d)
+    return np.exp(-z) * h
+
+
+def _sici_asymptotic(x, xmin: float, lib):
+    # Si(x) and Ci(x) for x >= _SICI_ASYMPTOTIC_MIN from the auxiliary
+    # functions f and g (DLMF 6.12.3-6.12.4; A&S 5.2.34-35):
+    #   f ~ (1/x) sum_k (-1)^k (2k)! / x^2k,  g ~ (1/x^2) sum_k (-1)^k (2k+1)! / x^2k,
+    #   Si = pi/2 - f cos x - g sin x,  Ci = f sin x - g cos x,
+    # for a float (lib = math) or an array (lib = numpy).  Both sums
+    # stop before the first term of f's below _SICI_SERIES_TOL at xmin, the
+    # smallest argument (14 terms at x = 50); the terms fall with x.  They
+    # are nested in y = 1/x^2: 1 - 1*2 y (1 - 3*4 y (1 - ...)).  1/x is
+    # formed before it is squared, so a huge x underflows quietly.
+    inv_min = 1.0 / xmin
+    y_min = inv_min * inv_min
+    terms, t = 0, 1.0
+    while t >= _SICI_SERIES_TOL:
+        terms += 1
+        t *= (2 * terms - 1) * (2 * terms) * y_min
+    inv = 1.0 / x
+    y = inv * inv
+    sf = sg = 1.0
+    for k in range(terms - 1, 0, -1):
+        sf = 1.0 - (2 * k - 1) * (2 * k) * y * sf
+        sg = 1.0 - (2 * k) * (2 * k + 1) * y * sg
+    f = sf * inv
+    g = sg * y
+    c, s = lib.cos(x), lib.sin(x)
+    return 0.5 * math.pi - f * c - g * s, f * s - g * c
+
+
+def _si_ci(x: float) -> tuple[float, float]:
+    # Si(x) and Ci(x) above the crossover: the continued fraction below
+    # _SICI_ASYMPTOTIC_MIN, the auxiliary functions from there on.
+    if x < _SICI_ASYMPTOTIC_MIN:
+        e1 = _e1_of_ix(x)[0]
+        return e1.imag + 0.5 * math.pi, -e1.real
+    return _sici_asymptotic(x, x, math)
+
+
+def _si_ci_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _si_ci elementwise
+    s = np.empty_like(x)
+    c = np.empty_like(x)
+    asymptotic = x >= _SICI_ASYMPTOTIC_MIN
+    xa = x[asymptotic]
+    s[asymptotic], c[asymptotic] = _sici_asymptotic(xa, float(xa.min(initial=math.inf)), np)
+    e1 = _e1_of_ix_array(x[~asymptotic])
+    s[~asymptotic] = e1.imag + 0.5 * math.pi
+    c[~asymptotic] = -e1.real
+    return s, c
 
 
 def si(x: float | np.ndarray) -> float | np.ndarray:
@@ -460,12 +517,12 @@ def si(x: float | np.ndarray) -> float | np.ndarray:
         out = np.empty_like(x)
         series = x <= _SICI_CROSSOVER
         out[series] = [_sici_series(v, 0) for v in x[series].tolist()]
-        out[~series] = _e1_of_ix_array(x[~series]).imag + 0.5 * math.pi
+        out[~series] = _si_ci_array(x[~series])[0]
         return out
     x = _checked_scalar(x, positive=False)
     if x <= _SICI_CROSSOVER:
         return _sici_series(x, 0)
-    return _e1_of_ix(x).imag + 0.5 * math.pi
+    return _si_ci(x)[0]
 
 
 def ci(x: float | np.ndarray) -> float | np.ndarray:
@@ -475,12 +532,12 @@ def ci(x: float | np.ndarray) -> float | np.ndarray:
         out = np.empty_like(x)
         series = x <= _SICI_CROSSOVER
         out[series] = [_ci_series(v) for v in x[series].tolist()]
-        out[~series] = -_e1_of_ix_array(x[~series]).real
+        out[~series] = _si_ci_array(x[~series])[1]
         return out
     x = _checked_scalar(x, positive=True)
     if x <= _SICI_CROSSOVER:
         return _ci_series(x)
-    return -_e1_of_ix(x).real
+    return _si_ci(x)[1]
 
 
 def gamma_log_minus_ci(x: float | np.ndarray) -> float | np.ndarray:
@@ -495,12 +552,12 @@ def gamma_log_minus_ci(x: float | np.ndarray) -> float | np.ndarray:
         series = x <= _SICI_CROSSOVER
         out[series] = [_sici_series(v, 1) for v in x[series].tolist()]
         xc = x[~series]
-        out[~series] = _EULER_GAMMA + np.log(xc) + _e1_of_ix_array(xc).real
+        out[~series] = np.log(xc) + (_EULER_GAMMA - _si_ci_array(xc)[1])
         return out
     x = _checked_scalar(x, positive=False)
     if x <= _SICI_CROSSOVER:
         return _sici_series(x, 1)
-    return _EULER_GAMMA + math.log(x) + _e1_of_ix(x).real
+    return math.log(x) + (_EULER_GAMMA - _si_ci(x)[1])
 
 
 # ---------------------------------------------------------------------------

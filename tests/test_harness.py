@@ -300,7 +300,8 @@ def test_cli_convergence_table(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "grid", ["--n-grid=-3", "--n-grid=", "--a-grid=-1", "--a-grid=nan", "--a-grid=inf"]
+    "grid",
+    ["--n-grid=-3", "--n-grid=", "--n-grid=100000", "--a-grid=-1", "--a-grid=nan", "--a-grid=inf"],
 )
 def test_cli_bad_convergence_grid_exits_two(tmp_path, capsys, grid):
     # each used to print a traceback from convergence_table and exit 1

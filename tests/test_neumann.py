@@ -244,6 +244,16 @@ def test_convergence_table_rejects_bad_grid_values(a_grid, n_grid, named):
         convergence_table(a_grid, n_grid)
 
 
+def test_convergence_table_caps_n_at_the_term_cap():
+    # N = 1e5 used to run for minutes; 400 is the cap of every truncation
+    rows = convergence_table([1.0], [neumann._MAX_TERMS])
+    assert rows[0][1] == 400 and rows[0][2] <= 1e-15
+    with pytest.raises(ValueError, match="n_grid"):
+        convergence_table([1.0], [2, 401])
+    with pytest.raises(ValueError, match="n_grid"):
+        convergence_table([1.0], [100000])
+
+
 def test_convergence_table_rejects_empty_grid():
     with pytest.raises(ValueError):
         convergence_table([], [1])

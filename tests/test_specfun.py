@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -62,6 +63,21 @@ def test_bessel_j_small_argument_matches_series_oracle():
 @pytest.mark.parametrize("x", [0.05, 0.7, 2.0, 7.9, 8.1, 16.0, 25.5, 47.0, 100.0])
 def test_bessel_j_absolute_accuracy(order, x):
     assert abs(bessel_j(order, x) - float(mp.besselj(order, x))) <= 1e-13
+
+
+@pytest.mark.parametrize("x", [1e6, 1e10, 1e15, 1e300, 1.7e308])
+def test_hankel_phase_holds_at_huge_arguments(x):
+    # x - (2n + 1) pi / 4 used to be rounded before its cosine was taken:
+    # J_3(1e10) was off by 9e-8 of its amplitude.  The amplitude itself
+    # used to be 0 above ~5.7e307, where pi x overflows.
+    amp = math.sqrt(2.0 / math.pi / x)
+    for value, ref in (
+        (bessel_j(3, x), mp.besselj(3, x)),
+        (bessel_j(3, np.array([x]))[0], mp.besselj(3, x)),
+        (bessel_y(0, x), mp.bessely(0, x)),
+        (bessel_y(0, np.array([x]))[0], mp.bessely(0, x)),
+    ):
+        assert abs(value - float(ref)) <= 1e-14 * amp
 
 
 def test_bessel_j_domain_errors():
@@ -229,12 +245,48 @@ def test_glmc_nonnegative_and_increasing():
     assert all(b > a for a, b in zip(vals2, vals2[1:]))
 
 
-@pytest.mark.parametrize("x", [0.01, 0.5, 1.0, 3.0, 7.9, 8.1, 12.0, 16.0, 25.0, 50.0])
+@pytest.mark.parametrize(
+    "x", [0.01, 0.5, 1.0, 3.0, 7.9, 8.1, 12.0, 16.0, 25.0, 49.9, 50.0, 50.1, 1e3, 1e6]
+)
 def test_si_ci_absolute_accuracy(x):
     assert abs(si(x) - float(mp.si(x))) <= 1e-13
     assert abs(ci(x) - float(mp.ci(x))) <= 1e-13
     glmc_ref = float(mp.euler + mp.log(x) - mp.ci(x))
     assert abs(gamma_log_minus_ci(x) - glmc_ref) <= 1e-13
+
+
+def test_si_ci_asymptotic_branch_matches_mpmath():
+    # x >= 50: the auxiliary functions' asymptotic series, float and array.
+    # gamma + log x - Ci is ~12 at 1e5, where one ulp is 1.8e-15; the sum
+    # log x + (gamma - Ci) rounds to within one ulp of its value.
+    x = np.concatenate([np.geomspace(50.0, 1e5, 300), np.linspace(50.0, 51.0, 40)])
+    refs = [(mp.si(v), mp.ci(v), mp.euler + mp.log(v) - mp.ci(v)) for v in x.tolist()]
+    for fn, pick in ((si, 0), (ci, 1), (gamma_log_minus_ci, 2)):
+        values = fn(x)
+        for xi, v, ref in zip(x.tolist(), values.tolist(), refs):
+            ref = float(ref[pick])
+            bound = 1e-15 + (math.ulp(ref) if pick == 2 else 0.0)
+            assert abs(v - ref) <= bound, (fn.__name__, xi, v, ref)
+            assert abs(fn(xi) - ref) <= bound, (fn.__name__, xi, fn(xi), ref)
+
+
+def test_continued_fraction_steps_at_a_smaller_argument_suffice():
+    # An array runs every continued-fraction element for the steps the float
+    # path takes at its smallest element.  That count is not monotone in x:
+    # the stopping test sits at the rounding floor, so the float path waits a
+    # few steps more or fewer by chance (25 to 30 near x = 8).  What the array
+    # relies on is that the truncation error after n steps falls with x: here
+    # every x in [8, 50] runs the fewest steps taken anywhere in [8, x].
+    grid = np.linspace(8.0, 50.0, 4201).tolist()
+    steps = [sf._e1_of_ix(v)[1] for v in grid]
+    assert steps[0] >= 25 and steps[-1] <= 8
+    fewest = 0
+    for i, x in enumerate(grid):
+        if steps[i] < steps[fewest]:
+            fewest = i
+        value = sf._e1_of_ix_array(np.array([grid[fewest], x]))[1]
+        ref = sf._e1_of_ix(x)[0]
+        assert abs(value - ref) <= 3e-15 * abs(ref), (x, grid[fewest], value, ref)
 
 
 def test_si_ci_domain_errors():
@@ -287,9 +339,9 @@ def test_orders_take_only_integers():
 # ---------------------------------------------------------------------------
 
 def _branch_grid(order=0):
-    # both sides of every branch boundary (x = 8, 17, 25, order^2/2 and
+    # both sides of every branch boundary (x = 8, 17, 25, 50, order^2/2 and
     # (x/2)^2 = order + 1) plus a log-spaced sweep
-    edges = [8.0, 17.0, 25.0, 0.5 * order * order, 2.0 * math.sqrt(order + 1.0)]
+    edges = [8.0, 17.0, 25.0, 50.0, 0.5 * order * order, 2.0 * math.sqrt(order + 1.0)]
     near = [e * s for e in edges if e > 0.0 for s in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)]
     return np.array(sorted(near + list(np.geomspace(1e-3, 3000.0, 160))))
 
@@ -344,15 +396,24 @@ def test_array_kernels_single_element_and_mixed_branches():
         _assert_matches_scalar(fn, mixed)
 
 
+_HUGE = (1e200, 1e300, 1.7e308)
+
+
 @pytest.mark.parametrize(
     "kernel,order,x",
-    [(bessel_j, n, x) for n in (0, 3) for x in (1e200, 1e300, 1.7e308)]
-    + [(bessel_y, n, 1.7e308) for n in (0, 1)],
+    [(bessel_j, n, x) for n in (0, 3) for x in _HUGE]
+    + [(bessel_y, n, 1.7e308) for n in (0, 1)]
+    + [(fn, None, x) for fn in (si, ci, gamma_log_minus_ci) for x in _HUGE],
 )
 def test_array_kernels_are_silent_at_huge_arguments(kernel, order, x):
     # 0.25 x x in the J series mask and (m + 1) 8 x in the Hankel terms used to
-    # emit overflow RuntimeWarnings that the float path never gave
-    assert kernel(order, np.array([x]))[0] == kernel(order, x)
+    # emit overflow RuntimeWarnings that the float path never gave; the Si/Ci
+    # asymptotic branch squares 1/x, not x
+    if order is not None:
+        kernel = functools.partial(kernel, order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel(np.array([x]))[0] == kernel(x)
 
 
 def test_array_kernels_domain_errors():
