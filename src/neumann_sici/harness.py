@@ -7,6 +7,14 @@ identities, registered with tolerance 0) is compared in exact arithmetic;
 every other check compares floats to its tolerance.
 Check ids use content-based family names (the source's corollary numbering
 is inconsistent), so filters look like ``coeffs.*`` or ``si_coeff_integral.*``.
+
+``build_registry`` builds one row per check family on each call, so a check
+calls what the modules hold then, a patched function included.  A row is an
+id template, an index set, ``lhs(*index)``, ``rhs(*index)``, the tolerance and
+the description; one loop makes a check of each index, with the id
+``template % index``.  A ``range`` index set is an n range, which
+``max_n`` (``--max-n``) caps at n <= max_n.  The a-grids, the k sets and the
+(a, t) points are tuples and a single check is ``[()]``: none is capped.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import __version__, coeffs, eulersum, neumann, quad, specfun
@@ -106,229 +115,102 @@ class Report:
 
 _EXPANSION_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 _TRANSFORM_GRID = (0.5, 1.0, 2.0, 5.0, 12.0, 20.0)
-_ADDITION_POINTS = ((2.0, 3.0), (1.0, 5.0), (4.0, 0.5))
-
-
-def _cap(n: int, max_n: int | None) -> int:
-    return n if max_n is None else min(n, max_n)
 
 
 def build_registry(max_n: int | None = None) -> list[IdentityCheck]:
     """The full check registry in canonical (deterministic) order."""
-    checks: list[IdentityCheck] = []
-    add = checks.append
-
-    # -- exact rational coefficient identities (tolerance 0) -----------------
-    for n in range(_cap(100, max_n) + 1):
-        add(IdentityCheck(
-            f"coeffs.lemma1_alpha.n={n}",
-            "closed form of the cot-weighted sine integral equals the Si coefficient",
-            lambda n=n: coeffs.lemma1_closed(n),
-            lambda n=n: coeffs.alpha(n),
-            0.0))
-    for n in range(_cap(100, max_n) + 1):
-        add(IdentityCheck(
-            f"coeffs.alpha_factorial.n={n}",
-            "factorial-form finite sum equals Si coefficient over odd order",
-            lambda n=n: coeffs.alpha_factorial_form(n),
-            lambda n=n: coeffs.alpha(n) / (2 * n + 1),
-            0.0))
-    for n in range(1, _cap(100, max_n) + 1):
-        add(IdentityCheck(
-            f"coeffs.beta_forms.n={n}",
-            "the two harmonic-number forms of the Ci coefficient coincide",
-            lambda n=n: coeffs.beta(n),
-            lambda n=n: coeffs.beta_variant(n),
-            0.0))
-    for n in range(1, _cap(100, max_n) + 1):
-        add(IdentityCheck(
-            f"coeffs.beta_factorial.n={n}",
-            "factorial-form finite sum equals Ci coefficient over even order",
-            lambda n=n: coeffs.beta_factorial_form(n),
-            lambda n=n: coeffs.beta(n) / (2 * n),
-            0.0))
-
-    # -- finite cot-weighted quadrature vs exact coefficients ----------------
-    for n in range(_cap(50, max_n) + 1):
-        add(IdentityCheck(
-            f"lemma1_quad.n={n}",
-            "quadrature of sin((2n+1)t) cot t over [0, pi/2] equals the exact coefficient",
-            lambda n=n: quad.lemma1_integral(n),
-            lambda n=n: float(coeffs.alpha(n)),
-            1e-11))
-    for n in range(1, _cap(50, max_n) + 1):
-        add(IdentityCheck(
-            f"lemma3_quad.n={n}",
-            "quadrature of [1 - cos(2nt)] cot t over [0, pi/2] equals the exact coefficient",
-            lambda n=n: quad.lemma3_integral(n),
-            lambda n=n: float(coeffs.beta(n)),
-            1e-11))
-
-    # -- truncated expansions vs independent kernels -------------------------
-    for a in _EXPANSION_GRID:
-        add(IdentityCheck(
-            f"si_expansion.a={a:g}",
-            "truncated odd-order Bessel expansion reproduces the Si kernel",
-            lambda a=a: neumann.si_neumann(a, 1e-11),
-            lambda a=a: specfun.si(a),
-            1e-10))
-    for a in _EXPANSION_GRID:
-        add(IdentityCheck(
-            f"ci_expansion.a={a:g}",
-            "truncated even-order Bessel expansion reproduces the Ci kernel",
-            lambda a=a: neumann.ci_neumann(a, 1e-11),
-            lambda a=a: specfun.ci(a),
-            1e-10))
-
-    # -- the sine/cosine transform integrals on [0, pi/2] --------------------
-    for a in _TRANSFORM_GRID:
-        add(IdentityCheck(
-            f"si_transform.a={a:g}",
-            "quadrature of sin(a sin t) cot t equals Si(a)",
-            lambda a=a: quad.si_transform_integral(a),
-            lambda a=a: specfun.si(a),
-            1e-11))
-    for a in _TRANSFORM_GRID:
-        add(IdentityCheck(
-            f"ci_transform.a={a:g}",
-            "quadrature of [1 - cos(a sin t)] cot t equals gamma + log a - Ci(a)",
-            lambda a=a: quad.ci_transform_integral(a),
-            lambda a=a: specfun.gamma_log_minus_ci(a),
-            1e-11))
-
-    # -- semi-infinite oscillatory Bessel moments ----------------------------
-    for n in range(_cap(10, max_n) + 1):
-        add(IdentityCheck(
-            f"si_coeff_integral.n={n}",
-            "Si-weighted odd Bessel moment equals coefficient over order",
-            lambda n=n: quad.si_bessel_integral(n),
-            lambda n=n: float(coeffs.alpha(n)) / (2 * n + 1),
-            1e-7))
-    for n in range(1, _cap(10, max_n) + 1):
-        add(IdentityCheck(
-            f"ci_coeff_integral.n={n}",
-            "log-cosine-weighted even Bessel moment equals coefficient over order",
-            lambda n=n: quad.ci_bessel_integral(n),
-            lambda n=n: float(coeffs.beta(n)) / (2 * n),
-            1e-7))
-    add(IdentityCheck(
-        "j0_orthogonality",
-        "the J_0-weighted moment of gamma + log t - Ci(t) vanishes",
-        lambda: quad.j0_orthogonality_integral(),
-        lambda: 0.0,
-        1e-6))
-    add(IdentityCheck(
-        "engine_selftest.j1_over_t",
-        "oscillatory engine reproduces the unit Bessel integral of J_1/t",
-        lambda: quad.bessel_j1_over_t_integral(),
-        lambda: 1.0,
-        1e-9))
-
-    # -- Euler-sum identities -------------------------------------------------
-    for k in range(1, 5):
-        add(IdentityCheck(
-            f"euler_sum_even.k={k}",
-            "even-weight Ci-coefficient sum closed form vs direct oracle",
-            lambda k=k: eulersum.corollary3_rhs(k),
-            lambda k=k: eulersum.beta_weighted_sum(k + 1, False),
-            1e-8))
-    for k in range(1, 4):
-        add(IdentityCheck(
-            f"euler_sum_alt.k={k}",
-            "alternating Ci-coefficient sum closed form vs accelerated oracle",
-            lambda k=k: eulersum.corollary4_rhs(k),
-            lambda k=k: eulersum.beta_weighted_sum(2 * k, True),
-            1e-8))
-    for k in range(2, 6):
-        add(IdentityCheck(
-            f"euler_formula.k={k}",
-            "Euler's linear-sum evaluation vs direct partial-sum oracle",
-            lambda k=k: eulersum.euler_linear_sum(k),
-            lambda k=k: eulersum.euler_sum_oracle(k),
-            1e-9))
-    for k in range(2, 6):
-        add(IdentityCheck(
-            f"nielsen_formula.k={k}",
-            "Nielsen's alternating-harmonic formula vs direct partial-sum oracle",
-            lambda k=k: eulersum.nielsen_sum(k),
-            lambda k=k: eulersum.nielsen_sum_oracle(k),
-            1e-9))
-    for k in range(1, 4):
-        add(IdentityCheck(
-            f"sitaramachandrarao_h.k={k}",
-            "alternating harmonic-weighted sum closed form vs accelerated oracle",
-            lambda k=k: eulersum.sitaramachandrarao_h(k),
-            lambda k=k: eulersum.sitaramachandrarao_h_oracle(k),
-            1e-9))
-    for k in range(1, 4):
-        add(IdentityCheck(
-            f"sitaramachandrarao_a.k={k}",
-            "alternating alternating-harmonic sum closed form vs accelerated oracle",
-            lambda k=k: eulersum.sitaramachandrarao_a(k),
-            lambda k=k: eulersum.sitaramachandrarao_a_oracle(k),
-            1e-9))
-
-    # -- Clausen cot integrals -------------------------------------------------
-    add(IdentityCheck(
-        "clausen_integral.k=0",
-        "weight-3 Clausen cot integral equals (7/4) log2 zeta(3)",
-        lambda: quad.clausen_cot_integral(0),
-        lambda: 1.75 * specfun.CONSTANTS.log2 * specfun.zeta(3),
-        1e-9))
-    add(IdentityCheck(
-        "clausen_integral.k=1",
-        "weight-5 Clausen cot integral equals half the even Euler-sum closed form",
-        lambda: quad.clausen_cot_integral(1),
-        lambda: 0.5 * eulersum.corollary3_rhs(4).value,
-        1e-9))
-
-    # -- shifted-argument series vs integral -----------------------------------
-    for a in (0.0, 2.0, 5.0):
-        add(IdentityCheck(
-            f"corollary5.a={a:g}",
-            "alternating even-order expansion equals shifted-argument J_0 moment",
-            lambda a=a: neumann.corollary5_series(a),
-            lambda a=a: quad.corollary5_rhs(a),
-            1e-6))
-    for a, t in _ADDITION_POINTS:
-        add(IdentityCheck(
-            f"addition_identity.a={a:g},t={t:g}",
-            "two-argument J_0 addition identity, both sides computed independently",
-            lambda a=a, t=t: neumann.addition_theorem_check(a, t)[0],
-            lambda a=a, t=t: neumann.addition_theorem_check(a, t)[1],
-            1e-12))
-
-    # -- Catalan-constant evaluations ------------------------------------------
-    add(IdentityCheck(
-        "catalan_series",
-        "accelerated alternating Si-coefficient sum equals 3 - 4G",
-        lambda: eulersum.catalan_alpha_sum(),
-        lambda: 3.0 - 4.0 * specfun.CONSTANTS.catalan_g,
-        1e-10))
-    add(IdentityCheck(
-        "catalan_auxiliary",
-        "accelerated Leibniz-partial-sum series equals -G",
-        lambda: eulersum.catalan_auxiliary_sum(),
-        lambda: -specfun.CONSTANTS.catalan_g,
-        1e-10))
-    add(IdentityCheck(
-        "catalan_intermediate",
-        "Si-weighted Bessel bracket with the extra J_1 term equals 3 - 4G",
-        lambda: quad.corollary6_intermediate_integral(),
-        lambda: 3.0 - 4.0 * specfun.CONSTANTS.catalan_g,
-        1e-4))
-    add(IdentityCheck(
-        "catalan_eval",
-        "Si-weighted Bessel bracket integral equals 4 - 4G - gamma",
-        lambda: quad.corollary6_integral(),
-        lambda: eulersum.corollary6_rhs(),
-        1e-4))
-    add(IdentityCheck(
-        "example2",
-        "log-cosine-weighted Y_0/J_0 bracket equals (pi^2/4) log2 - (7/8) zeta(3)",
-        lambda: quad.example2_integral(),
-        lambda: (math.pi ** 2 / 4.0) * specfun.CONSTANTS.log2 - 0.875 * specfun.zeta(3),
-        1e-5))
+    rows = (
+        ("coeffs.lemma1_alpha.n=%d", range(101), coeffs.lemma1_closed, coeffs.alpha, 0.0,
+         "closed form of the cot-weighted sine integral equals the Si coefficient"),
+        ("coeffs.alpha_factorial.n=%d", range(101), coeffs.alpha_factorial_form,
+         lambda n: coeffs.alpha(n) / (2 * n + 1), 0.0,
+         "factorial-form finite sum equals Si coefficient over odd order"),
+        ("coeffs.beta_forms.n=%d", range(1, 101), coeffs.beta, coeffs.beta_variant, 0.0,
+         "the two harmonic-number forms of the Ci coefficient coincide"),
+        ("coeffs.beta_factorial.n=%d", range(1, 101), coeffs.beta_factorial_form,
+         lambda n: coeffs.beta(n) / (2 * n), 0.0,
+         "factorial-form finite sum equals Ci coefficient over even order"),
+        ("lemma1_quad.n=%d", range(51), quad.lemma1_integral,
+         lambda n: float(coeffs.alpha(n)), 1e-11,
+         "quadrature of sin((2n+1)t) cot t over [0, pi/2] equals the exact coefficient"),
+        ("lemma3_quad.n=%d", range(1, 51), quad.lemma3_integral,
+         lambda n: float(coeffs.beta(n)), 1e-11,
+         "quadrature of [1 - cos(2nt)] cot t over [0, pi/2] equals the exact coefficient"),
+        ("si_expansion.a=%g", _EXPANSION_GRID, lambda a: neumann.si_neumann(a, 1e-11),
+         specfun.si, 1e-10,
+         "truncated odd-order Bessel expansion reproduces the Si kernel"),
+        ("ci_expansion.a=%g", _EXPANSION_GRID, lambda a: neumann.ci_neumann(a, 1e-11),
+         specfun.ci, 1e-10,
+         "truncated even-order Bessel expansion reproduces the Ci kernel"),
+        ("si_transform.a=%g", _TRANSFORM_GRID, quad.si_transform_integral, specfun.si, 1e-11,
+         "quadrature of sin(a sin t) cot t equals Si(a)"),
+        ("ci_transform.a=%g", _TRANSFORM_GRID, quad.ci_transform_integral,
+         specfun.gamma_log_minus_ci, 1e-11,
+         "quadrature of [1 - cos(a sin t)] cot t equals gamma + log a - Ci(a)"),
+        ("si_coeff_integral.n=%d", range(11), quad.si_bessel_integral,
+         lambda n: float(coeffs.alpha(n)) / (2 * n + 1), 1e-7,
+         "Si-weighted odd Bessel moment equals coefficient over order"),
+        ("ci_coeff_integral.n=%d", range(1, 11), quad.ci_bessel_integral,
+         lambda n: float(coeffs.beta(n)) / (2 * n), 1e-7,
+         "log-cosine-weighted even Bessel moment equals coefficient over order"),
+        ("j0_orthogonality", [()], quad.j0_orthogonality_integral, lambda: 0.0, 1e-6,
+         "the J_0-weighted moment of gamma + log t - Ci(t) vanishes"),
+        ("engine_selftest.j1_over_t", [()], quad.bessel_j1_over_t_integral, lambda: 1.0, 1e-9,
+         "oscillatory engine reproduces the unit Bessel integral of J_1/t"),
+        ("euler_sum_even.k=%d", (1, 2, 3, 4), eulersum.corollary3_rhs,
+         lambda k: eulersum.beta_weighted_sum(k + 1, False), 1e-8,
+         "even-weight Ci-coefficient sum closed form vs direct oracle"),
+        ("euler_sum_alt.k=%d", (1, 2, 3), eulersum.corollary4_rhs,
+         lambda k: eulersum.beta_weighted_sum(2 * k, True), 1e-8,
+         "alternating Ci-coefficient sum closed form vs accelerated oracle"),
+        ("euler_formula.k=%d", (2, 3, 4, 5), eulersum.euler_linear_sum,
+         eulersum.euler_sum_oracle, 1e-9,
+         "Euler's linear-sum evaluation vs direct partial-sum oracle"),
+        ("nielsen_formula.k=%d", (2, 3, 4, 5), eulersum.nielsen_sum,
+         eulersum.nielsen_sum_oracle, 1e-9,
+         "Nielsen's alternating-harmonic formula vs direct partial-sum oracle"),
+        ("sitaramachandrarao_h.k=%d", (1, 2, 3), eulersum.sitaramachandrarao_h,
+         eulersum.sitaramachandrarao_h_oracle, 1e-9,
+         "alternating harmonic-weighted sum closed form vs accelerated oracle"),
+        ("sitaramachandrarao_a.k=%d", (1, 2, 3), eulersum.sitaramachandrarao_a,
+         eulersum.sitaramachandrarao_a_oracle, 1e-9,
+         "alternating alternating-harmonic sum closed form vs accelerated oracle"),
+        ("clausen_integral.k=%d", (0,), quad.clausen_cot_integral,
+         lambda k: 1.75 * specfun.CONSTANTS.log2 * specfun.zeta(3), 1e-9,
+         "weight-3 Clausen cot integral equals (7/4) log2 zeta(3)"),
+        ("clausen_integral.k=%d", (1,), quad.clausen_cot_integral,
+         lambda k: 0.5 * eulersum.corollary3_rhs(4).value, 1e-9,
+         "weight-5 Clausen cot integral equals half the even Euler-sum closed form"),
+        ("corollary5.a=%g", (0.0, 2.0, 5.0), neumann.corollary5_series, quad.corollary5_rhs,
+         1e-6, "alternating even-order expansion equals shifted-argument J_0 moment"),
+        ("addition_identity.a=%g,t=%g", ((2.0, 3.0), (1.0, 5.0), (4.0, 0.5)),
+         lambda a, t: neumann.addition_theorem_check(a, t)[0],
+         lambda a, t: neumann.addition_theorem_check(a, t)[1], 1e-12,
+         "two-argument J_0 addition identity, both sides computed independently"),
+        ("catalan_series", [()], eulersum.catalan_alpha_sum,
+         lambda: 3.0 - 4.0 * specfun.CONSTANTS.catalan_g, 1e-10,
+         "accelerated alternating Si-coefficient sum equals 3 - 4G"),
+        ("catalan_auxiliary", [()], eulersum.catalan_auxiliary_sum,
+         lambda: -specfun.CONSTANTS.catalan_g, 1e-10,
+         "accelerated Leibniz-partial-sum series equals -G"),
+        ("catalan_intermediate", [()], quad.corollary6_intermediate_integral,
+         lambda: 3.0 - 4.0 * specfun.CONSTANTS.catalan_g, 1e-4,
+         "Si-weighted Bessel bracket with the extra J_1 term equals 3 - 4G"),
+        ("catalan_eval", [()], quad.corollary6_integral, eulersum.corollary6_rhs, 1e-4,
+         "Si-weighted Bessel bracket integral equals 4 - 4G - gamma"),
+        ("example2", [()], quad.example2_integral,
+         lambda: (math.pi ** 2 / 4.0) * specfun.CONSTANTS.log2 - 0.875 * specfun.zeta(3), 1e-5,
+         "log-cosine-weighted Y_0/J_0 bracket equals (pi^2/4) log2 - (7/8) zeta(3)"),
+    )
+    checks = []
+    for template, indices, lhs, rhs, tolerance, description in rows:
+        if isinstance(indices, range) and max_n is not None:
+            indices = range(indices.start, min(indices.stop, max_n + 1))
+        for index in indices:
+            args = index if isinstance(index, tuple) else (index,)
+            checks.append(IdentityCheck(
+                template % args, description,
+                partial(lhs, *args), partial(rhs, *args), tolerance))
     return checks
 
 
@@ -389,8 +271,10 @@ def run_registry(
     Tolerances come from the registry, scaled by the ``NEUMANN_SICI_TOL_SCALE``
     environment variable when set, with per-id overrides taking precedence.
     A scale that is not finite and positive, or an override that is not
-    finite, raises UsageError.
+    finite, raises UsageError, and so does a negative ``max_n``.
     """
+    if max_n is not None and max_n < 0:
+        raise UsageError(f"max_n must be >= 0, got {max_n}")
     overrides = dict(tol_overrides or {})
     scale = 1.0
     raw_scale = os.environ.get(TOL_SCALE_ENV)

@@ -1,53 +1,67 @@
 import csv
+import hashlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from neumann_sici import cli, harness
+from neumann_sici import cli, coeffs, harness, quad
 
 
 def _ids(registry):
     return [c.id for c in registry]
 
 
+def _count(ids, prefix):
+    return sum(1 for i in ids if i.startswith(prefix))
+
+
+# n-indexed family: (full count, count at max_n=10, count at max_n=0)
+_N_FAMILIES = {
+    "coeffs.lemma1_alpha.": (101, 11, 1),
+    "coeffs.alpha_factorial.": (101, 11, 1),
+    "coeffs.beta_forms.": (100, 10, 0),
+    "coeffs.beta_factorial.": (100, 10, 0),
+    "lemma1_quad.": (51, 11, 1),
+    "lemma3_quad.": (50, 10, 0),
+    "si_coeff_integral.": (11, 11, 1),
+    "ci_coeff_integral.": (10, 10, 0),
+}
+
+# grid, k-set, point and singleton families: their count, whatever max_n is
+_FIXED_FAMILIES = {
+    "si_expansion.": 7,
+    "ci_expansion.": 7,
+    "si_transform.": 6,
+    "ci_transform.": 6,
+    "j0_orthogonality": 1,
+    "engine_selftest.j1_over_t": 1,
+    "euler_sum_even.": 4,
+    "euler_sum_alt.": 3,
+    "euler_formula.": 4,
+    "nielsen_formula.": 4,
+    "sitaramachandrarao_h.": 3,
+    "sitaramachandrarao_a.": 3,
+    "clausen_integral.": 2,
+    "corollary5.": 3,
+    "addition_identity.": 3,
+    "catalan_series": 1,
+    "catalan_auxiliary": 1,
+    "catalan_intermediate": 1,
+    "catalan_eval": 1,
+    "example2": 1,
+}
+
+
 def test_registry_contains_required_families():
     ids = _ids(harness.build_registry())
-    def count(prefix):
-        return sum(1 for i in ids if i.startswith(prefix))
-
-    assert count("coeffs.lemma1_alpha.") == 101
-    assert count("coeffs.alpha_factorial.") == 101
-    assert count("coeffs.beta_forms.") == 100
-    assert count("coeffs.beta_factorial.") == 100
-    assert count("lemma1_quad.") == 51
-    assert count("lemma3_quad.") == 50
-    assert count("si_expansion.") == 7
-    assert count("ci_expansion.") == 7
-    assert count("si_transform.") == 6
-    assert count("ci_transform.") == 6
-    assert count("si_coeff_integral.") == 11
-    assert count("ci_coeff_integral.") == 10
-    assert count("euler_sum_even.") == 4
-    assert count("euler_sum_alt.") == 3
-    assert count("euler_formula.") == 4
-    assert count("nielsen_formula.") == 4
-    assert count("sitaramachandrarao_h.") == 3
-    assert count("sitaramachandrarao_a.") == 3
-    assert count("clausen_integral.") == 2
-    assert count("corollary5.") == 3
-    assert count("addition_identity.") == 3
-    for singleton in (
-        "j0_orthogonality",
-        "engine_selftest.j1_over_t",
-        "catalan_series",
-        "catalan_auxiliary",
-        "catalan_intermediate",
-        "catalan_eval",
-        "example2",
-    ):
-        assert singleton in ids
+    for prefix, (full, _, _) in _N_FAMILIES.items():
+        assert _count(ids, prefix) == full, prefix
+    for prefix, full in _FIXED_FAMILIES.items():
+        assert _count(ids, prefix) == full, prefix
+    assert len(ids) == 586
 
 
 def test_registry_ids_unique_and_ordered_deterministically():
@@ -58,11 +72,50 @@ def test_registry_ids_unique_and_ordered_deterministically():
 
 
 def test_max_n_caps_indexed_families():
-    ids = _ids(harness.build_registry(max_n=10))
-    assert sum(1 for i in ids if i.startswith("coeffs.lemma1_alpha.")) == 11
-    assert sum(1 for i in ids if i.startswith("lemma3_quad.")) == 10
-    # fixed families are untouched
-    assert sum(1 for i in ids if i.startswith("euler_sum_even.")) == 4
+    for column, max_n, total in ((1, 10, 146), (2, 0, 66)):
+        ids = _ids(harness.build_registry(max_n=max_n))
+        for prefix, counts in _N_FAMILIES.items():
+            assert _count(ids, prefix) == counts[column], (max_n, prefix)
+        # fixed families are untouched
+        for prefix, full in _FIXED_FAMILIES.items():
+            assert _count(ids, prefix) == full, (max_n, prefix)
+        assert len(ids) == total
+
+
+# sha256 of the (id, description, tolerance) lines of build_registry(max_n)
+_REGISTRY_DIGESTS = {
+    None: (586, "d8fa7cc1e9e5ca3b93adf8e016f1749859366d4a1ad3f69bb754a0dfe0575c04"),
+    0: (66, "de25516e26297af4c64470cae3774372177b8ee54ccb5bcd7c152a5b21c6fa8d"),
+    3: (90, "8107353a06cecd5037a734bfefc94273a49bcc7b1ba75c40aeb8ce41cf626d16"),
+}
+
+
+def test_registry_contract_digest():
+    for max_n, expected in _REGISTRY_DIGESTS.items():
+        registry = harness.build_registry(max_n)
+        text = "\n".join(f"{c.id}\t{c.description}\t{c.tolerance!r}" for c in registry)
+        got = (len(registry), hashlib.sha256(text.encode()).hexdigest())
+        assert got == expected, (
+            f"the ids, descriptions, tolerances or order of build_registry({max_n}) changed; "
+            "a deliberate change must update this digest and record it in CHANGES.md"
+        )
+
+
+def test_checks_call_operations_patched_after_import(monkeypatch):
+    calls = []
+
+    def fake(name, value):
+        def op(n):
+            calls.append((name, n))
+            return value
+        return op
+
+    monkeypatch.setattr(quad, "lemma1_integral", fake("quad.lemma1_integral", 1.0))
+    monkeypatch.setattr(coeffs, "lemma1_closed", fake("coeffs.lemma1_closed", Fraction(1)))
+    by_id = {c.id: c for c in harness.build_registry()}
+    assert by_id["lemma1_quad.n=0"].lhs() == 1.0
+    assert by_id["coeffs.lemma1_alpha.n=0"].lhs() == Fraction(1)
+    assert calls == [("quad.lemma1_integral", 0), ("coeffs.lemma1_closed", 0)]
 
 
 def test_exact_coefficient_checks_all_pass_with_zero_tolerance():
@@ -279,6 +332,20 @@ def test_cli_config_file(tmp_path):
     assert rc == 0
     parsed = json.loads((tmp_path / "cli_wins.json").read_text())
     assert parsed["summary"]["total"] == 3
+
+
+def test_cli_negative_max_n_exits_two(tmp_path, capsys):
+    # a negative cap used to drop every n-indexed family and exit 0
+    out = tmp_path / "r.txt"
+    assert cli.main(["--max-n", "-1", "--out", str(out)]) == 2
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("max_n = -1\n")
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("max_n must be >= 0") == 2
+    assert not out.exists()
+    with pytest.raises(harness.UsageError):
+        harness.run_registry("coeffs.*", max_n=-1)
 
 
 def test_cli_missing_config_exits_two(capsys):
