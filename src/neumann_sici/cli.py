@@ -86,6 +86,9 @@ def main(argv: list[str] | None = None) -> int:
         config: dict[str, list[str]] = {}
         if args.config:
             config = _read_config(args.config)
+        unknown = sorted(set(config) - (set(vars(args)) - {"config"}))
+        if unknown:
+            raise harness.UsageError(f"unknown config keys in {args.config}: {unknown}")
 
         def pick(cli_value, key: str, default: str | None) -> str | None:
             if cli_value is not None:

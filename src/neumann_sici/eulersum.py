@@ -1,19 +1,27 @@
 """Closed forms and independent oracles for the Euler-sum identities.
 
-The closed forms (Euler's linear-sum evaluation, Nielsen's formula, the two
-Sitaramachandrarao alternating formulas, and the assembled right-hand sides
-of the even and alternating beta-sum identities) are built purely from the
-zeta/eta tables in ``specfun``, so one constants table is the sole numeric
-authority.  Each closed form has an independent oracle: the partial sums of
-a fixed 20000 terms, fitted by least squares with alternating and smooth
-n^(-q) and n^(-q) log n remainders (see ``_accel``).  The non-alternating
-sums, whose terms decay like log(n)/n^s, far too slowly for a bare
-truncation, lean on the smooth columns, the alternating sums on both.
+The four linear sums are closed forms built purely from the zeta/eta tables
+in ``specfun``, so one constants table is the sole numeric authority:
+Euler's evaluation of 2 sum H_{n-1}/n^k, Nielsen's formula for
+2 sum A_{n-1}/n^k, and the two Sitaramachandrarao formulas for the
+alternating sums 2 sum (-1)^n H_{n-1}/n^{2k} and 2 sum (-1)^n A_{n-1}/n^{2k}.
+The beta-sum right-hand sides follow the paper's derivation from
+beta_n = H_{n-1} + A_{n-1} + 1/(2n) + (-1)^(n-1)/(2n): Corollary 3 is
+Euler's plus Nielsen's sum plus zeta + eta, and Corollary 4 is the two
+Sitaramachandrarao sums less zeta + eta.  Each corollary reports its four
+parts, and each linear-sum part is the left side of its own registry check.
+
+Each closed form has an independent oracle: the partial sums of a fixed
+20000 terms, fitted by least squares with alternating and smooth n^(-q) and
+n^(-q) log n remainders (see ``_accel``).  The non-alternating sums, whose
+terms decay like log(n)/n^s, far too slowly for a bare truncation, lean on
+the smooth columns, the alternating sums on both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +30,6 @@ from .specfun import CONSTANTS, _integer, eta, zeta
 
 __all__ = [
     "ClosedFormValue",
-    "assembly_value",
     "euler_linear_sum",
     "nielsen_sum",
     "sitaramachandrarao_h",
@@ -39,42 +46,21 @@ __all__ = [
     "corollary6_rhs",
 ]
 
-_GAMMA = CONSTANTS.euler_gamma
-_LOG2 = CONSTANTS.log2
-
 
 @dataclass
 class ClosedFormValue:
-    """A closed-form evaluation plus its (constant, coefficient) assembly."""
+    """A closed form and its parts: (name, coefficient) pairs whose names are
+    calls of public functions of ``eulersum`` or ``specfun``, such as
+    ``euler_linear_sum(2)`` or ``zeta(3)``; ``value`` is sum coefficient * part."""
 
     value: float
     assembly: list[tuple[str, float]]
 
 
-def _resolve_factor(name: str) -> float:
-    if name == "log2":
-        return _LOG2
-    if name.startswith("zeta(") and name.endswith(")"):
-        return zeta(int(name[5:-1]))
-    if name.startswith("eta(") and name.endswith(")"):
-        return eta(int(name[4:-1]))
-    raise ValueError(f"unknown constant name {name!r}")
-
-
-def assembly_value(assembly: list[tuple[str, float]]) -> float:
-    """Dot product of an assembly against the constants table."""
-    total = 0.0
-    for name, coeff in assembly:
-        term = coeff
-        for factor in name.split("*"):
-            term *= _resolve_factor(factor)
-        total += term
-    return total
-
-
-def _assembly_add(acc: dict[str, float], name: str, coeff: float) -> None:
-    key = "*".join(sorted(name.split("*")))
-    acc[key] = acc.get(key, 0.0) + coeff
+def _sum_of_parts(*parts: tuple[Callable[[int], float], int, float]) -> ClosedFormValue:
+    # parts are (function, argument, coefficient)
+    assembly = [(f"{fn.__name__}({arg})", coeff) for fn, arg, coeff in parts]
+    return ClosedFormValue(sum(coeff * fn(arg) for fn, arg, coeff in parts), assembly)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +79,7 @@ def euler_linear_sum(k: int) -> float:
 def nielsen_sum(k: int) -> float:
     """Nielsen's formula 2 sum A_{n-1}/n^k = 2 log2 zeta(k) - k zeta(k+1) + sum_{j=1}^k eta(k+1-j) eta(j)."""
     k = _integer(k, "k must be an integer >= 2", 2)
-    total = 2.0 * _LOG2 * zeta(k) - k * zeta(k + 1)
+    total = 2.0 * CONSTANTS.log2 * zeta(k) - k * zeta(k + 1)
     for j in range(1, k + 1):
         total += eta(k + 1 - j) * eta(j)
     return total
@@ -119,46 +105,24 @@ def sitaramachandrarao_a(k: int) -> float:
 
 
 def corollary3_rhs(k: int) -> ClosedFormValue:
-    """Closed form of 2 sum beta_n / n^{k+1}:
-
-    2 log2 zeta(k+1) + zeta(k+2) + eta(k+2)
-      + sum_{j=1}^{k+1} eta(k+2-j) eta(j) - sum_{j=1}^{k-1} zeta(k+1-j) zeta(j+1)
-    """
+    """Closed form of 2 sum beta_n / n^{k+1}: Euler's and Nielsen's linear sums
+    of weight k+1, plus zeta(k+2) + eta(k+2) from the 1/(2n) terms of beta_n."""
     k = _integer(k, "k must be an integer >= 1", 1)
-    acc: dict[str, float] = {}
-    _assembly_add(acc, f"log2*zeta({k + 1})", 2.0)
-    _assembly_add(acc, f"zeta({k + 2})", 1.0)
-    _assembly_add(acc, f"eta({k + 2})", 1.0)
-    for j in range(1, k + 2):
-        _assembly_add(acc, f"eta({k + 2 - j})*eta({j})", 1.0)
-    for j in range(1, k):
-        _assembly_add(acc, f"zeta({k + 1 - j})*zeta({j + 1})", -1.0)
-    assembly = sorted(acc.items())
-    return ClosedFormValue(assembly_value(assembly), assembly)
+    return _sum_of_parts((euler_linear_sum, k + 1, 1.0), (nielsen_sum, k + 1, 1.0),
+                         (zeta, k + 2, 1.0), (eta, k + 2, 1.0))
 
 
 def corollary4_rhs(k: int) -> ClosedFormValue:
-    """Closed form of 2 sum (-1)^n beta_n / n^{2k}:
-
-    zeta(2k+1) + eta(2k+1) - 2 eta(1) eta(2k)
-      + 2 sum_{j=1}^{k-1} zeta(2k+1-2j) eta(2j) - 2 sum_{j=1}^{k} eta(2k+1-2j) zeta(2j)
-    """
+    """Closed form of 2 sum (-1)^n beta_n / n^{2k}: the two Sitaramachandrarao
+    sums, less zeta(2k+1) + eta(2k+1) from the 1/(2n) terms of beta_n."""
     k = _integer(k, "k must be an integer >= 1", 1)
-    acc: dict[str, float] = {}
-    _assembly_add(acc, f"zeta({2 * k + 1})", 1.0)
-    _assembly_add(acc, f"eta({2 * k + 1})", 1.0)
-    _assembly_add(acc, f"eta(1)*eta({2 * k})", -2.0)
-    for j in range(1, k):
-        _assembly_add(acc, f"zeta({2 * k + 1 - 2 * j})*eta({2 * j})", 2.0)
-    for j in range(1, k + 1):
-        _assembly_add(acc, f"eta({2 * k + 1 - 2 * j})*zeta({2 * j})", -2.0)
-    assembly = sorted(acc.items())
-    return ClosedFormValue(assembly_value(assembly), assembly)
+    return _sum_of_parts((sitaramachandrarao_h, k, 1.0), (sitaramachandrarao_a, k, 1.0),
+                         (zeta, 2 * k + 1, -1.0), (eta, 2 * k + 1, -1.0))
 
 
 def corollary6_rhs() -> float:
     """4 - 4G - gamma, the closed form of the Catalan-constant integral."""
-    return 4.0 - 4.0 * CONSTANTS.catalan_g - _GAMMA
+    return 4.0 - 4.0 * CONSTANTS.catalan_g - CONSTANTS.euler_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -185,36 +149,38 @@ def _accelerated(terms: np.ndarray, tol: float, what: str) -> float:
     return value
 
 
+def _linear_sum_oracle(exponent: int, alternating_numerator: bool, alternating: bool) -> float:
+    # 2 sum (+-1)^n X_{n-1} / n^exponent, X = A (alternating_numerator) or H
+    n, sign = _grid(_N_ACCEL)
+    step = (sign if alternating_numerator else 1.0) / n
+    terms = 2.0 * (np.cumsum(step) - step) * n ** (-float(exponent))
+    if alternating:
+        terms *= -sign
+    return _accelerated(terms, 1e-10, f"linear sum oracle (exponent {exponent})")
+
+
 def euler_sum_oracle(k: int) -> float:
     """Accelerated 2 sum H_{n-1}/n^k."""
     k = _integer(k, "k must be an integer >= 2", 2)
-    n, _ = _grid(_N_ACCEL)
-    hm1 = np.cumsum(1.0 / n) - 1.0 / n
-    return _accelerated(2.0 * hm1 * n ** (-float(k)), 1e-10, "euler sum oracle")
+    return _linear_sum_oracle(k, False, False)
 
 
 def nielsen_sum_oracle(k: int) -> float:
     """Accelerated 2 sum A_{n-1}/n^k."""
     k = _integer(k, "k must be an integer >= 2", 2)
-    n, sign = _grid(_N_ACCEL)
-    am1 = np.cumsum(sign / n) - sign / n
-    return _accelerated(2.0 * am1 * n ** (-float(k)), 1e-10, "nielsen sum oracle")
+    return _linear_sum_oracle(k, True, False)
 
 
 def sitaramachandrarao_h_oracle(k: int) -> float:
     """Accelerated 2 sum (-1)^n H_{n-1}/n^{2k}."""
     k = _integer(k, "k must be an integer >= 1", 1)
-    n, sign = _grid(_N_ACCEL)
-    hm1 = np.cumsum(1.0 / n) - 1.0 / n
-    return _accelerated(-2.0 * sign * hm1 * n ** (-2.0 * k), 1e-10, "sitaramachandrarao_h oracle")
+    return _linear_sum_oracle(2 * k, False, True)
 
 
 def sitaramachandrarao_a_oracle(k: int) -> float:
     """Accelerated 2 sum (-1)^n A_{n-1}/n^{2k}."""
     k = _integer(k, "k must be an integer >= 1", 1)
-    n, sign = _grid(_N_ACCEL)
-    am1 = np.cumsum(sign / n) - sign / n
-    return _accelerated(-2.0 * sign * am1 * n ** (-2.0 * k), 1e-10, "sitaramachandrarao_a oracle")
+    return _linear_sum_oracle(2 * k, True, True)
 
 
 def _beta_weighted_terms(exponent: int, alternating: bool, count: int) -> np.ndarray:

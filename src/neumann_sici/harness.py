@@ -226,7 +226,7 @@ def _value_and_err(raw: object) -> tuple[float | Fraction, float, str]:
     if isinstance(raw, neumann.SeriesEval):
         return raw.value, raw.tail_bound, ""
     if isinstance(raw, eulersum.ClosedFormValue):
-        # carry the assembly so a failure shows which constant term diverged
+        # carry the parts, so a failing corollary names the linear-sum checks to inspect
         note = "assembly: " + " + ".join(
             f"{coeff:g}*{name}" for name, coeff in raw.assembly
         )

@@ -57,8 +57,6 @@ class Constants:
     euler_gamma: float = 0.5772156649015328606
     catalan_g: float = 0.9159655941772190151
     log2: float = 0.6931471805599453094
-    zeta3: float = 1.2020569031595942854
-    pi: float = math.pi
 
 
 CONSTANTS = Constants()
@@ -219,7 +217,7 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
     if x <= _SICI_CROSSOVER or 0.25 * x * x <= order + 1:
         return _bessel_j_series(order, x)
     if x >= max(25.0, 0.5 * order * order):
-        return _hankel_scalar(order, x, first_kind=True)
+        return _hankel_sum(order, x, _hankel_count(order, x), True, math)
     return _miller_array(order, x)[order]
 
 
@@ -230,7 +228,9 @@ def _bessel_j_array(order: int, x: np.ndarray) -> np.ndarray:
     hankel = ~series & (x >= max(25.0, 0.5 * order * order))
     miller = ~series & ~hankel
     out[series] = [_bessel_j_series(order, v) for v in x[series].tolist()]
-    out[hankel] = _hankel_array(order, x[hankel], first_kind=True)
+    xh = x[hankel]
+    count = _hankel_count(order, float(xh.min(initial=math.inf)))
+    out[hankel] = _hankel_sum(order, xh, count, True, np)
     out[miller] = _miller_j_array(order, x[miller])
     return out
 
@@ -304,31 +304,42 @@ def _bessel_y_bridge(order: int, x: float) -> float:
     return (2.0 / math.pi) * ((lg - 1.0) * j[1] - j[0] / x - s)
 
 
-def _hankel_terms(order: int, x: float) -> list[float]:
-    # The terms t_m = prod_{i<m} (mu - (2i+1)^2) / ((i+1) 8 x) of the Hankel
-    # asymptotic series, mu = 4 order^2, up to its smallest term or to the
-    # first below 1e-18.  The float path sums them; the array path takes
-    # their count at its smallest argument.
+def _hankel_count(order: int, x: float) -> int:
+    # The number of terms t_m = prod_{i<m} (mu - (2i+1)^2) / ((i+1) 8 x) of the
+    # Hankel asymptotic series, mu = 4 order^2, summed: up to its smallest
+    # term or to the first below 1e-18.
     mu = 4.0 * order * order
-    terms = [1.0]
-    t = 1.0
+    count, last = 1, 1.0
     for m in range(80):
-        t *= (mu - (2 * m + 1) ** 2) / ((m + 1) * 8.0 * x)
-        if abs(t) >= abs(terms[-1]):
+        t = last * ((mu - (2 * m + 1) ** 2) / ((m + 1) * 8.0 * x))
+        if abs(t) >= abs(last):
             break
-        terms.append(t)
+        count, last = count + 1, t
         if abs(t) < 1e-18:
             break
-    return terms
+    return count
 
 
-def _hankel(order: int, x, p, q, first_kind: bool, lib):
-    # J_order (first_kind) or Y_order from the auxiliary functions P and Q,
-    # for a float (lib = math) or an array (lib = numpy).  The phase
-    # chi = x - (2 order + 1) pi / 4 goes in by angle addition: libm reduces
-    # x exactly, where a rounded chi would be off by ulp(x).  cos and sin of
-    # (2 order + 1) pi / 4 are +-sqrt(2)/2, and the amplitude sqrt(2 / (pi x))
-    # over sqrt(2) is sqrt(1 / (pi x)).
+def _hankel_sum(order: int, x, count: int, first_kind: bool, lib):
+    # J_order (first_kind) or Y_order from the first count terms of the
+    # auxiliary functions P and Q, for a float (lib = math) or an array
+    # (lib = numpy).  An array sums the count of its smallest element: each
+    # term falls with x, so the first one left out is smaller elsewhere still.
+    # The phase chi = x - (2 order + 1) pi / 4 goes in by angle addition: libm
+    # reduces x exactly, where a rounded chi would be off by ulp(x).  cos and
+    # sin of (2 order + 1) pi / 4 are +-sqrt(2)/2, and the amplitude
+    # sqrt(2 / (pi x)) over sqrt(2) is sqrt(1 / (pi x)).
+    mu = 4.0 * order * order
+    pq = [1.0, 0.0]  # P and Q
+    t = 1.0
+    u = 0.125 / x
+    for m in range(1, count):
+        t *= (mu - (2 * m - 1) ** 2) / m * u
+        if m // 2 % 2:
+            pq[m % 2] -= t
+        else:
+            pq[m % 2] += t
+    p, q = pq
     r = (2 * order + 1) % 8
     cs = 1.0 if r in (1, 7) else -1.0
     sn = 1.0 if r in (1, 3) else -1.0
@@ -339,33 +350,6 @@ def _hankel(order: int, x, p, q, first_kind: bool, lib):
     if first_kind:
         return amp * (cos_chi * p - sin_chi * q)
     return amp * (sin_chi * p + cos_chi * q)
-
-
-def _hankel_scalar(order: int, x: float, first_kind: bool) -> float:
-    terms = _hankel_terms(order, x)
-    p = sum((-1) ** (m // 2) * terms[m] for m in range(0, len(terms), 2))
-    q = sum((-1) ** (m // 2) * terms[m] for m in range(1, len(terms), 2))
-    return _hankel(order, x, p, q, first_kind, math)
-
-
-def _hankel_array(order: int, x: np.ndarray, first_kind: bool) -> np.ndarray:
-    # _hankel_scalar elementwise.  Every element sums as many terms as the
-    # float path takes at the smallest element: each term falls with x, so
-    # the first one left out is smaller there still.
-    mu = 4.0 * order * order
-    count = len(_hankel_terms(order, float(x.min()))) if x.size else 0
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    t = np.ones_like(x)
-    u = 0.125 / x
-    for m in range(1, count):
-        t *= (mu - (2 * m - 1) ** 2) / m * u
-        pq = q if m % 2 else p
-        if m // 2 % 2:
-            pq -= t
-        else:
-            pq += t
-    return _hankel(order, x, p, q, first_kind, np)
 
 
 def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -380,7 +364,7 @@ def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
         return _bessel_y_series(order, x)
     if x < _Y_ASYMPTOTIC_MIN:
         return _bessel_y_bridge(order, x)
-    return _hankel_scalar(order, x, first_kind=False)
+    return _hankel_sum(order, x, _hankel_count(order, x), False, math)
 
 
 def _bessel_y_array(order: int, x: np.ndarray) -> np.ndarray:
@@ -389,7 +373,9 @@ def _bessel_y_array(order: int, x: np.ndarray) -> np.ndarray:
     hankel = x >= _Y_ASYMPTOTIC_MIN
     bridge = ~series & ~hankel
     out[series] = [_bessel_y_series(order, v) for v in x[series].tolist()]
-    out[hankel] = _hankel_array(order, x[hankel], first_kind=False)
+    xh = x[hankel]
+    count = _hankel_count(order, float(xh.min(initial=math.inf)))
+    out[hankel] = _hankel_sum(order, xh, count, False, np)
     out[bridge] = [_bessel_y_bridge(order, v) for v in x[bridge].tolist()]
     return out
 

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from neumann_sici import quad
+from neumann_sici import eulersum, quad
 from neumann_sici import specfun as sf
 from neumann_sici._accel import alternating_series_limit
 from neumann_sici.eulersum import (
     _beta_weighted_terms,
-    assembly_value,
     beta_weighted_sum,
     catalan_alpha_sum,
     catalan_auxiliary_sum,
@@ -157,14 +156,20 @@ def test_corollary4_decomposition_identity(k):
     assert abs(lhs - rhs) <= 1e-9
 
 
-def test_assembly_dot_product_invariant():
-    for cf in (corollary3_rhs(1), corollary3_rhs(4), corollary4_rhs(1), corollary4_rhs(3)):
-        assert abs(assembly_value(cf.assembly) - cf.value) <= 1e-15 * max(1.0, abs(cf.value))
-
-
-def test_assembly_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        assembly_value([("nope(3)", 1.0)])
+@pytest.mark.parametrize(
+    "rhs,k", [*((corollary3_rhs, k) for k in (1, 2, 3, 4)), *((corollary4_rhs, k) for k in (1, 2, 3))]
+)
+def test_corollary_value_is_the_sum_of_its_named_parts(rhs, k):
+    # each part is a call of a public eulersum or specfun function, e.g. "nielsen_sum(3)"
+    cf = rhs(k)
+    assert len(cf.assembly) == 4
+    total = 0.0
+    for name, coeff in cf.assembly:
+        fn_name, arg = name.rstrip(")").split("(")
+        module = eulersum if fn_name in eulersum.__all__ else sf
+        assert fn_name in module.__all__
+        total += coeff * getattr(module, fn_name)(int(arg))
+    assert total == cf.value
 
 
 # ---------------------------------------------------------------------------

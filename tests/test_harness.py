@@ -234,7 +234,7 @@ def test_closed_form_assembly_lands_in_report_detail():
     (c,) = report.checks
     assert c.status == "pass"
     assert "assembly:" in c.detail
-    assert "zeta(3)" in c.detail and "eta(1)*eta(2)" in c.detail
+    assert "1*sitaramachandrarao_h(1)" in c.detail and "-1*zeta(3)" in c.detail
 
 
 def test_jobs_option_is_accepted_and_runs_serially(tmp_path, capsys):
@@ -346,6 +346,17 @@ def test_cli_negative_max_n_exits_two(tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(harness.UsageError):
         harness.run_registry("coeffs.*", max_n=-1)
+
+
+@pytest.mark.parametrize("key", ["max-n", "tol-override", "config"])
+def test_cli_unknown_config_key_exits_two(tmp_path, capsys, key):
+    # a misspelt key was dropped: "max-n = 0" ran all 101 coeffs.lemma1* checks, exit 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = 0\n")
+    out = tmp_path / "r.txt"
+    assert cli.main(["--config", str(cfg), "--check", "coeffs.lemma1*", "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_missing_config_exits_two(capsys):

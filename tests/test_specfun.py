@@ -31,8 +31,6 @@ def test_named_constants_full_double_precision():
     assert CONSTANTS.euler_gamma == pytest.approx(float(mp.euler), abs=1e-16)
     assert CONSTANTS.catalan_g == pytest.approx(float(mp.catalan), abs=1e-16)
     assert CONSTANTS.log2 == pytest.approx(math.log(2.0), abs=1e-16)
-    assert CONSTANTS.zeta3 == pytest.approx(float(mp.zeta(3)), abs=1e-16)
-    assert CONSTANTS.pi == math.pi
 
 
 # ---------------------------------------------------------------------------
