@@ -9,6 +9,7 @@ as exact equalities, not to a tolerance.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .specfun import _integer
@@ -94,33 +95,24 @@ def lemma1_closed(n: int) -> Fraction:
 def alpha_factorial_form(n: int) -> Fraction:
     """Finite factorial sum equal to alpha(n)/(2n+1).
 
-    sum_{k=0..n} (n+k)!/(n-k)! * 2^(2k) (-1)^k / ((2k+1)(2k+1)!), with the
-    ratio (n+k)!/(n-k)! and the 2^(2k)/(2k+1)! factor updated incrementally.
+    sum_{k=0..n} (n+k)!/(n-k)! * (-4)^k / ((2k+1)(2k+1)!), the ratio of
+    factorials being math.perm(n+k, 2k).
     """
     n = _integer(n, "n must be a nonnegative integer", 0)
-    total = Fraction(0)
-    rising = Fraction(1)  # (n+k)!/(n-k)!
-    factor = Fraction(1)  # 2^(2k) (-1)^k / (2k+1)!
-    for k in range(n + 1):
-        if k > 0:
-            rising *= (n + k) * (n - k + 1)
-            factor *= Fraction(-4, (2 * k) * (2 * k + 1))
-        total += rising * factor / (2 * k + 1)
-    return total
+    return sum(
+        Fraction(math.perm(n + k, 2 * k) * (-4) ** k, (2 * k + 1) * math.factorial(2 * k + 1))
+        for k in range(n + 1)
+    )
 
 
 def beta_factorial_form(n: int) -> Fraction:
     """Finite factorial sum equal to beta(n)/(2n).
 
-    sum_{j=0..n-1} (-1)^j 2^(2j) / ((j+1)(2j+2)!) * (n+j)!/(n-j-1)!.
+    sum_{j=0..n-1} (n+j)!/(n-j-1)! * (-4)^j / ((j+1)(2j+2)!), the ratio of
+    factorials being math.perm(n+j, 2j+1).
     """
     n = _integer(n, "n must be a positive integer", 1)
-    total = Fraction(0)
-    rising = Fraction(n)  # (n+j)!/(n-j-1)!
-    factor = Fraction(1, 2)  # (-1)^j 2^(2j) / (2j+2)!
-    for j in range(n):
-        if j > 0:
-            rising *= (n + j) * (n - j)
-            factor *= Fraction(-4, (2 * j + 1) * (2 * j + 2))
-        total += rising * factor / (j + 1)
-    return total
+    return sum(
+        Fraction(math.perm(n + j, 2 * j + 1) * (-4) ** j, (j + 1) * math.factorial(2 * j + 2))
+        for j in range(n)
+    )

@@ -16,9 +16,10 @@ takes the branch the scalar kernel would take for it (selected by mask).  The
 power series and the Y bridge call the scalar code once per element, so there
 an array result equals the scalar one exactly.  The Miller recurrence, the
 Hankel expansion, the continued fraction and the Si/Ci asymptotic series run
-as array iterations, so there it agrees to rounding; the last three run one
-step or term count per call, the one the scalar code takes at the smallest
-element, since larger arguments converge no slower.  These keep array code
+as array iterations, so there it agrees to rounding.  The last three are one
+routine each for a float and an array, and an array runs the step or term
+count the float takes at its smallest element, which the routine finds
+itself, since larger arguments converge no slower.  These keep array code
 because they take most of the integrand nodes: mapping the scalar code over
 their nodes made a registry pass about four times slower.  A Python float
 runs the scalar code.  ``clausen_odd`` has no branches: a float and an array
@@ -145,10 +146,15 @@ def _bessel_j_series(order: int, x: float) -> float:
 
 def _miller_array(nmax: int, x: float) -> list[float]:
     # Backward (Miller) recurrence normalized by J_0 + 2 sum J_{2k} = 1.
+    # Entries are stored from the top down.  Three rescales by 1e-250 take
+    # any finite double to a signed 0, which further rescales keep, so a
+    # rescale reaches back only to entries stored since the third-last one
+    # and a pass stays linear in nmax.
     m = nmax + int(math.ceil(1.5 * x)) + 40
     if m % 2:
         m += 1
     out = [0.0] * (nmax + 1)
+    lows = [nmax + 1] * 3  # the lowest index stored at each rescale so far
     jp, j = 0.0, 1e-30
     even_sum = 0.0
     for k in range(m, 0, -1):
@@ -162,8 +168,9 @@ def _miller_array(nmax: int, x: float) -> list[float]:
             j *= 1e-250
             jp *= 1e-250
             even_sum *= 1e-250
-            for i in range(len(out)):
-                out[i] *= 1e-250
+            low = min(k - 1, nmax + 1)
+            out[low:lows[-3]] = [v * 1e-250 for v in out[low:lows[-3]]]
+            lows.append(low)
     norm = j + 2.0 * even_sum  # j is now the unnormalized J_0
     return [v / norm for v in out]
 
@@ -217,7 +224,7 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
     if x <= _SICI_CROSSOVER or 0.25 * x * x <= order + 1:
         return _bessel_j_series(order, x)
     if x >= max(25.0, 0.5 * order * order):
-        return _hankel_sum(order, x, _hankel_count(order, x), True, math)
+        return _hankel(order, x, True)
     return _miller_array(order, x)[order]
 
 
@@ -228,9 +235,7 @@ def _bessel_j_array(order: int, x: np.ndarray) -> np.ndarray:
     hankel = ~series & (x >= max(25.0, 0.5 * order * order))
     miller = ~series & ~hankel
     out[series] = [_bessel_j_series(order, v) for v in x[series].tolist()]
-    xh = x[hankel]
-    count = _hankel_count(order, float(xh.min(initial=math.inf)))
-    out[hankel] = _hankel_sum(order, xh, count, True, np)
+    out[hankel] = _hankel(order, x[hankel], True)
     out[miller] = _miller_j_array(order, x[miller])
     return out
 
@@ -304,32 +309,28 @@ def _bessel_y_bridge(order: int, x: float) -> float:
     return (2.0 / math.pi) * ((lg - 1.0) * j[1] - j[0] / x - s)
 
 
-def _hankel_count(order: int, x: float) -> int:
-    # The number of terms t_m = prod_{i<m} (mu - (2i+1)^2) / ((i+1) 8 x) of the
-    # Hankel asymptotic series, mu = 4 order^2, summed: up to its smallest
-    # term or to the first below 1e-18.
+def _hankel(order: int, x, first_kind: bool):
+    # J_order (first_kind) or Y_order from the auxiliary functions P and Q of
+    # the Hankel asymptotic series, for a float (math) or an array (numpy).
+    # Its terms are t_m = prod_{i<m} (mu - (2i+1)^2) / ((i+1) 8 x), mu =
+    # 4 order^2; the sum runs up to the smallest term or to the first below
+    # 1e-18, counted at x or at the array's smallest element: each term
+    # falls with x, so the first one left out is smaller elsewhere still.
+    # The phase chi = x - (2 order + 1) pi / 4 goes in by angle addition: libm
+    # reduces x exactly, where a rounded chi would be off by ulp(x).  cos and
+    # sin of (2 order + 1) pi / 4 are +-sqrt(2)/2, and the amplitude
+    # sqrt(2 / (pi x)) over sqrt(2) is sqrt(1 / (pi x)).
+    lib = np if isinstance(x, np.ndarray) else math
+    xmin = float(x.min(initial=math.inf)) if lib is np else x
     mu = 4.0 * order * order
     count, last = 1, 1.0
     for m in range(80):
-        t = last * ((mu - (2 * m + 1) ** 2) / ((m + 1) * 8.0 * x))
+        t = last * ((mu - (2 * m + 1) ** 2) / ((m + 1) * 8.0 * xmin))
         if abs(t) >= abs(last):
             break
         count, last = count + 1, t
         if abs(t) < 1e-18:
             break
-    return count
-
-
-def _hankel_sum(order: int, x, count: int, first_kind: bool, lib):
-    # J_order (first_kind) or Y_order from the first count terms of the
-    # auxiliary functions P and Q, for a float (lib = math) or an array
-    # (lib = numpy).  An array sums the count of its smallest element: each
-    # term falls with x, so the first one left out is smaller elsewhere still.
-    # The phase chi = x - (2 order + 1) pi / 4 goes in by angle addition: libm
-    # reduces x exactly, where a rounded chi would be off by ulp(x).  cos and
-    # sin of (2 order + 1) pi / 4 are +-sqrt(2)/2, and the amplitude
-    # sqrt(2 / (pi x)) over sqrt(2) is sqrt(1 / (pi x)).
-    mu = 4.0 * order * order
     pq = [1.0, 0.0]  # P and Q
     t = 1.0
     u = 0.125 / x
@@ -364,7 +365,7 @@ def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
         return _bessel_y_series(order, x)
     if x < _Y_ASYMPTOTIC_MIN:
         return _bessel_y_bridge(order, x)
-    return _hankel_sum(order, x, _hankel_count(order, x), False, math)
+    return _hankel(order, x, False)
 
 
 def _bessel_y_array(order: int, x: np.ndarray) -> np.ndarray:
@@ -373,9 +374,7 @@ def _bessel_y_array(order: int, x: np.ndarray) -> np.ndarray:
     hankel = x >= _Y_ASYMPTOTIC_MIN
     bridge = ~series & ~hankel
     out[series] = [_bessel_y_series(order, v) for v in x[series].tolist()]
-    xh = x[hankel]
-    count = _hankel_count(order, float(xh.min(initial=math.inf)))
-    out[hankel] = _hankel_sum(order, xh, count, False, np)
+    out[hankel] = _hankel(order, x[hankel], False)
     out[bridge] = [_bessel_y_bridge(order, v) for v in x[bridge].tolist()]
     return out
 
@@ -404,59 +403,50 @@ def _ci_series(x: float) -> float:
     return _EULER_GAMMA + math.log(x) - _sici_series(x, 1)
 
 
-def _e1_of_ix(x: float) -> tuple[complex, int]:
-    # E_1(ix) by the modified Lentz continued fraction, and the number of
-    # steps it took; Ci(x) = -Re, and Si(x) - pi/2 = Im.  Converges to
-    # machine precision for x >= ~2, in fewer steps the larger x is: 25 to 32
-    # near x = 8, 7 at x = 50.  The stopping test sits at the rounding floor,
-    # so the count varies by a few steps between nearby x.
-    z = complex(0.0, x)
-    b = z + 1.0
-    c = complex(1e308, 0.0)
-    d = 1.0 / b
-    h = d
-    for i in range(1, 300):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta.real - 1.0) < 1e-16 and abs(delta.imag) < 1e-16:
-            break
-    return cmath.exp(-z) * h, i
-
-
-def _e1_of_ix_array(x: np.ndarray) -> np.ndarray:
-    # _e1_of_ix elementwise.  Every element runs the steps the float path
-    # takes at the smallest element: the truncation error after n steps falls
+def _e1_of_ix(x):
+    # E_1(ix) by the modified Lentz continued fraction, for a float (cmath)
+    # or an array (numpy), and the number of steps it took; Ci(x) = -Re, and
+    # Si(x) - pi/2 = Im.  Converges to machine precision for x >= ~2, in
+    # fewer steps the larger x is: 25 to 32 near x = 8, 7 at x = 50.  A float
+    # stops at a test that sits at the rounding floor, so its count varies
+    # by a few steps between nearby x.  An array runs the steps the float
+    # takes at its smallest element: the truncation error after n steps falls
     # with x, so they suffice for the larger ones.
-    steps = _e1_of_ix(float(x.min()))[1] if x.size else 0
+    scalar = not isinstance(x, np.ndarray)
+    if scalar:
+        limit = 299
+    else:
+        limit = _e1_of_ix(float(x.min()))[1] if x.size else 0
     z = x * 1j
     b = z + 1.0
-    c = np.full_like(z, 1e308)
+    c = 1e308
     d = 1.0 / b
     h = d
-    for i in range(1, steps + 1):
+    i = 0
+    for i in range(1, limit + 1):
         a = -float(i * i)
         b = b + 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
-        h = h * (c * d)
-    return np.exp(-z) * h
+        delta = c * d
+        h = h * delta
+        if scalar and abs(delta.real - 1.0) < 1e-16 and abs(delta.imag) < 1e-16:
+            break
+    return (cmath.exp(-z) if scalar else np.exp(-z)) * h, i
 
 
-def _sici_asymptotic(x, xmin: float, lib):
+def _sici_asymptotic(x):
     # Si(x) and Ci(x) for x >= _SICI_ASYMPTOTIC_MIN from the auxiliary
     # functions f and g (DLMF 6.12.3-6.12.4; A&S 5.2.34-35):
     #   f ~ (1/x) sum_k (-1)^k (2k)! / x^2k,  g ~ (1/x^2) sum_k (-1)^k (2k+1)! / x^2k,
     #   Si = pi/2 - f cos x - g sin x,  Ci = f sin x - g cos x,
-    # for a float (lib = math) or an array (lib = numpy).  Both sums
-    # stop before the first term of f's below _SICI_SERIES_TOL at xmin, the
-    # smallest argument (14 terms at x = 50); the terms fall with x.  They
+    # for a float (math) or an array (numpy).  Both sums stop before the
+    # first term of f's below _SICI_SERIES_TOL at x, or at the array's
+    # smallest element (14 terms at x = 50); the terms fall with x.  They
     # are nested in y = 1/x^2: 1 - 1*2 y (1 - 3*4 y (1 - ...)).  1/x is
     # formed before it is squared, so a huge x underflows quietly.
-    inv_min = 1.0 / xmin
+    lib = np if isinstance(x, np.ndarray) else math
+    inv_min = 1.0 / (float(x.min(initial=math.inf)) if lib is np else x)
     y_min = inv_min * inv_min
     terms, t = 0, 1.0
     while t >= _SICI_SERIES_TOL:
@@ -474,23 +464,19 @@ def _sici_asymptotic(x, xmin: float, lib):
     return 0.5 * math.pi - f * c - g * s, f * s - g * c
 
 
-def _si_ci(x: float) -> tuple[float, float]:
-    # Si(x) and Ci(x) above the crossover: the continued fraction below
-    # _SICI_ASYMPTOTIC_MIN, the auxiliary functions from there on.
-    if x < _SICI_ASYMPTOTIC_MIN:
+def _si_ci(x):
+    # Si(x) and Ci(x) above the crossover, for a float or an array: the
+    # continued fraction below _SICI_ASYMPTOTIC_MIN, the auxiliary functions
+    # from there on.
+    if not isinstance(x, np.ndarray):
+        if x >= _SICI_ASYMPTOTIC_MIN:
+            return _sici_asymptotic(x)
         e1 = _e1_of_ix(x)[0]
         return e1.imag + 0.5 * math.pi, -e1.real
-    return _sici_asymptotic(x, x, math)
-
-
-def _si_ci_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _si_ci elementwise
-    s = np.empty_like(x)
-    c = np.empty_like(x)
+    s, c = np.empty_like(x), np.empty_like(x)
     asymptotic = x >= _SICI_ASYMPTOTIC_MIN
-    xa = x[asymptotic]
-    s[asymptotic], c[asymptotic] = _sici_asymptotic(xa, float(xa.min(initial=math.inf)), np)
-    e1 = _e1_of_ix_array(x[~asymptotic])
+    s[asymptotic], c[asymptotic] = _sici_asymptotic(x[asymptotic])
+    e1 = _e1_of_ix(x[~asymptotic])[0]
     s[~asymptotic] = e1.imag + 0.5 * math.pi
     c[~asymptotic] = -e1.real
     return s, c
@@ -503,7 +489,7 @@ def si(x: float | np.ndarray) -> float | np.ndarray:
         out = np.empty_like(x)
         series = x <= _SICI_CROSSOVER
         out[series] = [_sici_series(v, 0) for v in x[series].tolist()]
-        out[~series] = _si_ci_array(x[~series])[0]
+        out[~series] = _si_ci(x[~series])[0]
         return out
     x = _checked_scalar(x, positive=False)
     if x <= _SICI_CROSSOVER:
@@ -518,7 +504,7 @@ def ci(x: float | np.ndarray) -> float | np.ndarray:
         out = np.empty_like(x)
         series = x <= _SICI_CROSSOVER
         out[series] = [_ci_series(v) for v in x[series].tolist()]
-        out[~series] = _si_ci_array(x[~series])[1]
+        out[~series] = _si_ci(x[~series])[1]
         return out
     x = _checked_scalar(x, positive=True)
     if x <= _SICI_CROSSOVER:
@@ -538,7 +524,7 @@ def gamma_log_minus_ci(x: float | np.ndarray) -> float | np.ndarray:
         series = x <= _SICI_CROSSOVER
         out[series] = [_sici_series(v, 1) for v in x[series].tolist()]
         xc = x[~series]
-        out[~series] = np.log(xc) + (_EULER_GAMMA - _si_ci_array(xc)[1])
+        out[~series] = np.log(xc) + (_EULER_GAMMA - _si_ci(xc)[1])
         return out
     x = _checked_scalar(x, positive=False)
     if x <= _SICI_CROSSOVER:

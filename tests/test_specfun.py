@@ -1,11 +1,16 @@
+import ast
 import functools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import neumann_sici
 from neumann_sici import specfun as sf
 from neumann_sici.specfun import (
     CONSTANTS,
@@ -101,6 +106,21 @@ def test_bessel_j_all_tiny_arguments_match_mpmath(nmax, x):
         # the series' first term goes through log/exp: ~1e-13 relative here
         assert _close_to_mpmath(v, ref, 2e-13), (n, v, ref)
         assert v == bessel_j(n, x)
+
+
+def test_bessel_j_all_is_linear_in_nmax():
+    # Each Miller rescale used to multiply every stored entry by 1e-250, so a
+    # pass was quadratic in nmax: 1.6 s at 4e4, about 40 s at 2e5.  In a
+    # subprocess, so that a regression fails here instead of hanging the suite.
+    code = "from neumann_sici import specfun; print(repr(specfun.bessel_j_all(200000, 2.0)[:4]))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=5
+    )
+    assert done.returncode == 0, done.stderr
+    for n, v in enumerate(ast.literal_eval(done.stdout)):
+        ref = float(mp.besselj(n, 2))
+        assert abs(v - ref) <= 1e-15 * abs(ref), (n, v, ref)
 
 
 @pytest.mark.parametrize("order", [0, 1, 3, 20])
@@ -282,7 +302,7 @@ def test_continued_fraction_steps_at_a_smaller_argument_suffice():
     for i, x in enumerate(grid):
         if steps[i] < steps[fewest]:
             fewest = i
-        value = sf._e1_of_ix_array(np.array([grid[fewest], x]))[1]
+        value = sf._e1_of_ix(np.array([grid[fewest], x]))[0][1]
         ref = sf._e1_of_ix(x)[0]
         assert abs(value - ref) <= 3e-15 * abs(ref), (x, grid[fewest], value, ref)
 
@@ -348,7 +368,7 @@ def _assert_matches_scalar(fn, x, series=lambda xi: xi <= 8.0):
     # exact on the power-series nodes, which run the scalar code per element
     values = fn(x)
     assert isinstance(values, np.ndarray) and values.shape == x.shape
-    for xi, v in zip(x.tolist(), values.tolist()):
+    for xi, v in zip(x.ravel().tolist(), values.ravel().tolist()):
         ref = fn(xi)
         if series(xi):
             assert v == ref, (xi, v, ref)
@@ -392,6 +412,28 @@ def test_array_kernels_single_element_and_mixed_branches():
     for fn in kernels:
         _assert_matches_scalar(fn, one)
         _assert_matches_scalar(fn, mixed)
+
+
+@pytest.mark.parametrize(
+    "fn,exact",
+    [(functools.partial(bessel_j, n), False) for n in (0, 3, 20)]
+    + [(functools.partial(bessel_y, n), False) for n in (0, 1)]
+    + [(fn, False) for fn in (si, ci, gamma_log_minus_ci)]
+    + [(functools.partial(clausen_odd, w), True) for w in (3, 7, 63)],
+)
+def test_array_kernels_keep_empty_and_2d_shapes(fn, exact):
+    # An empty array keeps its shape; a 2-D one is masked like a 1-D one.  The
+    # second grid has no element in [8, 50), so the E_1 continued fraction
+    # gets an empty array inside a nonempty call.
+    for shape in ((0,), (0, 3), (2, 0)):
+        out = fn(np.empty(shape))
+        assert isinstance(out, np.ndarray) and out.shape == shape
+    grids = (
+        np.array([[0.5, 8.0, 12.0, 30.0], [49.0, 50.0, 100.0, 3.0], [17.0, 25.0, 1e3, 9.0]]),
+        np.array([[0.5, 3.0], [60.0, 1e3]]),
+    )
+    for x in grids:
+        _assert_matches_scalar(fn, x, (lambda xi: True) if exact else (lambda xi: xi <= 8.0))
 
 
 _HUGE = (1e200, 1e300, 1.7e308)
