@@ -14,7 +14,9 @@ id template, an index set, ``lhs(*index)``, ``rhs(*index)``, the tolerance and
 the description; one loop makes a check of each index, with the id
 ``template % index``.  A ``range`` index set is an n range, which
 ``max_n`` (``--max-n``) caps at n <= max_n.  The a-grids, the k sets and the
-(a, t) points are tuples and a single check is ``[()]``: none is capped.
+(a, t) points are tuples and a single check is ``[()]``: none is capped.  The
+``addition_identity`` row computes each (a, t) pair once per build, for both
+sides.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from . import __version__, coeffs, eulersum, neumann, quad, specfun
@@ -119,6 +121,8 @@ _TRANSFORM_GRID = (0.5, 1.0, 2.0, 5.0, 12.0, 20.0)
 
 def build_registry(max_n: int | None = None) -> list[IdentityCheck]:
     """The full check registry in canonical (deterministic) order."""
+    # one (lhs, rhs) pair serves both sides of an addition_identity check
+    addition = cache(neumann.addition_theorem_check)
     rows = (
         ("coeffs.lemma1_alpha.n=%d", range(101), coeffs.lemma1_closed, coeffs.alpha, 0.0,
          "closed form of the cot-weighted sine integral equals the Si coefficient"),
@@ -184,8 +188,7 @@ def build_registry(max_n: int | None = None) -> list[IdentityCheck]:
         ("corollary5.a=%g", (0.0, 2.0, 5.0), neumann.corollary5_series, quad.corollary5_rhs,
          1e-6, "alternating even-order expansion equals shifted-argument J_0 moment"),
         ("addition_identity.a=%g,t=%g", ((2.0, 3.0), (1.0, 5.0), (4.0, 0.5)),
-         lambda a, t: neumann.addition_theorem_check(a, t)[0],
-         lambda a, t: neumann.addition_theorem_check(a, t)[1], 1e-12,
+         lambda a, t: addition(a, t)[0], lambda a, t: addition(a, t)[1], 1e-12,
          "two-argument J_0 addition identity, both sides computed independently"),
         ("catalan_series", [()], eulersum.catalan_alpha_sum,
          lambda: 3.0 - 4.0 * specfun.CONSTANTS.catalan_g, 1e-10,

@@ -9,9 +9,17 @@ needs no special value there.
 Two layers:
 
 * ``integrate_finite`` -- adaptive 15-point Gauss-Kronrod (QUADPACK dqk15)
-  with bisection refinement, for the cot-weighted integrals on [0, pi/2].
-  Each step bisects the panel with the largest error estimate and evaluates
-  both halves in one integrand call.
+  with bisection refinement from ``pieces`` equal starting panels, all
+  evaluated in one integrand call.  Each step bisects the panel with the
+  largest error estimate and evaluates both halves in one integrand call,
+  until the error sum over all the panels is at most tol.  A panel's
+  estimate is at least 15 eps times its Kronrod sum of |f|, the rounding
+  bound of the 15-term sum (dqk15 uses 50 eps); once every panel sits at
+  that floor the refinement stops, and the floor sum is the estimate.  The
+  cot-weighted integrals on [0, pi/2] start from ceil(m/2) panels, m being
+  the integrand's frequency (2n+1 for Lemma 1, 2n for Lemma 3, 1 for the
+  transforms and the Clausen integrals): a Lemma integral needs no
+  bisection.
 * ``oscillatory_semiinf`` -- a Longman-style scheme for the semi-infinite
   Bessel integrals: integrate between consecutive partition edges, given
   by an edge function m -> edge(m) (for a Bessel integrand its asymptotic
@@ -43,6 +51,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -110,6 +119,10 @@ _WG = (
     0.3818300505051189,
 )
 _WG_CENTER = 0.4179591836734694
+# Floor of a panel's error estimate per unit of its Kronrod sum of |f|: the
+# rounding bound of the 15-term sum.  QUADPACK's dqk15 uses 50 eps, which puts
+# tol 1e-14 out of reach on O(1) integrals.
+_ROUNDOFF = 15.0 * np.finfo(float).eps
 
 # The rule in node order: center, then -x, +x for each Kronrod abscissa x.
 # Column 0 holds the Kronrod weights, column 1 the Gauss weights (the Gauss
@@ -121,10 +134,13 @@ _NODE_W = np.array(
 )
 
 
-def _gk15(f: ArrayFn, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gk15(
+    f: ArrayFn, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Kronrod panels [a[i], b[i]] in one integrand call.
 
-    Returns the arrays (integral, error estimate).
+    Returns the arrays (integral, error estimate, rough), where rough marks
+    the panels whose estimate exceeds its roundoff floor.
     """
     center = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -141,39 +157,57 @@ def _gk15(f: ArrayFn, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
             f"integrand returned a non-finite value on [{a[bad]}, {b[bad]}]"
         )
     abs_h = np.abs(h)
+    resabs = (np.abs(values) @ _NODE_W[:, 0]) * abs_h
     resasc = (np.abs(values - 0.5 * resk[:, None]) @ _NODE_W[:, 0]) * abs_h
     err = np.abs(resk - resg) * abs_h
     # QUADPACK's rescaling of the Gauss-Kronrod difference
     nonzero = resasc != 0.0
     ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=nonzero)
     err = np.where(nonzero, resasc * np.minimum(1.0, ratio**1.5), err)
-    return resk * h, err
+    floor = _ROUNDOFF * resabs
+    return resk * h, np.maximum(err, floor), err > floor
 
 
 _MAX_SUBDIVISIONS = 2000
+_VALUE, _ERROR = itemgetter(4), itemgetter(5)  # of a heap item
 
 
 def _integrate_intervals(
-    f: ArrayFn, a: np.ndarray, b: np.ndarray, tol: float
+    f: ArrayFn, a: np.ndarray, b: np.ndarray, pieces: np.ndarray, tol: float
 ) -> tuple[list[float], list[float], list[int]]:
     """Adaptive GK15 on each [a[i], b[i]] separately, each to absolute tol.
 
-    Every interval keeps its own heap of panels.  A step bisects the worst
-    panel of every interval whose error sum still exceeds tol and evaluates
-    all the halves in one integrand call; an interval that reaches
-    ``_MAX_SUBDIVISIONS`` panels unconverged raises QuadratureError.  Returns
-    per-interval lists of values, error estimates and panel counts.
+    Interval i starts as ``pieces[i]`` equal panels, and every interval keeps
+    its own heap of panels.  One integrand call evaluates all the starting
+    panels.  A step bisects the worst panel of every interval whose error sum
+    (over all of its panels) still exceeds tol and evaluates all the halves
+    in one integrand call.  An interval whose panels all sit at their
+    roundoff floor stops there, with that floor sum as its estimate, since
+    bisection cannot lower it; one that reaches ``_MAX_SUBDIVISIONS`` panels
+    unconverged raises QuadratureError.  Returns per-interval lists of
+    values, error estimates and panel counts.
     """
-    values, errors = _gk15(f, a, b)
-    # heap items are (-err, seq, a, b, value, err); seq breaks ties deterministically
-    heaps = [
-        [(-e, 0, lo, hi, v, e)]
-        for lo, hi, v, e in zip(a.tolist(), b.tolist(), values.tolist(), errors.tolist())
-    ]
-    total_err = errors.tolist()
-    panels = [1] * len(heaps)
-    active = [i for i, e in enumerate(total_err) if e > tol]
-    seq = 1
+    stops = np.cumsum(pieces)
+    starts = stops - pieces
+    owner = np.repeat(np.arange(len(pieces)), pieces)
+    low = a[owner] + (b - a)[owner] * (np.arange(stops[-1]) - starts[owner]) / pieces[owner]
+    high = np.empty_like(low)
+    high[:-1] = low[1:]
+    high[stops - 1] = b
+    values, errors, rough = _gk15(f, low, high)
+    total_err = np.add.reduceat(errors, starts).tolist()
+    # panels per interval whose estimate is above its floor
+    unsettled = np.add.reduceat(rough, starts, dtype=int).tolist()
+    # heap items are (-err, seq, a, b, value, err, rough); seq breaks ties
+    # deterministically
+    items = list(zip((-errors).tolist(), range(len(values)), low.tolist(), high.tolist(),
+                     values.tolist(), errors.tolist(), rough.tolist()))
+    heaps = [items[i:j] for i, j in zip(starts.tolist(), stops.tolist())]
+    for heap in heaps:
+        heapq.heapify(heap)
+    panels = pieces.tolist()
+    active = [i for i, e in enumerate(total_err) if e > tol and unsettled[i]]
+    seq = len(values)
     while active:
         for i in active:
             if panels[i] >= _MAX_SUBDIVISIONS:
@@ -185,30 +219,38 @@ def _integrate_intervals(
         lo = [item[2] for item in worst]
         hi = [item[3] for item in worst]
         mid = [0.5 * (left + right) for left, right in zip(lo, hi)]
-        halves, halves_err = _gk15(f, np.array(lo + mid), np.array(mid + hi))
-        halves, halves_err = halves.tolist(), halves_err.tolist()
+        halves, halves_err, halves_rough = (
+            x.tolist() for x in _gk15(f, np.array(lo + mid), np.array(mid + hi))
+        )
         n = len(active)
         for j, i in enumerate(active):
             lerr, rerr = halves_err[j], halves_err[n + j]
+            lrough, rrough = halves_rough[j], halves_rough[n + j]
             total_err[i] += lerr + rerr - worst[j][5]
-            heapq.heappush(heaps[i], (-lerr, seq, lo[j], mid[j], halves[j], lerr))
-            heapq.heappush(heaps[i], (-rerr, seq + 1, mid[j], hi[j], halves[n + j], rerr))
+            unsettled[i] += lrough + rrough - worst[j][6]
+            heapq.heappush(heaps[i], (-lerr, seq, lo[j], mid[j], halves[j], lerr, lrough))
+            heapq.heappush(heaps[i], (-rerr, seq + 1, mid[j], hi[j], halves[n + j], rerr, rrough))
             panels[i] += 1
         seq += 2
-        active = [i for i in active if total_err[i] > tol]
+        active = [i for i in active if total_err[i] > tol and unsettled[i]]
     # resum from the heaps for sharper values (avoids drift in the updates)
     return (
-        [math.fsum(item[4] for item in heap) for heap in heaps],
-        [math.fsum(item[5] for item in heap) for heap in heaps],
+        [math.fsum(map(_VALUE, heap)) for heap in heaps],
+        [math.fsum(map(_ERROR, heap)) for heap in heaps],
         panels,
     )
 
 
-def integrate_finite(f: ArrayFn, a: float, b: float, tol: float = 1e-12) -> QuadResult:
+def integrate_finite(
+    f: ArrayFn, a: float, b: float, tol: float = 1e-12, *, pieces: int = 1
+) -> QuadResult:
     """Adaptive Gauss-Kronrod integration of f over [a, b] to absolute tol.
 
-    ``a`` and ``b`` must be finite with a < b, and ``tol`` finite and
-    positive, else ValueError before any integrand call.
+    The refinement starts from ``pieces`` equal panels.  ``a`` and ``b`` must
+    be finite with a < b, ``tol`` finite and positive, and ``pieces`` an
+    integer from 1 to ``_MAX_SUBDIVISIONS``, else ValueError before any
+    integrand call.  The returned estimate exceeds tol only when every
+    panel's estimate sits at its roundoff floor, which bisection cannot lower.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("a and b must be finite")
@@ -216,8 +258,12 @@ def integrate_finite(f: ArrayFn, a: float, b: float, tol: float = 1e-12) -> Quad
         raise ValueError("requires a < b")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
+    message = f"pieces must be an integer from 1 to {_MAX_SUBDIVISIONS}"
+    pieces = specfun._integer(pieces, message, 1)
+    if pieces > _MAX_SUBDIVISIONS:
+        raise ValueError(message)
     values, errors, panels = _integrate_intervals(
-        f, np.array([a], dtype=float), np.array([b], dtype=float), tol
+        f, np.array([a], dtype=float), np.array([b], dtype=float), np.array([pieces]), tol
     )
     return QuadResult(values[0], errors[0], panels[0])
 
@@ -285,16 +331,16 @@ def oscillatory_semiinf(
         if not (all(lo < hi for lo, hi in zip(lows, highs)) and math.isfinite(highs[-1])):
             raise ValueError("partition edges must be finite and rise strictly from 0")
         edges += highs
-        pieces = 1
+        pieces = np.ones(len(highs), dtype=int)
         if not parts:
-            # the first partition, before the oscillation settles, is cut into
+            # the first partition, before the oscillation settles, starts as
             # panels at most pi/2 wide (at most as many as the block has
-            # partitions) and summed back into one partition
-            pieces = min(math.ceil(highs[0] / _HALF_PI), len(highs))
-            cuts = [highs[0] * i / pieces for i in range(1, pieces)]
-            lows, highs = [0.0, *cuts, *lows[1:]], [*cuts, *highs]
-        values, errors, panels = _integrate_intervals(f, np.array(lows), np.array(highs), seg_tol)
-        parts += [math.fsum(values[:pieces]), *values[pieces:]]
+            # partitions)
+            pieces[0] = min(math.ceil(highs[0] / _HALF_PI), len(highs))
+        values, errors, panels = _integrate_intervals(
+            f, np.array(lows), np.array(highs), pieces, seg_tol
+        )
+        parts += values
         quad_err += math.fsum(errors)
         subdivisions += sum(panels)
         checkpoint = int(checkpoint * 1.5)
@@ -329,23 +375,27 @@ def _period_edges(phase: float) -> Callable[[int], float]:
 # ---------------------------------------------------------------------------
 
 
-def _cot_integral(g: ArrayFn, tol: float) -> QuadResult:
-    # int_0^{pi/2} g(t) cot(t) dt
-    return integrate_finite(lambda t: g(t) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, tol)
+def _cot_integral(g: ArrayFn, tol: float, m: int = 1) -> QuadResult:
+    # int_0^{pi/2} g(t) cot(t) dt for g of frequency m, started as ceil(m/2)
+    # panels at most pi/m wide: half a period of sin(m t) each, which one GK15
+    # panel resolves, so the Lemma integrals need no bisection
+    return integrate_finite(
+        lambda t: g(t) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, tol, pieces=(m + 1) // 2
+    )
 
 
 def lemma1_integral(n: int) -> QuadResult:
     """int_0^{pi/2} sin((2n+1)t) cot(t) dt; equals the exact coefficient alpha_n."""
     n = specfun._integer(n, "n must be a nonnegative integer", 0)
     m = 2 * n + 1
-    return _cot_integral(lambda t: np.sin(m * t), 1e-12)
+    return _cot_integral(lambda t: np.sin(m * t), 1e-12, m)
 
 
 def lemma3_integral(n: int) -> QuadResult:
     """int_0^{pi/2} [1 - cos(2nt)] cot(t) dt; equals the exact coefficient beta_n."""
     n = specfun._integer(n, "n must be a positive integer", 1)
     m = 2 * n
-    return _cot_integral(lambda t: 1.0 - np.cos(m * t), 1e-12)
+    return _cot_integral(lambda t: 1.0 - np.cos(m * t), 1e-12, m)
 
 
 def si_transform_integral(a: float) -> QuadResult:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from neumann_sici import cli, coeffs, harness, quad
+from neumann_sici import cli, coeffs, harness, neumann, quad
 
 
 def _ids(registry):
@@ -116,6 +116,24 @@ def test_checks_call_operations_patched_after_import(monkeypatch):
     assert by_id["lemma1_quad.n=0"].lhs() == 1.0
     assert by_id["coeffs.lemma1_alpha.n=0"].lhs() == Fraction(1)
     assert calls == [("quad.lemma1_integral", 0), ("coeffs.lemma1_closed", 0)]
+
+
+def test_addition_identity_computes_each_pair_once(monkeypatch):
+    # both sides of a check read one addition_theorem_check pair, the one the
+    # module holds at the build
+    calls = []
+
+    def counting(a, t):
+        calls.append((a, t))
+        return (a + t, a - t)
+
+    monkeypatch.setattr(neumann, "addition_theorem_check", counting)
+    checks = [c for c in harness.build_registry() if c.id.startswith("addition_identity.")]
+    for check in checks:
+        lhs, rhs = check.lhs(), check.rhs()
+        a, t = calls[-1]
+        assert (lhs, rhs) == (a + t, a - t)
+    assert calls == [(2.0, 3.0), (1.0, 5.0), (4.0, 0.5)]
 
 
 def test_exact_coefficient_checks_all_pass_with_zero_tolerance():
