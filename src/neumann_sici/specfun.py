@@ -12,18 +12,16 @@ functions from there on.
 
 ``bessel_j``, ``bessel_y``, ``si``, ``ci`` and ``gamma_log_minus_ci`` also
 accept a float ndarray and return an array of the same shape.  Each element
-takes the branch the scalar kernel would take for it (selected by mask).  The
-power series and the Y bridge call the scalar code once per element, so there
-an array result equals the scalar one exactly.  The Miller recurrence, the
-Hankel expansion, the continued fraction and the Si/Ci asymptotic series run
-as array iterations, so there it agrees to rounding.  The last three are one
-routine each for a float and an array, and an array runs the step or term
-count the float takes at its smallest element, which the routine finds
-itself, since larger arguments converge no slower.  These keep array code
-because they take most of the integrand nodes: mapping the scalar code over
-their nodes made a registry pass about four times slower.  A Python float
-runs the scalar code.  ``clausen_odd`` has no branches: a float and an array
-run the same arithmetic, so they agree exactly.
+takes the branch the scalar kernel would take for it, split by mask.  Each
+branch is one routine for a float and an array, except Miller's array routine
+and the Y bridge, which maps the scalar code over its elements.  A power
+series stops a float at its own test; an array runs until every element has
+met it and adds only zeros to an element that has, so there, as on the bridge,
+an array result equals the scalar one exactly.  The other branches agree to
+rounding: an array runs the step or term count the float takes at its smallest
+element, as larger ones converge no slower.  A Python float runs plain
+``math`` code.  ``clausen_odd`` runs the same arithmetic for a float and an
+array, so they agree exactly.
 """
 
 from __future__ import annotations
@@ -121,27 +119,67 @@ def _checked_array(x: np.ndarray, positive: bool) -> np.ndarray:
     return x
 
 
+def _branches(x, positive: bool, low_max: float, high_min: float, low, mid, high):
+    # low(x) for x <= low_max, high(x) for x >= high_min and mid(x) between,
+    # for a float, or for an array split by masks
+    if not isinstance(x, np.ndarray):
+        x = _checked_scalar(x, positive)
+        return low(x) if x <= low_max else mid(x) if x < high_min else high(x)
+    x = _checked_array(x, positive)
+    out = np.empty_like(x)
+    lo, hi = x <= low_max, x >= high_min
+    between = ~lo & ~hi
+    with np.errstate(over="ignore"):  # Y_1's 1 / x at a subnormal x, as for a float
+        out[lo] = low(x[lo])
+    out[between] = mid(x[between])
+    out[hi] = high(x[hi])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Bessel functions of the first kind
 # ---------------------------------------------------------------------------
 
-def _bessel_j_series(order: int, x: float) -> float:
-    # Ascending series sum_k (-1)^k (x/2)^(order+2k) / (k! (order+k)!).
-    half = 0.5 * x
+def _per_element(f, x, *args):
+    # f(x, *args) for a float, and at every element of a 1-D array: the power
+    # series take log and exp from libm through it (numpy's differ in the last
+    # bit for some arguments), and the Y bridge its scalar code.
+    if isinstance(x, np.ndarray):
+        return np.array([f(v, *args) for v in x.tolist()], dtype=float)
+    return f(x, *args)
+
+
+def _live(term, live):
+    # The stop step of a power series over an array: zero the terms of the
+    # elements that have met the float's test, and tell whether any has not.
+    term *= live
+    return live.any()
+
+
+def _j_first_term(half: float, order: int) -> float:
+    # (x/2)^order / order!, the first term of the J series, or 0 below e^-745
     if half == 0.0:  # x = 0, or x/2 below the smallest subnormal
         return 1.0 if order == 0 else 0.0
     log_t0 = order * math.log(half) - math.lgamma(order + 1)
-    if log_t0 < -745.0:  # first term underflows; remaining terms are smaller still
-        return 0.0
-    term = math.exp(log_t0)
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= -half * half / (k * (order + k))
-        total += term
-        if abs(term) < _J_SERIES_TOL * max(abs(total), 1e-300) or k >= 500:
-            return total
+    return math.exp(log_t0) if log_t0 >= -745.0 else 0.0
+
+
+def _bessel_j_series(order: int, x):
+    # Ascending series sum_k (-1)^k (x/2)^(order+2k) / (k! (order+k)!), for a
+    # float or an array.  The test is relative: near a zero of J an element
+    # runs longer than the array's largest one.
+    array = isinstance(x, np.ndarray)
+    half = 0.5 * x
+    term = total = _per_element(_j_first_term, half, order) if array else _j_first_term(half, order)
+    for k in range(1, 501):
+        term = term * (-half * half / (k * (order + k)))
+        total = total + term
+        if array:
+            if not _live(term, abs(term) >= _J_SERIES_TOL * np.maximum(abs(total), 1e-300)):
+                break
+        elif abs(term) < _J_SERIES_TOL * max(abs(total), 1e-300):
+            break
+    return total
 
 
 def _miller_array(nmax: int, x: float) -> list[float]:
@@ -217,7 +255,16 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
     """
     order = _integer(order, "order must be a nonnegative integer", 0)
     if isinstance(x, np.ndarray):
-        return _bessel_j_array(order, _checked_array(x, positive=False))
+        x = _checked_array(x, positive=False)
+        out = np.empty_like(x)
+        with np.errstate(over="ignore"):  # x * x is inf above ~1.3e154, as for a float
+            series = (x <= _SICI_CROSSOVER) | (0.25 * x * x <= order + 1)
+        hankel = ~series & (x >= max(25.0, 0.5 * order * order))
+        miller = ~series & ~hankel
+        out[series] = _bessel_j_series(order, x[series])
+        out[hankel] = _hankel(order, x[hankel], True)
+        out[miller] = _miller_j_array(order, x[miller])
+        return out
     x = _checked_scalar(x, positive=False)
     # With (x/2)^2 <= order + 1 the series terms decrease from the start, so
     # there is no cancellation regardless of how large the order is.
@@ -226,18 +273,6 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
     if x >= max(25.0, 0.5 * order * order):
         return _hankel(order, x, True)
     return _miller_array(order, x)[order]
-
-
-def _bessel_j_array(order: int, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    with np.errstate(over="ignore"):  # x * x is inf above ~1.3e154, as for a float
-        series = (x <= _SICI_CROSSOVER) | (0.25 * x * x <= order + 1)
-    hankel = ~series & (x >= max(25.0, 0.5 * order * order))
-    miller = ~series & ~hankel
-    out[series] = [_bessel_j_series(order, v) for v in x[series].tolist()]
-    out[hankel] = _hankel(order, x[hankel], True)
-    out[miller] = _miller_j_array(order, x[miller])
-    return out
 
 
 def bessel_j_all(nmax: int, x: float) -> list[float]:
@@ -262,34 +297,44 @@ def bessel_j_all(nmax: int, x: float) -> list[float]:
 # Bessel functions of the second kind, orders 0 and 1
 # ---------------------------------------------------------------------------
 
-def _bessel_y_series(order: int, x: float) -> float:
-    # DLMF 10.8.1 ascending series, stable for x <= _Y_SERIES_MAX.  Y_1's
-    # -2/(pi x) overflows to -inf below about 6e-309.
+def _log_half(x: float) -> float:
+    # log(x/2), taken as log x - log 2 where halving a subnormal x rounds
+    half = 0.5 * x
+    return math.log(half) if half + half == x else math.log(x) - CONSTANTS.log2
+
+
+def _bessel_y_series(order: int, x):
+    # DLMF 10.8.1 ascending series, stable for x <= _Y_SERIES_MAX, for a
+    # float or an array.  Y_1's -2/(pi x) overflows to -inf below about
+    # 6e-309.
+    array = isinstance(x, np.ndarray)
     u = 0.25 * x * x
-    half = 0.5 * x  # rounds for a subnormal x, to 0 at 5e-324
-    lg = math.log(half) if half + half == x else math.log(x) - CONSTANTS.log2
+    lg = _per_element(_log_half, x) if array else _log_half(x)
+    j = bessel_j(order, x)
     if order == 0:
-        j0 = bessel_j(0, x)
-        term, hk, s, k = 1.0, 0.0, 0.0, 0
-        while True:
-            k += 1
-            term *= -u / (k * k)
+        term, hk, s = 1.0, 0.0, 0.0
+        for k in range(1, 502):
+            term = term * (-u / (k * k))
             hk += 1.0 / k
-            s += hk * term
-            if abs(term) * (hk + 1.0) < 1e-18 * max(abs(s), 1e-10) or k > 500:
+            s = s + hk * term
+            if array:
+                if not _live(term, abs(term) * (hk + 1.0) >= 1e-18 * np.maximum(abs(s), 1e-10)):
+                    break
+            elif abs(term) * (hk + 1.0) < 1e-18 * max(abs(s), 1e-10):
                 break
-        return (2.0 / math.pi) * ((lg + _EULER_GAMMA) * j0 - s)
-    j1 = bessel_j(1, x)
-    term, hk, hk1, s, k = 1.0, 0.0, 1.0, 0.0, 0
-    while True:
-        s += (hk + hk1 - 2.0 * _EULER_GAMMA) * term
-        term *= -u / ((k + 1) * (k + 2))
-        k += 1
+        return (2.0 / math.pi) * ((lg + _EULER_GAMMA) * j - s)
+    term, hk, hk1, s = 1.0, 0.0, 1.0, 0.0
+    for k in range(1, 502):
+        s = s + (hk + hk1 - 2.0 * _EULER_GAMMA) * term
+        term = term * (-u / (k * (k + 1)))
         hk += 1.0 / k
         hk1 += 1.0 / (k + 1)
-        if abs(term) * (hk + hk1 + 2.0) < 1e-18 * max(abs(s), 1e-10) or k > 500:
+        if array:
+            if not _live(term, abs(term) * (hk + hk1 + 2.0) >= 1e-18 * np.maximum(abs(s), 1e-10)):
+                break
+        elif abs(term) * (hk + hk1 + 2.0) < 1e-18 * max(abs(s), 1e-10):
             break
-    return (2.0 / math.pi) * (lg * j1 - 1.0 / x) - x / (2.0 * math.pi) * s
+    return (2.0 / math.pi) * (lg * j - 1.0 / x) - x / (2.0 * math.pi) * s
 
 
 def _bessel_y_bridge(order: int, x: float) -> float:
@@ -358,58 +403,42 @@ def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
     order = _integer(order, "order must be 0 or 1", 0)
     if order > 1:
         raise ValueError("order must be 0 or 1")
-    if isinstance(x, np.ndarray):
-        return _bessel_y_array(order, _checked_array(x, positive=True))
-    x = _checked_scalar(x, positive=True)
-    if x <= _Y_SERIES_MAX:
-        return _bessel_y_series(order, x)
-    if x < _Y_ASYMPTOTIC_MIN:
-        return _bessel_y_bridge(order, x)
-    return _hankel(order, x, False)
-
-
-def _bessel_y_array(order: int, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    series = x <= _Y_SERIES_MAX
-    hankel = x >= _Y_ASYMPTOTIC_MIN
-    bridge = ~series & ~hankel
-    out[series] = [_bessel_y_series(order, v) for v in x[series].tolist()]
-    out[hankel] = _hankel(order, x[hankel], False)
-    out[bridge] = [_bessel_y_bridge(order, v) for v in x[bridge].tolist()]
-    return out
+    return _branches(
+        x, True, _Y_SERIES_MAX, _Y_ASYMPTOTIC_MIN,
+        lambda v: _bessel_y_series(order, v),
+        lambda v: _per_element(functools.partial(_bessel_y_bridge, order), v),
+        lambda v: _hankel(order, v, False),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Sine and cosine integrals
 # ---------------------------------------------------------------------------
 
-def _sici_series(x: float, shift: int) -> float:
+def _sici_series(x, shift: int):
     # The sum of (-1)^(n-1) x^(2n-1+shift) / ((2n-1+shift) (2n-1+shift)!):
     # Si(x) for shift 0 (odd in x by construction) and the entire part
-    # gamma + log x - Ci(x) for shift 1.
+    # gamma + log x - Ci(x) for shift 1, for a float or an array, up to a
+    # next term at most _SICI_SERIES_TOL of the sum.
+    array = isinstance(x, np.ndarray)
     total = 0.0
     term = 0.5 * x * x if shift else x  # x^(2n-1+shift)/(2n-1+shift)!
-    n = 1
-    while True:
-        total += term / (2 * n - 1 + shift)
-        term *= -x * x / ((2 * n + shift) * (2 * n + 1 + shift))
-        n += 1
-        if n > 300 or abs(term) / (2 * n - 1 + shift) < _SICI_SERIES_TOL * max(1.0, abs(total)):
-            return total
-
-
-def _ci_series(x: float) -> float:
-    # Ci(x) below the crossover
-    return _EULER_GAMMA + math.log(x) - _sici_series(x, 1)
+    for n in range(1, 301):
+        total = total + term / (2 * n - 1 + shift)
+        term = term * (-x * x / ((2 * n + shift) * (2 * n + 1 + shift)))
+        live = abs(term) / (2 * n + 1 + shift) > _SICI_SERIES_TOL * abs(total)
+        if not (_live(term, live) if array else live):
+            break
+    return total
 
 
 def _e1_of_ix(x):
     # E_1(ix) by the modified Lentz continued fraction, for a float (cmath)
     # or an array (numpy), and the number of steps it took; Ci(x) = -Re, and
     # Si(x) - pi/2 = Im.  Converges to machine precision for x >= ~2, in
-    # fewer steps the larger x is: 25 to 32 near x = 8, 7 at x = 50.  A float
-    # stops at a test that sits at the rounding floor, so its count varies
-    # by a few steps between nearby x.  An array runs the steps the float
+    # fewer steps the larger x is: 24 to 26 near x = 8, 7 at x = 50.  A float
+    # stops once a step changes h by at most about one ulp, so its count
+    # varies by a few steps between nearby x.  An array runs the steps the float
     # takes at its smallest element: the truncation error after n steps falls
     # with x, so they suffice for the larger ones.
     scalar = not isinstance(x, np.ndarray)
@@ -430,7 +459,7 @@ def _e1_of_ix(x):
         c = b + a / c
         delta = c * d
         h = h * delta
-        if scalar and abs(delta.real - 1.0) < 1e-16 and abs(delta.imag) < 1e-16:
+        if scalar and abs(delta - 1.0) <= 2.3e-16:
             break
     return (cmath.exp(-z) if scalar else np.exp(-z)) * h, i
 
@@ -464,52 +493,27 @@ def _sici_asymptotic(x):
     return 0.5 * math.pi - f * c - g * s, f * s - g * c
 
 
-def _si_ci(x):
-    # Si(x) and Ci(x) above the crossover, for a float or an array: the
-    # continued fraction below _SICI_ASYMPTOTIC_MIN, the auxiliary functions
-    # from there on.
-    if not isinstance(x, np.ndarray):
-        if x >= _SICI_ASYMPTOTIC_MIN:
-            return _sici_asymptotic(x)
-        e1 = _e1_of_ix(x)[0]
-        return e1.imag + 0.5 * math.pi, -e1.real
-    s, c = np.empty_like(x), np.empty_like(x)
-    asymptotic = x >= _SICI_ASYMPTOTIC_MIN
-    s[asymptotic], c[asymptotic] = _sici_asymptotic(x[asymptotic])
-    e1 = _e1_of_ix(x[~asymptotic])[0]
-    s[~asymptotic] = e1.imag + 0.5 * math.pi
-    c[~asymptotic] = -e1.real
-    return s, c
+def _sici_fraction(x):
+    # Si(x) and Ci(x) from E_1(ix), for a float or an array
+    e1 = _e1_of_ix(x)[0]
+    return e1.imag + 0.5 * math.pi, -e1.real
 
 
 def si(x: float | np.ndarray) -> float | np.ndarray:
     """Sine integral Si(x) = int_0^x sin(t)/t dt, x >= 0."""
-    if isinstance(x, np.ndarray):
-        x = _checked_array(x, positive=False)
-        out = np.empty_like(x)
-        series = x <= _SICI_CROSSOVER
-        out[series] = [_sici_series(v, 0) for v in x[series].tolist()]
-        out[~series] = _si_ci(x[~series])[0]
-        return out
-    x = _checked_scalar(x, positive=False)
-    if x <= _SICI_CROSSOVER:
-        return _sici_series(x, 0)
-    return _si_ci(x)[0]
+    return _branches(
+        x, False, _SICI_CROSSOVER, _SICI_ASYMPTOTIC_MIN, lambda v: _sici_series(v, 0),
+        lambda v: _sici_fraction(v)[0], lambda v: _sici_asymptotic(v)[0],
+    )
 
 
 def ci(x: float | np.ndarray) -> float | np.ndarray:
     """Cosine integral Ci(x), x > 0."""
-    if isinstance(x, np.ndarray):
-        x = _checked_array(x, positive=True)
-        out = np.empty_like(x)
-        series = x <= _SICI_CROSSOVER
-        out[series] = [_ci_series(v) for v in x[series].tolist()]
-        out[~series] = _si_ci(x[~series])[1]
-        return out
-    x = _checked_scalar(x, positive=True)
-    if x <= _SICI_CROSSOVER:
-        return _ci_series(x)
-    return _si_ci(x)[1]
+    return _branches(
+        x, True, _SICI_CROSSOVER, _SICI_ASYMPTOTIC_MIN,
+        lambda v: _EULER_GAMMA + _per_element(math.log, v) - _sici_series(v, 1),
+        lambda v: _sici_fraction(v)[1], lambda v: _sici_asymptotic(v)[1],
+    )
 
 
 def gamma_log_minus_ci(x: float | np.ndarray) -> float | np.ndarray:
@@ -518,18 +522,12 @@ def gamma_log_minus_ci(x: float | np.ndarray) -> float | np.ndarray:
     This combination is what the integral identities actually use; below the
     crossover it comes straight from the entire series x^2/4 - x^4/96 + ...
     """
-    if isinstance(x, np.ndarray):
-        x = _checked_array(x, positive=False)
-        out = np.empty_like(x)
-        series = x <= _SICI_CROSSOVER
-        out[series] = [_sici_series(v, 1) for v in x[series].tolist()]
-        xc = x[~series]
-        out[~series] = np.log(xc) + (_EULER_GAMMA - _si_ci(xc)[1])
-        return out
-    x = _checked_scalar(x, positive=False)
-    if x <= _SICI_CROSSOVER:
-        return _sici_series(x, 1)
-    return math.log(x) + (_EULER_GAMMA - _si_ci(x)[1])
+    log = np.log if isinstance(x, np.ndarray) else math.log
+    return _branches(
+        x, False, _SICI_CROSSOVER, _SICI_ASYMPTOTIC_MIN, lambda v: _sici_series(v, 1),
+        lambda v: log(v) + (_EULER_GAMMA - _sici_fraction(v)[1]),
+        lambda v: log(v) + (_EULER_GAMMA - _sici_asymptotic(v)[1]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,18 @@ def test_si_ci_absolute_accuracy(x):
     assert abs(gamma_log_minus_ci(x) - glmc_ref) <= 1e-13
 
 
+@pytest.mark.parametrize("x", [1e-8, 1e-6, 1e-5, 1e-3, 0.1])
+def test_si_glmc_series_are_relatively_accurate_at_small_x(x):
+    # The series used to stop on |term| < 1e-18 max(1, |sum|), an absolute
+    # test while the sum is below 1: gamma_log_minus_ci(1e-5) was off by
+    # 4.2e-12 relative and si(1e-6) by 5.6e-14.
+    eps = np.finfo(float).eps
+    for fn, ref in ((si, mp.si(x)), (gamma_log_minus_ci, mp.euler + mp.log(x) - mp.ci(x))):
+        ref = float(ref)
+        for v in (fn(x), fn(np.array([x]))[0]):
+            assert abs(v - ref) <= 4.0 * eps * abs(ref), (fn.__name__, x, v, ref)
+
+
 def test_si_ci_asymptotic_branch_matches_mpmath():
     # x >= 50: the auxiliary functions' asymptotic series, float and array.
     # gamma + log x - Ci is ~12 at 1e5, where one ulp is 1.8e-15; the sum
@@ -292,7 +304,7 @@ def test_continued_fraction_steps_at_a_smaller_argument_suffice():
     # An array runs every continued-fraction element for the steps the float
     # path takes at its smallest element.  That count is not monotone in x:
     # the stopping test sits at the rounding floor, so the float path waits a
-    # few steps more or fewer by chance (25 to 30 near x = 8).  What the array
+    # few steps more or fewer by chance (24 to 26 near x = 8).  What the array
     # relies on is that the truncation error after n steps falls with x: here
     # every x in [8, 50] runs the fewest steps taken anywhere in [8, x].
     grid = np.linspace(8.0, 50.0, 4201).tolist()
@@ -356,27 +368,42 @@ def test_orders_take_only_integers():
 # array arguments agree with the scalar kernels
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _j_zeros_below_8():
+    # J_n has at most two zeros below 8, and none for n >= 8
+    zeros = (mp.besseljzero(v, k) for v in range(8) for k in (1, 2))
+    return sorted(float(z) for z in zeros if z < 8)
+
+
 def _branch_grid(order=0):
     # both sides of every branch boundary (x = 8, 17, 25, 50, order^2/2 and
-    # (x/2)^2 = order + 1) plus a log-spaced sweep
+    # (x/2)^2 = order + 1), the zeros of J below 8, where an element of a J
+    # series runs more terms than the array's largest one, the smallest
+    # subnormal, 1e-300 and a log-spaced sweep
     edges = [8.0, 17.0, 25.0, 50.0, 0.5 * order * order, 2.0 * math.sqrt(order + 1.0)]
     near = [e * s for e in edges if e > 0.0 for s in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)]
-    return np.array(sorted(near + list(np.geomspace(1e-3, 3000.0, 160))))
+    extra = _j_zeros_below_8() + [5e-324, 1e-300]
+    return np.array(sorted(near + extra + list(np.geomspace(1e-3, 3000.0, 160))))
 
 
 def _assert_matches_scalar(fn, x, series=lambda xi: xi <= 8.0):
-    # exact on the power-series nodes, which run the scalar code per element
+    # exact on the power-series nodes (Y_1 is -inf at 5e-324), to rounding
+    # on the others
     values = fn(x)
     assert isinstance(values, np.ndarray) and values.shape == x.shape
     for xi, v in zip(x.ravel().tolist(), values.ravel().tolist()):
         ref = fn(xi)
         if series(xi):
             assert v == ref, (xi, v, ref)
-        assert abs(v - ref) <= 1e-14 * max(1.0, abs(ref)), (xi, v, ref)
+        else:
+            assert abs(v - ref) <= 1e-14 * max(1.0, abs(ref)), (xi, v, ref)
 
 
-@pytest.mark.parametrize("order", list(range(22)) + [60])
+@pytest.mark.parametrize("order", list(range(22)) + [60, 225])
 def test_bessel_j_array_matches_scalar(order):
+    # J_225 is below 1e-300 between 6 and 8, where the float's stop test is
+    # absolute and a term after it can still move the sum: an array element
+    # that has met that test must add no more terms
     x = np.concatenate([[0.0], _branch_grid(order)])
     _assert_matches_scalar(
         lambda v: bessel_j(order, v), x, lambda xi: xi <= 8.0 or 0.25 * xi * xi <= order + 1
