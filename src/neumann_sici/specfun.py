@@ -3,8 +3,9 @@
 Everything the identity checks reference lives here: Bessel J_n, Y_0, Y_1,
 the sine and cosine integrals, odd-index Clausen functions, zeta/eta values
 and a table of named constants.  All functions are pure; the only
-module-level state is a per-weight cache of immutable Clausen series
-coefficients, so values can be shared freely across threads.
+module-level state is a cache of immutable values (Clausen series
+coefficients per weight, J's series limit for the last 1024 orders), so
+values can be shared freely across threads.
 
 Si and Ci have three branches: the power series up to x = 8, the E_1(ix)
 continued fraction below x = 50 and the asymptotic series of their auxiliary
@@ -12,16 +13,16 @@ functions from there on.
 
 ``bessel_j``, ``bessel_y``, ``si``, ``ci`` and ``gamma_log_minus_ci`` also
 accept a float ndarray and return an array of the same shape.  Each element
-takes the branch the scalar kernel would take for it, split by mask.  Each
-branch is one routine for a float and an array, except Miller's array routine
-and the Y bridge, which maps the scalar code over its elements.  A power
-series stops a float at its own test; an array runs until every element has
-met it and adds only zeros to an element that has, so there, as on the bridge,
-an array result equals the scalar one exactly.  The other branches agree to
-rounding: an array runs the step or term count the float takes at its smallest
-element, as larger ones converge no slower.  A Python float runs plain
-``math`` code.  ``clausen_odd`` runs the same arithmetic for a float and an
-array, so they agree exactly.
+takes the branch the scalar kernel would take for it, split by mask, and each
+branch is one routine for a float and an array.  A power series stops a float
+at its own test; an array runs until every element has met it and adds only
+zeros to an element that has.  A Miller element starts at its own depth and a
+Y bridge element stops at its own last term, with zeros before and after.  On
+these branches an array result equals the scalar one exactly.  The others
+agree to rounding: an array runs the step or term count the float takes at
+its smallest element, as larger ones converge no slower.  A Python float runs
+plain ``math`` code.  ``clausen_odd`` runs the same arithmetic for a float
+and an array, so they agree exactly.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ def _branches(x, positive: bool, low_max: float, high_min: float, low, mid, high
 
 def _per_element(f, x, *args):
     # f(x, *args) for a float, and at every element of a 1-D array: the power
-    # series take log and exp from libm through it (numpy's differ in the last
-    # bit for some arguments), and the Y bridge its scalar code.
+    # series and the Y bridge take log and exp from libm through it (numpy's
+    # differ in the last bit for some arguments).
     if isinstance(x, np.ndarray):
         return np.array([f(v, *args) for v in x.tolist()], dtype=float)
     return f(x, *args)
@@ -166,113 +167,101 @@ def _j_first_term(half: float, order: int) -> float:
 
 def _bessel_j_series(order: int, x):
     # Ascending series sum_k (-1)^k (x/2)^(order+2k) / (k! (order+k)!), for a
-    # float or an array.  The test is relative: near a zero of J an element
-    # runs longer than the array's largest one.
+    # float or an array.  The test is relative, also for a subnormal sum, which
+    # runs until its terms underflow; near a zero of J an element runs longer
+    # than the array's largest one.
     array = isinstance(x, np.ndarray)
     half = 0.5 * x
     term = total = _per_element(_j_first_term, half, order) if array else _j_first_term(half, order)
     for k in range(1, 501):
         term = term * (-half * half / (k * (order + k)))
         total = total + term
-        if array:
-            if not _live(term, abs(term) >= _J_SERIES_TOL * np.maximum(abs(total), 1e-300)):
-                break
-        elif abs(term) < _J_SERIES_TOL * max(abs(total), 1e-300):
+        live = abs(term) > _J_SERIES_TOL * abs(total)  # a zero term stops at once
+        if not (_live(term, live) if array else live):
             break
     return total
 
 
-def _miller_array(nmax: int, x: float) -> list[float]:
-    # Backward (Miller) recurrence normalized by J_0 + 2 sum J_{2k} = 1.
-    # Entries are stored from the top down.  Three rescales by 1e-250 take
-    # any finite double to a signed 0, which further rescales keep, so a
-    # rescale reaches back only to entries stored since the third-last one
-    # and a pass stays linear in nmax.
-    m = nmax + int(math.ceil(1.5 * x)) + 40
-    if m % 2:
-        m += 1
-    out = [0.0] * (nmax + 1)
-    lows = [nmax + 1] * 3  # the lowest index stored at each rescale so far
-    jp, j = 0.0, 1e-30
-    even_sum = 0.0
-    for k in range(m, 0, -1):
-        jm = (2.0 * k / x) * j - jp
-        jp, j = j, jm
-        if k - 1 <= nmax:
-            out[k - 1] = j
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            even_sum += j
-        if abs(j) > 1e250:
-            j *= 1e-250
-            jp *= 1e-250
-            even_sum *= 1e-250
-            low = min(k - 1, nmax + 1)
-            out[low:lows[-3]] = [v * 1e-250 for v in out[low:lows[-3]]]
-            lows.append(low)
+def _miller(nmax, x, first: int = 0):
+    # J_first .. J_nmax at x by the backward (Miller) recurrence normalized by
+    # J_0 + 2 sum J_2k = 1 (Numerical Recipes 6.5): floats for a float, arrays
+    # for an array, whose nmax may vary by element (the list then runs to the
+    # largest).  Each element starts at its own even depth m = nmax +
+    # ceil(1.5 x) + 40 with j = 1e-30; above it its j and jp are 0, so the
+    # steps there add exact zeros and an element equals the float.  j is
+    # rescaled by 1e-250 past 1e250; an entry stored before a rescale takes it
+    # at the end, but at most three, as three take any double to a signed 0,
+    # so a pass stays linear in nmax.
+    array = isinstance(x, np.ndarray)
+    if array:
+        m = nmax + np.ceil(1.5 * x).astype(np.int64) + 40
+        size = int(np.max(nmax, initial=0)) + 1
+    else:
+        m = nmax + int(math.ceil(1.5 * x)) + 40
+        size = nmax + 1
+    m += m % 2
+    depths = sorted(set(m.tolist()), reverse=True) if array else [m]
+    j = jp = even_sum = 0.0 * x  # no step writes in place, so they may share
+    rescales = 0 * m  # so far, for each element
+    out, marks = [0.0] * (size - first), [0] * (size - first)  # and rescales before each
+    for depth, below in zip(depths, depths[1:] + [0]):
+        j = np.where(m == depth, 1e-30, j) if array else 1e-30
+        for k in range(depth, below, -1):
+            jp, j = j, (2.0 * k / x) * j - jp
+            if k <= size and k > first:
+                out[k - 1 - first], marks[k - 1 - first] = j, rescales
+            if k % 2 and k > 1:
+                even_sum = even_sum + j
+            if (abs(j).max() if array else abs(j)) > 1e250:
+                big = abs(j) > 1e250
+                f = np.where(big, 1e-250, 1.0) if array else 1e-250
+                j, jp, even_sum, rescales = j * f, jp * f, even_sum * f, rescales + big
     norm = j + 2.0 * even_sum  # j is now the unnormalized J_0
+    if marks[-1] is not rescales:  # a rescale came after the first entry
+        for i, mark in enumerate(marks):
+            for t in range(3):
+                hit = rescales - mark > t
+                out[i] = out[i] * (np.where(hit, 1e-250, 1.0) if array else 1e-250 if hit else 1.0)
     return [v / norm for v in out]
 
 
-def _miller_j_array(order: int, x: np.ndarray) -> np.ndarray:
-    # _miller_array(order, x)[order] elementwise.  Each element starts its
-    # recurrence at its own depth m; sorted by decreasing m, the elements
-    # running at step k are a prefix of the arrays.
-    m = order + np.ceil(1.5 * x).astype(np.int64) + 40
-    m += m % 2
-    perm = np.argsort(-m, kind="stable")
-    xs, neg_m = x[perm], -m[perm]
-    jp = np.zeros_like(xs)
-    j = np.full_like(xs, 1e-30)
-    even_sum = np.zeros_like(xs)
-    val = np.zeros_like(xs)
-    steps = np.arange(int(m.max(initial=0)), 0, -1)
-    running = np.searchsorted(neg_m, -steps, side="right").tolist()
-    for k, n in zip(steps.tolist(), running):
-        jm = (2.0 * k / xs[:n]) * j[:n] - jp[:n]
-        jp[:n] = j[:n]
-        j[:n] = jm
-        if k - 1 == order:
-            val[:n] = jm
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            even_sum[:n] += jm
-        big = np.abs(jm) > 1e250
-        if big.any():
-            big = np.flatnonzero(big)
-            for arr in (j, jp, even_sum, val):
-                arr[big] *= 1e-250
-    out = np.empty_like(x)
-    out[perm] = val / (j + 2.0 * even_sum)
-    return out
+@functools.lru_cache(maxsize=1024)
+def _j_series_max(order: int) -> float:
+    # The largest x at which J_order takes its power series: x <= 8; (x/2)^2
+    # <= order + 1, where the terms fall from the first, so nothing cancels;
+    # or a first term (x/2)^order / order! of 0, i.e. below e^-745.  It bounds
+    # |J| (DLMF 10.14.4), so J rounds to 0, which the series returns at once.
+    # Each test holds up to some x and fails past it.  The first term is
+    # about 1 / sqrt(2 pi order) at x = 2 order / e, so not 0 from there on.
+    last = 2.0 * math.sqrt(order + 1)
+    while 0.25 * last * last > order + 1:
+        last = math.nextafter(last, 0.0)
+    while 0.25 * (up := math.nextafter(last, math.inf)) * up <= order + 1:
+        last = up
+    last = max(last, _SICI_CROSSOVER)
+    if _j_first_term(0.5 * math.nextafter(last, math.inf), order) == 0.0:
+        lo, hi = last, 2.0 * order / math.e  # the first term is 0 at lo, not at hi
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if _j_first_term(0.5 * mid, order) == 0.0 else (lo, mid)
+        last = lo
+    return last
 
 
 def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
     """Bessel function of the first kind J_order(x) for integer order >= 0.
 
-    Small arguments (and any argument dominated by the order) go through the
-    defining power series; large arguments use the Hankel asymptotic
-    auxiliary functions; the middle range runs a backward Miller recurrence
-    normalized with J_0(x) + 2 sum_k J_2k(x) = 1.
+    Small arguments, any argument dominated by the order and any at which J
+    underflows go through the defining power series; large arguments use the
+    Hankel asymptotic auxiliary functions; the middle range runs a backward
+    Miller recurrence normalized with J_0(x) + 2 sum_k J_2k(x) = 1.
     """
     order = _integer(order, "order must be a nonnegative integer", 0)
-    if isinstance(x, np.ndarray):
-        x = _checked_array(x, positive=False)
-        out = np.empty_like(x)
-        with np.errstate(over="ignore"):  # x * x is inf above ~1.3e154, as for a float
-            series = (x <= _SICI_CROSSOVER) | (0.25 * x * x <= order + 1)
-        hankel = ~series & (x >= max(25.0, 0.5 * order * order))
-        miller = ~series & ~hankel
-        out[series] = _bessel_j_series(order, x[series])
-        out[hankel] = _hankel(order, x[hankel], True)
-        out[miller] = _miller_j_array(order, x[miller])
-        return out
-    x = _checked_scalar(x, positive=False)
-    # With (x/2)^2 <= order + 1 the series terms decrease from the start, so
-    # there is no cancellation regardless of how large the order is.
-    if x <= _SICI_CROSSOVER or 0.25 * x * x <= order + 1:
-        return _bessel_j_series(order, x)
-    if x >= max(25.0, 0.5 * order * order):
-        return _hankel(order, x, True)
-    return _miller_array(order, x)[order]
+    return _branches(
+        x, False, _j_series_max(order), max(25.0, 0.5 * order * order),
+        lambda v: _bessel_j_series(order, v),
+        lambda v: _miller(order, v, order)[0],
+        lambda v: _hankel(order, v, True),
+    )
 
 
 def bessel_j_all(nmax: int, x: float) -> list[float]:
@@ -290,7 +279,7 @@ def bessel_j_all(nmax: int, x: float) -> list[float]:
         return [_bessel_j_series(n, x) for n in range(nmax + 1)]
     if x >= max(25.0, 0.5 * nmax * nmax):
         return [bessel_j(n, x) for n in range(nmax + 1)]
-    return _miller_array(nmax, x)
+    return _miller(nmax, x)
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +326,29 @@ def _bessel_y_series(order: int, x):
     return (2.0 / math.pi) * (lg * j - 1.0 / x) - x / (2.0 * math.pi) * s
 
 
-def _bessel_y_bridge(order: int, x: float) -> float:
+def _bessel_y_bridge(order: int, x):
     # Neumann-series identities (GR 8.515.7 / 8.514.9) expressing Y_0, Y_1
-    # through J_n; accurate to machine precision for moderate x where both
-    # the ascending series and the asymptotic expansion fall short of 1e-12.
-    nmax = int(math.ceil(x)) + 30
-    j = _miller_array(2 * nmax + 1, x)
-    lg = math.log(0.5 * x) + _EULER_GAMMA
+    # through J_n, for a float or an array; accurate to machine precision for
+    # moderate x where both the ascending series and the asymptotic expansion
+    # fall short of 1e-12.  Each element sums to its own nmax = ceil(x) + 30
+    # from a Miller pass of its own depth; an array adds zeros past it, where
+    # its terms are below 1e-60, so it equals the float by construction.
+    array = isinstance(x, np.ndarray)
+    if array and not x.size:  # no Miller pass for no elements
+        return x
+    nmax = (np.ceil(x).astype(np.int64) if array else int(math.ceil(x))) + 30
+    j = _miller(2 * nmax + 1, x)
+    lg = _per_element(math.log, 0.5 * x) + _EULER_GAMMA
+    last = nmax - order  # the last n summed
+    s = 0.0
+    for n in range(1, len(j) // 2 - order):
+        if order == 0:
+            term = ((-1) ** n) * j[2 * n] / n
+        else:
+            term = ((-1) ** n) * (2 * n + 1) / (n * (n + 1.0)) * j[2 * n + 1]
+        s = s + (np.where(n <= last, term, 0.0) if array else term)
     if order == 0:
-        s = sum(((-1) ** n) * j[2 * n] / n for n in range(1, nmax + 1))
         return (2.0 / math.pi) * lg * j[0] - (4.0 / math.pi) * s
-    s = sum(
-        ((-1) ** n) * (2 * n + 1) / (n * (n + 1.0)) * j[2 * n + 1]
-        for n in range(1, nmax)
-    )
     return (2.0 / math.pi) * ((lg - 1.0) * j[1] - j[0] / x - s)
 
 
@@ -406,7 +404,7 @@ def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
     return _branches(
         x, True, _Y_SERIES_MAX, _Y_ASYMPTOTIC_MIN,
         lambda v: _bessel_y_series(order, v),
-        lambda v: _per_element(functools.partial(_bessel_y_bridge, order), v),
+        lambda v: _bessel_y_bridge(order, v),
         lambda v: _hankel(order, v, False),
     )
 

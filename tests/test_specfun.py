@@ -123,6 +123,48 @@ def test_bessel_j_all_is_linear_in_nmax():
         assert abs(v - ref) <= 1e-15 * abs(ref), (n, v, ref)
 
 
+def test_bessel_j_returns_at_once_where_it_underflows():
+    # |J_n(x)| <= (x/2)^n / n! (DLMF 10.14.4).  Where that first term is below
+    # e^-745, J rounds to 0; these calls used to run a Miller pass of
+    # n + 1.5 x + 40 steps first, 7.3 s for J_(10^7)(10^4).  In a subprocess, so
+    # that a regression fails here instead of hanging the suite.
+    code = (
+        "import numpy as np; from neumann_sici.specfun import bessel_j; "
+        "print([bessel_j(10**7, 1e4), bessel_j(10**6, 1e4), bessel_j(10**7, 7.3e6), "
+        "*bessel_j(10**7, np.array([1e4, 3.0])).tolist()])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=5
+    )
+    assert done.returncode == 0, done.stderr
+    assert ast.literal_eval(done.stdout) == [0.0] * 5
+
+
+@pytest.mark.parametrize("order", [400, 1000])
+def test_bessel_j_series_takes_exactly_the_underflowing_arguments(order):
+    # The series takes x up to the last double whose first term is 0, and a
+    # Miller pass the next one, for a float and an array alike
+    last = sf._j_series_max(order)
+    up = math.nextafter(last, math.inf)
+    assert last > 2.0 * math.sqrt(order + 1.0)
+    assert sf._j_first_term(0.5 * last, order) == 0.0 < sf._j_first_term(0.5 * up, order)
+    for xi, v in zip((last, up), bessel_j(order, np.array([last, up])).tolist()):
+        assert v == bessel_j(order, xi) == float(mp.besselj(order, xi)) == 0.0
+
+
+@pytest.mark.parametrize("order", [100, 150, 200, 225])
+def test_bessel_j_series_is_relative_below_1e300(order):
+    # The series used to stop on |term| < 1e-17 max(|sum|, 1e-300), an
+    # absolute test once |J| < 1e-300: J_225(6.706658604501104) came out
+    # 1.289418145e-315 against mpmath's 1.289391026e-315
+    x = np.concatenate([np.linspace(6.0, 8.0, 21), [6.706658604501104]])
+    for xi, v in zip(x.tolist(), bessel_j(order, x).tolist()):
+        ref = float(mp.besselj(order, xi))
+        assert _close_to_mpmath(v, ref, 2e-13), (xi, v, ref)
+        assert v == bessel_j(order, xi)
+
+
 @pytest.mark.parametrize("order", [0, 1, 3, 20])
 def test_bessel_j_subnormal_argument(order):
     # x / 2 underflows to 0, which used to reach math.log
@@ -386,14 +428,13 @@ def _branch_grid(order=0):
     return np.array(sorted(near + extra + list(np.geomspace(1e-3, 3000.0, 160))))
 
 
-def _assert_matches_scalar(fn, x, series=lambda xi: xi <= 8.0):
-    # exact on the power-series nodes (Y_1 is -inf at 5e-324), to rounding
-    # on the others
+def _assert_matches_scalar(fn, x, exact=lambda xi: xi <= 8.0):
+    # exact where exact(xi) (Y_1 is -inf at 5e-324), to rounding elsewhere
     values = fn(x)
     assert isinstance(values, np.ndarray) and values.shape == x.shape
     for xi, v in zip(x.ravel().tolist(), values.ravel().tolist()):
         ref = fn(xi)
-        if series(xi):
+        if exact(xi):
             assert v == ref, (xi, v, ref)
         else:
             assert abs(v - ref) <= 1e-14 * max(1.0, abs(ref)), (xi, v, ref)
@@ -401,18 +442,22 @@ def _assert_matches_scalar(fn, x, series=lambda xi: xi <= 8.0):
 
 @pytest.mark.parametrize("order", list(range(22)) + [60, 225])
 def test_bessel_j_array_matches_scalar(order):
-    # J_225 is below 1e-300 between 6 and 8, where the float's stop test is
-    # absolute and a term after it can still move the sum: an array element
-    # that has met that test must add no more terms
+    # Exact on the series and Miller nodes.  J_225 is below 1e-300 between 6
+    # and 8, where the series runs until its terms underflow: an array element
+    # that has met its test must add no more terms.  A Miller element starts
+    # at its own depth and adds zeros before it.
     x = np.concatenate([[0.0], _branch_grid(order)])
     _assert_matches_scalar(
-        lambda v: bessel_j(order, v), x, lambda xi: xi <= 8.0 or 0.25 * xi * xi <= order + 1
+        lambda v: bessel_j(order, v), x, lambda xi: xi < max(25.0, 0.5 * order * order)
     )
 
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_bessel_y_array_matches_scalar(order):
-    _assert_matches_scalar(lambda v: bessel_y(order, v), _branch_grid())
+    # exact on the series and bridge nodes: a bridge element sums to its own
+    # ceil(x) + 30 and adds zeros past it
+    x = np.concatenate([_branch_grid(), np.linspace(8.0, 17.0, 201)])
+    _assert_matches_scalar(lambda v: bessel_y(order, v), x, lambda xi: xi < 17.0)
 
 
 @pytest.mark.parametrize("fn", [si, gamma_log_minus_ci])
