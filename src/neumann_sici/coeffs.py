@@ -1,6 +1,6 @@
 """Exact rational Neumann coefficients for the Si and Ci expansions.
 
-All coefficient arithmetic is done in arbitrary-precision rationals
+All coefficient arithmetic is exact, in Python integers and rationals
 (``fractions.Fraction``); floats only ever appear when a caller converts a
 result at the comparison boundary.  The cross-form identities
 (closed forms vs. finite factorial sums) are exact statements and are checked
@@ -84,35 +84,41 @@ def beta_variant(n: int) -> Fraction:
 
 
 def lemma1_closed(n: int) -> Fraction:
-    """The cot-weighted sine integral in closed form: 1 - 2 sum_{k<=n} (-1)^k/(4k^2-1)."""
+    """The cot-weighted sine integral in closed form: 1 - 2 sum_{k<=n} (-1)^k/(4k^2-1).
+
+    Summed in integers over the denominator lcm(4k^2 - 1).
+    """
     n = _integer(n, "n must be a nonnegative integer", 0)
-    total = Fraction(1)
-    for k in range(1, n + 1):
-        total -= Fraction(2 * (-1) ** k, 4 * k * k - 1)
-    return total
+    den = math.lcm(*(4 * k * k - 1 for k in range(1, n + 1)))
+    num = den - 2 * sum((-1) ** k * (den // (4 * k * k - 1)) for k in range(1, n + 1))
+    return Fraction(num, den)
 
 
 def alpha_factorial_form(n: int) -> Fraction:
     """Finite factorial sum equal to alpha(n)/(2n+1).
 
-    sum_{k=0..n} (n+k)!/(n-k)! * (-4)^k / ((2k+1)(2k+1)!), the ratio of
-    factorials being math.perm(n+k, 2k).
+    sum_{k=0..n} (n+k)!/(n-k)! * (-4)^k / ((2k+1)(2k+1)!).  Its term ratio
+    t_k/t_{k-1} = a_k/b_k = -2(n+k)(n-k+1)(2k-1) / (k(2k+1)^2) and t_0 = 1
+    give it by Horner from the top in integers: N, D <- b_k D + a_k N, b_k D.
     """
     n = _integer(n, "n must be a nonnegative integer", 0)
-    return sum(
-        Fraction(math.perm(n + k, 2 * k) * (-4) ** k, (2 * k + 1) * math.factorial(2 * k + 1))
-        for k in range(n + 1)
-    )
+    num = den = 1
+    for k in range(n, 0, -1):
+        a, b = -2 * (n + k) * (n - k + 1) * (2 * k - 1), k * (2 * k + 1) ** 2
+        num, den = b * den + a * num, b * den
+    return Fraction(num, den)
 
 
 def beta_factorial_form(n: int) -> Fraction:
     """Finite factorial sum equal to beta(n)/(2n).
 
-    sum_{j=0..n-1} (n+j)!/(n-j-1)! * (-4)^j / ((j+1)(2j+2)!), the ratio of
-    factorials being math.perm(n+j, 2j+1).
+    sum_{j=0..n-1} (n+j)!/(n-j-1)! * (-4)^j / ((j+1)(2j+2)!), by Horner in
+    integers as alpha_factorial_form from t_j/t_{j-1} = -2(n+j)(n-j)j /
+    ((j+1)^2 (2j+1)) and t_0 = n/2.
     """
     n = _integer(n, "n must be a positive integer", 1)
-    return sum(
-        Fraction(math.perm(n + j, 2 * j + 1) * (-4) ** j, (j + 1) * math.factorial(2 * j + 2))
-        for j in range(n)
-    )
+    num = den = 1
+    for j in range(n - 1, 0, -1):
+        a, b = -2 * (n + j) * (n - j) * j, (j + 1) ** 2 * (2 * j + 1)
+        num, den = b * den + a * num, b * den
+    return Fraction(n * num, 2 * den)

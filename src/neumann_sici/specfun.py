@@ -84,15 +84,19 @@ _Y_ASYMPTOTIC_MIN = 17.0
 _J_SERIES_TOL = 1e-17
 _SICI_SERIES_TOL = 1e-18
 
+# Every J branch takes the order as a double, which holds each integer up to
+# 2^53; far past it float(order) and lgamma(order + 1) overflow.
+_J_MAX_ORDER = 2**53
 
-def _integer(value: int, message: str, minimum: int) -> int:
-    # An integer argument (int, numpy integer, ...) >= minimum as int; anything
-    # else, a float with an integer value included, is a domain error.
+
+def _integer(value: int, message: str, minimum: int, maximum: float = math.inf) -> int:
+    # An integer argument (int, numpy integer, ...) in [minimum, maximum] as
+    # int; anything else, a float with an integer value included, is rejected.
     try:
         value = operator.index(value)
     except TypeError:
         raise ValueError(message) from None
-    if value < minimum:
+    if not minimum <= value <= maximum:
         raise ValueError(message)
     return value
 
@@ -248,14 +252,14 @@ def _j_series_max(order: int) -> float:
 
 
 def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
-    """Bessel function of the first kind J_order(x) for integer order >= 0.
+    """Bessel function of the first kind J_order(x) for integer 0 <= order <= 2^53.
 
     Small arguments, any argument dominated by the order and any at which J
     underflows go through the defining power series; large arguments use the
     Hankel asymptotic auxiliary functions; the middle range runs a backward
     Miller recurrence normalized with J_0(x) + 2 sum_k J_2k(x) = 1.
     """
-    order = _integer(order, "order must be a nonnegative integer", 0)
+    order = _integer(order, "order must be an integer in [0, 2**53]", 0, _J_MAX_ORDER)
     return _branches(
         x, False, _j_series_max(order), max(25.0, 0.5 * order * order),
         lambda v: _bessel_j_series(order, v),
@@ -265,7 +269,7 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
 
 
 def bessel_j_all(nmax: int, x: float) -> list[float]:
-    """All of J_0(x) .. J_nmax(x), x >= 0.
+    """All of J_0(x) .. J_nmax(x), x >= 0 and nmax <= 2^53.
 
     One Miller pass in general.  Where (x/2)^2 < 2^-53 each order's series
     is its first term (the backward recurrence would overflow), and where
@@ -273,7 +277,7 @@ def bessel_j_all(nmax: int, x: float) -> list[float]:
     max(25, nmax^2/2)) the values come from there (a Miller pass would run
     about 1.5 x steps).
     """
-    nmax = _integer(nmax, "nmax must be a nonnegative integer", 0)
+    nmax = _integer(nmax, "nmax must be an integer in [0, 2**53]", 0, _J_MAX_ORDER)
     x = _checked_scalar(x, positive=False)
     if 0.25 * x * x < 2.0**-53:
         return [_bessel_j_series(n, x) for n in range(nmax + 1)]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from neumann_sici import coeffs
 from neumann_sici.coeffs import (
     alpha,
     alpha_factorial_form,
@@ -13,6 +14,29 @@ from neumann_sici.coeffs import (
     harmonic,
     lemma1_closed,
 )
+
+
+# The three finite sums term by term, one Fraction per term: the oracle for
+# the integer sums over one denominator in coeffs.
+def _lemma1_terms(n):
+    total = Fraction(1)
+    for k in range(1, n + 1):
+        total -= Fraction(2 * (-1) ** k, 4 * k * k - 1)
+    return total
+
+
+def _alpha_factorial_terms(n):
+    return sum(
+        Fraction(math.perm(n + k, 2 * k) * (-4) ** k, (2 * k + 1) * math.factorial(2 * k + 1))
+        for k in range(n + 1)
+    )
+
+
+def _beta_factorial_terms(n):
+    return sum(
+        Fraction(math.perm(n + j, 2 * j + 1) * (-4) ** j, (j + 1) * math.factorial(2 * j + 2))
+        for j in range(n)
+    )
 
 
 def test_harmonic_numbers():
@@ -85,6 +109,30 @@ def test_beta_factorial_form_small_values():
 def test_beta_factorial_form_equals_scaled_beta():
     for n in range(1, 101):
         assert beta_factorial_form(n) == beta(n) / (2 * n)
+
+
+def test_integer_sums_equal_the_term_by_term_sums():
+    # from the edges n = 0 (empty Horner and lcm loops) and, for beta, n = 1
+    for n in range(161):
+        assert lemma1_closed(n) == _lemma1_terms(n)
+        assert alpha_factorial_form(n) == _alpha_factorial_terms(n)
+        if n:
+            assert beta_factorial_form(n) == _beta_factorial_terms(n)
+
+
+def test_finite_sums_read_no_closed_form(monkeypatch):
+    # Each exact check compares a closed form with a finite sum; a sum that
+    # read the closed form or its caches would compare a value with itself
+    def unreachable(*args):
+        raise AssertionError("a finite sum read a closed form")
+
+    for name in ("alpha", "beta", "_leibniz_partial", "harmonic", "alt_harmonic"):
+        monkeypatch.setattr(coeffs, name, unreachable)
+    for n in range(21):
+        assert coeffs.lemma1_closed(n) == _lemma1_terms(n)
+        assert coeffs.alpha_factorial_form(n) == _alpha_factorial_terms(n)
+        if n:
+            assert coeffs.beta_factorial_form(n) == _beta_factorial_terms(n)
 
 
 def test_alpha_leibniz_tail_bound():

@@ -406,6 +406,20 @@ def test_orders_take_only_integers():
     assert bessel_y(np.int64(1), 2.0) == bessel_y(1, 2.0)
 
 
+def test_huge_orders_raise_a_value_error():
+    # These leaked an OverflowError from math.sqrt, math.lgamma and nmax^2 / 2
+    for order in (2**53 + 1, 2**1023, 10**400):
+        with pytest.raises(ValueError, match="order"):
+            bessel_j(order, 1.0)
+        with pytest.raises(ValueError, match="order"):
+            bessel_j(order, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="nmax"):
+            bessel_j_all(order, 1.0)
+    # up to 2^53 J underflows at these arguments, which the series returns
+    assert bessel_j(2**53, 1.0) == 0.0
+    assert bessel_j(2**53, np.array([1.0, 1e10])).tolist() == [0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # array arguments agree with the scalar kernels
 # ---------------------------------------------------------------------------
