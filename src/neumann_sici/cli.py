@@ -38,7 +38,7 @@ def _read_config(path: str) -> dict[str, list[str]]:
                         f"{path}:{lineno}: expected 'key = value', got {line!r}"
                     )
                 values.setdefault(key.strip(), []).append(value.strip())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise harness.UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -123,6 +123,8 @@ def main(argv: list[str] | None = None) -> int:
                 a_grid = [float(v) for v in a_grid_s.split(",") if v.strip()]
                 n_grid = [int(v) for v in n_grid_s.split(",") if v.strip()]
                 harness.emit_convergence_tables(a_grid, n_grid, convergence_out)
+            except harness.UsageError:  # an unwritable path
+                raise
             except ValueError as exc:
                 raise harness.UsageError(f"bad grid value: {exc}") from exc
 

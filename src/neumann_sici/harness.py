@@ -119,8 +119,18 @@ _EXPANSION_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 _TRANSFORM_GRID = (0.5, 1.0, 2.0, 5.0, 12.0, 20.0)
 
 
+def _max_n(max_n: int | None) -> int | None:
+    # None, or max_n as an int >= 0, else UsageError
+    try:
+        return None if max_n is None else specfun._integer(max_n, "", 0)
+    except ValueError:
+        raise UsageError(f"max_n must be >= 0 and an integer, got {max_n!r}") from None
+
+
 def build_registry(max_n: int | None = None) -> list[IdentityCheck]:
-    """The full check registry in canonical (deterministic) order."""
+    """The full check registry in canonical (deterministic) order; a ``max_n``
+    that is not None or an integer >= 0 raises UsageError."""
+    max_n = _max_n(max_n)
     # one (lhs, rhs) pair serves both sides of an addition_identity check
     addition = cache(neumann.addition_theorem_check)
     rows = (
@@ -273,21 +283,22 @@ def run_registry(
 
     Tolerances come from the registry, scaled by the ``NEUMANN_SICI_TOL_SCALE``
     environment variable when set, with per-id overrides taking precedence.
-    A scale that is not finite and positive, or an override that is not
-    finite, raises UsageError, and so does a negative ``max_n``.
+    A scale that is not a finite positive number, an override that is not a
+    finite real, or a ``max_n`` that is not None or an integer >= 0 raises
+    UsageError.
     """
-    if max_n is not None and max_n < 0:
-        raise UsageError(f"max_n must be >= 0, got {max_n}")
+    max_n = _max_n(max_n)
     overrides = dict(tol_overrides or {})
-    scale = 1.0
-    raw_scale = os.environ.get(TOL_SCALE_ENV)
-    if raw_scale is not None:
+    for k, v in overrides.items():
         try:
-            scale = float(raw_scale)
-        except ValueError as exc:
-            raise UsageError(f"bad {TOL_SCALE_ENV} value {raw_scale!r}") from exc
-        if not (math.isfinite(scale) and scale > 0):
-            raise UsageError(f"{TOL_SCALE_ENV} must be finite and positive")
+            overrides[k] = specfun._real(v, "")
+        except ValueError:
+            raise UsageError(f"tolerance override for {k} must be finite, got {v!r}") from None
+    raw = os.environ.get(TOL_SCALE_ENV, "1")
+    try:  # float() rejects what is not a number, _real a nonfinite or nonpositive one
+        scale = specfun._real(float(raw), "", 0.0, True)
+    except ValueError:
+        raise UsageError(f"{TOL_SCALE_ENV} must be finite and positive, got {raw!r}") from None
     registry = build_registry(max_n=max_n)
     matched = [c for c in registry if fnmatch.fnmatchcase(c.id, filter_glob)]
     if not matched:
@@ -295,9 +306,6 @@ def run_registry(
     unknown = set(overrides) - {c.id for c in registry}
     if unknown:
         raise UsageError(f"tolerance overrides for unknown ids: {sorted(unknown)}")
-    nonfinite = sorted(k for k, v in overrides.items() if not math.isfinite(v))
-    if nonfinite:
-        raise UsageError(f"tolerance overrides must be finite: {nonfinite}")
 
     def tol_for(check: IdentityCheck) -> float:
         if check.id in overrides:
@@ -327,8 +335,11 @@ def _write(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def emit_report(report: Report, format: str = "text", path: str | None = None) -> None:

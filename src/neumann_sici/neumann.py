@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import coeffs
-from .specfun import CONSTANTS, _integer, bessel_j_all, si as si_kernel
+from .specfun import CONSTANTS, _integer, _real, bessel_j_all, si as si_kernel
 
 __all__ = [
     "SeriesEval",
@@ -121,12 +121,8 @@ def _truncate(
 
 def si_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
     """Truncated Si expansion with tail bound <= tol."""
-    if not math.isfinite(a):
-        raise ValueError("a must be finite")
-    if a < 0:
-        raise ValueError("a must be nonnegative (the expansion is stated for a >= 0)")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
+    a = _real(a, "a must be finite and nonnegative (the expansion is stated for a >= 0)", 0.0)
+    tol = _real(tol, "tol must be finite and positive", 0.0, strict=True)
     if a == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
     return _truncate(a, tol, 0.0, 0, 1, _si_coeff, _si_bound)
@@ -134,12 +130,8 @@ def si_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
 
 def ci_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
     """Truncated Ci expansion with tail bound <= tol."""
-    if not math.isfinite(a):
-        raise ValueError("a must be finite")
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
+    a = _real(a, "a must be finite and positive", 0.0, strict=True)
+    tol = _real(tol, "tol must be finite and positive", 0.0, strict=True)
     return _truncate(
         a, tol, CONSTANTS.euler_gamma + math.log(a), 1, 0,
         lambda n: -2.0 * _beta(n), lambda n: 2.0 * _beta_coeff_bound(n),
@@ -148,9 +140,7 @@ def ci_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
 
 def corollary5_series(a: float) -> SeriesEval:
     """sum_{n>=1} (-1)^n J_{2n}(a) beta_n / n (even in a), with tail bound <= 1e-10."""
-    if not math.isfinite(a):
-        raise ValueError("a must be finite")
-    a = abs(a)
+    a = abs(_real(a, "a must be finite"))
     if a == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
     return _truncate(
@@ -166,9 +156,8 @@ def addition_theorem_check(a: float, t: float) -> tuple[float, float]:
 
     with the right side cut after 40 terms.
     """
-    if not (math.isfinite(a) and math.isfinite(t)):
-        raise ValueError("a and t must be finite")
-    a, t = abs(a), abs(t)  # even orders only: both sides are even in a and t
+    # even orders only: both sides are even in a and t
+    a, t = abs(_real(a, "a must be finite")), abs(_real(t, "t must be finite"))
     ja = bessel_j_all(80, a)
     jt = bessel_j_all(80, t)
     # same Miller path for all three J_0 evaluations keeps the trivial
@@ -186,11 +175,9 @@ def convergence_table(
     most 400, the expansions' term cap."""
     if not a_grid or not n_grid:
         raise ValueError("grids must be nonempty")
-    if not all(math.isfinite(a) and a >= 0 for a in a_grid):
-        raise ValueError("a_grid values must be finite and nonnegative")
-    n_grid = sorted(_integer(n, "n_grid values must be nonnegative integers", 0) for n in n_grid)
-    if n_grid[-1] > _MAX_TERMS:
-        raise ValueError(f"n_grid values must be at most {_MAX_TERMS}, the expansions' term cap")
+    a_grid = [_real(a, "a_grid values must be finite and nonnegative", 0.0) for a in a_grid]
+    message = f"n_grid values must be integers from 0 to {_MAX_TERMS}, the expansions' term cap"
+    n_grid = sorted(_integer(n, message, 0, _MAX_TERMS) for n in n_grid)
     rows = []
     for a in sorted(a_grid):
         ref = si_kernel(a)

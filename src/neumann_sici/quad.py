@@ -247,21 +247,18 @@ def integrate_finite(
     """Adaptive Gauss-Kronrod integration of f over [a, b] to absolute tol.
 
     The refinement starts from ``pieces`` equal panels.  ``a`` and ``b`` must
-    be finite with a < b, ``tol`` finite and positive, and ``pieces`` an
-    integer from 1 to ``_MAX_SUBDIVISIONS``, else ValueError before any
-    integrand call.  The returned estimate exceeds tol only when every
-    panel's estimate sits at its roundoff floor, which bisection cannot lower.
+    be finite with a < b and a finite width b - a, ``tol`` finite and
+    positive, and ``pieces`` an integer from 1 to ``_MAX_SUBDIVISIONS``,
+    else ValueError before any integrand call.  The returned estimate
+    exceeds tol only when every panel's estimate sits at its roundoff floor,
+    which bisection cannot lower.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("a and b must be finite")
-    if not a < b:
-        raise ValueError("requires a < b")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
+    a, b = specfun._real(a, "a must be finite"), specfun._real(b, "b must be finite")
+    if not 0.0 < b - a < math.inf:
+        raise ValueError(f"requires a < b and a finite width b - a, got [{a}, {b}]")
+    tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
     message = f"pieces must be an integer from 1 to {_MAX_SUBDIVISIONS}"
-    pieces = specfun._integer(pieces, message, 1)
-    if pieces > _MAX_SUBDIVISIONS:
-        raise ValueError(message)
+    pieces = specfun._integer(pieces, message, 1, _MAX_SUBDIVISIONS)
     values, errors, panels = _integrate_intervals(
         f, np.array([a], dtype=float), np.array([b], dtype=float), np.array([pieces]), tol
     )
@@ -312,10 +309,8 @@ def oscillatory_semiinf(
     and cap 400 + 40 s, and a floor at or above the cap raises
     QuadratureError at once.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
-    if not (math.isfinite(scale) and scale >= 0):
-        raise ValueError("scale must be finite and nonnegative")
+    tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
+    scale = specfun._real(scale, "scale must be finite and nonnegative", 0.0)
     checkpoint, cap = _partition_limits(scale)
     seg_tol = max(tol * 2e-4, 5e-15)
     parts: list[float] = []
@@ -400,19 +395,13 @@ def lemma3_integral(n: int) -> QuadResult:
 
 def si_transform_integral(a: float) -> QuadResult:
     """int_0^{pi/2} sin(a sin t) cot(t) dt = Si(a)."""
-    if not math.isfinite(a):
-        raise ValueError("a must be finite")
-    if a < 0:
-        raise ValueError("a must be nonnegative")
+    a = specfun._real(a, "a must be finite and nonnegative", 0.0)
     return _cot_integral(lambda t: np.sin(a * np.sin(t)), 1e-12)
 
 
 def ci_transform_integral(a: float) -> QuadResult:
     """int_0^{pi/2} [1 - cos(a sin t)] cot(t) dt = gamma + log(a) - Ci(a)."""
-    if not math.isfinite(a):
-        raise ValueError("a must be finite")
-    if a <= 0:
-        raise ValueError("a must be positive")
+    a = specfun._real(a, "a must be finite and positive", 0.0, strict=True)
     return _cot_integral(lambda t: 1.0 - np.cos(a * np.sin(t)), 1e-12)
 
 
@@ -521,9 +510,7 @@ def corollary5_rhs(a: float) -> QuadResult:
     a ~ 62 on the floor reaches the cap, and QuadratureError is raised
     without integrating.
     """
-    if not math.isfinite(a):
-        raise ValueError("a must be finite")
-    a = abs(a)
+    a = abs(specfun._real(a, "a must be finite"))
     _partition_limits(a)  # raise before counting edges, which spins at huge a
     # edges (k + 1/4) pi <= a have no real counterpart in t
     skipped = 0

@@ -84,6 +84,10 @@ _Y_ASYMPTOTIC_MIN = 17.0
 _J_SERIES_TOL = 1e-17
 _SICI_SERIES_TOL = 1e-18
 
+# A Miller pass runs nmax + 1.5 x + 40 steps or so, about 0.26 us each for a
+# float; it raises ValueError where nmax + 1.5 x exceeds this (about 1 s).
+_MILLER_MAX_STEPS = 4_000_000
+
 # Every J branch takes the order as a double, which holds each integer up to
 # 2^53; far past it float(order) and lgamma(order + 1) overflow.
 _J_MAX_ORDER = 2**53
@@ -101,36 +105,43 @@ def _integer(value: int, message: str, minimum: int, maximum: float = math.inf) 
     return value
 
 
-def _checked_scalar(x: float, positive: bool) -> float:
-    # The domain of the kernels: x finite, and positive or nonnegative.
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    if positive and x <= 0:
-        raise ValueError("x must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return x
+def _real(value: float, message: str, minimum: float = -math.inf, strict: bool = False) -> float:
+    # A finite real argument (int, float, numpy real scalar, Fraction, ...) at
+    # or above minimum (above it if strict) as float.  A str, None, list,
+    # complex, nan, +-inf or an int past the double range is rejected, as is
+    # a numpy complex or 0-d array, which math.isfinite would cast.
+    if type(value) is not float:
+        if isinstance(value, (complex, np.complexfloating, np.ndarray)):
+            raise ValueError(message)
+        try:
+            value = float(value) if math.isfinite(value) else math.nan
+        except (TypeError, OverflowError):
+            raise ValueError(message) from None
+    if math.isfinite(value) and (value > minimum or value == minimum and not strict):
+        return value
+    raise ValueError(message)
 
 
-def _checked_array(x: np.ndarray, positive: bool) -> np.ndarray:
-    # _checked_scalar for every element.
+def _checked_array(
+    x: np.ndarray, message: str, minimum: float = -math.inf, strict: bool = False
+) -> np.ndarray:
+    # _real for every element of an array of a real dtype, as a float array
+    if x.dtype.kind not in "biuf":  # complex, object, str, ...
+        raise ValueError(message)
     x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
-    if positive and (x <= 0.0).any():
-        raise ValueError("x must be positive")
-    if (x < 0.0).any():
-        raise ValueError("x must be nonnegative")
+    if not (np.isfinite(x).all() and (x > minimum if strict else x >= minimum).all()):
+        raise ValueError(message)
     return x
 
 
 def _branches(x, positive: bool, low_max: float, high_min: float, low, mid, high):
     # low(x) for x <= low_max, high(x) for x >= high_min and mid(x) between,
     # for a float, or for an array split by masks
+    message = "x must be finite and positive" if positive else "x must be finite and nonnegative"
     if not isinstance(x, np.ndarray):
-        x = _checked_scalar(x, positive)
+        x = _real(x, message, 0.0, positive)
         return low(x) if x <= low_max else mid(x) if x < high_min else high(x)
-    x = _checked_array(x, positive)
+    x = _checked_array(x, message, 0.0, positive)
     out = np.empty_like(x)
     lo, hi = x <= low_max, x >= high_min
     between = ~lo & ~hi
@@ -197,6 +208,9 @@ def _miller(nmax, x, first: int = 0):
     # at the end, but at most three, as three take any double to a signed 0,
     # so a pass stays linear in nmax.
     array = isinstance(x, np.ndarray)
+    steps = nmax + 1.5 * x
+    if (steps.max(initial=0.0) if array else steps) > _MILLER_MAX_STEPS:
+        raise ValueError(f"nmax + 1.5 x exceeds specfun._MILLER_MAX_STEPS = {_MILLER_MAX_STEPS}")
     if array:
         m = nmax + np.ceil(1.5 * x).astype(np.int64) + 40
         size = int(np.max(nmax, initial=0)) + 1
@@ -278,7 +292,7 @@ def bessel_j_all(nmax: int, x: float) -> list[float]:
     about 1.5 x steps).
     """
     nmax = _integer(nmax, "nmax must be an integer in [0, 2**53]", 0, _J_MAX_ORDER)
-    x = _checked_scalar(x, positive=False)
+    x = _real(x, "x must be finite and nonnegative", 0.0)
     if 0.25 * x * x < 2.0**-53:
         return [_bessel_j_series(n, x) for n in range(nmax + 1)]
     if x >= max(25.0, 0.5 * nmax * nmax):
@@ -402,9 +416,7 @@ def _hankel(order: int, x, first_kind: bool):
 
 def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
     """Bessel function of the second kind Y_0(x) or Y_1(x), x > 0."""
-    order = _integer(order, "order must be 0 or 1", 0)
-    if order > 1:
-        raise ValueError("order must be 0 or 1")
+    order = _integer(order, "order must be 0 or 1", 0, 1)
     return _branches(
         x, True, _Y_SERIES_MAX, _Y_ASYMPTOTIC_MIN,
         lambda v: _bessel_y_series(order, v),
@@ -585,8 +597,8 @@ def clausen_odd(weight: int, theta: float | np.ndarray) -> float | np.ndarray:
     weight = _integer(weight, "weight must be an odd integer >= 3", 3)
     if weight % 2 == 0:
         raise ValueError("weight must be an odd integer >= 3")
-    if not np.isfinite(theta).all():
-        raise ValueError("theta must be finite")
+    check = _checked_array if isinstance(theta, np.ndarray) else _real
+    theta = check(theta, "theta must be finite")
     p, h, q = _clausen_coefficients(weight)
     # Cl is even and 2 pi-periodic; both steps are exact in floating point
     r = abs(theta) % _TWO_PI

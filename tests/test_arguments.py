@@ -1,0 +1,112 @@
+"""Every public real argument takes a finite real and rejects anything else.
+
+A finite int, float, numpy real scalar or Fraction gives the float's result.
+A str, None, list, complex, nan or +-inf raises ValueError (UsageError in the
+harness), never an internal TypeError, and a kernel rejects an array of a
+complex or object dtype instead of casting it.
+"""
+
+import json
+import math
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from neumann_sici import harness, neumann, quad, specfun
+
+_BAD = ("1", None, [1.0], 1 + 0j, 1 + 1j, np.complex128(1.0), math.nan, math.inf, -math.inf)
+_GOOD = (2, np.float32(1.5), Fraction(3, 2), np.int64(2))
+
+
+def _sin_over_t(t):
+    return np.sin(t) / t
+
+
+def _period_edge(m):
+    return m * math.pi
+
+
+# one call per public real argument, taking the argument's value v
+_REAL_ARGUMENTS = {
+    "bessel_j": lambda v: specfun.bessel_j(3, v),
+    "bessel_j_all": lambda v: specfun.bessel_j_all(3, v),
+    "bessel_y": lambda v: specfun.bessel_y(1, v),
+    "si": specfun.si,
+    "ci": specfun.ci,
+    "gamma_log_minus_ci": specfun.gamma_log_minus_ci,
+    "clausen_odd": lambda v: specfun.clausen_odd(3, v),
+    "si_neumann.a": neumann.si_neumann,
+    "si_neumann.tol": lambda v: neumann.si_neumann(1.0, v),
+    "ci_neumann.a": neumann.ci_neumann,
+    "ci_neumann.tol": lambda v: neumann.ci_neumann(1.0, v),
+    "corollary5_series": neumann.corollary5_series,
+    "addition_theorem_check.a": lambda v: neumann.addition_theorem_check(v, 1.0),
+    "addition_theorem_check.t": lambda v: neumann.addition_theorem_check(1.0, v),
+    "convergence_table": lambda v: neumann.convergence_table([v], [2]),
+    "integrate_finite.a": lambda v: quad.integrate_finite(np.cos, v, 3.0),
+    "integrate_finite.b": lambda v: quad.integrate_finite(np.cos, 0.0, v),
+    "integrate_finite.tol": lambda v: quad.integrate_finite(np.cos, 0.0, 1.0, v),
+    "oscillatory_semiinf.tol": lambda v: quad.oscillatory_semiinf(_sin_over_t, _period_edge, v),
+    "oscillatory_semiinf.scale": lambda v: quad.oscillatory_semiinf(
+        _sin_over_t, _period_edge, 1e-6, scale=v),
+    "si_transform_integral": quad.si_transform_integral,
+    "ci_transform_integral": quad.ci_transform_integral,
+    "corollary5_rhs": quad.corollary5_rhs,
+}
+
+
+@pytest.mark.parametrize("name", _REAL_ARGUMENTS)
+def test_real_arguments_reject_what_is_not_a_finite_real(name):
+    # a str, None or list leaked math.isfinite's TypeError, a numpy complex
+    # was cast with a ComplexWarning, and clausen_odd(3, 1+1j) returned
+    # Cl_3(sqrt 2)
+    call = _REAL_ARGUMENTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in _BAD:
+            with pytest.raises(ValueError, match="must be finite|requires a < b"):
+                call(bad)
+
+
+@pytest.mark.parametrize("name", _REAL_ARGUMENTS)
+def test_real_arguments_take_any_finite_real_as_its_float(name):
+    call = _REAL_ARGUMENTS[name]
+    for good in _GOOD:
+        assert call(good) == call(float(good)), good
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [lambda x: specfun.bessel_j(3, x), lambda x: specfun.bessel_y(0, x), specfun.si,
+     specfun.ci, specfun.gamma_log_minus_ci, lambda x: specfun.clausen_odd(3, x)],
+)
+def test_kernels_reject_complex_and_object_arrays(kernel):
+    # bessel_j(1, np.array([1+1j])) returned J_1(1) with only a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.array([1.0 + 1j]), np.array([1.0 + 0j]), np.array([1.0], dtype=object),
+                    np.array(["1"]), np.array(1.0 + 0j)):
+            with pytest.raises(ValueError, match="must be finite"):
+                kernel(bad)
+    x = np.array([1.0, 2.0, 30.0])
+    assert kernel(x.astype(int)).tolist() == kernel(x).tolist()
+
+
+def test_harness_overrides_and_max_n_raise_usage_errors():
+    # an override of "1" and a max_n of 1.5 leaked a TypeError
+    check = "coeffs.lemma1_alpha.n=0"
+    for bad in _BAD:
+        with pytest.raises(harness.UsageError, match="tolerance override"):
+            harness.run_registry(check, {check: bad})
+    for bad in ("1", 1.5, 2.0, -1, [1], 1 + 0j, math.nan):
+        with pytest.raises(harness.UsageError, match="max_n must be >= 0"):
+            harness.run_registry(check, max_n=bad)
+        with pytest.raises(harness.UsageError, match="max_n must be >= 0"):
+            harness.build_registry(max_n=bad)
+    for good in _GOOD:
+        report = harness.run_registry(check, {check: good}, max_n=np.int64(0))
+        assert report.checks[0].tolerance == float(good)
+        # the report holds the int and the float, so it serializes
+        assert json.loads(json.dumps(report.to_dict()))["options"]["max_n"] == 0

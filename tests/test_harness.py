@@ -406,3 +406,23 @@ def test_cli_bad_convergence_grid_exits_two(tmp_path, capsys, grid):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "grid" in err
+
+
+def test_cli_unreadable_config_exits_two(tmp_path, capsys):
+    # a config file that is not UTF-8 escaped as a UnicodeDecodeError traceback
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"check = caf\xe9\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "r.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(cfg) in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--convergence-out"])
+def test_cli_unwritable_output_exits_two(tmp_path, capsys, flag):
+    # an unwritable path escaped as a FileNotFoundError traceback, exit 1
+    path = str(tmp_path / "missing" / "r.txt")
+    # a second --out replaces the first
+    args = ["--check", "coeffs.beta_forms.n=1", "--out", str(tmp_path / "r.txt"), flag, path]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"cannot write {path}" in err

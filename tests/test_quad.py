@@ -183,6 +183,20 @@ def test_integrate_finite_rejects_nonfinite_input_before_any_call(a, b, tol):
     assert calls == []
 
 
+def test_integrate_finite_rejects_an_overflowing_width_before_any_call():
+    # b - a = inf used to run the rule on nan nodes: two RuntimeWarnings, then
+    # QuadratureError "... on [nan, 1e+308]"
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return np.cos(t)
+
+    with pytest.raises(ValueError, match="finite width"):
+        integrate_finite(f, -1e308, 1e308)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # cot-weighted integrals vs exact coefficients
 # ---------------------------------------------------------------------------

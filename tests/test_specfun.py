@@ -141,6 +141,34 @@ def test_bessel_j_returns_at_once_where_it_underflows():
     assert ast.literal_eval(done.stdout) == [0.0] * 5
 
 
+def test_miller_pass_is_bounded():
+    # A Miller pass runs order + 1.5 x + 40 steps: bessel_j(10**7, 1e10) ran
+    # for about an hour.  Past sf._MILLER_MAX_STEPS it raises at once, for a
+    # float and an array, and bessel_j_all before it allocates a list.  The
+    # calls below the bound take about 0.4, 0.3 and 0.15 s.  In a subprocess,
+    # so that a regression fails here instead of hanging the suite.
+    code = (
+        "import numpy as np; from neumann_sici.specfun import bessel_j, bessel_j_all\n"
+        "for call in ('bessel_j(10**7, 1e10)', 'bessel_j(10**7, np.array([1e10]))',\n"
+        "             'bessel_j_all(10**8, 1.0)'):\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "    except ValueError as exc:\n"
+        "        assert '_MILLER_MAX_STEPS' in str(exc), exc\n"
+        "    else:\n"
+        "        raise AssertionError(call)\n"
+        "print([bessel_j(10**6, 7.4e5), bessel_j(10**5, 1e6), len(bessel_j_all(200000, 2.0))])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert done.returncode == 0, done.stderr
+    zero, value, count = ast.literal_eval(done.stdout)
+    assert zero == 0.0 and 0.0 < abs(value) < 1e-3  # the amplitude is about 8e-4
+    assert count == 200001
+
+
 @pytest.mark.parametrize("order", [400, 1000])
 def test_bessel_j_series_takes_exactly_the_underflowing_arguments(order):
     # The series takes x up to the last double whose first term is 0, and a
