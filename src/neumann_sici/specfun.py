@@ -9,7 +9,9 @@ values can be shared freely across threads.
 
 Si and Ci have three branches: the power series up to x = 8, the E_1(ix)
 continued fraction below x = 50 and the asymptotic series of their auxiliary
-functions from there on.
+functions from there on.  J_n has four: the power series, the backward
+(Miller) recurrence below x = max(25, n), the upward one from the Hankel J_0
+and J_1 below max(25, n^2/2) and the Hankel expansion from there on.
 
 ``bessel_j``, ``bessel_y``, ``si``, ``ci`` and ``gamma_log_minus_ci`` also
 accept a float ndarray and return an array of the same shape.  Each element
@@ -18,15 +20,16 @@ branch is one routine for a float and an array.  A power series stops a float
 at its own test; an array runs until every element has met it and adds only
 zeros to an element that has.  A Miller element starts at its own depth and a
 Y bridge element stops at its own last term, with zeros before and after.  On
-these branches an array result equals the scalar one exactly.  The others
-agree to rounding: an array runs the step or term count the float takes at
-its smallest element, as larger ones converge no slower.  A Python float runs
-plain ``math`` code.  ``clausen_odd`` runs the same arithmetic for a float
-and an array, so they agree exactly.
+these branches an array result equals the scalar one exactly.  The others,
+J's upward recurrence included, agree to rounding: an array runs the step or
+term count the float takes at its smallest element, as larger ones converge
+no slower.  A Python float runs plain ``math`` code.  ``clausen_odd`` runs
+the same arithmetic for a float and an array, so they agree exactly.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import itertools
@@ -85,7 +88,8 @@ _J_SERIES_TOL = 1e-17
 _SICI_SERIES_TOL = 1e-18
 
 # A Miller pass runs nmax + 1.5 x + 40 steps or so, about 0.26 us each for a
-# float; it raises ValueError where nmax + 1.5 x exceeds this (about 1 s).
+# float, and the upward recurrence nmax steps; each raises ValueError where
+# its count (nmax + 1.5 x, or nmax) exceeds this (about 1 s).
 _MILLER_MAX_STEPS = 4_000_000
 
 # Every J branch takes the order as a double, which holds each integer up to
@@ -134,21 +138,22 @@ def _checked_array(
     return x
 
 
-def _branches(x, positive: bool, low_max: float, high_min: float, low, mid, high):
-    # low(x) for x <= low_max, high(x) for x >= high_min and mid(x) between,
-    # for a float, or for an array split by masks
+def _branches(x, positive: bool, edges, *routines):
+    # routines[0] for x <= edges[0], routines[i] for edges[i-1] <= x < edges[i]
+    # past it (the last from edges[-1] on, none between equal edges), for a
+    # float, or for an array split by masks that runs none on no elements
     message = "x must be finite and positive" if positive else "x must be finite and nonnegative"
     if not isinstance(x, np.ndarray):
         x = _real(x, message, 0.0, positive)
-        return low(x) if x <= low_max else mid(x) if x < high_min else high(x)
+        return routines[0 if x <= edges[0] else bisect.bisect_right(edges, x)](x)
     x = _checked_array(x, message, 0.0, positive)
     out = np.empty_like(x)
-    lo, hi = x <= low_max, x >= high_min
-    between = ~lo & ~hi
-    with np.errstate(over="ignore"):  # Y_1's 1 / x at a subnormal x, as for a float
-        out[lo] = low(x[lo])
-    out[between] = mid(x[between])
-    out[hi] = high(x[hi])
+    band = np.where(x <= edges[0], 0, np.searchsorted(edges, x, side="right"))
+    for i, routine in enumerate(routines):
+        if (mask := band == i).any():
+            # Y_1's 1 / x overflows at a subnormal x, as for a float
+            with np.errstate(over="ignore" if i == 0 else None):
+                out[mask] = routine(x[mask])
     return out
 
 
@@ -243,6 +248,21 @@ def _miller(nmax, x, first: int = 0):
     return [v / norm for v in out]
 
 
+def _upward(nmax, x, first: int = 0):
+    # J_first .. J_nmax at x >= max(25, nmax), floats for a float and arrays for
+    # an array, by J_k+1 = (2k / x) J_k - J_k-1 from the Hankel J_0 and J_1:
+    # stable while k < x (Numerical Recipes 6.5 bessj; A&S 9.1.27)
+    if nmax > _MILLER_MAX_STEPS:
+        raise ValueError(f"order exceeds specfun._MILLER_MAX_STEPS = {_MILLER_MAX_STEPS}")
+    jp, j = _hankel(0, x, True), _hankel(1, x, True)
+    out = [jp, j][first:nmax + 1]
+    for k in range(1, nmax):
+        jp, j = j, (2.0 * k / x) * j - jp
+        if k >= first - 1:
+            out.append(j)
+    return out
+
+
 @functools.lru_cache(maxsize=1024)
 def _j_series_max(order: int) -> float:
     # The largest x at which J_order takes its power series: x <= 8; (x/2)^2
@@ -269,35 +289,36 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
     """Bessel function of the first kind J_order(x) for integer 0 <= order <= 2^53.
 
     Small arguments, any argument dominated by the order and any at which J
-    underflows go through the defining power series; large arguments use the
-    Hankel asymptotic auxiliary functions; the middle range runs a backward
-    Miller recurrence normalized with J_0(x) + 2 sum_k J_2k(x) = 1.
+    underflows go through the defining power series; arguments from
+    max(25, order^2/2) on use the Hankel asymptotic auxiliary functions.  In
+    between, x < max(25, order) runs a backward Miller recurrence normalized
+    with J_0(x) + 2 sum_k J_2k(x) = 1, and x >= max(25, order) the upward
+    recurrence from the Hankel J_0(x) and J_1(x), order steps whatever x.
     """
     order = _integer(order, "order must be an integer in [0, 2**53]", 0, _J_MAX_ORDER)
     return _branches(
-        x, False, _j_series_max(order), max(25.0, 0.5 * order * order),
+        x, False, (_j_series_max(order), max(25.0, order), max(25.0, 0.5 * order * order)),
         lambda v: _bessel_j_series(order, v),
         lambda v: _miller(order, v, order)[0],
+        lambda v: _upward(order, v, order)[0],
         lambda v: _hankel(order, v, True),
     )
 
 
 def bessel_j_all(nmax: int, x: float) -> list[float]:
-    """All of J_0(x) .. J_nmax(x), x >= 0 and nmax <= 2^53.
+    """All of J_0(x) .. J_nmax(x), x >= 0 and nmax <= _MILLER_MAX_STEPS.
 
-    One Miller pass in general.  Where (x/2)^2 < 2^-53 each order's series
-    is its first term (the backward recurrence would overflow), and where
-    bessel_j takes every order n <= nmax from its Hankel expansion (x >=
-    max(25, nmax^2/2)) the values come from there (a Miller pass would run
-    about 1.5 x steps).
+    One Miller pass below x = max(25, nmax), and one upward recurrence from
+    the Hankel J_0(x) and J_1(x) from there on (nmax steps, where a Miller
+    pass would run about 1.5 x).  Where (x/2)^2 < 2^-53 each order's series
+    is its first term (the backward recurrence would overflow).
     """
-    nmax = _integer(nmax, "nmax must be an integer in [0, 2**53]", 0, _J_MAX_ORDER)
+    message = f"nmax must be an integer in [0, specfun._MILLER_MAX_STEPS = {_MILLER_MAX_STEPS}]"
+    nmax = _integer(nmax, message, 0, _MILLER_MAX_STEPS)
     x = _real(x, "x must be finite and nonnegative", 0.0)
     if 0.25 * x * x < 2.0**-53:
         return [_bessel_j_series(n, x) for n in range(nmax + 1)]
-    if x >= max(25.0, 0.5 * nmax * nmax):
-        return [bessel_j(n, x) for n in range(nmax + 1)]
-    return _miller(nmax, x)
+    return (_upward if x >= max(25.0, nmax) else _miller)(nmax, x)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +373,6 @@ def _bessel_y_bridge(order: int, x):
     # from a Miller pass of its own depth; an array adds zeros past it, where
     # its terms are below 1e-60, so it equals the float by construction.
     array = isinstance(x, np.ndarray)
-    if array and not x.size:  # no Miller pass for no elements
-        return x
     nmax = (np.ceil(x).astype(np.int64) if array else int(math.ceil(x))) + 30
     j = _miller(2 * nmax + 1, x)
     lg = _per_element(math.log, 0.5 * x) + _EULER_GAMMA
@@ -418,7 +437,7 @@ def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
     """Bessel function of the second kind Y_0(x) or Y_1(x), x > 0."""
     order = _integer(order, "order must be 0 or 1", 0, 1)
     return _branches(
-        x, True, _Y_SERIES_MAX, _Y_ASYMPTOTIC_MIN,
+        x, True, (_Y_SERIES_MAX, _Y_ASYMPTOTIC_MIN),
         lambda v: _bessel_y_series(order, v),
         lambda v: _bessel_y_bridge(order, v),
         lambda v: _hankel(order, v, False),
@@ -459,7 +478,7 @@ def _e1_of_ix(x):
     if scalar:
         limit = 299
     else:
-        limit = _e1_of_ix(float(x.min()))[1] if x.size else 0
+        limit = _e1_of_ix(float(x.min()))[1]
     z = x * 1j
     b = z + 1.0
     c = 1e308
@@ -516,7 +535,7 @@ def _sici_fraction(x):
 def si(x: float | np.ndarray) -> float | np.ndarray:
     """Sine integral Si(x) = int_0^x sin(t)/t dt, x >= 0."""
     return _branches(
-        x, False, _SICI_CROSSOVER, _SICI_ASYMPTOTIC_MIN, lambda v: _sici_series(v, 0),
+        x, False, (_SICI_CROSSOVER, _SICI_ASYMPTOTIC_MIN), lambda v: _sici_series(v, 0),
         lambda v: _sici_fraction(v)[0], lambda v: _sici_asymptotic(v)[0],
     )
 
@@ -524,7 +543,7 @@ def si(x: float | np.ndarray) -> float | np.ndarray:
 def ci(x: float | np.ndarray) -> float | np.ndarray:
     """Cosine integral Ci(x), x > 0."""
     return _branches(
-        x, True, _SICI_CROSSOVER, _SICI_ASYMPTOTIC_MIN,
+        x, True, (_SICI_CROSSOVER, _SICI_ASYMPTOTIC_MIN),
         lambda v: _EULER_GAMMA + _per_element(math.log, v) - _sici_series(v, 1),
         lambda v: _sici_fraction(v)[1], lambda v: _sici_asymptotic(v)[1],
     )
@@ -538,7 +557,7 @@ def gamma_log_minus_ci(x: float | np.ndarray) -> float | np.ndarray:
     """
     log = np.log if isinstance(x, np.ndarray) else math.log
     return _branches(
-        x, False, _SICI_CROSSOVER, _SICI_ASYMPTOTIC_MIN, lambda v: _sici_series(v, 1),
+        x, False, (_SICI_CROSSOVER, _SICI_ASYMPTOTIC_MIN), lambda v: _sici_series(v, 1),
         lambda v: log(v) + (_EULER_GAMMA - _sici_fraction(v)[1]),
         lambda v: log(v) + (_EULER_GAMMA - _sici_asymptotic(v)[1]),
     )

@@ -169,6 +169,72 @@ def test_miller_pass_is_bounded():
     assert count == 200001
 
 
+def test_bessel_j_all_bounds_nmax_on_every_branch():
+    # The tiny-x series and the large-x branch used to build nmax + 1 entries
+    # for any nmax up to 2^53; past sf._MILLER_MAX_STEPS they raise before
+    # they allocate.  In a subprocess, so that a regression fails here
+    # instead of filling the memory.
+    code = (
+        "from neumann_sici.specfun import bessel_j_all\n"
+        "for x in (1e-10, 1.0, 1e12):\n"
+        "    try:\n"
+        "        bessel_j_all(10**8, x)\n"
+        "    except ValueError as exc:\n"
+        "        assert '_MILLER_MAX_STEPS' in str(exc), exc\n"
+        "    else:\n"
+        "        raise AssertionError(x)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_huge_orders_run_the_upward_recurrence():
+    # Above max(25, order) J_order comes from order upward steps, however
+    # large x is: a Miller pass for J_(10^6)(1e9) would run 1.5e9 steps, and
+    # bessel_j_all(10**5, 1e12) took 7 s as 10^5 Hankel calls.  mpmath gives
+    # no reference at these orders, so J_(10^6) is held to its amplitude
+    # sqrt(2 / (pi x)); J_n(1e12) for n <= 10^5 is bessel_j's Hankel value.
+    code = (
+        "import time; from neumann_sici.specfun import bessel_j, bessel_j_all\n"
+        "start = time.perf_counter(); j = bessel_j_all(10**5, 1e12)\n"
+        "print([bessel_j(10**6, 1e9), time.perf_counter() - start, j[:4], j[::997], j[-1]])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert done.returncode == 0, done.stderr
+    value, seconds, first, sampled, last = ast.literal_eval(done.stdout)
+    assert math.isfinite(value) and abs(value) <= 1.01 * math.sqrt(2.0 / math.pi / 1e9)
+    assert seconds < 1.0
+    amp = math.sqrt(2.0 / math.pi / 1e12)
+    for n, v in enumerate(first):
+        assert abs(v - float(mp.besselj(n, 1e12))) <= 1e-15 * amp, (n, v)
+    for n, v in [*zip(range(0, 10**5 + 1, 997), sampled), (10**5, last)]:
+        assert abs(v - bessel_j(n, 1e12)) <= 1e-13 * amp, (n, v)
+
+
+def test_bessel_j_upward_band_matches_mpmath():
+    # max(25, order) <= x < max(25, order^2/2) runs the upward recurrence
+    # from the Hankel J_0 and J_1 (empty for order <= 7), where a Miller
+    # pass was off by up to 1.6e-14 on this grid: both sides of both edges
+    # and 16 points between them, for a float and an array.
+    for order in range(61):
+        up, hankel = max(25.0, order), max(25.0, 0.5 * order * order)
+        xs = [e * s for e in (up, hankel) for s in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)]
+        xs += np.geomspace(up, hankel, 18)[1:-1].tolist() if hankel > up else []
+        for xi, a in zip(xs, bessel_j(order, np.array(xs)).tolist()):
+            v = bessel_j(order, xi)
+            with mp.workdps(30):
+                ref = mp.besselj(order, xi)
+            scale = max(abs(float(ref)), math.sqrt(2.0 / math.pi / xi))
+            assert float(abs(v - ref)) <= 4e-15 * scale, (order, xi, v)
+            assert abs(a - v) <= 1e-14 * max(1.0, abs(v)), (order, xi, a, v)
+
+
 @pytest.mark.parametrize("order", [400, 1000])
 def test_bessel_j_series_takes_exactly_the_underflowing_arguments(order):
     # The series takes x up to the last double whose first term is 0, and a
@@ -204,11 +270,13 @@ def test_bessel_j_subnormal_argument(order):
 
 @pytest.mark.parametrize("nmax", [0, 30])
 def test_bessel_j_all_on_both_sides_of_its_range_limits(nmax):
-    # (x/2)^2 = 2^-53 (first terms below, Miller above) and the Hankel
-    # threshold max(25, nmax^2/2) (Miller below, bessel_j's Hankel above)
+    # (x/2)^2 = 2^-53 (first terms below, Miller above), max(25, nmax)
+    # (Miller below, the upward recurrence above) and bessel_j's Hankel
+    # threshold max(25, nmax^2/2)
     tiny = 2.0**-25.5
-    hankel = max(25.0, 0.5 * nmax * nmax)
-    for x in (tiny * (1 - 1e-9), tiny * (1 + 1e-9), hankel * (1 - 1e-9), hankel):
+    up, hankel = max(25.0, nmax), max(25.0, 0.5 * nmax * nmax)
+    for x in (tiny * (1 - 1e-9), tiny * (1 + 1e-9), up * (1 - 1e-9), up * (1 + 1e-9),
+              hankel * (1 - 1e-9), hankel):
         for n, v in enumerate(bessel_j_all(nmax, x)):
             assert abs(v - float(mp.besselj(n, x))) <= 1e-13, (x, n)
 
@@ -537,8 +605,8 @@ def test_array_kernels_single_element_and_mixed_branches():
 )
 def test_array_kernels_keep_empty_and_2d_shapes(fn, exact):
     # An empty array keeps its shape; a 2-D one is masked like a 1-D one.  The
-    # second grid has no element in [8, 50), so the E_1 continued fraction
-    # gets an empty array inside a nonempty call.
+    # second grid has no element in [8, 50), so the E_1 continued fraction's
+    # branch is empty inside a nonempty call.
     for shape in ((0,), (0, 3), (2, 0)):
         out = fn(np.empty(shape))
         assert isinstance(out, np.ndarray) and out.shape == shape
