@@ -162,10 +162,10 @@ def build_registry(max_n: int | None = None) -> list[IdentityCheck]:
          specfun.gamma_log_minus_ci, 1e-11,
          "quadrature of [1 - cos(a sin t)] cot t equals gamma + log a - Ci(a)"),
         ("si_coeff_integral.n=%d", range(11), quad.si_bessel_integral,
-         lambda n: float(coeffs.alpha(n)) / (2 * n + 1), 1e-7,
+         lambda n: float(coeffs.alpha(n)) / (2 * n + 1), 1e-10,
          "Si-weighted odd Bessel moment equals coefficient over order"),
         ("ci_coeff_integral.n=%d", range(1, 11), quad.ci_bessel_integral,
-         lambda n: float(coeffs.beta(n)) / (2 * n), 1e-7,
+         lambda n: float(coeffs.beta(n)) / (2 * n), 1e-10,
          "log-cosine-weighted even Bessel moment equals coefficient over order"),
         ("j0_orthogonality", [()], quad.j0_orthogonality_integral, lambda: 0.0, 1e-6,
          "the J_0-weighted moment of gamma + log t - Ci(t) vanishes"),

@@ -20,8 +20,8 @@ Two layers:
   the integrand's frequency (2n+1 for Lemma 1, 2n for Lemma 3, 1 for the
   transforms and the Clausen integrals): a Lemma integral needs no
   bisection.
-* ``oscillatory_semiinf`` -- a Longman-style scheme for the semi-infinite
-  Bessel integrals: integrate between consecutive partition edges, given
+* ``oscillatory_semiinf`` -- a Longman-style scheme for Example 2 and
+  Corollaries 5 and 6: integrate between consecutive partition edges, given
   by an edge function m -> edge(m) (for a Bessel integrand its asymptotic
   extrema, spaced by the period pi), and extrapolate the partial sums to
   b = infinity with the Euler sums' extrapolator,
@@ -35,12 +35,14 @@ Two layers:
   of the tail.  Partitions are integrated a block at a time: the block runs
   up to the next extrapolation checkpoint and every partition in it gets
   one GK15 panel in a single integrand call.  The first partition, where
-  the integrand has not yet settled into its oscillation (it spans
-  (5/4 + nu/2) pi for a Bessel moment of order nu), is cut into panels at
-  most pi/2 wide in that same call.  Only partitions whose error estimate
-  exceeds the per-partition tolerance are refined, all of them together
-  with one call per refinement step; no integral in the registry needs
-  one.
+  the integrand has not yet settled into its oscillation, is cut into
+  panels at most pi/2 wide in that same call.  Only partitions whose error
+  estimate exceeds the per-partition tolerance are refined, all of them
+  together with one call per refinement step; no integral in the registry
+  needs one.
+
+The Bessel moments int_0^inf w(t) J_nu(t) dt/t take one GK15 call on such
+partitions up to B >= max(50, nu^2/2), and a closed-form asymptotic tail.
 
 Each verified integral gets its own operation below so the harness can bind
 it to an exact or closed-form counterpart.
@@ -48,11 +50,12 @@ it to an exact or closed-form counterpart.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -278,8 +281,8 @@ _HALF_PI = 0.5 * math.pi
 
 def _partition_limits(scale: float) -> tuple[int, int]:
     # Floor and cap on the partition count.  An integrand settles into its
-    # asymptotic oscillation after a run that grows with the scale s (a Bessel
-    # order, Corollary 5's shift a); the clamp at 1e6 keeps the products finite.
+    # asymptotic oscillation after a run that grows with the scale s
+    # (Corollary 5's shift a); the clamp at 1e6 keeps the products finite.
     s = min(scale, 1e6)
     floor = max(32, int(0.75 * s * s))
     cap = 400 + int(40 * s)
@@ -421,33 +424,94 @@ def clausen_cot_integral(k: int) -> QuadResult:
 # Semi-infinite oscillatory Bessel integrals
 # ---------------------------------------------------------------------------
 
-def _bessel_moment(weight: ArrayFn, order: int, tol: float) -> QuadResult:
-    # int_0^inf weight(t) J_order(t) dt/t, with partition edges at the
-    # asymptotic extrema of J_order.  High orders need a longer run before the
-    # fit window sits in the settled Hankel regime, so the order sets the scale.
-    return oscillatory_semiinf(
+# The highest J order of a moment: [0, B] holds 25,000 partitions, about 1 s
+_MAX_MOMENT_ORDER = 400
+
+
+def _asymptotic_terms(ratios: Iterable[complex]) -> tuple[np.ndarray, float]:
+    # Terms 1, r1, r1 r2, ... to the first below 1e-18 (within 30 for each
+    # series here) or the smallest, and the size of the first one left out
+    terms = [1.0 + 0j]
+    for r in ratios:
+        if abs(nxt := terms[-1] * r) < 1e-18 or abs(nxt) >= abs(terms[-1]):
+            break
+        terms.append(nxt)
+    return np.array(terms), abs(nxt)
+
+
+def _power_ladder(kappa: float, b: float, count: int) -> np.ndarray:
+    # Rows b^p I(p), b^p L(p) for p = 3/2, 5/2, ... (count of them), I(p) =
+    # int_b^inf e^(i kappa t) t^-p dt and L = -dI/dp, by parts: I(p) = (p I(p+1)
+    # - e^(i kappa b) b^-p) / (i kappa), run downward (stable for p < kappa b)
+    # from leading terms 20 levels up, whose error shrinks by p/(kappa b) a step
+    phase, log_b, step = cmath.exp(1j * kappa * b), math.log(b), 1.0 / (1j * kappa)
+    i_p, l_p = -phase * step, -phase * step * log_b
+    out = np.empty((2, count), dtype=complex)
+    for j in range(count + 19, -1, -1):
+        r = (j + 1.5) / b
+        i_p, l_p = (r * i_p - phase) * step, (r * l_p - i_p / b - phase * log_b) * step
+        if j < count:
+            out[:, j] = i_p, l_p
+    return out
+
+
+def _moment_tail(order: int, ci: bool, b: float) -> tuple[float, float]:
+    # int_b^inf w(t) J_order(t) dt/t, b >= max(50, order^2/2), term by term in
+    # J = sqrt(2/pi) Re[e^(i(t - omega)) sum_k i^k a_k t^(-k-1/2)], omega =
+    # (2 order + 1) pi/4 (DLMF 10.17.3), Si = pi/2 - Re[e^(-it) E] and Ci =
+    # -Im[e^(-it) E], E = sum_m i^m m! t^(-m-1) (DLMF 6.12.3-4): E against J
+    # gives t^-p and frequency-2 terms, pi/2 and gamma + log t frequency 1.
+    # What is left out is bounded by each series' first omitted term (DLMF
+    # 10.17(iii), 6.12(ii)), J's against |w| <= 1 + log t, E's twice, |J| <= 1.
+    u = 1.0 / b
+    s, s_out = _asymptotic_terms(0.125j * r * u for r in specfun._hankel_ratios(order))
+    e, e_out = _asymptotic_terms(1j * m * u for m in range(1, 60))
+    i1, l1 = _power_ladder(1.0, b, len(s))
+    i2 = _power_ladder(-2.0, b, len(s) + len(e))[0, 1:]
+    flat = np.convolve(e, s) @ (1.0 / np.arange(1.5, len(s) + len(e)))
+    osc2 = np.convolve(e, s.conj()) @ i2 * u  # times e^(i omega)
+    rot = cmath.exp(-0.5j * (order + 0.5) * math.pi)  # e^(-i omega)
+    osc1 = specfun.CONSTANTS.euler_gamma * (s @ i1) + s @ l1 if ci else _HALF_PI * (s @ i1)
+    tail = (rot * osc1 - (0.5j if ci else 0.5) * (rot * flat + osc2 / rot)).real
+    amp = math.sqrt(2.0 / math.pi / b)
+    left_out = amp * s_out * (2.0 + math.log(b)) / (len(s) + 0.5) + 2.0 * e_out * u / (len(e) + 1)
+    return float(amp * tail * u), left_out
+
+
+def _bessel_moment(order: int, ci: bool, tol: float) -> QuadResult:
+    # int_0^inf w(t) J_order(t) dt/t, w = gamma + log t - Ci if ci, else Si: a
+    # GK15 panel per partition (the first as panels at most pi/2 wide) up to
+    # B, the first edge at or above max(50, order^2/2), then _moment_tail
+    if order > _MAX_MOMENT_ORDER:
+        raise ValueError(f"J order {order} exceeds quad._MAX_MOMENT_ORDER = {_MAX_MOMENT_ORDER}")
+    weight = specfun.gamma_log_minus_ci if ci else specfun.si
+    phase = 0.5 * order + 0.25
+    count = max(1, math.ceil(max(50.0, 0.5 * order * order) / math.pi - phase))
+    highs = (np.arange(1.0, count + 1) + phase) * math.pi
+    pieces = np.r_[math.ceil(highs[0] / _HALF_PI), np.ones(count - 1, dtype=int)]
+    values, errors, panels = _integrate_intervals(
         lambda t: weight(t) * specfun.bessel_j(order, t) / t,
-        _period_edges(0.5 * order + 0.25),
-        tol,
-        scale=order,
+        np.r_[0.0, highs[:-1]], highs, pieces, max(tol * 2e-4, 5e-15),
     )
+    tail, left_out = _moment_tail(order, ci, float(highs[-1]))
+    return QuadResult(math.fsum(values) + tail, math.fsum(errors) + left_out, sum(panels), count)
 
 
 def si_bessel_integral(n: int) -> QuadResult:
-    """int_0^inf Si(t) J_{2n+1}(t) dt/t; equals alpha_n/(2n+1)."""
+    """int_0^inf Si(t) J_{2n+1}(t) dt/t = alpha_n/(2n+1), for n up to 199."""
     n = specfun._integer(n, "n must be a nonnegative integer", 0)
-    return _bessel_moment(specfun.si, 2 * n + 1, 1e-8)
+    return _bessel_moment(2 * n + 1, False, 1e-8)
 
 
 def ci_bessel_integral(n: int) -> QuadResult:
-    """int_0^inf [gamma + log t - Ci(t)] J_{2n}(t) dt/t; equals beta_n/(2n)."""
+    """int_0^inf [gamma + log t - Ci(t)] J_{2n}(t) dt/t = beta_n/(2n), for n up to 200."""
     n = specfun._integer(n, "n must be a positive integer", 1)
-    return _bessel_moment(specfun.gamma_log_minus_ci, 2 * n, 1e-8)
+    return _bessel_moment(2 * n, True, 1e-8)
 
 
 def j0_orthogonality_integral() -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_0(t) dt/t, which vanishes."""
-    return _bessel_moment(specfun.gamma_log_minus_ci, 0, 2e-7)
+    return _bessel_moment(0, True, 2e-7)
 
 
 def bessel_j1_over_t_integral() -> QuadResult:

@@ -95,6 +95,7 @@ _MILLER_MAX_STEPS = 4_000_000
 # Every J branch takes the order as a double, which holds each integer up to
 # 2^53; far past it float(order) and lgamma(order + 1) overflow.
 _J_MAX_ORDER = 2**53
+_FACTORIALS = tuple(map(float, itertools.accumulate(range(1, 171), operator.mul, initial=1)))  # k!
 
 
 def _integer(value: int, message: str, minimum: int, maximum: float = math.inf) -> int:
@@ -178,9 +179,15 @@ def _live(term, live):
 
 
 def _j_first_term(half: float, order: int) -> float:
-    # (x/2)^order / order!, the first term of the J series, or 0 below e^-745
+    # (x/2)^order / order!, the first term of the J series, or 0 below e^-745:
+    # pow over order! (finite up to 170) where the terms fall from the first
+    # (its rounding is the sum's) and both are normal, else logs (1e-13 at J_60(0.002))
     if half == 0.0:  # x = 0, or x/2 below the smallest subnormal
         return 1.0 if order == 0 else 0.0
+    if order <= 170 and half * half <= order + 1:
+        t0 = math.pow(half, order) / _FACTORIALS[order]
+        if t0 >= 2.2250738585072014e-308:  # normal, and so is the power
+            return t0
     log_t0 = order * math.log(half) - math.lgamma(order + 1)
     return math.exp(log_t0) if log_t0 >= -745.0 else 0.0
 
@@ -389,6 +396,14 @@ def _bessel_y_bridge(order: int, x):
     return (2.0 / math.pi) * ((lg - 1.0) * j[1] - j[0] / x - s)
 
 
+@functools.lru_cache(maxsize=128)
+def _hankel_ratios(order: int) -> tuple[float, ...]:
+    # 8 a_m / a_(m-1), m = 1 .. 80 (the most _hankel sums), for the Hankel
+    # coefficients a_m of this order (DLMF 10.17.1)
+    m = np.arange(1.0, 81.0)
+    return tuple(((4.0 * order * order - (2.0 * m - 1.0) ** 2) / m).tolist())
+
+
 def _hankel(order: int, x, first_kind: bool):
     # J_order (first_kind) or Y_order from the auxiliary functions P and Q of
     # the Hankel asymptotic series, for a float (math) or an array (numpy).
@@ -402,7 +417,7 @@ def _hankel(order: int, x, first_kind: bool):
     # sqrt(2 / (pi x)) over sqrt(2) is sqrt(1 / (pi x)).
     lib = np if isinstance(x, np.ndarray) else math
     xmin = float(x.min(initial=math.inf)) if lib is np else x
-    mu = 4.0 * order * order
+    mu, ratios = 4.0 * order * order, _hankel_ratios(order)
     count, last = 1, 1.0
     for m in range(80):
         t = last * ((mu - (2 * m + 1) ** 2) / ((m + 1) * 8.0 * xmin))
@@ -415,7 +430,7 @@ def _hankel(order: int, x, first_kind: bool):
     t = 1.0
     u = 0.125 / x
     for m in range(1, count):
-        t *= (mu - (2 * m - 1) ** 2) / m * u
+        t *= ratios[m - 1] * u
         if m // 2 % 2:
             pq[m % 2] -= t
         else:

@@ -84,9 +84,9 @@ def test_max_n_caps_indexed_families():
 
 # sha256 of the (id, description, tolerance) lines of build_registry(max_n)
 _REGISTRY_DIGESTS = {
-    None: (586, "d8fa7cc1e9e5ca3b93adf8e016f1749859366d4a1ad3f69bb754a0dfe0575c04"),
-    0: (66, "de25516e26297af4c64470cae3774372177b8ee54ccb5bcd7c152a5b21c6fa8d"),
-    3: (90, "8107353a06cecd5037a734bfefc94273a49bcc7b1ba75c40aeb8ce41cf626d16"),
+    None: (586, "622b230cc9216ac767d1f989b455302e878d96834b7d15ac0ad499ccd65f1ff4"),
+    0: (66, "03b4784f528418e2c61e7ef6c515a7240ba78c971761e1d12c238806b8dc4e45"),
+    3: (90, "f09d4453a43ea12476bc3cb3bbe81011f9d63480d22c2053ccca7a7c7a32bf6d"),
 }
 
 

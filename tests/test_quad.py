@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -355,14 +356,28 @@ def test_oscillatory_partition_floor_above_cap_raises_before_any_edge():
 
 
 def test_high_order_bessel_moment_raises_without_integrating(monkeypatch):
-    # J_81: the floor 4920 exceeds the cap 3640, which the moment used to
-    # reach only after integrating all 3640 partitions
+    # The Longman engine on the J_81 moment's integrand, edges and scale: the
+    # floor 4920 exceeds the cap 3640, which it used to reach only after
+    # integrating all 3640 partitions
     def unreachable(order, t):
         raise AssertionError("integrand evaluated")
 
     monkeypatch.setattr(sf, "bessel_j", unreachable)
     with pytest.raises(QuadratureError, match="partition floor"):
-        si_bessel_integral(40)
+        oscillatory_semiinf(
+            lambda t: sf.si(t) * sf.bessel_j(81, t) / t, quad._period_edges(40.75), 1e-8, scale=81
+        )
+
+
+def test_bessel_moment_past_the_order_cap_raises_without_integrating(monkeypatch):
+    # J orders above 400 would take more than about 25,000 partitions
+    def unreachable(order, t):
+        raise AssertionError("integrand evaluated")
+
+    monkeypatch.setattr(sf, "bessel_j", unreachable)
+    for moment, n in ((si_bessel_integral, 200), (ci_bessel_integral, 201), (si_bessel_integral, 10**30)):
+        with pytest.raises(ValueError, match="_MAX_MOMENT_ORDER = 400"):
+            moment(n)
 
 
 def test_oscillatory_engine_batches_partitions_per_block():
@@ -389,19 +404,18 @@ def test_oscillatory_engine_batches_partitions_per_block():
     assert sum(calls) == 15 * r.subdivisions
 
 
-def test_high_order_moment_makes_one_integrand_call_per_block(monkeypatch):
-    # J_21: checkpoints at 330, 495, 742, ... partitions.  The first
-    # partition [0, 11.75 pi] is evaluated in the first block's call, with no
-    # serial bisection calls after it.
+def test_high_order_moment_makes_one_integrand_call_per_block():
+    # The Longman engine on the J_21 moment's integrand, edges and scale:
+    # checkpoints at 330, 495, 742, ... partitions.  The first partition
+    # [0, 11.75 pi] is evaluated in the first block's call, with no serial
+    # bisection calls after it.
     sizes = []
-    kernel = sf.bessel_j
 
-    def counting(order, t):
-        sizes.append(np.size(t))
-        return kernel(order, t)
+    def f(t):
+        sizes.append(t.size)
+        return sf.si(t) * sf.bessel_j(21, t) / t
 
-    monkeypatch.setattr(sf, "bessel_j", counting)
-    r = si_bessel_integral(10)
+    r = oscillatory_semiinf(f, quad._period_edges(10.75), 1e-8, scale=21)
     checkpoints = [330]
     while checkpoints[-1] < r.partitions_used:
         checkpoints.append(int(1.5 * checkpoints[-1]))
@@ -412,7 +426,54 @@ def test_high_order_moment_makes_one_integrand_call_per_block(monkeypatch):
 
 @pytest.mark.parametrize("n,partitions", [(0, 48), (4, 303)])
 def test_si_bessel_integral_partition_counts(n, partitions):
-    assert si_bessel_integral(n).partitions_used == partitions
+    # The Longman engine on the Si-weighted J_2n+1 moment's integrand, edges
+    # and scale
+    order = 2 * n + 1
+    r = oscillatory_semiinf(
+        lambda t: sf.si(t) * sf.bessel_j(order, t) / t,
+        quad._period_edges(0.5 * order + 0.25),
+        1e-8,
+        scale=order,
+    )
+    assert r.partitions_used == partitions
+
+
+@pytest.mark.parametrize("n", [0, 4, 10, 31])
+def test_bessel_moment_is_one_integrand_call_up_to_the_tail(monkeypatch, n):
+    # The finite part ends at the first edge (m + order/2 + 1/4) pi at or
+    # above max(50, order^2/2); each partition is one panel but the first,
+    # which is panels at most pi/2 wide, all in one kernel call
+    sizes = []
+    kernel = sf.bessel_j
+
+    def counting(order, t):
+        sizes.append(np.size(t))
+        return kernel(order, t)
+
+    monkeypatch.setattr(sf, "bessel_j", counting)
+    order = 2 * n + 1
+    r = si_bessel_integral(n)
+    edge = quad._period_edges(0.5 * order + 0.25)
+    assert edge(r.partitions_used) >= max(50.0, 0.5 * order * order) > edge(r.partitions_used - 1)
+    assert r.subdivisions == r.partitions_used - 1 + math.ceil(edge(1) / HALF_PI)
+    assert sizes == [15 * r.subdivisions]
+
+
+def test_high_order_moments_match_the_exact_coefficients():
+    # Orders 62 to 201, where the Longman route raised QuadratureError, within
+    # 1e-12 and their own estimates, 2 s in all
+    targets = {
+        n: (float(coeffs.alpha(n) / (2 * n + 1)), float(coeffs.beta(n) / (2 * n)))
+        for n in (31, 50, 100)
+    }
+    start = time.perf_counter()
+    results = {n: (si_bessel_integral(n), ci_bessel_integral(n)) for n in targets}
+    elapsed = time.perf_counter() - start
+    for n, pair in results.items():
+        for r, target in zip(pair, targets[n]):
+            diff = abs(r.value - target)
+            assert diff <= min(1e-12, r.abs_err_estimate), (n, target, diff, r.abs_err_estimate)
+    assert elapsed < 2.0
 
 
 def test_si_weighted_j1_moment_is_one():

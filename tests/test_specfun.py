@@ -247,6 +247,16 @@ def test_bessel_j_series_takes_exactly_the_underflowing_arguments(order):
         assert v == bessel_j(order, xi) == float(mp.besselj(order, xi)) == 0.0
 
 
+@pytest.mark.parametrize("order", [40, 60])
+def test_bessel_j_first_term_is_relative_at_small_x(order):
+    # The first series term is pow(x/2, order) over the factorial; from logs it
+    # was off by 7.5e-14 (J_40) and 1.1e-13 (J_60) relative on (1e-3, 3e-3)
+    x = np.random.default_rng(order).uniform(1e-3, 3e-3, 60)
+    for xi, v in zip(x.tolist(), bessel_j(order, x).tolist()):
+        assert v == bessel_j(order, xi)
+        assert _close_to_mpmath(v, mp.besselj(order, xi), 5e-16), (xi, v)
+
+
 @pytest.mark.parametrize("order", [100, 150, 200, 225])
 def test_bessel_j_series_is_relative_below_1e300(order):
     # The series used to stop on |term| < 1e-17 max(|sum|, 1e-300), an
