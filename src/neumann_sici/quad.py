@@ -384,14 +384,18 @@ def _cot_integral(g: ArrayFn, tol: float, m: int = 1) -> QuadResult:
 
 def lemma1_integral(n: int) -> QuadResult:
     """int_0^{pi/2} sin((2n+1)t) cot(t) dt; equals the exact coefficient alpha_n."""
-    n = specfun._integer(n, "n must be a nonnegative integer", 0)
+    # n + 1 starting panels, at most _MAX_SUBDIVISIONS
+    top = _MAX_SUBDIVISIONS - 1
+    n = specfun._integer(n, f"n must be an integer from 0 to {top}", 0, top)
     m = 2 * n + 1
     return _cot_integral(lambda t: np.sin(m * t), 1e-12, m)
 
 
 def lemma3_integral(n: int) -> QuadResult:
     """int_0^{pi/2} [1 - cos(2nt)] cot(t) dt; equals the exact coefficient beta_n."""
-    n = specfun._integer(n, "n must be a positive integer", 1)
+    # n starting panels, at most _MAX_SUBDIVISIONS
+    top = _MAX_SUBDIVISIONS
+    n = specfun._integer(n, f"n must be an integer from 1 to {top}", 1, top)
     m = 2 * n
     return _cot_integral(lambda t: 1.0 - np.cos(m * t), 1e-12, m)
 

@@ -7,11 +7,11 @@ module-level state is a cache of immutable values (Clausen series
 coefficients per weight, J's series limit for the last 1024 orders), so
 values can be shared freely across threads.
 
-Si and Ci have three branches: the power series up to x = 8, the E_1(ix)
-continued fraction below x = 50 and the asymptotic series of their auxiliary
-functions from there on.  J_n has four: the power series, the backward
-(Miller) recurrence below x = max(25, n), the upward one from the Hankel J_0
-and J_1 below max(25, n^2/2) and the Hankel expansion from there on.
+Si and Ci have two branches: the power series up to x = 8 and the E_1(ix)
+continued fraction above it (Numerical Recipes 6.8).  J_n has four: the
+power series, the backward (Miller) recurrence below x = max(25, n), the
+upward one from the Hankel J_0 and J_1 below max(25, n^2/2) and the Hankel
+expansion from there on.
 
 ``bessel_j``, ``bessel_y``, ``si``, ``ci`` and ``gamma_log_minus_ci`` also
 accept a float ndarray and return an array of the same shape.  Each element
@@ -71,11 +71,6 @@ _EULER_GAMMA = CONSTANTS.euler_gamma
 # eps * max-term ~ eps * e^x / x; at x = 8 that is still ~1e-13 while the
 # Lentz continued fraction is already at machine precision.
 _SICI_CROSSOVER = 8.0
-
-# From here on Si/Ci come from the asymptotic series of their auxiliary
-# functions, whose smallest term is about e^-x: 14 terms reach 1e-18 at 50,
-# and much below 40 the series cannot reach double precision.
-_SICI_ASYMPTOTIC_MIN = 50.0
 
 # Bessel Y branch limits: the ascending log-series keeps ~1e-13 up to 8,
 # the Hankel asymptotic series reaches 1e-14 beyond ~17, and the window in
@@ -407,20 +402,20 @@ def _hankel_ratios(order: int) -> tuple[float, ...]:
 def _hankel(order: int, x, first_kind: bool):
     # J_order (first_kind) or Y_order from the auxiliary functions P and Q of
     # the Hankel asymptotic series, for a float (math) or an array (numpy).
-    # Its terms are t_m = prod_{i<m} (mu - (2i+1)^2) / ((i+1) 8 x), mu =
-    # 4 order^2; the sum runs up to the smallest term or to the first below
-    # 1e-18, counted at x or at the array's smallest element: each term
-    # falls with x, so the first one left out is smaller elsewhere still.
+    # Its terms are t_m = prod_{i<m} ratios[i] / (8 x); the sum runs up to
+    # the smallest term or to the first below 1e-18, counted at x or at the
+    # array's smallest element: each term falls with x, so the first one
+    # left out is smaller elsewhere still.
     # The phase chi = x - (2 order + 1) pi / 4 goes in by angle addition: libm
     # reduces x exactly, where a rounded chi would be off by ulp(x).  cos and
     # sin of (2 order + 1) pi / 4 are +-sqrt(2)/2, and the amplitude
     # sqrt(2 / (pi x)) over sqrt(2) is sqrt(1 / (pi x)).
     lib = np if isinstance(x, np.ndarray) else math
     xmin = float(x.min(initial=math.inf)) if lib is np else x
-    mu, ratios = 4.0 * order * order, _hankel_ratios(order)
+    ratios, u_min = _hankel_ratios(order), 0.125 / xmin
     count, last = 1, 1.0
     for m in range(80):
-        t = last * ((mu - (2 * m + 1) ** 2) / ((m + 1) * 8.0 * xmin))
+        t = last * ratios[m] * u_min
         if abs(t) >= abs(last):
             break
         count, last = count + 1, t
@@ -484,11 +479,12 @@ def _e1_of_ix(x):
     # E_1(ix) by the modified Lentz continued fraction, for a float (cmath)
     # or an array (numpy), and the number of steps it took; Ci(x) = -Re, and
     # Si(x) - pi/2 = Im.  Converges to machine precision for x >= ~2, in
-    # fewer steps the larger x is: 24 to 26 near x = 8, 7 at x = 50.  A float
-    # stops once a step changes h by at most about one ulp, so its count
-    # varies by a few steps between nearby x.  An array runs the steps the float
-    # takes at its smallest element: the truncation error after n steps falls
-    # with x, so they suffice for the larger ones.
+    # fewer steps the larger x is: 24 to 26 near x = 8, 7 at x = 50, 3 at
+    # 10^3 and 1 from 10^8 on.  A float stops once a step changes h by at
+    # most about one ulp, so its count varies by a few steps between nearby
+    # x.  An array runs the steps the float takes at its smallest element:
+    # the truncation error after n steps falls with x, so they suffice for
+    # the larger ones.
     scalar = not isinstance(x, np.ndarray)
     if scalar:
         limit = 299
@@ -512,35 +508,6 @@ def _e1_of_ix(x):
     return (cmath.exp(-z) if scalar else np.exp(-z)) * h, i
 
 
-def _sici_asymptotic(x):
-    # Si(x) and Ci(x) for x >= _SICI_ASYMPTOTIC_MIN from the auxiliary
-    # functions f and g (DLMF 6.12.3-6.12.4; A&S 5.2.34-35):
-    #   f ~ (1/x) sum_k (-1)^k (2k)! / x^2k,  g ~ (1/x^2) sum_k (-1)^k (2k+1)! / x^2k,
-    #   Si = pi/2 - f cos x - g sin x,  Ci = f sin x - g cos x,
-    # for a float (math) or an array (numpy).  Both sums stop before the
-    # first term of f's below _SICI_SERIES_TOL at x, or at the array's
-    # smallest element (14 terms at x = 50); the terms fall with x.  They
-    # are nested in y = 1/x^2: 1 - 1*2 y (1 - 3*4 y (1 - ...)).  1/x is
-    # formed before it is squared, so a huge x underflows quietly.
-    lib = np if isinstance(x, np.ndarray) else math
-    inv_min = 1.0 / (float(x.min(initial=math.inf)) if lib is np else x)
-    y_min = inv_min * inv_min
-    terms, t = 0, 1.0
-    while t >= _SICI_SERIES_TOL:
-        terms += 1
-        t *= (2 * terms - 1) * (2 * terms) * y_min
-    inv = 1.0 / x
-    y = inv * inv
-    sf = sg = 1.0
-    for k in range(terms - 1, 0, -1):
-        sf = 1.0 - (2 * k - 1) * (2 * k) * y * sf
-        sg = 1.0 - (2 * k) * (2 * k + 1) * y * sg
-    f = sf * inv
-    g = sg * y
-    c, s = lib.cos(x), lib.sin(x)
-    return 0.5 * math.pi - f * c - g * s, f * s - g * c
-
-
 def _sici_fraction(x):
     # Si(x) and Ci(x) from E_1(ix), for a float or an array
     e1 = _e1_of_ix(x)[0]
@@ -550,17 +517,16 @@ def _sici_fraction(x):
 def si(x: float | np.ndarray) -> float | np.ndarray:
     """Sine integral Si(x) = int_0^x sin(t)/t dt, x >= 0."""
     return _branches(
-        x, False, (_SICI_CROSSOVER, _SICI_ASYMPTOTIC_MIN), lambda v: _sici_series(v, 0),
-        lambda v: _sici_fraction(v)[0], lambda v: _sici_asymptotic(v)[0],
+        x, False, (_SICI_CROSSOVER,), lambda v: _sici_series(v, 0), lambda v: _sici_fraction(v)[0]
     )
 
 
 def ci(x: float | np.ndarray) -> float | np.ndarray:
     """Cosine integral Ci(x), x > 0."""
     return _branches(
-        x, True, (_SICI_CROSSOVER, _SICI_ASYMPTOTIC_MIN),
+        x, True, (_SICI_CROSSOVER,),
         lambda v: _EULER_GAMMA + _per_element(math.log, v) - _sici_series(v, 1),
-        lambda v: _sici_fraction(v)[1], lambda v: _sici_asymptotic(v)[1],
+        lambda v: _sici_fraction(v)[1],
     )
 
 
@@ -572,9 +538,8 @@ def gamma_log_minus_ci(x: float | np.ndarray) -> float | np.ndarray:
     """
     log = np.log if isinstance(x, np.ndarray) else math.log
     return _branches(
-        x, False, (_SICI_CROSSOVER, _SICI_ASYMPTOTIC_MIN), lambda v: _sici_series(v, 1),
+        x, False, (_SICI_CROSSOVER,), lambda v: _sici_series(v, 1),
         lambda v: log(v) + (_EULER_GAMMA - _sici_fraction(v)[1]),
-        lambda v: log(v) + (_EULER_GAMMA - _sici_asymptotic(v)[1]),
     )
 
 

@@ -257,6 +257,22 @@ def test_lemma_integral_domains():
         lemma3_integral(0)
 
 
+@pytest.mark.parametrize(
+    "integral,low,top,exact",
+    [(lemma1_integral, 0, 1999, coeffs.alpha), (lemma3_integral, 1, 2000, coeffs.beta)],
+)
+def test_lemma_integral_bound_names_n(monkeypatch, integral, low, top, exact):
+    # n + 1 (Lemma 1) or n (Lemma 3) starting panels, at most
+    # quad._MAX_SUBDIVISIONS; one past it used to raise about `pieces`, an
+    # argument the caller never passed
+    assert abs(integral(top).value - float(exact(top))) <= 1e-11
+    calls = []
+    monkeypatch.setattr(quad, "_gk15", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"^n must be an integer from {low} to {top}$"):
+        integral(top + 1)
+    assert calls == []
+
+
 def test_si_transform_integral():
     assert si_transform_integral(0.0).value == 0.0
     assert abs(si_transform_integral(1.0).value - sf.si(1.0)) <= 1e-12

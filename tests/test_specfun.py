@@ -434,7 +434,8 @@ def test_si_glmc_series_are_relatively_accurate_at_small_x(x):
 
 
 def test_si_ci_asymptotic_branch_matches_mpmath():
-    # x >= 50: the auxiliary functions' asymptotic series, float and array.
+    # x >= 50, where the E_1(ix) continued fraction takes 7 steps or fewer,
+    # float and array.
     # gamma + log x - Ci is ~12 at 1e5, where one ulp is 1.8e-15; the sum
     # log x + (gamma - Ci) rounds to within one ulp of its value.
     x = np.concatenate([np.geomspace(50.0, 1e5, 300), np.linspace(50.0, 51.0, 40)])
@@ -454,8 +455,10 @@ def test_continued_fraction_steps_at_a_smaller_argument_suffice():
     # the stopping test sits at the rounding floor, so the float path waits a
     # few steps more or fewer by chance (24 to 26 near x = 8).  What the array
     # relies on is that the truncation error after n steps falls with x: here
-    # every x in [8, 50] runs the fewest steps taken anywhere in [8, x].
-    grid = np.linspace(8.0, 50.0, 4201).tolist()
+    # every x in [8, 50], on a log grid to 10^6 and at the huge arguments runs
+    # the fewest steps taken anywhere in [8, x].
+    grid = np.concatenate([np.linspace(8.0, 50.0, 4201), np.geomspace(50.0, 1e6, 401)[1:]])
+    grid = grid.tolist() + list(_HUGE)
     steps = [sf._e1_of_ix(v)[1] for v in grid]
     assert steps[0] >= 25 and steps[-1] <= 8
     fewest = 0
@@ -640,7 +643,7 @@ _HUGE = (1e200, 1e300, 1.7e308)
 def test_array_kernels_are_silent_at_huge_arguments(kernel, order, x):
     # 0.25 x x in the J series mask and (m + 1) 8 x in the Hankel terms used to
     # emit overflow RuntimeWarnings that the float path never gave; the Si/Ci
-    # asymptotic branch squares 1/x, not x
+    # continued fraction forms no power of x
     if order is not None:
         kernel = functools.partial(kernel, order)
     with warnings.catch_warnings():
