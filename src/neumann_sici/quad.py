@@ -430,6 +430,7 @@ def clausen_cot_integral(k: int) -> QuadResult:
 
 # The highest J order of a moment: [0, B] holds 25,000 partitions, about 1 s
 _MAX_MOMENT_ORDER = 400
+_ORDER_CAP = f"J order at most quad._MAX_MOMENT_ORDER = {_MAX_MOMENT_ORDER}"
 
 
 def _asymptotic_terms(ratios: Iterable[complex]) -> tuple[np.ndarray, float]:
@@ -486,8 +487,6 @@ def _bessel_moment(order: int, ci: bool, tol: float) -> QuadResult:
     # int_0^inf w(t) J_order(t) dt/t, w = gamma + log t - Ci if ci, else Si: a
     # GK15 panel per partition (the first as panels at most pi/2 wide) up to
     # B, the first edge at or above max(50, order^2/2), then _moment_tail
-    if order > _MAX_MOMENT_ORDER:
-        raise ValueError(f"J order {order} exceeds quad._MAX_MOMENT_ORDER = {_MAX_MOMENT_ORDER}")
     weight = specfun.gamma_log_minus_ci if ci else specfun.si
     phase = 0.5 * order + 0.25
     count = max(1, math.ceil(max(50.0, 0.5 * order * order) / math.pi - phase))
@@ -503,13 +502,15 @@ def _bessel_moment(order: int, ci: bool, tol: float) -> QuadResult:
 
 def si_bessel_integral(n: int) -> QuadResult:
     """int_0^inf Si(t) J_{2n+1}(t) dt/t = alpha_n/(2n+1), for n up to 199."""
-    n = specfun._integer(n, "n must be a nonnegative integer", 0)
+    top = (_MAX_MOMENT_ORDER - 1) // 2
+    n = specfun._integer(n, f"n must be an integer from 0 to {top} ({_ORDER_CAP})", 0, top)
     return _bessel_moment(2 * n + 1, False, 1e-8)
 
 
 def ci_bessel_integral(n: int) -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_{2n}(t) dt/t = beta_n/(2n), for n up to 200."""
-    n = specfun._integer(n, "n must be a positive integer", 1)
+    top = _MAX_MOMENT_ORDER // 2
+    n = specfun._integer(n, f"n must be an integer from 1 to {top} ({_ORDER_CAP})", 1, top)
     return _bessel_moment(2 * n, True, 1e-8)
 
 

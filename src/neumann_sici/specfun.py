@@ -658,10 +658,12 @@ _ZETA_TABLE = {
     30: 1.0000000009313274,
 }
 
+_ZETA_ONE = 64  # zeta and eta round to 1.0 from s = 55 on; a larger s is clamped to it
+
 
 def zeta(s: int) -> float:
     """Riemann zeta at integer s >= 2."""
-    s = _integer(s, "zeta requires an integer s >= 2", 2)
+    s = min(_integer(s, "zeta requires an integer s >= 2", 2), _ZETA_ONE)
     v = _ZETA_TABLE.get(s)
     if v is not None:
         return v
@@ -678,7 +680,7 @@ def zeta(s: int) -> float:
 
 def eta(s: int) -> float:
     """Dirichlet eta at integer s >= 1; eta(1) = log 2."""
-    s = _integer(s, "eta requires an integer s >= 1", 1)
+    s = min(_integer(s, "eta requires an integer s >= 1", 1), _ZETA_ONE)
     if s == 1:
         return CONSTANTS.log2
     return (1.0 - 2.0 ** (1.0 - s)) * zeta(s)

@@ -1,8 +1,14 @@
+import ast
 import math
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+import neumann_sici
 from neumann_sici import coeffs
 from neumann_sici.coeffs import (
     alpha,
@@ -16,8 +22,21 @@ from neumann_sici.coeffs import (
 )
 
 
-# The three finite sums term by term, one Fraction per term: the oracle for
-# the integer sums over one denominator in coeffs.
+# The finite sums term by term, one Fraction per term: the oracle for the
+# integer sums over one denominator in coeffs.
+def _prefix_sums(top):
+    # (H_n, A_n, alpha_n) for n = 0..top, adding one Fraction per term
+    h = a = leibniz = Fraction(0)
+    rows = [(h, a, Fraction(1))]
+    for k in range(1, top + 1):
+        sign = (-1) ** (k - 1)
+        h += Fraction(1, k)
+        a += Fraction(sign, k)
+        leibniz += Fraction(sign, 2 * k - 1)
+        rows.append((h, a, 2 * leibniz - Fraction(sign, 2 * k + 1)))
+    return rows
+
+
 def _lemma1_terms(n):
     total = Fraction(1)
     for k in range(1, n + 1):
@@ -113,7 +132,8 @@ def test_beta_factorial_form_equals_scaled_beta():
 
 def test_integer_sums_equal_the_term_by_term_sums():
     # from the edges n = 0 (empty Horner and lcm loops) and, for beta, n = 1
-    for n in range(161):
+    for n, (h, a, alpha_n) in enumerate(_prefix_sums(160)):
+        assert (harmonic(n), alt_harmonic(n), alpha(n)) == (h, a, alpha_n)
         assert lemma1_closed(n) == _lemma1_terms(n)
         assert alpha_factorial_form(n) == _alpha_factorial_terms(n)
         if n:
@@ -122,11 +142,11 @@ def test_integer_sums_equal_the_term_by_term_sums():
 
 def test_finite_sums_read_no_closed_form(monkeypatch):
     # Each exact check compares a closed form with a finite sum; a sum that
-    # read the closed form or its caches would compare a value with itself
+    # read the closed form or its sums would compare a value with itself
     def unreachable(*args):
         raise AssertionError("a finite sum read a closed form")
 
-    for name in ("alpha", "beta", "_leibniz_partial", "harmonic", "alt_harmonic"):
+    for name in ("alpha", "beta", "_alpha_sum", "_harmonic_sums", "harmonic", "alt_harmonic"):
         monkeypatch.setattr(coeffs, name, unreachable)
     for n in range(21):
         assert coeffs.lemma1_closed(n) == _lemma1_terms(n)
@@ -149,3 +169,47 @@ def test_beta_growth_parity():
             assert d == Fraction(-1, n)
         else:
             assert d == 0
+
+
+def test_concurrent_callers_get_exact_harmonic_numbers():
+    # H_n and A_n used to come from prefix lists that every call grew without
+    # a lock: four threads asking past the warm prefix got a wrong value in
+    # about a third of the calls, and the corrupted list served every later
+    # caller.  Each value is now its own sum.
+    harmonic(200), alt_harmonic(200)
+    grid = range(300, 1300, 5)
+    expected = _prefix_sums(grid[-1])
+    wrong = []
+
+    def ask():
+        for n in grid:
+            if (harmonic(n), alt_harmonic(n)) != expected[n][:2]:
+                wrong.append(n)
+
+    threads = [threading.Thread(target=ask) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_coefficients_at_ten_thousand_hold_no_prefixes():
+    # alpha, beta and beta_variant at n = 10^4 take about 0.7 s; the prefix
+    # lists of every H_k, A_k and Leibniz sum up to n used to raise the peak
+    # RSS by 60 to 76 MB over the import.  In a subprocess, so that the peak is
+    # this call's own and a regression fails here instead of hanging the suite.
+    code = (
+        "import resource; from neumann_sici import coeffs\n"
+        "start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "coeffs.alpha(10**4); same = coeffs.beta(10**4) == coeffs.beta_variant(10**4)\n"
+        "print([resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start, same])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert done.returncode == 0, done.stderr
+    grown_kb, same = ast.literal_eval(done.stdout)
+    assert grown_kb < 30 * 1024 and same  # ru_maxrss is in KiB on Linux

@@ -814,6 +814,20 @@ def test_eta_three_against_direct_alternating_sum():
     assert eta(3) == pytest.approx(0.75 * zeta(3), abs=1e-15)
 
 
+def test_zeta_eta_and_clausen_take_an_s_past_the_double_range():
+    # zeta(s) is 1.0 from s = 53 on and eta(s) from 55 on; an integer s past
+    # the double range used to leak OverflowError from the float powers
+    assert zeta(2**1024) == eta(10**400) == zeta(53) == eta(55) == 1.0
+    assert eta(54) < 1.0
+    # every zeta in the cut series is 1.0 there, which leaves cos theta
+    weight = 10**400 + 1
+    theta = np.array([1.0, 2.0, -5.0])
+    expected = [clausen_odd(10**6 + 1, t) for t in theta.tolist()]
+    assert clausen_odd(weight, 1.0) == expected[0]
+    assert clausen_odd(weight, theta).tolist() == expected
+    assert np.allclose(expected, np.cos(theta), rtol=0.0, atol=1e-15)
+
+
 def test_zeta_eta_domain_errors():
     with pytest.raises(ValueError):
         zeta(1)
