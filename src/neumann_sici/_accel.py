@@ -17,10 +17,19 @@ a smooth shape function (A. Sidi, *Practical Extrapolation Methods*,
 Cambridge UP, 2003, ch. 4 and 11).  The fit takes the last half of the sums
 and normalised columns.  The Euler sums pass integer powers of m with log m
 twins, and ``quad`` passes half-integer powers of the partition edge.
+
+At positions 1..n (``positions=None``, the Euler sums) the design depends
+only on n and the basis, so the limit and its drop-one shift are two dot
+products with cached rows of the design's pseudo-inverse.  Longman edges
+differ per integral and checkpoint, so a cache would rarely hit there, and
+weight rows round differently from a solve by up to about 1e-12 on those
+fits, which the Longman error estimates are tested against near the
+roundoff floor; given positions keep a per-call ``lstsq``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -39,20 +48,44 @@ def alternating_series_limit(
     ``positions`` are the truncation points (None for 1, 2, ...) and each
     ``basis`` entry ``(q, with_log)`` gives an alternating and a smooth column
     scale^(-q), times log(scale) if with_log; the first must be the constant.
-    Callers pass at least twice as many sums as the fit has columns.  The
+    Fewer sums than twice the fit's columns, positions of another length or
+    a basis without a non-constant entry raise ``ValueError``.  The
     limit moves with a constant added to every sum, so a caller may pass
     ``sums_from_last`` and add the total itself.  The shift, how far the limit
     moves when the last basis entry is dropped, is left to the caller to turn
     into an error estimate.
     """
     y = np.asarray(partial_sums, dtype=float)
-    # the last half of the sums, thinned for long sequences by an odd stride
-    # that keeps both parities of m; the last sum is always a row
     n = len(y)
-    rows = np.arange(n - 1, n // 2 - 1, -(2 * (n // 4096) + 1))[::-1]
-    scale = rows + 1.0 if positions is None else np.asarray(positions, dtype=float)[rows]
-    scale /= scale[-1]
+    if len(basis) < 2:
+        raise ValueError("basis needs the constant and at least one more entry")
+    columns = 2 * len(basis) - 1
+    if n < 2 * columns:
+        raise ValueError(f"{n} partial sums, fewer than twice the fit's {columns} columns")
+    if positions is not None and len(positions) != n:
+        raise ValueError(f"{len(positions)} positions for {n} partial sums")
+    if positions is None:
+        rows, full, dropped = _unit_weights(n, tuple(map(tuple, basis)))
+        y = y[rows]
+        limit = float(full @ y)
+        return limit, abs(limit - float(dropped @ y))
+    rows, design = _design(n, np.asarray(positions, dtype=float), basis)
     y = y[rows]
+    norm = math.sqrt(len(y))  # of the constant column
+    full = float(np.linalg.lstsq(design, y, rcond=None)[0][0]) / norm
+    dropped = float(np.linalg.lstsq(design[:, :-2], y, rcond=None)[0][0]) / norm
+    return full, abs(full - dropped)
+
+
+def _design(
+    n: int, positions: np.ndarray | None, basis: Sequence[tuple[float, bool]]
+) -> tuple[np.ndarray, np.ndarray]:
+    # The rows of the fit and its design, with columns normalised.  The rows
+    # are the last half of the sums, thinned for long sequences by an odd
+    # stride that keeps both parities of m; the last sum is always a row.
+    rows = np.arange(n - 1, n // 2 - 1, -(2 * (n // 4096) + 1))[::-1]
+    scale = rows + 1.0 if positions is None else positions[rows]
+    scale /= scale[-1]
     sign = np.where(rows % 2 == 0, -1.0, 1.0)  # (-1)^m for the 1-based index m
     columns = [np.ones_like(scale)]
     for q, with_log in basis[1:]:
@@ -60,10 +93,27 @@ def alternating_series_limit(
         columns += [sign * smooth, smooth]
     design = np.stack(columns, axis=1)
     design /= np.linalg.norm(design, axis=0)
-    norm = math.sqrt(len(y))  # of the constant column
-    full = float(np.linalg.lstsq(design, y, rcond=None)[0][0]) / norm
-    dropped = float(np.linalg.lstsq(design[:, :-2], y, rcond=None)[0][0]) / norm
-    return full, abs(full - dropped)
+    return rows, design
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_weights(
+    n: int, basis: tuple[tuple[float, bool], ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The rows of the fit at positions 1..n and two weight rows: the limit of
+    # the full fit and of the fit without its last column pair, each the
+    # first row of the design's pseudo-inverse (over the constant column's
+    # norm), with lstsq's singular-value cutoff eps max(M, N).
+    rows, design = _design(n, None, basis)
+    norm = math.sqrt(len(rows))
+    weights = []
+    for d in (design, design[:, :-2]):
+        u, s, vt = np.linalg.svd(d, full_matrices=False)
+        keep = s > np.finfo(float).eps * max(d.shape) * s[0]
+        weights.append(u[:, keep] @ (vt[keep, 0] / s[keep]) / norm)
+    for a in (rows, *weights):
+        a.flags.writeable = False
+    return rows, *weights
 
 
 def sums_from_last(terms: np.ndarray) -> np.ndarray:

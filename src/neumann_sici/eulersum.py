@@ -15,18 +15,23 @@ Each closed form has an independent oracle: the partial sums of a fixed
 20000 terms, fitted by least squares with alternating and smooth n^(-q) and
 n^(-q) log n remainders (see ``_accel``).  The non-alternating sums, whose
 terms decay like log(n)/n^s, far too slowly for a bare truncation, lean on
-the smooth columns, the alternating sums on both.
+the smooth columns, the alternating sums on both.  They all fit one design:
+the grid n = 1..20000 with its sign and the cumulative sums H_n and A_n is
+built once per process, on the first oracle call, and the fit's weight rows
+are cached by ``_accel``, so an oracle call costs its terms, their partial
+sums and two dot products.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ._accel import alternating_series_limit, sums_from_last
-from .specfun import CONSTANTS, _integer, eta, zeta
+from .specfun import _ZETA_ONE, CONSTANTS, _integer, eta, zeta
 
 __all__ = [
     "ClosedFormValue",
@@ -57,6 +62,14 @@ class ClosedFormValue:
     assembly: list[tuple[str, float]]
 
 
+def _index(value: int, minimum: int, name: str = "k", maximum: int = _ZETA_ONE) -> int:
+    # Every index k and exponent stops at the weight from which zeta and eta
+    # are clamped to 1.0, so no closed form loops past it and no huge integer
+    # reaches a float.
+    message = f"{name} must be an integer from {minimum} to {maximum}"
+    return _integer(value, message, minimum, maximum)
+
+
 def _sum_of_parts(*parts: tuple[Callable[[int], float], int, float]) -> ClosedFormValue:
     # parts are (function, argument, coefficient)
     assembly = [(f"{fn.__name__}({arg})", coeff) for fn, arg, coeff in parts]
@@ -69,7 +82,7 @@ def _sum_of_parts(*parts: tuple[Callable[[int], float], int, float]) -> ClosedFo
 
 def euler_linear_sum(k: int) -> float:
     """Euler's evaluation 2 sum H_{n-1}/n^k = k zeta(k+1) - sum_{j=1}^{k-2} zeta(k-j) zeta(j+1)."""
-    k = _integer(k, "k must be an integer >= 2", 2)
+    k = _index(k, 2)
     total = k * zeta(k + 1)
     for j in range(1, k - 1):
         total -= zeta(k - j) * zeta(j + 1)
@@ -78,7 +91,7 @@ def euler_linear_sum(k: int) -> float:
 
 def nielsen_sum(k: int) -> float:
     """Nielsen's formula 2 sum A_{n-1}/n^k = 2 log2 zeta(k) - k zeta(k+1) + sum_{j=1}^k eta(k+1-j) eta(j)."""
-    k = _integer(k, "k must be an integer >= 2", 2)
+    k = _index(k, 2)
     total = 2.0 * CONSTANTS.log2 * zeta(k) - k * zeta(k + 1)
     for j in range(1, k + 1):
         total += eta(k + 1 - j) * eta(j)
@@ -87,7 +100,7 @@ def nielsen_sum(k: int) -> float:
 
 def sitaramachandrarao_h(k: int) -> float:
     """2 sum (-1)^n H_{n-1}/n^{2k} = zeta(2k+1) - (2k-1) eta(2k+1) + 2 sum_{j<k} zeta(2k+1-2j) eta(2j)."""
-    k = _integer(k, "k must be an integer >= 1", 1)
+    k = _index(k, 1)
     total = zeta(2 * k + 1) - (2 * k - 1) * eta(2 * k + 1)
     for j in range(1, k):
         total += 2.0 * zeta(2 * k + 1 - 2 * j) * eta(2 * j)
@@ -97,7 +110,7 @@ def sitaramachandrarao_h(k: int) -> float:
 def sitaramachandrarao_a(k: int) -> float:
     """2 sum (-1)^n A_{n-1}/n^{2k} = zeta(2k+1) + (2k+1) eta(2k+1) - 2 eta(1) eta(2k)
     - 2 sum_{j<=k} eta(2k+1-2j) zeta(2j)."""
-    k = _integer(k, "k must be an integer >= 1", 1)
+    k = _index(k, 1)
     total = zeta(2 * k + 1) + (2 * k + 1) * eta(2 * k + 1) - 2.0 * eta(1) * eta(2 * k)
     for j in range(1, k + 1):
         total -= 2.0 * eta(2 * k + 1 - 2 * j) * zeta(2 * j)
@@ -106,8 +119,9 @@ def sitaramachandrarao_a(k: int) -> float:
 
 def corollary3_rhs(k: int) -> ClosedFormValue:
     """Closed form of 2 sum beta_n / n^{k+1}: Euler's and Nielsen's linear sums
-    of weight k+1, plus zeta(k+2) + eta(k+2) from the 1/(2n) terms of beta_n."""
-    k = _integer(k, "k must be an integer >= 1", 1)
+    of weight k+1, plus zeta(k+2) + eta(k+2) from the 1/(2n) terms of beta_n;
+    k stops one below their index maximum."""
+    k = _index(k, 1, maximum=_ZETA_ONE - 1)
     return _sum_of_parts((euler_linear_sum, k + 1, 1.0), (nielsen_sum, k + 1, 1.0),
                          (zeta, k + 2, 1.0), (eta, k + 2, 1.0))
 
@@ -115,7 +129,7 @@ def corollary3_rhs(k: int) -> ClosedFormValue:
 def corollary4_rhs(k: int) -> ClosedFormValue:
     """Closed form of 2 sum (-1)^n beta_n / n^{2k}: the two Sitaramachandrarao
     sums, less zeta(2k+1) + eta(2k+1) from the 1/(2n) terms of beta_n."""
-    k = _integer(k, "k must be an integer >= 1", 1)
+    k = _index(k, 1)
     return _sum_of_parts((sitaramachandrarao_h, k, 1.0), (sitaramachandrarao_a, k, 1.0),
                          (zeta, 2 * k + 1, -1.0), (eta, 2 * k + 1, -1.0))
 
@@ -134,10 +148,15 @@ _N_ACCEL = 20000
 _LOG_LADDER = ((0, False), *((q, with_log) for q in (1, 2, 3) for with_log in (False, True)))
 
 
-def _grid(terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """n = 1 .. terms and the sign (-1)^(n-1)."""
+@functools.lru_cache(maxsize=4)
+def _grid(terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """n = 1 .. terms, the sign (-1)^(n-1), H_n and A_n, as read-only arrays."""
     n = np.arange(1.0, terms + 1.0)
-    return n, np.where(np.arange(1, terms + 1) % 2 == 1, 1.0, -1.0)
+    sign = np.where(np.arange(1, terms + 1) % 2 == 1, 1.0, -1.0)
+    grid = (n, sign, np.cumsum(1.0 / n), np.cumsum(sign / n))
+    for a in grid:
+        a.flags.writeable = False
+    return grid
 
 
 def _accelerated(terms: np.ndarray, tol: float, what: str) -> float:
@@ -151,9 +170,9 @@ def _accelerated(terms: np.ndarray, tol: float, what: str) -> float:
 
 def _linear_sum_oracle(exponent: int, alternating_numerator: bool, alternating: bool) -> float:
     # 2 sum (+-1)^n X_{n-1} / n^exponent, X = A (alternating_numerator) or H
-    n, sign = _grid(_N_ACCEL)
+    n, sign, h, a = _grid(_N_ACCEL)
     step = (sign if alternating_numerator else 1.0) / n
-    terms = 2.0 * (np.cumsum(step) - step) * n ** (-float(exponent))
+    terms = 2.0 * ((a if alternating_numerator else h) - step) * n ** (-float(exponent))
     if alternating:
         terms *= -sign
     return _accelerated(terms, 1e-10, f"linear sum oracle (exponent {exponent})")
@@ -161,32 +180,32 @@ def _linear_sum_oracle(exponent: int, alternating_numerator: bool, alternating: 
 
 def euler_sum_oracle(k: int) -> float:
     """Accelerated 2 sum H_{n-1}/n^k."""
-    k = _integer(k, "k must be an integer >= 2", 2)
+    k = _index(k, 2)
     return _linear_sum_oracle(k, False, False)
 
 
 def nielsen_sum_oracle(k: int) -> float:
     """Accelerated 2 sum A_{n-1}/n^k."""
-    k = _integer(k, "k must be an integer >= 2", 2)
+    k = _index(k, 2)
     return _linear_sum_oracle(k, True, False)
 
 
 def sitaramachandrarao_h_oracle(k: int) -> float:
     """Accelerated 2 sum (-1)^n H_{n-1}/n^{2k}."""
-    k = _integer(k, "k must be an integer >= 1", 1)
+    k = _index(k, 1)
     return _linear_sum_oracle(2 * k, False, True)
 
 
 def sitaramachandrarao_a_oracle(k: int) -> float:
     """Accelerated 2 sum (-1)^n A_{n-1}/n^{2k}."""
-    k = _integer(k, "k must be an integer >= 1", 1)
+    k = _index(k, 1)
     return _linear_sum_oracle(2 * k, True, True)
 
 
 def _beta_weighted_terms(exponent: int, alternating: bool, count: int) -> np.ndarray:
     # 2 (+-1)^n beta_n / n^exponent, beta_n = H_n + A_n - (1 + (-1)^(n-1)) / (2n)
-    n, sign = _grid(count)
-    beta = np.cumsum(1.0 / n) + np.cumsum(sign / n) - (1.0 + sign) / (2.0 * n)
+    n, sign, h, a = _grid(count)
+    beta = h + a - (1.0 + sign) / (2.0 * n)
     terms = 2.0 * beta * n ** (-float(exponent))
     if alternating:
         terms *= -sign
@@ -200,14 +219,14 @@ def beta_weighted_sum(exponent: int, alternating: bool) -> float:
     exponent >= 2; the alternating one converges for exponent >= 1.
     """
     minimum = 1 if alternating else 2
-    exponent = _integer(exponent, f"exponent must be an integer >= {minimum}", minimum)
+    exponent = _index(exponent, minimum, "exponent")
     terms = _beta_weighted_terms(exponent, alternating, _N_ACCEL)
     return _accelerated(terms, 1e-10, "beta-weighted sum")
 
 
 def catalan_alpha_sum() -> float:
     """Accelerated sum (-1)^n alpha_n / (n(n+1)); evaluates to 3 - 4G."""
-    n, sign = _grid(_N_ACCEL)
+    n, sign, _, _ = _grid(_N_ACCEL)
     leib = np.cumsum(sign / (2.0 * n - 1.0))
     alpha = 2.0 * leib - sign / (2.0 * n + 1.0)
     return _accelerated(-sign * alpha / (n * (n + 1.0)), 1e-11, "catalan alpha sum")
@@ -215,6 +234,6 @@ def catalan_alpha_sum() -> float:
 
 def catalan_auxiliary_sum() -> float:
     """Accelerated sum (-1)^n/n * sum_{k<=n} (-1)^(k-1)/(2k-1); evaluates to -G."""
-    n, sign = _grid(_N_ACCEL)
+    n, sign, _, _ = _grid(_N_ACCEL)
     leib = np.cumsum(sign / (2.0 * n - 1.0))
     return _accelerated(-sign * leib / n, 1e-11, "catalan auxiliary sum")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from neumann_sici import eulersum, quad
+from neumann_sici import _accel, eulersum, quad
 from neumann_sici import specfun as sf
 from neumann_sici._accel import alternating_series_limit
 from neumann_sici.eulersum import (
@@ -99,22 +99,35 @@ _K_INDEXED = (
 @pytest.mark.parametrize("fn,smallest", _K_INDEXED, ids=lambda v: getattr(v, "__name__", ""))
 def test_euler_sums_take_only_integer_indices(fn, smallest):
     # euler_sum_oracle(2.5) was evaluated (1.033); 3.0, "3" and None leaked
-    # a TypeError or zeta's message
-    for bad in (2.5, 3.0, "3", None, smallest - 1):
-        with pytest.raises(ValueError, match="^k must be an integer"):
+    # a TypeError or zeta's message, 10**400 an OverflowError, and
+    # euler_linear_sum(10**6) looped for seconds; the parts of
+    # corollary3_rhs(k) have index k + 1
+    largest = 63 if fn is corollary3_rhs else 64
+    for bad in (2.5, 3.0, "3", None, smallest - 1, largest + 1, 10**6, 10**400):
+        with pytest.raises(ValueError, match=f"^k must be an integer from {smallest} to {largest}$"):
             fn(bad)
     assert fn(np.int64(smallest)) == fn(smallest)
+    assert fn(np.int64(largest)) == fn(largest)
 
 
 @pytest.mark.parametrize("alternating,smallest", [(True, 1), (False, 2)])
 def test_beta_weighted_sum_takes_only_integer_exponents(alternating, smallest):
-    # beta_weighted_sum("3", True) returned -1.618
-    for bad in (2.5, 3.0, "3", None, smallest - 1):
-        with pytest.raises(ValueError, match="exponent"):
+    # beta_weighted_sum("3", True) returned -1.618, and 10**400 raised OverflowError
+    for bad in (2.5, 3.0, "3", None, smallest - 1, 65, 10**400):
+        with pytest.raises(ValueError, match=f"^exponent must be an integer from {smallest} to 64$"):
             beta_weighted_sum(bad, alternating)
     assert beta_weighted_sum(np.int64(smallest), alternating) == beta_weighted_sum(
         smallest, alternating
     )
+
+
+def test_closed_forms_match_oracles_at_the_largest_index():
+    # zeta and eta are 1.0 from weight 55 on, so the sums settle to their first terms
+    assert abs(euler_linear_sum(64) - euler_sum_oracle(64)) <= 1e-13
+    assert abs(nielsen_sum(64) - nielsen_sum_oracle(64)) <= 1e-13
+    assert abs(sitaramachandrarao_h(64) - sitaramachandrarao_h_oracle(64)) <= 1e-13
+    assert abs(sitaramachandrarao_a(64) - sitaramachandrarao_a_oracle(64)) <= 1e-13
+    assert abs(corollary3_rhs(63).value - beta_weighted_sum(64, False)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -232,3 +245,64 @@ def test_extrapolator_uses_the_given_basis():
     ladder, _ = alternating_series_limit(partial, b, POWER_LADDER)
     assert abs(longman - 1.0) <= 1e-7
     assert abs(ladder - 1.0) >= 100.0 * abs(longman - 1.0)
+
+
+@pytest.mark.parametrize(
+    "sums,positions,basis",
+    [
+        ([], None, POWER_LADDER),
+        (np.ones(17), None, POWER_LADDER),
+        (np.ones(40), np.arange(1.0, 40.0), POWER_LADDER),
+        (np.ones(40), None, POWER_LADDER[:1]),
+    ],
+    ids=["empty", "fewer-than-twice-the-columns", "positions-one-short", "constant-only"],
+)
+def test_extrapolator_rejects_bad_inputs(sums, positions, basis):
+    # the empty sequence and a length mismatch leaked IndexError; fewer sums
+    # than twice the columns returned the "limit" of an exactly determined or
+    # underdetermined fit (17 sums give 9 rows for the 9-column power ladder)
+    with pytest.raises(ValueError):
+        alternating_series_limit(sums, positions, basis)
+
+
+_ORACLE_KINDS = {
+    "H": lambda: euler_sum_oracle(3),
+    "A": lambda: nielsen_sum_oracle(3),
+    "alternating-H": lambda: sitaramachandrarao_h_oracle(2),
+    "alternating-A": lambda: sitaramachandrarao_a_oracle(2),
+    "beta": lambda: beta_weighted_sum(3, False),
+    "alternating-beta": lambda: beta_weighted_sum(2, True),
+    "catalan-alpha": catalan_alpha_sum,
+    "catalan-auxiliary": catalan_auxiliary_sum,
+}
+
+
+@pytest.mark.parametrize("kind", _ORACLE_KINDS)
+def test_cached_weights_match_a_direct_solve(kind, monkeypatch):
+    # positions 1..n spelled out take the per-call lstsq path over the same design
+    seen = []
+
+    def record(partial_sums, positions, basis):
+        seen.append((np.array(partial_sums), basis))
+        return alternating_series_limit(partial_sums, positions, basis)
+
+    monkeypatch.setattr(eulersum, "alternating_series_limit", record)
+    _ORACLE_KINDS[kind]()
+    ((sums, basis),) = seen
+    assert len(sums) == eulersum._N_ACCEL
+    cached = alternating_series_limit(sums, None, basis)
+    direct = alternating_series_limit(sums, np.arange(1.0, len(sums) + 1.0), basis)
+    assert cached[0] == pytest.approx(direct[0], rel=0, abs=1e-14)
+    assert cached[1] == pytest.approx(direct[1], rel=0, abs=1e-14)
+
+
+def test_fixed_design_caches_are_bounded_and_read_only():
+    euler_sum_oracle(2)
+    arrays = [*eulersum._grid(eulersum._N_ACCEL)]
+    arrays += _accel._unit_weights(eulersum._N_ACCEL, eulersum._LOG_LADDER)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    for cached in (eulersum._grid, _accel._unit_weights):
+        assert cached.cache_info().maxsize is not None
+        assert cached.cache_info().currsize <= cached.cache_info().maxsize
