@@ -16,10 +16,10 @@ Each closed form has an independent oracle: the partial sums of a fixed
 n^(-q) log n remainders (see ``_accel``).  The non-alternating sums, whose
 terms decay like log(n)/n^s, far too slowly for a bare truncation, lean on
 the smooth columns, the alternating sums on both.  They all fit one design:
-the grid n = 1..20000 with its sign and the cumulative sums H_n and A_n is
-built once per process, on the first oracle call, and the fit's weight rows
-are cached by ``_accel``, so an oracle call costs its terms, their partial
-sums and two dot products.
+the grid n = 1..20000 with its sign and the cumulative sums H_n, A_n and
+the Leibniz sums is built once per process, on the first oracle call, and
+the fit's weight rows are cached by ``_accel``, so an oracle call costs its
+terms, their partial sums and two dot products.
 """
 
 from __future__ import annotations
@@ -149,11 +149,12 @@ _LOG_LADDER = ((0, False), *((q, with_log) for q in (1, 2, 3) for with_log in (F
 
 
 @functools.lru_cache(maxsize=4)
-def _grid(terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """n = 1 .. terms, the sign (-1)^(n-1), H_n and A_n, as read-only arrays."""
+def _grid(terms: int) -> tuple[np.ndarray, ...]:
+    """n = 1 .. terms, the sign (-1)^(n-1), H_n, A_n and the Leibniz sums
+    sum_{k<=n} (-1)^(k-1)/(2k-1), as read-only arrays."""
     n = np.arange(1.0, terms + 1.0)
     sign = np.where(np.arange(1, terms + 1) % 2 == 1, 1.0, -1.0)
-    grid = (n, sign, np.cumsum(1.0 / n), np.cumsum(sign / n))
+    grid = (n, sign, np.cumsum(1.0 / n), np.cumsum(sign / n), np.cumsum(sign / (2.0 * n - 1.0)))
     for a in grid:
         a.flags.writeable = False
     return grid
@@ -170,7 +171,7 @@ def _accelerated(terms: np.ndarray, tol: float, what: str) -> float:
 
 def _linear_sum_oracle(exponent: int, alternating_numerator: bool, alternating: bool) -> float:
     # 2 sum (+-1)^n X_{n-1} / n^exponent, X = A (alternating_numerator) or H
-    n, sign, h, a = _grid(_N_ACCEL)
+    n, sign, h, a, _ = _grid(_N_ACCEL)
     step = (sign if alternating_numerator else 1.0) / n
     terms = 2.0 * ((a if alternating_numerator else h) - step) * n ** (-float(exponent))
     if alternating:
@@ -204,7 +205,7 @@ def sitaramachandrarao_a_oracle(k: int) -> float:
 
 def _beta_weighted_terms(exponent: int, alternating: bool, count: int) -> np.ndarray:
     # 2 (+-1)^n beta_n / n^exponent, beta_n = H_n + A_n - (1 + (-1)^(n-1)) / (2n)
-    n, sign, h, a = _grid(count)
+    n, sign, h, a, _ = _grid(count)
     beta = h + a - (1.0 + sign) / (2.0 * n)
     terms = 2.0 * beta * n ** (-float(exponent))
     if alternating:
@@ -226,14 +227,12 @@ def beta_weighted_sum(exponent: int, alternating: bool) -> float:
 
 def catalan_alpha_sum() -> float:
     """Accelerated sum (-1)^n alpha_n / (n(n+1)); evaluates to 3 - 4G."""
-    n, sign, _, _ = _grid(_N_ACCEL)
-    leib = np.cumsum(sign / (2.0 * n - 1.0))
+    n, sign, _, _, leib = _grid(_N_ACCEL)
     alpha = 2.0 * leib - sign / (2.0 * n + 1.0)
     return _accelerated(-sign * alpha / (n * (n + 1.0)), 1e-11, "catalan alpha sum")
 
 
 def catalan_auxiliary_sum() -> float:
     """Accelerated sum (-1)^n/n * sum_{k<=n} (-1)^(k-1)/(2k-1); evaluates to -G."""
-    n, sign, _, _ = _grid(_N_ACCEL)
-    leib = np.cumsum(sign / (2.0 * n - 1.0))
+    n, sign, _, _, leib = _grid(_N_ACCEL)
     return _accelerated(-sign * leib / n, 1e-11, "catalan auxiliary sum")

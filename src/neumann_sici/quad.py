@@ -33,13 +33,13 @@ Two layers:
   that plain alternating-series acceleration cannot see.  The sums are
   passed measured from the last one, so that their rounding is the size
   of the tail.  Partitions are integrated a block at a time: the block runs
-  up to the next extrapolation checkpoint and every partition in it gets
-  one GK15 panel in a single integrand call.  The first partition, where
-  the integrand has not yet settled into its oscillation, is cut into
-  panels at most pi/2 wide in that same call.  Only partitions whose error
-  estimate exceeds the per-partition tolerance are refined, all of them
-  together with one call per refinement step; no integral in the registry
-  needs one.
+  up to the next extrapolation checkpoint (32, 48, 72, ... up to
+  ``_MAX_PARTITIONS``) and every partition in it gets one GK15 panel in a
+  single integrand call.  The first partition, where the integrand has not
+  yet settled into its oscillation, is cut into panels at most pi/2 wide in
+  that same call.  Only partitions whose error estimate exceeds the
+  per-partition tolerance are refined, all of them together with one call
+  per refinement step; no integral in the registry needs one.
 
 The Bessel moments int_0^inf w(t) J_nu(t) dt/t take one GK15 call on such
 partitions up to B >= max(50, nu^2/2), and a closed-form asymptotic tail.
@@ -172,6 +172,9 @@ def _gk15(
 
 
 _MAX_SUBDIVISIONS = 2000
+# The last Longman checkpoint, 32 * 1.5^12 floored stepwise: about 0.07 s on
+# a Bessel integrand, and the first at which the J_81 moment's converges
+_MAX_PARTITIONS = 4144
 _VALUE, _ERROR = itemgetter(4), itemgetter(5)  # of a heap item
 
 
@@ -279,64 +282,49 @@ _LONGMAN_BASIS = (
 _HALF_PI = 0.5 * math.pi
 
 
-def _partition_limits(scale: float) -> tuple[int, int]:
-    # Floor and cap on the partition count.  An integrand settles into its
-    # asymptotic oscillation after a run that grows with the scale s
-    # (Corollary 5's shift a); the clamp at 1e6 keeps the products finite.
-    s = min(scale, 1e6)
-    floor = max(32, int(0.75 * s * s))
-    cap = 400 + int(40 * s)
-    if floor >= cap:
-        raise QuadratureError(
-            f"oscillatory integral at scale {scale:g} cannot converge: "
-            f"the partition floor max(32, 0.75 s^2) reaches the cap 400 + 40 s"
-        )
-    return floor, cap
+def _integrate_partitions(
+    f: ArrayFn, lows: np.ndarray, highs: np.ndarray, first: bool, tol: float
+) -> tuple[list[float], list[float], list[int]]:
+    # One GK15 panel per partition, in one integrand call, but the first (from
+    # 0, where the integrand has not settled into its oscillation) if first:
+    # panels at most pi/2 wide, at most _MAX_SUBDIVISIONS of them
+    pieces = np.ones(len(highs), dtype=int)
+    if first:
+        pieces[0] = min(math.ceil(highs[0] / _HALF_PI), _MAX_SUBDIVISIONS)
+    return _integrate_intervals(f, lows, highs, pieces, max(tol * 2e-4, 5e-15))
 
 
-def oscillatory_semiinf(
-    f: ArrayFn, edge: Callable[[int], float], tol: float, *, scale: float = 0.0
-) -> QuadResult:
+def oscillatory_semiinf(f: ArrayFn, edge: Callable[[int], float], tol: float) -> QuadResult:
     """Longman scheme for int_0^inf f of a decaying oscillatory integrand.
 
     Partition m = 1, 2, ... runs from edge(m - 1) to edge(m), with edge(0)
     taken as 0; exact extremum locations do not matter since the
     extrapolation only needs eventually-alternating partial sums.  The
-    partitions up to each extrapolation checkpoint are integrated as one
-    block (see the module docstring); a block whose edges are not finite or
-    do not rise strictly from 0 raises ValueError.  The reported error is
-    3 times the larger of the fit's two moves (dropping its last column pair;
-    since the previous checkpoint) plus the summed panel error estimates.
-    ``tol`` must be finite and positive and ``scale`` finite and
-    nonnegative, else ValueError; s sets the partition floor max(32, 0.75 s^2)
-    and cap 400 + 40 s, and a floor at or above the cap raises
-    QuadratureError at once.
+    partitions up to each extrapolation checkpoint (32, 48, 72, ...) are
+    integrated as one block (see the module docstring); a block whose edges
+    are not finite or do not rise strictly from 0 raises ValueError.  The
+    reported error is 3 times the larger of the fit's two moves (dropping
+    its last column pair; since the previous checkpoint) plus the summed
+    panel error estimates.  ``tol`` must be finite and positive, else
+    ValueError before any edge; an integral not within tol by
+    ``_MAX_PARTITIONS`` partitions raises QuadratureError.
     """
     tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
-    scale = specfun._real(scale, "scale must be finite and nonnegative", 0.0)
-    checkpoint, cap = _partition_limits(scale)
-    seg_tol = max(tol * 2e-4, 5e-15)
+    checkpoint = 32
     parts: list[float] = []
     edges: list[float] = []
     quad_err = 0.0
     subdivisions = 0
     best: tuple[float, float] | None = None
     prev_value: float | None = None
-    while len(parts) < cap:
-        block_end = min(checkpoint, cap)
-        highs = [edge(m) for m in range(len(parts) + 1, block_end + 1)]
+    while checkpoint <= _MAX_PARTITIONS:
+        highs = [edge(m) for m in range(len(parts) + 1, checkpoint + 1)]
         lows = [edges[-1] if edges else 0.0] + highs[:-1]
         if not (all(lo < hi for lo, hi in zip(lows, highs)) and math.isfinite(highs[-1])):
             raise ValueError("partition edges must be finite and rise strictly from 0")
         edges += highs
-        pieces = np.ones(len(highs), dtype=int)
-        if not parts:
-            # the first partition, before the oscillation settles, starts as
-            # panels at most pi/2 wide (at most as many as the block has
-            # partitions)
-            pieces[0] = min(math.ceil(highs[0] / _HALF_PI), len(highs))
-        values, errors, panels = _integrate_intervals(
-            f, np.array(lows), np.array(highs), pieces, seg_tol
+        values, errors, panels = _integrate_partitions(
+            f, np.array(lows), np.array(highs), not parts, tol
         )
         parts += values
         quad_err += math.fsum(errors)
@@ -491,10 +479,9 @@ def _bessel_moment(order: int, ci: bool, tol: float) -> QuadResult:
     phase = 0.5 * order + 0.25
     count = max(1, math.ceil(max(50.0, 0.5 * order * order) / math.pi - phase))
     highs = (np.arange(1.0, count + 1) + phase) * math.pi
-    pieces = np.r_[math.ceil(highs[0] / _HALF_PI), np.ones(count - 1, dtype=int)]
-    values, errors, panels = _integrate_intervals(
-        lambda t: weight(t) * specfun.bessel_j(order, t) / t,
-        np.r_[0.0, highs[:-1]], highs, pieces, max(tol * 2e-4, 5e-15),
+    lows = np.r_[0.0, highs[:-1]]
+    values, errors, panels = _integrate_partitions(
+        lambda t: weight(t) * specfun.bessel_j(order, t) / t, lows, highs, True, tol
     )
     tail, left_out = _moment_tail(order, ci, float(highs[-1]))
     return QuadResult(math.fsum(values) + tail, math.fsum(errors) + left_out, sum(panels), count)
@@ -568,19 +555,25 @@ def corollary6_intermediate_integral() -> QuadResult:
     return oscillatory_semiinf(f, _period_edges(0.75), 2e-5)
 
 
+# In a sweep at step 0.05, corollary5_rhs converges within _MAX_PARTITIONS
+# for every a up to 119.1 and for none from 119.15 on
+_COROLLARY5_MAX_A = 115.0
+
+
 def corollary5_rhs(a: float) -> QuadResult:
-    """int_0^inf [gamma + log t - Ci(t)] J_0(sqrt(a^2 + t^2)) dt/t.
+    """int_0^inf [gamma + log t - Ci(t)] J_0(sqrt(a^2 + t^2)) dt/t, |a| <= 115.
 
     Equals the alternating Neumann series sum_n (-1)^n J_{2n}(a) beta_n / n.
     Partition edges follow the shifted argument: they sit where
     sqrt(a^2 + t^2) reaches (k + 1/4) pi, for each k >= 1 with (k + 1/4) pi > a.
     The residual phase drift a^2/(2t) of the shifted argument must settle
-    inside the fit window, so a sets the partition scale; from
-    a ~ 62 on the floor reaches the cap, and QuadratureError is raised
-    without integrating.
+    inside the fit window, which takes more partitions as |a| grows (up to
+    ``_MAX_PARTITIONS``); past |a| = 115 (``_COROLLARY5_MAX_A``)
+    QuadratureError is raised before any edge is counted.
     """
     a = abs(specfun._real(a, "a must be finite"))
-    _partition_limits(a)  # raise before counting edges, which spins at huge a
+    if a > _COROLLARY5_MAX_A:  # before counting edges, which spins at huge a
+        raise QuadratureError(f"corollary5_rhs needs |a| <= {_COROLLARY5_MAX_A:g}, got |a| = {a:g}")
     # edges (k + 1/4) pi <= a have no real counterpart in t
     skipped = 0
     while (skipped + 1.25) * math.pi <= a:
@@ -596,5 +589,4 @@ def corollary5_rhs(a: float) -> QuadResult:
         / t,
         edge,
         2e-7,
-        scale=a,
     )

@@ -49,8 +49,6 @@ _REAL_ARGUMENTS = {
     "integrate_finite.b": lambda v: quad.integrate_finite(np.cos, 0.0, v),
     "integrate_finite.tol": lambda v: quad.integrate_finite(np.cos, 0.0, 1.0, v),
     "oscillatory_semiinf.tol": lambda v: quad.oscillatory_semiinf(_sin_over_t, _period_edge, v),
-    "oscillatory_semiinf.scale": lambda v: quad.oscillatory_semiinf(
-        _sin_over_t, _period_edge, 1e-6, scale=v),
     "si_transform_integral": quad.si_transform_integral,
     "ci_transform_integral": quad.ci_transform_integral,
     "corollary5_rhs": quad.corollary5_rhs,

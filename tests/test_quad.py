@@ -327,21 +327,9 @@ def test_oscillatory_rejects_bad_spacing():
     assert not calls  # rejected before the integrand runs
 
 
-@pytest.mark.parametrize(
-    "tol,scale",
-    [
-        (0.0, 0.0),
-        (-1.0, 0.0),
-        (math.nan, 0.0),
-        (math.inf, 0.0),
-        (1e-6, math.nan),
-        (1e-6, -5.0),
-        (1e-6, math.inf),
-    ],
-)
-def test_oscillatory_rejects_bad_tol_and_scale_before_any_edge(tol, scale):
-    # a nan scale leaked int()'s conversion error, a negative one was taken
-    # as a cap of 400 + 40 s, and a bad tol ran the partition cap out first
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_oscillatory_rejects_bad_tol_before_any_edge(tol):
+    # a bad tol ran the partition cap out first
     edges = []
 
     def edge(m):
@@ -349,40 +337,47 @@ def test_oscillatory_rejects_bad_tol_and_scale_before_any_edge(tol, scale):
         return m * math.pi
 
     with pytest.raises(ValueError, match="must be finite"):
-        oscillatory_semiinf(lambda t: np.sin(t) / t, edge, tol, scale=scale)
+        oscillatory_semiinf(lambda t: np.sin(t) / t, edge, tol)
     assert not edges
 
 
 def test_oscillatory_nonconvergence_raises():
-    with pytest.raises(QuadratureError):
-        oscillatory_semiinf(lambda t: np.sin(t) / t, lambda m: m * math.pi, 1e-16)
+    # the checkpoints 32, 48, 72, ... stop at the partition cap itself
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return np.sin(t) / t
+
+    with pytest.raises(QuadratureError, match=f"within {quad._MAX_PARTITIONS} partitions"):
+        oscillatory_semiinf(f, lambda m: m * math.pi, 1e-16)
+    # one call per block; the first partition [0, pi] is 2 panels
+    assert sum(calls) == 15 * (quad._MAX_PARTITIONS + 1)
 
 
-def test_oscillatory_partition_floor_above_cap_raises_before_any_edge():
-    # scale 62: the floor max(32, 0.75 s^2) = 2883 exceeds the cap 400 + 40 s = 2880
-    edges = []
+def test_oscillatory_first_partition_split_is_capped():
+    # a first partition 1e300 wide would take 6e299 panels at most pi/2 wide;
+    # it takes _MAX_SUBDIVISIONS and raises once those do not converge
+    calls = []
 
-    def edge(m):
-        edges.append(m)
-        return m * math.pi
+    def f(t):
+        calls.append(t.size)
+        return np.sin(t) / t
 
-    with pytest.raises(QuadratureError, match="partition floor"):
-        oscillatory_semiinf(lambda t: np.sin(t) / t, edge, 1e-6, scale=62.0)
-    assert not edges
+    with pytest.raises(QuadratureError, match="subdivisions"):
+        oscillatory_semiinf(f, lambda m: m * 1e300, 1e-6)
+    assert calls == [15 * (quad._MAX_SUBDIVISIONS + 31)]
 
 
-def test_high_order_bessel_moment_raises_without_integrating(monkeypatch):
-    # The Longman engine on the J_81 moment's integrand, edges and scale: the
-    # floor 4920 exceeds the cap 3640, which it used to reach only after
-    # integrating all 3640 partitions
-    def unreachable(order, t):
-        raise AssertionError("integrand evaluated")
-
-    monkeypatch.setattr(sf, "bessel_j", unreachable)
-    with pytest.raises(QuadratureError, match="partition floor"):
-        oscillatory_semiinf(
-            lambda t: sf.si(t) * sf.bessel_j(81, t) / t, quad._period_edges(40.75), 1e-8, scale=81
-        )
+def test_high_order_bessel_moment_integrand_matches_exact_coefficient():
+    # The Longman engine on the Si-weighted J_81 moment's integrand and edges,
+    # which used to raise at a partition floor of max(32, 0.75 nu^2)
+    r = oscillatory_semiinf(
+        lambda t: sf.si(t) * sf.bessel_j(81, t) / t, quad._period_edges(40.75), 1e-8
+    )
+    diff = abs(r.value - float(coeffs.alpha(40) / 81))
+    assert diff <= r.abs_err_estimate <= 1e-8
+    assert r.partitions_used == quad._MAX_PARTITIONS
 
 
 def test_bessel_moment_past_the_order_cap_raises_without_integrating(monkeypatch):
@@ -422,9 +417,9 @@ def test_oscillatory_engine_batches_partitions_per_block():
 
 
 def test_high_order_moment_makes_one_integrand_call_per_block():
-    # The Longman engine on the J_21 moment's integrand, edges and scale:
-    # checkpoints at 330, 495, 742, ... partitions.  The first partition
-    # [0, 11.75 pi] is evaluated in the first block's call, with no serial
+    # The Longman engine on the J_21 moment's integrand and edges:
+    # checkpoints at 32, 48, 72, ... partitions.  The first partition
+    # [0, 11.75 pi] is 24 panels in the first block's call, with no serial
     # bisection calls after it.
     sizes = []
 
@@ -432,25 +427,24 @@ def test_high_order_moment_makes_one_integrand_call_per_block():
         sizes.append(t.size)
         return sf.si(t) * sf.bessel_j(21, t) / t
 
-    r = oscillatory_semiinf(f, quad._period_edges(10.75), 1e-8, scale=21)
-    checkpoints = [330]
+    r = oscillatory_semiinf(f, quad._period_edges(10.75), 1e-8)
+    checkpoints = [32]
     while checkpoints[-1] < r.partitions_used:
         checkpoints.append(int(1.5 * checkpoints[-1]))
     assert checkpoints[-1] == r.partitions_used <= 1000
     assert len(sizes) == len(checkpoints)
+    assert sizes[0] == 15 * (32 + 23)
     assert sum(sizes) == 15 * r.subdivisions
 
 
-@pytest.mark.parametrize("n,partitions", [(0, 48), (4, 303)])
+@pytest.mark.parametrize("n,partitions", [(0, 48), (4, 243)])
 def test_si_bessel_integral_partition_counts(n, partitions):
-    # The Longman engine on the Si-weighted J_2n+1 moment's integrand, edges
-    # and scale
+    # The Longman engine on the Si-weighted J_2n+1 moment's integrand and edges
     order = 2 * n + 1
     r = oscillatory_semiinf(
         lambda t: sf.si(t) * sf.bessel_j(order, t) / t,
         quad._period_edges(0.5 * order + 0.25),
         1e-8,
-        scale=order,
     )
     assert r.partitions_used == partitions
 
@@ -604,7 +598,6 @@ def test_indexed_operations_take_only_integers(fn, arg, smallest):
         ("math.nan", "ValueError"),
         ("math.inf", "ValueError"),
         ("1e300", "QuadratureError"),
-        ("62.0", "QuadratureError"),
     ],
 )
 def test_corollary5_rhs_rejects_unreachable_arguments(a, error):
@@ -630,6 +623,38 @@ def test_corollary5_rhs_matches_series():
     series = neumann.corollary5_series(2.0)
     r = corollary5_rhs(2.0)
     assert abs(r.value - series.value) <= 1e-6
+
+
+def test_corollary5_rhs_matches_series_up_to_its_bound():
+    # From a = 62 on this used to raise QuadratureError, when a partition
+    # floor of 0.75 a^2 reached the cap.  In a subprocess, so that a
+    # regression fails here instead of hanging the suite.
+    code = (
+        "import time\n"
+        "from neumann_sici import neumann, quad\n"
+        "start = time.perf_counter()\n"
+        "for a in (0.5, 62, *range(0, 115, 5), quad._COROLLARY5_MAX_A):\n"
+        "    r = quad.corollary5_rhs(a)\n"
+        "    diff = abs(r.value - neumann.corollary5_series(a).value)\n"
+        "    assert diff <= r.abs_err_estimate <= 2e-7, (a, diff, r.abs_err_estimate)\n"
+        "elapsed = time.perf_counter() - start\n"
+        "assert elapsed < 2.0, elapsed\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("a", [115.01, -115.01])
+def test_corollary5_rhs_past_its_bound_raises_before_integrating(monkeypatch, a):
+    def unreachable(t):
+        raise AssertionError("integrand evaluated")
+
+    monkeypatch.setattr(sf, "gamma_log_minus_ci", unreachable)
+    with pytest.raises(QuadratureError, match=r"needs \|a\| <= 115, got \|a\| = 115.01"):
+        corollary5_rhs(a)
 
 
 def test_corollary6_integrals():
