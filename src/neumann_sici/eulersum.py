@@ -161,7 +161,7 @@ def _grid(terms: int) -> tuple[np.ndarray, ...]:
 
 
 def _accelerated(terms: np.ndarray, tol: float, what: str) -> float:
-    limit, shift = alternating_series_limit(sums_from_last(terms), None, _LOG_LADDER)
+    limit, shift = alternating_series_limit(sums_from_last(terms), _LOG_LADDER)
     value = float(np.sum(terms)) + limit
     est = max(2.0 * shift, 4e-16 * max(1.0, abs(value)))
     if est > tol:

@@ -20,29 +20,12 @@ Two layers:
   the integrand's frequency (2n+1 for Lemma 1, 2n for Lemma 3, 1 for the
   transforms and the Clausen integrals): a Lemma integral needs no
   bisection.
-* ``oscillatory_semiinf`` -- a Longman-style scheme for Example 2 and
-  Corollaries 5 and 6: integrate between consecutive partition edges, given
-  by an edge function m -> edge(m) (for a Bessel integrand its asymptotic
-  extrema, spaced by the period pi), and extrapolate the partial sums to
-  b = infinity with the Euler sums' extrapolator,
-  ``_accel.alternating_series_limit``: one least-squares fit of the raw
-  sums over the last half of the edges, with an alternating and a smooth
-  column for each of b^(-1), b^(-3/2), b^(-3/2) log b, ...  The smooth
-  columns are needed: products of two oscillatory factors (Si or Ci tails
-  against a Bessel function) carry a non-alternating t^(-5/2) component
-  that plain alternating-series acceleration cannot see.  The sums are
-  passed measured from the last one, so that their rounding is the size
-  of the tail.  Partitions are integrated a block at a time: the block runs
-  up to the next extrapolation checkpoint (32, 48, 72, ... up to
-  ``_MAX_PARTITIONS``) and every partition in it gets one GK15 panel in a
-  single integrand call.  The first partition, where the integrand has not
-  yet settled into its oscillation, is cut into panels at most pi/2 wide in
-  that same call.  Only partitions whose error estimate exceeds the
-  per-partition tolerance are refined, all of them together with one call
-  per refinement step; no integral in the registry needs one.
-
-The Bessel moments int_0^inf w(t) J_nu(t) dt/t take one GK15 call on such
-partitions up to B >= max(50, nu^2/2), and a closed-form asymptotic tail.
+* ``oscillatory_semiinf`` -- every integral over [0, inf) (the Bessel
+  moments, the J_1(t)/t self-test, Example 2, Corollaries 5 and 6): GK15
+  panels up to B = max(50, s^2/2) for an integrand of order s, then its
+  asymptotic expansion (``_Expansion``, a product of J_nu, Y_nu, Si,
+  gamma + log t - Ci, log(t/2), 1/t and J_0(sqrt(a^2 + t^2)) expansions)
+  integrated term by term.
 
 Each verified integral gets its own operation below so the harness can bind
 it to an exact or closed-form counterpart.
@@ -51,15 +34,16 @@ it to an exact or closed-form counterpart.
 from __future__ import annotations
 
 import cmath
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from . import _accel, specfun
+from . import specfun
 
 __all__ = [
     "QuadResult",
@@ -139,11 +123,11 @@ _NODE_W = np.array(
 
 def _gk15(
     f: ArrayFn, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Gauss-Kronrod panels [a[i], b[i]] in one integrand call.
 
-    Returns the arrays (integral, error estimate, rough), where rough marks
-    the panels whose estimate exceeds its roundoff floor.
+    Returns the arrays (integral, error estimate, rough, Kronrod sum of |f|),
+    where rough marks the panels whose estimate exceeds its roundoff floor.
     """
     center = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -168,19 +152,16 @@ def _gk15(
     ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=nonzero)
     err = np.where(nonzero, resasc * np.minimum(1.0, ratio**1.5), err)
     floor = _ROUNDOFF * resabs
-    return resk * h, np.maximum(err, floor), err > floor
+    return resk * h, np.maximum(err, floor), err > floor, resabs
 
 
 _MAX_SUBDIVISIONS = 2000
-# The last Longman checkpoint, 32 * 1.5^12 floored stepwise: about 0.07 s on
-# a Bessel integrand, and the first at which the J_81 moment's converges
-_MAX_PARTITIONS = 4144
-_VALUE, _ERROR = itemgetter(4), itemgetter(5)  # of a heap item
+_VALUE, _ERROR, _ABSOLUTE = itemgetter(4), itemgetter(5), itemgetter(7)  # of a heap item
 
 
 def _integrate_intervals(
     f: ArrayFn, a: np.ndarray, b: np.ndarray, pieces: np.ndarray, tol: float
-) -> tuple[list[float], list[float], list[int]]:
+) -> tuple[list[float], list[float], list[int], list[float]]:
     """Adaptive GK15 on each [a[i], b[i]] separately, each to absolute tol.
 
     Interval i starts as ``pieces[i]`` equal panels, and every interval keeps
@@ -191,7 +172,7 @@ def _integrate_intervals(
     roundoff floor stops there, with that floor sum as its estimate, since
     bisection cannot lower it; one that reaches ``_MAX_SUBDIVISIONS`` panels
     unconverged raises QuadratureError.  Returns per-interval lists of
-    values, error estimates and panel counts.
+    values, error estimates, panel counts and Kronrod sums of |f|.
     """
     stops = np.cumsum(pieces)
     starts = stops - pieces
@@ -200,14 +181,14 @@ def _integrate_intervals(
     high = np.empty_like(low)
     high[:-1] = low[1:]
     high[stops - 1] = b
-    values, errors, rough = _gk15(f, low, high)
+    values, errors, rough, absolute = _gk15(f, low, high)
     total_err = np.add.reduceat(errors, starts).tolist()
     # panels per interval whose estimate is above its floor
     unsettled = np.add.reduceat(rough, starts, dtype=int).tolist()
-    # heap items are (-err, seq, a, b, value, err, rough); seq breaks ties
-    # deterministically
+    # heap items are (-err, seq, a, b, value, err, rough, sum of |f|); seq
+    # breaks ties deterministically
     items = list(zip((-errors).tolist(), range(len(values)), low.tolist(), high.tolist(),
-                     values.tolist(), errors.tolist(), rough.tolist()))
+                     values.tolist(), errors.tolist(), rough.tolist(), absolute.tolist()))
     heaps = [items[i:j] for i, j in zip(starts.tolist(), stops.tolist())]
     for heap in heaps:
         heapq.heapify(heap)
@@ -225,17 +206,15 @@ def _integrate_intervals(
         lo = [item[2] for item in worst]
         hi = [item[3] for item in worst]
         mid = [0.5 * (left + right) for left, right in zip(lo, hi)]
-        halves, halves_err, halves_rough = (
-            x.tolist() for x in _gk15(f, np.array(lo + mid), np.array(mid + hi))
-        )
+        # (value, err, rough, sum of |f|) of each half
+        halves = list(zip(*(x.tolist() for x in _gk15(f, np.array(lo + mid), np.array(mid + hi)))))
         n = len(active)
         for j, i in enumerate(active):
-            lerr, rerr = halves_err[j], halves_err[n + j]
-            lrough, rrough = halves_rough[j], halves_rough[n + j]
-            total_err[i] += lerr + rerr - worst[j][5]
-            unsettled[i] += lrough + rrough - worst[j][6]
-            heapq.heappush(heaps[i], (-lerr, seq, lo[j], mid[j], halves[j], lerr, lrough))
-            heapq.heappush(heaps[i], (-rerr, seq + 1, mid[j], hi[j], halves[n + j], rerr, rrough))
+            left, right = halves[j], halves[n + j]
+            total_err[i] += left[1] + right[1] - worst[j][5]
+            unsettled[i] += left[2] + right[2] - worst[j][6]
+            heapq.heappush(heaps[i], (-left[1], seq, lo[j], mid[j], *left))
+            heapq.heappush(heaps[i], (-right[1], seq + 1, mid[j], hi[j], *right))
             panels[i] += 1
         seq += 2
         active = [i for i in active if total_err[i] > tol and unsettled[i]]
@@ -244,6 +223,7 @@ def _integrate_intervals(
         [math.fsum(map(_VALUE, heap)) for heap in heaps],
         [math.fsum(map(_ERROR, heap)) for heap in heaps],
         panels,
+        [math.fsum(map(_ABSOLUTE, heap)) for heap in heaps],
     )
 
 
@@ -265,95 +245,13 @@ def integrate_finite(
     tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
     message = f"pieces must be an integer from 1 to {_MAX_SUBDIVISIONS}"
     pieces = specfun._integer(pieces, message, 1, _MAX_SUBDIVISIONS)
-    values, errors, panels = _integrate_intervals(
+    values, errors, panels, _ = _integrate_intervals(
         f, np.array([a], dtype=float), np.array([b], dtype=float), np.array([pieces]), tol
     )
     return QuadResult(values[0], errors[0], panels[0])
 
 
-_EST_SAFETY = 3.0
-# The remainder at partition edge b: t^(-3/2) amplitudes, times log t where a
-# weight carries log t, integrated from b; the b^(-1) entry covers integrands
-# that decay like 1/t, such as sin(t)/t.
-_LONGMAN_BASIS = (
-    (0, False), (1, False), (1.5, False), (1.5, True),
-    (2.5, False), (2.5, True), (3.5, False), (4.5, False),
-)
 _HALF_PI = 0.5 * math.pi
-
-
-def _integrate_partitions(
-    f: ArrayFn, lows: np.ndarray, highs: np.ndarray, first: bool, tol: float
-) -> tuple[list[float], list[float], list[int]]:
-    # One GK15 panel per partition, in one integrand call, but the first (from
-    # 0, where the integrand has not settled into its oscillation) if first:
-    # panels at most pi/2 wide, at most _MAX_SUBDIVISIONS of them
-    pieces = np.ones(len(highs), dtype=int)
-    if first:
-        pieces[0] = min(math.ceil(highs[0] / _HALF_PI), _MAX_SUBDIVISIONS)
-    return _integrate_intervals(f, lows, highs, pieces, max(tol * 2e-4, 5e-15))
-
-
-def oscillatory_semiinf(f: ArrayFn, edge: Callable[[int], float], tol: float) -> QuadResult:
-    """Longman scheme for int_0^inf f of a decaying oscillatory integrand.
-
-    Partition m = 1, 2, ... runs from edge(m - 1) to edge(m), with edge(0)
-    taken as 0; exact extremum locations do not matter since the
-    extrapolation only needs eventually-alternating partial sums.  The
-    partitions up to each extrapolation checkpoint (32, 48, 72, ...) are
-    integrated as one block (see the module docstring); a block whose edges
-    are not finite or do not rise strictly from 0 raises ValueError.  The
-    reported error is 3 times the larger of the fit's two moves (dropping
-    its last column pair; since the previous checkpoint) plus the summed
-    panel error estimates.  ``tol`` must be finite and positive, else
-    ValueError before any edge; an integral not within tol by
-    ``_MAX_PARTITIONS`` partitions raises QuadratureError.
-    """
-    tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
-    checkpoint = 32
-    parts: list[float] = []
-    edges: list[float] = []
-    quad_err = 0.0
-    subdivisions = 0
-    best: tuple[float, float] | None = None
-    prev_value: float | None = None
-    while checkpoint <= _MAX_PARTITIONS:
-        highs = [edge(m) for m in range(len(parts) + 1, checkpoint + 1)]
-        lows = [edges[-1] if edges else 0.0] + highs[:-1]
-        if not (all(lo < hi for lo, hi in zip(lows, highs)) and math.isfinite(highs[-1])):
-            raise ValueError("partition edges must be finite and rise strictly from 0")
-        edges += highs
-        values, errors, panels = _integrate_partitions(
-            f, np.array(lows), np.array(highs), not parts, tol
-        )
-        parts += values
-        quad_err += math.fsum(errors)
-        subdivisions += sum(panels)
-        checkpoint = int(checkpoint * 1.5)
-        limit, shift = _accel.alternating_series_limit(
-            _accel.sums_from_last(np.array(parts)), edges, _LONGMAN_BASIS
-        )
-        value = math.fsum(parts) + limit
-        if prev_value is not None:
-            # the move since the previous checkpoint guards against a fit
-            # that is stable in its basis but not yet in the partition count
-            est = _EST_SAFETY * max(shift, abs(value - prev_value)) + quad_err
-            best = (value, est)
-            if est <= tol:
-                return QuadResult(value, est, subdivisions, partitions_used=len(parts))
-        prev_value = value
-    raise QuadratureError(
-        f"oscillatory integral did not reach tol {tol:.1e} within "
-        f"{len(parts)} partitions"
-        + (f" (best estimate {best[1]:.2e})" if best else "")
-    )
-
-
-def _period_edges(phase: float) -> Callable[[int], float]:
-    # Edges (m + phase) pi: a Bessel function of order nu has its asymptotic
-    # extrema at (m + nu/2 + 1/4) pi, so phase = nu/2 + 1/4 puts the edges
-    # there and the partition integrals alternate in sign.
-    return lambda m: (m + phase) * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -413,102 +311,260 @@ def clausen_cot_integral(k: int) -> QuadResult:
 
 
 # ---------------------------------------------------------------------------
-# Semi-infinite oscillatory Bessel integrals
+# Semi-infinite integrals: a Gauss-Kronrod range and an asymptotic tail
 # ---------------------------------------------------------------------------
 
-# The highest J order of a moment: [0, B] holds 25,000 partitions, about 1 s
-_MAX_MOMENT_ORDER = 400
-_ORDER_CAP = f"J order at most quad._MAX_MOMENT_ORDER = {_MAX_MOMENT_ORDER}"
-
-
-def _asymptotic_terms(ratios: Iterable[complex]) -> tuple[np.ndarray, float]:
-    # Terms 1, r1, r1 r2, ... to the first below 1e-18 (within 30 for each
-    # series here) or the smallest, and the size of the first one left out
-    terms = [1.0 + 0j]
-    for r in ratios:
-        if abs(nxt := terms[-1] * r) < 1e-18 or abs(nxt) >= abs(terms[-1]):
-            break
-        terms.append(nxt)
-    return np.array(terms), abs(nxt)
-
-
-def _power_ladder(kappa: float, b: float, count: int) -> np.ndarray:
-    # Rows b^p I(p), b^p L(p) for p = 3/2, 5/2, ... (count of them), I(p) =
-    # int_b^inf e^(i kappa t) t^-p dt and L = -dI/dp, by parts: I(p) = (p I(p+1)
-    # - e^(i kappa b) b^-p) / (i kappa), run downward (stable for p < kappa b)
-    # from leading terms 20 levels up, whose error shrinks by p/(kappa b) a step
-    phase, log_b, step = cmath.exp(1j * kappa * b), math.log(b), 1.0 / (1j * kappa)
-    i_p, l_p = -phase * step, -phase * step * log_b
-    out = np.empty((2, count), dtype=complex)
-    for j in range(count + 19, -1, -1):
-        r = (j + 1.5) / b
-        i_p, l_p = (r * i_p - phase) * step, (r * l_p - i_p / b - phase * log_b) * step
-        if j < count:
-            out[:, j] = i_p, l_p
+def _conv2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The product of two coefficient arrays indexed (log power j, half power h)
+    if len(a) == len(b) == 1:
+        return np.convolve(a[0], b[0])[None]
+    out = np.zeros((len(a) + len(b) - 1, a.shape[1] + b.shape[1] - 1), np.result_type(a, b))
+    for i, row in enumerate(a):
+        for k, col in enumerate(b):
+            out[i + k] += np.convolve(row, col)
     return out
 
 
-def _moment_tail(order: int, ci: bool, b: float) -> tuple[float, float]:
-    # int_b^inf w(t) J_order(t) dt/t, b >= max(50, order^2/2), term by term in
-    # J = sqrt(2/pi) Re[e^(i(t - omega)) sum_k i^k a_k t^(-k-1/2)], omega =
-    # (2 order + 1) pi/4 (DLMF 10.17.3), Si = pi/2 - Re[e^(-it) E] and Ci =
-    # -Im[e^(-it) E], E = sum_m i^m m! t^(-m-1) (DLMF 6.12.3-4): E against J
-    # gives t^-p and frequency-2 terms, pi/2 and gamma + log t frequency 1.
-    # What is left out is bounded by each series' first omitted term (DLMF
-    # 10.17(iii), 6.12(ii)), J's against |w| <= 1 + log t, E's twice, |J| <= 1.
-    u = 1.0 / b
-    s, s_out = _asymptotic_terms(0.125j * r * u for r in specfun._hankel_ratios(order))
-    e, e_out = _asymptotic_terms(1j * m * u for m in range(1, 60))
-    i1, l1 = _power_ladder(1.0, b, len(s))
-    i2 = _power_ladder(-2.0, b, len(s) + len(e))[0, 1:]
-    flat = np.convolve(e, s) @ (1.0 / np.arange(1.5, len(s) + len(e)))
-    osc2 = np.convolve(e, s.conj()) @ i2 * u  # times e^(i omega)
-    rot = cmath.exp(-0.5j * (order + 0.5) * math.pi)  # e^(-i omega)
-    osc1 = specfun.CONSTANTS.euler_gamma * (s @ i1) + s @ l1 if ci else _HALF_PI * (s @ i1)
-    tail = (rot * osc1 - (0.5j if ci else 0.5) * (rot * flat + osc2 / rot)).real
-    amp = math.sqrt(2.0 / math.pi / b)
-    left_out = amp * s_out * (2.0 + math.log(b)) / (len(s) + 0.5) + 2.0 * e_out * u / (len(e) + 1)
-    return float(amp * tail * u), left_out
+def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The sum of two (j, h) coefficient arrays, the smaller padded with zeros
+    out = np.zeros(np.maximum(a.shape, b.shape), np.result_type(a, b))
+    out[: len(a), : a.shape[1]] += a
+    out[: len(b), : b.shape[1]] += b
+    return out
 
 
-def _bessel_moment(order: int, ci: bool, tol: float) -> QuadResult:
-    # int_0^inf w(t) J_order(t) dt/t, w = gamma + log t - Ci if ci, else Si: a
-    # GK15 panel per partition (the first as panels at most pi/2 wide) up to
-    # B, the first edge at or above max(50, order^2/2), then _moment_tail
-    weight = specfun.gamma_log_minus_ci if ci else specfun.si
-    phase = 0.5 * order + 0.25
-    count = max(1, math.ceil(max(50.0, 0.5 * order * order) / math.pi - phase))
+@dataclass(frozen=True)
+class _Expansion:
+    """A real function f and its asymptotic expansion, valid from t = max(50, order^2/2).
+
+    ``terms[kappa][j, h]`` is the coefficient of t^(-h/2) (log t)^j e^(i kappa t)
+    for kappa >= 0, and f is the kappa = 0 part plus twice the real part of
+    the rest.  What the cut series leave out is at most ``cut`` times the
+    majorant of |f| whose coefficients are ``size``.  Products and sums act
+    on f, on the terms (a product convolves them) and on the majorants.
+    """
+
+    f: ArrayFn
+    terms: dict[int, np.ndarray]
+    size: np.ndarray
+    cut: float = 0.0
+    order: float = 0.0
+
+    def __mul__(self, other: _Expansion | float) -> _Expansion:
+        if not isinstance(other, _Expansion):
+            constant = other
+            other = _factor(lambda t: constant, {0: np.array([[constant]])})
+        terms: dict[int, np.ndarray] = {}
+        # each frequency with its conjugate at -kappa
+        mine, theirs = ([*x.terms.items(), *((-k, c.conj()) for k, c in x.terms.items() if k)]
+                        for x in (self, other))
+        for k1, c1 in mine:
+            for k2, c2 in theirs:
+                if k1 + k2 >= 0:
+                    c = _conv2(c1, c2)
+                    terms[k1 + k2] = _plus(terms[k1 + k2], c) if k1 + k2 in terms else c
+        return _Expansion(lambda t: self.f(t) * other.f(t), terms, _conv2(self.size, other.size),
+                          self.cut + other.cut + self.cut * other.cut, max(self.order, other.order))
+
+    def __add__(self, other: _Expansion) -> _Expansion:
+        terms = dict(self.terms)
+        for kappa, c in other.terms.items():
+            terms[kappa] = _plus(terms[kappa], c) if kappa in terms else c
+        return _Expansion(lambda t: self.f(t) + other.f(t), terms, _plus(self.size, other.size),
+                          max(self.cut, other.cut), max(self.order, other.order))
+
+    def __sub__(self, other: _Expansion) -> _Expansion:
+        return self + other * -1.0
+
+    def integral(self, b: float) -> tuple[float, float]:
+        """int_b^inf f term by term, and a bound of what the cut series leave out."""
+        if self.size[:, :3].any():
+            raise ValueError("the tail's majorant decays no faster than 1/t")
+        table = _tail_integrals(max(self.terms), self.size.shape, b)
+        value = math.fsum(
+            (2.0 if kappa else 1.0) * float(np.sum(c * table[kappa, : len(c), : c.shape[1]]).real)
+            for kappa, c in self.terms.items()
+        )
+        return value, self.cut * float(np.sum(self.size * table[0].real))
+
+
+def _tail_integrals(top: int, shape: tuple[int, int], b: float) -> np.ndarray:
+    # I_j(p) = int_b^inf e^(i kappa t) t^-p (log t)^j dt for kappa = 0 .. top at
+    # p = h/2, h >= 3, by parts: for kappa = 0, I_j(p) = (b^(1-p) log^j b
+    # + j I_(j-1)(p)) / (p - 1); else I_j(p) = (p I_j(p+1) - j I_(j-1)(p+1)
+    # - e^(i kappa b) b^-p log^j b) / (i kappa), run downward in R_j(p) =
+    # b^(p-1) I_j(p) (stable for p < kappa b) on the ladders of odd and of
+    # even h, from leading terms 20 levels up, whose error shrinks by
+    # p/(kappa b) a level.  With Q_i = prod_(m<i) p_m / (i kappa b),
+    # R_j(p_i) = sum_(k>=i) Q_k g_j(p_k) / Q_i for its inhomogeneous part g_j.
+    rows, count = shape
+    log_b = math.log(b)
+    p = 1.5 + 0.5 * np.arange(2)[:, None] + np.arange(count // 2 + 20)  # a ladder per row
+    kappa = np.arange(1, top + 1)[:, None, None]
+    step = 1.0 / (1j * kappa * b)
+    q = np.cumprod(np.concatenate((np.ones((top, 2, 1)), p[:, :-1] * step), axis=2), axis=2)
+    step_q, flat = step * q, 1.0 / (p - 1.0)
+    lead = -np.exp(1j * kappa * b) * step_q
+    out = np.zeros((top + 1, rows, count), dtype=complex)
+    r = np.zeros((top + 1, 2, p.shape[1] + 1), dtype=complex)  # a last level of zeros
+    for j in range(rows):
+        g = lead * log_b**j - j * step_q * r[1:, :, 1:]  # r holds R_(j-1)
+        r[0, :, :-1] = (log_b**j + j * r[0, :, :-1]) * flat
+        r[1:, :, :-1] = np.cumsum(g[..., ::-1], axis=2)[..., ::-1] / q
+        out[:, j, 3:] = r[:, :, :-1].transpose(0, 2, 1).reshape(top + 1, -1)[:, : count - 3]
+    return out * b ** (1.0 - 0.5 * np.arange(count))
+
+
+def _factor(f: ArrayFn, terms: dict, cut: float = 0.0, order: float = 0.0) -> _Expansion:
+    # An expansion whose majorant is its terms' moduli, read-only so it can be cached
+    size = functools.reduce(_plus, ((2.0 if k else 1.0) * abs(c) for k, c in terms.items()))
+    for a in (size, *terms.values()):
+        a.flags.writeable = False
+    return _Expansion(f, terms, size, cut, order)
+
+
+def _spread(coeffs: np.ndarray, first: int) -> np.ndarray:
+    # A one-row (j, h) array holding coeffs at h = first, first + 2, ...
+    c = np.zeros((1, first + 2 * len(coeffs) - 1), dtype=complex)
+    c[0, first::2] = coeffs
+    return c
+
+
+def _cut(coeffs: np.ndarray, b: float) -> tuple[int, float]:
+    # How many terms of sum_k coeffs[k] t^-k to keep from t = b on, and what
+    # that leaves out relative to the first: at most the next two terms at b
+    # (each series here leaves out at most its first omitted term in its real
+    # and in its imaginary part).  The cut is where the larger of those two
+    # falls below 1e-18 or grows, so an accidental zero ends nothing.
+    size = np.abs(coeffs) * b ** -np.arange(len(coeffs), dtype=float) / abs(coeffs[0])
+    envelope = np.maximum(size[:-1], size[1:])
+    k = int(np.flatnonzero((envelope[1:] < 1e-18) | (envelope[1:] > envelope[:-1]))[0]) + 1
+    return k, float(size[k] + size[k + 1])
+
+
+def _binomial(a: float, x: float, count: int) -> np.ndarray:
+    # binom(a, l) x^l for l < count
+    return np.cumprod(np.concatenate(([1.0], (a - np.arange(count - 1)) / np.arange(1, count) * x)))
+
+
+@functools.lru_cache(maxsize=128)
+def _bessel(order: int, second_kind: bool = False) -> _Expansion:
+    # J_order, or Y_order if second_kind: sqrt(2/pi) Re[(1 or -i) e^(i(t - omega))
+    # sum_k i^k a_k t^(-k-1/2)], omega = (2 order + 1) pi/4, a_k the Hankel
+    # coefficients (DLMF 10.17.1, 10.17.3), whose auxiliary series P and Q
+    # each leave out at most their first omitted term (DLMF 10.17(iii))
+    a = np.cumprod(np.concatenate(([1.0], 0.125j * np.array(specfun._hankel_ratios(order)))))
+    k, cut = _cut(a, max(50.0, 0.5 * order * order))
+    rot = cmath.exp(-0.5j * (order + 0.5) * math.pi) * (-1j if second_kind else 1.0)
+    kernel = "bessel_y" if second_kind else "bessel_j"
+    return _factor(lambda t: getattr(specfun, kernel)(order, t),
+                   {1: _spread(math.sqrt(0.5 / math.pi) * rot * a[:k], 1)}, cut, order)
+
+
+@functools.cache
+def _sici(ci: bool) -> _Expansion:
+    # Si = pi/2 - Re[e^(-it) E], or gamma + log t - Ci = gamma + log t
+    # + Im[e^(-it) E] if ci, E = sum_m i^m m! t^(-m-1) (DLMF 6.12.3-4), whose
+    # real and imaginary parts each leave out at most their first omitted
+    # term (DLMF 6.12(ii))
+    e = np.cumprod(np.concatenate(([1.0], 1j * np.arange(1.0, 60.0))))
+    m, cut = _cut(e, 50.0)
+    flat = np.array([[specfun.CONSTANTS.euler_gamma], [1.0]]) if ci else np.array([[_HALF_PI]])
+    kernel = "gamma_log_minus_ci" if ci else "si"
+    return _factor(lambda t: getattr(specfun, kernel)(t),
+                   {0: flat, 1: _spread((0.5j if ci else -0.5) * e[:m].conj(), 2)}, cut)
+
+
+def _shifted_j0(a: float) -> _Expansion:
+    # J_0(u), u = sqrt(a^2 + t^2): J_0's Hankel series in u, re-expanded in
+    # 1/t (convergent for t > a) through u^(-k-1/2) = t^(-k-1/2)
+    # (1 + a^2/t^2)^(-k/2-1/4) and e^(iu) = e^(it) e^(i(u - t)), u - t =
+    # sum_m binom(1/2, m) a^(2m) t^(1-2m).  What the Hankel series leaves out
+    # is bounded as for J_0, since u >= t; the re-expansion is cut as a series.
+    n, a2, j0 = 60, a * a, _bessel(0)
+    hank = j0.terms[1][0, 1::2]  # J_0's Hankel coefficients with their factor
+    series = np.zeros(n, dtype=complex)  # sum_k hank_k u^(-k) in powers of 1/t
+    for k in range(len(hank)):
+        series[k::2] += hank[k] * _binomial(-0.5 * k - 0.25, a2, (n - k + 1) // 2)
+    drift = np.zeros(n)  # u - t, and k times its coefficient of t^-k
+    drift[1::2] = _binomial(0.5, a2, n // 2 + 1)[1:]
+    drift *= np.arange(n)
+    phase = np.zeros(n, dtype=complex)  # e^(i(u - t)), by m E_m = i sum_k k drift_k E_(m-k)
+    phase[0] = 1.0
+    for m in range(1, n):
+        phase[m] = 1j / m * (drift[1 : m + 1] @ phase[m - 1 :: -1])
+    composite = np.convolve(phase, series)[:n]
+    k, cut = _cut(composite, max(50.0, 0.5 * a2))
+    return _factor(lambda t: specfun.bessel_j(0, np.sqrt(a2 + t * t)),
+                   {1: _spread(composite[:k], 1)}, cut + j0.cut, a)
+
+
+_LOG_HALF = _factor(lambda t: np.log(0.5 * t), {0: np.array([[-specfun.CONSTANTS.log2], [1.0]])})
+_INVERSE_T = _factor(lambda t: 1.0 / t, {0: np.array([[0.0, 0.0, 1.0]])})
+# The tail starts at B = max(50, s^2/2) for an integral of order s, and at
+# most at 80,000 = 400^2/2, where [0, B] holds 25,500 partitions (about 1 s
+# for a moment).  That bounds the J order of a moment and |a| of Corollary 5.
+_MAX_TAIL_START = 80_000
+_MAX_MOMENT_ORDER = math.isqrt(2 * _MAX_TAIL_START)
+_ORDER_CAP = f"J order at most quad._MAX_MOMENT_ORDER = {_MAX_MOMENT_ORDER}"
+
+
+def oscillatory_semiinf(f: ArrayFn, tail: _Expansion, tol: float) -> QuadResult:
+    """int_0^inf f for a decaying oscillatory f whose expansion at infinity is ``tail``.
+
+    The tail's order s (a Bessel order, or Corollary 5's a) sets the range:
+    partitions between the edges (m + s/2 + 1/4) pi, a Bessel function's
+    asymptotic extrema, up to B, the first at or above max(50, s^2/2).  Each
+    is one GK15 panel, the first (where f has not settled into its
+    oscillation) panels at most pi/2 wide, all in one integrand call, and
+    refined to max(2e-4 tol, 5e-15); from B on the tail is integrated term
+    by term.  The estimate adds the rounding of the abscissae and what the
+    tail's series leave out.  A bad ``tol`` or a tail whose majorant decays
+    no faster than 1/t raises ValueError before any integrand call.
+    """
+    tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
+    phase = 0.5 * tail.order + 0.25
+    count = max(1, math.ceil(max(50.0, 0.5 * tail.order**2) / math.pi - phase))
     highs = (np.arange(1.0, count + 1) + phase) * math.pi
-    lows = np.r_[0.0, highs[:-1]]
-    values, errors, panels = _integrate_partitions(
-        lambda t: weight(t) * specfun.bessel_j(order, t) / t, lows, highs, True, tol
+    value, left_out = tail.integral(float(highs[-1]))
+    pieces = np.concatenate(([math.ceil(highs[0] / _HALF_PI)], np.ones(count - 1, dtype=int)))
+    values, errors, panels, absolute = _integrate_intervals(
+        f, np.r_[0.0, highs[:-1]], highs, pieces, max(tol * 2e-4, 5e-15)
     )
-    tail, left_out = _moment_tail(order, ci, float(highs[-1]))
-    return QuadResult(math.fsum(values) + tail, math.fsum(errors) + left_out, sum(panels), count)
+    # An abscissa t is rounded by up to eps t, which moves f of frequency at
+    # most kappa by up to eps t kappa |f|: on a partition's sum, at most eps
+    # kappa times its right edge times its sum of |f|
+    rounding = np.finfo(float).eps * max(1, *tail.terms) * math.fsum(highs * absolute)
+    estimate = math.fsum(errors) + rounding + left_out
+    return QuadResult(math.fsum(values) + value, estimate, sum(panels), count)
+
+
+def _semiinf(integrand: _Expansion, tol: float) -> QuadResult:
+    return oscillatory_semiinf(integrand.f, integrand, tol)
 
 
 def si_bessel_integral(n: int) -> QuadResult:
     """int_0^inf Si(t) J_{2n+1}(t) dt/t = alpha_n/(2n+1), for n up to 199."""
     top = (_MAX_MOMENT_ORDER - 1) // 2
     n = specfun._integer(n, f"n must be an integer from 0 to {top} ({_ORDER_CAP})", 0, top)
-    return _bessel_moment(2 * n + 1, False, 1e-8)
+    return _semiinf(_sici(False) * (_bessel(2 * n + 1) * _INVERSE_T), 1e-8)
 
 
 def ci_bessel_integral(n: int) -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_{2n}(t) dt/t = beta_n/(2n), for n up to 200."""
     top = _MAX_MOMENT_ORDER // 2
     n = specfun._integer(n, f"n must be an integer from 1 to {top} ({_ORDER_CAP})", 1, top)
-    return _bessel_moment(2 * n, True, 1e-8)
+    return _semiinf(_sici(True) * (_bessel(2 * n) * _INVERSE_T), 1e-8)
 
 
 def j0_orthogonality_integral() -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_0(t) dt/t, which vanishes."""
-    return _bessel_moment(0, True, 2e-7)
+    return _semiinf(_sici(True) * (_bessel(0) * _INVERSE_T), 2e-7)
 
 
 def bessel_j1_over_t_integral() -> QuadResult:
     """Engine self-test: int_0^inf J_1(t)/t dt = 1."""
-    return oscillatory_semiinf(lambda t: specfun.bessel_j(1, t) / t, _period_edges(0.75), 2e-10)
+    return _semiinf(_bessel(1) * _INVERSE_T, 2e-10)
 
 
 def example2_integral() -> QuadResult:
@@ -518,75 +574,38 @@ def example2_integral() -> QuadResult:
     pieces inside the bracket are combined before the multiplication; their
     difference stays O(1) as t -> 0.
     """
-    def f(t: np.ndarray) -> np.ndarray:
-        bracket = (
-            _HALF_PI * specfun.bessel_y(0, t)
-            - np.log(0.5 * t) * specfun.bessel_j(0, t)
-        )
-        return specfun.gamma_log_minus_ci(t) / t * bracket
-
-    return oscillatory_semiinf(f, _period_edges(0.25), 2e-6)
+    bracket = _bessel(0, True) * _HALF_PI - _LOG_HALF * _bessel(0)
+    return _semiinf(_sici(True) * (bracket * _INVERSE_T), 2e-6)
 
 
-def _corollary6_bracket(t: np.ndarray) -> np.ndarray:
-    return (
-        np.log(0.5 * t) * specfun.bessel_j(1, t)
-        - _HALF_PI * specfun.bessel_y(1, t)
-        - specfun.bessel_j(0, t) / t
-    )
+def _corollary6(g1: float) -> QuadResult:
+    # int_0^inf Si(t) (log(t/2) J_1 - pi/2 Y_1 - J_0/t + g1 J_1) dt/t
+    j1 = _bessel(1)
+    bracket = _LOG_HALF * j1 - _bessel(1, True) * _HALF_PI - _bessel(0) * _INVERSE_T
+    if g1:
+        bracket = bracket + j1 * g1
+    return _semiinf(_sici(False) * (bracket * _INVERSE_T), 2e-5)
 
 
 def corollary6_integral() -> QuadResult:
     """int_0^inf Si(t) (log(t/2) J_1 - pi/2 Y_1 - J_0/t) dt/t = 4 - 4G - gamma."""
-    return oscillatory_semiinf(
-        lambda t: specfun.si(t) / t * _corollary6_bracket(t), _period_edges(0.75), 2e-5
-    )
+    return _corollary6(0.0)
 
 
 def corollary6_intermediate_integral() -> QuadResult:
     """Same integral with the (gamma - 1) J_1 term kept inside; equals 3 - 4G."""
-    g1 = specfun.CONSTANTS.euler_gamma - 1.0
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return specfun.si(t) / t * (
-            _corollary6_bracket(t) + g1 * specfun.bessel_j(1, t)
-        )
-
-    return oscillatory_semiinf(f, _period_edges(0.75), 2e-5)
-
-
-# In a sweep at step 0.05, corollary5_rhs converges within _MAX_PARTITIONS
-# for every a up to 119.1 and for none from 119.15 on
-_COROLLARY5_MAX_A = 115.0
+    return _corollary6(specfun.CONSTANTS.euler_gamma - 1.0)
 
 
 def corollary5_rhs(a: float) -> QuadResult:
-    """int_0^inf [gamma + log t - Ci(t)] J_0(sqrt(a^2 + t^2)) dt/t, |a| <= 115.
+    """int_0^inf [gamma + log t - Ci(t)] J_0(sqrt(a^2 + t^2)) dt/t, |a| <= 400.
 
     Equals the alternating Neumann series sum_n (-1)^n J_{2n}(a) beta_n / n.
-    Partition edges follow the shifted argument: they sit where
-    sqrt(a^2 + t^2) reaches (k + 1/4) pi, for each k >= 1 with (k + 1/4) pi > a.
-    The residual phase drift a^2/(2t) of the shifted argument must settle
-    inside the fit window, which takes more partitions as |a| grows (up to
-    ``_MAX_PARTITIONS``); past |a| = 115 (``_COROLLARY5_MAX_A``)
-    QuadratureError is raised before any edge is counted.
+    Its tail from B = max(50, a^2/2) on re-expands J_0's Hankel series in
+    1/t.  Past |a| = 400 (``_MAX_MOMENT_ORDER``) QuadratureError is raised
+    before any integrand call.
     """
     a = abs(specfun._real(a, "a must be finite"))
-    if a > _COROLLARY5_MAX_A:  # before counting edges, which spins at huge a
-        raise QuadratureError(f"corollary5_rhs needs |a| <= {_COROLLARY5_MAX_A:g}, got |a| = {a:g}")
-    # edges (k + 1/4) pi <= a have no real counterpart in t
-    skipped = 0
-    while (skipped + 1.25) * math.pi <= a:
-        skipped += 1
-
-    def edge(m: int) -> float:
-        phase = (m + skipped + 0.25) * math.pi
-        return math.sqrt(phase * phase - a * a)
-
-    return oscillatory_semiinf(
-        lambda t: specfun.gamma_log_minus_ci(t)
-        * specfun.bessel_j(0, np.sqrt(a * a + t * t))
-        / t,
-        edge,
-        2e-7,
-    )
+    if a > _MAX_MOMENT_ORDER:
+        raise QuadratureError(f"corollary5_rhs needs |a| <= {_MAX_MOMENT_ORDER}, got |a| = {a:g}")
+    return _semiinf(_sici(True) * (_shifted_j0(a) * _INVERSE_T), 2e-7)

@@ -1,0 +1,105 @@
+"""Every semi-infinite integral's error estimate bounds its error across its domain.
+
+The cases are the Bessel moments at a seeded stride of n up to their bounds
+(199 for Si, 200 for Ci), the bounds themselves and ``ci_bessel_integral(196)``,
+each against its exact rational value with the difference taken in Fraction;
+the four integrals with closed forms, within 1e-12 as well; and
+``corollary5_rhs`` against ``corollary5_series`` at a seeded stride of a up to
+its bound 400, within the sum of both estimates.  A moment of order near 400
+takes about a second, so the cases are dealt by cost to two subprocesses that
+run side by side, each under a timeout.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+
+import neumann_sici
+
+_SWEEP = r'''
+import json, math, random, sys
+from fractions import Fraction
+from neumann_sici import coeffs, eulersum, quad, specfun
+from neumann_sici.neumann import corollary5_series
+
+rng = random.Random(2016)
+stride = 50
+si = sorted({*range(rng.randrange(stride), 200, stride), 0, 199})
+ci = sorted({*range(1 + rng.randrange(stride), 201, stride), 1, 196, 200})
+offsets = (rng.uniform(0.0, 100.0) + 100.0 * k for k in range(4))
+shifts = sorted({0.0, 0.5, 2.0, 5.0, *offsets, 400.0})
+g = specfun.CONSTANTS
+closed = {
+    "bessel_j1_over_t_integral": 1.0,
+    "example2_integral": (math.pi ** 2 / 4.0) * g.log2 - 0.875 * specfun.zeta(3),
+    "corollary6_integral": eulersum.corollary6_rhs(),
+    "corollary6_intermediate_integral": 3.0 - 4.0 * g.catalan_g,
+}
+
+
+def moment(name, n):
+    r = getattr(quad, name)(n)
+    exact = coeffs.alpha(n) / (2 * n + 1) if name.startswith("si") else coeffs.beta(n) / (2 * n)
+    return float(abs(Fraction(r.value) - exact)), r.abs_err_estimate, math.inf
+
+
+def integral(name):
+    r = getattr(quad, name)()
+    return abs(r.value - closed[name]), r.abs_err_estimate, 1e-12
+
+
+def shifted(a):
+    r, s = quad.corollary5_rhs(a), corollary5_series(a)
+    return abs(r.value - s.value), r.abs_err_estimate + s.tail_bound, math.inf
+
+
+# (cost, label, check): the cost grows about like the square of the order or a
+cases = [((2 * n + 1) ** 2, f"si_bessel_integral({n})", lambda n=n: moment("si_bessel_integral", n))
+         for n in si]
+cases += [((2 * n) ** 2, f"ci_bessel_integral({n})", lambda n=n: moment("ci_bessel_integral", n))
+          for n in ci]
+cases += [(a * a, f"corollary5_rhs({a:g})", lambda a=a: shifted(a)) for a in shifts]
+cases += [(0.0, f"{name}()", lambda name=name: integral(name)) for name in closed]
+shards, load = ([], []), [0.0, 0.0]
+for cost, label, check in sorted(cases, key=lambda c: -c[0]):
+    lighter = load.index(min(load))
+    shards[lighter].append((label, check))
+    load[lighter] += cost
+failures, labels = [], []
+for label, check in shards[int(sys.argv[1])]:
+    diff, estimate, bound = check()
+    labels.append(label)
+    if not diff <= min(estimate, bound):
+        failures.append((label, diff, estimate))
+print(json.dumps({"labels": labels, "failures": failures}))
+'''
+
+
+def test_estimates_bound_the_errors_across_each_domain():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    start = time.perf_counter()
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _SWEEP, str(shard)], env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for shard in (0, 1)
+    ]
+    try:
+        outputs = [proc.communicate(timeout=120) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    elapsed = time.perf_counter() - start
+    labels, failures = [], []
+    for proc, (out, err) in zip(procs, outputs):
+        assert proc.returncode == 0, err
+        result = json.loads(out)
+        labels += result["labels"]
+        failures += result["failures"]
+    assert not failures, failures
+    for label in ("si_bessel_integral(199)", "ci_bessel_integral(196)", "ci_bessel_integral(200)",
+                  "corollary5_rhs(400)", "example2_integral()", "corollary6_integral()"):
+        assert label in labels
+    assert len(labels) == len(set(labels)) >= 25
+    assert elapsed < 10.0, elapsed

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from neumann_sici import _accel, eulersum, quad
+from neumann_sici import _accel, eulersum
 from neumann_sici import specfun as sf
 from neumann_sici._accel import alternating_series_limit
 from neumann_sici.eulersum import (
@@ -230,39 +230,26 @@ def test_extrapolator_power_ladder_removes_smooth_remainder():
     # sum (-1)^(m+1)/m + 1/m^2: averaging alone leaves the 1/m tail of zeta(2)
     m = np.arange(1.0, 2001.0)
     partial = np.cumsum((-1.0) ** (m + 1) / m + 1.0 / m**2)
-    value, shift = alternating_series_limit(partial, None, POWER_LADDER)
+    value, shift = alternating_series_limit(partial, POWER_LADDER)
     assert abs(value - (LOG2 + math.pi**2 / 6.0)) <= 1e-12
     assert shift <= 1e-12
 
 
-def test_extrapolator_uses_the_given_basis():
-    # Longman-like partial sums at partition edges b: a b^(-3/2) (1 + 0.3 log b)
-    # remainder that the integer power ladder cannot represent
-    k = np.arange(1.0, 200.0)
-    b = (k + 0.25) * math.pi
-    partial = 1.0 - b**-1.5 * (1.0 + 0.3 * np.log(b)) + (-1.0) ** k / b
-    longman, _ = alternating_series_limit(partial, b, quad._LONGMAN_BASIS)
-    ladder, _ = alternating_series_limit(partial, b, POWER_LADDER)
-    assert abs(longman - 1.0) <= 1e-7
-    assert abs(ladder - 1.0) >= 100.0 * abs(longman - 1.0)
-
-
 @pytest.mark.parametrize(
-    "sums,positions,basis",
+    "sums,basis",
     [
-        ([], None, POWER_LADDER),
-        (np.ones(17), None, POWER_LADDER),
-        (np.ones(40), np.arange(1.0, 40.0), POWER_LADDER),
-        (np.ones(40), None, POWER_LADDER[:1]),
+        ([], POWER_LADDER),
+        (np.ones(17), POWER_LADDER),
+        (np.ones(40), POWER_LADDER[:1]),
     ],
-    ids=["empty", "fewer-than-twice-the-columns", "positions-one-short", "constant-only"],
+    ids=["empty", "fewer-than-twice-the-columns", "constant-only"],
 )
-def test_extrapolator_rejects_bad_inputs(sums, positions, basis):
-    # the empty sequence and a length mismatch leaked IndexError; fewer sums
-    # than twice the columns returned the "limit" of an exactly determined or
-    # underdetermined fit (17 sums give 9 rows for the 9-column power ladder)
+def test_extrapolator_rejects_bad_inputs(sums, basis):
+    # the empty sequence leaked IndexError; fewer sums than twice the columns
+    # returned the "limit" of an exactly determined or underdetermined fit
+    # (17 sums give 9 rows for the 9-column power ladder)
     with pytest.raises(ValueError):
-        alternating_series_limit(sums, positions, basis)
+        alternating_series_limit(sums, basis)
 
 
 _ORACLE_KINDS = {
@@ -279,21 +266,25 @@ _ORACLE_KINDS = {
 
 @pytest.mark.parametrize("kind", _ORACLE_KINDS)
 def test_cached_weights_match_a_direct_solve(kind, monkeypatch):
-    # positions 1..n spelled out take the per-call lstsq path over the same design
+    # the cached weight rows against a least-squares solve of the same design
     seen = []
 
-    def record(partial_sums, positions, basis):
+    def record(partial_sums, basis):
         seen.append((np.array(partial_sums), basis))
-        return alternating_series_limit(partial_sums, positions, basis)
+        return alternating_series_limit(partial_sums, basis)
 
     monkeypatch.setattr(eulersum, "alternating_series_limit", record)
     _ORACLE_KINDS[kind]()
     ((sums, basis),) = seen
     assert len(sums) == eulersum._N_ACCEL
-    cached = alternating_series_limit(sums, None, basis)
-    direct = alternating_series_limit(sums, np.arange(1.0, len(sums) + 1.0), basis)
-    assert cached[0] == pytest.approx(direct[0], rel=0, abs=1e-14)
-    assert cached[1] == pytest.approx(direct[1], rel=0, abs=1e-14)
+    cached = alternating_series_limit(sums, basis)
+    rows, design = _accel._design(len(sums), basis)
+    norm = math.sqrt(len(rows))
+    full, dropped = (
+        np.linalg.lstsq(d, sums[rows], rcond=None)[0][0] / norm for d in (design, design[:, :-2])
+    )
+    assert cached[0] == pytest.approx(full, rel=0, abs=1e-14)
+    assert cached[1] == pytest.approx(abs(full - dropped), rel=0, abs=1e-14)
 
 
 def test_fixed_design_caches_are_bounded_and_read_only():

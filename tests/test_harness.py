@@ -84,9 +84,9 @@ def test_max_n_caps_indexed_families():
 
 # sha256 of the (id, description, tolerance) lines of build_registry(max_n)
 _REGISTRY_DIGESTS = {
-    None: (586, "622b230cc9216ac767d1f989b455302e878d96834b7d15ac0ad499ccd65f1ff4"),
-    0: (66, "03b4784f528418e2c61e7ef6c515a7240ba78c971761e1d12c238806b8dc4e45"),
-    3: (90, "f09d4453a43ea12476bc3cb3bbe81011f9d63480d22c2053ccca7a7c7a32bf6d"),
+    None: (586, "bf27514763f0caf8104099479c8639895d09f9b2d8fc237602ff4a409ce494ed"),
+    0: (66, "f9a92a1d49f4c04a776fb067dfee4d45f3a4f08b5850d5b23ba651e88f41220e"),
+    3: (90, "9dfc39abbc163c4ce15e76d5574b8e477bcc7344b3ee754655eccbf631089c77"),
 }
 
 
