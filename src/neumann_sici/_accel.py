@@ -97,6 +97,12 @@ def sums_from_last(terms: np.ndarray) -> np.ndarray:
     """Partial sums of ``terms`` minus their total: -sum_{k>m} terms[k].
 
     Summed from the far end, their rounding is the size of the tail, not of
-    the total, which the least-squares limit would amplify.
+    the total, which the least-squares limit would amplify.  Only the last
+    half, from index n // 2 on, is summed, as the fit reads no other row;
+    the first half is nan.
     """
-    return np.append(-np.cumsum(terms[:0:-1])[::-1], 0.0)
+    n = len(terms)
+    out = np.full(n, math.nan)
+    out[n // 2 : -1] = -np.cumsum(terms[: n // 2 : -1])[::-1]
+    out[-1] = 0.0
+    return out

@@ -21,11 +21,15 @@ Two layers:
   transforms and the Clausen integrals): a Lemma integral needs no
   bisection.
 * ``oscillatory_semiinf`` -- every integral over [0, inf) (the Bessel
-  moments, the J_1(t)/t self-test, Example 2, Corollaries 5 and 6): GK15
-  panels up to B = max(50, s^2/2) for an integrand of order s, then its
-  asymptotic expansion (``_Expansion``, a product of J_nu, Y_nu, Si,
-  gamma + log t - Ci, log(t/2), 1/t and J_0(sqrt(a^2 + t^2)) expansions)
-  integrated term by term.
+  moments, the J_1(t)/t self-test, Example 2, Corollaries 5 and 6): one
+  GK15 panel between each pair of the edges (k + frac(s/2 + 1/4)) pi from 0
+  up to B, the first at or above max(50, s^2/2), for an integrand of order
+  s, then its asymptotic expansion (``_Expansion``, a product of J_nu, Y_nu,
+  Si, gamma + log t - Ci, log(t/2), 1/t and J_0(sqrt(a^2 + t^2))
+  expansions) integrated term by term.  Orders of one parity share their
+  panels, so the Bessel moments of orders up to 25 read their first pass
+  from one table per family (Si with the odd orders, gamma + log t - Ci
+  with the even ones): 0.3 MB for both, built on a family's first moment.
 
 Each verified integral gets its own operation below so the harness can bind
 it to an exact or closed-form counterpart.
@@ -34,10 +38,10 @@ it to an exact or closed-form counterpart.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import heapq
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
@@ -72,7 +76,7 @@ class QuadratureError(RuntimeError):
     """Raised on non-convergence or a non-finite integrand evaluation."""
 
 
-@dataclass
+@dataclasses.dataclass
 class QuadResult:
     value: float
     abs_err_estimate: float
@@ -121,19 +125,27 @@ _NODE_W = np.array(
 )
 
 
+def _nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The GK15 nodes of the panels [a[i], b[i]], one row of 15 per panel
+    nodes = np.multiply.outer(0.5 * (b - a), _NODE_X)
+    nodes += 0.5 * (a + b)[:, None]
+    return nodes
+
+
 def _gk15(
-    f: ArrayFn, a: np.ndarray, b: np.ndarray
+    f: ArrayFn, a: np.ndarray, b: np.ndarray, values: np.ndarray | None = None
 ) -> tuple[np.ndarray, ...]:
     """Gauss-Kronrod panels [a[i], b[i]] in one integrand call.
 
-    Returns the arrays (integral, error estimate, rough, Kronrod sum of |f|),
-    where rough marks the panels whose estimate exceeds its roundoff floor.
+    ``values``, if given, are f at ``_nodes(a, b)`` already, and f is not
+    called.  Returns the arrays (integral, error estimate, rough, Kronrod sum
+    of |f|), where rough marks the panels whose estimate exceeds its
+    roundoff floor.
     """
-    center = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    nodes = np.multiply.outer(h, _NODE_X)
-    nodes += center[:, None]
-    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    if values is None:
+        nodes = _nodes(a, b)
+        values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     sums = values @ _NODE_W
     resk, resg = sums[:, 0], sums[:, 1]
     # every Kronrod weight is positive, so any non-finite value reaches resk
@@ -160,19 +172,21 @@ _VALUE, _ERROR, _ABSOLUTE = itemgetter(4), itemgetter(5), itemgetter(7)  # of a 
 
 
 def _integrate_intervals(
-    f: ArrayFn, a: np.ndarray, b: np.ndarray, pieces: np.ndarray, tol: float
+    f: ArrayFn, a: np.ndarray, b: np.ndarray, pieces: np.ndarray, tol: float,
+    values: np.ndarray | None = None,
 ) -> tuple[list[float], list[float], list[int], list[float]]:
     """Adaptive GK15 on each [a[i], b[i]] separately, each to absolute tol.
 
     Interval i starts as ``pieces[i]`` equal panels, and every interval keeps
     its own heap of panels.  One integrand call evaluates all the starting
-    panels.  A step bisects the worst panel of every interval whose error sum
-    (over all of its panels) still exceeds tol and evaluates all the halves
-    in one integrand call.  An interval whose panels all sit at their
-    roundoff floor stops there, with that floor sum as its estimate, since
-    bisection cannot lower it; one that reaches ``_MAX_SUBDIVISIONS`` panels
-    unconverged raises QuadratureError.  Returns per-interval lists of
-    values, error estimates, panel counts and Kronrod sums of |f|.
+    panels, unless the caller has their ``values`` (as ``_gk15`` takes them).
+    A step bisects the worst panel of every interval whose error sum (over
+    all of its panels) still exceeds tol and evaluates all the halves in one
+    integrand call.  An interval whose panels all sit at their roundoff floor
+    stops there, with that floor sum as its estimate, since bisection cannot
+    lower it; one that reaches ``_MAX_SUBDIVISIONS`` panels unconverged
+    raises QuadratureError.  Returns per-interval lists of values, error
+    estimates, panel counts and Kronrod sums of |f|.
     """
     stops = np.cumsum(pieces)
     starts = stops - pieces
@@ -181,7 +195,7 @@ def _integrate_intervals(
     high = np.empty_like(low)
     high[:-1] = low[1:]
     high[stops - 1] = b
-    values, errors, rough, absolute = _gk15(f, low, high)
+    values, errors, rough, absolute = _gk15(f, low, high, values)
     total_err = np.add.reduceat(errors, starts).tolist()
     # panels per interval whose estimate is above its floor
     unsettled = np.add.reduceat(rough, starts, dtype=int).tolist()
@@ -333,7 +347,7 @@ def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class _Expansion:
     """A real function f and its asymptotic expansion, valid from t = max(50, order^2/2).
 
@@ -342,6 +356,9 @@ class _Expansion:
     the rest.  What the cut series leave out is at most ``cut`` times the
     majorant of |f| whose coefficients are ``size``.  Products and sums act
     on f, on the terms (a product convolves them) and on the majorants.
+    ``table``, if set, holds f at the nodes of the engine's panels from 0
+    on, a row of 15 per panel, for at least the panels up to this order's
+    tail; products and sums drop it.
     """
 
     f: ArrayFn
@@ -349,6 +366,7 @@ class _Expansion:
     size: np.ndarray
     cut: float = 0.0
     order: float = 0.0
+    table: np.ndarray | None = None
 
     def __mul__(self, other: _Expansion | float) -> _Expansion:
         if not isinstance(other, _Expansion):
@@ -502,37 +520,48 @@ def _shifted_j0(a: float) -> _Expansion:
 _LOG_HALF = _factor(lambda t: np.log(0.5 * t), {0: np.array([[-specfun.CONSTANTS.log2], [1.0]])})
 _INVERSE_T = _factor(lambda t: 1.0 / t, {0: np.array([[0.0, 0.0, 1.0]])})
 # The tail starts at B = max(50, s^2/2) for an integral of order s, and at
-# most at 80,000 = 400^2/2, where [0, B] holds 25,500 partitions (about 1 s
+# most at 80,000 = 400^2/2, where [0, B] holds 25,500 panels (about 0.7 s
 # for a moment).  That bounds the J order of a moment and |a| of Corollary 5.
 _MAX_TAIL_START = 80_000
 _MAX_MOMENT_ORDER = math.isqrt(2 * _MAX_TAIL_START)
 _ORDER_CAP = f"J order at most quad._MAX_MOMENT_ORDER = {_MAX_MOMENT_ORDER}"
 
 
+def _edges(order: float) -> np.ndarray:
+    # The right edges of the engine's panels for an integral of this order:
+    # (k + frac(order/2 + 1/4)) pi for k >= 0, a Bessel function's asymptotic
+    # extrema (a fraction of 0 taken as 1), up to the first at or above
+    # max(50, order^2/2).  Orders of one parity share their edges, and a
+    # lower order's are a prefix of a higher one's.
+    frac = (0.5 * order + 0.25) % 1.0 or 1.0
+    count = math.ceil(max(50.0, 0.5 * order * order) / math.pi - frac) + 1
+    return (np.arange(count) + frac) * math.pi
+
+
 def oscillatory_semiinf(f: ArrayFn, tail: _Expansion, tol: float) -> QuadResult:
     """int_0^inf f for a decaying oscillatory f whose expansion at infinity is ``tail``.
 
     The tail's order s (a Bessel order, or Corollary 5's a) sets the range:
-    partitions between the edges (m + s/2 + 1/4) pi, a Bessel function's
-    asymptotic extrema, up to B, the first at or above max(50, s^2/2).  Each
-    is one GK15 panel, the first (where f has not settled into its
-    oscillation) panels at most pi/2 wide, all in one integrand call, and
-    refined to max(2e-4 tol, 5e-15); from B on the tail is integrated term
-    by term.  The estimate adds the rounding of the abscissae and what the
+    one GK15 panel between each pair of consecutive edges (k + frac(s/2 +
+    1/4)) pi, a Bessel function's asymptotic extrema, from 0 up to B, the
+    first edge at or above max(50, s^2/2).  All the panels are evaluated in
+    one integrand call, or read from ``tail.table`` (a Bessel moment's
+    family table), and refined to max(2e-4 tol, 5e-15) per panel by
+    bisection, whose halves call f; from B on the tail is integrated term by
+    term.  The estimate adds the rounding of the abscissae and what the
     tail's series leave out.  A bad ``tol`` or a tail whose majorant decays
     no faster than 1/t raises ValueError before any integrand call.
     """
     tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
-    phase = 0.5 * tail.order + 0.25
-    count = max(1, math.ceil(max(50.0, 0.5 * tail.order**2) / math.pi - phase))
-    highs = (np.arange(1.0, count + 1) + phase) * math.pi
+    highs = _edges(tail.order)
+    count = len(highs)
     value, left_out = tail.integral(float(highs[-1]))
-    pieces = np.concatenate(([math.ceil(highs[0] / _HALF_PI)], np.ones(count - 1, dtype=int)))
+    first = None if tail.table is None else tail.table[:count]
     values, errors, panels, absolute = _integrate_intervals(
-        f, np.r_[0.0, highs[:-1]], highs, pieces, max(tol * 2e-4, 5e-15)
+        f, np.r_[0.0, highs[:-1]], highs, np.ones(count, dtype=int), max(tol * 2e-4, 5e-15), first
     )
     # An abscissa t is rounded by up to eps t, which moves f of frequency at
-    # most kappa by up to eps t kappa |f|: on a partition's sum, at most eps
+    # most kappa by up to eps t kappa |f|: on a panel's sum, at most eps
     # kappa times its right edge times its sum of |f|
     rounding = np.finfo(float).eps * max(1, *tail.terms) * math.fsum(highs * absolute)
     estimate = math.fsum(errors) + rounding + left_out
@@ -543,23 +572,58 @@ def _semiinf(integrand: _Expansion, tol: float) -> QuadResult:
     return oscillatory_semiinf(integrand.f, integrand, tol)
 
 
+# The moment families share their panels and their J's: the Si family (odd
+# orders) and the Ci family (even orders, J_0 included) each keep one table,
+# weight(t) J_nu(t) / t at the nodes of every panel up to its top order's B,
+# from one bessel_j_all and one weight call.  Its size grows as the cube of
+# the cap and its build faster than one moment's cost.  At 25 both tables
+# take 0.3 MB and about 8 ms, 1.6 times one direct moment of order 25, so a
+# family's table is paid back by its second moment; the build nears two such
+# moments from 27 on (1.9 times at 30) and takes 40 ms and 4 MB at 60 (3.4
+# times; all warm, on a 2-core x86-64 host).  Orders past the cap evaluate f
+# on the same panels.
+_TABLE_CAP = 25
+
+
+@functools.lru_cache(maxsize=2)
+def _family_table(ci: bool) -> np.ndarray:
+    # Rows (order // 2, panel, node) of the Ci family if ci, else of the Si
+    # family, for its orders up to _TABLE_CAP; read-only
+    top = _TABLE_CAP - 1 if _TABLE_CAP % 2 == ci else _TABLE_CAP  # the family's top order
+    highs = _edges(top)
+    t = _nodes(np.r_[0.0, highs[:-1]], highs).ravel()
+    weight = (specfun.gamma_log_minus_ci if ci else specfun.si)(t) / t
+    table = (specfun.bessel_j_all(top, t)[1 - ci :: 2] * weight).reshape(-1, len(highs), 15)
+    table.flags.writeable = False
+    return table
+
+
+def _moment(ci: bool, order: int, tol: float) -> QuadResult:
+    # int_0^inf weight(t) J_order(t) dt / t, the weight gamma + log t - Ci if
+    # ci, else Si; up to _TABLE_CAP from its family's table
+    integrand = _sici(ci) * (_bessel(order) * _INVERSE_T)
+    if order <= _TABLE_CAP:
+        integrand = dataclasses.replace(integrand, table=_family_table(ci)[order // 2])
+    return _semiinf(integrand, tol)
+
+
 def si_bessel_integral(n: int) -> QuadResult:
     """int_0^inf Si(t) J_{2n+1}(t) dt/t = alpha_n/(2n+1), for n up to 199."""
     top = (_MAX_MOMENT_ORDER - 1) // 2
     n = specfun._integer(n, f"n must be an integer from 0 to {top} ({_ORDER_CAP})", 0, top)
-    return _semiinf(_sici(False) * (_bessel(2 * n + 1) * _INVERSE_T), 1e-8)
+    return _moment(False, 2 * n + 1, 1e-8)
 
 
 def ci_bessel_integral(n: int) -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_{2n}(t) dt/t = beta_n/(2n), for n up to 200."""
     top = _MAX_MOMENT_ORDER // 2
     n = specfun._integer(n, f"n must be an integer from 1 to {top} ({_ORDER_CAP})", 1, top)
-    return _semiinf(_sici(True) * (_bessel(2 * n) * _INVERSE_T), 1e-8)
+    return _moment(True, 2 * n, 1e-8)
 
 
 def j0_orthogonality_integral() -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_0(t) dt/t, which vanishes."""
-    return _semiinf(_sici(True) * (_bessel(0) * _INVERSE_T), 2e-7)
+    return _moment(True, 0, 2e-7)
 
 
 def bessel_j1_over_t_integral() -> QuadResult:

@@ -14,17 +14,19 @@ upward one from the Hankel J_0 and J_1 below max(25, n^2/2) and the Hankel
 expansion from there on.
 
 ``bessel_j``, ``bessel_y``, ``si``, ``ci`` and ``gamma_log_minus_ci`` also
-accept a float ndarray and return an array of the same shape.  Each element
-takes the branch the scalar kernel would take for it, split by mask, and each
-branch is one routine for a float and an array.  A power series stops a float
-at its own test; an array runs until every element has met it and adds only
-zeros to an element that has.  A Miller element starts at its own depth and a
-Y bridge element stops at its own last term, with zeros before and after.  On
-these branches an array result equals the scalar one exactly.  The others,
-J's upward recurrence included, agree to rounding: an array runs the step or
-term count the float takes at its smallest element, as larger ones converge
-no slower.  A Python float runs plain ``math`` code.  ``clausen_odd`` runs
-the same arithmetic for a float and an array, so they agree exactly.
+accept a float ndarray and return an array of the same shape, and
+``bessel_j_all`` one row per order.  Each element takes the branch the scalar
+kernel would take for it, split by mask, and each branch is one routine for a
+float and an array.  A power series stops a float at its own test; an array
+runs until every element has met it and adds only zeros to an element that
+has.  A Miller element starts at its own depth and a Y bridge element stops
+at its own last term, with zeros before and after.  On these branches an
+array result equals the scalar one exactly.  The others, J's upward
+recurrence included, agree to rounding: an array runs the step or term count
+the float takes at its smallest element (the Si/Ci continued fraction at the
+smallest element of each octave of x), as larger ones converge no slower.  A
+Python float runs plain ``math`` code.  ``clausen_odd`` runs the same
+arithmetic for a float and an array, so they agree exactly.
 """
 
 from __future__ import annotations
@@ -307,20 +309,42 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
     )
 
 
-def bessel_j_all(nmax: int, x: float) -> list[float]:
+def _j_all_series(nmax: int, x):
+    # J_0 .. J_nmax by each order's power series, where its first term is the sum
+    return [_bessel_j_series(n, x) for n in range(nmax + 1)]
+
+
+def bessel_j_all(nmax: int, x: float | np.ndarray) -> list[float] | np.ndarray:
     """All of J_0(x) .. J_nmax(x), x >= 0 and nmax <= _MILLER_MAX_STEPS.
 
     One Miller pass below x = max(25, nmax), and one upward recurrence from
     the Hankel J_0(x) and J_1(x) from there on (nmax steps, where a Miller
     pass would run about 1.5 x).  Where (x/2)^2 < 2^-53 each order's series
-    is its first term (the backward recurrence would overflow).
+    is its first term (the backward recurrence would overflow).  A float
+    ndarray gives an array of shape (nmax + 1, *x.shape), row n holding J_n,
+    each element on the float's branch; nmax + 1 times its size, or times 32
+    for fewer elements, may be at most _MILLER_MAX_STEPS.
     """
     message = f"nmax must be an integer in [0, specfun._MILLER_MAX_STEPS = {_MILLER_MAX_STEPS}]"
     nmax = _integer(nmax, message, 0, _MILLER_MAX_STEPS)
-    x = _real(x, "x must be finite and nonnegative", 0.0)
-    if 0.25 * x * x < 2.0**-53:
-        return [_bessel_j_series(n, x) for n in range(nmax + 1)]
-    return (_upward if x >= max(25.0, nmax) else _miller)(nmax, x)
+    routines, message = (_j_all_series, _miller, _upward), "x must be finite and nonnegative"
+    if not isinstance(x, np.ndarray):
+        x = _real(x, message, 0.0)
+        branch = 0 if 0.25 * x * x < 2.0**-53 else 2 if x >= max(25.0, nmax) else 1
+        return routines[branch](nmax, x)
+    x = _checked_array(x, message, 0.0)
+    # a recurrence step on an array costs about what 25 on a float do (numpy's
+    # per-call overhead), so an array counts as at least 32 elements
+    if (nmax + 1) * max(x.size, 32) > _MILLER_MAX_STEPS:
+        raise ValueError(
+            f"(nmax + 1) max(x.size, 32) exceeds specfun._MILLER_MAX_STEPS = {_MILLER_MAX_STEPS}"
+        )
+    branch = np.where(0.25 * x * x < 2.0**-53, 0, np.where(x >= max(25.0, nmax), 2, 1))
+    out = np.empty((nmax + 1, *x.shape))
+    for i, routine in enumerate(routines):
+        if (mask := branch == i).any():
+            out[:, mask] = routine(nmax, x[mask])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +501,32 @@ def _sici_series(x, shift: int):
 
 def _e1_of_ix(x):
     # E_1(ix) by the modified Lentz continued fraction, for a float (cmath)
-    # or an array (numpy), and the number of steps it took; Ci(x) = -Re, and
-    # Si(x) - pi/2 = Im.  Converges to machine precision for x >= ~2, in
-    # fewer steps the larger x is: 24 to 26 near x = 8, 7 at x = 50, 3 at
-    # 10^3 and 1 from 10^8 on.  A float stops once a step changes h by at
-    # most about one ulp, so its count varies by a few steps between nearby
-    # x.  An array runs the steps the float takes at its smallest element:
-    # the truncation error after n steps falls with x, so they suffice for
-    # the larger ones.
+    # or an array (numpy), and the number of steps it took (for an array,
+    # the most any element took); Ci(x) = -Re, and Si(x) - pi/2 = Im.
+    # Converges to machine precision for x >= ~2, in fewer steps the larger
+    # x is: 24 to 26 near x = 8, 7 at x = 50, 3 at 10^3 and 1 from 10^8 on.
+    # A float stops once a step changes h by at most about one ulp, so its
+    # count varies by a few steps between nearby x.  An array runs each
+    # octave of x for the steps the float takes at the octave's smallest
+    # element: the truncation error after n steps falls with x, so they
+    # suffice for the larger ones.
+    if not isinstance(x, np.ndarray):
+        return _lentz(x, 299)
+    out = np.empty(x.shape, dtype=complex)
+    octave = np.frexp(x)[1]
+    steps = 0
+    for e in np.unique(octave).tolist():
+        band = octave == e
+        limit = _lentz(float(x[band].min()), 299)[1]
+        out[band] = _lentz(x[band], limit)[0]
+        steps = max(steps, limit)
+    return out, steps
+
+
+def _lentz(x, limit: int):
+    # _e1_of_ix's continued fraction: a float stops at its own test within
+    # limit steps, an array runs all of them
     scalar = not isinstance(x, np.ndarray)
-    if scalar:
-        limit = 299
-    else:
-        limit = _e1_of_ix(float(x.min()))[1]
     z = x * 1j
     b = z + 1.0
     c = 1e308

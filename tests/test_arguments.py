@@ -77,7 +77,8 @@ def test_real_arguments_take_any_finite_real_as_its_float(name):
 @pytest.mark.parametrize(
     "kernel",
     [lambda x: specfun.bessel_j(3, x), lambda x: specfun.bessel_y(0, x), specfun.si,
-     specfun.ci, specfun.gamma_log_minus_ci, lambda x: specfun.clausen_odd(3, x)],
+     specfun.ci, specfun.gamma_log_minus_ci, lambda x: specfun.clausen_odd(3, x),
+     lambda x: specfun.bessel_j_all(3, x)],
 )
 def test_kernels_reject_complex_and_object_arrays(kernel):
     # bessel_j(1, np.array([1+1j])) returned J_1(1) with only a ComplexWarning

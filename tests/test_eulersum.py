@@ -252,6 +252,19 @@ def test_extrapolator_rejects_bad_inputs(sums, basis):
         alternating_series_limit(sums, basis)
 
 
+@pytest.mark.parametrize("n", [20, 21, 4096, eulersum._N_ACCEL])
+def test_tail_sums_cover_the_rows_the_fit_reads(n):
+    # Only the sums from n // 2 on are built, the same reversed cumsum bit
+    # for bit, and every row of the fit lies among them
+    terms = np.random.default_rng(n).standard_normal(n)
+    full = np.append(-np.cumsum(terms[:0:-1])[::-1], 0.0)
+    sums = _accel.sums_from_last(terms)
+    assert len(sums) == n
+    assert sums[n // 2 :].tolist() == full[n // 2 :].tolist()
+    assert np.isnan(sums[: n // 2]).all()
+    assert _accel._design(n, POWER_LADDER)[0].min() >= n // 2
+
+
 _ORACLE_KINDS = {
     "H": lambda: euler_sum_oracle(3),
     "A": lambda: nielsen_sum_oracle(3),

@@ -100,9 +100,9 @@ def test_intervals_start_from_their_pieces_and_refine_on_one_error_sum(monkeypat
     calls = []
     gk15 = quad._gk15
 
-    def recording(f, a, b):
+    def recording(f, a, b, values=None):
         calls.append((a.tolist(), b.tolist()))
-        return gk15(f, a, b)
+        return gk15(f, a, b, values)
 
     monkeypatch.setattr(quad, "_gk15", recording)
     a, b = np.array([0.0, 1.0]), np.array([1.0, 1.0 + HALF_PI])
@@ -140,12 +140,12 @@ def test_refinement_stops_at_the_roundoff_floor():
 
 
 def test_oscillatory_first_partition_stops_at_the_roundoff_floor():
-    # at tol 1e-11 the partition tolerance is at its 5e-15 minimum, below the
-    # floor sum of the first partition [0, 1.75 pi] of J_1(t)/t: its 4 panels
-    # stop there unrefined, as does every other partition
+    # at tol 1e-11 the panel tolerance is at its 5e-15 minimum, below the
+    # floor sum of the first panel [0, 0.75 pi] of J_1(t)/t: it stops there
+    # unrefined, as does every other panel
     r = oscillatory_semiinf(_j1_over_t, _J1_OVER_T_TAIL, 1e-11)
     assert abs(r.value - 1.0) <= r.abs_err_estimate <= 1e-11
-    assert r.subdivisions == r.partitions_used + 3
+    assert r.subdivisions == r.partitions_used
 
 
 def test_integrate_finite_starts_from_its_pieces():
@@ -229,9 +229,9 @@ def test_lemma_integral_at_n50_makes_one_integrand_call(monkeypatch, integral):
     panels_per_call = []
     gk15 = quad._gk15
 
-    def counting(f, a, b):
+    def counting(f, a, b, values=None):
         panels_per_call.append(len(a))
-        return gk15(f, a, b)
+        return gk15(f, a, b, values)
 
     monkeypatch.setattr(quad, "_gk15", counting)
     r = integral(50)
@@ -350,7 +350,7 @@ def test_high_order_bessel_moment_integrand_matches_exact_coefficient():
     )
     diff = abs(r.value - float(coeffs.alpha(40) / 81))
     assert diff <= r.abs_err_estimate <= 1e-8
-    assert r.partitions_used == math.ceil(0.5 * 81**2 / math.pi - 40.75)
+    assert r.partitions_used == math.ceil(0.5 * 81**2 / math.pi - 0.75) + 1
 
 
 def test_bessel_moment_past_the_order_cap_raises_without_integrating(monkeypatch):
@@ -367,9 +367,8 @@ def test_bessel_moment_past_the_order_cap_raises_without_integrating(monkeypatch
 
 def test_oscillatory_engine_batches_partitions_per_block():
     # J_1(t)/t, counting the integrand calls and the nodes in each: the
-    # partitions up to B are one block, evaluated in one call and with no
-    # bisection; the first partition [0, 1.75 pi] is pre-split into 4 panels
-    # at most pi/2 wide, every other partition is one panel
+    # panels up to B, [0, 0.75 pi] and then one between each pair of edges
+    # (k + 3/4) pi, are one block, evaluated in one call and with no bisection
     calls = []
 
     def f(t):
@@ -378,15 +377,15 @@ def test_oscillatory_engine_batches_partitions_per_block():
 
     r = oscillatory_semiinf(f, _J1_OVER_T_TAIL, 2e-10)
     assert abs(r.value - 1.0) <= 1e-12
-    assert (r.partitions_used + 0.75) * math.pi >= 50.0 > (r.partitions_used - 0.25) * math.pi
-    assert r.subdivisions == r.partitions_used + 3
+    assert (r.partitions_used - 0.25) * math.pi >= 50.0 > (r.partitions_used - 1.25) * math.pi
+    assert r.subdivisions == r.partitions_used
     assert calls == [15 * r.subdivisions]
 
 
 def test_high_order_moment_makes_one_integrand_call_per_block():
-    # The engine on the J_21 moment's integrand and tail: the first partition
-    # [0, 11.75 pi] is 24 panels in the one call, with no serial bisection
-    # calls after it
+    # The engine on the J_21 moment's integrand and tail, with f evaluated
+    # directly: the panels [0, 0.75 pi], ..., [70 pi, 70.75 pi] in the one
+    # call, with no serial bisection calls after it
     sizes = []
 
     def f(t):
@@ -394,16 +393,19 @@ def test_high_order_moment_makes_one_integrand_call_per_block():
         return sf.si(t) * sf.bessel_j(21, t) / t
 
     r = oscillatory_semiinf(f, quad._sici(False) * (quad._bessel(21) * quad._INVERSE_T), 1e-8)
-    assert r.partitions_used == math.ceil(0.5 * 21**2 / math.pi - 10.75)
-    assert r.subdivisions == r.partitions_used + 23
+    assert r.partitions_used == math.ceil(0.5 * 21**2 / math.pi - 0.75) + 1 == 71
+    assert r.subdivisions == r.partitions_used
     assert sizes == [15 * r.subdivisions]
 
 
 @pytest.mark.parametrize("n", [0, 4, 10, 31])
 def test_bessel_moment_is_one_integrand_call_up_to_the_tail(monkeypatch, n):
-    # The finite part ends at the first edge (m + order/2 + 1/4) pi at or
-    # above max(50, order^2/2); each partition is one panel but the first,
-    # which is panels at most pi/2 wide, all in one kernel call
+    # The finite part is one panel from 0 to each edge (k + 3/4) pi of an
+    # odd order, up to the first at or above max(50, order^2/2).  Up to the
+    # table cap a moment reads its panels from its family's table, built
+    # beforehand, and calls no kernel; past it, all its panels are one
+    # bessel_j call
+    quad._family_table(False)
     sizes = []
     kernel = sf.bessel_j
 
@@ -414,13 +416,76 @@ def test_bessel_moment_is_one_integrand_call_up_to_the_tail(monkeypatch, n):
     monkeypatch.setattr(sf, "bessel_j", counting)
     order = 2 * n + 1
 
-    def edge(m):
-        return (m + 0.5 * order + 0.25) * math.pi
+    def edge(k):
+        return (k + 0.75) * math.pi
 
     r = si_bessel_integral(n)
-    assert edge(r.partitions_used) >= max(50.0, 0.5 * order * order) > edge(r.partitions_used - 1)
-    assert r.subdivisions == r.partitions_used - 1 + math.ceil(edge(1) / HALF_PI)
-    assert sizes == [15 * r.subdivisions]
+    last = r.partitions_used - 1
+    assert edge(last) >= max(50.0, 0.5 * order * order) > edge(last - 1)
+    assert r.subdivisions == r.partitions_used
+    assert sizes == ([] if order <= quad._TABLE_CAP else [15 * r.subdivisions])
+
+
+def test_family_tables_are_lazy_read_only_and_bounded():
+    # Neither importing the package nor the exact checks build a table; the
+    # first moment of a family builds that family's only
+    code = (
+        "from neumann_sici import harness, quad\n"
+        "print(quad._family_table.cache_info().currsize)\n"
+        "harness.run_registry('coeffs.*')\n"
+        "print(quad._family_table.cache_info().currsize)\n"
+        "quad.ci_bessel_integral(3)\n"
+        "print(quad._family_table.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0", "1"]
+    assert quad._family_table.cache_parameters()["maxsize"] == 2
+    for ci in (False, True):
+        table = quad._family_table(ci)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("ci", [False, True], ids=["si", "ci"])
+def test_every_tabled_order_matches_the_engine_fed_bessel_j(ci):
+    # Each order of the family up to the cap, read from its table, against the
+    # same engine evaluating Si or gamma + log t - Ci and bessel_j on the same
+    # panels: within the direct result's estimate
+    weight = sf.gamma_log_minus_ci if ci else sf.si
+    for order in range(0 if ci else 1, quad._TABLE_CAP + 1, 2):
+        integrand = quad._sici(ci) * (quad._bessel(order) * quad._INVERSE_T)
+        direct = oscillatory_semiinf(
+            lambda t, order=order: weight(t) * sf.bessel_j(order, t) / t, integrand, 1e-8
+        )
+        tabled = quad._moment(ci, order, 1e-8)
+        assert tabled.partitions_used == direct.partitions_used
+        assert abs(tabled.value - direct.value) <= direct.abs_err_estimate, order
+
+
+def test_a_tabled_moment_bisects_through_the_direct_integrand(monkeypatch):
+    # A table whose panel 5 is off by 1e-6 at one node forces that panel's
+    # refinement: its halves, and only they, call the direct integrand, and
+    # the result is within its estimate of alpha_0 = 1
+    table = quad._family_table(False).copy()
+    table[0, 5, 3] += 1e-6
+    monkeypatch.setattr(quad, "_family_table", lambda ci: table)
+    sizes = []
+    kernel = sf.bessel_j
+
+    def counting(order, t):
+        sizes.append(np.size(t))
+        return kernel(order, t)
+
+    monkeypatch.setattr(sf, "bessel_j", counting)
+    r = si_bessel_integral(0)
+    assert sizes and set(sizes) == {30}
+    assert r.subdivisions == r.partitions_used + len(sizes)
+    assert abs(r.value - 1.0) <= r.abs_err_estimate <= 1e-8
 
 
 def test_high_order_moments_match_the_exact_coefficients():

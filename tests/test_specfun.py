@@ -291,6 +291,35 @@ def test_bessel_j_all_on_both_sides_of_its_range_limits(nmax):
             assert abs(v - float(mp.besselj(n, x))) <= 1e-13, (x, n)
 
 
+@pytest.mark.parametrize("nmax", [0, 1, 21, 30])
+def test_bessel_j_all_on_an_array_takes_each_elements_branch(nmax):
+    # One row per order; each element on the float's branch (first terms,
+    # Miller, upward), so every column equals the float's list within rounding
+    # and the Miller and first-term columns exactly
+    x = np.array([0.0, 1e-9, 0.003, 2.0, 8.0, 24.9, 25.0, 29.9, 30.0, 31.0, 221.0, 3e3])
+    rows = bessel_j_all(nmax, x)
+    assert rows.shape == (nmax + 1, x.size)
+    for i, v in enumerate(x.tolist()):
+        ref = bessel_j_all(nmax, v)
+        if v < max(25.0, nmax):
+            assert rows[:, i].tolist() == ref, v
+        else:
+            assert np.allclose(rows[:, i], ref, rtol=0.0, atol=1e-16), v
+    assert bessel_j_all(nmax, x.reshape(3, 4)).shape == (nmax + 1, 3, 4)
+
+
+def test_bessel_j_all_bounds_an_arrays_values():
+    # (nmax + 1) values per element, at most _MILLER_MAX_STEPS in all with an
+    # array counted as at least 32 elements, checked before any allocation
+    # (one element at nmax = 2e5 took 6 s); a bad element is rejected like a
+    # bad float
+    for nmax, size in ((sf._MILLER_MAX_STEPS // 64, 64), (sf._MILLER_MAX_STEPS // 32, 1)):
+        with pytest.raises(ValueError, match="x.size"):
+            bessel_j_all(nmax, np.ones(size))
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        bessel_j_all(3, np.array([1.0, -1.0]))
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
 def test_even_order_normalization(a):
     # J_0(a) + 2 sum_{n=1..N} J_{2n}(a) = 1 with N = ceil(a) + 40
@@ -451,12 +480,12 @@ def test_si_ci_asymptotic_branch_matches_mpmath():
 
 def test_continued_fraction_steps_at_a_smaller_argument_suffice():
     # An array runs every continued-fraction element for the steps the float
-    # path takes at its smallest element.  That count is not monotone in x:
-    # the stopping test sits at the rounding floor, so the float path waits a
-    # few steps more or fewer by chance (24 to 26 near x = 8).  What the array
-    # relies on is that the truncation error after n steps falls with x: here
-    # every x in [8, 50], on a log grid to 10^6 and at the huge arguments runs
-    # the fewest steps taken anywhere in [8, x].
+    # path takes at the smallest element of its octave.  That count is not
+    # monotone in x: the stopping test sits at the rounding floor, so the
+    # float path waits a few steps more or fewer by chance (24 to 26 near
+    # x = 8).  What the array relies on is that the truncation error after n
+    # steps falls with x: here every x in [8, 50], on a log grid to 10^6 and
+    # at the huge arguments runs the fewest steps taken anywhere in [8, x].
     grid = np.concatenate([np.linspace(8.0, 50.0, 4201), np.geomspace(50.0, 1e6, 401)[1:]])
     grid = grid.tolist() + list(_HUGE)
     steps = [sf._e1_of_ix(v)[1] for v in grid]
@@ -465,9 +494,21 @@ def test_continued_fraction_steps_at_a_smaller_argument_suffice():
     for i, x in enumerate(grid):
         if steps[i] < steps[fewest]:
             fewest = i
-        value = sf._e1_of_ix(np.array([grid[fewest], x]))[0][1]
+        value = sf._lentz(np.array([x]), steps[fewest])[0][0]
         ref = sf._e1_of_ix(x)[0]
         assert abs(value - ref) <= 3e-15 * abs(ref), (x, grid[fewest], value, ref)
+
+
+def test_continued_fraction_steps_are_per_octave():
+    # Each octave of an array runs the steps of its own smallest element: a
+    # smaller element elsewhere (x = 8, 25 steps) no longer makes the octave
+    # [512, 1024) run 25, and its values are the ones it takes alone
+    big = np.array([600.0, 1000.0])
+    alone = sf._e1_of_ix(big)
+    mixed = sf._e1_of_ix(np.array([8.0, 600.0, 1000.0]))
+    assert alone[1] < 10 <= mixed[1]
+    assert mixed[0][1:].tolist() == alone[0].tolist()
+    assert alone[0].tolist() == sf._lentz(big, sf._e1_of_ix(600.0)[1])[0].tolist()
 
 
 def test_si_ci_domain_errors():
