@@ -6,20 +6,21 @@ The engine evaluates only interior Gauss-Kronrod nodes, so an integrand
 with a removable singularity at an endpoint (``cot t`` or ``1/t`` at 0)
 needs no special value there.
 
-Two layers:
+One driver, ``_refine``, refines every integral: an adaptive 15-point
+Gauss-Kronrod rule (QUADPACK dqk15) over the caller's starting panels, in one
+heap.  Each step bisects the panel with the largest error estimate and
+evaluates both halves in one integrand call, until the error sum over all
+the panels is at most tol; after ``_MAX_SUBDIVISIONS`` bisections it raises
+QuadratureError.  A panel's estimate is at least 15 eps times its Kronrod sum
+of |f|, the rounding bound of the 15-term sum (dqk15 uses 50 eps); once every
+panel sits at that floor the refinement stops, and the floor sum is the
+estimate.  Its two callers:
 
-* ``integrate_finite`` -- adaptive 15-point Gauss-Kronrod (QUADPACK dqk15)
-  with bisection refinement from ``pieces`` equal starting panels, all
-  evaluated in one integrand call.  Each step bisects the panel with the
-  largest error estimate and evaluates both halves in one integrand call,
-  until the error sum over all the panels is at most tol.  A panel's
-  estimate is at least 15 eps times its Kronrod sum of |f|, the rounding
-  bound of the 15-term sum (dqk15 uses 50 eps); once every panel sits at
-  that floor the refinement stops, and the floor sum is the estimate.  The
-  cot-weighted integrals on [0, pi/2] start from ceil(m/2) panels, m being
-  the integrand's frequency (2n+1 for Lemma 1, 2n for Lemma 3, 1 for the
-  transforms and the Clausen integrals): a Lemma integral needs no
-  bisection.
+* ``integrate_finite`` -- [a, b] from ``pieces`` equal starting panels, all
+  evaluated in one integrand call.  The cot-weighted integrals on [0, pi/2]
+  start from ceil(m/2) panels, m being the integrand's frequency (2n+1 for
+  Lemma 1, 2n for Lemma 3, 1 for the transforms and the Clausen
+  integrals): a Lemma integral needs no bisection.
 * ``oscillatory_semiinf`` -- every integral over [0, inf) (the Bessel
   moments, the J_1(t)/t self-test, Example 2, Corollaries 5 and 6): one
   GK15 panel between each pair of the edges (k + frac(s/2 + 1/4)) pi from 0
@@ -42,7 +43,6 @@ import dataclasses
 import functools
 import heapq
 import math
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -78,6 +78,12 @@ class QuadratureError(RuntimeError):
 
 @dataclasses.dataclass
 class QuadResult:
+    """An integral's value and error estimate, ``subdivisions`` the final panel count.
+
+    ``partitions_used`` counts the [0, B] starting panels of ``oscillatory_semiinf``; 0 for
+    ``integrate_finite``.
+    """
+
     value: float
     abs_err_estimate: float
     subdivisions: int
@@ -132,29 +138,26 @@ def _nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return nodes
 
 
-def _gk15(
-    f: ArrayFn, a: np.ndarray, b: np.ndarray, values: np.ndarray | None = None
-) -> tuple[np.ndarray, ...]:
-    """Gauss-Kronrod panels [a[i], b[i]] in one integrand call.
+def _evaluate(f: ArrayFn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # f at the GK15 nodes of the panels [a[i], b[i]] in one call, a row per panel
+    nodes = _nodes(a, b)
+    return np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
 
-    ``values``, if given, are f at ``_nodes(a, b)`` already, and f is not
-    called.  Returns the arrays (integral, error estimate, rough, Kronrod sum
-    of |f|), where rough marks the panels whose estimate exceeds its
-    roundoff floor.
+
+def _gk15(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The Gauss-Kronrod rule on the panels [a[i], b[i]] from f's ``values`` at their nodes.
+
+    Returns the arrays (integral, error estimate, rough, Kronrod sum of |f|),
+    where rough marks the panels whose estimate exceeds its roundoff floor.
     """
     h = 0.5 * (b - a)
-    if values is None:
-        nodes = _nodes(a, b)
-        values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     sums = values @ _NODE_W
     resk, resg = sums[:, 0], sums[:, 1]
     # every Kronrod weight is positive, so any non-finite value reaches resk
     finite = np.isfinite(resk)
     if not finite.all():
         bad = int(np.argmin(finite))
-        raise QuadratureError(
-            f"integrand returned a non-finite value on [{a[bad]}, {b[bad]}]"
-        )
+        raise QuadratureError(f"integrand returned a non-finite value on [{a[bad]}, {b[bad]}]")
     abs_h = np.abs(h)
     resabs = (np.abs(values) @ _NODE_W[:, 0]) * abs_h
     resasc = (np.abs(values - 0.5 * resk[:, None]) @ _NODE_W[:, 0]) * abs_h
@@ -168,76 +171,51 @@ def _gk15(
 
 
 _MAX_SUBDIVISIONS = 2000
-_VALUE, _ERROR, _ABSOLUTE = itemgetter(4), itemgetter(5), itemgetter(7)  # of a heap item
 
 
-def _integrate_intervals(
-    f: ArrayFn, a: np.ndarray, b: np.ndarray, pieces: np.ndarray, tol: float,
-    values: np.ndarray | None = None,
-) -> tuple[list[float], list[float], list[int], list[float]]:
-    """Adaptive GK15 on each [a[i], b[i]] separately, each to absolute tol.
+def _refine(
+    f: ArrayFn, low: np.ndarray, high: np.ndarray, values: np.ndarray, tol: float
+) -> tuple[float, float, int, float]:
+    """Adaptive GK15 over the starting panels [low[i], high[i]] to an error sum of tol.
 
-    Interval i starts as ``pieces[i]`` equal panels, and every interval keeps
-    its own heap of panels.  One integrand call evaluates all the starting
-    panels, unless the caller has their ``values`` (as ``_gk15`` takes them).
-    A step bisects the worst panel of every interval whose error sum (over
-    all of its panels) still exceeds tol and evaluates all the halves in one
-    integrand call.  An interval whose panels all sit at their roundoff floor
-    stops there, with that floor sum as its estimate, since bisection cannot
-    lower it; one that reaches ``_MAX_SUBDIVISIONS`` panels unconverged
-    raises QuadratureError.  Returns per-interval lists of values, error
-    estimates, panel counts and Kronrod sums of |f|.
+    ``values`` are f at the starting panels' nodes.  One heap holds every
+    panel; a step bisects the panel with the largest estimate and evaluates
+    both halves in one call of f, until the error sum is at most tol or
+    every panel's estimate sits at its roundoff floor (the floor sum is then
+    the estimate, since bisection cannot lower it).  ``_MAX_SUBDIVISIONS``
+    bisections that leave it unconverged raise QuadratureError.  Returns the
+    value, the error estimate, the panel count and the sum over the panels
+    of right edge times Kronrod sum of |f|.
     """
-    stops = np.cumsum(pieces)
-    starts = stops - pieces
-    owner = np.repeat(np.arange(len(pieces)), pieces)
-    low = a[owner] + (b - a)[owner] * (np.arange(stops[-1]) - starts[owner]) / pieces[owner]
-    high = np.empty_like(low)
-    high[:-1] = low[1:]
-    high[stops - 1] = b
-    values, errors, rough, absolute = _gk15(f, low, high, values)
-    total_err = np.add.reduceat(errors, starts).tolist()
-    # panels per interval whose estimate is above its floor
-    unsettled = np.add.reduceat(rough, starts, dtype=int).tolist()
+    values, errors, rough, absolute = _gk15(values, low, high)
+    total, unsettled = float(errors.sum()), int(rough.sum())
     # heap items are (-err, seq, a, b, value, err, rough, sum of |f|); seq
     # breaks ties deterministically
-    items = list(zip((-errors).tolist(), range(len(values)), low.tolist(), high.tolist(),
-                     values.tolist(), errors.tolist(), rough.tolist(), absolute.tolist()))
-    heaps = [items[i:j] for i, j in zip(starts.tolist(), stops.tolist())]
-    for heap in heaps:
-        heapq.heapify(heap)
-    panels = pieces.tolist()
-    active = [i for i, e in enumerate(total_err) if e > tol and unsettled[i]]
-    seq = len(values)
-    while active:
-        for i in active:
-            if panels[i] >= _MAX_SUBDIVISIONS:
-                raise QuadratureError(
-                    f"no convergence after {panels[i]} subdivisions "
-                    f"(err estimate {total_err[i]:.2e} > tol {tol:.2e})"
-                )
-        worst = [heapq.heappop(heaps[i]) for i in active]
-        lo = [item[2] for item in worst]
-        hi = [item[3] for item in worst]
-        mid = [0.5 * (left + right) for left, right in zip(lo, hi)]
-        # (value, err, rough, sum of |f|) of each half
-        halves = list(zip(*(x.tolist() for x in _gk15(f, np.array(lo + mid), np.array(mid + hi)))))
-        n = len(active)
-        for j, i in enumerate(active):
-            left, right = halves[j], halves[n + j]
-            total_err[i] += left[1] + right[1] - worst[j][5]
-            unsettled[i] += left[2] + right[2] - worst[j][6]
-            heapq.heappush(heaps[i], (-left[1], seq, lo[j], mid[j], *left))
-            heapq.heappush(heaps[i], (-right[1], seq + 1, mid[j], hi[j], *right))
-            panels[i] += 1
-        seq += 2
-        active = [i for i in active if total_err[i] > tol and unsettled[i]]
-    # resum from the heaps for sharper values (avoids drift in the updates)
+    heap = list(zip((-errors).tolist(), range(len(low)), low.tolist(), high.tolist(),
+                    values.tolist(), errors.tolist(), rough.tolist(), absolute.tolist()))
+    heapq.heapify(heap)
+    bisections = 0
+    while total > tol and unsettled:
+        if bisections == _MAX_SUBDIVISIONS:
+            raise QuadratureError(
+                f"no convergence after {bisections} bisections "
+                f"(err estimate {total:.2e} > tol {tol:.2e})"
+            )
+        _, _, lo, hi, _, err, was_rough, _ = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        a, b = np.array([lo, mid]), np.array([mid, hi])
+        left, right = zip(*(x.tolist() for x in _gk15(_evaluate(f, a, b), a, b)))
+        total += left[1] + right[1] - err
+        unsettled += left[2] + right[2] - was_rough
+        seq = len(low) + 2 * bisections
+        heapq.heappush(heap, (-left[1], seq, lo, mid, *left))
+        heapq.heappush(heap, (-right[1], seq + 1, mid, hi, *right))
+        bisections += 1
     return (
-        [math.fsum(map(_VALUE, heap)) for heap in heaps],
-        [math.fsum(map(_ERROR, heap)) for heap in heaps],
-        panels,
-        [math.fsum(map(_ABSOLUTE, heap)) for heap in heaps],
+        math.fsum(item[4] for item in heap),
+        math.fsum(item[5] for item in heap),
+        len(heap),
+        math.fsum(item[3] * item[7] for item in heap),
     )
 
 
@@ -259,10 +237,10 @@ def integrate_finite(
     tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
     message = f"pieces must be an integer from 1 to {_MAX_SUBDIVISIONS}"
     pieces = specfun._integer(pieces, message, 1, _MAX_SUBDIVISIONS)
-    values, errors, panels, _ = _integrate_intervals(
-        f, np.array([a], dtype=float), np.array([b], dtype=float), np.array([pieces]), tol
-    )
-    return QuadResult(values[0], errors[0], panels[0])
+    low = a + (b - a) * np.arange(pieces) / pieces
+    high = np.append(low[1:], b)
+    value, estimate, panels, _ = _refine(f, low, high, _evaluate(f, low, high), tol)
+    return QuadResult(value, estimate, panels)
 
 
 _HALF_PI = 0.5 * math.pi
@@ -538,38 +516,33 @@ def _edges(order: float) -> np.ndarray:
     return (np.arange(count) + frac) * math.pi
 
 
-def oscillatory_semiinf(f: ArrayFn, tail: _Expansion, tol: float) -> QuadResult:
-    """int_0^inf f for a decaying oscillatory f whose expansion at infinity is ``tail``.
+def oscillatory_semiinf(integrand: _Expansion, tol: float) -> QuadResult:
+    """int_0^inf f for a decaying oscillatory f, ``integrand.f``, with its expansion at infinity.
 
-    The tail's order s (a Bessel order, or Corollary 5's a) sets the range:
-    one GK15 panel between each pair of consecutive edges (k + frac(s/2 +
-    1/4)) pi, a Bessel function's asymptotic extrema, from 0 up to B, the
-    first edge at or above max(50, s^2/2).  All the panels are evaluated in
-    one integrand call, or read from ``tail.table`` (a Bessel moment's
-    family table), and refined to max(2e-4 tol, 5e-15) per panel by
-    bisection, whose halves call f; from B on the tail is integrated term by
-    term.  The estimate adds the rounding of the abscissae and what the
-    tail's series leave out.  A bad ``tol`` or a tail whose majorant decays
-    no faster than 1/t raises ValueError before any integrand call.
+    The integrand's order s (a Bessel order, or Corollary 5's a) sets the
+    range: one GK15 panel between each pair of consecutive edges (k +
+    frac(s/2 + 1/4)) pi, a Bessel function's asymptotic extrema, from 0 up
+    to B, the first edge at or above max(50, s^2/2).  All the panels are
+    evaluated in one call of f, or read from ``integrand.table`` (a Bessel
+    moment's family table), and refined by bisection, whose halves call f,
+    until their error sum is at most tol; from B on the expansion is
+    integrated term by term.  The estimate adds the rounding of the
+    abscissae and what the expansion's series leave out.  A bad ``tol`` or
+    an expansion whose majorant decays no faster than 1/t raises ValueError
+    before any call of f.
     """
     tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
-    highs = _edges(tail.order)
-    count = len(highs)
-    value, left_out = tail.integral(float(highs[-1]))
-    first = None if tail.table is None else tail.table[:count]
-    values, errors, panels, absolute = _integrate_intervals(
-        f, np.r_[0.0, highs[:-1]], highs, np.ones(count, dtype=int), max(tol * 2e-4, 5e-15), first
-    )
+    high = _edges(integrand.order)
+    tail, left_out = integrand.integral(float(high[-1]))
+    low = np.r_[0.0, high[:-1]]
+    table = integrand.table
+    values = _evaluate(integrand.f, low, high) if table is None else table[: len(high)]
+    value, estimate, panels, weighted = _refine(integrand.f, low, high, values, tol)
     # An abscissa t is rounded by up to eps t, which moves f of frequency at
     # most kappa by up to eps t kappa |f|: on a panel's sum, at most eps
     # kappa times its right edge times its sum of |f|
-    rounding = np.finfo(float).eps * max(1, *tail.terms) * math.fsum(highs * absolute)
-    estimate = math.fsum(errors) + rounding + left_out
-    return QuadResult(math.fsum(values) + value, estimate, sum(panels), count)
-
-
-def _semiinf(integrand: _Expansion, tol: float) -> QuadResult:
-    return oscillatory_semiinf(integrand.f, integrand, tol)
+    rounding = np.finfo(float).eps * max(1, *integrand.terms) * weighted
+    return QuadResult(value + tail, estimate + rounding + left_out, panels, len(high))
 
 
 # The moment families share their panels and their J's: the Si family (odd
@@ -604,7 +577,7 @@ def _moment(ci: bool, order: int, tol: float) -> QuadResult:
     integrand = _sici(ci) * (_bessel(order) * _INVERSE_T)
     if order <= _TABLE_CAP:
         integrand = dataclasses.replace(integrand, table=_family_table(ci)[order // 2])
-    return _semiinf(integrand, tol)
+    return oscillatory_semiinf(integrand, tol)
 
 
 def si_bessel_integral(n: int) -> QuadResult:
@@ -628,7 +601,7 @@ def j0_orthogonality_integral() -> QuadResult:
 
 def bessel_j1_over_t_integral() -> QuadResult:
     """Engine self-test: int_0^inf J_1(t)/t dt = 1."""
-    return _semiinf(_bessel(1) * _INVERSE_T, 2e-10)
+    return oscillatory_semiinf(_bessel(1) * _INVERSE_T, 2e-10)
 
 
 def example2_integral() -> QuadResult:
@@ -639,7 +612,7 @@ def example2_integral() -> QuadResult:
     difference stays O(1) as t -> 0.
     """
     bracket = _bessel(0, True) * _HALF_PI - _LOG_HALF * _bessel(0)
-    return _semiinf(_sici(True) * (bracket * _INVERSE_T), 2e-6)
+    return oscillatory_semiinf(_sici(True) * (bracket * _INVERSE_T), 2e-6)
 
 
 def _corollary6(g1: float) -> QuadResult:
@@ -648,7 +621,7 @@ def _corollary6(g1: float) -> QuadResult:
     bracket = _LOG_HALF * j1 - _bessel(1, True) * _HALF_PI - _bessel(0) * _INVERSE_T
     if g1:
         bracket = bracket + j1 * g1
-    return _semiinf(_sici(False) * (bracket * _INVERSE_T), 2e-5)
+    return oscillatory_semiinf(_sici(False) * (bracket * _INVERSE_T), 2e-5)
 
 
 def corollary6_integral() -> QuadResult:
@@ -672,4 +645,4 @@ def corollary5_rhs(a: float) -> QuadResult:
     a = abs(specfun._real(a, "a must be finite"))
     if a > _MAX_MOMENT_ORDER:
         raise QuadratureError(f"corollary5_rhs needs |a| <= {_MAX_MOMENT_ORDER}, got |a| = {a:g}")
-    return _semiinf(_sici(True) * (_shifted_j0(a) * _INVERSE_T), 2e-7)
+    return oscillatory_semiinf(_sici(True) * (_shifted_j0(a) * _INVERSE_T), 2e-7)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -85,39 +86,33 @@ def test_nan_integrand_raises():
 
 
 def test_nonintegrable_endpoint_raises_nonconvergence():
-    # sin(1/t) oscillates without bound towards 0: the panel budget runs out
+    # sin(1/t) oscillates without bound towards 0: the bisection budget runs out
     with pytest.raises(QuadratureError):
         integrate_finite(lambda t: np.sin(1.0 / t), 1e-300, 1.0, 1e-12)
 
 
-def test_intervals_start_from_their_pieces_and_refine_on_one_error_sum(monkeypatch):
-    # sqrt t needs bisection towards 0; cos does not.  The first interval
-    # starts as 3 panels and refines while the sum of their estimates exceeds
-    # tol, the second stays at its 2 starting panels
+def test_one_heap_refines_the_starting_panels_on_one_error_sum():
+    # sqrt t needs bisection towards 0; cos does not.  The starting panels,
+    # 3 on [0, 1] next to 2 on [1, 1 + pi/2], share one heap and one error
+    # sum: only the sqrt t panels bisect, each bisection one call of f
+    calls = []
+
     def f(t):
+        calls.append(t.tolist())
         return np.where(t < 1.0, np.sqrt(t), np.cos(t))
 
-    calls = []
-    gk15 = quad._gk15
-
-    def recording(f, a, b, values=None):
-        calls.append((a.tolist(), b.tolist()))
-        return gk15(f, a, b, values)
-
-    monkeypatch.setattr(quad, "_gk15", recording)
-    a, b = np.array([0.0, 1.0]), np.array([1.0, 1.0 + HALF_PI])
-    values, errors, panels, _ = quad._integrate_intervals(f, a, b, np.array([3, 2]), 1e-12)
-    assert abs(values[0] - 2.0 / 3.0) <= errors[0] <= 1e-12
-    assert abs(values[1] - (math.cos(1.0) - math.sin(1.0))) <= errors[1] <= 1e-12
-    assert panels[0] > 3 and panels[1] == 2
-    # the starting panels, as a loop over the intervals would cut them
     low, high = [], []
     for lo, hi, p in ((0.0, 1.0, 3), (1.0, 1.0 + HALF_PI, 2)):
         cuts = [lo + (hi - lo) * i / p for i in range(p)] + [hi]
         low += cuts[:-1]
         high += cuts[1:]
-    assert calls[0] == (low, high)
-    assert len(calls) == panels[0] - 3 + 1
+    low, high = np.array(low), np.array(high)
+    value, estimate, panels, _ = quad._refine(f, low, high, quad._evaluate(f, low, high), 1e-12)
+    exact = 2.0 / 3.0 + math.cos(1.0) - math.sin(1.0)
+    assert abs(value - exact) <= estimate <= 1e-12
+    bisections = calls[1:]
+    assert len(bisections) == panels - 5 > 0
+    assert all(len(t) == 30 and max(t) < 1.0 for t in bisections)
 
 
 def test_gk_estimate_has_a_roundoff_floor():
@@ -132,20 +127,21 @@ def test_gk_estimate_has_a_roundoff_floor():
 def test_refinement_stops_at_the_roundoff_floor():
     # the floor sum over [0, 10], 15 eps int |cos| ~ 2.2e-14, exceeds tol:
     # once every panel sits at its floor the refinement stops and reports
-    # that sum, rather than bisecting until the panel budget runs out
+    # that sum, rather than bisecting until the bisection budget runs out
     r = integrate_finite(np.cos, 0.0, 10.0, 1e-14)
     assert r.subdivisions < 10
     assert 1e-14 < r.abs_err_estimate < 3e-14
     assert abs(r.value - math.sin(10.0)) <= r.abs_err_estimate
 
 
-def test_oscillatory_first_partition_stops_at_the_roundoff_floor():
-    # at tol 1e-11 the panel tolerance is at its 5e-15 minimum, below the
-    # floor sum of the first panel [0, 0.75 pi] of J_1(t)/t: it stops there
-    # unrefined, as does every other panel
-    r = oscillatory_semiinf(_j1_over_t, _J1_OVER_T_TAIL, 1e-11)
-    assert abs(r.value - 1.0) <= r.abs_err_estimate <= 1e-11
-    assert r.subdivisions == r.partitions_used
+def test_oscillatory_range_stops_at_the_roundoff_floor():
+    # every [0, B] panel of J_1(t)/t sits at its roundoff floor, and their
+    # sum, 4.9e-15, is the range's error sum: tol 1e-11 is met unrefined,
+    # and at 1e-15, below that sum, the refinement stops there as well
+    for tol in (1e-11, 1e-15):
+        r = oscillatory_semiinf(_J1_OVER_T_TAIL, tol)
+        assert abs(r.value - 1.0) <= r.abs_err_estimate <= 1e-11
+        assert r.subdivisions == r.partitions_used
 
 
 def test_integrate_finite_starts_from_its_pieces():
@@ -227,13 +223,13 @@ def test_lemma_integral_at_n50_makes_one_integrand_call(monkeypatch, integral):
     # converge without bisection (from one starting panel, bisecting one
     # panel per call, these took 55 and 54 sequential calls)
     panels_per_call = []
-    gk15 = quad._gk15
+    evaluate = quad._evaluate
 
-    def counting(f, a, b, values=None):
+    def counting(f, a, b):
         panels_per_call.append(len(a))
-        return gk15(f, a, b, values)
+        return evaluate(f, a, b)
 
-    monkeypatch.setattr(quad, "_gk15", counting)
+    monkeypatch.setattr(quad, "_evaluate", counting)
     r = integral(50)
     pieces = 51 if integral is lemma1_integral else 50
     assert panels_per_call == [pieces]
@@ -274,7 +270,7 @@ def test_lemma_integral_bound_names_n(monkeypatch, integral, low, top, exact):
     # argument the caller never passed
     assert abs(integral(top).value - float(exact(top))) <= 1e-11
     calls = []
-    monkeypatch.setattr(quad, "_gk15", lambda *args: calls.append(args))
+    monkeypatch.setattr(quad, "_evaluate", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=f"^n must be an integer from {low} to {top}$"):
         integral(top + 1)
     assert calls == []
@@ -323,7 +319,7 @@ def test_oscillatory_rejects_bad_tol_before_any_edge(tol):
         return _j1_over_t(t)
 
     with pytest.raises(ValueError, match="must be finite"):
-        oscillatory_semiinf(f, _J1_OVER_T_TAIL, tol)
+        oscillatory_semiinf(dataclasses.replace(_J1_OVER_T_TAIL, f=f), tol)
     assert not calls
 
 
@@ -336,18 +332,46 @@ def test_oscillatory_rejects_a_tail_that_does_not_decay_before_any_integrand_cal
         return sf.bessel_j(1, t)
 
     with pytest.raises(ValueError, match="decays no faster than 1/t"):
-        oscillatory_semiinf(f, quad._bessel(1), 1e-8)
+        oscillatory_semiinf(dataclasses.replace(quad._bessel(1), f=f), 1e-8)
     assert not calls
+
+
+def test_a_non_settling_integrand_raises_after_one_bisection_budget():
+    # J_1(t)/t plus a 1e-6 square wave of period 0.002, which no bisection
+    # settles, with the J_1/t tail at tol 1e-10: one call for the [0, B]
+    # panels and one per bisection, _MAX_SUBDIVISIONS in all for the call,
+    # then QuadratureError naming the caller's tol.  A budget per panel took
+    # 1,019,745 nodes.  In a subprocess, so that a regression fails here
+    # instead of hanging the suite.
+    code = (
+        "import dataclasses\n"
+        "import numpy as np\n"
+        "from neumann_sici import quad, specfun\n"
+        "calls = []\n"
+        "def f(t):\n"
+        "    calls.append(t.size)\n"
+        "    return specfun.bessel_j(1, t) / t + 1e-6 * (np.floor(1000.0 * t) % 2.0)\n"
+        "try:\n"
+        "    quad.oscillatory_semiinf(dataclasses.replace(quad._bessel(1) * quad._INVERSE_T, f=f), 1e-10)\n"
+        "except quad.QuadratureError as exc:\n"
+        "    print(len(calls), sum(calls), exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 0, done.stderr
+    calls, nodes, message = done.stdout.split(maxsplit=2)
+    assert 1 < int(calls) <= quad._MAX_SUBDIVISIONS + 1
+    assert int(nodes) == 15 * len(quad._edges(1)) + 30 * (int(calls) - 1)
+    assert message.startswith(f"no convergence after {quad._MAX_SUBDIVISIONS} bisections")
+    assert "> tol 1.00e-10)" in message
 
 
 def test_high_order_bessel_moment_integrand_matches_exact_coefficient():
     # The engine on the Si-weighted J_81 moment's integrand and tail, whose
     # range runs to the first edge at or above 81^2/2
-    r = oscillatory_semiinf(
-        lambda t: sf.si(t) * sf.bessel_j(81, t) / t,
-        quad._sici(False) * (quad._bessel(81) * quad._INVERSE_T),
-        1e-8,
-    )
+    r = oscillatory_semiinf(quad._sici(False) * (quad._bessel(81) * quad._INVERSE_T), 1e-8)
     diff = abs(r.value - float(coeffs.alpha(40) / 81))
     assert diff <= r.abs_err_estimate <= 1e-8
     assert r.partitions_used == math.ceil(0.5 * 81**2 / math.pi - 0.75) + 1
@@ -375,7 +399,7 @@ def test_oscillatory_engine_batches_partitions_per_block():
         calls.append(t.size)
         return _j1_over_t(t)
 
-    r = oscillatory_semiinf(f, _J1_OVER_T_TAIL, 2e-10)
+    r = oscillatory_semiinf(dataclasses.replace(_J1_OVER_T_TAIL, f=f), 2e-10)
     assert abs(r.value - 1.0) <= 1e-12
     assert (r.partitions_used - 0.25) * math.pi >= 50.0 > (r.partitions_used - 1.25) * math.pi
     assert r.subdivisions == r.partitions_used
@@ -392,7 +416,8 @@ def test_high_order_moment_makes_one_integrand_call_per_block():
         sizes.append(t.size)
         return sf.si(t) * sf.bessel_j(21, t) / t
 
-    r = oscillatory_semiinf(f, quad._sici(False) * (quad._bessel(21) * quad._INVERSE_T), 1e-8)
+    tail = quad._sici(False) * (quad._bessel(21) * quad._INVERSE_T)
+    r = oscillatory_semiinf(dataclasses.replace(tail, f=f), 1e-8)
     assert r.partitions_used == math.ceil(0.5 * 21**2 / math.pi - 0.75) + 1 == 71
     assert r.subdivisions == r.partitions_used
     assert sizes == [15 * r.subdivisions]
@@ -459,9 +484,8 @@ def test_every_tabled_order_matches_the_engine_fed_bessel_j(ci):
     weight = sf.gamma_log_minus_ci if ci else sf.si
     for order in range(0 if ci else 1, quad._TABLE_CAP + 1, 2):
         integrand = quad._sici(ci) * (quad._bessel(order) * quad._INVERSE_T)
-        direct = oscillatory_semiinf(
-            lambda t, order=order: weight(t) * sf.bessel_j(order, t) / t, integrand, 1e-8
-        )
+        direct = oscillatory_semiinf(dataclasses.replace(
+            integrand, f=lambda t, order=order: weight(t) * sf.bessel_j(order, t) / t), 1e-8)
         tabled = quad._moment(ci, order, 1e-8)
         assert tabled.partitions_used == direct.partitions_used
         assert abs(tabled.value - direct.value) <= direct.abs_err_estimate, order
@@ -689,6 +713,14 @@ def test_oscillatory_estimates_hold_over_the_registry_deck(check):
     diff = abs(integral.value - getattr(other, "value", other))
     assert diff <= integral.abs_err_estimate + getattr(other, "tail_bound", 0.0)
     assert diff <= 0.03 * check.tolerance
+
+
+@pytest.mark.parametrize("check", _OSCILLATORY_CHECKS, ids=lambda c: c.id)
+def test_no_served_semi_infinite_integral_bisects(check):
+    # every [0, B] range of the deck meets its tol as first evaluated (its
+    # error sum is 3e-7 to 3e-4 of tol): the final panel count is the starting one
+    (integral,) = [side for side in (check.lhs(), check.rhs()) if isinstance(side, QuadResult)]
+    assert integral.subdivisions == integral.partitions_used
 
 
 _FINITE_IDS = re.compile(
