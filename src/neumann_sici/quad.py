@@ -28,9 +28,13 @@ estimate.  Its two callers:
   s, then its asymptotic expansion (``_Expansion``, a product of J_nu, Y_nu,
   Si, gamma + log t - Ci, log(t/2), 1/t and J_0(sqrt(a^2 + t^2))
   expansions) integrated term by term.  Orders of one parity share their
-  panels, so the Bessel moments of orders up to 25 read their first pass
-  from one table per family (Si with the odd orders, gamma + log t - Ci
-  with the even ones): 0.3 MB for both, built on a family's first moment.
+  panels: those of the integer orders of one parity up to 25 are one
+  lattice.  Every factor with a kernel keeps one read-only table per
+  lattice (J_0 .. J_25 from one bessel_j_all, Y_0, Y_1, Si, gamma + log t
+  - Ci, log(t/2), 1/t; 0.74 MB in all, each built on first use), and the
+  first pass of an integrand of such an order combines its factors' table
+  values as it combines their f, calling no kernel but for a factor
+  without a table (Corollary 5's J_0(sqrt(a^2 + t^2))).
 
 Each verified integral gets its own operation below so the harness can bind
 it to an exact or closed-form counterpart.
@@ -332,11 +336,11 @@ class _Expansion:
     ``terms[kappa][j, h]`` is the coefficient of t^(-h/2) (log t)^j e^(i kappa t)
     for kappa >= 0, and f is the kappa = 0 part plus twice the real part of
     the rest.  What the cut series leave out is at most ``cut`` times the
-    majorant of |f| whose coefficients are ``size``.  Products and sums act
-    on f, on the terms (a product convolves them) and on the majorants.
-    ``table``, if set, holds f at the nodes of the engine's panels from 0
-    on, a row of 15 per panel, for at least the panels up to this order's
-    tail; products and sums drop it.
+    majorant of |f| whose coefficients are ``size``.  ``lattice(t, odd)``
+    gives f at the first nodes t of a lattice (see ``_table``), read from
+    the factors' tables; a factor without one (``lattice`` None) evaluates
+    its f on t.  Products and sums act on f, on the lattice values, on the
+    terms (a product convolves them) and on the majorants.
     """
 
     f: ArrayFn
@@ -344,7 +348,11 @@ class _Expansion:
     size: np.ndarray
     cut: float = 0.0
     order: float = 0.0
-    table: np.ndarray | None = None
+    lattice: Callable[[np.ndarray, bool], np.ndarray] | None = None
+
+    def on_lattice(self, t: np.ndarray, odd: bool) -> np.ndarray:
+        """f at the first t.size nodes t of the lattice of odd or of even orders."""
+        return self.f(t) if self.lattice is None else self.lattice(t, odd)
 
     def __mul__(self, other: _Expansion | float) -> _Expansion:
         if not isinstance(other, _Expansion):
@@ -360,14 +368,16 @@ class _Expansion:
                     c = _conv2(c1, c2)
                     terms[k1 + k2] = _plus(terms[k1 + k2], c) if k1 + k2 in terms else c
         return _Expansion(lambda t: self.f(t) * other.f(t), terms, _conv2(self.size, other.size),
-                          self.cut + other.cut + self.cut * other.cut, max(self.order, other.order))
+                          self.cut + other.cut + self.cut * other.cut, max(self.order, other.order),
+                          lambda t, odd: self.on_lattice(t, odd) * other.on_lattice(t, odd))
 
     def __add__(self, other: _Expansion) -> _Expansion:
         terms = dict(self.terms)
         for kappa, c in other.terms.items():
             terms[kappa] = _plus(terms[kappa], c) if kappa in terms else c
         return _Expansion(lambda t: self.f(t) + other.f(t), terms, _plus(self.size, other.size),
-                          max(self.cut, other.cut), max(self.order, other.order))
+                          max(self.cut, other.cut), max(self.order, other.order),
+                          lambda t, odd: self.on_lattice(t, odd) + other.on_lattice(t, odd))
 
     def __sub__(self, other: _Expansion) -> _Expansion:
         return self + other * -1.0
@@ -411,12 +421,67 @@ def _tail_integrals(top: int, shape: tuple[int, int], b: float) -> np.ndarray:
     return out * b ** (1.0 - 0.5 * np.arange(count))
 
 
-def _factor(f: ArrayFn, terms: dict, cut: float = 0.0, order: float = 0.0) -> _Expansion:
+# The tail starts at B = max(50, s^2/2) for an integral of order s, and at
+# most at 80,000 = 400^2/2, where [0, B] holds 25,500 panels (about 0.7 s
+# for a moment).  That bounds the J order of a moment and |a| of Corollary 5.
+_MAX_TAIL_START = 80_000
+_MAX_MOMENT_ORDER = math.isqrt(2 * _MAX_TAIL_START)
+_ORDER_CAP = f"J order at most quad._MAX_MOMENT_ORDER = {_MAX_MOMENT_ORDER}"
+
+
+def _edges(order: float) -> np.ndarray:
+    # The right edges of the engine's panels for an integral of this order:
+    # (k + frac(order/2 + 1/4)) pi for k >= 0, a Bessel function's asymptotic
+    # extrema (a fraction of 0 taken as 1), up to the first at or above
+    # max(50, order^2/2).  Orders of one parity share their edges, and a
+    # lower order's are a prefix of a higher one's.
+    frac = (0.5 * order + 0.25) % 1.0 or 1.0
+    count = math.ceil(max(50.0, 0.5 * order * order) / math.pi - frac) + 1
+    return (np.arange(count) + frac) * math.pi
+
+
+# The engine's panels for the integer orders of one parity up to _TABLE_CAP
+# are one lattice, each order's panels a prefix of it.  Each factor with a
+# kernel keeps one table per lattice, the kernel at all its nodes (J_0 ..
+# J_25 from one bessel_j_all), so the first pass of an integrand of such an
+# order calls no kernel but for a factor without one.  The 14 tables take
+# 0.74 MB (0.60 MB the J rows) and 26 ms to build (for both lattices: the J
+# rows 4.5 ms, Y_0 5.1, Y_1, Si and gamma + log t - Ci 3.6 each), where a
+# moment of order 25 takes 4.6 ms direct and 0.4 ms from the tables; the J
+# rows' size grows as the cube of the cap (all warm, on a 2-core x86-64
+# host).  Orders past the cap evaluate f on the same panels.
+_TABLE_CAP = 25
+
+
+@functools.lru_cache(maxsize=14)
+def _table(kernel: ArrayFn, odd: bool) -> np.ndarray:
+    # kernel at the nodes of the lattice of odd or of even orders (those of its
+    # top order's panels), in the engine's order; read-only.  Seven kernels,
+    # two lattices.
+    high = _edges(_TABLE_CAP - (_TABLE_CAP % 2 != odd))
+    table = kernel(_nodes(np.r_[0.0, high[:-1]], high).ravel())
+    table.flags.writeable = False
+    return table
+
+
+def _tabled(kernel: ArrayFn, *row: int) -> Callable[[np.ndarray, bool], np.ndarray]:
+    # A factor's values at the first nodes t of a lattice: its kernel's table
+    # (row ``row`` of it, if given) up to t.size
+    return lambda t, odd: _table(kernel, odd)[(*row, slice(t.size))]
+
+
+def _j_rows(t: np.ndarray) -> np.ndarray:
+    # The kernel of every J factor's table: J_0 .. J_25 at t, a row each
+    return specfun.bessel_j_all(_TABLE_CAP, t)
+
+
+def _factor(f: ArrayFn, terms: dict, cut: float = 0.0, order: float = 0.0,
+            lattice: Callable | None = None) -> _Expansion:
     # An expansion whose majorant is its terms' moduli, read-only so it can be cached
     size = functools.reduce(_plus, ((2.0 if k else 1.0) * abs(c) for k, c in terms.items()))
     for a in (size, *terms.values()):
         a.flags.writeable = False
-    return _Expansion(f, terms, size, cut, order)
+    return _Expansion(f, terms, size, cut, order, lattice)
 
 
 def _spread(coeffs: np.ndarray, first: int) -> np.ndarray:
@@ -453,8 +518,13 @@ def _bessel(order: int, second_kind: bool = False) -> _Expansion:
     k, cut = _cut(a, max(50.0, 0.5 * order * order))
     rot = cmath.exp(-0.5j * (order + 0.5) * math.pi) * (-1j if second_kind else 1.0)
     kernel = "bessel_y" if second_kind else "bessel_j"
-    return _factor(lambda t: getattr(specfun, kernel)(order, t),
-                   {1: _spread(math.sqrt(0.5 / math.pi) * rot * a[:k], 1)}, cut, order)
+
+    def f(t):
+        return getattr(specfun, kernel)(order, t)
+
+    # Y_0 and Y_1 have tables of their own, J up to _TABLE_CAP a row of _j_rows'
+    lattice = _tabled(f) if second_kind else _tabled(_j_rows, order) if order <= _TABLE_CAP else None
+    return _factor(f, {1: _spread(math.sqrt(0.5 / math.pi) * rot * a[:k], 1)}, cut, order, lattice)
 
 
 @functools.cache
@@ -467,10 +537,15 @@ def _sici(ci: bool) -> _Expansion:
     m, cut = _cut(e, 50.0)
     flat = np.array([[specfun.CONSTANTS.euler_gamma], [1.0]]) if ci else np.array([[_HALF_PI]])
     kernel = "gamma_log_minus_ci" if ci else "si"
-    return _factor(lambda t: getattr(specfun, kernel)(t),
-                   {0: flat, 1: _spread((0.5j if ci else -0.5) * e[:m].conj(), 2)}, cut)
+
+    def f(t):
+        return getattr(specfun, kernel)(t)
+
+    return _factor(f, {0: flat, 1: _spread((0.5j if ci else -0.5) * e[:m].conj(), 2)}, cut,
+                   lattice=_tabled(f))
 
 
+@functools.lru_cache(maxsize=128)
 def _shifted_j0(a: float) -> _Expansion:
     # J_0(u), u = sqrt(a^2 + t^2): J_0's Hankel series in u, re-expanded in
     # 1/t (convergent for t > a) through u^(-k-1/2) = t^(-k-1/2)
@@ -495,25 +570,17 @@ def _shifted_j0(a: float) -> _Expansion:
                    {1: _spread(composite[:k], 1)}, cut + j0.cut, a)
 
 
-_LOG_HALF = _factor(lambda t: np.log(0.5 * t), {0: np.array([[-specfun.CONSTANTS.log2], [1.0]])})
-_INVERSE_T = _factor(lambda t: 1.0 / t, {0: np.array([[0.0, 0.0, 1.0]])})
-# The tail starts at B = max(50, s^2/2) for an integral of order s, and at
-# most at 80,000 = 400^2/2, where [0, B] holds 25,500 panels (about 0.7 s
-# for a moment).  That bounds the J order of a moment and |a| of Corollary 5.
-_MAX_TAIL_START = 80_000
-_MAX_MOMENT_ORDER = math.isqrt(2 * _MAX_TAIL_START)
-_ORDER_CAP = f"J order at most quad._MAX_MOMENT_ORDER = {_MAX_MOMENT_ORDER}"
+def _log_half(t):
+    return np.log(0.5 * t)
 
 
-def _edges(order: float) -> np.ndarray:
-    # The right edges of the engine's panels for an integral of this order:
-    # (k + frac(order/2 + 1/4)) pi for k >= 0, a Bessel function's asymptotic
-    # extrema (a fraction of 0 taken as 1), up to the first at or above
-    # max(50, order^2/2).  Orders of one parity share their edges, and a
-    # lower order's are a prefix of a higher one's.
-    frac = (0.5 * order + 0.25) % 1.0 or 1.0
-    count = math.ceil(max(50.0, 0.5 * order * order) / math.pi - frac) + 1
-    return (np.arange(count) + frac) * math.pi
+def _inverse_t(t):
+    return 1.0 / t
+
+
+_LOG_HALF = _factor(_log_half, {0: np.array([[-specfun.CONSTANTS.log2], [1.0]])},
+                    lattice=_tabled(_log_half))
+_INVERSE_T = _factor(_inverse_t, {0: np.array([[0.0, 0.0, 1.0]])}, lattice=_tabled(_inverse_t))
 
 
 def oscillatory_semiinf(integrand: _Expansion, tol: float) -> QuadResult:
@@ -523,20 +590,23 @@ def oscillatory_semiinf(integrand: _Expansion, tol: float) -> QuadResult:
     range: one GK15 panel between each pair of consecutive edges (k +
     frac(s/2 + 1/4)) pi, a Bessel function's asymptotic extrema, from 0 up
     to B, the first edge at or above max(50, s^2/2).  All the panels are
-    evaluated in one call of f, or read from ``integrand.table`` (a Bessel
-    moment's family table), and refined by bisection, whose halves call f,
-    until their error sum is at most tol; from B on the expansion is
-    integrated term by term.  The estimate adds the rounding of the
-    abscissae and what the expansion's series leave out.  A bad ``tol`` or
-    an expansion whose majorant decays no faster than 1/t raises ValueError
-    before any call of f.
+    evaluated in one call of f (for an integer s up to ``_TABLE_CAP``, of
+    ``integrand.on_lattice``, which reads the factors' tables) and refined
+    by bisection, whose halves call f, until their error sum is at most
+    tol; from B on the expansion is integrated term by term.  The estimate
+    adds the rounding of the abscissae and what the expansion's series
+    leave out.  A bad ``tol`` or an expansion whose majorant decays no
+    faster than 1/t raises ValueError before any call of f.
     """
     tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
     high = _edges(integrand.order)
     tail, left_out = integrand.integral(float(high[-1]))
     low = np.r_[0.0, high[:-1]]
-    table = integrand.table
-    values = _evaluate(integrand.f, low, high) if table is None else table[: len(high)]
+    s = integrand.order
+    if s <= _TABLE_CAP and float(s).is_integer():  # its panels are a prefix of a lattice
+        values = _evaluate(lambda t: integrand.on_lattice(t, s % 2 == 1), low, high)
+    else:
+        values = _evaluate(integrand.f, low, high)
     value, estimate, panels, weighted = _refine(integrand.f, low, high, values, tol)
     # An abscissa t is rounded by up to eps t, which moves f of frequency at
     # most kappa by up to eps t kappa |f|: on a panel's sum, at most eps
@@ -545,39 +615,10 @@ def oscillatory_semiinf(integrand: _Expansion, tol: float) -> QuadResult:
     return QuadResult(value + tail, estimate + rounding + left_out, panels, len(high))
 
 
-# The moment families share their panels and their J's: the Si family (odd
-# orders) and the Ci family (even orders, J_0 included) each keep one table,
-# weight(t) J_nu(t) / t at the nodes of every panel up to its top order's B,
-# from one bessel_j_all and one weight call.  Its size grows as the cube of
-# the cap and its build faster than one moment's cost.  At 25 both tables
-# take 0.3 MB and about 8 ms, 1.6 times one direct moment of order 25, so a
-# family's table is paid back by its second moment; the build nears two such
-# moments from 27 on (1.9 times at 30) and takes 40 ms and 4 MB at 60 (3.4
-# times; all warm, on a 2-core x86-64 host).  Orders past the cap evaluate f
-# on the same panels.
-_TABLE_CAP = 25
-
-
-@functools.lru_cache(maxsize=2)
-def _family_table(ci: bool) -> np.ndarray:
-    # Rows (order // 2, panel, node) of the Ci family if ci, else of the Si
-    # family, for its orders up to _TABLE_CAP; read-only
-    top = _TABLE_CAP - 1 if _TABLE_CAP % 2 == ci else _TABLE_CAP  # the family's top order
-    highs = _edges(top)
-    t = _nodes(np.r_[0.0, highs[:-1]], highs).ravel()
-    weight = (specfun.gamma_log_minus_ci if ci else specfun.si)(t) / t
-    table = (specfun.bessel_j_all(top, t)[1 - ci :: 2] * weight).reshape(-1, len(highs), 15)
-    table.flags.writeable = False
-    return table
-
-
 def _moment(ci: bool, order: int, tol: float) -> QuadResult:
     # int_0^inf weight(t) J_order(t) dt / t, the weight gamma + log t - Ci if
-    # ci, else Si; up to _TABLE_CAP from its family's table
-    integrand = _sici(ci) * (_bessel(order) * _INVERSE_T)
-    if order <= _TABLE_CAP:
-        integrand = dataclasses.replace(integrand, table=_family_table(ci)[order // 2])
-    return oscillatory_semiinf(integrand, tol)
+    # ci, else Si
+    return oscillatory_semiinf(_sici(ci) * (_bessel(order) * _INVERSE_T), tol)
 
 
 def si_bessel_integral(n: int) -> QuadResult:

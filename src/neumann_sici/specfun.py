@@ -175,17 +175,33 @@ def _live(term, live):
     return live.any()
 
 
+def _j_log_bound(half: float, order: int) -> float:
+    # log of the first term (x/2)^order / order!, x = 2 half > 0, a bound on
+    # |J_order(x)| (DLMF 10.14.4); or -inf where Kapteyn's bound (z e^s /
+    # (1 + s))^order, z = x / order < 1, s = sqrt(1 - z^2) (DLMF 10.14.8), is
+    # below e^-746, under the e^-745.1 at which J rounds to 0 by more than
+    # its own rounding.  Kapteyn's is far below the first term for z near 1.
+    log_t0 = order * math.log(half) - math.lgamma(order + 1)
+    if log_t0 >= -745.0 and 2.0 * half < order:
+        z = 2.0 * half / order
+        s = math.sqrt(1.0 - z * z)
+        if order * (math.log(z) + s - math.log1p(s)) < -746.0:
+            return -math.inf
+    return log_t0
+
+
 def _j_first_term(half: float, order: int) -> float:
-    # (x/2)^order / order!, the first term of the J series, or 0 below e^-745:
-    # pow over order! (finite up to 170) where the terms fall from the first
-    # (its rounding is the sum's) and both are normal, else logs (1e-13 at J_60(0.002))
+    # (x/2)^order / order!, the first term of the J series, or 0 where J
+    # underflows (_j_log_bound below -745): pow over order! (finite up to
+    # 170) where the terms fall from the first (its rounding is the sum's)
+    # and both are normal, else logs (1e-13 at J_60(0.002))
     if half == 0.0:  # x = 0, or x/2 below the smallest subnormal
         return 1.0 if order == 0 else 0.0
     if order <= 170 and half * half <= order + 1:
         t0 = math.pow(half, order) / _FACTORIALS[order]
         if t0 >= 2.2250738585072014e-308:  # normal, and so is the power
             return t0
-    log_t0 = order * math.log(half) - math.lgamma(order + 1)
+    log_t0 = _j_log_bound(half, order)
     return math.exp(log_t0) if log_t0 >= -745.0 else 0.0
 
 
@@ -271,10 +287,10 @@ def _upward(nmax, x, first: int = 0):
 def _j_series_max(order: int) -> float:
     # The largest x at which J_order takes its power series: x <= 8; (x/2)^2
     # <= order + 1, where the terms fall from the first, so nothing cancels;
-    # or a first term (x/2)^order / order! of 0, i.e. below e^-745.  It bounds
-    # |J| (DLMF 10.14.4), so J rounds to 0, which the series returns at once.
-    # Each test holds up to some x and fails past it.  The first term is
-    # about 1 / sqrt(2 pi order) at x = 2 order / e, so not 0 from there on.
+    # or a J that underflows (_j_log_bound below -745), which the series
+    # returns as 0 at once.  Each test holds up to some x and fails past it.
+    # From x = order on J does not underflow: its first term is about
+    # e^(order (1 - log 2)) / sqrt(2 pi order) there.
     last = 2.0 * math.sqrt(order + 1)
     while 0.25 * last * last > order + 1:
         last = math.nextafter(last, 0.0)
@@ -282,9 +298,9 @@ def _j_series_max(order: int) -> float:
         last = up
     last = max(last, _SICI_CROSSOVER)
     if _j_first_term(0.5 * math.nextafter(last, math.inf), order) == 0.0:
-        lo, hi = last, 2.0 * order / math.e  # the first term is 0 at lo, not at hi
+        lo, hi = last, float(order)  # J underflows at lo, not at hi
         while lo < (mid := 0.5 * (lo + hi)) < hi:
-            lo, hi = (mid, hi) if _j_first_term(0.5 * mid, order) == 0.0 else (lo, mid)
+            lo, hi = (mid, hi) if _j_log_bound(0.5 * mid, order) < -745.0 else (lo, mid)
         last = lo
     return last
 

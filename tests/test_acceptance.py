@@ -131,5 +131,5 @@ def test_harness_contract(tmp_path):
         assert len(first["checks"]) == len(second["checks"])
         for ca, cb in zip(first["checks"], second["checks"]):
             assert ca["id"] == cb["id"]
-            for field in ("lhs", "rhs", "abs_diff", "tolerance", "status"):
+            for field in ("lhs", "rhs", "abs_diff", "tolerance", "status", "lhs_err", "rhs_err"):
                 assert ca[field] == cb[field], f'{ca["id"]}: {field} differs'

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -38,6 +39,15 @@ _J1_OVER_T_TAIL = quad._bessel(1) * quad._INVERSE_T
 
 def _j1_over_t(t):
     return sf.bessel_j(1, t) / t
+
+
+_KERNEL_NAMES = ("bessel_j", "bessel_j_all", "bessel_y", "si", "ci", "gamma_log_minus_ci")
+
+
+def _direct(expansion, f):
+    # The expansion with f as its function and no tables, so that the engine's
+    # first pass calls f too
+    return dataclasses.replace(expansion, f=f, lattice=None)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +329,7 @@ def test_oscillatory_rejects_bad_tol_before_any_edge(tol):
         return _j1_over_t(t)
 
     with pytest.raises(ValueError, match="must be finite"):
-        oscillatory_semiinf(dataclasses.replace(_J1_OVER_T_TAIL, f=f), tol)
+        oscillatory_semiinf(_direct(_J1_OVER_T_TAIL, f), tol)
     assert not calls
 
 
@@ -332,17 +342,17 @@ def test_oscillatory_rejects_a_tail_that_does_not_decay_before_any_integrand_cal
         return sf.bessel_j(1, t)
 
     with pytest.raises(ValueError, match="decays no faster than 1/t"):
-        oscillatory_semiinf(dataclasses.replace(quad._bessel(1), f=f), 1e-8)
+        oscillatory_semiinf(_direct(quad._bessel(1), f), 1e-8)
     assert not calls
 
 
 def test_a_non_settling_integrand_raises_after_one_bisection_budget():
     # J_1(t)/t plus a 1e-6 square wave of period 0.002, which no bisection
-    # settles, with the J_1/t tail at tol 1e-10: one call for the [0, B]
-    # panels and one per bisection, _MAX_SUBDIVISIONS in all for the call,
-    # then QuadratureError naming the caller's tol.  A budget per panel took
-    # 1,019,745 nodes.  In a subprocess, so that a regression fails here
-    # instead of hanging the suite.
+    # settles, with the J_1/t tail and no tables at tol 1e-10: one call for
+    # the [0, B] panels and one per bisection, _MAX_SUBDIVISIONS in all for
+    # the call, then QuadratureError naming the caller's tol.  A budget per
+    # panel took 1,019,745 nodes.  In a subprocess, so that a regression
+    # fails here instead of hanging the suite.
     code = (
         "import dataclasses\n"
         "import numpy as np\n"
@@ -352,7 +362,9 @@ def test_a_non_settling_integrand_raises_after_one_bisection_budget():
         "    calls.append(t.size)\n"
         "    return specfun.bessel_j(1, t) / t + 1e-6 * (np.floor(1000.0 * t) % 2.0)\n"
         "try:\n"
-        "    quad.oscillatory_semiinf(dataclasses.replace(quad._bessel(1) * quad._INVERSE_T, f=f), 1e-10)\n"
+        "    integrand = quad._bessel(1) * quad._INVERSE_T\n"
+        "    integrand = dataclasses.replace(integrand, f=f, lattice=None)\n"
+        "    quad.oscillatory_semiinf(integrand, 1e-10)\n"
         "except quad.QuadratureError as exc:\n"
         "    print(len(calls), sum(calls), exc)\n"
     )
@@ -390,16 +402,17 @@ def test_bessel_moment_past_the_order_cap_raises_without_integrating(monkeypatch
 
 
 def test_oscillatory_engine_batches_partitions_per_block():
-    # J_1(t)/t, counting the integrand calls and the nodes in each: the
-    # panels up to B, [0, 0.75 pi] and then one between each pair of edges
-    # (k + 3/4) pi, are one block, evaluated in one call and with no bisection
+    # J_1(t)/t with no tables, counting the integrand calls and the nodes in
+    # each: the panels up to B, [0, 0.75 pi] and then one between each pair
+    # of edges (k + 3/4) pi, are one block, evaluated in one call and with no
+    # bisection
     calls = []
 
     def f(t):
         calls.append(t.size)
         return _j1_over_t(t)
 
-    r = oscillatory_semiinf(dataclasses.replace(_J1_OVER_T_TAIL, f=f), 2e-10)
+    r = oscillatory_semiinf(_direct(_J1_OVER_T_TAIL, f), 2e-10)
     assert abs(r.value - 1.0) <= 1e-12
     assert (r.partitions_used - 0.25) * math.pi >= 50.0 > (r.partitions_used - 1.25) * math.pi
     assert r.subdivisions == r.partitions_used
@@ -408,8 +421,8 @@ def test_oscillatory_engine_batches_partitions_per_block():
 
 def test_high_order_moment_makes_one_integrand_call_per_block():
     # The engine on the J_21 moment's integrand and tail, with f evaluated
-    # directly: the panels [0, 0.75 pi], ..., [70 pi, 70.75 pi] in the one
-    # call, with no serial bisection calls after it
+    # directly instead of the tables: the panels [0, 0.75 pi], ..., [70 pi,
+    # 70.75 pi] in the one call, with no serial bisection calls after it
     sizes = []
 
     def f(t):
@@ -417,28 +430,33 @@ def test_high_order_moment_makes_one_integrand_call_per_block():
         return sf.si(t) * sf.bessel_j(21, t) / t
 
     tail = quad._sici(False) * (quad._bessel(21) * quad._INVERSE_T)
-    r = oscillatory_semiinf(dataclasses.replace(tail, f=f), 1e-8)
+    r = oscillatory_semiinf(_direct(tail, f), 1e-8)
     assert r.partitions_used == math.ceil(0.5 * 21**2 / math.pi - 0.75) + 1 == 71
     assert r.subdivisions == r.partitions_used
     assert sizes == [15 * r.subdivisions]
+
+
+def _counting_kernels(monkeypatch, names=_KERNEL_NAMES):
+    # Every call of the named specfun kernels from here on, as (name, size)
+    calls = []
+    for name in names:
+        def counting(*args, name=name, kernel=getattr(sf, name)):
+            calls.append((name, np.size(args[-1])))
+            return kernel(*args)
+
+        monkeypatch.setattr(sf, name, counting)
+    return calls
 
 
 @pytest.mark.parametrize("n", [0, 4, 10, 31])
 def test_bessel_moment_is_one_integrand_call_up_to_the_tail(monkeypatch, n):
     # The finite part is one panel from 0 to each edge (k + 3/4) pi of an
     # odd order, up to the first at or above max(50, order^2/2).  Up to the
-    # table cap a moment reads its panels from its family's table, built
-    # beforehand, and calls no kernel; past it, all its panels are one
+    # table cap a moment's second call reads its panels from the tables its
+    # first built and calls no kernel; past it, all its panels are one
     # bessel_j call
-    quad._family_table(False)
-    sizes = []
-    kernel = sf.bessel_j
-
-    def counting(order, t):
-        sizes.append(np.size(t))
-        return kernel(order, t)
-
-    monkeypatch.setattr(sf, "bessel_j", counting)
+    si_bessel_integral(n)
+    calls = _counting_kernels(monkeypatch, ("bessel_j", "bessel_j_all"))
     order = 2 * n + 1
 
     def edge(k):
@@ -448,68 +466,121 @@ def test_bessel_moment_is_one_integrand_call_up_to_the_tail(monkeypatch, n):
     last = r.partitions_used - 1
     assert edge(last) >= max(50.0, 0.5 * order * order) > edge(last - 1)
     assert r.subdivisions == r.partitions_used
-    assert sizes == ([] if order <= quad._TABLE_CAP else [15 * r.subdivisions])
+    assert calls == ([] if order <= quad._TABLE_CAP else [("bessel_j", 15 * r.subdivisions)])
 
 
-def test_family_tables_are_lazy_read_only_and_bounded():
-    # Neither importing the package nor the exact checks build a table; the
-    # first moment of a family builds that family's only
+_TABLE_KERNELS = {
+    "J_0..J_25": quad._j_rows,
+    "Y_0": quad._bessel(0, True).f,
+    "Y_1": quad._bessel(1, True).f,
+    "Si": quad._sici(False).f,
+    "glmc": quad._sici(True).f,
+    "log_half": quad._LOG_HALF.f,
+    "inverse_t": quad._INVERSE_T.f,
+}
+
+
+def _lattice_nodes(odd):
+    # The nodes of the lattice of odd or of even orders: its top order's panels
+    high = quad._edges(quad._TABLE_CAP - (quad._TABLE_CAP % 2 != odd))
+    return quad._nodes(np.r_[0.0, high[:-1]], high).ravel()
+
+
+def test_kernel_tables_are_lazy_read_only_and_bounded():
+    # Neither importing the package nor the exact checks build a table; a
+    # moment builds those of its three factors on its own lattice
     code = (
         "from neumann_sici import harness, quad\n"
-        "print(quad._family_table.cache_info().currsize)\n"
+        "print(quad._table.cache_info().currsize)\n"
         "harness.run_registry('coeffs.*')\n"
-        "print(quad._family_table.cache_info().currsize)\n"
+        "print(quad._table.cache_info().currsize)\n"
         "quad.ci_bessel_integral(3)\n"
-        "print(quad._family_table.cache_info().currsize)\n"
+        "print(quad._table.cache_info().currsize)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "0", "1"]
-    assert quad._family_table.cache_parameters()["maxsize"] == 2
-    for ci in (False, True):
-        table = quad._family_table(ci)
+    assert done.stdout.split() == ["0", "0", "3"]
+    # seven kernels on two lattices, 0.74 MB in all
+    assert quad._table.cache_parameters()["maxsize"] == 2 * len(_TABLE_KERNELS) == 14
+    tables = [quad._table(kernel, odd) for kernel in _TABLE_KERNELS.values() for odd in (False, True)]
+    assert sum(table.nbytes for table in tables) < 0.8e6
+    for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            table[0, 0, 0] = 1.0
+            table[..., 0] = 1.0
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+@pytest.mark.parametrize("name", _TABLE_KERNELS)
+def test_every_table_equals_its_kernel_on_the_lattice(name, odd):
+    kernel = _TABLE_KERNELS[name]
+    assert np.array_equal(quad._table(kernel, odd), kernel(_lattice_nodes(odd)))
+
+
+@pytest.mark.parametrize("order", range(quad._TABLE_CAP + 1))
+def test_each_tabled_order_reads_a_prefix_of_its_lattice(order):
+    # An order's panels are the first panels of its parity's lattice, edge
+    # for edge, and its J factor reads its row of J_0 .. J_25 there
+    odd = order % 2 == 1
+    high = quad._edges(order)
+    lattice = quad._edges(quad._TABLE_CAP - (quad._TABLE_CAP % 2 != odd))
+    assert np.array_equal(high, lattice[: len(high)])
+    t = quad._nodes(np.r_[0.0, high[:-1]], high).ravel()
+    assert np.array_equal(quad._bessel(order).on_lattice(t, odd),
+                          sf.bessel_j_all(quad._TABLE_CAP, _lattice_nodes(odd))[order, : t.size])
 
 
 @pytest.mark.parametrize("ci", [False, True], ids=["si", "ci"])
 def test_every_tabled_order_matches_the_engine_fed_bessel_j(ci):
-    # Each order of the family up to the cap, read from its table, against the
-    # same engine evaluating Si or gamma + log t - Ci and bessel_j on the same
+    # Each moment order up to the cap, read from the tables, against the same
+    # engine evaluating Si or gamma + log t - Ci and bessel_j on the same
     # panels: within the direct result's estimate
     weight = sf.gamma_log_minus_ci if ci else sf.si
     for order in range(0 if ci else 1, quad._TABLE_CAP + 1, 2):
         integrand = quad._sici(ci) * (quad._bessel(order) * quad._INVERSE_T)
-        direct = oscillatory_semiinf(dataclasses.replace(
-            integrand, f=lambda t, order=order: weight(t) * sf.bessel_j(order, t) / t), 1e-8)
+        direct = oscillatory_semiinf(
+            _direct(integrand, lambda t, order=order: weight(t) * sf.bessel_j(order, t) / t), 1e-8)
         tabled = quad._moment(ci, order, 1e-8)
         assert tabled.partitions_used == direct.partitions_used
         assert abs(tabled.value - direct.value) <= direct.abs_err_estimate, order
 
 
 def test_a_tabled_moment_bisects_through_the_direct_integrand(monkeypatch):
-    # A table whose panel 5 is off by 1e-6 at one node forces that panel's
+    # A J_1 table whose panel 5 is off by 1e-6 at one node forces that panel's
     # refinement: its halves, and only they, call the direct integrand, and
     # the result is within its estimate of alpha_0 = 1
-    table = quad._family_table(False).copy()
-    table[0, 5, 3] += 1e-6
-    monkeypatch.setattr(quad, "_family_table", lambda ci: table)
-    sizes = []
-    kernel = sf.bessel_j
-
-    def counting(order, t):
-        sizes.append(np.size(t))
-        return kernel(order, t)
-
-    monkeypatch.setattr(sf, "bessel_j", counting)
+    table = quad._table(quad._j_rows, True).copy()
+    table[1, 15 * 5 + 3] += 1e-6
+    tables = quad._table
+    monkeypatch.setattr(quad, "_table", lambda kernel, odd: table if kernel is quad._j_rows
+                        else tables(kernel, odd))
+    calls = _counting_kernels(monkeypatch, ("bessel_j",))
     r = si_bessel_integral(0)
-    assert sizes and set(sizes) == {30}
-    assert r.subdivisions == r.partitions_used + len(sizes)
+    assert calls and set(calls) == {("bessel_j", 30)}
+    assert r.subdivisions == r.partitions_used + len(calls)
     assert abs(r.value - 1.0) <= r.abs_err_estimate <= 1e-8
+
+
+@pytest.mark.parametrize("integral,kernels", [
+    (bessel_j1_over_t_integral, []),
+    (example2_integral, []),
+    (corollary6_intermediate_integral, []),
+    (corollary6_integral, []),
+    *((functools.partial(corollary5_rhs, a), ["bessel_j"]) for a in (0.0, 2.0, 5.0)),
+    # a non-integer a's panels are on no lattice: its integrand's f is called
+    (functools.partial(corollary5_rhs, 2.5), ["gamma_log_minus_ci", "bessel_j"]),
+], ids=["j1_over_t", "example2", "catalan_intermediate", "catalan_eval",
+        "corollary5.a=0", "corollary5.a=2", "corollary5.a=5", "corollary5.a=2.5"])
+def test_a_second_call_reads_every_kernel_from_the_tables(monkeypatch, integral, kernels):
+    # Once the tables are built, the closed-form integrals call no kernel but
+    # for Corollary 5's J_0(sqrt(a^2 + t^2)), which has no table, on every node
+    integral()
+    calls = _counting_kernels(monkeypatch)
+    r = integral()
+    assert calls == [(name, 15 * r.subdivisions) for name in kernels]
 
 
 def test_high_order_moments_match_the_exact_coefficients():

@@ -141,12 +141,36 @@ def test_bessel_j_returns_at_once_where_it_underflows():
     assert ast.literal_eval(done.stdout) == [0.0] * 5
 
 
+def test_bessel_j_returns_at_once_where_kapteyns_bound_underflows():
+    # |J_n(n z)| <= (z e^s / (1 + s))^n, s = sqrt(1 - z^2) (DLMF 10.14.8), is
+    # below e^-746 at J_(10^6)(7.4e5) and J_(10^6)(9.9e5), whose first terms
+    # are about e^5500 and e^293,000: the first ran a Miller pass of 2.1e6
+    # steps to return 0, 0.42 s for a float and 8.8 s for a one-element
+    # array.  In a subprocess, so that a regression fails here instead of
+    # hanging the suite.
+    code = (
+        "import time; import numpy as np; from neumann_sici.specfun import bessel_j\n"
+        "start = time.perf_counter()\n"
+        "values = [bessel_j(10**6, 7.4e5), *bessel_j(10**6, np.array([7.4e5, 9.9e5])).tolist()]\n"
+        "print([time.perf_counter() - start, values])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert done.returncode == 0, done.stderr
+    seconds, values = ast.literal_eval(done.stdout)
+    assert values == [0.0, 0.0, 0.0]
+    assert seconds < 0.05
+
+
 def test_miller_pass_is_bounded():
     # A Miller pass runs order + 1.5 x + 40 steps: bessel_j(10**7, 1e10) ran
     # for about an hour.  Past sf._MILLER_MAX_STEPS it raises at once, for a
     # float and an array, and bessel_j_all before it allocates a list.  The
-    # calls below the bound take about 0.4, 0.3 and 0.15 s.  In a subprocess,
-    # so that a regression fails here instead of hanging the suite.
+    # last two calls below the bound take about 0.3 and 0.15 s (J_(10^6)(7.4e5)
+    # underflows, and returns at once).  In a subprocess, so that a
+    # regression fails here instead of hanging the suite.
     code = (
         "import numpy as np; from neumann_sici.specfun import bessel_j, bessel_j_all\n"
         "for call in ('bessel_j(10**7, 1e10)', 'bessel_j(10**7, np.array([1e10]))',\n"
@@ -243,6 +267,19 @@ def test_bessel_j_series_takes_exactly_the_underflowing_arguments(order):
     up = math.nextafter(last, math.inf)
     assert last > 2.0 * math.sqrt(order + 1.0)
     assert sf._j_first_term(0.5 * last, order) == 0.0 < sf._j_first_term(0.5 * up, order)
+    for xi, v in zip((last, up), bessel_j(order, np.array([last, up])).tolist()):
+        assert v == bessel_j(order, xi) == float(mp.besselj(order, xi)) == 0.0
+
+
+@pytest.mark.parametrize("order", [1000, 10**4])
+def test_bessel_j_series_takes_kapteyns_underflowing_arguments(order):
+    # Kapteyn's bound takes the series on past the first term's e^-745, to the
+    # last double at which it is below e^-746, and a Miller pass the next
+    # one; J rounds to 0 at both, for a float and an array alike
+    last = sf._j_series_max(order)
+    up = math.nextafter(last, math.inf)
+    assert order * math.log(0.5 * last) - math.lgamma(order + 1) >= -745.0
+    assert sf._j_log_bound(0.5 * last, order) == -math.inf < -745.0 <= sf._j_log_bound(0.5 * up, order)
     for xi, v in zip((last, up), bessel_j(order, np.array([last, up])).tolist()):
         assert v == bessel_j(order, xi) == float(mp.besselj(order, xi)) == 0.0
 
