@@ -71,17 +71,21 @@ def alpha(n: int) -> Fraction:
 def beta(n: int) -> Fraction:
     """Coefficient of the Ci expansion: H_n + A_n - 1/(2n) - (-1)^(n-1)/(2n).
 
-    n = 0 is rejected (the formula divides by 2n); the n -> 0 limit behaviour
-    lives in the vanishing J_0-weighted integral, not here.
+    The two corrections are one fraction, (1 + (-1)^(n-1))/(2n): 1/n for odd
+    n and 0 for even n, so beta is two Fraction operations on the cached
+    H_n and A_n.  n = 0 is rejected (the formula divides by 2n); the n -> 0
+    limit behaviour lives in the vanishing J_0-weighted integral, not here.
     """
     n = _integer(n, "n must be a positive integer", 1)
-    return sum(_harmonic_sums(n)) - Fraction(1, 2 * n) - Fraction((-1) ** (n - 1), 2 * n)
+    h, a = _harmonic_sums(n)
+    return h + a - Fraction(1 + (-1) ** (n - 1), 2 * n)
 
 
 def beta_variant(n: int) -> Fraction:
     """Equivalent form H_{n-1} + A_{n-1} + 1/(2n) + (-1)^(n-1)/(2n)."""
     n = _integer(n, "n must be a positive integer", 1)
-    return sum(_harmonic_sums(n - 1)) + Fraction(1, 2 * n) + Fraction((-1) ** (n - 1), 2 * n)
+    h, a = _harmonic_sums(n - 1)
+    return h + a + Fraction(1 + (-1) ** (n - 1), 2 * n)
 
 
 def lemma1_closed(n: int) -> Fraction:

@@ -252,12 +252,14 @@ def _run_check(check: IdentityCheck, tolerance: float) -> CheckOutcome:
     try:
         lhs_raw, lhs_err, lhs_note = _value_and_err(check.lhs())
         rhs_raw, rhs_err, rhs_note = _value_and_err(check.rhs())
+        lhs_f, rhs_f = float(lhs_raw), float(rhs_raw)
         if isinstance(lhs_raw, Fraction) and isinstance(rhs_raw, Fraction):
-            status = "pass" if lhs_raw == rhs_raw else "fail"
-            diff = abs(lhs_raw - rhs_raw)
-            lhs_f, rhs_f, diff_f = float(lhs_raw), float(rhs_raw), float(diff)
+            # |lhs - rhs| costs a subtraction and a gcd, formed only on a miss
+            if lhs_raw == rhs_raw:
+                status, diff_f = "pass", 0.0
+            else:
+                status, diff_f = "fail", float(abs(lhs_raw - rhs_raw))
         else:
-            lhs_f, rhs_f = float(lhs_raw), float(rhs_raw)
             diff_f = abs(lhs_f - rhs_f)
             ok = math.isfinite(diff_f) and diff_f <= tolerance
             status = "pass" if ok else "fail"
@@ -343,9 +345,22 @@ def _write(text: str, path: str | None) -> None:
 
 
 def emit_report(report: Report, format: str = "text", path: str | None = None) -> None:
-    """Serialize a report as text, JSON, or CSV to ``path`` (stdout if None)."""
+    """Serialize a report as text, JSON, or CSV to ``path`` (stdout if None).
+
+    The JSON report is one object with its top-level keys one per line and
+    each check one compact object per line, in registry order, so ``grep``
+    and ``diff`` line up by check id.  Every object is encoded without an
+    indent, which keeps ``json`` on its C encoder.
+    """
     if format == "json":
-        _write(json.dumps(report.to_dict(), indent=2) + "\n", path)
+        lines = []
+        for key, value in report.to_dict().items():
+            if key == "checks" and value:
+                checks = ",\n".join("    " + json.dumps(c) for c in value)
+                lines.append(f'  "checks": [\n{checks}\n  ]')
+            else:
+                lines.append(f"  {json.dumps(key)}: {json.dumps(value)}")
+        _write("{\n" + ",\n".join(lines) + "\n}\n", path)
         return
     if format == "csv":
         buf = io.StringIO()

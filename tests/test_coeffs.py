@@ -131,13 +131,20 @@ def test_beta_factorial_form_equals_scaled_beta():
 
 
 def test_integer_sums_equal_the_term_by_term_sums():
-    # from the edges n = 0 (empty Horner and lcm loops) and, for beta, n = 1
-    for n, (h, a, alpha_n) in enumerate(_prefix_sums(160)):
+    # from the edges n = 0 (empty Horner and lcm loops) and, for beta, n = 1;
+    # beta reads H_n + A_n, its variant H_(n-1) + A_(n-1), each with the
+    # correction 1/(2n) + (-1)^(n-1)/(2n) written as the paper's two terms
+    rows = _prefix_sums(160)
+    for n, (h, a, alpha_n) in enumerate(rows):
         assert (harmonic(n), alt_harmonic(n), alpha(n)) == (h, a, alpha_n)
         assert lemma1_closed(n) == _lemma1_terms(n)
         assert alpha_factorial_form(n) == _alpha_factorial_terms(n)
         if n:
             assert beta_factorial_form(n) == _beta_factorial_terms(n)
+            correction = Fraction(1, 2 * n) + Fraction((-1) ** (n - 1), 2 * n)
+            h_prev, a_prev, _ = rows[n - 1]
+            assert beta(n) == h + a - correction
+            assert beta_variant(n) == h_prev + a_prev + correction
 
 
 def test_finite_sums_read_no_closed_form(monkeypatch):
@@ -153,6 +160,30 @@ def test_finite_sums_read_no_closed_form(monkeypatch):
         assert coeffs.alpha_factorial_form(n) == _alpha_factorial_terms(n)
         if n:
             assert coeffs.beta_factorial_form(n) == _beta_factorial_terms(n)
+
+
+def test_beta_forms_read_their_own_harmonic_sums(monkeypatch):
+    # beta_forms compares beta with its variant: beta reads H_n and A_n, the
+    # variant H_(n-1) and A_(n-1), and neither reads the other
+    read = []
+    sums = coeffs._harmonic_sums
+
+    def recording(n):
+        read.append(n)
+        return sums(n)
+
+    monkeypatch.setattr(coeffs, "_harmonic_sums", recording)
+    for n in range(1, 21):
+        with monkeypatch.context() as m:
+            m.setattr(coeffs, "beta_variant", None)
+            read.clear()
+            coeffs.beta(n)
+            assert read == [n]
+        with monkeypatch.context() as m:
+            m.setattr(coeffs, "beta", None)
+            read.clear()
+            coeffs.beta_variant(n)
+            assert read == [n - 1]
 
 
 def test_alpha_leibniz_tail_bound():

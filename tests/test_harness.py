@@ -177,7 +177,7 @@ def test_tol_scale_env_applies_to_defaults(monkeypatch):
             harness.run_registry("si_expansion.a=2")
 
 
-def test_error_status_on_exception(monkeypatch):
+def test_error_status_on_exception(monkeypatch, tmp_path):
     checks = [
         harness.IdentityCheck("boom", "always raises", lambda: 1 / 0, lambda: 0.0, 1e-9)
     ]
@@ -189,6 +189,36 @@ def test_error_status_on_exception(monkeypatch):
     # errored checks serialize as strictly valid JSON (no bare NaN tokens)
     text = json.dumps(report.to_dict(), allow_nan=False)
     assert json.loads(text)["checks"][0]["lhs"] is None
+    path = tmp_path / "error.json"
+    harness.emit_report(report, "json", str(path))
+
+    def reject(name):
+        raise AssertionError(f"the written report holds {name}")
+
+    parsed = json.loads(path.read_text(), parse_constant=reject)
+    assert parsed["checks"][0]["lhs"] is None
+
+
+def test_exact_checks_compare_in_exact_arithmetic(monkeypatch):
+    # a Fraction pair is compared exactly and forms |lhs - rhs| only when the
+    # sides differ; a Fraction against a float compares floats to a tolerance
+    third, tiny = Fraction(1, 3), Fraction(1, 10**30)
+    checks = [
+        harness.IdentityCheck("near", "equal floats", lambda: third, lambda: third + tiny, 0.0),
+        harness.IdentityCheck("equal", "equal values", lambda: third, lambda: Fraction(2, 6), 0.0),
+        harness.IdentityCheck("mixed", "Fraction vs float", lambda: third, lambda: 1 / 3, 0.0),
+        harness.IdentityCheck("mixed_miss", "Fraction vs float", lambda: third,
+                              lambda: 1 / 3 + 1e-10, 1e-11),
+    ]
+    monkeypatch.setattr(harness, "build_registry", lambda max_n=None: checks)
+    near, equal, mixed, mixed_miss = harness.run_registry("*").checks
+    assert near.lhs == near.rhs
+    assert (near.status, near.abs_diff) == ("fail", float(tiny))
+    assert near.abs_diff != 0.0
+    assert (equal.status, equal.abs_diff) == ("pass", 0.0)
+    assert (mixed.status, mixed.abs_diff) == ("pass", 0.0)
+    assert mixed_miss.status == "fail"
+    assert mixed_miss.abs_diff == abs(float(third) - (1 / 3 + 1e-10))
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +237,22 @@ def test_json_roundtrip(small_report, tmp_path):
     assert parsed == small_report.to_dict()
     assert parsed["summary"]["total"] == len(parsed["checks"])
     assert parsed["version"]
+
+
+def test_json_report_writes_one_line_per_check(small_report, tmp_path):
+    # the top-level keys one per line, then each check as one compact object
+    # on its own line, in registry order, and a trailing newline
+    path = tmp_path / "report.json"
+    harness.emit_report(small_report, "json", str(path))
+    text = path.read_text()
+    checks = small_report.to_dict()["checks"]
+    lines = [line for line in text.splitlines() if line.startswith('    {"id": ')]
+    assert len(checks) == 8
+    assert len(lines) == len(checks)
+    assert len(text.splitlines()) == len(checks) + 8
+    assert text.endswith("}\n")
+    for line, check in zip(lines, checks):
+        assert json.loads(line.removesuffix(",")) == check
 
 
 def test_csv_schema_and_row_count(small_report, tmp_path):
