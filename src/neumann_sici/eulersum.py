@@ -11,26 +11,38 @@ Euler's plus Nielsen's sum plus zeta + eta, and Corollary 4 is the two
 Sitaramachandrarao sums less zeta + eta.  Each corollary reports its four
 parts, and each linear-sum part is the left side of its own registry check.
 
-Each closed form has an independent oracle: the partial sums of a fixed
-20000 terms, fitted by least squares with alternating and smooth n^(-q) and
-n^(-q) log n remainders (see ``_accel``).  The non-alternating sums, whose
-terms decay like log(n)/n^s, far too slowly for a bare truncation, lean on
-the smooth columns, the alternating sums on both.  They all fit one design:
-the grid n = 1..20000 with its sign and the cumulative sums H_n, A_n and
-the Leibniz sums is built once per process, on the first oracle call, and
-the fit's weight rows are cached by ``_accel``, so an oracle call costs its
-terms, their partial sums and two dot products.
+Each closed form has an independent oracle: the partial sums F_m of a fixed
+20000 terms, extrapolated to their limit.  The remainder a truncation at m
+leaves has a part that alternates with m and one that does not: when the
+summand couples two alternating factors, their sign patterns multiply to a
+constant (alternating-harmonic tails inside an alternating Euler sum).  Both
+parts expand in the same smooth modes, so the sums are fitted by least
+squares to
+
+    F_m = I + sum_q c_q (-1)^m s^(-q) [log s] + sum_q d_q s^(-q) [log s],
+
+with s = m / 20000 and q = 1, 2, 3, each with and without the factor log s
+for the log n that the harmonic numbers carry; the constant I is the limit.
+This is Sidi's GREP with an alternating and a smooth shape function
+(A. Sidi, *Practical Extrapolation Methods*, Cambridge UP, 2003, ch. 4 and
+11).  The non-alternating sums, whose terms decay like log(n)/n^s, far too
+slowly for a bare truncation, lean on the smooth columns, the alternating
+sums on both.
+They all fit one design: the grid n = 1..20000 with its sign, the
+cumulative sums H_n, A_n and the Leibniz sums, and the two weight rows of
+the fit are built once per process, on the first oracle call, so an oracle
+call costs its terms, their tail sums and two dot products.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._accel import alternating_series_limit, sums_from_last
 from .specfun import _ZETA_ONE, CONSTANTS, _integer, eta, zeta
 
 __all__ = [
@@ -143,26 +155,64 @@ def corollary6_rhs() -> float:
 # Oracles (least-squares limit of the partial sums)
 # ---------------------------------------------------------------------------
 
-_N_ACCEL = 20000
-# The remainders carry log n from the harmonic numbers: n^(-q) and n^(-q) log n.
-_LOG_LADDER = ((0, False), *((q, with_log) for q in (1, 2, 3) for with_log in (False, True)))
+_N_TERMS = 20000
 
 
-@functools.lru_cache(maxsize=4)
-def _grid(terms: int) -> tuple[np.ndarray, ...]:
-    """n = 1 .. terms, the sign (-1)^(n-1), H_n, A_n and the Leibniz sums
-    sum_{k<=n} (-1)^(k-1)/(2k-1), as read-only arrays."""
-    n = np.arange(1.0, terms + 1.0)
-    sign = np.where(np.arange(1, terms + 1) % 2 == 1, 1.0, -1.0)
-    grid = (n, sign, np.cumsum(1.0 / n), np.cumsum(sign / n), np.cumsum(sign / (2.0 * n - 1.0)))
+@functools.lru_cache(maxsize=1)
+def _grid() -> tuple[np.ndarray, ...]:
+    """n = 1 .. 20000, the sign (-1)^(n-1), H_n, A_n, the Leibniz sums
+    sum_{k<=n} (-1)^(k-1)/(2k-1), and the fit's rows with its two weight
+    rows, as read-only arrays."""
+    n = np.arange(1.0, _N_TERMS + 1.0)
+    sign = np.where(np.arange(1, _N_TERMS + 1) % 2 == 1, 1.0, -1.0)
+    # The rows of the fit are the last half of the sums, thinned by an odd
+    # stride that keeps both parities of m; the last sum is always a row.
+    rows = np.arange(_N_TERMS - 1, _N_TERMS // 2 - 1, -9)[::-1]
+    scale = n[rows] / _N_TERMS
+    columns = [np.ones_like(scale)]
+    for q in (1, 2, 3):
+        for with_log in (False, True):
+            smooth = scale**-q * np.log(scale) if with_log else scale**-q
+            columns += [-sign[rows] * smooth, smooth]
+    design = np.stack(columns, axis=1)
+    design /= np.linalg.norm(design, axis=0)
+    # The limit of the full fit and of the fit without its last column pair,
+    # each the first row of the design's pseudo-inverse (over the constant
+    # column's norm), with lstsq's singular-value cutoff eps max(M, N).
+    weights = []
+    for d in (design, design[:, :-2]):
+        u, s, vt = np.linalg.svd(d, full_matrices=False)
+        keep = s > np.finfo(float).eps * max(d.shape) * s[0]
+        weights.append(u[:, keep] @ (vt[keep, 0] / s[keep]) / math.sqrt(len(rows)))
+    grid = (n, sign, np.cumsum(1.0 / n), np.cumsum(sign / n), np.cumsum(sign / (2.0 * n - 1.0)),
+            rows, *weights)
     for a in grid:
         a.flags.writeable = False
     return grid
 
 
-def _accelerated(terms: np.ndarray, tol: float, what: str) -> float:
-    limit, shift = alternating_series_limit(sums_from_last(terms), _LOG_LADDER)
-    value = float(np.sum(terms)) + limit
+def _sums_from_last(terms: np.ndarray) -> np.ndarray:
+    # Partial sums of the terms minus their total, -sum_{k>m} terms[k].
+    # Summed from the far end, their rounding is the size of the tail, not of
+    # the total, which the fit would amplify.  Only the last half, which
+    # holds every row of the fit, is summed; the first half is nan.
+    out = np.full(_N_TERMS, math.nan)
+    out[_N_TERMS // 2 : -1] = -np.cumsum(terms[: _N_TERMS // 2 : -1])[::-1]
+    out[-1] = 0.0
+    return out
+
+
+def alternating_series_limit(terms: np.ndarray) -> tuple[float, float]:
+    """The fitted sum of the 20000 ``terms`` and how far it moves when the
+    fit drops its last column pair, which the caller turns into an estimate."""
+    rows, full, dropped = _grid()[5:]
+    y = _sums_from_last(terms)[rows]
+    limit = float(full @ y)
+    return float(np.sum(terms)) + limit, abs(limit - float(dropped @ y))
+
+
+def _fitted_sum(terms: np.ndarray, tol: float, what: str) -> float:
+    value, shift = alternating_series_limit(terms)
     est = max(2.0 * shift, 4e-16 * max(1.0, abs(value)))
     if est > tol:
         raise RuntimeError(f"{what}: acceleration stalled at {est:.2e} > tol {tol:.2e}")
@@ -171,12 +221,12 @@ def _accelerated(terms: np.ndarray, tol: float, what: str) -> float:
 
 def _linear_sum_oracle(exponent: int, alternating_numerator: bool, alternating: bool) -> float:
     # 2 sum (+-1)^n X_{n-1} / n^exponent, X = A (alternating_numerator) or H
-    n, sign, h, a, _ = _grid(_N_ACCEL)
+    n, sign, h, a = _grid()[:4]
     step = (sign if alternating_numerator else 1.0) / n
     terms = 2.0 * ((a if alternating_numerator else h) - step) * n ** (-float(exponent))
     if alternating:
         terms *= -sign
-    return _accelerated(terms, 1e-10, f"linear sum oracle (exponent {exponent})")
+    return _fitted_sum(terms, 1e-10, f"linear sum oracle (exponent {exponent})")
 
 
 def euler_sum_oracle(k: int) -> float:
@@ -203,9 +253,9 @@ def sitaramachandrarao_a_oracle(k: int) -> float:
     return _linear_sum_oracle(2 * k, True, True)
 
 
-def _beta_weighted_terms(exponent: int, alternating: bool, count: int) -> np.ndarray:
+def _beta_weighted_terms(exponent: int, alternating: bool) -> np.ndarray:
     # 2 (+-1)^n beta_n / n^exponent, beta_n = H_n + A_n - (1 + (-1)^(n-1)) / (2n)
-    n, sign, h, a, _ = _grid(count)
+    n, sign, h, a = _grid()[:4]
     beta = h + a - (1.0 + sign) / (2.0 * n)
     terms = 2.0 * beta * n ** (-float(exponent))
     if alternating:
@@ -221,18 +271,18 @@ def beta_weighted_sum(exponent: int, alternating: bool) -> float:
     """
     minimum = 1 if alternating else 2
     exponent = _index(exponent, minimum, "exponent")
-    terms = _beta_weighted_terms(exponent, alternating, _N_ACCEL)
-    return _accelerated(terms, 1e-10, "beta-weighted sum")
+    terms = _beta_weighted_terms(exponent, alternating)
+    return _fitted_sum(terms, 1e-10, "beta-weighted sum")
 
 
 def catalan_alpha_sum() -> float:
     """Accelerated sum (-1)^n alpha_n / (n(n+1)); evaluates to 3 - 4G."""
-    n, sign, _, _, leib = _grid(_N_ACCEL)
+    n, sign, _, _, leib = _grid()[:5]
     alpha = 2.0 * leib - sign / (2.0 * n + 1.0)
-    return _accelerated(-sign * alpha / (n * (n + 1.0)), 1e-11, "catalan alpha sum")
+    return _fitted_sum(-sign * alpha / (n * (n + 1.0)), 1e-11, "catalan alpha sum")
 
 
 def catalan_auxiliary_sum() -> float:
     """Accelerated sum (-1)^n/n * sum_{k<=n} (-1)^(k-1)/(2k-1); evaluates to -G."""
-    n, sign, _, _, leib = _grid(_N_ACCEL)
-    return _accelerated(-sign * leib / n, 1e-11, "catalan auxiliary sum")
+    n, sign, _, _, leib = _grid()[:5]
+    return _fitted_sum(-sign * leib / n, 1e-11, "catalan auxiliary sum")

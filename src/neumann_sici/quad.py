@@ -291,7 +291,8 @@ def si_transform_integral(a: float) -> QuadResult:
 def ci_transform_integral(a: float) -> QuadResult:
     """int_0^{pi/2} [1 - cos(a sin t)] cot(t) dt = gamma + log(a) - Ci(a)."""
     a = specfun._real(a, "a must be finite and positive", 0.0, strict=True)
-    return _cot_integral(lambda t: 1.0 - np.cos(a * np.sin(t)), 1e-12)
+    # 1 - cos(x) as 2 sin^2(x/2), which does not cancel for small x
+    return _cot_integral(lambda t: 2.0 * np.sin(0.5 * a * np.sin(t)) ** 2, 1e-12)
 
 
 def clausen_cot_integral(k: int) -> QuadResult:

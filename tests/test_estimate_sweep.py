@@ -7,7 +7,8 @@ the four integrals with closed forms, within 1e-12 as well; and
 ``corollary5_rhs`` against ``corollary5_series`` at a seeded stride of a up to
 its bound 400, within the sum of both estimates.  A moment of order near 400
 takes about a second, so the cases are dealt by cost to two subprocesses that
-run side by side, each under a timeout.
+run side by side, each under a timeout.  The two cot-weighted transforms,
+a few milliseconds each, run in process at tiny a and on the registry's grid.
 """
 
 import json
@@ -16,7 +17,11 @@ import subprocess
 import sys
 import time
 
+import mpmath
+import pytest
+
 import neumann_sici
+from neumann_sici import harness, quad
 
 _SWEEP = r'''
 import json, math, random, sys
@@ -103,3 +108,27 @@ def test_estimates_bound_the_errors_across_each_domain():
         assert label in labels
     assert len(labels) == len(set(labels)) >= 25
     assert elapsed < 10.0, elapsed
+
+
+def _gamma_log_minus_ci(a):
+    # gamma + log a - Ci(a) cancels below a = 1 in mpmath too; there the
+    # entire series sum (-1)^(k+1) a^(2k) / (2k (2k)!) is the reference
+    if a < 1:
+        return mpmath.nsum(
+            lambda k: (-1) ** (k + 1) * a ** (2 * k) / (2 * k * mpmath.factorial(2 * k)),
+            [1, mpmath.inf],
+        )
+    return mpmath.euler + mpmath.log(a) - mpmath.ci(a)
+
+
+@pytest.mark.parametrize("a", [1e-300, 1e-8, 1e-3, *harness._TRANSFORM_GRID])
+@pytest.mark.parametrize(
+    "transform,exact",
+    [(quad.si_transform_integral, mpmath.si), (quad.ci_transform_integral, _gamma_log_minus_ci)],
+    ids=["si", "ci"],
+)
+def test_transform_estimates_bound_their_errors(transform, exact, a):
+    result = transform(a)
+    with mpmath.workdps(30):
+        diff = float(abs(mpmath.mpf(result.value) - exact(mpmath.mpf(a))))
+    assert diff <= result.abs_err_estimate, (diff, result.abs_err_estimate)

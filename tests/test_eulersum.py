@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from neumann_sici import _accel, eulersum
+from neumann_sici import eulersum
 from neumann_sici import specfun as sf
-from neumann_sici._accel import alternating_series_limit
 from neumann_sici.eulersum import (
     _beta_weighted_terms,
+    alternating_series_limit,
     beta_weighted_sum,
     catalan_alpha_sum,
     catalan_auxiliary_sum,
@@ -26,8 +26,6 @@ from neumann_sici.eulersum import (
 
 LOG2 = sf.CONSTANTS.log2
 G = sf.CONSTANTS.catalan_g
-# the integer power ladder 1, 1/m, ..., 1/m^4
-POWER_LADDER = tuple((q, False) for q in range(5))
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +189,12 @@ def test_corollary_value_is_the_sum_of_its_named_parts(rhs, k):
 
 def test_beta_weighted_first_term():
     # first alternating partial sum is -2 beta_1 = -2
-    partial = np.cumsum(_beta_weighted_terms(2, True, 5))
+    partial = np.cumsum(_beta_weighted_terms(2, True)[:5])
     assert partial[0] == pytest.approx(-2.0, abs=1e-15)
 
 
 def test_beta_weighted_nonalternating_monotone():
-    partial = np.cumsum(_beta_weighted_terms(3, False, 200))
+    partial = np.cumsum(_beta_weighted_terms(3, False)[:200])
     assert np.all(np.diff(partial) > 0.0)
 
 
@@ -228,41 +226,23 @@ def test_corollary6_rhs_value():
 
 def test_extrapolator_power_ladder_removes_smooth_remainder():
     # sum (-1)^(m+1)/m + 1/m^2: averaging alone leaves the 1/m tail of zeta(2)
-    m = np.arange(1.0, 2001.0)
-    partial = np.cumsum((-1.0) ** (m + 1) / m + 1.0 / m**2)
-    value, shift = alternating_series_limit(partial, POWER_LADDER)
+    m = np.arange(1.0, eulersum._N_TERMS + 1.0)
+    value, shift = alternating_series_limit((-1.0) ** (m + 1) / m + 1.0 / m**2)
     assert abs(value - (LOG2 + math.pi**2 / 6.0)) <= 1e-12
     assert shift <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "sums,basis",
-    [
-        ([], POWER_LADDER),
-        (np.ones(17), POWER_LADDER),
-        (np.ones(40), POWER_LADDER[:1]),
-    ],
-    ids=["empty", "fewer-than-twice-the-columns", "constant-only"],
-)
-def test_extrapolator_rejects_bad_inputs(sums, basis):
-    # the empty sequence leaked IndexError; fewer sums than twice the columns
-    # returned the "limit" of an exactly determined or underdetermined fit
-    # (17 sums give 9 rows for the 9-column power ladder)
-    with pytest.raises(ValueError):
-        alternating_series_limit(sums, basis)
-
-
-@pytest.mark.parametrize("n", [20, 21, 4096, eulersum._N_ACCEL])
+@pytest.mark.parametrize("n", [eulersum._N_TERMS])
 def test_tail_sums_cover_the_rows_the_fit_reads(n):
     # Only the sums from n // 2 on are built, the same reversed cumsum bit
     # for bit, and every row of the fit lies among them
     terms = np.random.default_rng(n).standard_normal(n)
     full = np.append(-np.cumsum(terms[:0:-1])[::-1], 0.0)
-    sums = _accel.sums_from_last(terms)
+    sums = eulersum._sums_from_last(terms)
     assert len(sums) == n
     assert sums[n // 2 :].tolist() == full[n // 2 :].tolist()
     assert np.isnan(sums[: n // 2]).all()
-    assert _accel._design(n, POWER_LADDER)[0].min() >= n // 2
+    assert eulersum._grid()[5].min() >= n // 2
 
 
 _ORACLE_KINDS = {
@@ -277,36 +257,50 @@ _ORACLE_KINDS = {
 }
 
 
+def _direct_design(n):
+    # the fit's rows and normalised design, built here independently: the
+    # last half of the sums at stride 9, a constant, then alternating and
+    # smooth columns (m/n)^(-q) [log(m/n)] for q = 1, 2, 3
+    rows = np.arange(n - 1, n // 2 - 1, -9)[::-1]
+    m = rows + 1.0
+    columns = [np.ones_like(m)]
+    for q in (1, 2, 3):
+        for with_log in (False, True):
+            smooth = (m / n) ** -q * (np.log(m / n) if with_log else 1.0)
+            columns += [(-1.0) ** m * smooth, smooth]
+    design = np.stack(columns, axis=1)
+    return rows, design / np.linalg.norm(design, axis=0)
+
+
 @pytest.mark.parametrize("kind", _ORACLE_KINDS)
 def test_cached_weights_match_a_direct_solve(kind, monkeypatch):
     # the cached weight rows against a least-squares solve of the same design
     seen = []
 
-    def record(partial_sums, basis):
-        seen.append((np.array(partial_sums), basis))
-        return alternating_series_limit(partial_sums, basis)
+    def record(terms):
+        seen.append(np.array(terms))
+        return alternating_series_limit(terms)
 
     monkeypatch.setattr(eulersum, "alternating_series_limit", record)
     _ORACLE_KINDS[kind]()
-    ((sums, basis),) = seen
-    assert len(sums) == eulersum._N_ACCEL
-    cached = alternating_series_limit(sums, basis)
-    rows, design = _accel._design(len(sums), basis)
+    (terms,) = seen
+    assert len(terms) == eulersum._N_TERMS
+    value, shift = alternating_series_limit(terms)
+    rows, design = _direct_design(len(terms))
+    tails = -np.array([np.sum(terms[r + 1 :]) for r in rows])
     norm = math.sqrt(len(rows))
     full, dropped = (
-        np.linalg.lstsq(d, sums[rows], rcond=None)[0][0] / norm for d in (design, design[:, :-2])
+        np.linalg.lstsq(d, tails, rcond=None)[0][0] / norm for d in (design, design[:, :-2])
     )
-    assert cached[0] == pytest.approx(full, rel=0, abs=1e-14)
-    assert cached[1] == pytest.approx(abs(full - dropped), rel=0, abs=1e-14)
+    assert value == pytest.approx(np.sum(terms) + full, rel=0, abs=1e-14)
+    assert shift == pytest.approx(abs(full - dropped), rel=0, abs=1e-14)
 
 
 def test_fixed_design_caches_are_bounded_and_read_only():
     euler_sum_oracle(2)
-    arrays = [*eulersum._grid(eulersum._N_ACCEL)]
-    arrays += _accel._unit_weights(eulersum._N_ACCEL, eulersum._LOG_LADDER)
-    for a in arrays:
+    for a in eulersum._grid():
         with pytest.raises(ValueError):
             a[0] = 1.0
-    for cached in (eulersum._grid, _accel._unit_weights):
-        assert cached.cache_info().maxsize is not None
-        assert cached.cache_info().currsize <= cached.cache_info().maxsize
+    info = eulersum._grid.cache_info()
+    assert info.maxsize == 1
+    assert info.currsize == 1
