@@ -110,17 +110,19 @@ def _truncate(
 
     Sums up to the first n whose tail bound is <= tol, else min(400,
     int(a) + 80) terms with converged False.  The majorant pass runs down to
-    terms of 1e-4 tol, so tails near tol are explicit sums.
+    terms of 1e-4 tol, so tails near tol are explicit sums.  The bound adds
+    eps times the sum of |partial sum|, twice the sum's first-order rounding.
     """
     limit = min(_MAX_TERMS, int(a) + 80)
     tail = _tail_bounds(a, first, parity, bound, 1e-4 * tol)
     used = next((n for n in range(1, limit + 1) if tail(n) <= tol), limit)
-    value = _partial_sums(a, start, first, parity, coeff, used)[-1]
-    return SeriesEval(value, used, tail(used), tail(used) <= tol)
+    sums = _partial_sums(a, start, first, parity, coeff, used)
+    rounding = math.ulp(1.0) * math.fsum(map(abs, sums))
+    return SeriesEval(sums[-1], used, tail(used) + rounding, tail(used) <= tol)
 
 
 def si_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
-    """Truncated Si expansion with tail bound <= tol."""
+    """Truncated Si expansion whose tail bound is <= tol; ``tail_bound`` adds its rounding."""
     a = _real(a, "a must be finite and nonnegative (the expansion is stated for a >= 0)", 0.0)
     tol = _real(tol, "tol must be finite and positive", 0.0, strict=True)
     if a == 0.0:
@@ -129,7 +131,7 @@ def si_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
 
 
 def ci_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
-    """Truncated Ci expansion with tail bound <= tol."""
+    """Truncated Ci expansion whose tail bound is <= tol; ``tail_bound`` adds its rounding."""
     a = _real(a, "a must be finite and positive", 0.0, strict=True)
     tol = _real(tol, "tol must be finite and positive", 0.0, strict=True)
     return _truncate(

@@ -8,19 +8,20 @@ needs no special value there.
 
 One driver, ``_refine``, refines every integral: an adaptive 15-point
 Gauss-Kronrod rule (QUADPACK dqk15) over the caller's starting panels, in one
-heap.  Each step bisects the panel with the largest error estimate and
-evaluates both halves in one integrand call, until the error sum over all
-the panels is at most tol; after ``_MAX_SUBDIVISIONS`` bisections it raises
-QuadratureError.  A panel's estimate is at least 15 eps times its Kronrod sum
-of |f|, the rounding bound of the 15-term sum (dqk15 uses 50 eps); once every
-panel sits at that floor the refinement stops, and the floor sum is the
-estimate.  Its two callers:
+heap, built only if a panel needs bisecting.  Each step bisects the panel
+with the largest error estimate and evaluates both halves in one integrand
+call, until the error sum over all the panels is at most tol; after
+``_MAX_SUBDIVISIONS`` bisections it raises QuadratureError.  A panel's
+estimate is at least 15 eps times its Kronrod sum of |f|, the rounding bound
+of the 15-term sum (dqk15 uses 50 eps); once every panel sits at that floor
+the refinement stops, and the floor sum is the estimate.  Its two callers:
 
 * ``integrate_finite`` -- [a, b] from ``pieces`` equal starting panels, all
-  evaluated in one integrand call.  The cot-weighted integrals on [0, pi/2]
-  start from ceil(m/2) panels, m being the integrand's frequency (2n+1 for
-  Lemma 1, 2n for Lemma 3, 1 for the transforms and the Clausen
-  integrals): a Lemma integral needs no bisection.
+  evaluated in one integrand call.  A cot-weighted integral on [0, pi/2] of
+  frequency m (2n+1 for Lemma 1, 2n for Lemma 3, max(5, ceil(a)) for the
+  transforms, 1 for Clausen) starts from ceil(m/2) panels at most pi/m
+  wide, half a period of sin(m t), which one GK15 panel resolves: only
+  Clausen's t log t endpoint bisects.  m <= ``_MAX_FREQUENCY`` bounds n and a.
 * ``oscillatory_semiinf`` -- every integral over [0, inf) (the Bessel
   moments, the J_1(t)/t self-test, Example 2, Corollaries 5 and 6): one
   GK15 panel between each pair of the edges (k + frac(s/2 + 1/4)) pi from 0
@@ -175,6 +176,7 @@ def _gk15(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
 
 
 _MAX_SUBDIVISIONS = 2000
+_MAX_FREQUENCY = 2 * _MAX_SUBDIVISIONS  # of a cot integral: ceil(m/2) panels fill the budget
 
 
 def _refine(
@@ -182,45 +184,41 @@ def _refine(
 ) -> tuple[float, float, int, float]:
     """Adaptive GK15 over the starting panels [low[i], high[i]] to an error sum of tol.
 
-    ``values`` are f at the starting panels' nodes.  One heap holds every
-    panel; a step bisects the panel with the largest estimate and evaluates
-    both halves in one call of f, until the error sum is at most tol or
-    every panel's estimate sits at its roundoff floor (the floor sum is then
-    the estimate, since bisection cannot lower it).  ``_MAX_SUBDIVISIONS``
-    bisections that leave it unconverged raise QuadratureError.  Returns the
-    value, the error estimate, the panel count and the sum over the panels
-    of right edge times Kronrod sum of |f|.
+    ``values`` are f at the starting panels' nodes.  Unless their error sum
+    is at most tol or every panel's estimate sits at its roundoff floor (the
+    floor sum is then the estimate, since bisection cannot lower it), one
+    heap holds every panel; a step bisects the panel with the largest
+    estimate and evaluates both halves in one call of f, until one of those
+    holds.  ``_MAX_SUBDIVISIONS`` bisections that leave it unconverged raise
+    QuadratureError.  Returns the value, the error estimate, the panel count
+    and the sum over the panels of right edge times Kronrod sum of |f|.
     """
     values, errors, rough, absolute = _gk15(values, low, high)
     total, unsettled = float(errors.sum()), int(rough.sum())
-    # heap items are (-err, seq, a, b, value, err, rough, sum of |f|); seq
-    # breaks ties deterministically
-    heap = list(zip((-errors).tolist(), range(len(low)), low.tolist(), high.tolist(),
-                    values.tolist(), errors.tolist(), rough.tolist(), absolute.tolist()))
-    heapq.heapify(heap)
-    bisections = 0
-    while total > tol and unsettled:
-        if bisections == _MAX_SUBDIVISIONS:
-            raise QuadratureError(
-                f"no convergence after {bisections} bisections "
-                f"(err estimate {total:.2e} > tol {tol:.2e})"
-            )
-        _, _, lo, hi, _, err, was_rough, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        a, b = np.array([lo, mid]), np.array([mid, hi])
-        left, right = zip(*(x.tolist() for x in _gk15(_evaluate(f, a, b), a, b)))
-        total += left[1] + right[1] - err
-        unsettled += left[2] + right[2] - was_rough
-        seq = len(low) + 2 * bisections
-        heapq.heappush(heap, (-left[1], seq, lo, mid, *left))
-        heapq.heappush(heap, (-right[1], seq + 1, mid, hi, *right))
-        bisections += 1
-    return (
-        math.fsum(item[4] for item in heap),
-        math.fsum(item[5] for item in heap),
-        len(heap),
-        math.fsum(item[3] * item[7] for item in heap),
-    )
+    if total > tol and unsettled:
+        # heap items are (-err, seq, a, b, value, err, rough, sum of |f|); seq
+        # breaks ties deterministically
+        heap = list(zip((-errors).tolist(), range(len(low)), low.tolist(), high.tolist(),
+                        values.tolist(), errors.tolist(), rough.tolist(), absolute.tolist()))
+        heapq.heapify(heap)
+        bisections = 0
+        while total > tol and unsettled:
+            if bisections == _MAX_SUBDIVISIONS:
+                raise QuadratureError(f"no convergence after {bisections} bisections "
+                                      f"(err estimate {total:.2e} > tol {tol:.2e})")
+            _, _, lo, hi, _, err, was_rough, _ = heapq.heappop(heap)
+            mid = 0.5 * (lo + hi)
+            a, b = np.array([lo, mid]), np.array([mid, hi])
+            left, right = zip(*(x.tolist() for x in _gk15(_evaluate(f, a, b), a, b)))
+            total += left[1] + right[1] - err
+            unsettled += left[2] + right[2] - was_rough
+            seq = len(low) + 2 * bisections
+            heapq.heappush(heap, (-left[1], seq, lo, mid, *left))
+            heapq.heappush(heap, (-right[1], seq + 1, mid, hi, *right))
+            bisections += 1
+        _, _, _, high, values, errors, _, absolute = map(np.array, zip(*heap))
+    value, err, weighted = (math.fsum(x.tolist()) for x in (values, errors, high * absolute))
+    return value, err, len(high), weighted
 
 
 def integrate_finite(
@@ -236,8 +234,7 @@ def integrate_finite(
     which bisection cannot lower.
     """
     a, b = specfun._real(a, "a must be finite"), specfun._real(b, "b must be finite")
-    if not 0.0 < b - a < math.inf:
-        raise ValueError(f"requires a < b and a finite width b - a, got [{a}, {b}]")
+    specfun._real(b - a, f"requires a < b and a finite width b - a, got [{a}, {b}]", 0.0, True)
     tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
     message = f"pieces must be an integer from 1 to {_MAX_SUBDIVISIONS}"
     pieces = specfun._integer(pieces, message, 1, _MAX_SUBDIVISIONS)
@@ -255,44 +252,45 @@ _HALF_PI = 0.5 * math.pi
 # ---------------------------------------------------------------------------
 
 
-def _cot_integral(g: ArrayFn, tol: float, m: int = 1) -> QuadResult:
-    # int_0^{pi/2} g(t) cot(t) dt for g of frequency m, started as ceil(m/2)
-    # panels at most pi/m wide: half a period of sin(m t) each, which one GK15
-    # panel resolves, so the Lemma integrals need no bisection
-    return integrate_finite(
-        lambda t: g(t) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, tol, pieces=(m + 1) // 2
-    )
+def _cot_integral(g: ArrayFn, m: int, tol: float) -> QuadResult:
+    # int_0^{pi/2} g(t) cot(t) dt for g of frequency m, from ceil(m/2) panels
+    return integrate_finite(lambda t: g(t) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, tol,
+                            pieces=(m + 1) // 2)
 
 
 def lemma1_integral(n: int) -> QuadResult:
     """int_0^{pi/2} sin((2n+1)t) cot(t) dt; equals the exact coefficient alpha_n."""
-    # n + 1 starting panels, at most _MAX_SUBDIVISIONS
-    top = _MAX_SUBDIVISIONS - 1
+    top = (_MAX_FREQUENCY - 1) // 2
     n = specfun._integer(n, f"n must be an integer from 0 to {top}", 0, top)
     m = 2 * n + 1
-    return _cot_integral(lambda t: np.sin(m * t), 1e-12, m)
+    return _cot_integral(lambda t: np.sin(m * t), m, 1e-12)
 
 
 def lemma3_integral(n: int) -> QuadResult:
     """int_0^{pi/2} [1 - cos(2nt)] cot(t) dt; equals the exact coefficient beta_n."""
-    # n starting panels, at most _MAX_SUBDIVISIONS
-    top = _MAX_SUBDIVISIONS
+    top = _MAX_FREQUENCY // 2
     n = specfun._integer(n, f"n must be an integer from 1 to {top}", 1, top)
     m = 2 * n
-    return _cot_integral(lambda t: 1.0 - np.cos(m * t), 1e-12, m)
+    return _cot_integral(lambda t: 1.0 - np.cos(m * t), m, 1e-12)
+
+
+def _transform(g: ArrayFn, a: float, positive: bool) -> QuadResult:
+    # int_0^{pi/2} g(a sin t) cot(t) dt, of frequency ceil(a) but at least 5, as
+    # g(a sin t) holds harmonics J_k(a) sin(kt) past k = a (to k ~ 11 at a ~ 1)
+    message = f"a must be finite and in {'(' if positive else '['}0, {_MAX_FREQUENCY}]"
+    a = specfun._real(a, message, 0.0, positive, _MAX_FREQUENCY)
+    return _cot_integral(lambda t: g(a * np.sin(t)), max(5, math.ceil(a)), 1e-12)
 
 
 def si_transform_integral(a: float) -> QuadResult:
-    """int_0^{pi/2} sin(a sin t) cot(t) dt = Si(a)."""
-    a = specfun._real(a, "a must be finite and nonnegative", 0.0)
-    return _cot_integral(lambda t: np.sin(a * np.sin(t)), 1e-12)
+    """int_0^{pi/2} sin(a sin t) cot(t) dt = Si(a), for 0 <= a <= 4000."""
+    return _transform(np.sin, a, False)
 
 
 def ci_transform_integral(a: float) -> QuadResult:
-    """int_0^{pi/2} [1 - cos(a sin t)] cot(t) dt = gamma + log(a) - Ci(a)."""
-    a = specfun._real(a, "a must be finite and positive", 0.0, strict=True)
+    """int_0^{pi/2} [1 - cos(a sin t)] cot(t) dt = gamma + log(a) - Ci(a), for 0 < a <= 4000."""
     # 1 - cos(x) as 2 sin^2(x/2), which does not cancel for small x
-    return _cot_integral(lambda t: 2.0 * np.sin(0.5 * a * np.sin(t)) ** 2, 1e-12)
+    return _transform(lambda x: 2.0 * np.sin(0.5 * x) ** 2, a, True)
 
 
 def clausen_cot_integral(k: int) -> QuadResult:
@@ -304,7 +302,7 @@ def clausen_cot_integral(k: int) -> QuadResult:
     k = specfun._integer(k, "k must be a nonnegative integer", 0)
     weight = 2 * k + 3
     z = specfun.zeta(weight)
-    return _cot_integral(lambda t: z - specfun.clausen_odd(weight, 2.0 * t), 1e-10)
+    return _cot_integral(lambda t: z - specfun.clausen_odd(weight, 2.0 * t), 1, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -681,10 +679,9 @@ def corollary5_rhs(a: float) -> QuadResult:
 
     Equals the alternating Neumann series sum_n (-1)^n J_{2n}(a) beta_n / n.
     Its tail from B = max(50, a^2/2) on re-expands J_0's Hankel series in
-    1/t.  Past |a| = 400 (``_MAX_MOMENT_ORDER``) QuadratureError is raised
-    before any integrand call.
+    1/t.  Past |a| = 400 (``_MAX_MOMENT_ORDER``) ValueError is raised before
+    any integrand call.
     """
-    a = abs(specfun._real(a, "a must be finite"))
-    if a > _MAX_MOMENT_ORDER:
-        raise QuadratureError(f"corollary5_rhs needs |a| <= {_MAX_MOMENT_ORDER}, got |a| = {a:g}")
+    top = _MAX_MOMENT_ORDER
+    a = abs(specfun._real(a, f"a must be finite with |a| <= {top}", -top, maximum=top))
     return oscillatory_semiinf(_sici(True) * (_shifted_j0(a) * _INVERSE_T), 2e-7)

@@ -107,11 +107,12 @@ def _integer(value: int, message: str, minimum: int, maximum: float = math.inf) 
     return value
 
 
-def _real(value: float, message: str, minimum: float = -math.inf, strict: bool = False) -> float:
-    # A finite real argument (int, float, numpy real scalar, Fraction, ...) at
-    # or above minimum (above it if strict) as float.  A str, None, list,
-    # complex, nan, +-inf or an int past the double range is rejected, as is
-    # a numpy complex or 0-d array, which math.isfinite would cast.
+def _real(value: float, message: str, minimum: float = -math.inf, strict: bool = False,
+          maximum: float = math.inf) -> float:
+    # A finite real argument (int, float, numpy real scalar, Fraction, ...) in
+    # [minimum, maximum] (above minimum if strict) as float.  A str, None,
+    # list, complex, nan, +-inf or an int past the double range is rejected,
+    # as is a numpy complex or 0-d array, which math.isfinite would cast.
     if type(value) is not float:
         if isinstance(value, (complex, np.complexfloating, np.ndarray)):
             raise ValueError(message)
@@ -119,7 +120,7 @@ def _real(value: float, message: str, minimum: float = -math.inf, strict: bool =
             value = float(value) if math.isfinite(value) else math.nan
         except (TypeError, OverflowError):
             raise ValueError(message) from None
-    if math.isfinite(value) and (value > minimum or value == minimum and not strict):
+    if minimum <= value <= maximum and math.isfinite(value) and (value > minimum or not strict):
         return value
     raise ValueError(message)
 

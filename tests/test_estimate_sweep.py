@@ -8,7 +8,9 @@ the four integrals with closed forms, within 1e-12 as well; and
 its bound 400, within the sum of both estimates.  A moment of order near 400
 takes about a second, so the cases are dealt by cost to two subprocesses that
 run side by side, each under a timeout.  The two cot-weighted transforms,
-a few milliseconds each, run in process at tiny a and on the registry's grid.
+a few milliseconds each, run in process at tiny a, on the registry's grid and
+up to their bound 4000; so do the Neumann expansions of Si and Ci, whose
+bounds carry the rounding of their sums.
 """
 
 import json
@@ -21,7 +23,7 @@ import mpmath
 import pytest
 
 import neumann_sici
-from neumann_sici import harness, quad
+from neumann_sici import harness, neumann, quad
 
 _SWEEP = r'''
 import json, math, random, sys
@@ -121,7 +123,7 @@ def _gamma_log_minus_ci(a):
     return mpmath.euler + mpmath.log(a) - mpmath.ci(a)
 
 
-@pytest.mark.parametrize("a", [1e-300, 1e-8, 1e-3, *harness._TRANSFORM_GRID])
+@pytest.mark.parametrize("a", [1e-300, 1e-8, 1e-3, *harness._TRANSFORM_GRID, 100.0, 1000.0, 4000.0])
 @pytest.mark.parametrize(
     "transform,exact",
     [(quad.si_transform_integral, mpmath.si), (quad.ci_transform_integral, _gamma_log_minus_ci)],
@@ -132,3 +134,20 @@ def test_transform_estimates_bound_their_errors(transform, exact, a):
     with mpmath.workdps(30):
         diff = float(abs(mpmath.mpf(result.value) - exact(mpmath.mpf(a))))
     assert diff <= result.abs_err_estimate, (diff, result.abs_err_estimate)
+
+
+@pytest.mark.parametrize("a", [1e-300, 1e-8, 1e-3, *harness._EXPANSION_GRID])
+@pytest.mark.parametrize(
+    "expansion,exact", [(neumann.si_neumann, mpmath.si), (neumann.ci_neumann, mpmath.ci)],
+    ids=["si", "ci"],
+)
+def test_expansion_bounds_hold_with_their_rounding(expansion, exact, a):
+    # ci_neumann(1e-300, 1e-11) reported a tail bound of 0 and was off by
+    # 7.8e-14, a rounding of gamma + log a = -690; at tol 1e-15 rounding is
+    # most of every error
+    for tol in (1e-11, 1e-15):
+        result = expansion(a, tol)
+        with mpmath.workdps(30):
+            diff = float(abs(mpmath.mpf(result.value) - exact(mpmath.mpf(a))))
+        assert result.converged
+        assert diff <= result.tail_bound, (tol, diff, result.tail_bound)

@@ -259,8 +259,10 @@ def test_cot_integrals_run_through_integrate_finite(monkeypatch):
     lemma1_integral(50)
     lemma3_integral(50)
     si_transform_integral(1.0)
+    si_transform_integral(20.0)
     clausen_cot_integral(0)
-    assert seen == [51, 50, 1, 1]
+    # ceil(m/2) pieces for frequency m: 101, 100, 5 (a transform's least), 20 and 1
+    assert seen == [51, 50, 3, 10, 1]
 
 
 def test_lemma_integral_domains():
@@ -298,6 +300,18 @@ def test_ci_transform_integral():
     assert abs(ci_transform_integral(1e-6).value) <= 1e-12
     with pytest.raises(ValueError):
         ci_transform_integral(0.0)
+
+
+@pytest.mark.parametrize("fn", (si_transform_integral, ci_transform_integral))
+@pytest.mark.parametrize("a", [4000.5, 1e6])
+def test_transforms_past_their_bound_raise_before_any_call(monkeypatch, fn, a):
+    # their ceil(a/2) starting panels would exceed quad._MAX_SUBDIVISIONS; from
+    # one starting panel they bisected until QuadratureError from a ~ 6,510 on
+    calls = []
+    monkeypatch.setattr(quad, "_evaluate", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"^a must be finite and in [(\[]0, 4000\]$"):
+        fn(a)
+    assert calls == []
 
 
 @pytest.mark.parametrize("fn", (si_transform_integral, ci_transform_integral))
@@ -709,13 +723,14 @@ def test_indexed_operations_take_only_integers(fn, arg, smallest):
     [
         ("math.nan", "ValueError"),
         ("math.inf", "ValueError"),
-        ("1e300", "QuadratureError"),
+        ("1e300", "ValueError"),
     ],
 )
 def test_corollary5_rhs_rejects_unreachable_arguments(a, error):
     # nan leaked int()'s conversion error, and inf and 1e300 counted skipped
-    # edges forever.  In a subprocess, so that a regression fails here
-    # instead of hanging the suite.
+    # edges forever (1e300 then raised QuadratureError, past |a| = 400).  In
+    # a subprocess, so that a regression fails here instead of hanging the
+    # suite.
     code = (
         "import math\n"
         "from neumann_sici import quad\n"
@@ -739,11 +754,14 @@ def test_corollary5_rhs_matches_series():
 
 @pytest.mark.parametrize("a", [400.01, -400.01])
 def test_corollary5_rhs_past_its_bound_raises_before_integrating(monkeypatch, a):
-    def unreachable(t):
+    # a ValueError, as the moments raise past order 400 (it was a
+    # QuadratureError, a RuntimeError)
+    def unreachable(*args):
         raise AssertionError("integrand evaluated")
 
     monkeypatch.setattr(sf, "gamma_log_minus_ci", unreachable)
-    with pytest.raises(QuadratureError, match=r"needs \|a\| <= 400, got \|a\| = 400.01"):
+    monkeypatch.setattr(quad, "_evaluate", unreachable)
+    with pytest.raises(ValueError, match=r"^a must be finite with \|a\| <= 400$"):
         corollary5_rhs(a)
 
 
@@ -811,6 +829,30 @@ def test_finite_estimates_hold_over_the_registry_deck(check):
     assert isinstance(integral, QuadResult)
     diff = abs(integral.value - getattr(other, "value", other))
     assert diff <= integral.abs_err_estimate
+
+
+def _frequency(check_id):
+    # m of a Lemma integral or transform: 2n+1, 2n, or max(5, ceil(a))
+    family, x = check_id.split(".")[0], float(check_id.split("=")[1])
+    return {"lemma1_quad": 2 * x + 1, "lemma3_quad": 2 * x}.get(family, max(5, math.ceil(x)))
+
+
+@pytest.mark.parametrize(
+    "check", [c for c in _FINITE_CHECKS if not c.id.startswith("clausen")], ids=lambda c: c.id
+)
+def test_no_registry_lemma_integral_or_transform_bisects(check):
+    # each meets its tol as first evaluated, on its ceil(m/2) starting panels
+    # for frequency m (the transforms started from one panel and bisected, 7
+    # times at a = 20); Clausen's t log t endpoint bisects 13 and 3 times
+    assert check.lhs().subdivisions == (int(_frequency(check.id)) + 1) // 2
+
+
+@pytest.mark.parametrize("transform", [si_transform_integral, ci_transform_integral])
+def test_no_transform_bisects_on_its_domain(transform):
+    # from ceil(a)/2 panels (frequency ceil(a), not at least 5) they bisected
+    # once on (0.73, 2] and (3.5, 4]
+    for a in [1e-300, *np.linspace(0.05, 12.0, 240), 100.0, 1000.0, 4000.0]:
+        assert transform(a).subdivisions == (max(5, math.ceil(a)) + 1) // 2, a
 
 
 def test_error_estimates_are_honest():
