@@ -5,8 +5,9 @@ All coefficient arithmetic is exact, in Python integers and rationals
 result at the comparison boundary.  The cross-form identities
 (closed forms vs. finite factorial sums) are exact statements and are checked
 as exact equalities, not to a tolerance.  Every finite sum is one integer
-over one denominator, reduced once by a gcd; no prefix outlives a call, so
-alpha(30000) and beta(30000) together take about 3 s and 30 MB.
+over one denominator, reduced once by a gcd; no prefix outlives a call.
+Every n is at most ``_MAX_N`` = 10^4, else ValueError before any work: a
+factorial form takes about 1 s there, and its cost grows as n^2.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ __all__ = (
     "alpha_factorial_form",
     "beta_factorial_form",
 )
+
+
+_MAX_N = 10**4
+_FROM_0, _FROM_1 = (f"n must be an integer from {first} to {_MAX_N}" for first in (0, 1))
 
 
 def _exact_sums(groups, *weights) -> tuple[Fraction, ...]:
@@ -52,19 +57,19 @@ def _alpha_sum(n: int) -> Fraction:
 
 def harmonic(n: int) -> Fraction:
     """Harmonic number H_n = sum_{k=1..n} 1/k, H_0 = 0."""
-    n = _integer(n, "n must be a nonnegative integer", 0)
+    n = _integer(n, _FROM_0, 0, _MAX_N)
     return _harmonic_sums(n)[0]
 
 
 def alt_harmonic(n: int) -> Fraction:
     """Alternating harmonic number A_n = sum_{k=1..n} (-1)^(k-1)/k, A_0 = 0."""
-    n = _integer(n, "n must be a nonnegative integer", 0)
+    n = _integer(n, _FROM_0, 0, _MAX_N)
     return _harmonic_sums(n)[1]
 
 
 def alpha(n: int) -> Fraction:
     """Coefficient of the Si expansion: 2 sum_{k<=n} (-1)^(k-1)/(2k-1) + (-1)^n/(2n+1)."""
-    n = _integer(n, "n must be a nonnegative integer", 0)
+    n = _integer(n, _FROM_0, 0, _MAX_N)
     return _alpha_sum(n)
 
 
@@ -76,21 +81,21 @@ def beta(n: int) -> Fraction:
     H_n and A_n.  n = 0 is rejected (the formula divides by 2n); the n -> 0
     limit behaviour lives in the vanishing J_0-weighted integral, not here.
     """
-    n = _integer(n, "n must be a positive integer", 1)
+    n = _integer(n, _FROM_1, 1, _MAX_N)
     h, a = _harmonic_sums(n)
     return h + a - Fraction(1 + (-1) ** (n - 1), 2 * n)
 
 
 def beta_variant(n: int) -> Fraction:
     """Equivalent form H_{n-1} + A_{n-1} + 1/(2n) + (-1)^(n-1)/(2n)."""
-    n = _integer(n, "n must be a positive integer", 1)
+    n = _integer(n, _FROM_1, 1, _MAX_N)
     h, a = _harmonic_sums(n - 1)
     return h + a + Fraction(1 + (-1) ** (n - 1), 2 * n)
 
 
 def lemma1_closed(n: int) -> Fraction:
     """The cot-weighted sine integral in closed form: 1 - 2 sum_{k<=n} (-1)^k/(4k^2-1)."""
-    n = _integer(n, "n must be a nonnegative integer", 0)
+    n = _integer(n, _FROM_0, 0, _MAX_N)
     odd, even = ([4 * k * k - 1 for k in range(first, n + 1, 2)] for first in (1, 2))
     return _exact_sums(((1,), odd, even), (1, 2, -2))[0]
 
@@ -104,7 +109,7 @@ def alpha_factorial_form(n: int) -> Fraction:
     Its integers grow to O(n log n) bits, so the cost grows about as n^2:
     0.05 s at n = 2500 and about 0.6 s at n = 10^4 (2-core x86-64 host).
     """
-    n = _integer(n, "n must be a nonnegative integer", 0)
+    n = _integer(n, _FROM_0, 0, _MAX_N)
     num = den = 1
     for k in range(n, 0, -1):
         a, b = -2 * (n + k) * (n - k + 1) * (2 * k - 1), k * (2 * k + 1) ** 2
@@ -120,7 +125,7 @@ def beta_factorial_form(n: int) -> Fraction:
     ((j+1)^2 (2j+1)) and t_0 = n/2, at the same cost (about 0.6 s at
     n = 10^4).
     """
-    n = _integer(n, "n must be a positive integer", 1)
+    n = _integer(n, _FROM_1, 1, _MAX_N)
     num = den = 1
     for j in range(n - 1, 0, -1):
         a, b = -2 * (n + j) * (n - j) * j, (j + 1) ** 2 * (2 * j + 1)

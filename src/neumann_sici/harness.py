@@ -285,10 +285,12 @@ def run_registry(
 
     Tolerances come from the registry, scaled by the ``NEUMANN_SICI_TOL_SCALE``
     environment variable when set, with per-id overrides taking precedence.
-    A scale that is not a finite positive number, an override that is not a
-    finite real, or a ``max_n`` that is not None or an integer >= 0 raises
-    UsageError.
+    A ``filter_glob`` that is not a str, a scale that is not a finite positive
+    number, an override that is not a finite real, or a ``max_n`` that is not
+    None or an integer >= 0 raises UsageError.
     """
+    if not isinstance(filter_glob, str):
+        raise UsageError(f"filter must be a glob pattern str, got {filter_glob!r}")
     max_n = _max_n(max_n)
     overrides = dict(tol_overrides or {})
     for k, v in overrides.items():

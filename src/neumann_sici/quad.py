@@ -581,8 +581,12 @@ _LOG_HALF = _factor(_log_half, {0: np.array([[-specfun.CONSTANTS.log2], [1.0]])}
                     lattice=_tabled(_log_half))
 _INVERSE_T = _factor(_inverse_t, {0: np.array([[0.0, 0.0, 1.0]])}, lattice=_tabled(_inverse_t))
 
+# The [0, B] range's target error sum: 12 times the largest first-pass sum of
+# a served integral (8.0e-12, Example 2's), and the moments' registry tolerance
+_SEMIINF_TOL = 1e-10
 
-def oscillatory_semiinf(integrand: _Expansion, tol: float) -> QuadResult:
+
+def oscillatory_semiinf(integrand: _Expansion) -> QuadResult:
     """int_0^inf f for a decaying oscillatory f, ``integrand.f``, with its expansion at infinity.
 
     The integrand's order s (a Bessel order, or Corollary 5's a) sets the
@@ -592,12 +596,11 @@ def oscillatory_semiinf(integrand: _Expansion, tol: float) -> QuadResult:
     evaluated in one call of f (for an integer s up to ``_TABLE_CAP``, of
     ``integrand.on_lattice``, which reads the factors' tables) and refined
     by bisection, whose halves call f, until their error sum is at most
-    tol; from B on the expansion is integrated term by term.  The estimate
-    adds the rounding of the abscissae and what the expansion's series
-    leave out.  A bad ``tol`` or an expansion whose majorant decays no
+    ``_SEMIINF_TOL``; from B on the expansion is integrated term by term.
+    The estimate adds the rounding of the abscissae and what the
+    expansion's series leave out.  An expansion whose majorant decays no
     faster than 1/t raises ValueError before any call of f.
     """
-    tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
     high = _edges(integrand.order)
     tail, left_out = integrand.integral(float(high[-1]))
     low = np.r_[0.0, high[:-1]]
@@ -606,7 +609,7 @@ def oscillatory_semiinf(integrand: _Expansion, tol: float) -> QuadResult:
         values = _evaluate(lambda t: integrand.on_lattice(t, s % 2 == 1), low, high)
     else:
         values = _evaluate(integrand.f, low, high)
-    value, estimate, panels, weighted = _refine(integrand.f, low, high, values, tol)
+    value, estimate, panels, weighted = _refine(integrand.f, low, high, values, _SEMIINF_TOL)
     # An abscissa t is rounded by up to eps t, which moves f of frequency at
     # most kappa by up to eps t kappa |f|: on a panel's sum, at most eps
     # kappa times its right edge times its sum of |f|
@@ -614,34 +617,34 @@ def oscillatory_semiinf(integrand: _Expansion, tol: float) -> QuadResult:
     return QuadResult(value + tail, estimate + rounding + left_out, panels, len(high))
 
 
-def _moment(ci: bool, order: int, tol: float) -> QuadResult:
+def _moment(ci: bool, order: int) -> QuadResult:
     # int_0^inf weight(t) J_order(t) dt / t, the weight gamma + log t - Ci if
     # ci, else Si
-    return oscillatory_semiinf(_sici(ci) * (_bessel(order) * _INVERSE_T), tol)
+    return oscillatory_semiinf(_sici(ci) * (_bessel(order) * _INVERSE_T))
 
 
 def si_bessel_integral(n: int) -> QuadResult:
     """int_0^inf Si(t) J_{2n+1}(t) dt/t = alpha_n/(2n+1), for n up to 199."""
     top = (_MAX_MOMENT_ORDER - 1) // 2
     n = specfun._integer(n, f"n must be an integer from 0 to {top} ({_ORDER_CAP})", 0, top)
-    return _moment(False, 2 * n + 1, 1e-8)
+    return _moment(False, 2 * n + 1)
 
 
 def ci_bessel_integral(n: int) -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_{2n}(t) dt/t = beta_n/(2n), for n up to 200."""
     top = _MAX_MOMENT_ORDER // 2
     n = specfun._integer(n, f"n must be an integer from 1 to {top} ({_ORDER_CAP})", 1, top)
-    return _moment(True, 2 * n, 1e-8)
+    return _moment(True, 2 * n)
 
 
 def j0_orthogonality_integral() -> QuadResult:
     """int_0^inf [gamma + log t - Ci(t)] J_0(t) dt/t, which vanishes."""
-    return _moment(True, 0, 2e-7)
+    return _moment(True, 0)
 
 
 def bessel_j1_over_t_integral() -> QuadResult:
     """Engine self-test: int_0^inf J_1(t)/t dt = 1."""
-    return oscillatory_semiinf(_bessel(1) * _INVERSE_T, 2e-10)
+    return oscillatory_semiinf(_bessel(1) * _INVERSE_T)
 
 
 def example2_integral() -> QuadResult:
@@ -652,7 +655,7 @@ def example2_integral() -> QuadResult:
     difference stays O(1) as t -> 0.
     """
     bracket = _bessel(0, True) * _HALF_PI - _LOG_HALF * _bessel(0)
-    return oscillatory_semiinf(_sici(True) * (bracket * _INVERSE_T), 2e-6)
+    return oscillatory_semiinf(_sici(True) * (bracket * _INVERSE_T))
 
 
 def _corollary6(g1: float) -> QuadResult:
@@ -661,7 +664,7 @@ def _corollary6(g1: float) -> QuadResult:
     bracket = _LOG_HALF * j1 - _bessel(1, True) * _HALF_PI - _bessel(0) * _INVERSE_T
     if g1:
         bracket = bracket + j1 * g1
-    return oscillatory_semiinf(_sici(False) * (bracket * _INVERSE_T), 2e-5)
+    return oscillatory_semiinf(_sici(False) * (bracket * _INVERSE_T))
 
 
 def corollary6_integral() -> QuadResult:
@@ -684,4 +687,4 @@ def corollary5_rhs(a: float) -> QuadResult:
     """
     top = _MAX_MOMENT_ORDER
     a = abs(specfun._real(a, f"a must be finite with |a| <= {top}", -top, maximum=top))
-    return oscillatory_semiinf(_sici(True) * (_shifted_j0(a) * _INVERSE_T), 2e-7)
+    return oscillatory_semiinf(_sici(True) * (_shifted_j0(a) * _INVERSE_T))

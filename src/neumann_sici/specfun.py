@@ -137,22 +137,23 @@ def _checked_array(
     return x
 
 
-def _branches(x, positive: bool, edges, *routines):
+def _branches(x, positive: bool, edges, *routines, rows: tuple[int, ...] = ()):
     # routines[0] for x <= edges[0], routines[i] for edges[i-1] <= x < edges[i]
     # past it (the last from edges[-1] on, none between equal edges), for a
-    # float, or for an array split by masks that runs none on no elements
+    # float, or for an array split by masks that runs none on no elements,
+    # into an array of shape (*rows, *x.shape)
     message = "x must be finite and positive" if positive else "x must be finite and nonnegative"
     if not isinstance(x, np.ndarray):
         x = _real(x, message, 0.0, positive)
         return routines[0 if x <= edges[0] else bisect.bisect_right(edges, x)](x)
     x = _checked_array(x, message, 0.0, positive)
-    out = np.empty_like(x)
+    out = np.empty((*rows, *x.shape))
     band = np.where(x <= edges[0], 0, np.searchsorted(edges, x, side="right"))
     for i, routine in enumerate(routines):
         if (mask := band == i).any():
             # Y_1's 1 / x overflows at a subnormal x, as for a float
             with np.errstate(over="ignore" if i == 0 else None):
-                out[mask] = routine(x[mask])
+                out[..., mask] = routine(x[mask])
     return out
 
 
@@ -326,9 +327,7 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
     )
 
 
-def _j_all_series(nmax: int, x):
-    # J_0 .. J_nmax by each order's power series, where its first term is the sum
-    return [_bessel_j_series(n, x) for n in range(nmax + 1)]
+_J_ALL_TINY = 2.1073424255447014e-08  # the largest x with 0.25 x^2 < 2^-53
 
 
 def bessel_j_all(nmax: int, x: float | np.ndarray) -> list[float] | np.ndarray:
@@ -344,24 +343,15 @@ def bessel_j_all(nmax: int, x: float | np.ndarray) -> list[float] | np.ndarray:
     """
     message = f"nmax must be an integer in [0, specfun._MILLER_MAX_STEPS = {_MILLER_MAX_STEPS}]"
     nmax = _integer(nmax, message, 0, _MILLER_MAX_STEPS)
-    routines, message = (_j_all_series, _miller, _upward), "x must be finite and nonnegative"
-    if not isinstance(x, np.ndarray):
-        x = _real(x, message, 0.0)
-        branch = 0 if 0.25 * x * x < 2.0**-53 else 2 if x >= max(25.0, nmax) else 1
-        return routines[branch](nmax, x)
-    x = _checked_array(x, message, 0.0)
     # a recurrence step on an array costs about what 25 on a float do (numpy's
     # per-call overhead), so an array counts as at least 32 elements
-    if (nmax + 1) * max(x.size, 32) > _MILLER_MAX_STEPS:
+    if isinstance(x, np.ndarray) and (nmax + 1) * max(x.size, 32) > _MILLER_MAX_STEPS:
         raise ValueError(
             f"(nmax + 1) max(x.size, 32) exceeds specfun._MILLER_MAX_STEPS = {_MILLER_MAX_STEPS}"
         )
-    branch = np.where(0.25 * x * x < 2.0**-53, 0, np.where(x >= max(25.0, nmax), 2, 1))
-    out = np.empty((nmax + 1, *x.shape))
-    for i, routine in enumerate(routines):
-        if (mask := branch == i).any():
-            out[:, mask] = routine(nmax, x[mask])
-    return out
+    return _branches(x, False, (_J_ALL_TINY, max(25.0, nmax)),
+                     lambda v: [_bessel_j_series(n, v) for n in range(nmax + 1)],
+                     lambda v: _miller(nmax, v), lambda v: _upward(nmax, v), rows=(nmax + 1,))
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +378,9 @@ def _bessel_y_series(order: int, x):
             term = term * (-u / (k * k))
             hk += 1.0 / k
             s = s + hk * term
-            if array:
-                if not _live(term, abs(term) * (hk + 1.0) >= 1e-18 * np.maximum(abs(s), 1e-10)):
-                    break
-            elif abs(term) * (hk + 1.0) < 1e-18 * max(abs(s), 1e-10):
+            t = abs(term) * (hk + 1.0)
+            live = (t >= 1e-18 * abs(s)) | (t >= 1e-18 * 1e-10)
+            if not (_live(term, live) if array else live):
                 break
         return (2.0 / math.pi) * ((lg + _EULER_GAMMA) * j - s)
     term, hk, hk1, s = 1.0, 0.0, 1.0, 0.0
@@ -400,10 +389,9 @@ def _bessel_y_series(order: int, x):
         term = term * (-u / (k * (k + 1)))
         hk += 1.0 / k
         hk1 += 1.0 / (k + 1)
-        if array:
-            if not _live(term, abs(term) * (hk + hk1 + 2.0) >= 1e-18 * np.maximum(abs(s), 1e-10)):
-                break
-        elif abs(term) * (hk + hk1 + 2.0) < 1e-18 * max(abs(s), 1e-10):
+        t = abs(term) * (hk + hk1 + 2.0)
+        live = (t >= 1e-18 * abs(s)) | (t >= 1e-18 * 1e-10)
+        if not (_live(term, live) if array else live):
             break
     return (2.0 / math.pi) * (lg * j - 1.0 / x) - x / (2.0 * math.pi) * s
 

@@ -20,9 +20,6 @@ _BAD = ("1", None, [1.0], 1 + 0j, 1 + 1j, np.complex128(1.0), math.nan, math.inf
 _GOOD = (2, np.float32(1.5), Fraction(3, 2), np.int64(2))
 
 
-_J1_OVER_T_TAIL = quad._bessel(1) * quad._INVERSE_T
-
-
 # one call per public real argument, taking the argument's value v
 _REAL_ARGUMENTS = {
     "bessel_j": lambda v: specfun.bessel_j(3, v),
@@ -43,7 +40,6 @@ _REAL_ARGUMENTS = {
     "integrate_finite.a": lambda v: quad.integrate_finite(np.cos, v, 3.0),
     "integrate_finite.b": lambda v: quad.integrate_finite(np.cos, 0.0, v),
     "integrate_finite.tol": lambda v: quad.integrate_finite(np.cos, 0.0, 1.0, v),
-    "oscillatory_semiinf.tol": lambda v: quad.oscillatory_semiinf(_J1_OVER_T_TAIL, v),
     "si_transform_integral": quad.si_transform_integral,
     "ci_transform_integral": quad.ci_transform_integral,
     "corollary5_rhs": quad.corollary5_rhs,

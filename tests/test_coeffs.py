@@ -73,6 +73,23 @@ def test_harmonic_domain():
         alt_harmonic(-2)
 
 
+def test_coefficients_past_their_bound_raise_before_any_work(monkeypatch):
+    # harmonic(10**400) leaked an OverflowError, lemma1_closed(10**400) built
+    # an unbounded list, and each factorial form looped n times (6 s at
+    # n = 30,000).  Past _MAX_N every function raises ValueError before it
+    # sums anything.
+    def work(*args):
+        raise AssertionError("summed past the bound")
+
+    monkeypatch.setattr(coeffs, "_exact_sums", work)
+    monkeypatch.setattr(coeffs, "Fraction", work)
+    assert coeffs._MAX_N >= 10**4
+    for n in (coeffs._MAX_N + 1, 10**400):
+        for name in coeffs.__all__:
+            with pytest.raises(ValueError, match=f"n must be an integer from [01] to {coeffs._MAX_N}$"):
+                getattr(coeffs, name)(n)
+
+
 def test_alpha_small_values():
     assert alpha(0) == 1
     assert alpha(1) == Fraction(5, 3)    # 2*1 - 1/3

@@ -5,7 +5,8 @@ The cases are the Bessel moments at a seeded stride of n up to their bounds
 each against its exact rational value with the difference taken in Fraction;
 the four integrals with closed forms, within 1e-12 as well; and
 ``corollary5_rhs`` against ``corollary5_series`` at a seeded stride of a up to
-its bound 400, within the sum of both estimates.  A moment of order near 400
+its bound 400, within the sum of both estimates.  None of them bisects: each
+ends with as many panels as it started from.  A moment of order near 400
 takes about a second, so the cases are dealt by cost to two subprocesses that
 run side by side, each under a timeout.  The two cot-weighted transforms,
 a few milliseconds each, run in process at tiny a, on the registry's grid and
@@ -49,17 +50,17 @@ closed = {
 def moment(name, n):
     r = getattr(quad, name)(n)
     exact = coeffs.alpha(n) / (2 * n + 1) if name.startswith("si") else coeffs.beta(n) / (2 * n)
-    return float(abs(Fraction(r.value) - exact)), r.abs_err_estimate, math.inf
+    return float(abs(Fraction(r.value) - exact)), r.abs_err_estimate, math.inf, r
 
 
 def integral(name):
     r = getattr(quad, name)()
-    return abs(r.value - closed[name]), r.abs_err_estimate, 1e-12
+    return abs(r.value - closed[name]), r.abs_err_estimate, 1e-12, r
 
 
 def shifted(a):
     r, s = quad.corollary5_rhs(a), corollary5_series(a)
-    return abs(r.value - s.value), r.abs_err_estimate + s.tail_bound, math.inf
+    return abs(r.value - s.value), r.abs_err_estimate + s.tail_bound, math.inf, r
 
 
 # (cost, label, check): the cost grows about like the square of the order or a
@@ -76,10 +77,11 @@ for cost, label, check in sorted(cases, key=lambda c: -c[0]):
     load[lighter] += cost
 failures, labels = [], []
 for label, check in shards[int(sys.argv[1])]:
-    diff, estimate, bound = check()
+    diff, estimate, bound, r = check()
     labels.append(label)
-    if not diff <= min(estimate, bound):
-        failures.append((label, diff, estimate))
+    # within its estimate, and met the engine's tol with no bisection
+    if not (diff <= min(estimate, bound) and r.subdivisions == r.partitions_used):
+        failures.append((label, diff, estimate, r.subdivisions, r.partitions_used))
 print(json.dumps({"labels": labels, "failures": failures}))
 '''
 

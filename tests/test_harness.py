@@ -156,6 +156,18 @@ def test_unknown_filter_is_usage_error():
         harness.run_registry("does-not-exist-*")
 
 
+def test_a_filter_that_is_not_a_str_is_usage_error(monkeypatch):
+    # run_registry(None) and run_registry(5) leaked fnmatch's TypeError after
+    # building the whole registry
+    def unreachable(*args, **kwargs):
+        raise AssertionError("registry built")
+
+    monkeypatch.setattr(harness, "build_registry", unreachable)
+    for bad in (None, 5, b"coeffs.*", ["coeffs.*"]):
+        with pytest.raises(harness.UsageError, match="filter must be a glob pattern str"):
+            harness.run_registry(bad)
+
+
 def test_unknown_override_id_is_usage_error():
     with pytest.raises(harness.UsageError):
         harness.run_registry("coeffs.*", {"bogus.id": 1e-3}, max_n=5)

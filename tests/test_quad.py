@@ -146,12 +146,17 @@ def test_refinement_stops_at_the_roundoff_floor():
 
 def test_oscillatory_range_stops_at_the_roundoff_floor():
     # every [0, B] panel of J_1(t)/t sits at its roundoff floor, and their
-    # sum, 4.9e-15, is the range's error sum: tol 1e-11 is met unrefined,
-    # and at 1e-15, below that sum, the refinement stops there as well
-    for tol in (1e-11, 1e-15):
-        r = oscillatory_semiinf(_J1_OVER_T_TAIL, tol)
-        assert abs(r.value - 1.0) <= r.abs_err_estimate <= 1e-11
-        assert r.subdivisions == r.partitions_used
+    # sum, 4.9e-15, is the range's error sum: the engine's tol is met
+    # unrefined, and at 1e-15, below that sum, _refine stops there as well
+    r = oscillatory_semiinf(_J1_OVER_T_TAIL)
+    assert abs(r.value - 1.0) <= r.abs_err_estimate <= 1e-11
+    assert r.subdivisions == r.partitions_used
+    high = quad._edges(1)
+    low = np.r_[0.0, high[:-1]]
+    values = quad._evaluate(_j1_over_t, low, high)
+    _, estimate, panels, _ = quad._refine(_j1_over_t, low, high, values, 1e-15)
+    assert 1e-15 < estimate < 1e-14
+    assert panels == len(high)
 
 
 def test_integrate_finite_starts_from_its_pieces():
@@ -332,21 +337,6 @@ def test_engine_selftest_unit_bessel_integral():
     assert r.partitions_used > 0
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-def test_oscillatory_rejects_bad_tol_before_any_edge(tol):
-    # the tolerance is checked before the partition edges are laid out, so
-    # before any integrand call
-    calls = []
-
-    def f(t):
-        calls.append(t.size)
-        return _j1_over_t(t)
-
-    with pytest.raises(ValueError, match="must be finite"):
-        oscillatory_semiinf(_direct(_J1_OVER_T_TAIL, f), tol)
-    assert not calls
-
-
 def test_oscillatory_rejects_a_tail_that_does_not_decay_before_any_integrand_call():
     # J_1 alone decays like t^(-1/2): its tail has no term-by-term integral
     calls = []
@@ -356,15 +346,15 @@ def test_oscillatory_rejects_a_tail_that_does_not_decay_before_any_integrand_cal
         return sf.bessel_j(1, t)
 
     with pytest.raises(ValueError, match="decays no faster than 1/t"):
-        oscillatory_semiinf(_direct(quad._bessel(1), f), 1e-8)
+        oscillatory_semiinf(_direct(quad._bessel(1), f))
     assert not calls
 
 
 def test_a_non_settling_integrand_raises_after_one_bisection_budget():
     # J_1(t)/t plus a 1e-6 square wave of period 0.002, which no bisection
-    # settles, with the J_1/t tail and no tables at tol 1e-10: one call for
-    # the [0, B] panels and one per bisection, _MAX_SUBDIVISIONS in all for
-    # the call, then QuadratureError naming the caller's tol.  A budget per
+    # settles, with the J_1/t tail and no tables: one call for the [0, B]
+    # panels and one per bisection, _MAX_SUBDIVISIONS in all for the call,
+    # then QuadratureError naming the engine's tol, 1e-10.  A budget per
     # panel took 1,019,745 nodes.  In a subprocess, so that a regression
     # fails here instead of hanging the suite.
     code = (
@@ -378,7 +368,7 @@ def test_a_non_settling_integrand_raises_after_one_bisection_budget():
         "try:\n"
         "    integrand = quad._bessel(1) * quad._INVERSE_T\n"
         "    integrand = dataclasses.replace(integrand, f=f, lattice=None)\n"
-        "    quad.oscillatory_semiinf(integrand, 1e-10)\n"
+        "    quad.oscillatory_semiinf(integrand)\n"
         "except quad.QuadratureError as exc:\n"
         "    print(len(calls), sum(calls), exc)\n"
     )
@@ -397,7 +387,7 @@ def test_a_non_settling_integrand_raises_after_one_bisection_budget():
 def test_high_order_bessel_moment_integrand_matches_exact_coefficient():
     # The engine on the Si-weighted J_81 moment's integrand and tail, whose
     # range runs to the first edge at or above 81^2/2
-    r = oscillatory_semiinf(quad._sici(False) * (quad._bessel(81) * quad._INVERSE_T), 1e-8)
+    r = oscillatory_semiinf(quad._sici(False) * (quad._bessel(81) * quad._INVERSE_T))
     diff = abs(r.value - float(coeffs.alpha(40) / 81))
     assert diff <= r.abs_err_estimate <= 1e-8
     assert r.partitions_used == math.ceil(0.5 * 81**2 / math.pi - 0.75) + 1
@@ -426,7 +416,7 @@ def test_oscillatory_engine_batches_partitions_per_block():
         calls.append(t.size)
         return _j1_over_t(t)
 
-    r = oscillatory_semiinf(_direct(_J1_OVER_T_TAIL, f), 2e-10)
+    r = oscillatory_semiinf(_direct(_J1_OVER_T_TAIL, f))
     assert abs(r.value - 1.0) <= 1e-12
     assert (r.partitions_used - 0.25) * math.pi >= 50.0 > (r.partitions_used - 1.25) * math.pi
     assert r.subdivisions == r.partitions_used
@@ -444,7 +434,7 @@ def test_high_order_moment_makes_one_integrand_call_per_block():
         return sf.si(t) * sf.bessel_j(21, t) / t
 
     tail = quad._sici(False) * (quad._bessel(21) * quad._INVERSE_T)
-    r = oscillatory_semiinf(_direct(tail, f), 1e-8)
+    r = oscillatory_semiinf(_direct(tail, f))
     assert r.partitions_used == math.ceil(0.5 * 21**2 / math.pi - 0.75) + 1 == 71
     assert r.subdivisions == r.partitions_used
     assert sizes == [15 * r.subdivisions]
@@ -556,8 +546,8 @@ def test_every_tabled_order_matches_the_engine_fed_bessel_j(ci):
     for order in range(0 if ci else 1, quad._TABLE_CAP + 1, 2):
         integrand = quad._sici(ci) * (quad._bessel(order) * quad._INVERSE_T)
         direct = oscillatory_semiinf(
-            _direct(integrand, lambda t, order=order: weight(t) * sf.bessel_j(order, t) / t), 1e-8)
-        tabled = quad._moment(ci, order, 1e-8)
+            _direct(integrand, lambda t, order=order: weight(t) * sf.bessel_j(order, t) / t))
+        tabled = quad._moment(ci, order)
         assert tabled.partitions_used == direct.partitions_used
         assert abs(tabled.value - direct.value) <= direct.abs_err_estimate, order
 
@@ -806,8 +796,9 @@ def test_oscillatory_estimates_hold_over_the_registry_deck(check):
 
 @pytest.mark.parametrize("check", _OSCILLATORY_CHECKS, ids=lambda c: c.id)
 def test_no_served_semi_infinite_integral_bisects(check):
-    # every [0, B] range of the deck meets its tol as first evaluated (its
-    # error sum is 3e-7 to 3e-4 of tol): the final panel count is the starting one
+    # every [0, B] range of the deck meets the engine's tol, 1e-10, as first
+    # evaluated (the largest error sum is 8.0e-12, Example 2's): the final
+    # panel count is the starting one
     (integral,) = [side for side in (check.lhs(), check.rhs()) if isinstance(side, QuadResult)]
     assert integral.subdivisions == integral.partitions_used
 

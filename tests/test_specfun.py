@@ -328,6 +328,17 @@ def test_bessel_j_all_on_both_sides_of_its_range_limits(nmax):
             assert abs(v - float(mp.besselj(n, x))) <= 1e-13, (x, n)
 
 
+def test_bessel_j_all_first_terms_end_at_the_largest_x_below_two_to_the_minus_53():
+    # (x/2)^2 < 2^-53 takes each order's first term up to the edge, and the
+    # next float on takes Miller, for a float and in an array alike
+    edge = sf._J_ALL_TINY
+    above = math.nextafter(edge, math.inf)
+    assert 0.25 * edge * edge < 2.0**-53 <= 0.25 * above * above
+    rows = bessel_j_all(3, np.array([edge, above]))
+    assert rows[:, 0].tolist() == bessel_j_all(3, edge) == [bessel_j(n, edge) for n in range(4)]
+    assert rows[:, 1].tolist() == bessel_j_all(3, above) == sf._miller(3, above)
+
+
 @pytest.mark.parametrize("nmax", [0, 1, 21, 30])
 def test_bessel_j_all_on_an_array_takes_each_elements_branch(nmax):
     # One row per order; each element on the float's branch (first terms,
