@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable
+from typing import Callable, Mapping
 
 from . import __version__, coeffs, eulersum, neumann, quad, specfun
 
@@ -278,19 +278,21 @@ def _run_check(check: IdentityCheck, tolerance: float) -> CheckOutcome:
 
 def run_registry(
     filter_glob: str = "*",
-    tol_overrides: dict[str, float] | None = None,
+    tol_overrides: Mapping[str, float] | None = None,
     max_n: int | None = None,
 ) -> Report:
     """Execute all registry checks matching ``filter_glob``, in registry order.
 
     Tolerances come from the registry, scaled by the ``NEUMANN_SICI_TOL_SCALE``
     environment variable when set, with per-id overrides taking precedence.
-    A ``filter_glob`` that is not a str, a scale that is not a finite positive
-    number, an override that is not a finite real, or a ``max_n`` that is not
-    None or an integer >= 0 raises UsageError.
+    A ``filter_glob`` that is not a str, overrides that are not a mapping, a
+    scale not finite and positive, an override not a finite real, or a
+    ``max_n`` that is not None or an integer >= 0 raises UsageError.
     """
     if not isinstance(filter_glob, str):
         raise UsageError(f"filter must be a glob pattern str, got {filter_glob!r}")
+    if not isinstance(tol_overrides, (Mapping, type(None))):
+        raise UsageError(f"tolerance overrides must be a mapping of ids, got {tol_overrides!r}")
     max_n = _max_n(max_n)
     overrides = dict(tol_overrides or {})
     for k, v in overrides.items():

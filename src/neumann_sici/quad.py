@@ -1,7 +1,8 @@
 """Numerical integration engine and one operation per verified integral.
 
 Integrands are array callables: ``f(t)`` takes a 1-D float ndarray of
-abscissae and returns the integrand values as an array of the same shape.
+abscissae and returns the integrand values as a real array of the same
+shape; any other result raises ValueError.
 The engine evaluates only interior Gauss-Kronrod nodes, so an integrand
 with a removable singularity at an endpoint (``cot t`` or ``1/t`` at 0)
 needs no special value there.
@@ -24,17 +25,17 @@ the refinement stops, and the floor sum is the estimate.  Its two callers:
   Clausen's t log t endpoint bisects.  m <= ``_MAX_FREQUENCY`` bounds n and a.
 * ``oscillatory_semiinf`` -- every integral over [0, inf) (the Bessel
   moments, the J_1(t)/t self-test, Example 2, Corollaries 5 and 6): one
-  GK15 panel between each pair of the edges (k + frac(s/2 + 1/4)) pi from 0
-  up to B, the first at or above max(50, s^2/2), for an integrand of order
-  s, then its asymptotic expansion (``_Expansion``, a product of J_nu, Y_nu,
-  Si, gamma + log t - Ci, log(t/2), 1/t and J_0(sqrt(a^2 + t^2))
-  expansions) integrated term by term.  Orders of one parity share their
-  panels: those of the integer orders of one parity up to 25 are one
-  lattice.  Every factor with a kernel keeps one read-only table per
-  lattice (J_0 .. J_25 from one bessel_j_all, Y_0, Y_1, Si, gamma + log t
-  - Ci, log(t/2), 1/t; 0.74 MB in all, each built on first use), and the
-  first pass of an integrand of such an order combines its factors' table
-  values as it combines their f, calling no kernel but for a factor
+  GK15 panel between each pair of the edges (k + 1/4) pi from 0 up to B,
+  the first at or above max(50, s^2/2), for an integrand of order s, then
+  its asymptotic expansion (``_Expansion``, a product of J_nu, Y_nu, Si,
+  gamma + log t - Ci, log(t/2), 1/t and J_0(sqrt(a^2 + t^2)) expansions)
+  integrated term by term.  A lower order's panels are a prefix of a
+  higher one's, so those of every order up to 25, integer or not, are a
+  prefix of order 25's.  Every factor with a kernel keeps one read-only
+  table on those (J_0 .. J_25 from one bessel_j_all, Y_0, Y_1, Si, gamma +
+  log t - Ci, log(t/2), 1/t; 0.39 MB in all, each built on first use), and
+  the first pass of an integrand of order up to 25 combines its factors'
+  table values as it combines their f, calling no kernel but for a factor
   without a table (Corollary 5's J_0(sqrt(a^2 + t^2))).
 
 Each verified integral gets its own operation below so the harness can bind
@@ -146,7 +147,12 @@ def _nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _evaluate(f: ArrayFn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # f at the GK15 nodes of the panels [a[i], b[i]] in one call, a row per panel
     nodes = _nodes(a, b)
-    return np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    values = f(nodes.ravel())
+    array = isinstance(values, np.ndarray)
+    if not (array and values.dtype.kind in "iuf" and values.shape == (nodes.size,)):
+        got = f"{values.dtype} array of shape {values.shape}" if array else type(values).__name__
+        raise ValueError(f"integrand must return a real array of shape ({nodes.size},), got {got}")
+    return values.astype(float, copy=False).reshape(nodes.shape)
 
 
 def _gk15(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -335,8 +341,8 @@ class _Expansion:
     ``terms[kappa][j, h]`` is the coefficient of t^(-h/2) (log t)^j e^(i kappa t)
     for kappa >= 0, and f is the kappa = 0 part plus twice the real part of
     the rest.  What the cut series leave out is at most ``cut`` times the
-    majorant of |f| whose coefficients are ``size``.  ``lattice(t, odd)``
-    gives f at the first nodes t of a lattice (see ``_table``), read from
+    majorant of |f| whose coefficients are ``size``.  ``lattice(t)`` gives
+    f at the first nodes t of the tabled panels (see ``_table``), read from
     the factors' tables; a factor without one (``lattice`` None) evaluates
     its f on t.  Products and sums act on f, on the lattice values, on the
     terms (a product convolves them) and on the majorants.
@@ -347,11 +353,11 @@ class _Expansion:
     size: np.ndarray
     cut: float = 0.0
     order: float = 0.0
-    lattice: Callable[[np.ndarray, bool], np.ndarray] | None = None
+    lattice: ArrayFn | None = None
 
-    def on_lattice(self, t: np.ndarray, odd: bool) -> np.ndarray:
-        """f at the first t.size nodes t of the lattice of odd or of even orders."""
-        return self.f(t) if self.lattice is None else self.lattice(t, odd)
+    def on_lattice(self, t: np.ndarray) -> np.ndarray:
+        """f at the first t.size nodes t of the tabled panels."""
+        return self.f(t) if self.lattice is None else self.lattice(t)
 
     def __mul__(self, other: _Expansion | float) -> _Expansion:
         if not isinstance(other, _Expansion):
@@ -368,7 +374,7 @@ class _Expansion:
                     terms[k1 + k2] = _plus(terms[k1 + k2], c) if k1 + k2 in terms else c
         return _Expansion(lambda t: self.f(t) * other.f(t), terms, _conv2(self.size, other.size),
                           self.cut + other.cut + self.cut * other.cut, max(self.order, other.order),
-                          lambda t, odd: self.on_lattice(t, odd) * other.on_lattice(t, odd))
+                          lambda t: self.on_lattice(t) * other.on_lattice(t))
 
     def __add__(self, other: _Expansion) -> _Expansion:
         terms = dict(self.terms)
@@ -376,7 +382,7 @@ class _Expansion:
             terms[kappa] = _plus(terms[kappa], c) if kappa in terms else c
         return _Expansion(lambda t: self.f(t) + other.f(t), terms, _plus(self.size, other.size),
                           max(self.cut, other.cut), max(self.order, other.order),
-                          lambda t, odd: self.on_lattice(t, odd) + other.on_lattice(t, odd))
+                          lambda t: self.on_lattice(t) + other.on_lattice(t))
 
     def __sub__(self, other: _Expansion) -> _Expansion:
         return self + other * -1.0
@@ -430,43 +436,39 @@ _ORDER_CAP = f"J order at most quad._MAX_MOMENT_ORDER = {_MAX_MOMENT_ORDER}"
 
 def _edges(order: float) -> np.ndarray:
     # The right edges of the engine's panels for an integral of this order:
-    # (k + frac(order/2 + 1/4)) pi for k >= 0, a Bessel function's asymptotic
-    # extrema (a fraction of 0 taken as 1), up to the first at or above
-    # max(50, order^2/2).  Orders of one parity share their edges, and a
-    # lower order's are a prefix of a higher one's.
-    frac = (0.5 * order + 0.25) % 1.0 or 1.0
-    count = math.ceil(max(50.0, 0.5 * order * order) / math.pi - frac) + 1
-    return (np.arange(count) + frac) * math.pi
+    # (k + 1/4) pi for k >= 0, up to the first at or above max(50,
+    # order^2/2).  A lower order's edges are a prefix of a higher one's.
+    count = math.ceil(max(50.0, 0.5 * order * order) / math.pi - 0.25) + 1
+    return (np.arange(count) + 0.25) * math.pi
 
 
-# The engine's panels for the integer orders of one parity up to _TABLE_CAP
-# are one lattice, each order's panels a prefix of it.  Each factor with a
-# kernel keeps one table per lattice, the kernel at all its nodes (J_0 ..
-# J_25 from one bessel_j_all), so the first pass of an integrand of such an
-# order calls no kernel but for a factor without one.  The 14 tables take
-# 0.74 MB (0.60 MB the J rows) and 26 ms to build (for both lattices: the J
-# rows 4.5 ms, Y_0 5.1, Y_1, Si and gamma + log t - Ci 3.6 each), where a
-# moment of order 25 takes 4.6 ms direct and 0.4 ms from the tables; the J
-# rows' size grows as the cube of the cap (all warm, on a 2-core x86-64
-# host).  Orders past the cap evaluate f on the same panels.
+# The engine's panels for every order up to _TABLE_CAP, integer or not, are
+# a prefix of those of _TABLE_CAP.  Each factor with a kernel keeps one table,
+# the kernel at all their nodes (J_0 .. J_25 from one bessel_j_all), so the
+# first pass of an integrand of such an order calls no kernel but for a
+# factor without one.  The 7 tables take 0.39 MB (0.32 MB the J rows) and
+# 12 ms to build (the J rows 2.2 ms, Y_0 and Y_1 3.4 each, Si and gamma +
+# log t - Ci 1.7 each), where a moment of order 25 takes 4.3 ms direct and
+# 0.3 ms from the tables; the J rows' size grows as the cube of the cap (all
+# warm, on a 2-core x86-64 host).  Orders past the cap evaluate f on the same
+# lattice.
 _TABLE_CAP = 25
 
 
-@functools.lru_cache(maxsize=14)
-def _table(kernel: ArrayFn, odd: bool) -> np.ndarray:
-    # kernel at the nodes of the lattice of odd or of even orders (those of its
-    # top order's panels), in the engine's order; read-only.  Seven kernels,
-    # two lattices.
-    high = _edges(_TABLE_CAP - (_TABLE_CAP % 2 != odd))
+@functools.lru_cache(maxsize=7)
+def _table(kernel: ArrayFn) -> np.ndarray:
+    # kernel at the nodes of the panels of order _TABLE_CAP, in the engine's
+    # order; read-only.  One table per kernel.
+    high = _edges(_TABLE_CAP)
     table = kernel(_nodes(np.r_[0.0, high[:-1]], high).ravel())
     table.flags.writeable = False
     return table
 
 
-def _tabled(kernel: ArrayFn, *row: int) -> Callable[[np.ndarray, bool], np.ndarray]:
-    # A factor's values at the first nodes t of a lattice: its kernel's table
-    # (row ``row`` of it, if given) up to t.size
-    return lambda t, odd: _table(kernel, odd)[(*row, slice(t.size))]
+def _tabled(kernel: ArrayFn, *row: int) -> ArrayFn:
+    # A factor's values at the first nodes t of the tabled panels: its
+    # kernel's table (row ``row`` of it, if given) up to t.size
+    return lambda t: _table(kernel)[(*row, slice(t.size))]
 
 
 def _j_rows(t: np.ndarray) -> np.ndarray:
@@ -582,7 +584,7 @@ _LOG_HALF = _factor(_log_half, {0: np.array([[-specfun.CONSTANTS.log2], [1.0]])}
 _INVERSE_T = _factor(_inverse_t, {0: np.array([[0.0, 0.0, 1.0]])}, lattice=_tabled(_inverse_t))
 
 # The [0, B] range's target error sum: 12 times the largest first-pass sum of
-# a served integral (8.0e-12, Example 2's), and the moments' registry tolerance
+# a served integral (8.4e-12, Corollary 6's), and the moments' registry tolerance
 _SEMIINF_TOL = 1e-10
 
 
@@ -590,10 +592,9 @@ def oscillatory_semiinf(integrand: _Expansion) -> QuadResult:
     """int_0^inf f for a decaying oscillatory f, ``integrand.f``, with its expansion at infinity.
 
     The integrand's order s (a Bessel order, or Corollary 5's a) sets the
-    range: one GK15 panel between each pair of consecutive edges (k +
-    frac(s/2 + 1/4)) pi, a Bessel function's asymptotic extrema, from 0 up
-    to B, the first edge at or above max(50, s^2/2).  All the panels are
-    evaluated in one call of f (for an integer s up to ``_TABLE_CAP``, of
+    range: one GK15 panel between each pair of consecutive edges (k + 1/4)
+    pi from 0 up to B, the first edge at or above max(50, s^2/2).  All the
+    panels are evaluated in one call of f (for s up to ``_TABLE_CAP``, of
     ``integrand.on_lattice``, which reads the factors' tables) and refined
     by bisection, whose halves call f, until their error sum is at most
     ``_SEMIINF_TOL``; from B on the expansion is integrated term by term.
@@ -604,11 +605,8 @@ def oscillatory_semiinf(integrand: _Expansion) -> QuadResult:
     high = _edges(integrand.order)
     tail, left_out = integrand.integral(float(high[-1]))
     low = np.r_[0.0, high[:-1]]
-    s = integrand.order
-    if s <= _TABLE_CAP and float(s).is_integer():  # its panels are a prefix of a lattice
-        values = _evaluate(lambda t: integrand.on_lattice(t, s % 2 == 1), low, high)
-    else:
-        values = _evaluate(integrand.f, low, high)
+    tabled = integrand.order <= _TABLE_CAP  # its panels are a prefix of the tables'
+    values = _evaluate(integrand.on_lattice if tabled else integrand.f, low, high)
     value, estimate, panels, weighted = _refine(integrand.f, low, high, values, _SEMIINF_TOL)
     # An abscissa t is rounded by up to eps t, which moves f of frequency at
     # most kappa by up to eps t kappa |f|: on a panel's sum, at most eps

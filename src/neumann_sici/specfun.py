@@ -596,7 +596,7 @@ _TWO_PI = 2.0 * math.pi
 _CLAUSEN_MAX_ORDER = 30
 
 
-@functools.cache
+@functools.lru_cache(maxsize=128)
 def _clausen_coefficients(weight: int) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
     # Lewin's series for Cl_{2m+1} on 0 <= theta <= pi, with x = theta^2 and
     # s = x^m / (2m)!:

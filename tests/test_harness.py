@@ -168,6 +168,17 @@ def test_a_filter_that_is_not_a_str_is_usage_error(monkeypatch):
             harness.run_registry(bad)
 
 
+def test_overrides_that_are_not_a_mapping_are_usage_error(monkeypatch):
+    # 5 and [1.0] leaked dict()'s TypeError and "x" its ValueError
+    def unreachable(*args, **kwargs):
+        raise AssertionError("registry built")
+
+    monkeypatch.setattr(harness, "build_registry", unreachable)
+    for bad in (5, [1.0], "x"):
+        with pytest.raises(harness.UsageError, match="tolerance overrides must be a mapping"):
+            harness.run_registry("coeffs.*", bad)
+
+
 def test_unknown_override_id_is_usage_error():
     with pytest.raises(harness.UsageError):
         harness.run_registry("coeffs.*", {"bogus.id": 1e-3}, max_n=5)

@@ -159,6 +159,17 @@ def test_oscillatory_range_stops_at_the_roundoff_floor():
     assert panels == len(high)
 
 
+@pytest.mark.parametrize("f,got", [
+    (lambda t: t * 1j, "complex128 array of shape (15,)"),
+    (lambda t: 1.0, "float"),
+], ids=["complex", "scalar"])
+def test_integrate_finite_rejects_a_result_that_is_not_a_real_array_of_its_argument_shape(f, got):
+    # a complex result was cast to 0.0 with a ComplexWarning, and a float
+    # leaked numpy's reshape error
+    with pytest.raises(ValueError, match=re.escape(f"real array of shape (15,), got {got}")):
+        integrate_finite(f, 0.0, 1.0)
+
+
 def test_integrate_finite_starts_from_its_pieces():
     # a GK15 panel pi/8 wide resolves cos to the floor at once
     r = integrate_finite(np.cos, 0.0, HALF_PI, 1e-14, pieces=4)
@@ -390,7 +401,7 @@ def test_high_order_bessel_moment_integrand_matches_exact_coefficient():
     r = oscillatory_semiinf(quad._sici(False) * (quad._bessel(81) * quad._INVERSE_T))
     diff = abs(r.value - float(coeffs.alpha(40) / 81))
     assert diff <= r.abs_err_estimate <= 1e-8
-    assert r.partitions_used == math.ceil(0.5 * 81**2 / math.pi - 0.75) + 1
+    assert r.partitions_used == math.ceil(0.5 * 81**2 / math.pi - 0.25) + 1
 
 
 def test_bessel_moment_past_the_order_cap_raises_without_integrating(monkeypatch):
@@ -407,8 +418,8 @@ def test_bessel_moment_past_the_order_cap_raises_without_integrating(monkeypatch
 
 def test_oscillatory_engine_batches_partitions_per_block():
     # J_1(t)/t with no tables, counting the integrand calls and the nodes in
-    # each: the panels up to B, [0, 0.75 pi] and then one between each pair
-    # of edges (k + 3/4) pi, are one block, evaluated in one call and with no
+    # each: the panels up to B, [0, 0.25 pi] and then one between each pair
+    # of edges (k + 1/4) pi, are one block, evaluated in one call and with no
     # bisection
     calls = []
 
@@ -418,15 +429,15 @@ def test_oscillatory_engine_batches_partitions_per_block():
 
     r = oscillatory_semiinf(_direct(_J1_OVER_T_TAIL, f))
     assert abs(r.value - 1.0) <= 1e-12
-    assert (r.partitions_used - 0.25) * math.pi >= 50.0 > (r.partitions_used - 1.25) * math.pi
+    assert (r.partitions_used - 0.75) * math.pi >= 50.0 > (r.partitions_used - 1.75) * math.pi
     assert r.subdivisions == r.partitions_used
     assert calls == [15 * r.subdivisions]
 
 
 def test_high_order_moment_makes_one_integrand_call_per_block():
     # The engine on the J_21 moment's integrand and tail, with f evaluated
-    # directly instead of the tables: the panels [0, 0.75 pi], ..., [70 pi,
-    # 70.75 pi] in the one call, with no serial bisection calls after it
+    # directly instead of the tables: the panels [0, 0.25 pi], ..., [69.25 pi,
+    # 70.25 pi] in the one call, with no serial bisection calls after it
     sizes = []
 
     def f(t):
@@ -435,7 +446,7 @@ def test_high_order_moment_makes_one_integrand_call_per_block():
 
     tail = quad._sici(False) * (quad._bessel(21) * quad._INVERSE_T)
     r = oscillatory_semiinf(_direct(tail, f))
-    assert r.partitions_used == math.ceil(0.5 * 21**2 / math.pi - 0.75) + 1 == 71
+    assert r.partitions_used == math.ceil(0.5 * 21**2 / math.pi - 0.25) + 1 == 71
     assert r.subdivisions == r.partitions_used
     assert sizes == [15 * r.subdivisions]
 
@@ -454,17 +465,16 @@ def _counting_kernels(monkeypatch, names=_KERNEL_NAMES):
 
 @pytest.mark.parametrize("n", [0, 4, 10, 31])
 def test_bessel_moment_is_one_integrand_call_up_to_the_tail(monkeypatch, n):
-    # The finite part is one panel from 0 to each edge (k + 3/4) pi of an
-    # odd order, up to the first at or above max(50, order^2/2).  Up to the
-    # table cap a moment's second call reads its panels from the tables its
-    # first built and calls no kernel; past it, all its panels are one
-    # bessel_j call
+    # The finite part is one panel from 0 to each edge (k + 1/4) pi, up to
+    # the first at or above max(50, order^2/2).  Up to the table cap a
+    # moment's second call reads its panels from the tables its first built
+    # and calls no kernel; past it, all its panels are one bessel_j call
     si_bessel_integral(n)
     calls = _counting_kernels(monkeypatch, ("bessel_j", "bessel_j_all"))
     order = 2 * n + 1
 
     def edge(k):
-        return (k + 0.75) * math.pi
+        return (k + 0.25) * math.pi
 
     r = si_bessel_integral(n)
     last = r.partitions_used - 1
@@ -484,15 +494,15 @@ _TABLE_KERNELS = {
 }
 
 
-def _lattice_nodes(odd):
-    # The nodes of the lattice of odd or of even orders: its top order's panels
-    high = quad._edges(quad._TABLE_CAP - (quad._TABLE_CAP % 2 != odd))
+def _panel_nodes(order):
+    # The nodes of the engine's panels for an integral of this order
+    high = quad._edges(order)
     return quad._nodes(np.r_[0.0, high[:-1]], high).ravel()
 
 
 def test_kernel_tables_are_lazy_read_only_and_bounded():
     # Neither importing the package nor the exact checks build a table; a
-    # moment builds those of its three factors on its own lattice
+    # moment builds those of its three factors
     code = (
         "from neumann_sici import harness, quad\n"
         "print(quad._table.cache_info().currsize)\n"
@@ -507,10 +517,10 @@ def test_kernel_tables_are_lazy_read_only_and_bounded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "0", "3"]
-    # seven kernels on two lattices, 0.74 MB in all
-    assert quad._table.cache_parameters()["maxsize"] == 2 * len(_TABLE_KERNELS) == 14
-    tables = [quad._table(kernel, odd) for kernel in _TABLE_KERNELS.values() for odd in (False, True)]
-    assert sum(table.nbytes for table in tables) < 0.8e6
+    # one table for each of seven kernels, 0.39 MB in all
+    assert quad._table.cache_parameters()["maxsize"] == len(_TABLE_KERNELS) == 7
+    tables = [quad._table(kernel) for kernel in _TABLE_KERNELS.values()]
+    assert sum(table.nbytes for table in tables) < 0.4e6
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -520,21 +530,30 @@ def test_kernel_tables_are_lazy_read_only_and_bounded():
 @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
 @pytest.mark.parametrize("name", _TABLE_KERNELS)
 def test_every_table_equals_its_kernel_on_the_lattice(name, odd):
-    kernel = _TABLE_KERNELS[name]
-    assert np.array_equal(quad._table(kernel, odd), kernel(_lattice_nodes(odd)))
+    # Orders of both parities read one table: the top even order, 24, a
+    # prefix of it, and the top odd order, 25, all of it.  Either equals the
+    # kernel evaluated on that order's nodes alone
+    top = quad._TABLE_CAP - (quad._TABLE_CAP % 2 != odd)
+    kernel, t = _TABLE_KERNELS[name], _panel_nodes(top)
+    assert np.array_equal(quad._table(kernel)[..., : t.size], kernel(t))
+    assert quad._table(kernel).shape[-1] == _panel_nodes(quad._TABLE_CAP).size
 
 
-@pytest.mark.parametrize("order", range(quad._TABLE_CAP + 1))
+@pytest.mark.parametrize("order", [*range(quad._TABLE_CAP + 1), 0.5, 2.5, 24.5])
 def test_each_tabled_order_reads_a_prefix_of_its_lattice(order):
-    # An order's panels are the first panels of its parity's lattice, edge
-    # for edge, and its J factor reads its row of J_0 .. J_25 there
-    odd = order % 2 == 1
+    # An order's panels, integer or not, are the first panels of the tables'
+    # lattice, edge for edge.  An integer order's J factor reads its row of
+    # J_0 .. J_25 there; Corollary 5's integrand of a non-integer a reads the
+    # gamma + log t - Ci and 1/t tables and evaluates J_0(sqrt(a^2 + t^2))
     high = quad._edges(order)
-    lattice = quad._edges(quad._TABLE_CAP - (quad._TABLE_CAP % 2 != odd))
-    assert np.array_equal(high, lattice[: len(high)])
-    t = quad._nodes(np.r_[0.0, high[:-1]], high).ravel()
-    assert np.array_equal(quad._bessel(order).on_lattice(t, odd),
-                          sf.bessel_j_all(quad._TABLE_CAP, _lattice_nodes(odd))[order, : t.size])
+    assert np.array_equal(high, quad._edges(quad._TABLE_CAP)[: len(high)])
+    t = _panel_nodes(order)
+    if float(order).is_integer():
+        assert np.array_equal(quad._bessel(order).on_lattice(t),
+                              sf.bessel_j_all(quad._TABLE_CAP, t)[order])
+    else:
+        integrand = quad._sici(True) * (quad._shifted_j0(order) * quad._INVERSE_T)
+        assert np.array_equal(integrand.on_lattice(t), integrand.f(t))
 
 
 @pytest.mark.parametrize("ci", [False, True], ids=["si", "ci"])
@@ -556,11 +575,11 @@ def test_a_tabled_moment_bisects_through_the_direct_integrand(monkeypatch):
     # A J_1 table whose panel 5 is off by 1e-6 at one node forces that panel's
     # refinement: its halves, and only they, call the direct integrand, and
     # the result is within its estimate of alpha_0 = 1
-    table = quad._table(quad._j_rows, True).copy()
+    table = quad._table(quad._j_rows).copy()
     table[1, 15 * 5 + 3] += 1e-6
     tables = quad._table
-    monkeypatch.setattr(quad, "_table", lambda kernel, odd: table if kernel is quad._j_rows
-                        else tables(kernel, odd))
+    monkeypatch.setattr(quad, "_table", lambda kernel: table if kernel is quad._j_rows
+                        else tables(kernel))
     calls = _counting_kernels(monkeypatch, ("bessel_j",))
     r = si_bessel_integral(0)
     assert calls and set(calls) == {("bessel_j", 30)}
@@ -573,9 +592,7 @@ def test_a_tabled_moment_bisects_through_the_direct_integrand(monkeypatch):
     (example2_integral, []),
     (corollary6_intermediate_integral, []),
     (corollary6_integral, []),
-    *((functools.partial(corollary5_rhs, a), ["bessel_j"]) for a in (0.0, 2.0, 5.0)),
-    # a non-integer a's panels are on no lattice: its integrand's f is called
-    (functools.partial(corollary5_rhs, 2.5), ["gamma_log_minus_ci", "bessel_j"]),
+    *((functools.partial(corollary5_rhs, a), ["bessel_j"]) for a in (0.0, 2.0, 5.0, 2.5)),
 ], ids=["j1_over_t", "example2", "catalan_intermediate", "catalan_eval",
         "corollary5.a=0", "corollary5.a=2", "corollary5.a=5", "corollary5.a=2.5"])
 def test_a_second_call_reads_every_kernel_from_the_tables(monkeypatch, integral, kernels):
@@ -797,7 +814,7 @@ def test_oscillatory_estimates_hold_over_the_registry_deck(check):
 @pytest.mark.parametrize("check", _OSCILLATORY_CHECKS, ids=lambda c: c.id)
 def test_no_served_semi_infinite_integral_bisects(check):
     # every [0, B] range of the deck meets the engine's tol, 1e-10, as first
-    # evaluated (the largest error sum is 8.0e-12, Example 2's): the final
+    # evaluated (the largest error sum is 8.4e-12, Corollary 6's): the final
     # panel count is the starting one
     (integral,) = [side for side in (check.lhs(), check.rhs()) if isinstance(side, QuadResult)]
     assert integral.subdivisions == integral.partitions_used

@@ -816,6 +816,15 @@ def test_clausen_domain_errors():
     assert clausen_odd(np.int64(5), 1.0) == clausen_odd(5, 1.0)
 
 
+def test_clausen_coefficient_cache_is_bounded():
+    # The coefficients are cached per weight, the caller's: an unbounded cache
+    # held 20,000 entries (22.5 MB) after the odd weights 3 .. 40001
+    assert sf._clausen_coefficients.cache_parameters()["maxsize"] == 128
+    for weight in range(3, 3 + 2 * 300, 2):
+        clausen_odd(weight, 1.0)
+    assert sf._clausen_coefficients.cache_info().currsize == 128
+
+
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 def test_clausen_rejects_nonfinite_angle(theta):
     with pytest.raises(ValueError):
