@@ -21,8 +21,10 @@ the refinement stops, and the floor sum is the estimate.  Its two callers:
   evaluated in one integrand call.  A cot-weighted integral on [0, pi/2] of
   frequency m (2n+1 for Lemma 1, 2n for Lemma 3, max(5, ceil(a)) for the
   transforms, 1 for Clausen) starts from ceil(m/2) panels at most pi/m
-  wide, half a period of sin(m t), which one GK15 panel resolves: only
-  Clausen's t log t endpoint bisects.  m <= ``_MAX_FREQUENCY`` bounds n and a.
+  wide, half a period of sin(m t), which one GK15 panel resolves, and
+  refines to one tol, ``_FINITE_TOL``: only Clausen's t log t endpoint
+  bisects, 17 times for weight 3 and 4 for weight 5.  m <= ``_MAX_FREQUENCY``
+  bounds n and a.
 * ``oscillatory_semiinf`` -- every integral over [0, inf) (the Bessel
   moments, the J_1(t)/t self-test, Example 2, Corollaries 5 and 6): one
   GK15 panel between each pair of the edges (k + 1/4) pi from 0 up to B,
@@ -37,6 +39,12 @@ the refinement stops, and the floor sum is the estimate.  Its two callers:
   the first pass of an integrand of order up to 25 combines its factors'
   table values as it combines their f, calling no kernel but for a factor
   without a table (Corollary 5's J_0(sqrt(a^2 + t^2))).
+
+Both add to their estimate the rounding of the abscissae, by up to eps |t|,
+which moves an f of frequency kappa by up to eps |t| kappa |f|: kappa is the
+expansion's largest frequency, or for ``integrate_finite`` pi pieces / (b - a),
+half a period per starting panel.  At frequency 4000 it is all the error of
+a cot integral.
 
 Each verified integral gets its own operation below so the harness can bind
 it to an exact or closed-form counterpart.
@@ -197,7 +205,7 @@ def _refine(
     estimate and evaluates both halves in one call of f, until one of those
     holds.  ``_MAX_SUBDIVISIONS`` bisections that leave it unconverged raise
     QuadratureError.  Returns the value, the error estimate, the panel count
-    and the sum over the panels of right edge times Kronrod sum of |f|.
+    and the sum over the panels of their largest |t| times Kronrod sum of |f|.
     """
     values, errors, rough, absolute = _gk15(values, low, high)
     total, unsettled = float(errors.sum()), int(rough.sum())
@@ -222,22 +230,29 @@ def _refine(
             heapq.heappush(heap, (-left[1], seq, lo, mid, *left))
             heapq.heappush(heap, (-right[1], seq + 1, mid, hi, *right))
             bisections += 1
-        _, _, _, high, values, errors, _, absolute = map(np.array, zip(*heap))
-    value, err, weighted = (math.fsum(x.tolist()) for x in (values, errors, high * absolute))
+        _, _, low, high, values, errors, _, absolute = map(np.array, zip(*heap))
+    reach = np.maximum(np.abs(low), np.abs(high))
+    value, err, weighted = (math.fsum(x.tolist()) for x in (values, errors, reach * absolute))
     return value, err, len(high), weighted
 
 
+# The finite integrals' target error sum: integrate_finite's default, and the
+# one tol of every cot integral (the Lemma integrals, the transforms, Clausen)
+_FINITE_TOL = 1e-12
+
+
 def integrate_finite(
-    f: ArrayFn, a: float, b: float, tol: float = 1e-12, *, pieces: int = 1
+    f: ArrayFn, a: float, b: float, tol: float = _FINITE_TOL, *, pieces: int = 1
 ) -> QuadResult:
     """Adaptive Gauss-Kronrod integration of f over [a, b] to absolute tol.
 
     The refinement starts from ``pieces`` equal panels.  ``a`` and ``b`` must
     be finite with a < b and a finite width b - a, ``tol`` finite and
     positive, and ``pieces`` an integer from 1 to ``_MAX_SUBDIVISIONS``,
-    else ValueError before any integrand call.  The returned estimate
+    else ValueError before any integrand call.  The panels' error sum
     exceeds tol only when every panel's estimate sits at its roundoff floor,
-    which bisection cannot lower.
+    which bisection cannot lower.  The returned estimate adds the rounding
+    of the abscissae for an f of at most half a period per starting panel.
     """
     a, b = specfun._real(a, "a must be finite"), specfun._real(b, "b must be finite")
     specfun._real(b - a, f"requires a < b and a finite width b - a, got [{a}, {b}]", 0.0, True)
@@ -246,8 +261,9 @@ def integrate_finite(
     pieces = specfun._integer(pieces, message, 1, _MAX_SUBDIVISIONS)
     low = a + (b - a) * np.arange(pieces) / pieces
     high = np.append(low[1:], b)
-    value, estimate, panels, _ = _refine(f, low, high, _evaluate(f, low, high), tol)
-    return QuadResult(value, estimate, panels)
+    value, estimate, panels, weighted = _refine(f, low, high, _evaluate(f, low, high), tol)
+    rounding = float(np.finfo(float).eps) * math.pi * pieces * (weighted / (b - a))
+    return QuadResult(value, estimate + rounding, panels)
 
 
 _HALF_PI = 0.5 * math.pi
@@ -258,9 +274,9 @@ _HALF_PI = 0.5 * math.pi
 # ---------------------------------------------------------------------------
 
 
-def _cot_integral(g: ArrayFn, m: int, tol: float) -> QuadResult:
+def _cot_integral(g: ArrayFn, m: int) -> QuadResult:
     # int_0^{pi/2} g(t) cot(t) dt for g of frequency m, from ceil(m/2) panels
-    return integrate_finite(lambda t: g(t) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, tol,
+    return integrate_finite(lambda t: g(t) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, _FINITE_TOL,
                             pieces=(m + 1) // 2)
 
 
@@ -269,7 +285,7 @@ def lemma1_integral(n: int) -> QuadResult:
     top = (_MAX_FREQUENCY - 1) // 2
     n = specfun._integer(n, f"n must be an integer from 0 to {top}", 0, top)
     m = 2 * n + 1
-    return _cot_integral(lambda t: np.sin(m * t), m, 1e-12)
+    return _cot_integral(lambda t: np.sin(m * t), m)
 
 
 def lemma3_integral(n: int) -> QuadResult:
@@ -277,7 +293,7 @@ def lemma3_integral(n: int) -> QuadResult:
     top = _MAX_FREQUENCY // 2
     n = specfun._integer(n, f"n must be an integer from 1 to {top}", 1, top)
     m = 2 * n
-    return _cot_integral(lambda t: 1.0 - np.cos(m * t), m, 1e-12)
+    return _cot_integral(lambda t: 1.0 - np.cos(m * t), m)
 
 
 def _transform(g: ArrayFn, a: float, positive: bool) -> QuadResult:
@@ -285,7 +301,7 @@ def _transform(g: ArrayFn, a: float, positive: bool) -> QuadResult:
     # g(a sin t) holds harmonics J_k(a) sin(kt) past k = a (to k ~ 11 at a ~ 1)
     message = f"a must be finite and in {'(' if positive else '['}0, {_MAX_FREQUENCY}]"
     a = specfun._real(a, message, 0.0, positive, _MAX_FREQUENCY)
-    return _cot_integral(lambda t: g(a * np.sin(t)), max(5, math.ceil(a)), 1e-12)
+    return _cot_integral(lambda t: g(a * np.sin(t)), max(5, math.ceil(a)))
 
 
 def si_transform_integral(a: float) -> QuadResult:
@@ -308,7 +324,7 @@ def clausen_cot_integral(k: int) -> QuadResult:
     k = specfun._integer(k, "k must be a nonnegative integer", 0)
     weight = 2 * k + 3
     z = specfun.zeta(weight)
-    return _cot_integral(lambda t: z - specfun.clausen_odd(weight, 2.0 * t), 1, 1e-10)
+    return _cot_integral(lambda t: z - specfun.clausen_odd(weight, 2.0 * t), 1)
 
 
 # ---------------------------------------------------------------------------

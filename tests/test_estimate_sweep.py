@@ -11,20 +11,26 @@ takes about a second, so the cases are dealt by cost to two subprocesses that
 run side by side, each under a timeout.  The two cot-weighted transforms,
 a few milliseconds each, run in process at tiny a, on the registry's grid and
 up to their bound 4000; so do the Neumann expansions of Si and Ci, whose
-bounds carry the rounding of their sums.
+bounds carry the rounding of their sums, the Lemma integrals at a seeded
+stride of n up to their bounds (1999 and 2000), the Clausen integrals for
+k = 0..6, and every Euler-sum oracle at every legal index, whose fits stall
+an order of magnitude below their limit.
 """
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
 
 import neumann_sici
-from neumann_sici import harness, neumann, quad
+from neumann_sici import coeffs, eulersum, harness, neumann, quad, specfun
 
 _SWEEP = r'''
 import json, math, random, sys
@@ -153,3 +159,53 @@ def test_expansion_bounds_hold_with_their_rounding(expansion, exact, a):
             diff = float(abs(mpmath.mpf(result.value) - exact(mpmath.mpf(a))))
         assert result.converged
         assert diff <= result.tail_bound, (tol, diff, result.tail_bound)
+
+
+def _strided(low, top, *extra, stride=100):
+    # a seeded stride of n from low to top, both ends included, and extra
+    rng = random.Random(2016 + low)
+    return sorted({*range(low + rng.randrange(stride), top + 1, stride), low, top, *extra})
+
+
+# The extra n are where the estimate missed by up to 18% while it left out
+# the rounding of the abscissae
+@pytest.mark.parametrize(
+    "integral,ns,exact",
+    [(quad.lemma1_integral, _strided(0, 1999, 1233, 1538), coeffs.alpha),
+     (quad.lemma3_integral, _strided(1, 2000, 1026, 1234, 1942), coeffs.beta)],
+    ids=["lemma1", "lemma3"],
+)
+def test_lemma_estimates_bound_their_errors(integral, ns, exact):
+    # each within its estimate of the exact coefficient, the difference taken
+    # in Fraction
+    for n in ns:
+        r = integral(n)
+        diff = float(abs(Fraction(r.value) - exact(n)))
+        assert diff <= r.abs_err_estimate, (n, diff, r.abs_err_estimate)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_clausen_estimates_bound_their_errors(k):
+    r = quad.clausen_cot_integral(k)
+    if k == 0:
+        exact = 1.75 * specfun.CONSTANTS.log2 * specfun.zeta(3)
+    else:
+        exact = 0.5 * eulersum.corollary3_rhs(2 * k + 2).value
+    assert abs(r.value - exact) <= r.abs_err_estimate, (r.value, exact, r.abs_err_estimate)
+
+
+def test_every_oracle_fit_stalls_well_below_its_limit(monkeypatch):
+    # an oracle raises once its stall estimate passes _FIT_TOL; at a tenth of
+    # it every oracle still returns at every legal index (the largest
+    # estimate is 3.6e-13, beta_weighted_sum(1, True))
+    monkeypatch.setattr(eulersum, "_FIT_TOL", eulersum._FIT_TOL / 10.0)
+    top = specfun._ZETA_ONE
+    for name, low in (("euler_sum_oracle", 2), ("nielsen_sum_oracle", 2),
+                      ("sitaramachandrarao_h_oracle", 1), ("sitaramachandrarao_a_oracle", 1)):
+        for k in range(low, top + 1):
+            assert math.isfinite(getattr(eulersum, name)(k))
+    for alternating in (False, True):
+        for exponent in range(1 if alternating else 2, top + 1):
+            assert math.isfinite(eulersum.beta_weighted_sum(exponent, alternating))
+    assert math.isfinite(eulersum.catalan_alpha_sum())
+    assert math.isfinite(eulersum.catalan_auxiliary_sum())

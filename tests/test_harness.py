@@ -84,9 +84,9 @@ def test_max_n_caps_indexed_families():
 
 # sha256 of the (id, description, tolerance) lines of build_registry(max_n)
 _REGISTRY_DIGESTS = {
-    None: (586, "bf27514763f0caf8104099479c8639895d09f9b2d8fc237602ff4a409ce494ed"),
-    0: (66, "f9a92a1d49f4c04a776fb067dfee4d45f3a4f08b5850d5b23ba651e88f41220e"),
-    3: (90, "9dfc39abbc163c4ce15e76d5574b8e477bcc7344b3ee754655eccbf631089c77"),
+    None: (586, "322235fe3fdce7ccfc79d4c002f06e93ce73598efcab88af4ba32806690d5444"),
+    0: (66, "88204c7b3838d2e34477d2b9a28d52a3803dfa119bff4b31d6304b45aff0e8ae"),
+    3: (90, "c52d659ed004d9b51e0a8d9de71b5b663f3ebbf397a30be8d3c64350ba830168"),
 }
 
 
@@ -276,6 +276,25 @@ def test_json_report_writes_one_line_per_check(small_report, tmp_path):
     assert text.endswith("}\n")
     for line, check in zip(lines, checks):
         assert json.loads(line.removesuffix(",")) == check
+
+
+def test_json_checks_across_a_batch_boundary_equal_per_check_encoding(tmp_path):
+    # 40 checks span the 32-check batches; their strings hold the batch
+    # separator, quotes, backslashes, a newline and non-ASCII text
+    nasty = 'x}, {"id": "y", \\"q\\" \\\\ a\nb, βₙ é'
+    checks = [
+        harness.CheckOutcome(f"c{i}}}, {{\"id\": {i}", nasty * (i % 3), 0.1 * i, -1.0, 0.5,
+                             1e-12, "pass", i, 0.0, 1e-15, nasty if i % 2 else "")
+        for i in range(40)
+    ]
+    report = harness.Report(version="x", timestamp="t", options={}, checks=checks)
+    path = tmp_path / "report.json"
+    harness.emit_report(report, "json", str(path))
+    text = path.read_text(encoding="utf-8")
+    dicts = report.to_dict()["checks"]
+    assert ",\n".join("    " + json.dumps(c) for c in dicts) in text
+    assert len([line for line in text.splitlines() if line.startswith('    {"id": ')]) == 40
+    assert json.loads(text) == report.to_dict()
 
 
 def test_csv_schema_and_row_count(small_report, tmp_path):

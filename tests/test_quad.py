@@ -127,11 +127,25 @@ def test_one_heap_refines_the_starting_panels_on_one_error_sum():
 
 def test_gk_estimate_has_a_roundoff_floor():
     # a 7th-degree polynomial integrates exactly in both rules, so only the
-    # floor, 15 eps times the Kronrod sum of |f|, is left in the estimate
+    # floor, 15 eps times the Kronrod sum of |f|, is left in the error sum;
+    # the estimate adds the abscissae's rounding, eps times the frequency of
+    # half a period on [-1, 1] (pi/2) times max |t| (1) times that sum
     r = integrate_finite(lambda t: 1.0 - t ** 7, -1.0, 1.0, 1e-12)
     assert r.subdivisions == 1
-    floor = 15 * np.finfo(float).eps * 2.0  # int_{-1}^{1} |1 - t^7| dt = 2
-    assert r.abs_err_estimate == pytest.approx(floor, rel=1e-12, abs=0.0)
+    eps = np.finfo(float).eps
+    floor = 15 * eps * 2.0  # int_{-1}^{1} |1 - t^7| dt = 2
+    assert r.abs_err_estimate == pytest.approx(floor + eps * HALF_PI * 2.0, rel=1e-12, abs=0.0)
+
+
+def test_finite_estimate_counts_the_rounding_of_the_abscissae():
+    # on [-3, -2] the largest |t| is the left edge's 3; cos at its abscissae
+    # sits at the floor, so the estimate is the floor sum plus eps pi 3 times
+    # the Kronrod sum of |cos|
+    r = integrate_finite(np.cos, -3.0, -2.0)
+    total = math.sin(3.0) - math.sin(2.0)
+    assert r.subdivisions == 1
+    assert r.abs_err_estimate == pytest.approx(
+        (15.0 + 3.0 * math.pi) * np.finfo(float).eps * abs(total), rel=1e-12, abs=0.0)
 
 
 def test_refinement_stops_at_the_roundoff_floor():
@@ -681,7 +695,7 @@ def test_clausen_cot_integral_weight5_matches_closed_form():
     assert abs(r.value - 0.5 * eulersum.corollary3_rhs(4).value) <= 1e-9
 
 
-@pytest.mark.parametrize("k,subdivisions", [(0, 14), (1, 4)])
+@pytest.mark.parametrize("k,subdivisions", [(0, 18), (1, 5)])
 def test_clausen_cot_integral_one_kernel_call_per_gk_step(monkeypatch, k, subdivisions):
     sizes = []
     kernel = sf.clausen_odd
@@ -802,7 +816,7 @@ def test_oscillatory_deck_is_complete():
 def test_oscillatory_estimates_hold_over_the_registry_deck(check):
     # the estimate (with the series' tail bound on Corollary 5's other side)
     # holds with no slack, and |diff| stays under 0.03 of the registry
-    # tolerance, below the deck's worst ratio 0.0307 (ci_expansion.a=1)
+    # tolerance; corollary5.a=5, at 0.0098, is the whole deck's worst ratio
     sides = [check.lhs(), check.rhs()]
     (integral,) = [side for side in sides if isinstance(side, QuadResult)]
     (other,) = [side for side in sides if side is not integral]
@@ -851,7 +865,7 @@ def _frequency(check_id):
 def test_no_registry_lemma_integral_or_transform_bisects(check):
     # each meets its tol as first evaluated, on its ceil(m/2) starting panels
     # for frequency m (the transforms started from one panel and bisected, 7
-    # times at a = 20); Clausen's t log t endpoint bisects 13 and 3 times
+    # times at a = 20); Clausen's t log t endpoint bisects 17 and 4 times
     assert check.lhs().subdivisions == (int(_frequency(check.id)) + 1) // 2
 
 
