@@ -9,9 +9,10 @@ with the exact rational coefficients provided by ``coeffs``.  Truncations
 carry a rigorous tail bound built from |J_m(a)| <= (a/2)^m / m! (DLMF
 10.14.4) and the elementary coefficient bounds alpha_n <= pi/2 + 3/(2n+1)
 and beta_n <= H_n + A_n + 1/n.  Both expansions and the alternating series
-of Corollary 5 share one truncation: one pass over the majorant finds the
-first n whose tail bound is <= tol (at most min(400, int(a) + 80) terms,
-else ``converged`` is False) before any J_m(a) is computed.
+of Corollary 5 share one truncation and one tolerance, ``_TOL``: one pass
+over the majorant finds the first n whose tail bound is <= ``_TOL`` before
+any J_m(a) is computed, at most 400 up to |a| = ``_MAX_A`` (ci_neumann first
+needs more at a ~ 571.1), past which ValueError is raised instead.
 """
 
 from __future__ import annotations
@@ -34,8 +35,11 @@ __all__ = [
 ]
 
 
-# No truncation sums more terms; the convergence table takes no longer N.
+# Every truncation's tail bound meets _TOL within _MAX_TERMS terms for |a| <= _MAX_A;
+# the convergence table takes no longer N.
 _MAX_TERMS = 400
+_TOL = 1e-12
+_MAX_A = 570
 
 
 @dataclass
@@ -43,7 +47,7 @@ class SeriesEval:
     value: float
     terms_used: int
     tail_bound: float
-    converged: bool
+    converged: bool  # always True: every truncation converges in its domain
 
 
 @functools.cache
@@ -103,51 +107,45 @@ def _partial_sums(a: float, start: float, first: int, parity: int, coeff, terms:
     return list(itertools.accumulate(products, initial=start))
 
 
-def _truncate(
-    a: float, tol: float, start: float, first: int, parity: int, coeff, bound
-) -> SeriesEval:
+def _truncate(a: float, start: float, first: int, parity: int, coeff, bound) -> SeriesEval:
     """start + sum_{n >= first} coeff(n) J_{2n+parity}(a), where |coeff(n)| <= bound(n).
 
-    Sums up to the first n whose tail bound is <= tol, else min(400,
-    int(a) + 80) terms with converged False.  The majorant pass runs down to
-    terms of 1e-4 tol, so tails near tol are explicit sums.  The bound adds
-    eps times the sum of |partial sum|, twice the sum's first-order rounding.
+    Sums up to the first n whose tail bound is <= ``_TOL``.  The majorant
+    pass runs down to terms of 1e-4 ``_TOL``, so tails near it are explicit
+    sums.  The bound adds eps times the sum of |partial sum|, twice the sum's
+    first-order rounding.
     """
-    limit = min(_MAX_TERMS, int(a) + 80)
-    tail = _tail_bounds(a, first, parity, bound, 1e-4 * tol)
-    used = next((n for n in range(1, limit + 1) if tail(n) <= tol), limit)
+    tail = _tail_bounds(a, first, parity, bound, 1e-4 * _TOL)
+    used = next(n for n in range(1, _MAX_TERMS + 1) if tail(n) <= _TOL)
     sums = _partial_sums(a, start, first, parity, coeff, used)
     rounding = math.ulp(1.0) * math.fsum(map(abs, sums))
-    return SeriesEval(sums[-1], used, tail(used) + rounding, tail(used) <= tol)
+    return SeriesEval(sums[-1], used, tail(used) + rounding, True)
 
 
-def si_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
-    """Truncated Si expansion whose tail bound is <= tol; ``tail_bound`` adds its rounding."""
-    a = _real(a, "a must be finite and nonnegative (the expansion is stated for a >= 0)", 0.0)
-    tol = _real(tol, "tol must be finite and positive", 0.0, strict=True)
+def si_neumann(a: float) -> SeriesEval:
+    """Truncated Si expansion, 0 <= a <= 570, with tail bound <= ``_TOL`` plus its rounding."""
+    a = _real(a, f"a must be finite and in [0, {_MAX_A}]", 0.0, maximum=_MAX_A)
     if a == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
-    return _truncate(a, tol, 0.0, 0, 1, _si_coeff, _si_bound)
+    return _truncate(a, 0.0, 0, 1, _si_coeff, _si_bound)
 
 
-def ci_neumann(a: float, tol: float = 1e-12) -> SeriesEval:
-    """Truncated Ci expansion whose tail bound is <= tol; ``tail_bound`` adds its rounding."""
-    a = _real(a, "a must be finite and positive", 0.0, strict=True)
-    tol = _real(tol, "tol must be finite and positive", 0.0, strict=True)
+def ci_neumann(a: float) -> SeriesEval:
+    """Truncated Ci expansion, 0 < a <= 570, with tail bound <= ``_TOL`` plus its rounding."""
+    a = _real(a, f"a must be finite and in (0, {_MAX_A}]", 0.0, True, _MAX_A)
     return _truncate(
-        a, tol, CONSTANTS.euler_gamma + math.log(a), 1, 0,
+        a, CONSTANTS.euler_gamma + math.log(a), 1, 0,
         lambda n: -2.0 * _beta(n), lambda n: 2.0 * _beta_coeff_bound(n),
     )
 
 
 def corollary5_series(a: float) -> SeriesEval:
-    """sum_{n>=1} (-1)^n J_{2n}(a) beta_n / n (even in a), with tail bound <= 1e-10."""
-    a = abs(_real(a, "a must be finite"))
+    """sum_{n>=1} (-1)^n J_{2n}(a) beta_n / n (even in a), |a| <= 570, tail bound <= ``_TOL``."""
+    a = abs(_real(a, f"a must be finite with |a| <= {_MAX_A}", -_MAX_A, maximum=_MAX_A))
     if a == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
     return _truncate(
-        a, 1e-10, 0.0, 1, 0, lambda n: (-1) ** n * _beta(n) / n,
-        lambda n: _beta_coeff_bound(n) / n,
+        a, 0.0, 1, 0, lambda n: (-1) ** n * _beta(n) / n, lambda n: _beta_coeff_bound(n) / n,
     )
 
 

@@ -40,11 +40,11 @@ the refinement stops, and the floor sum is the estimate.  Its two callers:
   table values as it combines their f, calling no kernel but for a factor
   without a table (Corollary 5's J_0(sqrt(a^2 + t^2))).
 
-Both add to their estimate the rounding of the abscissae, by up to eps |t|,
-which moves an f of frequency kappa by up to eps |t| kappa |f|: kappa is the
-expansion's largest frequency, or for ``integrate_finite`` pi pieces / (b - a),
-half a period per starting panel.  At frequency 4000 it is all the error of
-a cot integral.
+Each passes ``_refine`` a frequency kappa, and its estimate adds the
+rounding of the abscissae, by up to eps |t|, which moves an f of frequency
+kappa by up to eps |t| kappa |f|: kappa is the expansion's largest frequency,
+or for ``integrate_finite`` pi pieces / (b - a), half a period per starting
+panel.  At frequency 4000 it is all the error of a cot integral.
 
 Each verified integral gets its own operation below so the harness can bind
 it to an exact or closed-form counterpart.
@@ -148,7 +148,7 @@ _NODE_W = np.array(
 def _nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # The GK15 nodes of the panels [a[i], b[i]], one row of 15 per panel
     nodes = np.multiply.outer(0.5 * (b - a), _NODE_X)
-    nodes += 0.5 * (a + b)[:, None]
+    nodes += (0.5 * a + 0.5 * b)[:, None]  # a + b overflows near the float limit
     return nodes
 
 
@@ -194,8 +194,8 @@ _MAX_FREQUENCY = 2 * _MAX_SUBDIVISIONS  # of a cot integral: ceil(m/2) panels fi
 
 
 def _refine(
-    f: ArrayFn, low: np.ndarray, high: np.ndarray, values: np.ndarray, tol: float
-) -> tuple[float, float, int, float]:
+    f: ArrayFn, low: np.ndarray, high: np.ndarray, values: np.ndarray, tol: float, kappa: float
+) -> tuple[float, float, int]:
     """Adaptive GK15 over the starting panels [low[i], high[i]] to an error sum of tol.
 
     ``values`` are f at the starting panels' nodes.  Unless their error sum
@@ -204,8 +204,10 @@ def _refine(
     heap holds every panel; a step bisects the panel with the largest
     estimate and evaluates both halves in one call of f, until one of those
     holds.  ``_MAX_SUBDIVISIONS`` bisections that leave it unconverged raise
-    QuadratureError.  Returns the value, the error estimate, the panel count
-    and the sum over the panels of their largest |t| times Kronrod sum of |f|.
+    QuadratureError.  Returns the value, the error estimate, which adds the
+    rounding of the abscissae for an f of frequency at most kappa (on a panel
+    eps kappa times its largest |t| times its Kronrod sum of |f|), and the
+    panel count.
     """
     values, errors, rough, absolute = _gk15(values, low, high)
     total, unsettled = float(errors.sum()), int(rough.sum())
@@ -221,7 +223,7 @@ def _refine(
                 raise QuadratureError(f"no convergence after {bisections} bisections "
                                       f"(err estimate {total:.2e} > tol {tol:.2e})")
             _, _, lo, hi, _, err, was_rough, _ = heapq.heappop(heap)
-            mid = 0.5 * (lo + hi)
+            mid = 0.5 * lo + 0.5 * hi
             a, b = np.array([lo, mid]), np.array([mid, hi])
             left, right = zip(*(x.tolist() for x in _gk15(_evaluate(f, a, b), a, b)))
             total += left[1] + right[1] - err
@@ -231,9 +233,11 @@ def _refine(
             heapq.heappush(heap, (-right[1], seq + 1, mid, hi, *right))
             bisections += 1
         _, _, low, high, values, errors, _, absolute = map(np.array, zip(*heap))
-    reach = np.maximum(np.abs(low), np.abs(high))
-    value, err, weighted = (math.fsum(x.tolist()) for x in (values, errors, reach * absolute))
-    return value, err, len(high), weighted
+    # scaled first, as |t| sum|f| overflows near 1e308; f = 0 adds 0 even if kappa is inf
+    scale = np.finfo(float).eps * (kappa * np.maximum(np.abs(low), np.abs(high)))
+    rounding = np.multiply(scale, absolute, out=np.zeros_like(absolute), where=absolute > 0)
+    value, err, rounding = (math.fsum(x.tolist()) for x in (values, errors, rounding))
+    return value, err + rounding, len(high)
 
 
 # The finite integrals' target error sum: integrate_finite's default, and the
@@ -261,9 +265,8 @@ def integrate_finite(
     pieces = specfun._integer(pieces, message, 1, _MAX_SUBDIVISIONS)
     low = a + (b - a) * np.arange(pieces) / pieces
     high = np.append(low[1:], b)
-    value, estimate, panels, weighted = _refine(f, low, high, _evaluate(f, low, high), tol)
-    rounding = float(np.finfo(float).eps) * math.pi * pieces * (weighted / (b - a))
-    return QuadResult(value, estimate + rounding, panels)
+    kappa = math.pi * pieces / (b - a)
+    return QuadResult(*_refine(f, low, high, _evaluate(f, low, high), tol, kappa))
 
 
 _HALF_PI = 0.5 * math.pi
@@ -623,12 +626,9 @@ def oscillatory_semiinf(integrand: _Expansion) -> QuadResult:
     low = np.r_[0.0, high[:-1]]
     tabled = integrand.order <= _TABLE_CAP  # its panels are a prefix of the tables'
     values = _evaluate(integrand.on_lattice if tabled else integrand.f, low, high)
-    value, estimate, panels, weighted = _refine(integrand.f, low, high, values, _SEMIINF_TOL)
-    # An abscissa t is rounded by up to eps t, which moves f of frequency at
-    # most kappa by up to eps t kappa |f|: on a panel's sum, at most eps
-    # kappa times its right edge times its sum of |f|
-    rounding = np.finfo(float).eps * max(1, *integrand.terms) * weighted
-    return QuadResult(value + tail, estimate + rounding + left_out, panels, len(high))
+    kappa = max(1, *integrand.terms)
+    value, estimate, panels = _refine(integrand.f, low, high, values, _SEMIINF_TOL, kappa)
+    return QuadResult(value + tail, estimate + left_out, panels, len(high))
 
 
 def _moment(ci: bool, order: int) -> QuadResult:

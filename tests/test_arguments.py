@@ -30,9 +30,7 @@ _REAL_ARGUMENTS = {
     "gamma_log_minus_ci": specfun.gamma_log_minus_ci,
     "clausen_odd": lambda v: specfun.clausen_odd(3, v),
     "si_neumann.a": neumann.si_neumann,
-    "si_neumann.tol": lambda v: neumann.si_neumann(1.0, v),
     "ci_neumann.a": neumann.ci_neumann,
-    "ci_neumann.tol": lambda v: neumann.ci_neumann(1.0, v),
     "corollary5_series": neumann.corollary5_series,
     "addition_theorem_check.a": lambda v: neumann.addition_theorem_check(v, 1.0),
     "addition_theorem_check.t": lambda v: neumann.addition_theorem_check(1.0, v),

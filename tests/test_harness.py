@@ -84,9 +84,9 @@ def test_max_n_caps_indexed_families():
 
 # sha256 of the (id, description, tolerance) lines of build_registry(max_n)
 _REGISTRY_DIGESTS = {
-    None: (586, "322235fe3fdce7ccfc79d4c002f06e93ce73598efcab88af4ba32806690d5444"),
-    0: (66, "88204c7b3838d2e34477d2b9a28d52a3803dfa119bff4b31d6304b45aff0e8ae"),
-    3: (90, "c52d659ed004d9b51e0a8d9de71b5b663f3ebbf397a30be8d3c64350ba830168"),
+    None: (586, "cd9b2cdf2463e1bd0cecb7c0f29b3de2376c72038e0d457534988166164760d8"),
+    0: (66, "2adf4647402ef0522332a01d83b7ad80ed623849e41e093ab5058f8f805455c5"),
+    3: (90, "228eb4e41adc4bcbb9855928310f094702786ea90c8ba01c62908b9a4d765882"),
 }
 
 

@@ -21,31 +21,31 @@ GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 
 
 def test_si_neumann_at_zero():
-    r = si_neumann(0.0, 1e-12)
+    r = si_neumann(0.0)
     assert r.value == 0.0 and r.converged and r.tail_bound == 0.0
 
 
 def test_si_neumann_matches_kernel():
-    assert abs(si_neumann(2.0, 1e-12).value - sf.si(2.0)) <= 1e-11
-    assert abs(si_neumann(10.0, 1e-12).value - sf.si(10.0)) <= 1e-10
+    assert abs(si_neumann(2.0).value - sf.si(2.0)) <= 1e-11
+    assert abs(si_neumann(10.0).value - sf.si(10.0)) <= 1e-10
 
 
 def test_ci_neumann_matches_kernel():
-    assert abs(ci_neumann(1.0, 1e-12).value - sf.ci(1.0)) <= 1e-11
-    assert abs(ci_neumann(15.0, 1e-12).value - sf.ci(15.0)) <= 1e-10
+    assert abs(ci_neumann(1.0).value - sf.ci(1.0)) <= 1e-11
+    assert abs(ci_neumann(15.0).value - sf.ci(15.0)) <= 1e-10
 
 
 def test_ci_neumann_small_a_reduces_to_log_term():
     for a in (1e-8, 1e-4):
-        r = ci_neumann(a, 1e-13)
+        r = ci_neumann(a)
         assert abs(r.value - (sf.CONSTANTS.euler_gamma + math.log(a))) <= a * a
 
 
 @pytest.mark.parametrize("a", GRID)
 def test_expansions_on_grid(a):
-    tol = 1e-11
-    assert abs(si_neumann(a, tol).value - sf.si(a)) <= 10 * tol
-    assert abs(ci_neumann(a, tol).value - sf.ci(a)) <= 10 * tol
+    # within 10 times the module's tolerance of the independent kernels
+    assert abs(si_neumann(a).value - sf.si(a)) <= 10 * neumann._TOL
+    assert abs(ci_neumann(a).value - sf.ci(a)) <= 10 * neumann._TOL
 
 
 def test_domain_rejections():
@@ -65,6 +65,9 @@ def test_expansions_reject_nonfinite_argument(fn, a):
         fn(a)
 
 
+_TRUNCATIONS = ("neumann.si_neumann", "neumann.ci_neumann", "neumann.corollary5_series")
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -78,15 +81,24 @@ def test_expansions_reject_nonfinite_argument(fn, a):
 )
 def test_huge_arguments_return(call):
     # A Miller pass used to start 1.5 a steps deep, and each truncation's
-    # tail bound summed 10^4 infinite majorant terms.  In a subprocess, so
-    # that a regression fails here instead of hanging the suite.
-    code = f"from neumann_sici import neumann, specfun; print(repr({call}))"
+    # tail bound summed 10^4 infinite majorant terms; the truncations then
+    # summed 400 J orders to a wrong value, and now raise ValueError past
+    # their domain.  In a subprocess, so that a regression fails here
+    # instead of hanging the suite.
+    code = (
+        "from neumann_sici import neumann, specfun\n"
+        f"try:\n    print(repr({call}))\n"
+        "except ValueError as exc:\n    print('ValueError:', exc)"
+    )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
     )
     assert done.returncode == 0, done.stderr
-    assert "nan" not in done.stdout
+    if call.startswith(_TRUNCATIONS):
+        assert done.stdout.startswith("ValueError: a must be finite"), done.stdout
+    else:
+        assert "nan" not in done.stdout and "ValueError" not in done.stdout
 
 
 @pytest.mark.parametrize("a", (1e-100, 1e-60, 5e-324))
@@ -118,8 +130,8 @@ def test_tail_bound_soundness(a):
         beta = [mp.mpf(b.numerator) / b.denominator for b in map(coeffs.beta, range(1, 80))]
         cor5 = mp.fsum((-1) ** n * mp.besselj(2 * n, x) * beta[n - 1] / n for n in range(1, 80))
         cases = [
-            (si_neumann(a, 1e-6), mp.si(x)),
-            (ci_neumann(a, 1e-6), mp.ci(x)),
+            (si_neumann(a), mp.si(x)),
+            (ci_neumann(a), mp.ci(x)),
             (corollary5_series(a), cor5),
         ]
         for r, ref in cases:
@@ -128,10 +140,10 @@ def test_tail_bound_soundness(a):
 
 def test_terms_used_on_the_registry_grid():
     # the term counts of the registry's si_expansion, ci_expansion and
-    # corollary5 checks, which run on the same grid
-    assert [si_neumann(a, 1e-11).terms_used for a in GRID] == [3, 5, 6, 7, 11, 15, 23]
-    assert [ci_neumann(a, 1e-11).terms_used for a in GRID] == [3, 4, 5, 7, 10, 15, 23]
-    assert [corollary5_series(a).terms_used for a in (0.0, 2.0, 5.0)] == [0, 6, 9]
+    # corollary5 checks, which run on the same grid at the module's tolerance
+    assert [si_neumann(a).terms_used for a in GRID] == [3, 5, 6, 8, 11, 16, 24]
+    assert [ci_neumann(a).terms_used for a in GRID] == [3, 5, 6, 7, 11, 15, 23]
+    assert [corollary5_series(a).terms_used for a in (0.0, 2.0, 5.0)] == [0, 7, 10]
 
 
 @pytest.mark.parametrize(
@@ -152,25 +164,52 @@ def test_truncation_computes_only_the_orders_it_sums(monkeypatch, fn, first, par
     assert max(requested) <= 2 * (r.terms_used + first) + parity
 
 
-@pytest.mark.parametrize("fn", (si_neumann, ci_neumann))
-@pytest.mark.parametrize("tol", (math.nan, -1.0, 0.0, math.inf))
-def test_expansions_reject_nonsense_tol(fn, tol):
-    # nan and -1 used to give 81 terms with tail_bound 0.0 but converged False
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
-        fn(1.0, tol)
+def _tails(monkeypatch):
+    # the tail functions that the truncations build, in call order
+    tails, tail_bounds = [], neumann._tail_bounds
+
+    def spy(*args):
+        tails.append(tail_bounds(*args))
+        return tails[-1]
+
+    monkeypatch.setattr(neumann, "_tail_bounds", spy)
+    return tails
 
 
-def test_converged_flag_consistent_with_bound():
-    r = si_neumann(5.0, 1e-12)
-    assert r.converged == (r.tail_bound <= 1e-12)
+def test_converged_flag_consistent_with_bound(monkeypatch):
+    # every truncation in the domain meets _TOL (at _MAX_A as well, below),
+    # so converged is always True; the reported bound is that tail plus the
+    # sum's rounding
+    tails = _tails(monkeypatch)
+    for fn in (si_neumann, ci_neumann, corollary5_series):
+        for a in (1e-300, 5.0, 100.0):
+            r = fn(a)
+            tail = tails[-1](r.terms_used)
+            assert r.converged and tail <= neumann._TOL and tail <= r.tail_bound, (fn, a)
 
 
 @pytest.mark.parametrize("fn", (si_neumann, ci_neumann, corollary5_series))
-def test_expansions_stop_at_the_term_cap(fn):
-    # min(400, int(a) + 80) terms: at a = 1e5 the tail bound is still
-    # infinite when the cap is reached
-    r = fn(1e5)
-    assert r.terms_used == 400 and r.converged is False
+def test_expansions_stop_at_the_term_cap(monkeypatch, fn):
+    # at _MAX_A each truncation meets _TOL within _MAX_TERMS terms (399, 400
+    # and 396); ci_neumann is the first to miss, at a ~ 571.1.  Past _MAX_A
+    # they summed 400 terms to values off by 1.6 and 7.8 with converged False
+    tails = _tails(monkeypatch)
+    r = fn(neumann._MAX_A)
+    assert r.converged and r.terms_used <= neumann._MAX_TERMS
+    assert tails[0](r.terms_used) <= neumann._TOL
+
+
+@pytest.mark.parametrize("fn", (si_neumann, ci_neumann, corollary5_series))
+@pytest.mark.parametrize("a", (neumann._MAX_A + 1, 1e300))
+def test_expansions_past_their_bound_raise_before_any_call(monkeypatch, fn, a):
+    calls = []
+    monkeypatch.setattr(neumann, "bessel_j_all", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"a must be finite .*570\]?$"):
+        fn(a)
+    if fn is corollary5_series:
+        with pytest.raises(ValueError, match="570"):
+            fn(-a)
+    assert calls == []
 
 
 def test_corollary5_series_basics():

@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 import time
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,7 +106,8 @@ def test_nonintegrable_endpoint_raises_nonconvergence():
 def test_one_heap_refines_the_starting_panels_on_one_error_sum():
     # sqrt t needs bisection towards 0; cos does not.  The starting panels,
     # 3 on [0, 1] next to 2 on [1, 1 + pi/2], share one heap and one error
-    # sum: only the sqrt t panels bisect, each bisection one call of f
+    # sum: only the sqrt t panels bisect, each bisection one call of f.  The
+    # estimate adds the rounding of the abscissae at cos's frequency 1
     calls = []
 
     def f(t):
@@ -117,7 +120,7 @@ def test_one_heap_refines_the_starting_panels_on_one_error_sum():
         low += cuts[:-1]
         high += cuts[1:]
     low, high = np.array(low), np.array(high)
-    value, estimate, panels, _ = quad._refine(f, low, high, quad._evaluate(f, low, high), 1e-12)
+    value, estimate, panels = quad._refine(f, low, high, quad._evaluate(f, low, high), 1e-12, 1.0)
     exact = 2.0 / 3.0 + math.cos(1.0) - math.sin(1.0)
     assert abs(value - exact) <= estimate <= 1e-12
     bisections = calls[1:]
@@ -161,14 +164,15 @@ def test_refinement_stops_at_the_roundoff_floor():
 def test_oscillatory_range_stops_at_the_roundoff_floor():
     # every [0, B] panel of J_1(t)/t sits at its roundoff floor, and their
     # sum, 4.9e-15, is the range's error sum: the engine's tol is met
-    # unrefined, and at 1e-15, below that sum, _refine stops there as well
+    # unrefined, and at 1e-15, below that sum, _refine stops there as well;
+    # its estimate adds the rounding of the abscissae at J_1's frequency 1
     r = oscillatory_semiinf(_J1_OVER_T_TAIL)
     assert abs(r.value - 1.0) <= r.abs_err_estimate <= 1e-11
     assert r.subdivisions == r.partitions_used
     high = quad._edges(1)
     low = np.r_[0.0, high[:-1]]
     values = quad._evaluate(_j1_over_t, low, high)
-    _, estimate, panels, _ = quad._refine(_j1_over_t, low, high, values, 1e-15)
+    _, estimate, panels = quad._refine(_j1_over_t, low, high, values, 1e-15, 1.0)
     assert 1e-15 < estimate < 1e-14
     assert panels == len(high)
 
@@ -225,6 +229,22 @@ def test_integrate_finite_rejects_nonfinite_input_before_any_call(a, b, tol):
     with pytest.raises(ValueError, match="must be finite"):
         integrate_finite(f, a, b, tol)
     assert calls == []
+
+
+def test_integrate_finite_keeps_a_finite_estimate_near_the_float_limit():
+    # max |t| times the sum of |f| overflowed to an estimate of inf, with a
+    # RuntimeWarning, in the first two cases, and a + b in the nodes' midpoint
+    # in the third; f = 0 on a subnormal width, whose frequency pi / (b - a)
+    # is inf, adds no rounding
+    cases = [(1.0, 1e307, 1.5e307), (1e200, 1e100, 2e100), (1.0, 1e308, 1.5e308),
+             (0.0, 0.0, 1e-310)]
+    for height, a, b in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = integrate_finite(lambda t: np.full_like(t, height), a, b)
+        exact = Fraction(height) * (Fraction(b) - Fraction(a))
+        assert math.isfinite(r.abs_err_estimate), (a, b)
+        assert abs(Fraction(r.value) - exact) <= r.abs_err_estimate, (a, b)
 
 
 def test_integrate_finite_rejects_an_overflowing_width_before_any_call():
