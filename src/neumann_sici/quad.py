@@ -20,18 +20,20 @@ the refinement stops, and the floor sum is the estimate.  Its two callers:
 * ``integrate_finite`` -- [a, b] from ``pieces`` equal starting panels, all
   evaluated in one integrand call.  A cot-weighted integral on [0, pi/2] of
   frequency m (2n+1 for Lemma 1, 2n for Lemma 3, max(5, ceil(a)) for the
-  transforms, 1 for Clausen) starts from ceil(m/2) panels at most pi/m
-  wide, half a period of sin(m t), which one GK15 panel resolves, and
-  refines to one tol, ``_FINITE_TOL``: only Clausen's t log t endpoint
-  bisects, 17 times for weight 3 and 4 for weight 5.  m <= ``_MAX_FREQUENCY``
-  bounds n and a.
+  transforms) starts from ceil(m/2) panels at most pi/m wide, half a period
+  of sin(m t), which one GK15 panel resolves, and refines to one tol,
+  ``_FINITE_TOL``, with no bisection.  m <= ``_MAX_FREQUENCY`` bounds n and
+  a.  The Clausen integrals, whose t log t endpoint at 0 bisected 17 times
+  from one panel, start from 18 panels graded toward it, as QUADPACK
+  treats an endpoint singularity, and call ``_refine`` themselves.
 * ``oscillatory_semiinf`` -- every integral over [0, inf) (the Bessel
   moments, the J_1(t)/t self-test, Example 2, Corollaries 5 and 6): one
   GK15 panel between each pair of the edges (k + 1/4) pi from 0 up to B,
   the first at or above max(50, s^2/2), for an integrand of order s, then
   its asymptotic expansion (``_Expansion``, a product of J_nu, Y_nu, Si,
   gamma + log t - Ci, log(t/2), 1/t and J_0(sqrt(a^2 + t^2)) expansions)
-  integrated term by term.  A lower order's panels are a prefix of a
+  integrated term by term from one cached tail table per top frequency and
+  B (``_tail_table``).  A lower order's panels are a prefix of a
   higher one's, so those of every order up to 25, integer or not, are a
   prefix of order 25's.  Every factor with a kernel keeps one read-only
   table on those (J_0 .. J_25 from one bessel_j_all, Y_0, Y_1, Si, gamma +
@@ -44,7 +46,8 @@ Each passes ``_refine`` a frequency kappa, and its estimate adds the
 rounding of the abscissae, by up to eps |t|, which moves an f of frequency
 kappa by up to eps |t| kappa |f|: kappa is the expansion's largest frequency,
 or for ``integrate_finite`` pi pieces / (b - a), half a period per starting
-panel.  At frequency 4000 it is all the error of a cot integral.
+panel (2 for Clausen, one panel's on [0, pi/2]).  At frequency 4000 it is
+all the error of a cot integral.
 
 Each verified integral gets its own operation below so the harness can bind
 it to an exact or closed-form counterpart.
@@ -243,6 +246,10 @@ def _refine(
 # The finite integrals' target error sum: integrate_finite's default, and the
 # one tol of every cot integral (the Lemma integrals, the transforms, Clausen)
 _FINITE_TOL = 1e-12
+# integrate_finite's least width per starting panel, the smallest normal
+# float: on a subnormal width the nodes round by more than eps relative to
+# it, and the frequency pi pieces / (b - a) overflows to inf
+_MIN_WIDTH = float(np.finfo(float).tiny)
 
 
 def integrate_finite(
@@ -251,18 +258,21 @@ def integrate_finite(
     """Adaptive Gauss-Kronrod integration of f over [a, b] to absolute tol.
 
     The refinement starts from ``pieces`` equal panels.  ``a`` and ``b`` must
-    be finite with a < b and a finite width b - a, ``tol`` finite and
-    positive, and ``pieces`` an integer from 1 to ``_MAX_SUBDIVISIONS``,
-    else ValueError before any integrand call.  The panels' error sum
-    exceeds tol only when every panel's estimate sits at its roundoff floor,
-    which bisection cannot lower.  The returned estimate adds the rounding
-    of the abscissae for an f of at most half a period per starting panel.
+    be finite, ``tol`` finite and positive, ``pieces`` an integer from 1 to
+    ``_MAX_SUBDIVISIONS``, and b - a finite and at least ``pieces`` times the
+    smallest normal float, else ValueError before any integrand call.  The
+    panels' error sum exceeds tol only when every panel's estimate sits at
+    its roundoff floor, which bisection cannot lower.  The returned estimate
+    adds the rounding of the abscissae for an f of at most half a period per
+    starting panel.
     """
     a, b = specfun._real(a, "a must be finite"), specfun._real(b, "b must be finite")
-    specfun._real(b - a, f"requires a < b and a finite width b - a, got [{a}, {b}]", 0.0, True)
     tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
     message = f"pieces must be an integer from 1 to {_MAX_SUBDIVISIONS}"
     pieces = specfun._integer(pieces, message, 1, _MAX_SUBDIVISIONS)
+    message = (f"requires a < b and a finite width b - a of at least pieces * {_MIN_WIDTH!r} "
+               f"(a normal width per starting panel), got [{a}, {b}] with pieces={pieces}")
+    specfun._real(b - a, message, pieces * _MIN_WIDTH)
     low = a + (b - a) * np.arange(pieces) / pieces
     high = np.append(low[1:], b)
     kappa = math.pi * pieces / (b - a)
@@ -277,10 +287,14 @@ _HALF_PI = 0.5 * math.pi
 # ---------------------------------------------------------------------------
 
 
+def _cot(g: ArrayFn) -> ArrayFn:
+    # g(t) cot(t)
+    return lambda t: g(t) * np.cos(t) / np.sin(t)
+
+
 def _cot_integral(g: ArrayFn, m: int) -> QuadResult:
     # int_0^{pi/2} g(t) cot(t) dt for g of frequency m, from ceil(m/2) panels
-    return integrate_finite(lambda t: g(t) * np.cos(t) / np.sin(t), 0.0, _HALF_PI, _FINITE_TOL,
-                            pieces=(m + 1) // 2)
+    return integrate_finite(_cot(g), 0.0, _HALF_PI, _FINITE_TOL, pieces=(m + 1) // 2)
 
 
 def lemma1_integral(n: int) -> QuadResult:
@@ -327,7 +341,13 @@ def clausen_cot_integral(k: int) -> QuadResult:
     k = specfun._integer(k, "k must be a nonnegative integer", 0)
     weight = 2 * k + 3
     z = specfun.zeta(weight)
-    return _cot_integral(lambda t: z - specfun.clausen_odd(weight, 2.0 * t), 1)
+    f = _cot(lambda t: z - specfun.clausen_odd(weight, 2.0 * t))
+    # graded toward the t log t endpoint at 0: [0, pi/2^18], [pi/2^18,
+    # pi/2^17], ..., [pi/4, pi/2], those bisection from [0, pi/2] needs at k = 0
+    high = _HALF_PI * 0.5 ** np.arange(17.0, -1.0, -1.0)
+    low = np.r_[0.0, high[:-1]]
+    # frequency 2, as integrate_finite gives one panel on [0, pi/2]
+    return QuadResult(*_refine(f, low, high, _evaluate(f, low, high), _FINITE_TOL, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -406,20 +426,28 @@ class _Expansion:
     def __sub__(self, other: _Expansion) -> _Expansion:
         return self + other * -1.0
 
-    def integral(self, b: float) -> tuple[float, float]:
-        """int_b^inf f term by term, and a bound of what the cut series leave out."""
+    def integral(self, edges: int) -> tuple[float, float]:
+        """int_B^inf f term by term, and a bound of what the cut series leave out.
+
+        B is the last of the engine's first ``edges`` edges (see ``_edges``).
+        """
         if self.size[:, :3].any():
             raise ValueError("the tail's majorant decays no faster than 1/t")
-        table = _tail_integrals(max(self.terms), self.size.shape, b)
+        top, (rows, count) = max(self.terms), self.size.shape
+        if rows <= _TAIL_SHAPE[0] and count <= _TAIL_SHAPE[1]:
+            table = _tail_table(top, edges)
+        else:
+            table = _tail_integrals(top, self.size.shape, edges)
         value = math.fsum(
             (2.0 if kappa else 1.0) * float(np.sum(c * table[kappa, : len(c), : c.shape[1]]).real)
             for kappa, c in self.terms.items()
         )
-        return value, self.cut * float(np.sum(self.size * table[0].real))
+        return value, self.cut * float(np.sum(self.size * table[0, :rows, :count].real))
 
 
-def _tail_integrals(top: int, shape: tuple[int, int], b: float) -> np.ndarray:
-    # I_j(p) = int_b^inf e^(i kappa t) t^-p (log t)^j dt for kappa = 0 .. top at
+def _tail_integrals(top: int, shape: tuple[int, int], edges: int) -> np.ndarray:
+    # I_j(p) = int_b^inf e^(i kappa t) t^-p (log t)^j dt, b = (edges - 3/4) pi
+    # the last of the engine's first ``edges`` edges, for kappa = 0 .. top at
     # p = h/2, h >= 3, by parts: for kappa = 0, I_j(p) = (b^(1-p) log^j b
     # + j I_(j-1)(p)) / (p - 1); else I_j(p) = (p I_j(p+1) - j I_(j-1)(p+1)
     # - e^(i kappa b) b^-p log^j b) / (i kappa), run downward in R_j(p) =
@@ -428,6 +456,7 @@ def _tail_integrals(top: int, shape: tuple[int, int], b: float) -> np.ndarray:
     # p/(kappa b) a level.  With Q_i = prod_(m<i) p_m / (i kappa b),
     # R_j(p_i) = sum_(k>=i) Q_k g_j(p_k) / Q_i for its inhomogeneous part g_j.
     rows, count = shape
+    b = (edges - 0.75) * math.pi
     log_b = math.log(b)
     p = 1.5 + 0.5 * np.arange(2)[:, None] + np.arange(count // 2 + 20)  # a ladder per row
     kappa = np.arange(1, top + 1)[:, None, None]
@@ -443,6 +472,21 @@ def _tail_integrals(top: int, shape: tuple[int, int], b: float) -> np.ndarray:
         r[1:, :, :-1] = np.cumsum(g[..., ::-1], axis=2)[..., ::-1] / q
         out[:, j, 3:] = r[:, :, :-1].transpose(0, 2, 1).reshape(top + 1, -1)[:, : count - 3]
     return out * b ** (1.0 - 0.5 * np.arange(count))
+
+
+# The shape (log powers, half powers) of every cached tail table, the largest
+# of a registry integral's (Example 2's 3 rows, Corollary 5's 96 at a = 5);
+# an expansion past it builds its own table.
+_TAIL_SHAPE = (3, 96)
+
+
+@functools.lru_cache(maxsize=16)
+def _tail_table(top: int, edges: int) -> np.ndarray:
+    # _tail_integrals at _TAIL_SHAPE, read-only: one table per (top, B), the
+    # same whichever integral asks first
+    table = _tail_integrals(top, _TAIL_SHAPE, edges)
+    table.flags.writeable = False
+    return table
 
 
 # The tail starts at B = max(50, s^2/2) for an integral of order s, and at
@@ -622,7 +666,7 @@ def oscillatory_semiinf(integrand: _Expansion) -> QuadResult:
     faster than 1/t raises ValueError before any call of f.
     """
     high = _edges(integrand.order)
-    tail, left_out = integrand.integral(float(high[-1]))
+    tail, left_out = integrand.integral(len(high))
     low = np.r_[0.0, high[:-1]]
     tabled = integrand.order <= _TABLE_CAP  # its panels are a prefix of the tables'
     values = _evaluate(integrand.on_lattice if tabled else integrand.f, low, high)

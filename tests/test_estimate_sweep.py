@@ -13,8 +13,9 @@ a few milliseconds each, run in process at tiny a, on the registry's grid and
 up to their bound 4000; so do the Neumann expansions of Si and Ci up to
 their bound 570, whose tail bounds carry the rounding of their sums, the
 Lemma integrals at a seeded stride of n up to their bounds (1999 and 2000),
-the Clausen integrals for k = 0..6, and every Euler-sum oracle at every
-legal index, whose fits stall an order of magnitude below their limit.
+the Clausen integrals for k = 0..6 against their closed forms and for
+k = 7..63 against their series of beta_n, and every Euler-sum oracle at
+every legal index, whose fits stall an order of magnitude below their limit.
 """
 
 import json
@@ -193,6 +194,23 @@ def test_clausen_estimates_bound_their_errors(k):
     else:
         exact = 0.5 * eulersum.corollary3_rhs(2 * k + 2).value
     assert abs(r.value - exact) <= r.abs_err_estimate, (r.value, exact, r.abs_err_estimate)
+
+
+def test_clausen_estimates_bound_their_errors_past_k_6():
+    # The integrand is sum_n (1 - cos 2nt) cot t / n^w, w = 2k + 3, so by
+    # Lemma 3 the integral is sum_n beta_n / n^w, summed here in Fraction to
+    # n = 12.  As beta_n <= n, the rest is at most sum_(n>12) n^(1-w) <=
+    # 12^(2-w) / (w - 2), 4.3e-18 at k = 7.  The closed form 1/2
+    # corollary3_rhs(2k+2) is no oracle here: it is off by its own rounding,
+    # 5.4e-15 at k = 10 and 5.1e-15 at k = 20, past the integral's estimate
+    top = 12
+    for k in range(7, 64):
+        w = 2 * k + 3
+        r = quad.clausen_cot_integral(k)
+        series = sum(coeffs.beta(n) / Fraction(n) ** w for n in range(1, top + 1))
+        rest = Fraction(top) ** (2 - w) / (w - 2)
+        diff = abs(Fraction(r.value) - series)
+        assert diff <= Fraction(r.abs_err_estimate) + rest, (k, float(diff), r.abs_err_estimate)
 
 
 def test_every_oracle_fit_stalls_well_below_its_limit(monkeypatch):

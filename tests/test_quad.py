@@ -234,10 +234,9 @@ def test_integrate_finite_rejects_nonfinite_input_before_any_call(a, b, tol):
 def test_integrate_finite_keeps_a_finite_estimate_near_the_float_limit():
     # max |t| times the sum of |f| overflowed to an estimate of inf, with a
     # RuntimeWarning, in the first two cases, and a + b in the nodes' midpoint
-    # in the third; f = 0 on a subnormal width, whose frequency pi / (b - a)
-    # is inf, adds no rounding
+    # in the third; the last is the least width, the smallest normal float
     cases = [(1.0, 1e307, 1.5e307), (1e200, 1e100, 2e100), (1.0, 1e308, 1.5e308),
-             (0.0, 0.0, 1e-310)]
+             (1.0, 0.0, quad._MIN_WIDTH)]
     for height, a, b in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -245,6 +244,25 @@ def test_integrate_finite_keeps_a_finite_estimate_near_the_float_limit():
         exact = Fraction(height) * (Fraction(b) - Fraction(a))
         assert math.isfinite(r.abs_err_estimate), (a, b)
         assert abs(Fraction(r.value) - exact) <= r.abs_err_estimate, (a, b)
+
+
+@pytest.mark.parametrize("a, b, pieces", [
+    (0.0, 1e-310, 1),
+    (1e-308, 1.1e-308, 1),
+    (-1e-320, 0.0, 1),
+    (0.0, quad._MIN_WIDTH, 2),
+    (0.0, 1999 * quad._MIN_WIDTH, 2000),
+])
+def test_integrate_finite_rejects_a_subnormal_width_before_any_call(monkeypatch, a, b, pieces):
+    # f = 1 on [0, 1e-310] returned an estimate of inf: on a subnormal width
+    # the frequency pi pieces / (b - a) overflows, and the nodes round by more
+    # than eps relative to the width
+    def unreachable(*args):
+        raise AssertionError("integrand evaluated")
+
+    monkeypatch.setattr(quad, "_evaluate", unreachable)
+    with pytest.raises(ValueError, match=re.escape("of at least pieces * 2.2250738585072014e-308")):
+        integrate_finite(lambda t: np.ones_like(t), a, b, pieces=pieces)
 
 
 def test_integrate_finite_rejects_an_overflowing_width_before_any_call():
@@ -311,8 +329,9 @@ def test_cot_integrals_run_through_integrate_finite(monkeypatch):
     si_transform_integral(1.0)
     si_transform_integral(20.0)
     clausen_cot_integral(0)
-    # ceil(m/2) pieces for frequency m: 101, 100, 5 (a transform's least), 20 and 1
-    assert seen == [51, 50, 3, 10, 1]
+    # ceil(m/2) pieces for frequency m: 101, 100, 5 (a transform's least) and
+    # 20; Clausen starts from its own graded panels
+    assert seen == [51, 50, 3, 10]
 
 
 def test_lemma_integral_domains():
@@ -715,8 +734,10 @@ def test_clausen_cot_integral_weight5_matches_closed_form():
     assert abs(r.value - 0.5 * eulersum.corollary3_rhs(4).value) <= 1e-9
 
 
-@pytest.mark.parametrize("k,subdivisions", [(0, 18), (1, 5)])
+@pytest.mark.parametrize("k,subdivisions", [(k, 18) for k in range(7)])
 def test_clausen_cot_integral_one_kernel_call_per_gk_step(monkeypatch, k, subdivisions):
+    # the 18 dyadic panels graded toward t = 0 in one call, and no bisection
+    # (from one panel, k = 0 bisected 17 times and k = 1 4 times, a call each)
     sizes = []
     kernel = sf.clausen_odd
 
@@ -727,8 +748,7 @@ def test_clausen_cot_integral_one_kernel_call_per_gk_step(monkeypatch, k, subdiv
     monkeypatch.setattr(sf, "clausen_odd", counting)
     r = clausen_cot_integral(k)
     assert r.subdivisions == subdivisions
-    # the first step evaluates one panel, every bisection step two
-    assert sizes == [15] + [30] * (subdivisions - 1)
+    assert sizes == [15 * subdivisions]
 
 
 def test_clausen_cot_integral_domain():
@@ -854,6 +874,60 @@ def test_no_served_semi_infinite_integral_bisects(check):
     assert integral.subdivisions == integral.partitions_used
 
 
+def _semi_infinite(check):
+    (integral,) = [side for side in (check.lhs(), check.rhs()) if isinstance(side, QuadResult)]
+    return integral
+
+
+def test_every_registry_tail_read_from_a_shared_table_equals_its_own(monkeypatch):
+    # From cold, the deck's 29 tails build 13 tables, one per (top, B), all at
+    # _TAIL_SHAPE (17 integrals share B = 16.25 pi); each integral reading its
+    # slice of them equals, in value and estimate, the same integral with a
+    # table of its expansion's own shape
+    shapes = []
+    tail_integrals = quad._tail_integrals
+
+    def recording(top, shape, edges):
+        shapes.append(shape)
+        return tail_integrals(top, shape, edges)
+
+    monkeypatch.setattr(quad, "_tail_integrals", recording)
+    quad._tail_table.cache_clear()
+    shared = [repr(_semi_infinite(check)) for check in _OSCILLATORY_CHECKS]
+    assert shapes == [quad._TAIL_SHAPE] * 13
+    monkeypatch.setattr(quad, "_TAIL_SHAPE", (0, 0))  # no expansion fits: each builds its own
+    assert [repr(_semi_infinite(check)) for check in _OSCILLATORY_CHECKS] == shared
+
+
+def test_a_tail_table_does_not_depend_on_which_integral_built_it():
+    # the J_10 moment and the J_0 orthogonality integral share B = 16.25 pi;
+    # each gives the same result from a table the other built first
+    high, low = functools.partial(ci_bessel_integral, 5), j0_orthogonality_integral
+    cold = {}
+    for integral in (high, low):
+        quad._tail_table.cache_clear()
+        cold[integral] = repr(integral())
+    for first, second in ((high, low), (low, high)):
+        quad._tail_table.cache_clear()
+        first()
+        assert repr(second()) == cold[second]
+        assert quad._tail_table.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_tail_tables_are_read_only_bounded_and_start_at_the_last_edge():
+    high = quad._edges(1)
+    table = quad._tail_table(2, len(high))
+    assert table.shape == (3, *quad._TAIL_SHAPE)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 3] = 1.0
+    assert quad._tail_table.cache_parameters()["maxsize"] == 16
+    # B from the edge count is the engine's last edge, bit for bit
+    for order in (0, 10, 11, 25, 81, 400):
+        high = quad._edges(order)
+        assert (len(high) - 0.75) * math.pi == float(high[-1])
+
+
 _FINITE_IDS = re.compile(
     r"lemma[13]_quad\.n=\d+|(si|ci)_transform\.a=[\d.]+|clausen_integral\.k=\d+"
 )
@@ -885,8 +959,30 @@ def _frequency(check_id):
 def test_no_registry_lemma_integral_or_transform_bisects(check):
     # each meets its tol as first evaluated, on its ceil(m/2) starting panels
     # for frequency m (the transforms started from one panel and bisected, 7
-    # times at a = 20); Clausen's t log t endpoint bisects 17 and 4 times
+    # times at a = 20)
     assert check.lhs().subdivisions == (int(_frequency(check.id)) + 1) // 2
+
+
+def _starting_panels(check_id, integral):
+    # the panels an integral of the registry starts from: the [0, B] panels
+    # of a semi-infinite one, Clausen's 18 graded ones, or ceil(m/2)
+    if _OSCILLATORY_IDS.fullmatch(check_id):
+        return integral.partitions_used
+    if check_id.startswith("clausen"):
+        return 18
+    return (int(_frequency(check_id)) + 1) // 2
+
+
+def test_no_registry_integral_bisects():
+    # every integral of the registry, 115 finite and 29 semi-infinite, meets
+    # its tol on its starting panels: Clausen's t log t endpoint, from one
+    # panel, bisected 17 times at k = 0 and 4 at k = 1
+    integrals = {check.id: check.lhs() for check in _FINITE_CHECKS}
+    integrals.update((check.id, _semi_infinite(check)) for check in _OSCILLATORY_CHECKS)
+    assert len(integrals) == 144
+    bisected = {cid: r.subdivisions for cid, r in integrals.items()
+                if r.subdivisions != _starting_panels(cid, r)}
+    assert not bisected
 
 
 @pytest.mark.parametrize("transform", [si_transform_integral, ci_transform_integral])
