@@ -28,10 +28,12 @@ This is Sidi's GREP with an alternating and a smooth shape function
 11).  The non-alternating sums, whose terms decay like log(n)/n^s, far too
 slowly for a bare truncation, lean on the smooth columns, the alternating
 sums on both.
-They all fit one design: the grid n = 1..20000 with its sign, the
-cumulative sums H_n, A_n and the Leibniz sums, and the two weight rows of
-the fit are built once per process, on the first oracle call, so an oracle
-call costs its terms, their tail sums and two dot products.
+They all fit one design.  The grid n = 1..20000 with its sign, the
+coefficient sequences 2 H_{n-1}, 2 A_{n-1}, 2 beta_n, alpha_n and the
+Leibniz sums, and the two weight rows of the fit are built once per process,
+on the first oracle call, and kept read-only.  So an oracle call allocates
+its terms, built in place from n^(-k), and the cumulative sum of their last
+half, and costs two dot products more.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -158,13 +160,28 @@ def corollary6_rhs() -> float:
 _N_TERMS = 20000
 
 
+class _Grid(NamedTuple):
+    # The oracles' per-process constants, each a read-only array over n = 1 .. 20000
+    n: np.ndarray
+    flip: np.ndarray  # (-1)^n
+    h: np.ndarray  # 2 H_{n-1}
+    a: np.ndarray  # 2 A_{n-1}
+    beta: np.ndarray  # 2 beta_n
+    alpha: np.ndarray  # alpha_n
+    leib: np.ndarray  # the Leibniz sums sum_{k<=n} (-1)^(k-1)/(2k-1)
+    nn1: np.ndarray  # n (n + 1)
+    back: np.ndarray  # where each fit row but the last reads the tail sums (see _tail_sums)
+    full: np.ndarray  # the fit's weight row
+    dropped: np.ndarray  # the weight row without the last column pair
+
+
 @functools.lru_cache(maxsize=1)
-def _grid() -> tuple[np.ndarray, ...]:
-    """n = 1 .. 20000, the sign (-1)^(n-1), H_n, A_n, the Leibniz sums
-    sum_{k<=n} (-1)^(k-1)/(2k-1), and the fit's rows with its two weight
+def _grid() -> _Grid:
+    """The oracles' coefficient sequences, the fit's rows and its two weight
     rows, as read-only arrays."""
     n = np.arange(1.0, _N_TERMS + 1.0)
     sign = np.where(np.arange(1, _N_TERMS + 1) % 2 == 1, 1.0, -1.0)
+    h, a, leib = (np.cumsum(x) for x in (1.0 / n, sign / n, sign / (2.0 * n - 1.0)))
     # The rows of the fit are the last half of the sums, thinned by an odd
     # stride that keeps both parities of m; the last sum is always a row.
     rows = np.arange(_N_TERMS - 1, _N_TERMS // 2 - 1, -9)[::-1]
@@ -184,31 +201,29 @@ def _grid() -> tuple[np.ndarray, ...]:
         u, s, vt = np.linalg.svd(d, full_matrices=False)
         keep = s > np.finfo(float).eps * max(d.shape) * s[0]
         weights.append(u[:, keep] @ (vt[keep, 0] / s[keep]) / math.sqrt(len(rows)))
-    grid = (n, sign, np.cumsum(1.0 / n), np.cumsum(sign / n), np.cumsum(sign / (2.0 * n - 1.0)),
-            rows, *weights)
-    for a in grid:
-        a.flags.writeable = False
+    grid = _Grid(n, -sign, 2.0 * (h - 1.0 / n), 2.0 * (a - sign / n),
+                 2.0 * (h + a - (1.0 + sign) / (2.0 * n)), 2.0 * leib - sign / (2.0 * n + 1.0),
+                 leib, n * (n + 1.0), _N_TERMS - 2 - rows[:-1], *weights)
+    for x in grid:
+        x.flags.writeable = False
     return grid
 
 
-def _sums_from_last(terms: np.ndarray) -> np.ndarray:
-    # Partial sums of the terms minus their total, -sum_{k>m} terms[k].
-    # Summed from the far end, their rounding is the size of the tail, not of
-    # the total, which the fit would amplify.  Only the last half, which
-    # holds every row of the fit, is summed; the first half is nan.
-    out = np.full(_N_TERMS, math.nan)
-    out[_N_TERMS // 2 : -1] = -np.cumsum(terms[: _N_TERMS // 2 : -1])[::-1]
-    out[-1] = 0.0
-    return out
+def _tail_sums(terms: np.ndarray) -> np.ndarray:
+    # Partial sums of the terms minus their total, -sum_{k>m} terms[k], at the
+    # fit's rows m.  Summed from the far end, their rounding is the size of
+    # the tail, not of the total, which the fit would amplify.  Only the last
+    # half, which holds every row, is summed; the last row's tail is empty.
+    from_last = np.cumsum(terms[: _N_TERMS // 2 : -1])  # [i]: the last i + 1 terms
+    return np.append(-from_last[_grid().back], 0.0)
 
 
 def alternating_series_limit(terms: np.ndarray) -> tuple[float, float]:
     """The fitted sum of the 20000 ``terms`` and how far it moves when the
     fit drops its last column pair, which the caller turns into an estimate."""
-    rows, full, dropped = _grid()[5:]
-    y = _sums_from_last(terms)[rows]
-    limit = float(full @ y)
-    return float(np.sum(terms)) + limit, abs(limit - float(dropped @ y))
+    grid, y = _grid(), _tail_sums(terms)
+    limit = float(grid.full @ y)
+    return float(np.sum(terms)) + limit, abs(limit - float(grid.dropped @ y))
 
 
 # Every oracle raises once its fit's stall estimate passes this; the largest
@@ -224,13 +239,20 @@ def _fitted_sum(terms: np.ndarray, what: str) -> float:
     return value
 
 
+def _power_terms(coeffs: np.ndarray, exponent: int, alternating: bool) -> np.ndarray:
+    # (+-1)^n coeffs / n^exponent, the sign (-1)^n if alternating, in one array
+    grid = _grid()
+    terms = grid.n ** (-float(exponent))
+    terms *= coeffs
+    if alternating:
+        terms *= grid.flip
+    return terms
+
+
 def _linear_sum_oracle(exponent: int, alternating_numerator: bool, alternating: bool) -> float:
     # 2 sum (+-1)^n X_{n-1} / n^exponent, X = A (alternating_numerator) or H
-    n, sign, h, a = _grid()[:4]
-    step = (sign if alternating_numerator else 1.0) / n
-    terms = 2.0 * ((a if alternating_numerator else h) - step) * n ** (-float(exponent))
-    if alternating:
-        terms *= -sign
+    grid = _grid()
+    terms = _power_terms(grid.a if alternating_numerator else grid.h, exponent, alternating)
     return _fitted_sum(terms, f"linear sum oracle (exponent {exponent})")
 
 
@@ -260,12 +282,7 @@ def sitaramachandrarao_a_oracle(k: int) -> float:
 
 def _beta_weighted_terms(exponent: int, alternating: bool) -> np.ndarray:
     # 2 (+-1)^n beta_n / n^exponent, beta_n = H_n + A_n - (1 + (-1)^(n-1)) / (2n)
-    n, sign, h, a = _grid()[:4]
-    beta = h + a - (1.0 + sign) / (2.0 * n)
-    terms = 2.0 * beta * n ** (-float(exponent))
-    if alternating:
-        terms *= -sign
-    return terms
+    return _power_terms(_grid().beta, exponent, alternating)
 
 
 def beta_weighted_sum(exponent: int, alternating: bool) -> float:
@@ -282,12 +299,15 @@ def beta_weighted_sum(exponent: int, alternating: bool) -> float:
 
 def catalan_alpha_sum() -> float:
     """Accelerated sum (-1)^n alpha_n / (n(n+1)); evaluates to 3 - 4G."""
-    n, sign, _, _, leib = _grid()[:5]
-    alpha = 2.0 * leib - sign / (2.0 * n + 1.0)
-    return _fitted_sum(-sign * alpha / (n * (n + 1.0)), "catalan alpha sum")
+    grid = _grid()
+    terms = grid.flip * grid.alpha
+    terms /= grid.nn1
+    return _fitted_sum(terms, "catalan alpha sum")
 
 
 def catalan_auxiliary_sum() -> float:
     """Accelerated sum (-1)^n/n * sum_{k<=n} (-1)^(k-1)/(2k-1); evaluates to -G."""
-    n, sign, _, _, leib = _grid()[:5]
-    return _fitted_sum(-sign * leib / n, "catalan auxiliary sum")
+    grid = _grid()
+    terms = grid.flip * grid.leib
+    terms /= grid.n
+    return _fitted_sum(terms, "catalan auxiliary sum")

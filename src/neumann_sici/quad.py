@@ -40,7 +40,8 @@ the refinement stops, and the floor sum is the estimate.  Its two callers:
   log t - Ci, log(t/2), 1/t; 0.39 MB in all, each built on first use), and
   the first pass of an integrand of order up to 25 combines its factors'
   table values as it combines their f, calling no kernel but for a factor
-  without a table (Corollary 5's J_0(sqrt(a^2 + t^2))).
+  without a table (Corollary 5's J_0(sqrt(a^2 + t^2))).  Each served
+  integrand's expansion is built once per key, read-only, in a bounded cache.
 
 Each passes ``_refine`` a frequency kappa, and its estimate adds the
 rounding of the abscissae, by up to eps |t|, which moves an f of frequency
@@ -539,13 +540,18 @@ def _j_rows(t: np.ndarray) -> np.ndarray:
     return specfun.bessel_j_all(_TABLE_CAP, t)
 
 
+def _frozen(expansion: _Expansion) -> _Expansion:
+    # The expansion with its terms and majorant read-only, so it can be cached
+    for a in (expansion.size, *expansion.terms.values()):
+        a.flags.writeable = False
+    return expansion
+
+
 def _factor(f: ArrayFn, terms: dict, cut: float = 0.0, order: float = 0.0,
             lattice: Callable | None = None) -> _Expansion:
-    # An expansion whose majorant is its terms' moduli, read-only so it can be cached
+    # A read-only expansion whose majorant is its terms' moduli
     size = functools.reduce(_plus, ((2.0 if k else 1.0) * abs(c) for k, c in terms.items()))
-    for a in (size, *terms.values()):
-        a.flags.writeable = False
-    return _Expansion(f, terms, size, cut, order, lattice)
+    return _frozen(_Expansion(f, terms, size, cut, order, lattice))
 
 
 def _spread(coeffs: np.ndarray, first: int) -> np.ndarray:
@@ -675,10 +681,20 @@ def oscillatory_semiinf(integrand: _Expansion) -> QuadResult:
     return QuadResult(value + tail, estimate + left_out, panels, len(high))
 
 
+# Each served integrand's expansion is built once per key, read-only, in a
+# bounded cache, as its factors are: the product and sum algebra of its terms
+# costs a moment 70-110 us a call, and Example 2 or Corollary 6 more than its
+# lattice, GK15 and tail together.
+
+
+@functools.lru_cache(maxsize=128)
+def _moment_integrand(ci: bool, order: int) -> _Expansion:
+    # weight(t) J_order(t) / t, the weight gamma + log t - Ci if ci, else Si
+    return _frozen(_sici(ci) * (_bessel(order) * _INVERSE_T))
+
+
 def _moment(ci: bool, order: int) -> QuadResult:
-    # int_0^inf weight(t) J_order(t) dt / t, the weight gamma + log t - Ci if
-    # ci, else Si
-    return oscillatory_semiinf(_sici(ci) * (_bessel(order) * _INVERSE_T))
+    return oscillatory_semiinf(_moment_integrand(ci, order))
 
 
 def si_bessel_integral(n: int) -> QuadResult:
@@ -700,39 +716,56 @@ def j0_orthogonality_integral() -> QuadResult:
     return _moment(True, 0)
 
 
+@functools.lru_cache(maxsize=1)
+def _j1_over_t() -> _Expansion:
+    return _frozen(_bessel(1) * _INVERSE_T)
+
+
 def bessel_j1_over_t_integral() -> QuadResult:
     """Engine self-test: int_0^inf J_1(t)/t dt = 1."""
-    return oscillatory_semiinf(_bessel(1) * _INVERSE_T)
+    return oscillatory_semiinf(_j1_over_t())
+
+
+@functools.lru_cache(maxsize=1)
+def _example2() -> _Expansion:
+    # The two log-divergent pieces inside the bracket are combined before the
+    # multiplication; their difference stays O(1) as t -> 0.
+    bracket = _bessel(0, True) * _HALF_PI - _LOG_HALF * _bessel(0)
+    return _frozen(_sici(True) * (bracket * _INVERSE_T))
 
 
 def example2_integral() -> QuadResult:
     """int_0^inf (glmc(t)/t) (pi/2 Y_0(t) - log(t/2) J_0(t)) dt.
 
-    Evaluates to (pi^2/4) log 2 - (7/8) zeta(3).  The two log-divergent
-    pieces inside the bracket are combined before the multiplication; their
-    difference stays O(1) as t -> 0.
+    Evaluates to (pi^2/4) log 2 - (7/8) zeta(3).
     """
-    bracket = _bessel(0, True) * _HALF_PI - _LOG_HALF * _bessel(0)
-    return oscillatory_semiinf(_sici(True) * (bracket * _INVERSE_T))
+    return oscillatory_semiinf(_example2())
 
 
-def _corollary6(g1: float) -> QuadResult:
-    # int_0^inf Si(t) (log(t/2) J_1 - pi/2 Y_1 - J_0/t + g1 J_1) dt/t
+@functools.lru_cache(maxsize=2)
+def _corollary6(g1: float) -> _Expansion:
+    # Si(t) (log(t/2) J_1 - pi/2 Y_1 - J_0/t + g1 J_1) / t
     j1 = _bessel(1)
     bracket = _LOG_HALF * j1 - _bessel(1, True) * _HALF_PI - _bessel(0) * _INVERSE_T
     if g1:
         bracket = bracket + j1 * g1
-    return oscillatory_semiinf(_sici(False) * (bracket * _INVERSE_T))
+    return _frozen(_sici(False) * (bracket * _INVERSE_T))
 
 
 def corollary6_integral() -> QuadResult:
     """int_0^inf Si(t) (log(t/2) J_1 - pi/2 Y_1 - J_0/t) dt/t = 4 - 4G - gamma."""
-    return _corollary6(0.0)
+    return oscillatory_semiinf(_corollary6(0.0))
 
 
 def corollary6_intermediate_integral() -> QuadResult:
     """Same integral with the (gamma - 1) J_1 term kept inside; equals 3 - 4G."""
-    return _corollary6(specfun.CONSTANTS.euler_gamma - 1.0)
+    return oscillatory_semiinf(_corollary6(specfun.CONSTANTS.euler_gamma - 1.0))
+
+
+@functools.lru_cache(maxsize=128)
+def _corollary5(a: float) -> _Expansion:
+    # [gamma + log t - Ci(t)] J_0(sqrt(a^2 + t^2)) / t
+    return _frozen(_sici(True) * (_shifted_j0(a) * _INVERSE_T))
 
 
 def corollary5_rhs(a: float) -> QuadResult:
@@ -745,4 +778,4 @@ def corollary5_rhs(a: float) -> QuadResult:
     """
     top = _MAX_MOMENT_ORDER
     a = abs(specfun._real(a, f"a must be finite with |a| <= {top}", -top, maximum=top))
-    return oscillatory_semiinf(_sici(True) * (_shifted_j0(a) * _INVERSE_T))
+    return oscillatory_semiinf(_corollary5(a))

@@ -520,7 +520,7 @@ def _e1_of_ix(x):
     out = np.empty(x.shape, dtype=complex)
     octave = np.frexp(x)[1]
     steps = 0
-    for e in np.unique(octave).tolist():
+    for e in sorted(set(octave.tolist())):
         band = octave == e
         limit = _lentz(float(x[band].min()), 299)[1]
         out[band] = _lentz(x[band], limit)[0]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,15 +235,18 @@ def test_extrapolator_power_ladder_removes_smooth_remainder():
 
 @pytest.mark.parametrize("n", [eulersum._N_TERMS])
 def test_tail_sums_cover_the_rows_the_fit_reads(n):
-    # Only the sums from n // 2 on are built, the same reversed cumsum bit
-    # for bit, and every row of the fit lies among them
+    # The fit reads the same reversed cumsum bit for bit at each of its rows,
+    # every row lies in the last half, and only that half is summed: terms
+    # before it do not reach the sums
     terms = np.random.default_rng(n).standard_normal(n)
     full = np.append(-np.cumsum(terms[:0:-1])[::-1], 0.0)
-    sums = eulersum._sums_from_last(terms)
-    assert len(sums) == n
-    assert sums[n // 2 :].tolist() == full[n // 2 :].tolist()
-    assert np.isnan(sums[: n // 2]).all()
-    assert eulersum._grid()[5].min() >= n // 2
+    rows, _ = _direct_design(n)
+    assert rows.min() >= n // 2
+    assert (n - 2 - eulersum._grid().back).tolist() == rows[:-1].tolist()
+    sums = eulersum._tail_sums(terms)
+    assert sums.tolist() == full[rows].tolist()
+    terms[: n // 2 + 1] = math.nan
+    assert eulersum._tail_sums(terms).tolist() == sums.tolist()
 
 
 _ORACLE_KINDS = {
@@ -296,10 +300,57 @@ def test_cached_weights_match_a_direct_solve(kind, monkeypatch):
     assert shift == pytest.approx(abs(full - dropped), rel=0, abs=1e-14)
 
 
+def _today_terms(kind):
+    # Each kind's terms as the oracles formed them before the coefficient
+    # tables, from the grid's n, sign and cumulative sums built here
+    n = np.arange(1.0, eulersum._N_TERMS + 1.0)
+    sign = np.where(np.arange(1, eulersum._N_TERMS + 1) % 2 == 1, 1.0, -1.0)
+    h, a, leib = np.cumsum(1.0 / n), np.cumsum(sign / n), np.cumsum(sign / (2.0 * n - 1.0))
+    beta = h + a - (1.0 + sign) / (2.0 * n)
+    alpha = 2.0 * leib - sign / (2.0 * n + 1.0)
+    return {
+        "H": 2.0 * (h - 1.0 / n) * n ** (-3.0),
+        "A": 2.0 * (a - sign / n) * n ** (-3.0),
+        "alternating-H": 2.0 * (h - 1.0 / n) * n ** (-4.0) * -sign,
+        "alternating-A": 2.0 * (a - sign / n) * n ** (-4.0) * -sign,
+        "beta": 2.0 * beta * n ** (-3.0),
+        "alternating-beta": 2.0 * beta * n ** (-2.0) * -sign,
+        "catalan-alpha": -sign * alpha / (n * (n + 1.0)),
+        "catalan-auxiliary": -sign * leib / n,
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", _ORACLE_KINDS)
+def test_oracle_terms_come_from_the_tables_bit_for_bit(kind, monkeypatch):
+    seen = []
+    monkeypatch.setattr(eulersum, "alternating_series_limit",
+                        lambda terms: seen.append(terms.copy()) or alternating_series_limit(terms))
+    _ORACLE_KINDS[kind]()
+    (terms,) = seen
+    assert terms.tolist() == _today_terms(kind).tolist()
+
+
+@pytest.mark.parametrize("kind", _ORACLE_KINDS)
+def test_an_oracle_call_allocates_its_terms_and_a_half_length_sum(kind):
+    # Once the tables are built, a call holds at most two arrays of 20000
+    # floats at a time: its terms and the cumulative sum of their last half
+    _ORACLE_KINDS[kind]()
+    tracemalloc.start()
+    try:
+        _ORACLE_KINDS[kind]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * eulersum._N_TERMS * 8
+
+
 def test_fixed_design_caches_are_bounded_and_read_only():
     euler_sum_oracle(2)
-    for a in eulersum._grid():
-        with pytest.raises(ValueError):
+    grid = eulersum._grid()
+    for name in ("n", "flip", "h", "a", "beta", "alpha", "leib", "nn1"):
+        assert getattr(grid, name).shape == (eulersum._N_TERMS,), name
+    for a in grid:
+        with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
     info = eulersum._grid.cache_info()
     assert info.maxsize == 1

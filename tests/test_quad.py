@@ -879,6 +879,51 @@ def _semi_infinite(check):
     return integral
 
 
+_INTEGRAND_CACHES = (quad._moment_integrand, quad._j1_over_t, quad._example2,
+                     quad._corollary6, quad._corollary5)
+
+
+@pytest.mark.parametrize("check", _OSCILLATORY_CHECKS, ids=lambda c: c.id)
+def test_a_served_integrand_is_built_once(check, monkeypatch):
+    # A second call does none of the expansion's product and sum algebra; a
+    # rebuild after the caches are cleared does, and gives the same value
+    # and estimate
+    warm = repr(_semi_infinite(check))
+    calls = []
+    for name in ("_conv2", "_plus"):
+        original = getattr(quad, name)
+        monkeypatch.setattr(quad, name, lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    assert repr(_semi_infinite(check)) == warm
+    assert calls == []
+    for cache in _INTEGRAND_CACHES:
+        cache.cache_clear()
+    assert repr(_semi_infinite(check)) == warm
+    assert "_conv2" in calls
+
+
+def test_served_integrands_are_cached_read_only_and_bounded(monkeypatch):
+    # Two passes over the deck hand the engine the same 29 expansions, whose
+    # terms and majorants are read-only, from caches that each have a bound
+    seen = []
+    engine = quad.oscillatory_semiinf
+    monkeypatch.setattr(quad, "oscillatory_semiinf",
+                        lambda integrand: seen.append(integrand) or engine(integrand))
+    for _ in range(2):
+        for check in _OSCILLATORY_CHECKS:
+            _semi_infinite(check)
+    first, second = seen[: len(_OSCILLATORY_CHECKS)], seen[len(_OSCILLATORY_CHECKS) :]
+    assert len(first) == len(second) == 29
+    assert all(a is b for a, b in zip(first, second))
+    for integrand in first:
+        for a in (integrand.size, *integrand.terms.values()):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+    for cache in _INTEGRAND_CACHES:
+        assert isinstance(cache.cache_parameters()["maxsize"], int)
+
+
 def test_every_registry_tail_read_from_a_shared_table_equals_its_own(monkeypatch):
     # From cold, the deck's 29 tails build 13 tables, one per (top, B), all at
     # _TAIL_SHAPE (17 integrals share B = 16.25 pi); each integral reading its

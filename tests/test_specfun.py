@@ -559,6 +559,24 @@ def test_continued_fraction_steps_are_per_octave():
     assert alone[0].tolist() == sf._lentz(big, sf._e1_of_ix(600.0)[1])[0].tolist()
 
 
+def test_a_cold_si_pass_does_not_import_numpy_ma():
+    # The octaves are listed without np.unique, whose first call imports
+    # numpy.ma (14-20 ms) while the first Si table is built.  In a fresh
+    # interpreter, as the import happens once per process
+    code = (
+        "import os, sys\n"
+        "from neumann_sici import cli\n"
+        "status = cli.main(['--check', 'si_coeff_integral.*', '--out', os.devnull])\n"
+        "print(status, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
+
+
 def test_si_ci_domain_errors():
     with pytest.raises(ValueError):
         si(-0.1)
