@@ -32,16 +32,17 @@ the refinement stops, and the floor sum is the estimate.  Its two callers:
   the first at or above max(50, s^2/2), for an integrand of order s, then
   its asymptotic expansion (``_Expansion``, a product of J_nu, Y_nu, Si,
   gamma + log t - Ci, log(t/2), 1/t and J_0(sqrt(a^2 + t^2)) expansions)
-  integrated term by term from one cached tail table per top frequency and
-  B (``_tail_table``).  A lower order's panels are a prefix of a
+  integrated term by term (``_Expansion.tail``, computed once per
+  expansion, at its own shape).  A lower order's panels are a prefix of a
   higher one's, so those of every order up to 25, integer or not, are a
   prefix of order 25's.  Every factor with a kernel keeps one read-only
   table on those (J_0 .. J_25 from one bessel_j_all, Y_0, Y_1, Si, gamma +
   log t - Ci, log(t/2), 1/t; 0.39 MB in all, each built on first use), and
   the first pass of an integrand of order up to 25 combines its factors'
   table values as it combines their f, calling no kernel but for a factor
-  without a table (Corollary 5's J_0(sqrt(a^2 + t^2))).  Each served
-  integrand's expansion is built once per key, read-only, in a bounded cache.
+  without a table (Corollary 5's J_0(sqrt(a^2 + t^2))).  An expansion is
+  read-only from construction; each served integrand's is built once per
+  key in a bounded cache, so its tail is integrated once per key.
 
 Each passes ``_refine`` a frequency kappa, and its estimate adds the
 rounding of the abscissae, by up to eps |t|, which moves an f of frequency
@@ -185,10 +186,12 @@ def _gk15(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
     resabs = (np.abs(values) @ _NODE_W[:, 0]) * abs_h
     resasc = (np.abs(values - 0.5 * resk[:, None]) @ _NODE_W[:, 0]) * abs_h
     err = np.abs(resk - resg) * abs_h
-    # QUADPACK's rescaling of the Gauss-Kronrod difference
+    # QUADPACK's rescaling of the Gauss-Kronrod difference; on a panel wider
+    # than about 1e306 the ratio overflows to inf, which the cap at 1 absorbs
     nonzero = resasc != 0.0
-    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=nonzero)
-    err = np.where(nonzero, resasc * np.minimum(1.0, ratio**1.5), err)
+    with np.errstate(over="ignore"):
+        ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=nonzero)
+        err = np.where(nonzero, resasc * np.minimum(1.0, ratio**1.5), err)
     floor = _ROUNDOFF * resabs
     return resk * h, np.maximum(err, floor), err > floor, resabs
 
@@ -395,6 +398,10 @@ class _Expansion:
     order: float = 0.0
     lattice: ArrayFn | None = None
 
+    def __post_init__(self):
+        for a in (self.size, *self.terms.values()):
+            a.flags.writeable = False
+
     def on_lattice(self, t: np.ndarray) -> np.ndarray:
         """f at the first t.size nodes t of the tabled panels."""
         return self.f(t) if self.lattice is None else self.lattice(t)
@@ -427,23 +434,21 @@ class _Expansion:
     def __sub__(self, other: _Expansion) -> _Expansion:
         return self + other * -1.0
 
-    def integral(self, edges: int) -> tuple[float, float]:
+    @functools.cached_property
+    def tail(self) -> tuple[float, float]:
         """int_B^inf f term by term, and a bound of what the cut series leave out.
 
-        B is the last of the engine's first ``edges`` edges (see ``_edges``).
+        B is the last of the engine's edges for the expansion's order (see
+        ``_edges``).  Computed on first use and kept: the expansion is read-only.
         """
         if self.size[:, :3].any():
             raise ValueError("the tail's majorant decays no faster than 1/t")
-        top, (rows, count) = max(self.terms), self.size.shape
-        if rows <= _TAIL_SHAPE[0] and count <= _TAIL_SHAPE[1]:
-            table = _tail_table(top, edges)
-        else:
-            table = _tail_integrals(top, self.size.shape, edges)
+        table = _tail_integrals(max(self.terms), self.size.shape, len(_edges(self.order)))
         value = math.fsum(
             (2.0 if kappa else 1.0) * float(np.sum(c * table[kappa, : len(c), : c.shape[1]]).real)
             for kappa, c in self.terms.items()
         )
-        return value, self.cut * float(np.sum(self.size * table[0, :rows, :count].real))
+        return value, self.cut * float(np.sum(self.size * table[0].real))
 
 
 def _tail_integrals(top: int, shape: tuple[int, int], edges: int) -> np.ndarray:
@@ -473,21 +478,6 @@ def _tail_integrals(top: int, shape: tuple[int, int], edges: int) -> np.ndarray:
         r[1:, :, :-1] = np.cumsum(g[..., ::-1], axis=2)[..., ::-1] / q
         out[:, j, 3:] = r[:, :, :-1].transpose(0, 2, 1).reshape(top + 1, -1)[:, : count - 3]
     return out * b ** (1.0 - 0.5 * np.arange(count))
-
-
-# The shape (log powers, half powers) of every cached tail table, the largest
-# of a registry integral's (Example 2's 3 rows, Corollary 5's 96 at a = 5);
-# an expansion past it builds its own table.
-_TAIL_SHAPE = (3, 96)
-
-
-@functools.lru_cache(maxsize=16)
-def _tail_table(top: int, edges: int) -> np.ndarray:
-    # _tail_integrals at _TAIL_SHAPE, read-only: one table per (top, B), the
-    # same whichever integral asks first
-    table = _tail_integrals(top, _TAIL_SHAPE, edges)
-    table.flags.writeable = False
-    return table
 
 
 # The tail starts at B = max(50, s^2/2) for an integral of order s, and at
@@ -540,18 +530,11 @@ def _j_rows(t: np.ndarray) -> np.ndarray:
     return specfun.bessel_j_all(_TABLE_CAP, t)
 
 
-def _frozen(expansion: _Expansion) -> _Expansion:
-    # The expansion with its terms and majorant read-only, so it can be cached
-    for a in (expansion.size, *expansion.terms.values()):
-        a.flags.writeable = False
-    return expansion
-
-
 def _factor(f: ArrayFn, terms: dict, cut: float = 0.0, order: float = 0.0,
             lattice: Callable | None = None) -> _Expansion:
-    # A read-only expansion whose majorant is its terms' moduli
+    # An expansion whose majorant is its terms' moduli
     size = functools.reduce(_plus, ((2.0 if k else 1.0) * abs(c) for k, c in terms.items()))
-    return _frozen(_Expansion(f, terms, size, cut, order, lattice))
+    return _Expansion(f, terms, size, cut, order, lattice)
 
 
 def _spread(coeffs: np.ndarray, first: int) -> np.ndarray:
@@ -615,7 +598,6 @@ def _sici(ci: bool) -> _Expansion:
                    lattice=_tabled(f))
 
 
-@functools.lru_cache(maxsize=128)
 def _shifted_j0(a: float) -> _Expansion:
     # J_0(u), u = sqrt(a^2 + t^2): J_0's Hankel series in u, re-expanded in
     # 1/t (convergent for t > a) through u^(-k-1/2) = t^(-k-1/2)
@@ -671,8 +653,8 @@ def oscillatory_semiinf(integrand: _Expansion) -> QuadResult:
     expansion's series leave out.  An expansion whose majorant decays no
     faster than 1/t raises ValueError before any call of f.
     """
+    tail, left_out = integrand.tail
     high = _edges(integrand.order)
-    tail, left_out = integrand.integral(len(high))
     low = np.r_[0.0, high[:-1]]
     tabled = integrand.order <= _TABLE_CAP  # its panels are a prefix of the tables'
     values = _evaluate(integrand.on_lattice if tabled else integrand.f, low, high)
@@ -681,16 +663,16 @@ def oscillatory_semiinf(integrand: _Expansion) -> QuadResult:
     return QuadResult(value + tail, estimate + left_out, panels, len(high))
 
 
-# Each served integrand's expansion is built once per key, read-only, in a
-# bounded cache, as its factors are: the product and sum algebra of its terms
-# costs a moment 70-110 us a call, and Example 2 or Corollary 6 more than its
-# lattice, GK15 and tail together.
+# Each served integrand's expansion is built once per key in a bounded cache,
+# as its factors are, and keeps its tail: the product and sum algebra of its
+# terms costs a moment 70-110 us a call, and Example 2 or Corollary 6 more
+# than its lattice, GK15 and tail together.
 
 
 @functools.lru_cache(maxsize=128)
 def _moment_integrand(ci: bool, order: int) -> _Expansion:
     # weight(t) J_order(t) / t, the weight gamma + log t - Ci if ci, else Si
-    return _frozen(_sici(ci) * (_bessel(order) * _INVERSE_T))
+    return _sici(ci) * (_bessel(order) * _INVERSE_T)
 
 
 def _moment(ci: bool, order: int) -> QuadResult:
@@ -718,7 +700,7 @@ def j0_orthogonality_integral() -> QuadResult:
 
 @functools.lru_cache(maxsize=1)
 def _j1_over_t() -> _Expansion:
-    return _frozen(_bessel(1) * _INVERSE_T)
+    return _bessel(1) * _INVERSE_T
 
 
 def bessel_j1_over_t_integral() -> QuadResult:
@@ -731,7 +713,7 @@ def _example2() -> _Expansion:
     # The two log-divergent pieces inside the bracket are combined before the
     # multiplication; their difference stays O(1) as t -> 0.
     bracket = _bessel(0, True) * _HALF_PI - _LOG_HALF * _bessel(0)
-    return _frozen(_sici(True) * (bracket * _INVERSE_T))
+    return _sici(True) * (bracket * _INVERSE_T)
 
 
 def example2_integral() -> QuadResult:
@@ -749,7 +731,7 @@ def _corollary6(g1: float) -> _Expansion:
     bracket = _LOG_HALF * j1 - _bessel(1, True) * _HALF_PI - _bessel(0) * _INVERSE_T
     if g1:
         bracket = bracket + j1 * g1
-    return _frozen(_sici(False) * (bracket * _INVERSE_T))
+    return _sici(False) * (bracket * _INVERSE_T)
 
 
 def corollary6_integral() -> QuadResult:
@@ -765,7 +747,7 @@ def corollary6_intermediate_integral() -> QuadResult:
 @functools.lru_cache(maxsize=128)
 def _corollary5(a: float) -> _Expansion:
     # [gamma + log t - Ci(t)] J_0(sqrt(a^2 + t^2)) / t
-    return _frozen(_sici(True) * (_shifted_j0(a) * _INVERSE_T))
+    return _sici(True) * (_shifted_j0(a) * _INVERSE_T)
 
 
 def corollary5_rhs(a: float) -> QuadResult:

@@ -246,6 +246,17 @@ def test_integrate_finite_keeps_a_finite_estimate_near_the_float_limit():
         assert abs(Fraction(r.value) - exact) <= r.abs_err_estimate, (a, b)
 
 
+@pytest.mark.parametrize("b", [1e306, 1e307, 1.7e308])
+def test_integrate_finite_rescales_the_error_of_a_panel_wider_than_1e306(b):
+    # QUADPACK's ratio 200 err / resasc overflowed, with a RuntimeWarning,
+    # from b = 1e307 on; its cap at 1 takes inf as it takes any ratio past 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = integrate_finite(lambda t: np.cos(60.0 * (t / b)), 0.0, b)
+    assert abs(r.value - b * (math.sin(60.0) / 60.0)) <= r.abs_err_estimate
+    assert r.subdivisions == 30
+
+
 @pytest.mark.parametrize("a, b, pieces", [
     (0.0, 1e-310, 1),
     (1e-308, 1.1e-308, 1),
@@ -924,49 +935,45 @@ def test_served_integrands_are_cached_read_only_and_bounded(monkeypatch):
         assert isinstance(cache.cache_parameters()["maxsize"], int)
 
 
-def test_every_registry_tail_read_from_a_shared_table_equals_its_own(monkeypatch):
-    # From cold, the deck's 29 tails build 13 tables, one per (top, B), all at
-    # _TAIL_SHAPE (17 integrals share B = 16.25 pi); each integral reading its
-    # slice of them equals, in value and estimate, the same integral with a
-    # table of its expansion's own shape
-    shapes = []
-    tail_integrals = quad._tail_integrals
+def test_each_registry_tail_is_integrated_once_at_its_own_shape(monkeypatch):
+    # With the integrand caches cleared, one pass over the deck integrates 29
+    # tails, each at its expansion's own (log powers, half powers) shape; a
+    # second pass integrates none, as each cached expansion keeps its tail,
+    # and gives the same results
+    shapes, seen = [], []
+    tail_integrals, engine = quad._tail_integrals, quad.oscillatory_semiinf
 
     def recording(top, shape, edges):
         shapes.append(shape)
         return tail_integrals(top, shape, edges)
 
     monkeypatch.setattr(quad, "_tail_integrals", recording)
-    quad._tail_table.cache_clear()
-    shared = [repr(_semi_infinite(check)) for check in _OSCILLATORY_CHECKS]
-    assert shapes == [quad._TAIL_SHAPE] * 13
-    monkeypatch.setattr(quad, "_TAIL_SHAPE", (0, 0))  # no expansion fits: each builds its own
-    assert [repr(_semi_infinite(check)) for check in _OSCILLATORY_CHECKS] == shared
+    monkeypatch.setattr(quad, "oscillatory_semiinf",
+                        lambda integrand: seen.append(integrand) or engine(integrand))
+    for cache in _INTEGRAND_CACHES:
+        cache.cache_clear()
+    cold = [repr(_semi_infinite(check)) for check in _OSCILLATORY_CHECKS]
+    assert len(shapes) == 29
+    assert shapes == [integrand.size.shape for integrand in seen]
+    shapes.clear()
+    assert [repr(_semi_infinite(check)) for check in _OSCILLATORY_CHECKS] == cold
+    assert shapes == []
 
 
-def test_a_tail_table_does_not_depend_on_which_integral_built_it():
-    # the J_10 moment and the J_0 orthogonality integral share B = 16.25 pi;
-    # each gives the same result from a table the other built first
-    high, low = functools.partial(ci_bessel_integral, 5), j0_orthogonality_integral
-    cold = {}
-    for integral in (high, low):
-        quad._tail_table.cache_clear()
-        cold[integral] = repr(integral())
-    for first, second in ((high, low), (low, high)):
-        quad._tail_table.cache_clear()
-        first()
-        assert repr(second()) == cold[second]
-        assert quad._tail_table.cache_info()[:2] == (1, 1)  # (hits, misses)
+def test_an_expansion_built_outside_every_cache_is_read_only():
+    # Read-only from construction, not by its builder: a product no cache
+    # holds has read-only terms and majorant, and the tail it keeps equals
+    # that of the same product built by a served integrand's cache
+    integrand = quad._sici(True) * (quad._bessel(3) * quad._INVERSE_T)
+    for a in (integrand.size, *integrand.terms.values()):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    assert integrand.tail is integrand.tail
+    assert integrand.tail == quad._moment_integrand(True, 3).tail
 
 
-def test_tail_tables_are_read_only_bounded_and_start_at_the_last_edge():
-    high = quad._edges(1)
-    table = quad._tail_table(2, len(high))
-    assert table.shape == (3, *quad._TAIL_SHAPE)
-    assert not table.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        table[0, 0, 3] = 1.0
-    assert quad._tail_table.cache_parameters()["maxsize"] == 16
+def test_the_tail_starts_at_the_last_edge():
     # B from the edge count is the engine's last edge, bit for bit
     for order in (0, 10, 11, 25, 81, 400):
         high = quad._edges(order)
