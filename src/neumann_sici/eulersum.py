@@ -31,8 +31,9 @@ sums on both.
 They all fit one design.  The grid n = 1..20000 with its sign, the
 coefficient sequences 2 H_{n-1}, 2 A_{n-1}, 2 beta_n, alpha_n and the
 Leibniz sums, and the two weight rows of the fit are built once per process,
-on the first oracle call, and kept read-only.  So an oracle call allocates
-its terms, built in place from n^(-k), and the cumulative sum of their last
+on the first oracle call, and kept read-only, as is n^(-k) for each exponent
+k on its first use (at most 8 kept).  So an oracle call allocates its terms,
+the product of two of those tables, and the cumulative sum of their last
 half, and costs two dot products more.
 """
 
@@ -239,13 +240,20 @@ def _fitted_sum(terms: np.ndarray, what: str) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=8)
+def _inverse_power(exponent: int) -> np.ndarray:
+    # n^(-exponent) over the grid, read-only: a registry pass uses 5 exponents
+    # in 21 oracle calls, so each is computed once per process
+    power = _grid().n ** (-float(exponent))
+    power.flags.writeable = False
+    return power
+
+
 def _power_terms(coeffs: np.ndarray, exponent: int, alternating: bool) -> np.ndarray:
     # (+-1)^n coeffs / n^exponent, the sign (-1)^n if alternating, in one array
-    grid = _grid()
-    terms = grid.n ** (-float(exponent))
-    terms *= coeffs
+    terms = _inverse_power(exponent) * coeffs
     if alternating:
-        terms *= grid.flip
+        terms *= _grid().flip
     return terms
 
 

@@ -39,10 +39,12 @@ the refinement stops, and the floor sum is the estimate.  Its two callers:
   table on those (J_0 .. J_25 from one bessel_j_all, Y_0, Y_1, Si, gamma +
   log t - Ci, log(t/2), 1/t; 0.39 MB in all, each built on first use), and
   the first pass of an integrand of order up to 25 combines its factors'
-  table values as it combines their f, calling no kernel but for a factor
-  without a table (Corollary 5's J_0(sqrt(a^2 + t^2))).  An expansion is
-  read-only from construction; each served integrand's is built once per
-  key in a bounded cache, so its tail is integrated once per key.
+  table values as it combines their f, calling no kernel: Corollary 5's
+  J_0(sqrt(a^2 + t^2)) combines the J rows by Neumann's multiplication
+  theorem for |a| up to ``_SHIFT_CAP`` = 6, and past it evaluates its
+  kernel.  An expansion is read-only from construction; each served
+  integrand's is built once per key in a bounded cache, so its tail is
+  integrated once per key.
 
 Each passes ``_refine`` a frequency kappa, and its estimate adds the
 rounding of the abscissae, by up to eps |t|, which moves an f of frequency
@@ -148,6 +150,7 @@ _NODE_W = np.array(
     [(_WGK_CENTER, _WG_CENTER)]
     + [(_WGK[i], _WG[i // 2] if i % 2 else 0.0) for i in range(7) for _ in range(2)]
 )
+_NODE_WK = np.ascontiguousarray(_NODE_W[:, 0])  # the Kronrod column, for the |f| sums
 
 
 def _nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,15 +186,15 @@ def _gk15(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
         bad = int(np.argmin(finite))
         raise QuadratureError(f"integrand returned a non-finite value on [{a[bad]}, {b[bad]}]")
     abs_h = np.abs(h)
-    resabs = (np.abs(values) @ _NODE_W[:, 0]) * abs_h
-    resasc = (np.abs(values - 0.5 * resk[:, None]) @ _NODE_W[:, 0]) * abs_h
+    resabs = (np.abs(values) @ _NODE_WK) * abs_h
+    resasc = (np.abs(values - 0.5 * resk[:, None]) @ _NODE_WK) * abs_h
     err = np.abs(resk - resg) * abs_h
-    # QUADPACK's rescaling of the Gauss-Kronrod difference; on a panel wider
-    # than about 1e306 the ratio overflows to inf, which the cap at 1 absorbs
-    nonzero = resasc != 0.0
-    with np.errstate(over="ignore"):
-        ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=nonzero)
-        err = np.where(nonzero, resasc * np.minimum(1.0, ratio**1.5), err)
+    # QUADPACK's rescaling of the Gauss-Kronrod difference, where resasc is
+    # nonzero; on a panel wider than about 1e306 the ratio overflows to inf,
+    # which the cap at 1 absorbs
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where(resasc != 0.0, scaled, err)
     floor = _ROUNDOFF * resabs
     return resk * h, np.maximum(err, floor), err > floor, resabs
 
@@ -272,11 +275,17 @@ def integrate_finite(
     """
     a, b = specfun._real(a, "a must be finite"), specfun._real(b, "b must be finite")
     tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
-    message = f"pieces must be an integer from 1 to {_MAX_SUBDIVISIONS}"
-    pieces = specfun._integer(pieces, message, 1, _MAX_SUBDIVISIONS)
-    message = (f"requires a < b and a finite width b - a of at least pieces * {_MIN_WIDTH!r} "
-               f"(a normal width per starting panel), got [{a}, {b}] with pieces={pieces}")
-    specfun._real(b - a, message, pieces * _MIN_WIDTH)
+    # each message is formatted only when its check fails
+    try:
+        pieces = specfun._integer(pieces, "", 1, _MAX_SUBDIVISIONS)
+    except ValueError:
+        raise ValueError(f"pieces must be an integer from 1 to {_MAX_SUBDIVISIONS}") from None
+    try:
+        specfun._real(b - a, "", pieces * _MIN_WIDTH)
+    except ValueError:
+        raise ValueError(
+            f"requires a < b and a finite width b - a of at least pieces * {_MIN_WIDTH!r} "
+            f"(a normal width per starting panel), got [{a}, {b}] with pieces={pieces}") from None
     low = a + (b - a) * np.arange(pieces) / pieces
     high = np.append(low[1:], b)
     kappa = math.pi * pieces / (b - a)
@@ -498,15 +507,22 @@ def _edges(order: float) -> np.ndarray:
 
 # The engine's panels for every order up to _TABLE_CAP, integer or not, are
 # a prefix of those of _TABLE_CAP.  Each factor with a kernel keeps one table,
-# the kernel at all their nodes (J_0 .. J_25 from one bessel_j_all), so the
-# first pass of an integrand of such an order calls no kernel but for a
-# factor without one.  The 7 tables take 0.39 MB (0.32 MB the J rows) and
-# 12 ms to build (the J rows 2.2 ms, Y_0 and Y_1 3.4 each, Si and gamma +
-# log t - Ci 1.7 each), where a moment of order 25 takes 4.3 ms direct and
-# 0.3 ms from the tables; the J rows' size grows as the cube of the cap (all
-# warm, on a 2-core x86-64 host).  Orders past the cap evaluate f on the same
-# lattice.
+# the kernel at all their nodes (J_0 .. J_25 from one bessel_j_all), and
+# Corollary 5's J_0(sqrt(a^2 + t^2)) reads the J rows up to |a| =
+# _SHIFT_CAP, so the first pass of an integrand of such an order calls no
+# kernel.  The 7 tables take 0.39 MB (0.32 MB the J rows) and 12 ms to build
+# (the J rows 2.2 ms, Y_0 and Y_1 3.4 each, Si and gamma + log t - Ci 1.7
+# each), where a moment of order 25 takes 4.3 ms direct and 0.3 ms from the
+# tables; the J rows' size grows as the cube of the cap (all warm, on a
+# 2-core x86-64 host).  Orders past the cap evaluate f on the same lattice.
 _TABLE_CAP = 25
+# Corollary 5's J_0(sqrt(t^2 + a^2)) = sum_k (-a^2/(2t))^k / k! J_k(t)
+# (DLMF 10.23.1) reads the J rows up to |a| = _SHIFT_CAP.  It uses no J(a), so
+# the check stays independent of its series side, as Graf's addition theorem
+# would not.  Its terms cancel more as a grows: against 30-digit mpmath on the
+# 255 nodes its worst error is 5.4e-15 for a <= 6 (the kernel's, 3.1e-15 to
+# 1.5e-14), 1.1e-14 at 6.4 and 1.5e-13 at 10.
+_SHIFT_CAP = 6.0
 
 
 @functools.lru_cache(maxsize=7)
@@ -618,8 +634,18 @@ def _shifted_j0(a: float) -> _Expansion:
         phase[m] = 1j / m * (drift[1 : m + 1] @ phase[m - 1 :: -1])
     composite = np.convolve(phase, series)[:n]
     k, cut = _cut(composite, max(50.0, 0.5 * a2))
+
+    def lattice(t):
+        # the multiplication theorem (see _SHIFT_CAP) by Horner over the J rows
+        rows, x = _table(_j_rows)[:, : t.size], -0.5 * a2 / t
+        out = rows[_TABLE_CAP]
+        for j in range(_TABLE_CAP, 0, -1):
+            out = rows[j - 1] + x / j * out
+        return out
+
     return _factor(lambda t: specfun.bessel_j(0, np.sqrt(a2 + t * t)),
-                   {1: _spread(composite[:k], 1)}, cut + j0.cut, a)
+                   {1: _spread(composite[:k], 1)}, cut + j0.cut, a,
+                   lattice if abs(a) <= _SHIFT_CAP else None)
 
 
 def _log_half(t):

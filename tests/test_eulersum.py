@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from neumann_sici import eulersum
+from neumann_sici import eulersum, harness
 from neumann_sici import specfun as sf
 from neumann_sici.eulersum import (
     _beta_weighted_terms,
@@ -355,3 +355,15 @@ def test_fixed_design_caches_are_bounded_and_read_only():
     info = eulersum._grid.cache_info()
     assert info.maxsize == 1
     assert info.currsize == 1
+    # one n^-k table per exponent: a registry pass's 21 power-based oracle
+    # calls use the exponents 2 to 6, so they build exactly 5 tables
+    eulersum._inverse_power.cache_clear()
+    assert harness.run_registry().summary["pass"] == 586
+    info = eulersum._inverse_power.cache_info()
+    assert info.maxsize == 8
+    assert (info.misses, info.hits) == (5, 16)
+    for exponent in range(2, 7):
+        power = eulersum._inverse_power(exponent)
+        assert power.shape == (eulersum._N_TERMS,)
+        with pytest.raises(ValueError, match="read-only"):
+            power[0] = 1.0

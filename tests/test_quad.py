@@ -9,6 +9,7 @@ import time
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -608,16 +609,34 @@ def test_each_tabled_order_reads_a_prefix_of_its_lattice(order):
     # An order's panels, integer or not, are the first panels of the tables'
     # lattice, edge for edge.  An integer order's J factor reads its row of
     # J_0 .. J_25 there; Corollary 5's integrand of a non-integer a reads the
-    # gamma + log t - Ci and 1/t tables and evaluates J_0(sqrt(a^2 + t^2))
+    # gamma + log t - Ci and 1/t tables, and J_0(sqrt(a^2 + t^2)) from the J
+    # rows up to the shift bound, within the two routes' errors against
+    # mpmath (at most 5.4e-15 and 1.5e-14 up to a = 6) times the other
+    # factors, (gamma + log t - Ci)/t < 1, else from its kernel
     high = quad._edges(order)
     assert np.array_equal(high, quad._edges(quad._TABLE_CAP)[: len(high)])
     t = _panel_nodes(order)
     if float(order).is_integer():
         assert np.array_equal(quad._bessel(order).on_lattice(t),
                               sf.bessel_j_all(quad._TABLE_CAP, t)[order])
+        return
+    integrand = quad._sici(True) * (quad._shifted_j0(order) * quad._INVERSE_T)
+    if order <= quad._SHIFT_CAP:
+        assert np.max(np.abs(integrand.on_lattice(t) - integrand.f(t))) <= 2e-14
     else:
-        integrand = quad._sici(True) * (quad._shifted_j0(order) * quad._INVERSE_T)
         assert np.array_equal(integrand.on_lattice(t), integrand.f(t))
+
+
+@pytest.mark.parametrize("a", np.linspace(0.0, quad._SHIFT_CAP, 9))
+def test_the_shifted_j0_lattice_matches_mpmath_up_to_its_bound(a):
+    # J_0(sqrt(a^2 + t^2)) by the multiplication theorem over the J rows, at
+    # every third node, against 30-digit mpmath: within 1e-14, the level of
+    # the kernel's own error there (3.1e-15 to 1.5e-14 for a up to 6)
+    t = _panel_nodes(a)
+    with mpmath.workdps(30):
+        exact = [float(mpmath.besselj(0, mpmath.sqrt(mpmath.mpf(a) ** 2 + mpmath.mpf(x) ** 2)))
+                 for x in t[::3].tolist()]
+    assert np.max(np.abs(quad._shifted_j0(a).lattice(t)[::3] - exact)) <= 1e-14
 
 
 @pytest.mark.parametrize("ci", [False, True], ids=["si", "ci"])
@@ -656,12 +675,15 @@ def test_a_tabled_moment_bisects_through_the_direct_integrand(monkeypatch):
     (example2_integral, []),
     (corollary6_intermediate_integral, []),
     (corollary6_integral, []),
-    *((functools.partial(corollary5_rhs, a), ["bessel_j"]) for a in (0.0, 2.0, 5.0, 2.5)),
+    *((functools.partial(corollary5_rhs, a), []) for a in (0.0, 2.0, 5.0, 2.5, 6.0)),
+    (functools.partial(corollary5_rhs, 6.5), ["bessel_j"]),
 ], ids=["j1_over_t", "example2", "catalan_intermediate", "catalan_eval",
-        "corollary5.a=0", "corollary5.a=2", "corollary5.a=5", "corollary5.a=2.5"])
+        "corollary5.a=0", "corollary5.a=2", "corollary5.a=5", "corollary5.a=2.5",
+        "corollary5.a=6", "corollary5.a=6.5"])
 def test_a_second_call_reads_every_kernel_from_the_tables(monkeypatch, integral, kernels):
-    # Once the tables are built, the closed-form integrals call no kernel but
-    # for Corollary 5's J_0(sqrt(a^2 + t^2)), which has no table, on every node
+    # Once the tables are built, the closed-form integrals call no kernel:
+    # Corollary 5's J_0(sqrt(a^2 + t^2)) reads the J rows up to the shift
+    # bound, and past it calls its kernel on every node
     integral()
     calls = _counting_kernels(monkeypatch)
     r = integral()
