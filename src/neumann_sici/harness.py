@@ -21,9 +21,9 @@ sides.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import fnmatch
-import io
 import json
 import math
 import os
@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, TextIO
 
 from . import __version__, coeffs, eulersum, neumann, quad, specfun
 
@@ -335,13 +335,16 @@ def run_registry(
 # Emission
 # ---------------------------------------------------------------------------
 
-def _write(text: str, path: str | None) -> None:
+@contextlib.contextmanager
+def _destination(path: str | None) -> Iterator[TextIO]:
+    # stdout, or the file at path; an OSError opening, writing or closing it
+    # is a UsageError
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -353,52 +356,51 @@ def emit_report(report: Report, format: str = "text", path: str | None = None) -
     each check one compact object per line, in registry order, so ``grep``
     and ``diff`` line up by check id.  Every object is encoded without an
     indent, which keeps ``json`` on its C encoder, and the checks 32 to a
-    call.
+    call.  Each format is written as it is encoded (a JSON batch, a CSV row,
+    a text line at a time), so no copy of the whole report is held.
     """
-    if format == "json":
-        lines = []
-        for key, value in report.to_dict().items():
-            if key == "checks" and value:
+    if format not in ("text", "json", "csv"):
+        raise UsageError(f"unknown report format {format!r}")
+    with _destination(path) as fh:
+        if format == "json":
+            sep = "{\n"
+            for key, value in report.to_dict().items():
+                fh.write(f"{sep}  {json.dumps(key)}: ")
+                sep = ",\n"
+                if key != "checks" or not value:
+                    fh.write(json.dumps(value))
+                    continue
                 # each batch split at its check boundaries: a check's first
                 # key is "id", and '}, {"id": ' cannot occur inside an
                 # encoded string, whose quotes are escaped
-                batches = (json.dumps(value[i : i + 32])[1:-1] for i in range(0, len(value), 32))
-                checks = ",\n".join(
-                    "    " + b.replace('}, {"id": ', '},\n    {"id": ') for b in batches)
-                lines.append(f'  "checks": [\n{checks}\n  ]')
-            else:
-                lines.append(f"  {json.dumps(key)}: {json.dumps(value)}")
-        _write("{\n" + ",\n".join(lines) + "\n}\n", path)
-        return
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["id", "description", "lhs", "rhs", "abs_diff", "tolerance", "status", "runtime_ms"]
-        )
-        for c in report.checks:
+                fh.write("[\n")
+                for i in range(0, len(value), 32):
+                    batch = json.dumps(value[i : i + 32])[1:-1]
+                    fh.write((",\n    " if i else "    ")
+                             + batch.replace('}, {"id": ', '},\n    {"id": '))
+                fh.write("\n  ]")
+            fh.write("\n}\n")
+        elif format == "csv":
+            writer = csv.writer(fh)
             writer.writerow(
-                [c.id, c.description, repr(c.lhs), repr(c.rhs), repr(c.abs_diff),
-                 repr(c.tolerance), c.status, c.runtime_ms]
+                ["id", "description", "lhs", "rhs", "abs_diff", "tolerance", "status", "runtime_ms"]
             )
-        _write(buf.getvalue(), path)
-        return
-    if format != "text":
-        raise UsageError(f"unknown report format {format!r}")
-    lines = []
-    width = max([len(c.id) for c in report.checks], default=10)
-    for c in report.checks:
-        lines.append(
-            f"{c.id:<{width}}  {c.status:<5}  lhs={c.lhs: .15e}  rhs={c.rhs: .15e}"
-            f"  |diff|={c.abs_diff:9.3e}  tol={c.tolerance:9.3e}  {c.runtime_ms:6d} ms"
-            + (f"  [{c.detail}]" if c.detail else "")
-        )
-    s = report.summary
-    lines.append(
-        f"{s['total']} checks: {s['pass']} pass, {s['fail']} fail, {s['error']} error"
-        f"  (version {report.version}, {report.timestamp})"
-    )
-    _write("\n".join(lines) + "\n", path)
+            writer.writerows(
+                [c.id, c.description, repr(c.lhs), repr(c.rhs), repr(c.abs_diff),
+                 repr(c.tolerance), c.status, c.runtime_ms] for c in report.checks
+            )
+        else:
+            width = max([len(c.id) for c in report.checks], default=10)
+            fh.writelines(
+                f"{c.id:<{width}}  {c.status:<5}  lhs={c.lhs: .15e}  rhs={c.rhs: .15e}"
+                f"  |diff|={c.abs_diff:9.3e}  tol={c.tolerance:9.3e}  {c.runtime_ms:6d} ms"
+                + (f"  [{c.detail}]" if c.detail else "") + "\n" for c in report.checks
+            )
+            s = report.summary
+            fh.write(
+                f"{s['total']} checks: {s['pass']} pass, {s['fail']} fail, {s['error']} error"
+                f"  (version {report.version}, {report.timestamp})\n"
+            )
 
 
 def emit_convergence_tables(
@@ -406,9 +408,7 @@ def emit_convergence_tables(
 ) -> None:
     """CSV table of truncation errors of the Si expansion on a grid."""
     rows = neumann.convergence_table(a_grid, n_grid)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["a", "N", "abs_error", "tail_bound"])
-    for a, n, err, bound in rows:
-        writer.writerow([repr(a), n, repr(err), repr(bound)])
-    _write(buf.getvalue(), path)
+    with _destination(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "N", "abs_error", "tail_bound"])
+        writer.writerows([repr(a), n, repr(err), repr(bound)] for a, n, err, bound in rows)

@@ -18,11 +18,11 @@ of the 15-term sum (dqk15 uses 50 eps); once every panel sits at that floor
 the refinement stops, and the floor sum is the estimate.  Its two callers:
 
 * ``integrate_finite`` -- [a, b] from ``pieces`` equal starting panels, all
-  evaluated in one integrand call.  A cot-weighted integral on [0, pi/2] of
-  frequency m (2n+1 for Lemma 1, 2n for Lemma 3, max(5, ceil(a)) for the
-  transforms) starts from ceil(m/2) panels at most pi/m wide, half a period
-  of sin(m t), which one GK15 panel resolves, and refines to one tol,
-  ``_FINITE_TOL``, with no bisection.  m <= ``_MAX_FREQUENCY`` bounds n and
+  evaluated in one integrand call, to the error sum ``_FINITE_TOL``.  A
+  cot-weighted integral on [0, pi/2] of frequency m (2n+1 for Lemma 1, 2n
+  for Lemma 3, max(5, ceil(a)) for the transforms) starts from ceil(m/2)
+  panels at most pi/m wide, half a period of sin(m t), which one GK15 panel
+  resolves, so it needs no bisection.  m <= ``_MAX_FREQUENCY`` bounds n and
   a.  The Clausen integrals, whose t log t endpoint at 0 bisected 17 times
   from one panel, start from 18 panels graded toward it, as QUADPACK
   treats an endpoint singularity, and call ``_refine`` themselves.
@@ -250,8 +250,8 @@ def _refine(
     return value, err + rounding, len(high)
 
 
-# The finite integrals' target error sum: integrate_finite's default, and the
-# one tol of every cot integral (the Lemma integrals, the transforms, Clausen)
+# The target error sum of every finite integral: integrate_finite's (the
+# Lemma integrals, the transforms) and the Clausen integrals'
 _FINITE_TOL = 1e-12
 # integrate_finite's least width per starting panel, the smallest normal
 # float: on a subnormal width the nodes round by more than eps relative to
@@ -259,22 +259,19 @@ _FINITE_TOL = 1e-12
 _MIN_WIDTH = float(np.finfo(float).tiny)
 
 
-def integrate_finite(
-    f: ArrayFn, a: float, b: float, tol: float = _FINITE_TOL, *, pieces: int = 1
-) -> QuadResult:
-    """Adaptive Gauss-Kronrod integration of f over [a, b] to absolute tol.
+def integrate_finite(f: ArrayFn, a: float, b: float, *, pieces: int = 1) -> QuadResult:
+    """Adaptive Gauss-Kronrod integration of f over [a, b] to absolute ``_FINITE_TOL``.
 
     The refinement starts from ``pieces`` equal panels.  ``a`` and ``b`` must
-    be finite, ``tol`` finite and positive, ``pieces`` an integer from 1 to
-    ``_MAX_SUBDIVISIONS``, and b - a finite and at least ``pieces`` times the
-    smallest normal float, else ValueError before any integrand call.  The
-    panels' error sum exceeds tol only when every panel's estimate sits at
-    its roundoff floor, which bisection cannot lower.  The returned estimate
+    be finite, ``pieces`` an integer from 1 to ``_MAX_SUBDIVISIONS``, and
+    b - a finite and at least ``pieces`` times the smallest normal float,
+    else ValueError before any integrand call.  The panels' error sum
+    exceeds ``_FINITE_TOL`` only when every panel's estimate sits at its
+    roundoff floor, which bisection cannot lower.  The returned estimate
     adds the rounding of the abscissae for an f of at most half a period per
     starting panel.
     """
     a, b = specfun._real(a, "a must be finite"), specfun._real(b, "b must be finite")
-    tol = specfun._real(tol, "tol must be finite and positive", 0.0, strict=True)
     # each message is formatted only when its check fails
     try:
         pieces = specfun._integer(pieces, "", 1, _MAX_SUBDIVISIONS)
@@ -289,7 +286,7 @@ def integrate_finite(
     low = a + (b - a) * np.arange(pieces) / pieces
     high = np.append(low[1:], b)
     kappa = math.pi * pieces / (b - a)
-    return QuadResult(*_refine(f, low, high, _evaluate(f, low, high), tol, kappa))
+    return QuadResult(*_refine(f, low, high, _evaluate(f, low, high), _FINITE_TOL, kappa))
 
 
 _HALF_PI = 0.5 * math.pi
@@ -307,7 +304,7 @@ def _cot(g: ArrayFn) -> ArrayFn:
 
 def _cot_integral(g: ArrayFn, m: int) -> QuadResult:
     # int_0^{pi/2} g(t) cot(t) dt for g of frequency m, from ceil(m/2) panels
-    return integrate_finite(_cot(g), 0.0, _HALF_PI, _FINITE_TOL, pieces=(m + 1) // 2)
+    return integrate_finite(_cot(g), 0.0, _HALF_PI, pieces=(m + 1) // 2)
 
 
 def lemma1_integral(n: int) -> QuadResult:
@@ -452,7 +449,7 @@ class _Expansion:
         """
         if self.size[:, :3].any():
             raise ValueError("the tail's majorant decays no faster than 1/t")
-        table = _tail_integrals(max(self.terms), self.size.shape, len(_edges(self.order)))
+        table = _tail_integrals(max(self.terms), self.size.shape, _edges(self.order)[-1])
         value = math.fsum(
             (2.0 if kappa else 1.0) * float(np.sum(c * table[kappa, : len(c), : c.shape[1]]).real)
             for kappa, c in self.terms.items()
@@ -460,10 +457,9 @@ class _Expansion:
         return value, self.cut * float(np.sum(self.size * table[0].real))
 
 
-def _tail_integrals(top: int, shape: tuple[int, int], edges: int) -> np.ndarray:
-    # I_j(p) = int_b^inf e^(i kappa t) t^-p (log t)^j dt, b = (edges - 3/4) pi
-    # the last of the engine's first ``edges`` edges, for kappa = 0 .. top at
-    # p = h/2, h >= 3, by parts: for kappa = 0, I_j(p) = (b^(1-p) log^j b
+def _tail_integrals(top: int, shape: tuple[int, int], b: float) -> np.ndarray:
+    # I_j(p) = int_b^inf e^(i kappa t) t^-p (log t)^j dt for kappa = 0 .. top
+    # at p = h/2, h >= 3, by parts: for kappa = 0, I_j(p) = (b^(1-p) log^j b
     # + j I_(j-1)(p)) / (p - 1); else I_j(p) = (p I_j(p+1) - j I_(j-1)(p+1)
     # - e^(i kappa b) b^-p log^j b) / (i kappa), run downward in R_j(p) =
     # b^(p-1) I_j(p) (stable for p < kappa b) on the ladders of odd and of
@@ -471,7 +467,6 @@ def _tail_integrals(top: int, shape: tuple[int, int], edges: int) -> np.ndarray:
     # p/(kappa b) a level.  With Q_i = prod_(m<i) p_m / (i kappa b),
     # R_j(p_i) = sum_(k>=i) Q_k g_j(p_k) / Q_i for its inhomogeneous part g_j.
     rows, count = shape
-    b = (edges - 0.75) * math.pi
     log_b = math.log(b)
     p = 1.5 + 0.5 * np.arange(2)[:, None] + np.arange(count // 2 + 20)  # a ladder per row
     kappa = np.arange(1, top + 1)[:, None, None]

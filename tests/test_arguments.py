@@ -6,6 +6,7 @@ harness), never an internal TypeError, and a kernel rejects an array of a
 complex or object dtype instead of casting it.
 """
 
+import inspect
 import json
 import math
 import warnings
@@ -14,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from neumann_sici import harness, neumann, quad, specfun
+from neumann_sici import coeffs, eulersum, harness, neumann, quad, specfun
 
 _BAD = ("1", None, [1.0], 1 + 0j, 1 + 1j, np.complex128(1.0), math.nan, math.inf, -math.inf)
 _GOOD = (2, np.float32(1.5), Fraction(3, 2), np.int64(2))
@@ -37,7 +38,6 @@ _REAL_ARGUMENTS = {
     "convergence_table": lambda v: neumann.convergence_table([v], [2]),
     "integrate_finite.a": lambda v: quad.integrate_finite(np.cos, v, 3.0),
     "integrate_finite.b": lambda v: quad.integrate_finite(np.cos, 0.0, v),
-    "integrate_finite.tol": lambda v: quad.integrate_finite(np.cos, 0.0, 1.0, v),
     "si_transform_integral": quad.si_transform_integral,
     "ci_transform_integral": quad.ci_transform_integral,
     "corollary5_rhs": quad.corollary5_rhs,
@@ -98,3 +98,17 @@ def test_harness_overrides_and_max_n_raise_usage_errors():
         assert report.checks[0].tolerance == float(good)
         # the report holds the int and the float, so it serializes
         assert json.loads(json.dumps(report.to_dict()))["options"]["max_n"] == 0
+
+
+def test_no_public_numerical_function_takes_a_tolerance():
+    # each operation refines to its module's own target (the finite integrals
+    # to quad._FINITE_TOL, the semi-infinite ones to quad._SEMIINF_TOL): no
+    # caller picks an accuracy
+    takes = [
+        f"{module.__name__}.{name}"
+        for module in (quad, neumann, eulersum, specfun, coeffs)
+        for name in module.__all__
+        if callable(fn := getattr(module, name)) and not inspect.isclass(fn)
+        and "tol" in inspect.signature(fn).parameters
+    ]
+    assert takes == []

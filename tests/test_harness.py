@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -297,6 +299,30 @@ def test_json_checks_across_a_batch_boundary_equal_per_check_encoding(tmp_path):
     assert json.loads(text) == report.to_dict()
 
 
+def test_json_emission_holds_no_copy_of_the_whole_report(tmp_path):
+    # each 32-check batch is written as it is encoded, so the emission's
+    # allocation peak stays below twice the report's length
+    checks = [
+        harness.CheckOutcome(
+            f"lemma1_quad.n={i}", "quadrature of sin((2n+1)t) cot t over [0, pi/2] equals "
+            "the exact coefficient", 1.0 + i / 7.0, 1.0 + i / 7.0 + 2.2e-16,
+            2.220446049250313e-16, 1e-12, "pass", 0, 3.1e-15 * (i + 1))
+        for i in range(600)
+    ]
+    report = harness.Report(version="x", timestamp="t", options={"filter": "*"}, checks=checks)
+    path = tmp_path / "report.json"
+    harness.emit_report(report, "json", str(path))
+    length = len(path.read_text(encoding="utf-8"))
+    # to the null device, whose small write buffer the peak then includes
+    tracemalloc.start()
+    try:
+        harness.emit_report(report, "json", os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * length, (peak, length)
+
+
 def test_csv_schema_and_row_count(small_report, tmp_path):
     path = tmp_path / "report.csv"
     harness.emit_report(small_report, "csv", str(path))
@@ -514,3 +540,18 @@ def test_cli_unwritable_output_exits_two(tmp_path, capsys, flag):
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"cannot write {path}" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [
+    ["--format", "text", "--out", "/dev/full"],
+    ["--format", "json", "--out", "/dev/full"],
+    ["--format", "csv", "--out", "/dev/full"],
+    ["--out", os.devnull, "--convergence-out", "/dev/full"],
+], ids=["text", "json", "csv", "convergence"])
+def test_cli_output_to_a_full_device_exits_two(capsys, args):
+    # the open succeeds and the writes fail (ENOSPC), mid-report or at the
+    # close: exit 2, naming the path, as for a path that cannot be opened
+    assert cli.main(["--check", "coeffs.beta_forms.*", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot write /dev/full" in err

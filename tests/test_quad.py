@@ -58,7 +58,7 @@ def _direct(expansion, f):
 # ---------------------------------------------------------------------------
 
 def test_integrate_cos_exactly():
-    r = integrate_finite(np.cos, 0.0, HALF_PI, 1e-14)
+    r = integrate_finite(np.cos, 0.0, HALF_PI)
     assert abs(r.value - 1.0) <= 1e-14
     assert r.abs_err_estimate <= 1e-14
     assert r.subdivisions >= 1
@@ -66,42 +66,38 @@ def test_integrate_cos_exactly():
 
 def test_cos_times_cos2kt_elementary_integral():
     # int_0^{pi/2} cos t cos(2kt) dt = -cos(pi k)/(4k^2 - 1); k = 3 gives 1/35
-    r = integrate_finite(lambda t: np.cos(t) * np.cos(6.0 * t), 0.0, HALF_PI, 1e-14)
+    r = integrate_finite(lambda t: np.cos(t) * np.cos(6.0 * t), 0.0, HALF_PI)
     assert abs(r.value - 1.0 / 35.0) <= 1e-14
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_cos_times_sin_odd_antiderivative_oracle(k):
     # int_0^{pi/2} 2 cos t sin((2k-1)t) dt = (1-(-1)^k)/(2k) + (1+(-1)^k)/(2k-2)
-    r = integrate_finite(
-        lambda t: 2.0 * np.cos(t) * np.sin((2 * k - 1) * t), 0.0, HALF_PI, 1e-14
-    )
+    r = integrate_finite(lambda t: 2.0 * np.cos(t) * np.sin((2 * k - 1) * t), 0.0, HALF_PI)
     expected = (1.0 - (-1.0) ** k) / (2.0 * k) + (1.0 + (-1.0) ** k) / (2.0 * k - 2.0)
     assert abs(r.value - expected) <= 1e-13
 
 
 def test_cos_times_sin_k_equals_one():
     # the k = 1 instance of the closed form is 0/0; the integral itself is 1
-    r = integrate_finite(lambda t: 2.0 * np.cos(t) * np.sin(t), 0.0, HALF_PI, 1e-14)
+    r = integrate_finite(lambda t: 2.0 * np.cos(t) * np.sin(t), 0.0, HALF_PI)
     assert abs(r.value - 1.0) <= 1e-14
 
 
 def test_integrate_finite_validates_interval():
     with pytest.raises(ValueError):
-        integrate_finite(np.cos, 1.0, 1.0, 1e-10)
-    with pytest.raises(ValueError):
-        integrate_finite(np.cos, 0.0, 1.0, 0.0)
+        integrate_finite(np.cos, 1.0, 1.0)
 
 
 def test_nan_integrand_raises():
     with pytest.raises(QuadratureError):
-        integrate_finite(lambda t: np.full_like(t, np.nan), 0.0, 1.0, 1e-10)
+        integrate_finite(lambda t: np.full_like(t, np.nan), 0.0, 1.0)
 
 
 def test_nonintegrable_endpoint_raises_nonconvergence():
     # sin(1/t) oscillates without bound towards 0: the bisection budget runs out
     with pytest.raises(QuadratureError):
-        integrate_finite(lambda t: np.sin(1.0 / t), 1e-300, 1.0, 1e-12)
+        integrate_finite(lambda t: np.sin(1.0 / t), 1e-300, 1.0)
 
 
 def test_one_heap_refines_the_starting_panels_on_one_error_sum():
@@ -134,7 +130,7 @@ def test_gk_estimate_has_a_roundoff_floor():
     # floor, 15 eps times the Kronrod sum of |f|, is left in the error sum;
     # the estimate adds the abscissae's rounding, eps times the frequency of
     # half a period on [-1, 1] (pi/2) times max |t| (1) times that sum
-    r = integrate_finite(lambda t: 1.0 - t ** 7, -1.0, 1.0, 1e-12)
+    r = integrate_finite(lambda t: 1.0 - t ** 7, -1.0, 1.0)
     assert r.subdivisions == 1
     eps = np.finfo(float).eps
     floor = 15 * eps * 2.0  # int_{-1}^{1} |1 - t^7| dt = 2
@@ -152,11 +148,13 @@ def test_finite_estimate_counts_the_rounding_of_the_abscissae():
         (15.0 + 3.0 * math.pi) * np.finfo(float).eps * abs(total), rel=1e-12, abs=0.0)
 
 
-def test_refinement_stops_at_the_roundoff_floor():
-    # the floor sum over [0, 10], 15 eps int |cos| ~ 2.2e-14, exceeds tol:
-    # once every panel sits at its floor the refinement stops and reports
-    # that sum, rather than bisecting until the bisection budget runs out
-    r = integrate_finite(np.cos, 0.0, 10.0, 1e-14)
+def test_refinement_stops_at_the_roundoff_floor(monkeypatch):
+    # the floor sum over [0, 10], 15 eps int |cos| ~ 2.2e-14, exceeds a
+    # target of 1e-14: once every panel sits at its floor the refinement
+    # stops and reports that sum, rather than bisecting until the bisection
+    # budget runs out
+    monkeypatch.setattr(quad, "_FINITE_TOL", 1e-14)
+    r = integrate_finite(np.cos, 0.0, 10.0)
     assert r.subdivisions < 10
     assert 1e-14 < r.abs_err_estimate < 3e-14
     assert abs(r.value - math.sin(10.0)) <= r.abs_err_estimate
@@ -191,7 +189,7 @@ def test_integrate_finite_rejects_a_result_that_is_not_a_real_array_of_its_argum
 
 def test_integrate_finite_starts_from_its_pieces():
     # a GK15 panel pi/8 wide resolves cos to the floor at once
-    r = integrate_finite(np.cos, 0.0, HALF_PI, 1e-14, pieces=4)
+    r = integrate_finite(np.cos, 0.0, HALF_PI, pieces=4)
     assert r.subdivisions == 4
     assert abs(r.value - 1.0) <= r.abs_err_estimate <= 1e-14
 
@@ -205,22 +203,14 @@ def test_integrate_finite_rejects_bad_pieces_before_any_call(pieces):
         return np.cos(t)
 
     with pytest.raises(ValueError, match="pieces must be an integer"):
-        integrate_finite(f, 0.0, 1.0, 1e-10, pieces=pieces)
+        integrate_finite(f, 0.0, 1.0, pieces=pieces)
     assert calls == []
 
 
 @pytest.mark.parametrize(
-    "a, b, tol",
-    [
-        (0.0, math.inf, 1e-10),
-        (-math.inf, 1.0, 1e-10),
-        (math.nan, 1.0, 1e-10),
-        (0.0, math.nan, 1e-10),
-        (0.0, 3.0, math.nan),
-        (0.0, 3.0, math.inf),
-    ],
+    "a, b", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)]
 )
-def test_integrate_finite_rejects_nonfinite_input_before_any_call(a, b, tol):
+def test_integrate_finite_rejects_nonfinite_input_before_any_call(a, b):
     calls = []
 
     def f(t):
@@ -228,7 +218,7 @@ def test_integrate_finite_rejects_nonfinite_input_before_any_call(a, b, tol):
         return np.sin(50.0 * t)
 
     with pytest.raises(ValueError, match="must be finite"):
-        integrate_finite(f, a, b, tol)
+        integrate_finite(f, a, b)
     assert calls == []
 
 
@@ -331,9 +321,9 @@ def test_cot_integrals_run_through_integrate_finite(monkeypatch):
     seen = []
     inner = quad.integrate_finite
 
-    def recording(f, a, b, tol, *, pieces=1):
+    def recording(f, a, b, *, pieces=1):
         seen.append(pieces)
-        return inner(f, a, b, tol, pieces=pieces)
+        return inner(f, a, b, pieces=pieces)
 
     monkeypatch.setattr(quad, "integrate_finite", recording)
     lemma1_integral(50)
@@ -965,9 +955,9 @@ def test_each_registry_tail_is_integrated_once_at_its_own_shape(monkeypatch):
     shapes, seen = [], []
     tail_integrals, engine = quad._tail_integrals, quad.oscillatory_semiinf
 
-    def recording(top, shape, edges):
+    def recording(top, shape, b):
         shapes.append(shape)
-        return tail_integrals(top, shape, edges)
+        return tail_integrals(top, shape, b)
 
     monkeypatch.setattr(quad, "_tail_integrals", recording)
     monkeypatch.setattr(quad, "oscillatory_semiinf",
@@ -995,11 +985,20 @@ def test_an_expansion_built_outside_every_cache_is_read_only():
     assert integrand.tail == quad._moment_integrand(True, 3).tail
 
 
-def test_the_tail_starts_at_the_last_edge():
-    # B from the edge count is the engine's last edge, bit for bit
+def test_the_tail_starts_at_the_last_edge(monkeypatch):
+    # B, where an expansion's tail is integrated from, is the engine's last
+    # edge for its order, and equals (k + 1/4) pi at k = edges - 1 bit for bit
+    starts, tail_integrals = [], quad._tail_integrals
+
+    def recording(top, shape, b):
+        starts.append(b)
+        return tail_integrals(top, shape, b)
+
+    monkeypatch.setattr(quad, "_tail_integrals", recording)
     for order in (0, 10, 11, 25, 81, 400):
+        assert (quad._bessel(order) * quad._INVERSE_T).tail
         high = quad._edges(order)
-        assert (len(high) - 0.75) * math.pi == float(high[-1])
+        assert starts.pop() == float(high[-1]) == (len(high) - 0.75) * math.pi
 
 
 _FINITE_IDS = re.compile(

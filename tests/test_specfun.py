@@ -462,7 +462,7 @@ def test_si_at_zero():
 def test_si_at_pi_matches_quadrature_oracle():
     from neumann_sici.quad import integrate_finite
 
-    oracle = integrate_finite(lambda t: np.sin(t) / t, 0.0, math.pi, 1e-14)
+    oracle = integrate_finite(lambda t: np.sin(t) / t, 0.0, math.pi)
     assert abs(si(math.pi) - oracle.value) <= 1e-12
 
 
