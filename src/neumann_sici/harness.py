@@ -95,20 +95,22 @@ class Report:
         return counts
 
     def to_dict(self) -> dict:
-        def clean(c: CheckOutcome) -> dict:
-            d = vars(c).copy()
-            for key in ("lhs", "rhs", "abs_diff"):
-                if not math.isfinite(d[key]):
-                    d[key] = None  # keep the JSON strictly valid for errored checks
-            return d
-
         return {
             "version": self.version,
             "timestamp": self.timestamp,
             "options": self.options,
-            "checks": [clean(c) for c in self.checks],
+            "checks": [_clean(c) for c in self.checks],
             "summary": self.summary,
         }
+
+
+def _clean(c: CheckOutcome) -> dict:
+    # a check's JSON object: its fields, a non-finite value as null
+    d = vars(c).copy()
+    for key in ("lhs", "rhs", "abs_diff"):
+        if not math.isfinite(d[key]):
+            d[key] = None  # keep the JSON strictly valid for errored checks
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +365,20 @@ def emit_report(report: Report, format: str = "text", path: str | None = None) -
         raise UsageError(f"unknown report format {format!r}")
     with _destination(path) as fh:
         if format == "json":
-            sep = "{\n"
-            for key, value in report.to_dict().items():
-                fh.write(f"{sep}  {json.dumps(key)}: ")
-                sep = ",\n"
-                if key != "checks" or not value:
-                    fh.write(json.dumps(value))
-                    continue
-                # each batch split at its check boundaries: a check's first
-                # key is "id", and '}, {"id": ' cannot occur inside an
-                # encoded string, whose quotes are escaped
-                fh.write("[\n")
-                for i in range(0, len(value), 32):
-                    batch = json.dumps(value[i : i + 32])[1:-1]
-                    fh.write((",\n    " if i else "    ")
-                             + batch.replace('}, {"id": ', '},\n    {"id": '))
-                fh.write("\n  ]")
-            fh.write("\n}\n")
+            fh.write("{")
+            for key in ("version", "timestamp", "options"):
+                fh.write(f'\n  "{key}": {json.dumps(getattr(report, key))},')
+            fh.write('\n  "checks": [')
+            # each batch cleaned as it is encoded, and split at its check
+            # boundaries: a check's first key is "id", and '}, {"id": ' cannot
+            # occur inside an encoded string, whose quotes are escaped
+            checks = report.checks
+            for i in range(0, len(checks), 32):
+                batch = json.dumps([_clean(c) for c in checks[i : i + 32]])[1:-1]
+                fh.write((",\n    " if i else "\n    ")
+                         + batch.replace('}, {"id": ', '},\n    {"id": '))
+            fh.write("\n  ]" if checks else "]")
+            fh.write(f',\n  "summary": {json.dumps(report.summary)}\n}}\n')
         elif format == "csv":
             writer = csv.writer(fh)
             writer.writerow(

@@ -492,11 +492,16 @@ _MAX_MOMENT_ORDER = math.isqrt(2 * _MAX_TAIL_START)
 _ORDER_CAP = f"J order at most quad._MAX_MOMENT_ORDER = {_MAX_MOMENT_ORDER}"
 
 
+def _tail_start(order: float) -> float:
+    # B, from which an integrand's expansion of this order serves its tail
+    return max(50.0, 0.5 * order * order)
+
+
 def _edges(order: float) -> np.ndarray:
     # The right edges of the engine's panels for an integral of this order:
-    # (k + 1/4) pi for k >= 0, up to the first at or above max(50,
-    # order^2/2).  A lower order's edges are a prefix of a higher one's.
-    count = math.ceil(max(50.0, 0.5 * order * order) / math.pi - 0.25) + 1
+    # (k + 1/4) pi for k >= 0, up to the first at or above _tail_start(order).
+    # A lower order's edges are a prefix of a higher one's.
+    count = math.ceil(_tail_start(order) / math.pi - 0.25) + 1
     return (np.arange(count) + 0.25) * math.pi
 
 
@@ -579,7 +584,7 @@ def _bessel(order: int, second_kind: bool = False) -> _Expansion:
     # coefficients (DLMF 10.17.1, 10.17.3), whose auxiliary series P and Q
     # each leave out at most their first omitted term (DLMF 10.17(iii))
     a = np.cumprod(np.concatenate(([1.0], 0.125j * np.array(specfun._hankel_ratios(order)))))
-    k, cut = _cut(a, max(50.0, 0.5 * order * order))
+    k, cut = _cut(a, _tail_start(order))
     rot = cmath.exp(-0.5j * (order + 0.5) * math.pi) * (-1j if second_kind else 1.0)
     kernel = "bessel_y" if second_kind else "bessel_j"
 
@@ -598,7 +603,7 @@ def _sici(ci: bool) -> _Expansion:
     # real and imaginary parts each leave out at most their first omitted
     # term (DLMF 6.12(ii))
     e = np.cumprod(np.concatenate(([1.0], 1j * np.arange(1.0, 60.0))))
-    m, cut = _cut(e, 50.0)
+    m, cut = _cut(e, _tail_start(0))
     flat = np.array([[specfun.CONSTANTS.euler_gamma], [1.0]]) if ci else np.array([[_HALF_PI]])
     kernel = "gamma_log_minus_ci" if ci else "si"
 
@@ -628,7 +633,7 @@ def _shifted_j0(a: float) -> _Expansion:
     for m in range(1, n):
         phase[m] = 1j / m * (drift[1 : m + 1] @ phase[m - 1 :: -1])
     composite = np.convolve(phase, series)[:n]
-    k, cut = _cut(composite, max(50.0, 0.5 * a2))
+    k, cut = _cut(composite, _tail_start(a))
 
     def lattice(t):
         # the multiplication theorem (see _SHIFT_CAP) by Horner over the J rows

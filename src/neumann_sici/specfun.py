@@ -4,8 +4,9 @@ Everything the identity checks reference lives here: Bessel J_n, Y_0, Y_1,
 the sine and cosine integrals, odd-index Clausen functions, zeta/eta values
 and a table of named constants.  All functions are pure; the only
 module-level state is a cache of immutable values (Clausen series
-coefficients per weight, J's series limit for the last 1024 orders), so
-values can be shared freely across threads.
+coefficients per weight, J's series limit for the last 1024 orders, the
+Hankel coefficient ratios per order), so values can be shared freely across
+threads.
 
 Si and Ci have two branches: the power series up to x = 8 and the E_1(ix)
 continued fraction above it (Numerical Recipes 6.8).  J_n has four: the
@@ -16,17 +17,18 @@ expansion from there on.
 ``bessel_j``, ``bessel_y``, ``si``, ``ci`` and ``gamma_log_minus_ci`` also
 accept a float ndarray and return an array of the same shape, and
 ``bessel_j_all`` one row per order.  Each element takes the branch the scalar
-kernel would take for it, split by mask, and each branch is one routine for a
-float and an array.  A power series stops a float at its own test; an array
-runs until every element has met it and adds only zeros to an element that
-has.  A Miller element starts at its own depth and a Y bridge element stops
-at its own last term, with zeros before and after.  On these branches an
-array result equals the scalar one exactly.  The others, J's upward
-recurrence included, agree to rounding: an array runs the step or term count
-the float takes at its smallest element (the Si/Ci continued fraction at the
-smallest element of each octave of x), as larger ones converge no slower.  A
-Python float runs plain ``math`` code.  ``clausen_odd`` runs the same
-arithmetic for a float and an array, so they agree exactly.
+kernel would take for it, split by mask.  The power series of J, Y and Si/Ci
+are float routines, which an array runs element by element, so each element
+does the float's arithmetic and stops at the float's test.  Every other branch
+is one routine for a float and an array.  A Miller element starts at its own
+depth and a Y bridge element stops at its own last term, with zeros before and
+after.  On these branches an array result equals the scalar one exactly.  The
+others, J's upward recurrence included, agree to rounding: an array runs the
+step or term count the float takes at its smallest element (the Si/Ci
+continued fraction at the smallest element of each octave of x), as larger
+ones converge no slower.  A Python float runs plain ``math`` code.
+``clausen_odd`` runs the same arithmetic for a float and an array, so they
+agree exactly.
 """
 
 from __future__ import annotations
@@ -141,7 +143,8 @@ def _branches(x, positive: bool, edges, *routines, rows: tuple[int, ...] = ()):
     # routines[0] for x <= edges[0], routines[i] for edges[i-1] <= x < edges[i]
     # past it (the last from edges[-1] on, none between equal edges), for a
     # float, or for an array split by masks that runs none on no elements,
-    # into an array of shape (*rows, *x.shape)
+    # into an array of shape (*rows, *x.shape).  A series routine runs its
+    # band's elements as floats (Y_1's 1 / x is -inf at a subnormal x).
     message = "x must be finite and positive" if positive else "x must be finite and nonnegative"
     if not isinstance(x, np.ndarray):
         x = _real(x, message, 0.0, positive)
@@ -151,9 +154,7 @@ def _branches(x, positive: bool, edges, *routines, rows: tuple[int, ...] = ()):
     band = np.where(x <= edges[0], 0, np.searchsorted(edges, x, side="right"))
     for i, routine in enumerate(routines):
         if (mask := band == i).any():
-            # Y_1's 1 / x overflows at a subnormal x, as for a float
-            with np.errstate(over="ignore" if i == 0 else None):
-                out[..., mask] = routine(x[mask])
+            out[..., mask] = routine(x[mask])
     return out
 
 
@@ -162,19 +163,13 @@ def _branches(x, positive: bool, edges, *routines, rows: tuple[int, ...] = ()):
 # ---------------------------------------------------------------------------
 
 def _per_element(f, x, *args):
-    # f(x, *args) for a float, and at every element of a 1-D array: the power
-    # series and the Y bridge take log and exp from libm through it (numpy's
-    # differ in the last bit for some arguments).
+    # f(x, *args) for a float, and at every element of a 1-D array as a
+    # Python float: the power series run through it, so an array element does
+    # the float's arithmetic, and Ci and the Y bridge take libm's log through
+    # it (numpy's differs in the last bit for some arguments).
     if isinstance(x, np.ndarray):
         return np.array([f(v, *args) for v in x.tolist()], dtype=float)
     return f(x, *args)
-
-
-def _live(term, live):
-    # The stop step of a power series over an array: zero the terms of the
-    # elements that have met the float's test, and tell whether any has not.
-    term *= live
-    return live.any()
 
 
 def _j_log_bound(half: float, order: int) -> float:
@@ -207,19 +202,18 @@ def _j_first_term(half: float, order: int) -> float:
     return math.exp(log_t0) if log_t0 >= -745.0 else 0.0
 
 
-def _bessel_j_series(order: int, x):
+def _bessel_j_series(x, order: int):
     # Ascending series sum_k (-1)^k (x/2)^(order+2k) / (k! (order+k)!), for a
-    # float or an array.  The test is relative, also for a subnormal sum, which
-    # runs until its terms underflow; near a zero of J an element runs longer
-    # than the array's largest one.
-    array = isinstance(x, np.ndarray)
+    # float, and for an array element by element.  The test is relative, also
+    # for a subnormal sum, which runs until its terms underflow.
+    if isinstance(x, np.ndarray):
+        return _per_element(_bessel_j_series, x, order)
     half = 0.5 * x
-    term = total = _per_element(_j_first_term, half, order) if array else _j_first_term(half, order)
+    term = total = _j_first_term(half, order)
     for k in range(1, 501):
-        term = term * (-half * half / (k * (order + k)))
-        total = total + term
-        live = abs(term) > _J_SERIES_TOL * abs(total)  # a zero term stops at once
-        if not (_live(term, live) if array else live):
+        term *= -half * half / (k * (order + k))
+        total += term
+        if not abs(term) > _J_SERIES_TOL * abs(total):  # a zero term stops at once
             break
     return total
 
@@ -320,7 +314,7 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
     order = _integer(order, "order must be an integer in [0, 2**53]", 0, _J_MAX_ORDER)
     return _branches(
         x, False, (_j_series_max(order), max(25.0, order), max(25.0, 0.5 * order * order)),
-        lambda v: _bessel_j_series(order, v),
+        lambda v: _bessel_j_series(v, order),
         lambda v: _miller(order, v, order)[0],
         lambda v: _upward(order, v, order)[0],
         lambda v: _hankel(order, v, True),
@@ -350,7 +344,7 @@ def bessel_j_all(nmax: int, x: float | np.ndarray) -> list[float] | np.ndarray:
             f"(nmax + 1) max(x.size, 32) exceeds specfun._MILLER_MAX_STEPS = {_MILLER_MAX_STEPS}"
         )
     return _branches(x, False, (_J_ALL_TINY, max(25.0, nmax)),
-                     lambda v: [_bessel_j_series(n, v) for n in range(nmax + 1)],
+                     lambda v: [_bessel_j_series(v, n) for n in range(nmax + 1)],
                      lambda v: _miller(nmax, v), lambda v: _upward(nmax, v), rows=(nmax + 1,))
 
 
@@ -364,34 +358,33 @@ def _log_half(x: float) -> float:
     return math.log(half) if half + half == x else math.log(x) - CONSTANTS.log2
 
 
-def _bessel_y_series(order: int, x):
+def _bessel_y_series(x, order: int):
     # DLMF 10.8.1 ascending series, stable for x <= _Y_SERIES_MAX, for a
-    # float or an array.  Y_1's -2/(pi x) overflows to -inf below about
-    # 6e-309.
-    array = isinstance(x, np.ndarray)
+    # float, and for an array element by element.  Y_1's -2/(pi x) overflows
+    # to -inf below about 6e-309.
+    if isinstance(x, np.ndarray):
+        return _per_element(_bessel_y_series, x, order)
     u = 0.25 * x * x
-    lg = _per_element(_log_half, x) if array else _log_half(x)
+    lg = _log_half(x)
     j = bessel_j(order, x)
     if order == 0:
         term, hk, s = 1.0, 0.0, 0.0
         for k in range(1, 502):
-            term = term * (-u / (k * k))
+            term *= -u / (k * k)
             hk += 1.0 / k
-            s = s + hk * term
+            s += hk * term
             t = abs(term) * (hk + 1.0)
-            live = (t >= 1e-18 * abs(s)) | (t >= 1e-18 * 1e-10)
-            if not (_live(term, live) if array else live):
+            if not (t >= 1e-18 * abs(s) or t >= 1e-18 * 1e-10):
                 break
         return (2.0 / math.pi) * ((lg + _EULER_GAMMA) * j - s)
     term, hk, hk1, s = 1.0, 0.0, 1.0, 0.0
     for k in range(1, 502):
-        s = s + (hk + hk1 - 2.0 * _EULER_GAMMA) * term
-        term = term * (-u / (k * (k + 1)))
+        s += (hk + hk1 - 2.0 * _EULER_GAMMA) * term
+        term *= -u / (k * (k + 1))
         hk += 1.0 / k
         hk1 += 1.0 / (k + 1)
         t = abs(term) * (hk + hk1 + 2.0)
-        live = (t >= 1e-18 * abs(s)) | (t >= 1e-18 * 1e-10)
-        if not (_live(term, live) if array else live):
+        if not (t >= 1e-18 * abs(s) or t >= 1e-18 * 1e-10):
             break
     return (2.0 / math.pi) * (lg * j - 1.0 / x) - x / (2.0 * math.pi) * s
 
@@ -477,7 +470,7 @@ def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
     order = _integer(order, "order must be 0 or 1", 0, 1)
     return _branches(
         x, True, (_Y_SERIES_MAX, _Y_ASYMPTOTIC_MIN),
-        lambda v: _bessel_y_series(order, v),
+        lambda v: _bessel_y_series(v, order),
         lambda v: _bessel_y_bridge(order, v),
         lambda v: _hankel(order, v, False),
     )
@@ -490,16 +483,16 @@ def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
 def _sici_series(x, shift: int):
     # The sum of (-1)^(n-1) x^(2n-1+shift) / ((2n-1+shift) (2n-1+shift)!):
     # Si(x) for shift 0 (odd in x by construction) and the entire part
-    # gamma + log x - Ci(x) for shift 1, for a float or an array, up to a
-    # next term at most _SICI_SERIES_TOL of the sum.
-    array = isinstance(x, np.ndarray)
+    # gamma + log x - Ci(x) for shift 1, for a float, and for an array element
+    # by element, up to a next term at most _SICI_SERIES_TOL of the sum.
+    if isinstance(x, np.ndarray):
+        return _per_element(_sici_series, x, shift)
     total = 0.0
     term = 0.5 * x * x if shift else x  # x^(2n-1+shift)/(2n-1+shift)!
     for n in range(1, 301):
-        total = total + term / (2 * n - 1 + shift)
-        term = term * (-x * x / ((2 * n + shift) * (2 * n + 1 + shift)))
-        live = abs(term) / (2 * n + 1 + shift) > _SICI_SERIES_TOL * abs(total)
-        if not (_live(term, live) if array else live):
+        total += term / (2 * n - 1 + shift)
+        term *= -x * x / ((2 * n + shift) * (2 * n + 1 + shift))
+        if not abs(term) / (2 * n + 1 + shift) > _SICI_SERIES_TOL * abs(total):
             break
     return total
 

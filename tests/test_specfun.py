@@ -649,9 +649,9 @@ def _j_zeros_below_8():
 
 def _branch_grid(order=0):
     # both sides of every branch boundary (x = 8, 17, 25, 50, order^2/2 and
-    # (x/2)^2 = order + 1), the zeros of J below 8, where an element of a J
-    # series runs more terms than the array's largest one, the smallest
-    # subnormal, 1e-300 and a log-spaced sweep
+    # (x/2)^2 = order + 1), the zeros of J below 8, where J's relative stop
+    # test runs the series longest, the smallest subnormal, 1e-300 and a
+    # log-spaced sweep
     edges = [8.0, 17.0, 25.0, 50.0, 0.5 * order * order, 2.0 * math.sqrt(order + 1.0)]
     near = [e * s for e in edges if e > 0.0 for s in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)]
     extra = _j_zeros_below_8() + [5e-324, 1e-300]
@@ -674,8 +674,8 @@ def _assert_matches_scalar(fn, x, exact=lambda xi: xi <= 8.0):
 def test_bessel_j_array_matches_scalar(order):
     # Exact on the series and Miller nodes.  J_225 is below 1e-300 between 6
     # and 8, where the series runs until its terms underflow: an array element
-    # that has met its test must add no more terms.  A Miller element starts
-    # at its own depth and adds zeros before it.
+    # runs the float's series, so it stops at the float's term.  A Miller
+    # element starts at its own depth and adds zeros before it.
     x = np.concatenate([[0.0], _branch_grid(order)])
     _assert_matches_scalar(
         lambda v: bessel_j(order, v), x, lambda xi: xi < max(25.0, 0.5 * order * order)
