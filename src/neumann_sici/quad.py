@@ -510,11 +510,12 @@ def _edges(order: float) -> np.ndarray:
 # the kernel at all their nodes (J_0 .. J_25 from one bessel_j_all), and
 # Corollary 5's J_0(sqrt(a^2 + t^2)) reads the J rows up to |a| =
 # _SHIFT_CAP, so the first pass of an integrand of such an order calls no
-# kernel.  The 7 tables take 0.39 MB (0.32 MB the J rows) and 12 ms to build
-# (the J rows 2.2 ms, Y_0 and Y_1 3.4 each, Si and gamma + log t - Ci 1.7
-# each), where a moment of order 25 takes 4.3 ms direct and 0.3 ms from the
-# tables; the J rows' size grows as the cube of the cap (all warm, on a
-# 2-core x86-64 host).  Orders past the cap evaluate f on the same lattice.
+# kernel.  The 7 tables take 0.39 MB (0.32 MB the J rows) and 6.5-7 ms to
+# build (the J rows 0.8-0.9 ms, Y_0 and Y_1 2.0-2.4 each, Si and gamma +
+# log t - Ci 0.75-0.85 each), where a moment of order 25 takes 1.7-1.8 ms
+# direct and 0.07 ms from the tables; the J rows' size grows as the cube of
+# the cap (in-process, warm, best of 5, on a 2-core x86-64 host).  Orders
+# past the cap evaluate f on the same lattice.
 _TABLE_CAP = 25
 # Corollary 5's J_0(sqrt(t^2 + a^2)) = sum_k (-a^2/(2t))^k / k! J_k(t)
 # (DLMF 10.23.1) reads the J rows up to |a| = _SHIFT_CAP.  It uses no J(a), so

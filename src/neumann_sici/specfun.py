@@ -18,15 +18,15 @@ expansion from there on.
 accept a float ndarray and return an array of the same shape, and
 ``bessel_j_all`` one row per order.  Each element takes the branch the scalar
 kernel would take for it, split by mask.  The power series of J, Y and Si/Ci
-are float routines, which an array runs element by element, so each element
-does the float's arithmetic and stops at the float's test.  Every other branch
-is one routine for a float and an array.  A Miller element starts at its own
-depth and a Y bridge element stops at its own last term, with zeros before and
-after.  On these branches an array result equals the scalar one exactly.  The
-others, J's upward recurrence included, agree to rounding: an array runs the
-step or term count the float takes at its smallest element (the Si/Ci
-continued fraction at the smallest element of each octave of x), as larger
-ones converge no slower.  A Python float runs plain ``math`` code.
+and the Y bridge are float routines, which an array runs element by element,
+so each element does the float's arithmetic and stops at the float's test.
+Every other branch is one routine for a float and an array.  A Miller element
+starts at its own depth, with zeros before it.  On these branches an array
+result equals the scalar one exactly.  The others, J's upward recurrence
+included, agree to rounding: an array runs the step or term count the float
+takes at its smallest element (the Si/Ci continued fraction at the smallest
+element of each octave of x), as larger ones converge no slower.  A Python
+float runs plain ``math`` code.
 ``clausen_odd`` runs the same arithmetic for a float and an array, so they
 agree exactly.
 """
@@ -164,9 +164,9 @@ def _branches(x, positive: bool, edges, *routines, rows: tuple[int, ...] = ()):
 
 def _per_element(f, x, *args):
     # f(x, *args) for a float, and at every element of a 1-D array as a
-    # Python float: the power series run through it, so an array element does
-    # the float's arithmetic, and Ci and the Y bridge take libm's log through
-    # it (numpy's differs in the last bit for some arguments).
+    # Python float: the power series and the Y bridge run through it, so an
+    # array element does the float's arithmetic, and Ci takes libm's log
+    # through it (numpy's differs in the last bit for some arguments).
     if isinstance(x, np.ndarray):
         return np.array([f(v, *args) for v in x.tolist()], dtype=float)
     return f(x, *args)
@@ -221,8 +221,7 @@ def _bessel_j_series(x, order: int):
 def _miller(nmax, x, first: int = 0):
     # J_first .. J_nmax at x by the backward (Miller) recurrence normalized by
     # J_0 + 2 sum J_2k = 1 (Numerical Recipes 6.5): floats for a float, arrays
-    # for an array, whose nmax may vary by element (the list then runs to the
-    # largest).  Each element starts at its own even depth m = nmax +
+    # for an array.  Each element starts at its own even depth m = nmax +
     # ceil(1.5 x) + 40 with j = 1e-30; above it its j and jp are 0, so the
     # steps there add exact zeros and an element equals the float.  j is
     # rescaled by 1e-250 past 1e250; an entry stored before a rescale takes it
@@ -232,13 +231,9 @@ def _miller(nmax, x, first: int = 0):
     steps = nmax + 1.5 * x
     if (steps.max(initial=0.0) if array else steps) > _MILLER_MAX_STEPS:
         raise ValueError(f"nmax + 1.5 x exceeds specfun._MILLER_MAX_STEPS = {_MILLER_MAX_STEPS}")
-    if array:
-        m = nmax + np.ceil(1.5 * x).astype(np.int64) + 40
-        size = int(np.max(nmax, initial=0)) + 1
-    else:
-        m = nmax + int(math.ceil(1.5 * x)) + 40
-        size = nmax + 1
+    m = nmax + (np.ceil(1.5 * x).astype(np.int64) if array else int(math.ceil(1.5 * x))) + 40
     m += m % 2
+    size = nmax + 1
     depths = sorted(set(m.tolist()), reverse=True) if array else [m]
     j = jp = even_sum = 0.0 * x  # no step writes in place, so they may share
     rescales = 0 * m  # so far, for each element
@@ -374,7 +369,8 @@ def _bessel_y_series(x, order: int):
             hk += 1.0 / k
             s += hk * term
             t = abs(term) * (hk + 1.0)
-            if not (t >= 1e-18 * abs(s) or t >= 1e-18 * 1e-10):
+            # a zero term (u underflows below x ~ 3e-162) stays zero, and s with it
+            if term == 0.0 or not (t >= 1e-18 * abs(s) or t >= 1e-18 * 1e-10):
                 break
         return (2.0 / math.pi) * ((lg + _EULER_GAMMA) * j - s)
     term, hk, hk1, s = 1.0, 0.0, 1.0, 0.0
@@ -389,25 +385,24 @@ def _bessel_y_series(x, order: int):
     return (2.0 / math.pi) * (lg * j - 1.0 / x) - x / (2.0 * math.pi) * s
 
 
-def _bessel_y_bridge(order: int, x):
+def _bessel_y_bridge(x, order: int):
     # Neumann-series identities (GR 8.515.7 / 8.514.9) expressing Y_0, Y_1
-    # through J_n, for a float or an array; accurate to machine precision for
-    # moderate x where both the ascending series and the asymptotic expansion
-    # fall short of 1e-12.  Each element sums to its own nmax = ceil(x) + 30
-    # from a Miller pass of its own depth; an array adds zeros past it, where
-    # its terms are below 1e-60, so it equals the float by construction.
-    array = isinstance(x, np.ndarray)
-    nmax = (np.ceil(x).astype(np.int64) if array else int(math.ceil(x))) + 30
+    # through J_n, for a float, and for an array element by element; accurate
+    # to machine precision for moderate x where both the ascending series and
+    # the asymptotic expansion fall short of 1e-12.  It sums to nmax =
+    # ceil(x) + 30, where its terms are below 1e-60, from one Miller pass.
+    if isinstance(x, np.ndarray):
+        return _per_element(_bessel_y_bridge, x, order)
+    nmax = int(math.ceil(x)) + 30
     j = _miller(2 * nmax + 1, x)
-    lg = _per_element(math.log, 0.5 * x) + _EULER_GAMMA
-    last = nmax - order  # the last n summed
-    s = 0.0
-    for n in range(1, len(j) // 2 - order):
+    lg = math.log(0.5 * x) + _EULER_GAMMA
+    s, sign = 0.0, 1.0
+    for n in range(1, nmax + 1 - order):
+        sign = -sign
         if order == 0:
-            term = ((-1) ** n) * j[2 * n] / n
+            s += sign * j[2 * n] / n
         else:
-            term = ((-1) ** n) * (2 * n + 1) / (n * (n + 1.0)) * j[2 * n + 1]
-        s = s + (np.where(n <= last, term, 0.0) if array else term)
+            s += sign * (2 * n + 1) / (n * (n + 1.0)) * j[2 * n + 1]
     if order == 0:
         return (2.0 / math.pi) * lg * j[0] - (4.0 / math.pi) * s
     return (2.0 / math.pi) * ((lg - 1.0) * j[1] - j[0] / x - s)
@@ -471,7 +466,7 @@ def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
     return _branches(
         x, True, (_Y_SERIES_MAX, _Y_ASYMPTOTIC_MIN),
         lambda v: _bessel_y_series(v, order),
-        lambda v: _bessel_y_bridge(order, v),
+        lambda v: _bessel_y_bridge(v, order),
         lambda v: _hankel(order, v, False),
     )
 

@@ -594,6 +594,23 @@ def test_every_table_equals_its_kernel_on_the_lattice(name, odd):
     assert quad._table(kernel).shape[-1] == _panel_nodes(quad._TABLE_CAP).size
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_each_y_table_equals_the_float_kernel_at_every_node(order):
+    # The table comes from the array kernel.  Below x = 17 (the series and
+    # bridge nodes, 94 of its 1,515) each node equals the float bessel_y by
+    # repr; from 17 on the array's Hankel sum runs the term count of its
+    # smallest element, and agrees to rounding (Y_1 at t = 18.06 by 4.8e-18)
+    table, t = quad._table(quad._bessel(order, True).f), _panel_nodes(quad._TABLE_CAP)
+    assert table.size == t.size == 1515
+    floats = [sf.bessel_y(order, v) for v in t.tolist()]
+    below = t < sf._Y_ASYMPTOTIC_MIN
+    assert np.count_nonzero(below) == 94
+    assert [repr(v) for v in table[below].tolist()] == [
+        repr(v) for v, b in zip(floats, below.tolist()) if b
+    ]
+    assert np.all(np.abs(table - floats) <= 1e-14 * np.maximum(1.0, np.abs(floats)))
+
+
 @pytest.mark.parametrize("order", [*range(quad._TABLE_CAP + 1), 0.5, 2.5, 24.5])
 def test_each_tabled_order_reads_a_prefix_of_its_lattice(order):
     # An order's panels, integer or not, are the first panels of the tables'

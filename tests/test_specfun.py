@@ -442,6 +442,36 @@ def test_bessel_y_subnormal_argument(x):
     assert y1[0] == -math.inf and y1[1] == bessel_y(1, 1.0)
 
 
+def _y_series_lines(order, x):
+    # bessel_y(order, x) and the line events traced inside _bessel_y_series
+    code, count = sf._bessel_y_series.__code__, 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        value = bessel_y(order, x)
+    finally:
+        sys.settrace(previous)
+    return value, count
+
+
+@pytest.mark.parametrize("x", [1e-200, 5e-324])
+def test_bessel_y0_series_stops_at_a_zero_term(x):
+    # Below x ~ 3e-162, u = x^2/4 underflows to 0, so every term and the sum
+    # s are 0 and the stop test t >= 1e-18 |s| reads 0 >= 0: without a stop
+    # at a zero term the series runs all 501 iterations (about 3,000 line
+    # events).  It takes no more than at x = 1e-100 (two terms, the second
+    # underflows), and with J_0 = 1 and s = 0 its value is the log term alone.
+    value, lines = _y_series_lines(0, x)
+    assert lines <= _y_series_lines(0, 1e-100)[1] < 50
+    assert value == (2.0 / math.pi) * (sf._log_half(x) + CONSTANTS.euler_gamma)
+
+
 def test_bessel_y_domain_errors():
     with pytest.raises(ValueError):
         bessel_y(2, 1.0)
@@ -684,8 +714,8 @@ def test_bessel_j_array_matches_scalar(order):
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_bessel_y_array_matches_scalar(order):
-    # exact on the series and bridge nodes: a bridge element sums to its own
-    # ceil(x) + 30 and adds zeros past it
+    # exact on the series and bridge nodes: an array runs the float bridge
+    # element by element, each with its own Miller pass and ceil(x) + 30 terms
     x = np.concatenate([_branch_grid(), np.linspace(8.0, 17.0, 201)])
     _assert_matches_scalar(lambda v: bessel_y(order, v), x, lambda xi: xi < 17.0)
 
