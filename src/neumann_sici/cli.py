@@ -16,11 +16,11 @@ def _parse_override(text: str) -> tuple[str, float]:
     # check ids themselves contain '=', so split at the last one
     ident, sep, value = text.rpartition("=")
     if not sep or not ident:
-        raise harness.UsageError(f"--tol-override expects <id>=<value>, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected <id>=<value>, got {text!r}")
     try:
         return ident, float(value)
-    except ValueError as exc:
-        raise harness.UsageError(f"bad tolerance value in {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad tolerance value in {text!r}") from None
 
 
 def _read_config(path: str) -> dict[str, list[str]]:
@@ -48,11 +48,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="neumann-sici",
         description="Run the registered identity checks and emit a report.",
     )
-    parser.add_argument("--check", metavar="GLOB", default=None,
+    parser.add_argument("--check", metavar="GLOB", default="*",
                         help="id glob selecting checks to run (default '*')")
-    parser.add_argument("--tol-override", metavar="ID=VAL", action="append", default=None,
+    parser.add_argument("--tol-override", metavar="ID=VAL", action="append",
+                        type=_parse_override,
                         help="override the tolerance of one check id (repeatable)")
-    parser.add_argument("--format", choices=("text", "json", "csv"), default=None,
+    parser.add_argument("--format", choices=("text", "json", "csv"), default="text",
                         help="report format (default text)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="report destination (default stdout)")
@@ -64,72 +65,48 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="flat key=value config file; CLI flags win")
     parser.add_argument("--convergence-out", metavar="PATH", default=None,
                         help="also write the expansion convergence table CSV here")
-    parser.add_argument("--a-grid", metavar="LIST", default=None,
+    parser.add_argument("--a-grid", metavar="LIST", default="0.5,1,2,5,10,20",
                         help="comma-separated a values for the convergence table")
-    parser.add_argument("--n-grid", metavar="LIST", default=None,
+    parser.add_argument("--n-grid", metavar="LIST", default="2,5,10,15,20,30,40",
                         help="comma-separated truncation lengths for the table")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser
 
 
-_DEFAULT_A_GRID = "0.5,1,2,5,10,20"
-_DEFAULT_N_GRID = "2,5,10,15,20,30,40"
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    # each line of the --config file as its flag, ``key = value`` as
+    # ``--key=value``; a command-line --tol-override drops the file's list
+    config = _read_config(args.config)
+    unknown = sorted(set(config) - (set(vars(args)) - {"config"}))
+    if unknown:
+        raise harness.UsageError(f"unknown config keys in {args.config}: {unknown}")
+    if args.tol_override is not None:
+        config.pop("tol_override", None)
+    return [f"--{key.replace('_', '-')}={value}"
+            for key, values in config.items() for value in values]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse reports its own usage errors
-        return 0 if not exc.code else 2
-    try:
-        config: dict[str, list[str]] = {}
-        if args.config:
-            config = _read_config(args.config)
-        unknown = sorted(set(config) - (set(vars(args)) - {"config"}))
-        if unknown:
-            raise harness.UsageError(f"unknown config keys in {args.config}: {unknown}")
-
-        def pick(cli_value, key: str, default: str | None) -> str | None:
-            if cli_value is not None:
-                return str(cli_value)
-            if key in config:
-                return config[key][-1]
-            return default
-
-        check = pick(args.check, "check", "*")
-        fmt = pick(args.format, "format", "text")
-        if fmt not in ("text", "json", "csv"):
-            raise harness.UsageError(f"bad format {fmt!r} in config")
-        out = pick(args.out, "out", None)
-        max_n_s = pick(args.max_n, "max_n", None)
-        jobs_s = pick(args.jobs, "jobs", None)
         try:
-            max_n = int(max_n_s) if max_n_s is not None else None
-            if jobs_s is not None:
-                int(jobs_s)  # validated, but has no effect
-        except ValueError as exc:
-            raise harness.UsageError(f"bad integer option: {exc}") from exc
-        override_texts = list(config.get("tol_override", []))
-        if args.tol_override is not None:
-            override_texts = list(args.tol_override)  # CLI wins wholesale
-        overrides = dict(_parse_override(t) for t in override_texts)
-
-        convergence_out = pick(args.convergence_out, "convergence_out", None)
-        if convergence_out is not None:
-            a_grid_s = pick(args.a_grid, "a_grid", _DEFAULT_A_GRID)
-            n_grid_s = pick(args.n_grid, "n_grid", _DEFAULT_N_GRID)
+            args = parser.parse_args(argv)
+            if args.config:  # the file's flags go first, so the command line's win
+                args = parser.parse_args(_config_flags(args) + argv)
+        except SystemExit as exc:  # argparse reports its own usage errors
+            return 0 if not exc.code else 2
+        if args.convergence_out is not None:
             try:  # convergence_table rejects a value outside the expansion's domain
-                a_grid = [float(v) for v in a_grid_s.split(",") if v.strip()]
-                n_grid = [int(v) for v in n_grid_s.split(",") if v.strip()]
-                harness.emit_convergence_tables(a_grid, n_grid, convergence_out)
+                a_grid = [float(v) for v in args.a_grid.split(",") if v.strip()]
+                n_grid = [int(v) for v in args.n_grid.split(",") if v.strip()]
+                harness.emit_convergence_tables(a_grid, n_grid, args.convergence_out)
             except harness.UsageError:  # an unwritable path
                 raise
             except ValueError as exc:
                 raise harness.UsageError(f"bad grid value: {exc}") from exc
-
-        report = harness.run_registry(check, overrides, max_n=max_n)
-        harness.emit_report(report, fmt, out)
+        report = harness.run_registry(args.check, dict(args.tol_override or ()), max_n=args.max_n)
+        harness.emit_report(report, args.format, args.out)
     except harness.UsageError as exc:
         print(f"neumann-sici: error: {exc}", file=sys.stderr)
         return 2

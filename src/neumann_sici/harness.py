@@ -94,15 +94,6 @@ class Report:
         counts["total"] = len(self.checks)
         return counts
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "options": self.options,
-            "checks": [_clean(c) for c in self.checks],
-            "summary": self.summary,
-        }
-
 
 def _clean(c: CheckOutcome) -> dict:
     # a check's JSON object: its fields, a non-finite value as null

@@ -82,7 +82,7 @@ def test_kernels_reject_complex_and_object_arrays(kernel):
     assert kernel(x.astype(int)).tolist() == kernel(x).tolist()
 
 
-def test_harness_overrides_and_max_n_raise_usage_errors():
+def test_harness_overrides_and_max_n_raise_usage_errors(tmp_path):
     # an override of "1" and a max_n of 1.5 leaked a TypeError
     check = "coeffs.lemma1_alpha.n=0"
     for bad in _BAD:
@@ -97,7 +97,9 @@ def test_harness_overrides_and_max_n_raise_usage_errors():
         report = harness.run_registry(check, {check: good}, max_n=np.int64(0))
         assert report.checks[0].tolerance == float(good)
         # the report holds the int and the float, so it serializes
-        assert json.loads(json.dumps(report.to_dict()))["options"]["max_n"] == 0
+        path = tmp_path / "report.json"
+        harness.emit_report(report, "json", str(path))
+        assert json.loads(path.read_text())["options"]["max_n"] == 0
 
 
 def test_no_public_numerical_function_takes_a_tolerance():

@@ -212,8 +212,6 @@ def test_error_status_on_exception(monkeypatch, tmp_path):
     assert "ZeroDivisionError" in report.checks[0].detail
     assert math.isnan(report.checks[0].lhs)
     # errored checks serialize as strictly valid JSON (no bare NaN tokens)
-    text = json.dumps(report.to_dict(), allow_nan=False)
-    assert json.loads(text)["checks"][0]["lhs"] is None
     path = tmp_path / "error.json"
     harness.emit_report(report, "json", str(path))
 
@@ -250,6 +248,17 @@ def test_exact_checks_compare_in_exact_arithmetic(monkeypatch):
 # report emission
 # ---------------------------------------------------------------------------
 
+def _json_object(report):
+    # what the JSON report holds: the report's fields and each check's, a
+    # non-finite lhs, rhs or abs_diff as null
+    def check(c):
+        return {k: None if k in ("lhs", "rhs", "abs_diff") and not math.isfinite(v) else v
+                for k, v in vars(c).items()}
+
+    return {"version": report.version, "timestamp": report.timestamp, "options": report.options,
+            "checks": [check(c) for c in report.checks], "summary": report.summary}
+
+
 @pytest.fixture(scope="module")
 def small_report():
     return harness.run_registry("coeffs.beta_forms.*", max_n=8)
@@ -259,7 +268,7 @@ def test_json_roundtrip(small_report, tmp_path):
     path = tmp_path / "report.json"
     harness.emit_report(small_report, "json", str(path))
     parsed = json.loads(path.read_text())
-    assert parsed == small_report.to_dict()
+    assert parsed == _json_object(small_report)
     assert parsed["summary"]["total"] == len(parsed["checks"])
     assert parsed["version"]
 
@@ -270,7 +279,7 @@ def test_json_report_writes_one_line_per_check(small_report, tmp_path):
     path = tmp_path / "report.json"
     harness.emit_report(small_report, "json", str(path))
     text = path.read_text()
-    checks = small_report.to_dict()["checks"]
+    checks = _json_object(small_report)["checks"]
     lines = [line for line in text.splitlines() if line.startswith('    {"id": ')]
     assert len(checks) == 8
     assert len(lines) == len(checks)
@@ -293,10 +302,10 @@ def test_json_checks_across_a_batch_boundary_equal_per_check_encoding(tmp_path):
     path = tmp_path / "report.json"
     harness.emit_report(report, "json", str(path))
     text = path.read_text(encoding="utf-8")
-    dicts = report.to_dict()["checks"]
+    dicts = _json_object(report)["checks"]
     assert ",\n".join("    " + json.dumps(c) for c in dicts) in text
     assert len([line for line in text.splitlines() if line.startswith('    {"id": ')]) == 40
-    assert json.loads(text) == report.to_dict()
+    assert json.loads(text) == _json_object(report)
 
 
 def test_json_emission_holds_no_copy_of_the_whole_report(tmp_path):
@@ -465,6 +474,38 @@ def test_cli_config_file(tmp_path):
     assert rc == 0
     parsed = json.loads((tmp_path / "cli_wins.json").read_text())
     assert parsed["summary"]["total"] == 3
+
+
+@pytest.mark.parametrize("key, value", [
+    ("format", "xml"), ("max_n", "1.5"), ("jobs", "x"), ("tol_override", "no-equals-sign"),
+])
+def test_cli_bad_config_value_exits_two_as_its_flag_does(tmp_path, capsys, key, value):
+    # a config line gets the checks its flag gets
+    out = tmp_path / "r.txt"
+    flag = f"--{key.replace('_', '-')}={value}"
+    assert cli.main(["--check", "coeffs.lemma1_alpha.n=1", "--out", str(out), flag]) == 2
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert cli.main(["--config", str(cfg), "--check", "coeffs.lemma1_alpha.n=1",
+                     "--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_cli_tol_override_replaces_the_config_files_list(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("check = si_expansion.*\n"
+                   "tol_override = si_expansion.a=2=1e-3\n"
+                   "tol_override = si_expansion.a=5=1e-4\n"
+                   "format = json\n")
+    out = tmp_path / "r.json"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0
+    options = json.loads(out.read_text())["options"]
+    assert options["tol_overrides"] == {"si_expansion.a=2": 1e-3, "si_expansion.a=5": 1e-4}
+    assert cli.main(["--config", str(cfg), "--tol-override", "si_expansion.a=1=1e-5",
+                     "--out", str(out)]) == 0
+    options = json.loads(out.read_text())["options"]
+    assert options["tol_overrides"] == {"si_expansion.a=1": 1e-5}
 
 
 def test_cli_negative_max_n_exits_two(tmp_path, capsys):
