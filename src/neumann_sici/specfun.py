@@ -18,15 +18,15 @@ expansion from there on.
 accept a float ndarray and return an array of the same shape, and
 ``bessel_j_all`` one row per order.  Each element takes the branch the scalar
 kernel would take for it, split by mask.  The power series of J, Y and Si/Ci
-and the Y bridge are float routines, which an array runs element by element,
-so each element does the float's arithmetic and stops at the float's test.
-Every other branch is one routine for a float and an array.  A Miller element
-starts at its own depth, with zeros before it.  On these branches an array
-result equals the scalar one exactly.  The others, J's upward recurrence
-included, agree to rounding: an array runs the step or term count the float
-takes at its smallest element (the Si/Ci continued fraction at the smallest
-element of each octave of x), as larger ones converge no slower.  A Python
-float runs plain ``math`` code.
+and the Y bridge are float routines, which ``_branches`` runs at each element
+of their band as a Python float, so each element does the float's arithmetic
+and stops at the float's test.  Every other branch is one routine for a float
+and an array.  A Miller element starts at its own depth, with zeros before it.
+On these branches an array result equals the scalar one exactly.  The others,
+J's upward recurrence included, agree to rounding: an array runs the step or
+term count the float takes at its smallest element (the Si/Ci continued
+fraction at the smallest element of each octave of x), as larger ones
+converge no slower.  A Python float runs plain ``math`` code.
 ``clausen_odd`` runs the same arithmetic for a float and an array, so they
 agree exactly.
 """
@@ -139,12 +139,14 @@ def _checked_array(
     return x
 
 
-def _branches(x, positive: bool, edges, *routines, rows: tuple[int, ...] = ()):
+def _branches(x, positive: bool, edges, *routines, floats: int, rows: tuple[int, ...] = ()):
     # routines[0] for x <= edges[0], routines[i] for edges[i-1] <= x < edges[i]
     # past it (the last from edges[-1] on, none between equal edges), for a
     # float, or for an array split by masks that runs none on no elements,
-    # into an array of shape (*rows, *x.shape).  A series routine runs its
-    # band's elements as floats (Y_1's 1 / x is -inf at a subnormal x).
+    # into an array of shape (*rows, *x.shape).  The first ``floats`` routines
+    # take only a float (the power series and the Y bridge): an array runs
+    # them at each element of their band as a Python float, a list result
+    # giving one value per row (and Y_1's 1 / x is -inf at a subnormal x).
     message = "x must be finite and positive" if positive else "x must be finite and nonnegative"
     if not isinstance(x, np.ndarray):
         x = _real(x, message, 0.0, positive)
@@ -154,23 +156,16 @@ def _branches(x, positive: bool, edges, *routines, rows: tuple[int, ...] = ()):
     band = np.where(x <= edges[0], 0, np.searchsorted(edges, x, side="right"))
     for i, routine in enumerate(routines):
         if (mask := band == i).any():
-            out[..., mask] = routine(x[mask])
+            if i < floats:
+                out[..., mask] = np.array([routine(v) for v in x[mask].tolist()]).T
+            else:
+                out[..., mask] = routine(x[mask])
     return out
 
 
 # ---------------------------------------------------------------------------
 # Bessel functions of the first kind
 # ---------------------------------------------------------------------------
-
-def _per_element(f, x, *args):
-    # f(x, *args) for a float, and at every element of a 1-D array as a
-    # Python float: the power series and the Y bridge run through it, so an
-    # array element does the float's arithmetic, and Ci takes libm's log
-    # through it (numpy's differs in the last bit for some arguments).
-    if isinstance(x, np.ndarray):
-        return np.array([f(v, *args) for v in x.tolist()], dtype=float)
-    return f(x, *args)
-
 
 def _j_log_bound(half: float, order: int) -> float:
     # log of the first term (x/2)^order / order!, x = 2 half > 0, a bound on
@@ -202,12 +197,10 @@ def _j_first_term(half: float, order: int) -> float:
     return math.exp(log_t0) if log_t0 >= -745.0 else 0.0
 
 
-def _bessel_j_series(x, order: int):
-    # Ascending series sum_k (-1)^k (x/2)^(order+2k) / (k! (order+k)!), for a
-    # float, and for an array element by element.  The test is relative, also
-    # for a subnormal sum, which runs until its terms underflow.
-    if isinstance(x, np.ndarray):
-        return _per_element(_bessel_j_series, x, order)
+def _bessel_j_series(x: float, order: int) -> float:
+    # Ascending series sum_k (-1)^k (x/2)^(order+2k) / (k! (order+k)!).  The
+    # test is relative, also for a subnormal sum, which runs until its terms
+    # underflow.
     half = 0.5 * x
     term = total = _j_first_term(half, order)
     for k in range(1, 501):
@@ -312,7 +305,7 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
         lambda v: _bessel_j_series(v, order),
         lambda v: _miller(order, v, order)[0],
         lambda v: _upward(order, v, order)[0],
-        lambda v: _hankel(order, v, True),
+        lambda v: _hankel(order, v, True), floats=1,
     )
 
 
@@ -340,7 +333,8 @@ def bessel_j_all(nmax: int, x: float | np.ndarray) -> list[float] | np.ndarray:
         )
     return _branches(x, False, (_J_ALL_TINY, max(25.0, nmax)),
                      lambda v: [_bessel_j_series(v, n) for n in range(nmax + 1)],
-                     lambda v: _miller(nmax, v), lambda v: _upward(nmax, v), rows=(nmax + 1,))
+                     lambda v: _miller(nmax, v), lambda v: _upward(nmax, v),
+                     floats=1, rows=(nmax + 1,))
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +347,9 @@ def _log_half(x: float) -> float:
     return math.log(half) if half + half == x else math.log(x) - CONSTANTS.log2
 
 
-def _bessel_y_series(x, order: int):
-    # DLMF 10.8.1 ascending series, stable for x <= _Y_SERIES_MAX, for a
-    # float, and for an array element by element.  Y_1's -2/(pi x) overflows
-    # to -inf below about 6e-309.
-    if isinstance(x, np.ndarray):
-        return _per_element(_bessel_y_series, x, order)
+def _bessel_y_series(x: float, order: int) -> float:
+    # DLMF 10.8.1 ascending series, stable for x <= _Y_SERIES_MAX.  Y_1's
+    # -2/(pi x) overflows to -inf below about 6e-309.
     u = 0.25 * x * x
     lg = _log_half(x)
     j = bessel_j(order, x)
@@ -385,14 +376,12 @@ def _bessel_y_series(x, order: int):
     return (2.0 / math.pi) * (lg * j - 1.0 / x) - x / (2.0 * math.pi) * s
 
 
-def _bessel_y_bridge(x, order: int):
+def _bessel_y_bridge(x: float, order: int) -> float:
     # Neumann-series identities (GR 8.515.7 / 8.514.9) expressing Y_0, Y_1
-    # through J_n, for a float, and for an array element by element; accurate
-    # to machine precision for moderate x where both the ascending series and
-    # the asymptotic expansion fall short of 1e-12.  It sums to nmax =
-    # ceil(x) + 30, where its terms are below 1e-60, from one Miller pass.
-    if isinstance(x, np.ndarray):
-        return _per_element(_bessel_y_bridge, x, order)
+    # through J_n; accurate to machine precision for moderate x where both
+    # the ascending series and the asymptotic expansion fall short of 1e-12.
+    # It sums to nmax = ceil(x) + 30, where its terms are below 1e-60, from
+    # one Miller pass.
     nmax = int(math.ceil(x)) + 30
     j = _miller(2 * nmax + 1, x)
     lg = math.log(0.5 * x) + _EULER_GAMMA
@@ -467,7 +456,7 @@ def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
         x, True, (_Y_SERIES_MAX, _Y_ASYMPTOTIC_MIN),
         lambda v: _bessel_y_series(v, order),
         lambda v: _bessel_y_bridge(v, order),
-        lambda v: _hankel(order, v, False),
+        lambda v: _hankel(order, v, False), floats=2,
     )
 
 
@@ -475,13 +464,11 @@ def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
 # Sine and cosine integrals
 # ---------------------------------------------------------------------------
 
-def _sici_series(x, shift: int):
+def _sici_series(x: float, shift: int) -> float:
     # The sum of (-1)^(n-1) x^(2n-1+shift) / ((2n-1+shift) (2n-1+shift)!):
     # Si(x) for shift 0 (odd in x by construction) and the entire part
-    # gamma + log x - Ci(x) for shift 1, for a float, and for an array element
-    # by element, up to a next term at most _SICI_SERIES_TOL of the sum.
-    if isinstance(x, np.ndarray):
-        return _per_element(_sici_series, x, shift)
+    # gamma + log x - Ci(x) for shift 1, up to a next term at most
+    # _SICI_SERIES_TOL of the sum.
     total = 0.0
     term = 0.5 * x * x if shift else x  # x^(2n-1+shift)/(2n-1+shift)!
     for n in range(1, 301):
@@ -492,33 +479,11 @@ def _sici_series(x, shift: int):
     return total
 
 
-def _e1_of_ix(x):
-    # E_1(ix) by the modified Lentz continued fraction, for a float (cmath)
-    # or an array (numpy), and the number of steps it took (for an array,
-    # the most any element took); Ci(x) = -Re, and Si(x) - pi/2 = Im.
-    # Converges to machine precision for x >= ~2, in fewer steps the larger
-    # x is: 24 to 26 near x = 8, 7 at x = 50, 3 at 10^3 and 1 from 10^8 on.
-    # A float stops once a step changes h by at most about one ulp, so its
-    # count varies by a few steps between nearby x.  An array runs each
-    # octave of x for the steps the float takes at the octave's smallest
-    # element: the truncation error after n steps falls with x, so they
-    # suffice for the larger ones.
-    if not isinstance(x, np.ndarray):
-        return _lentz(x, 299)
-    out = np.empty(x.shape, dtype=complex)
-    octave = np.frexp(x)[1]
-    steps = 0
-    for e in sorted(set(octave.tolist())):
-        band = octave == e
-        limit = _lentz(float(x[band].min()), 299)[1]
-        out[band] = _lentz(x[band], limit)[0]
-        steps = max(steps, limit)
-    return out, steps
-
-
 def _lentz(x, limit: int):
-    # _e1_of_ix's continued fraction: a float stops at its own test within
-    # limit steps, an array runs all of them
+    # E_1(ix) by the modified Lentz continued fraction, for a float (cmath)
+    # or an array (numpy), and the number of steps it ran: a float stops at
+    # its own test within limit steps, an array runs all of them.
+    # Ci(x) = -Re, and Si(x) - pi/2 = Im.
     scalar = not isinstance(x, np.ndarray)
     z = x * 1j
     b = z + 1.0
@@ -539,25 +504,36 @@ def _lentz(x, limit: int):
 
 
 def _sici_fraction(x):
-    # Si(x) and Ci(x) from E_1(ix), for a float or an array
-    e1 = _e1_of_ix(x)[0]
+    # Si(x) and Ci(x) from E_1(ix), for a float or an array.  The fraction
+    # converges to machine precision for x >= ~2, in fewer steps the larger
+    # x is: 24 to 26 near x = 8, 7 at x = 50, 3 at 10^3 and 1 from 10^8 on.
+    # A float stops once a step changes E_1 by at most about one ulp, so its
+    # count varies by a few steps between nearby x.  An array runs each
+    # octave of x for the steps the float takes at the octave's smallest
+    # element: the truncation error after n steps falls with x, so they
+    # suffice for the larger ones.
+    if isinstance(x, np.ndarray):
+        e1 = np.empty(x.shape, dtype=complex)
+        octave = np.frexp(x)[1]
+        for e in sorted(set(octave.tolist())):
+            band = octave == e
+            e1[band] = _lentz(x[band], _lentz(float(x[band].min()), 299)[1])[0]
+    else:
+        e1 = _lentz(x, 299)[0]
     return e1.imag + 0.5 * math.pi, -e1.real
 
 
 def si(x: float | np.ndarray) -> float | np.ndarray:
     """Sine integral Si(x) = int_0^x sin(t)/t dt, x >= 0."""
-    return _branches(
-        x, False, (_SICI_CROSSOVER,), lambda v: _sici_series(v, 0), lambda v: _sici_fraction(v)[0]
-    )
+    return _branches(x, False, (_SICI_CROSSOVER,), lambda v: _sici_series(v, 0),
+                     lambda v: _sici_fraction(v)[0], floats=1)
 
 
 def ci(x: float | np.ndarray) -> float | np.ndarray:
     """Cosine integral Ci(x), x > 0."""
-    return _branches(
-        x, True, (_SICI_CROSSOVER,),
-        lambda v: _EULER_GAMMA + _per_element(math.log, v) - _sici_series(v, 1),
-        lambda v: _sici_fraction(v)[1],
-    )
+    return _branches(x, True, (_SICI_CROSSOVER,),
+                     lambda v: _EULER_GAMMA + math.log(v) - _sici_series(v, 1),
+                     lambda v: _sici_fraction(v)[1], floats=1)
 
 
 def gamma_log_minus_ci(x: float | np.ndarray) -> float | np.ndarray:
@@ -567,10 +543,8 @@ def gamma_log_minus_ci(x: float | np.ndarray) -> float | np.ndarray:
     crossover it comes straight from the entire series x^2/4 - x^4/96 + ...
     """
     log = np.log if isinstance(x, np.ndarray) else math.log
-    return _branches(
-        x, False, (_SICI_CROSSOVER,), lambda v: _sici_series(v, 1),
-        lambda v: log(v) + (_EULER_GAMMA - _sici_fraction(v)[1]),
-    )
+    return _branches(x, False, (_SICI_CROSSOVER,), lambda v: _sici_series(v, 1),
+                     lambda v: log(v) + (_EULER_GAMMA - _sici_fraction(v)[1]), floats=1)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +622,7 @@ def clausen_odd(weight: int, theta: float | np.ndarray) -> float | np.ndarray:
         if weight % 4 == 3:  # (-1)^m for m = weight // 2 odd
             s = -s
         out = out + s * (h + series * x - log_r)
-    return out if isinstance(out, np.ndarray) else float(out)
+    return np.asarray(out) if isinstance(theta, np.ndarray) else float(out)
 
 
 # ---------------------------------------------------------------------------

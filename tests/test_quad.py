@@ -594,19 +594,36 @@ def test_every_table_equals_its_kernel_on_the_lattice(name, odd):
     assert quad._table(kernel).shape[-1] == _panel_nodes(quad._TABLE_CAP).size
 
 
-@pytest.mark.parametrize("order", [0, 1])
-def test_each_y_table_equals_the_float_kernel_at_every_node(order):
-    # The table comes from the array kernel.  Below x = 17 (the series and
-    # bridge nodes, 94 of its 1,515) each node equals the float bessel_y by
-    # repr; from 17 on the array's Hankel sum runs the term count of its
-    # smallest element, and agrees to rounding (Y_1 at t = 18.06 by 4.8e-18)
-    table, t = quad._table(quad._bessel(order, True).f), _panel_nodes(quad._TABLE_CAP)
-    assert table.size == t.size == 1515
-    floats = [sf.bessel_y(order, v) for v in t.tolist()]
-    below = t < sf._Y_ASYMPTOTIC_MIN
-    assert np.count_nonzero(below) == 94
-    assert [repr(v) for v in table[below].tolist()] == [
-        repr(v) for v, b in zip(floats, below.tolist()) if b
+# For a kernel table: the float kernel, the nodes at which the array kernel
+# runs the float's own arithmetic (series, Y bridge, Miller) and their count
+_FLOAT_KERNELS = {
+    "Y_0": (functools.partial(sf.bessel_y, 0), lambda t: t < sf._Y_ASYMPTOTIC_MIN, 94),
+    "Y_1": (functools.partial(sf.bessel_y, 1), lambda t: t < sf._Y_ASYMPTOTIC_MIN, 94),
+    "Si": (sf.si, lambda t: t <= sf._SICI_CROSSOVER, 50),
+    "glmc": (sf.gamma_log_minus_ci, lambda t: t <= sf._SICI_CROSSOVER, 50),
+    "J_0..J_25": (functools.partial(sf.bessel_j_all, quad._TABLE_CAP), lambda t: t < 25.0, 130),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [pytest.param("Y_0", id="0"), pytest.param("Y_1", id="1"), "Si", "glmc", "J_0..J_25"]
+)
+def test_each_y_table_equals_the_float_kernel_at_every_node(name):
+    # The table comes from the array kernel.  On its float bands (below
+    # x = 17 for Y, the series and bridge nodes, 94 of its 1,515; up to 8 for
+    # Si and gamma + log t - Ci, 50) and on J's Miller band below 25 each node
+    # equals the float kernel by repr.  Elsewhere the array's Hankel sum,
+    # continued fraction or upward recurrence runs the count of its smallest
+    # element, and agrees to rounding (Y_1 at t = 18.06 by 4.8e-18, Si and
+    # gamma + log t - Ci by 1.8e-16)
+    kernel, exact, count = _FLOAT_KERNELS[name]
+    table, t = quad._table(_TABLE_KERNELS[name]), _panel_nodes(quad._TABLE_CAP)
+    assert table.shape[-1] == t.size == 1515
+    floats = np.array([kernel(v) for v in t.tolist()]).T
+    below = exact(t)
+    assert np.count_nonzero(below) == count
+    assert [repr(v) for v in table[..., below].ravel().tolist()] == [
+        repr(v) for v in floats[..., below].ravel().tolist()
     ]
     assert np.all(np.abs(table - floats) <= 1e-14 * np.maximum(1.0, np.abs(floats)))
 

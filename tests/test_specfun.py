@@ -353,7 +353,10 @@ def test_bessel_j_all_on_an_array_takes_each_elements_branch(nmax):
             assert rows[:, i].tolist() == ref, v
         else:
             assert np.allclose(rows[:, i], ref, rtol=0.0, atol=1e-16), v
-    assert bessel_j_all(nmax, x.reshape(3, 4)).shape == (nmax + 1, 3, 4)
+    # a 2-D array is masked like its 1-D ravel, element for element
+    square = bessel_j_all(nmax, x.reshape(3, 4))
+    assert square.shape == (nmax + 1, 3, 4)
+    assert np.array_equal(square, rows.reshape(nmax + 1, 3, 4))
 
 
 def test_bessel_j_all_bounds_an_arrays_values():
@@ -566,14 +569,14 @@ def test_continued_fraction_steps_at_a_smaller_argument_suffice():
     # at the huge arguments runs the fewest steps taken anywhere in [8, x].
     grid = np.concatenate([np.linspace(8.0, 50.0, 4201), np.geomspace(50.0, 1e6, 401)[1:]])
     grid = grid.tolist() + list(_HUGE)
-    steps = [sf._e1_of_ix(v)[1] for v in grid]
+    steps = [sf._lentz(v, 299)[1] for v in grid]
     assert steps[0] >= 25 and steps[-1] <= 8
     fewest = 0
     for i, x in enumerate(grid):
         if steps[i] < steps[fewest]:
             fewest = i
         value = sf._lentz(np.array([x]), steps[fewest])[0][0]
-        ref = sf._e1_of_ix(x)[0]
+        ref = sf._lentz(x, 299)[0]
         assert abs(value - ref) <= 3e-15 * abs(ref), (x, grid[fewest], value, ref)
 
 
@@ -582,11 +585,12 @@ def test_continued_fraction_steps_are_per_octave():
     # smaller element elsewhere (x = 8, 25 steps) no longer makes the octave
     # [512, 1024) run 25, and its values are the ones it takes alone
     big = np.array([600.0, 1000.0])
-    alone = sf._e1_of_ix(big)
-    mixed = sf._e1_of_ix(np.array([8.0, 600.0, 1000.0]))
-    assert alone[1] < 10 <= mixed[1]
-    assert mixed[0][1:].tolist() == alone[0].tolist()
-    assert alone[0].tolist() == sf._lentz(big, sf._e1_of_ix(600.0)[1])[0].tolist()
+    alone = sf._sici_fraction(big)
+    mixed = sf._sici_fraction(np.array([8.0, 600.0, 1000.0]))
+    assert sf._lentz(600.0, 299)[1] < 10 <= sf._lentz(8.0, 299)[1]
+    assert [v[1:].tolist() for v in mixed] == [v.tolist() for v in alone]
+    e1 = sf._lentz(big, sf._lentz(600.0, 299)[1])[0]
+    assert [v.tolist() for v in alone] == [(e1.imag + 0.5 * math.pi).tolist(), (-e1.real).tolist()]
 
 
 def test_a_cold_si_pass_does_not_import_numpy_ma():
@@ -754,7 +758,8 @@ def test_array_kernels_single_element_and_mixed_branches():
     + [(functools.partial(clausen_odd, w), True) for w in (3, 7, 63)],
 )
 def test_array_kernels_keep_empty_and_2d_shapes(fn, exact):
-    # An empty array keeps its shape; a 2-D one is masked like a 1-D one.  The
+    # An empty array keeps its shape; a 2-D one is masked like a 1-D one, and
+    # a 0-d one gives a 0-d array, Clausen's included.  The
     # second grid has no element in [8, 50), so the E_1 continued fraction's
     # branch is empty inside a nonempty call.
     for shape in ((0,), (0, 3), (2, 0)):
@@ -763,6 +768,9 @@ def test_array_kernels_keep_empty_and_2d_shapes(fn, exact):
     grids = (
         np.array([[0.5, 8.0, 12.0, 30.0], [49.0, 50.0, 100.0, 3.0], [17.0, 25.0, 1e3, 9.0]]),
         np.array([[0.5, 3.0], [60.0, 1e3]]),
+        np.array(0.5),
+        np.array(12.0),
+        np.array(60.0),
     )
     for x in grids:
         _assert_matches_scalar(fn, x, (lambda xi: True) if exact else (lambda xi: xi <= 8.0))
