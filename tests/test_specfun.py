@@ -593,6 +593,15 @@ def test_continued_fraction_steps_are_per_octave():
     assert [v.tolist() for v in alone] == [(e1.imag + 0.5 * math.pi).tolist(), (-e1.real).tolist()]
 
 
+def _fresh_interpreter(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_a_cold_si_pass_does_not_import_numpy_ma():
     # The octaves are listed without np.unique, whose first call imports
     # numpy.ma (14-20 ms) while the first Si table is built.  In a fresh
@@ -603,12 +612,58 @@ def test_a_cold_si_pass_does_not_import_numpy_ma():
         "status = cli.main(['--check', 'si_coeff_integral.*', '--out', os.devnull])\n"
         "print(status, 'numpy.ma' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    assert _fresh_interpreter(code).split() == ["0", "False"]
+
+
+def test_a_bare_import_loads_the_library_layer_only():
+    # quad, eulersum and harness are the verification layer: they load on
+    # first attribute access or import, never with the package
+    code = (
+        "import sys\n"
+        "import neumann_sici\n"
+        "print(sorted(m for m in sys.modules if m.startswith('neumann_sici')))\n"
+        "print(neumann_sici.quad.lemma1_integral(0).value)\n"
+        "print(len(neumann_sici.harness.build_registry()))\n"
+        "names = {}\n"
+        "exec('from neumann_sici import *', names)\n"
+        "print(sorted(n for n in names if n != '__builtins__'))\n"
+        "try:\n"
+        "    neumann_sici.nonexistent\n"
+        "except AttributeError as exc:\n"
+        "    print(type(exc).__name__)\n"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "False"]
+    lines = _fresh_interpreter(code).splitlines()
+    assert lines[0] == str(
+        ["neumann_sici", "neumann_sici.coeffs", "neumann_sici.neumann", "neumann_sici.specfun"]
+    )
+    assert float(lines[1]) == 1.0
+    assert int(lines[2]) == 586
+    assert lines[3] == str(["coeffs", "eulersum", "harness", "neumann", "quad", "specfun"])
+    assert lines[4] == "AttributeError"
+
+
+def test_a_library_users_first_calls_import_nothing():
+    # Every module a kernel or an expansion reads loads with the package, so
+    # a first call pays no import: a lazy import inside neumann would move
+    # set-up cost into the first call, where no set-up metric sees it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import neumann_sici\n"
+        "from neumann_sici import neumann as nm, specfun as sf\n"
+        "before = {m for m in sys.modules if m.startswith('neumann_sici')}\n"
+        "x = np.array([0.5, 9.0, 30.0])\n"
+        "for fn in (sf.si, sf.ci, sf.gamma_log_minus_ci, lambda v: sf.bessel_j(3, v),\n"
+        "           lambda v: sf.bessel_j_all(3, v), lambda v: sf.bessel_y(0, v),\n"
+        "           lambda v: sf.bessel_y(1, v), lambda v: sf.clausen_odd(3, v)):\n"
+        "    fn(2.5)\n"
+        "    fn(x)\n"
+        "sf.zeta(3), sf.eta(3)\n"
+        "nm.si_neumann(2.0), nm.ci_neumann(2.0), nm.corollary5_series(2.0)\n"
+        "nm.addition_theorem_check(1.0, 2.0), nm.convergence_table([1.0], [5])\n"
+        "print(sorted({m for m in sys.modules if m.startswith('neumann_sici')} - before))\n"
+    )
+    assert _fresh_interpreter(code).split() == ["[]"]
 
 
 def test_si_ci_domain_errors():
