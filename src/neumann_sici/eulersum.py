@@ -29,12 +29,13 @@ This is Sidi's GREP with an alternating and a smooth shape function
 slowly for a bare truncation, lean on the smooth columns, the alternating
 sums on both.
 They all fit one design.  The grid n = 1..20000 with its sign, the
-coefficient sequences 2 H_{n-1}, 2 A_{n-1}, 2 beta_n, alpha_n and the
-Leibniz sums, and the two weight rows of the fit are built once per process,
+coefficient sequences 2 H_{n-1}, 2 A_{n-1} and 2 beta_n, the two Catalan
+sums' terms, and the two weight rows of the fit are built once per process,
 on the first oracle call, and kept read-only, as is n^(-k) for each exponent
-k on its first use (at most 8 kept).  So an oracle call allocates its terms,
-the product of two of those tables, and the cumulative sum of their last
-half, and costs two dot products more.
+k on its first use (at most 8 kept).  So a power-weighted oracle call
+allocates its terms, the product of two of those tables, and the cumulative
+sum of their last half; a Catalan call reads its terms from the grid and
+allocates only that half-length sum.  Each costs two dot products more.
 """
 
 from __future__ import annotations
@@ -168,9 +169,8 @@ class _Grid(NamedTuple):
     h: np.ndarray  # 2 H_{n-1}
     a: np.ndarray  # 2 A_{n-1}
     beta: np.ndarray  # 2 beta_n
-    alpha: np.ndarray  # alpha_n
-    leib: np.ndarray  # the Leibniz sums sum_{k<=n} (-1)^(k-1)/(2k-1)
-    nn1: np.ndarray  # n (n + 1)
+    catalan_alpha: np.ndarray  # catalan_alpha_sum's terms (-1)^n alpha_n / (n (n + 1))
+    catalan_auxiliary: np.ndarray  # catalan_auxiliary_sum's terms (-1)^n L_n / n
     back: np.ndarray  # where each fit row but the last reads the tail sums (see _tail_sums)
     full: np.ndarray  # the fit's weight row
     dropped: np.ndarray  # the weight row without the last column pair
@@ -178,8 +178,8 @@ class _Grid(NamedTuple):
 
 @functools.lru_cache(maxsize=1)
 def _grid() -> _Grid:
-    """The oracles' coefficient sequences, the fit's rows and its two weight
-    rows, as read-only arrays."""
+    """The oracles' coefficient sequences, the Catalan sums' terms, the fit's
+    rows and its two weight rows, as read-only arrays."""
     n = np.arange(1.0, _N_TERMS + 1.0)
     sign = np.where(np.arange(1, _N_TERMS + 1) % 2 == 1, 1.0, -1.0)
     h, a, leib = (np.cumsum(x) for x in (1.0 / n, sign / n, sign / (2.0 * n - 1.0)))
@@ -202,9 +202,15 @@ def _grid() -> _Grid:
         u, s, vt = np.linalg.svd(d, full_matrices=False)
         keep = s > np.finfo(float).eps * max(d.shape) * s[0]
         weights.append(u[:, keep] @ (vt[keep, 0] / s[keep]) / math.sqrt(len(rows)))
-    grid = _Grid(n, -sign, 2.0 * (h - 1.0 / n), 2.0 * (a - sign / n),
-                 2.0 * (h + a - (1.0 + sign) / (2.0 * n)), 2.0 * leib - sign / (2.0 * n + 1.0),
-                 leib, n * (n + 1.0), _N_TERMS - 2 - rows[:-1], *weights)
+    # the Catalan terms, with L_n the Leibniz sum sum_{k<=n} (-1)^(k-1)/(2k-1)
+    flip = -sign
+    alpha = flip * (2.0 * leib - sign / (2.0 * n + 1.0))
+    alpha /= n * (n + 1.0)
+    auxiliary = flip * leib
+    auxiliary /= n
+    grid = _Grid(n, flip, 2.0 * (h - 1.0 / n), 2.0 * (a - sign / n),
+                 2.0 * (h + a - (1.0 + sign) / (2.0 * n)), alpha, auxiliary,
+                 _N_TERMS - 2 - rows[:-1], *weights)
     for x in grid:
         x.flags.writeable = False
     return grid
@@ -249,48 +255,36 @@ def _inverse_power(exponent: int) -> np.ndarray:
     return power
 
 
-def _power_terms(coeffs: np.ndarray, exponent: int, alternating: bool) -> np.ndarray:
-    # (+-1)^n coeffs / n^exponent, the sign (-1)^n if alternating, in one array
+def _oracle(coeffs: np.ndarray, exponent: int, alternating: bool, what: str) -> float:
+    # the fitted sum of (+-1)^n coeffs / n^exponent, the sign (-1)^n if alternating
     terms = _inverse_power(exponent) * coeffs
     if alternating:
         terms *= _grid().flip
-    return terms
-
-
-def _linear_sum_oracle(exponent: int, alternating_numerator: bool, alternating: bool) -> float:
-    # 2 sum (+-1)^n X_{n-1} / n^exponent, X = A (alternating_numerator) or H
-    grid = _grid()
-    terms = _power_terms(grid.a if alternating_numerator else grid.h, exponent, alternating)
-    return _fitted_sum(terms, f"linear sum oracle (exponent {exponent})")
+    return _fitted_sum(terms, what)
 
 
 def euler_sum_oracle(k: int) -> float:
     """Accelerated 2 sum H_{n-1}/n^k."""
     k = _index(k, 2)
-    return _linear_sum_oracle(k, False, False)
+    return _oracle(_grid().h, k, False, f"linear sum oracle (exponent {k})")
 
 
 def nielsen_sum_oracle(k: int) -> float:
     """Accelerated 2 sum A_{n-1}/n^k."""
     k = _index(k, 2)
-    return _linear_sum_oracle(k, True, False)
+    return _oracle(_grid().a, k, False, f"linear sum oracle (exponent {k})")
 
 
 def sitaramachandrarao_h_oracle(k: int) -> float:
     """Accelerated 2 sum (-1)^n H_{n-1}/n^{2k}."""
     k = _index(k, 1)
-    return _linear_sum_oracle(2 * k, False, True)
+    return _oracle(_grid().h, 2 * k, True, f"linear sum oracle (exponent {2 * k})")
 
 
 def sitaramachandrarao_a_oracle(k: int) -> float:
     """Accelerated 2 sum (-1)^n A_{n-1}/n^{2k}."""
     k = _index(k, 1)
-    return _linear_sum_oracle(2 * k, True, True)
-
-
-def _beta_weighted_terms(exponent: int, alternating: bool) -> np.ndarray:
-    # 2 (+-1)^n beta_n / n^exponent, beta_n = H_n + A_n - (1 + (-1)^(n-1)) / (2n)
-    return _power_terms(_grid().beta, exponent, alternating)
+    return _oracle(_grid().a, 2 * k, True, f"linear sum oracle (exponent {2 * k})")
 
 
 def beta_weighted_sum(exponent: int, alternating: bool) -> float:
@@ -298,24 +292,20 @@ def beta_weighted_sum(exponent: int, alternating: bool) -> float:
 
     The non-alternating sum decays like log(n)/n^exponent and needs
     exponent >= 2; the alternating one converges for exponent >= 1.
+    ``alternating`` must be True or False (a numpy bool too).
     """
+    if not isinstance(alternating, (bool, np.bool_)):
+        raise ValueError(f"alternating must be True or False, got {alternating!r}")
     minimum = 1 if alternating else 2
     exponent = _index(exponent, minimum, "exponent")
-    terms = _beta_weighted_terms(exponent, alternating)
-    return _fitted_sum(terms, "beta-weighted sum")
+    return _oracle(_grid().beta, exponent, alternating, "beta-weighted sum")
 
 
 def catalan_alpha_sum() -> float:
     """Accelerated sum (-1)^n alpha_n / (n(n+1)); evaluates to 3 - 4G."""
-    grid = _grid()
-    terms = grid.flip * grid.alpha
-    terms /= grid.nn1
-    return _fitted_sum(terms, "catalan alpha sum")
+    return _fitted_sum(_grid().catalan_alpha, "catalan alpha sum")
 
 
 def catalan_auxiliary_sum() -> float:
     """Accelerated sum (-1)^n/n * sum_{k<=n} (-1)^(k-1)/(2k-1); evaluates to -G."""
-    grid = _grid()
-    terms = grid.flip * grid.leib
-    terms /= grid.n
-    return _fitted_sum(terms, "catalan auxiliary sum")
+    return _fitted_sum(_grid().catalan_auxiliary, "catalan auxiliary sum")

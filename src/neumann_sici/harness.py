@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 from . import __version__, coeffs, eulersum, neumann, quad, specfun
 
@@ -329,9 +329,12 @@ def run_registry(
 # ---------------------------------------------------------------------------
 
 @contextlib.contextmanager
-def _destination(path: str | None) -> Iterator[TextIO]:
-    # stdout, or the file at path; an OSError opening, writing or closing it
-    # is a UsageError
+def _destination(path: str | os.PathLike | None) -> Iterator[TextIO]:
+    # stdout, or the file at path; a path that is not a str or os.PathLike
+    # (an int would be opened as a file descriptor, and closed), or an
+    # OSError opening, writing or closing it, is a UsageError
+    if path is not None and not isinstance(path, (str, os.PathLike)):
+        raise UsageError(f"a report path must be a str or os.PathLike, got {path!r}")
     if path is None or path == "-":
         yield sys.stdout
         return
@@ -342,7 +345,9 @@ def _destination(path: str | None) -> Iterator[TextIO]:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def emit_report(report: Report, format: str = "text", path: str | None = None) -> None:
+def emit_report(
+    report: Report, format: str = "text", path: str | os.PathLike | None = None
+) -> None:
     """Serialize a report as text, JSON, or CSV to ``path`` (stdout if None).
 
     The JSON report is one object with its top-level keys one per line and
@@ -394,7 +399,7 @@ def emit_report(report: Report, format: str = "text", path: str | None = None) -
 
 
 def emit_convergence_tables(
-    a_grid: list[float], n_grid: list[int], path: str | None = None
+    a_grid: Iterable[float], n_grid: Iterable[int], path: str | os.PathLike | None = None
 ) -> None:
     """CSV table of truncation errors of the Si expansion on a grid."""
     rows = neumann.convergence_table(a_grid, n_grid)

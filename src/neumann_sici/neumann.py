@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import coeffs
@@ -168,11 +169,16 @@ def addition_theorem_check(a: float, t: float) -> tuple[float, float]:
 
 
 def convergence_table(
-    a_grid: list[float], n_grid: list[int]
+    a_grid: Iterable[float], n_grid: Iterable[int]
 ) -> list[tuple[float, int, float, float]]:
     """Rows (a, N, abs_error, tail_bound) for N-term truncations of the Si
     expansion against the independent Si kernel, sorted by (a, N); N is at
-    most 400, the expansions' term cap."""
+    most 400, the expansions' term cap.  Each grid is any nonempty iterable
+    of values, a numpy array included, and is read once."""
+    try:
+        a_grid, n_grid = list(a_grid), list(n_grid)
+    except TypeError:
+        raise ValueError("grids must be iterables of values") from None
     if not a_grid or not n_grid:
         raise ValueError("grids must be nonempty")
     a_grid = [_real(a, "a_grid values must be finite and nonnegative", 0.0) for a in a_grid]

@@ -269,8 +269,10 @@ def integrate_finite(f: ArrayFn, a: float, b: float, *, pieces: int = 1) -> Quad
     exceeds ``_FINITE_TOL`` only when every panel's estimate sits at its
     roundoff floor, which bisection cannot lower.  The returned estimate
     adds the rounding of the abscissae for an f of at most half a period per
-    starting panel.
+    starting panel.  An f that is not callable is a ValueError too.
     """
+    if not callable(f):
+        raise ValueError(f"f must be a callable integrand, got {f!r}")
     a, b = specfun._real(a, "a must be finite"), specfun._real(b, "b must be finite")
     # each message is formatted only when its check fails
     try:
@@ -677,9 +679,12 @@ def oscillatory_semiinf(integrand: _Expansion) -> QuadResult:
     by bisection, whose halves call f, until their error sum is at most
     ``_SEMIINF_TOL``; from B on the expansion is integrated term by term.
     The estimate adds the rounding of the abscissae and what the
-    expansion's series leave out.  An expansion whose majorant decays no
-    faster than 1/t raises ValueError before any call of f.
+    expansion's series leave out.  An integrand that is not an expansion, or
+    whose majorant decays no faster than 1/t, raises ValueError before any
+    call of f.
     """
+    if not isinstance(integrand, _Expansion):
+        raise ValueError(f"integrand must be an expansion (quad._Expansion), got {integrand!r}")
     tail, left_out = integrand.tail
     high = _edges(integrand.order)
     low = np.r_[0.0, high[:-1]]

@@ -3,12 +3,15 @@
 A finite int, float, numpy real scalar or Fraction gives the float's result.
 A str, None, list, complex, nan or +-inf raises ValueError (UsageError in the
 harness), never an internal TypeError, and a kernel rejects an array of a
-complex or object dtype instead of casting it.
+complex or object dtype instead of casting it.  The non-numeric arguments (a
+report path, a convergence grid, a flag, an integrand) are checked where they
+enter, too.
 """
 
 import inspect
 import json
 import math
+import os
 import warnings
 from fractions import Fraction
 
@@ -100,6 +103,41 @@ def test_harness_overrides_and_max_n_raise_usage_errors(tmp_path):
         path = tmp_path / "report.json"
         harness.emit_report(report, "json", str(path))
         assert json.loads(path.read_text())["options"]["max_n"] == 0
+
+
+def test_non_numeric_arguments_are_checked_where_they_enter():
+    # an int report path was opened as a file descriptor and closed; an int
+    # grid leaked a TypeError and a numpy grid numpy's ambiguous truth value;
+    # beta_weighted_sum(2, "no") returned the alternating sum; an int
+    # integrand leaked a TypeError or an AttributeError
+    report = harness.run_registry("coeffs.lemma1_alpha.n=0")
+    read, write = os.pipe()
+    try:
+        with pytest.raises(harness.UsageError, match="report path"):
+            harness.emit_report(report, "text", write)
+        with pytest.raises(harness.UsageError, match="report path"):
+            harness.emit_convergence_tables([1.0], [2], write)
+        os.fstat(write)
+    finally:
+        os.close(read)
+        os.close(write)
+    for a_grid, n_grid in (([1.0], 5), (5, [2])):
+        with pytest.raises(ValueError, match="grids must be"):
+            neumann.convergence_table(a_grid, n_grid)
+        with pytest.raises(ValueError, match="grids must be"):
+            harness.emit_convergence_tables(a_grid, n_grid, os.devnull)
+    assert (neumann.convergence_table(np.array([1.0, 2.0]), np.array([2, 5]))
+            == neumann.convergence_table([1.0, 2.0], [2, 5]))
+    for bad in ("no", None, 1, [True]):
+        with pytest.raises(ValueError, match="alternating must be True or False"):
+            eulersum.beta_weighted_sum(2, bad)
+    assert eulersum.beta_weighted_sum(2, np.True_) == eulersum.beta_weighted_sum(2, True)
+    with pytest.raises(ValueError, match="callable"):
+        quad.integrate_finite(5, 0.0, 1.0)
+    with pytest.raises(ValueError, match="expansion"):
+        quad.oscillatory_semiinf(5)
+    with pytest.raises(ValueError, match="expansion"):
+        quad.oscillatory_semiinf(np.cos)
 
 
 def test_no_public_numerical_function_takes_a_tolerance():

@@ -7,7 +7,6 @@ import pytest
 from neumann_sici import eulersum, harness
 from neumann_sici import specfun as sf
 from neumann_sici.eulersum import (
-    _beta_weighted_terms,
     alternating_series_limit,
     beta_weighted_sum,
     catalan_alpha_sum,
@@ -188,14 +187,24 @@ def test_corollary_value_is_the_sum_of_its_named_parts(rhs, k):
 # beta-weighted oracles
 # ---------------------------------------------------------------------------
 
-def test_beta_weighted_first_term():
+def _terms_of(call, monkeypatch):
+    # the terms that one oracle call passes to alternating_series_limit
+    seen = []
+    monkeypatch.setattr(eulersum, "alternating_series_limit",
+                        lambda terms: seen.append(terms.copy()) or alternating_series_limit(terms))
+    call()
+    (terms,) = seen
+    return terms
+
+
+def test_beta_weighted_first_term(monkeypatch):
     # first alternating partial sum is -2 beta_1 = -2
-    partial = np.cumsum(_beta_weighted_terms(2, True)[:5])
+    partial = np.cumsum(_terms_of(lambda: beta_weighted_sum(2, True), monkeypatch)[:5])
     assert partial[0] == pytest.approx(-2.0, abs=1e-15)
 
 
-def test_beta_weighted_nonalternating_monotone():
-    partial = np.cumsum(_beta_weighted_terms(3, False)[:200])
+def test_beta_weighted_nonalternating_monotone(monkeypatch):
+    partial = np.cumsum(_terms_of(lambda: beta_weighted_sum(3, False), monkeypatch)[:200])
     assert np.all(np.diff(partial) > 0.0)
 
 
@@ -279,15 +288,7 @@ def _direct_design(n):
 @pytest.mark.parametrize("kind", _ORACLE_KINDS)
 def test_cached_weights_match_a_direct_solve(kind, monkeypatch):
     # the cached weight rows against a least-squares solve of the same design
-    seen = []
-
-    def record(terms):
-        seen.append(np.array(terms))
-        return alternating_series_limit(terms)
-
-    monkeypatch.setattr(eulersum, "alternating_series_limit", record)
-    _ORACLE_KINDS[kind]()
-    (terms,) = seen
+    terms = _terms_of(_ORACLE_KINDS[kind], monkeypatch)
     assert len(terms) == eulersum._N_TERMS
     value, shift = alternating_series_limit(terms)
     rows, design = _direct_design(len(terms))
@@ -322,18 +323,15 @@ def _today_terms(kind):
 
 @pytest.mark.parametrize("kind", _ORACLE_KINDS)
 def test_oracle_terms_come_from_the_tables_bit_for_bit(kind, monkeypatch):
-    seen = []
-    monkeypatch.setattr(eulersum, "alternating_series_limit",
-                        lambda terms: seen.append(terms.copy()) or alternating_series_limit(terms))
-    _ORACLE_KINDS[kind]()
-    (terms,) = seen
+    terms = _terms_of(_ORACLE_KINDS[kind], monkeypatch)
     assert terms.tolist() == _today_terms(kind).tolist()
 
 
 @pytest.mark.parametrize("kind", _ORACLE_KINDS)
 def test_an_oracle_call_allocates_its_terms_and_a_half_length_sum(kind):
     # Once the tables are built, a call holds at most two arrays of 20000
-    # floats at a time: its terms and the cumulative sum of their last half
+    # floats at a time: its terms and the cumulative sum of their last half.
+    # A Catalan call reads its terms from the grid, so it holds only the sum.
     _ORACLE_KINDS[kind]()
     tracemalloc.start()
     try:
@@ -341,13 +339,14 @@ def test_an_oracle_call_allocates_its_terms_and_a_half_length_sum(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * eulersum._N_TERMS * 8
+    arrays = 0.75 if kind.startswith("catalan") else 2
+    assert peak <= arrays * eulersum._N_TERMS * 8
 
 
 def test_fixed_design_caches_are_bounded_and_read_only():
     euler_sum_oracle(2)
     grid = eulersum._grid()
-    for name in ("n", "flip", "h", "a", "beta", "alpha", "leib", "nn1"):
+    for name in ("n", "flip", "h", "a", "beta", "catalan_alpha", "catalan_auxiliary"):
         assert getattr(grid, name).shape == (eulersum._N_TERMS,), name
     for a in grid:
         with pytest.raises(ValueError, match="read-only"):
