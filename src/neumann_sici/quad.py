@@ -35,16 +35,17 @@ the refinement stops, and the floor sum is the estimate.  Its two callers:
   integrated term by term (``_Expansion.tail``, computed once per
   expansion, at its own shape).  A lower order's panels are a prefix of a
   higher one's, so those of every order up to 25, integer or not, are a
-  prefix of order 25's.  Every factor with a kernel keeps one read-only
-  table on those (J_0 .. J_25 from one bessel_j_all, Y_0, Y_1, Si, gamma +
-  log t - Ci, log(t/2), 1/t; 0.39 MB in all, each built on first use), and
-  the first pass of an integrand of order up to 25 combines its factors'
-  table values as it combines their f, calling no kernel: Corollary 5's
-  J_0(sqrt(a^2 + t^2)) combines the J rows by Neumann's multiplication
-  theorem for |a| up to ``_SHIFT_CAP`` = 6, and past it evaluates its
-  kernel.  An expansion is read-only from construction; each served
-  integrand's is built once per key in a bounded cache, so its tail is
-  integrated once per key.
+  prefix of order 25's.  Every factor with a special-function kernel keeps
+  one read-only table on those, keyed by the specfun call that fills it
+  (J_0 .. J_25 from one bessel_j_all, Y_0, Y_1, Si, gamma + log t - Ci;
+  0.36 MB in all, each built on first use; log(t/2) and 1/t are computed on
+  the nodes), and the first pass of an integrand of order up to 25 combines
+  its factors' lattice values as it combines their f, calling no special
+  function: Corollary 5's J_0(sqrt(a^2 + t^2)) combines the J rows by
+  Neumann's multiplication theorem for |a| up to ``_SHIFT_CAP`` = 6, and
+  past it evaluates its kernel.  An expansion is read-only from
+  construction; each served integrand's is built once per key in a bounded
+  cache, so its tail is integrated once per key.
 
 Each passes ``_refine`` a frequency kappa, and its estimate adds the
 rounding of the abscissae, by up to eps |t|, which moves an f of frequency
@@ -508,16 +509,18 @@ def _edges(order: float) -> np.ndarray:
 
 
 # The engine's panels for every order up to _TABLE_CAP, integer or not, are
-# a prefix of those of _TABLE_CAP.  Each factor with a kernel keeps one table,
-# the kernel at all their nodes (J_0 .. J_25 from one bessel_j_all), and
-# Corollary 5's J_0(sqrt(a^2 + t^2)) reads the J rows up to |a| =
-# _SHIFT_CAP, so the first pass of an integrand of such an order calls no
-# kernel.  The 7 tables take 0.39 MB (0.32 MB the J rows) and 6.5-7 ms to
-# build (the J rows 0.8-0.9 ms, Y_0 and Y_1 2.0-2.4 each, Si and gamma +
-# log t - Ci 0.75-0.85 each), where a moment of order 25 takes 1.7-1.8 ms
-# direct and 0.07 ms from the tables; the J rows' size grows as the cube of
-# the cap (in-process, warm, best of 5, on a 2-core x86-64 host).  Orders
-# past the cap evaluate f on the same lattice.
+# a prefix of those of _TABLE_CAP.  Each factor with a special-function
+# kernel keeps one table, the kernel at all their nodes (J_0 .. J_25 from one
+# bessel_j_all), and Corollary 5's J_0(sqrt(a^2 + t^2)) reads the J rows up
+# to |a| = _SHIFT_CAP, so the first pass of an integrand of such an order
+# calls no special function.  log(t/2) and 1/t are computed on the nodes, in
+# 2.3-2.6 and 1.4 us against 0.2 us for a table read.  The 5 tables take
+# 0.36 MB (0.32 MB the J rows) and 5.6-6.2 ms to build (the J rows 0.7-0.9
+# ms, Y_0 and Y_1 1.6-2.1 each, Si and gamma + log t - Ci 0.65-0.85 each),
+# where the first pass of a moment of order 25 evaluates f in 1.5 ms direct
+# and 0.024 ms on the lattice; the J rows' size grows as the cube of the cap
+# (in-process, warm, best of 5, on a 2-core x86-64 host).  Orders past the
+# cap evaluate f on the same lattice.
 _TABLE_CAP = 25
 # Corollary 5's J_0(sqrt(t^2 + a^2)) = sum_k (-a^2/(2t))^k / k! J_k(t)
 # (DLMF 10.23.1) reads the J rows up to |a| = _SHIFT_CAP.  It uses no J(a), so
@@ -528,25 +531,20 @@ _TABLE_CAP = 25
 _SHIFT_CAP = 6.0
 
 
-@functools.lru_cache(maxsize=7)
-def _table(kernel: ArrayFn) -> np.ndarray:
-    # kernel at the nodes of the panels of order _TABLE_CAP, in the engine's
-    # order; read-only.  One table per kernel.
+@functools.lru_cache(maxsize=5)
+def _table(kernel: str, *args) -> np.ndarray:
+    # specfun's kernel(*args, t) at the nodes t of the panels of order
+    # _TABLE_CAP, in the engine's order; read-only.  One table per (kernel, args).
     high = _edges(_TABLE_CAP)
-    table = kernel(_nodes(np.r_[0.0, high[:-1]], high).ravel())
+    table = getattr(specfun, kernel)(*args, _nodes(np.r_[0.0, high[:-1]], high).ravel())
     table.flags.writeable = False
     return table
 
 
-def _tabled(kernel: ArrayFn, *row: int) -> ArrayFn:
-    # A factor's values at the first nodes t of the tabled panels: its
-    # kernel's table (row ``row`` of it, if given) up to t.size
-    return lambda t: _table(kernel)[(*row, slice(t.size))]
-
-
-def _j_rows(t: np.ndarray) -> np.ndarray:
-    # The kernel of every J factor's table: J_0 .. J_25 at t, a row each
-    return specfun.bessel_j_all(_TABLE_CAP, t)
+def _tabled(kernel: str, *args, row: tuple = ()) -> ArrayFn:
+    # A factor's values at the first nodes t of the tabled panels: the
+    # table of kernel(*args) (row ``row`` of it, if given) up to t.size
+    return lambda t: _table(kernel, *args)[(*row, slice(t.size))]
 
 
 def _factor(f: ArrayFn, terms: dict, cut: float = 0.0, order: float = 0.0,
@@ -594,8 +592,9 @@ def _bessel(order: int, second_kind: bool = False) -> _Expansion:
     def f(t):
         return getattr(specfun, kernel)(order, t)
 
-    # Y_0 and Y_1 have tables of their own, J up to _TABLE_CAP a row of _j_rows'
-    lattice = _tabled(f) if second_kind else _tabled(_j_rows, order) if order <= _TABLE_CAP else None
+    # Y_0 and Y_1 have tables of their own, J up to _TABLE_CAP a row of bessel_j_all's
+    lattice = (_tabled(kernel, order) if second_kind else
+               _tabled("bessel_j_all", _TABLE_CAP, row=(order,)) if order <= _TABLE_CAP else None)
     return _factor(f, {1: _spread(math.sqrt(0.5 / math.pi) * rot * a[:k], 1)}, cut, order, lattice)
 
 
@@ -614,7 +613,7 @@ def _sici(ci: bool) -> _Expansion:
         return getattr(specfun, kernel)(t)
 
     return _factor(f, {0: flat, 1: _spread((0.5j if ci else -0.5) * e[:m].conj(), 2)}, cut,
-                   lattice=_tabled(f))
+                   lattice=_tabled(kernel))
 
 
 def _shifted_j0(a: float) -> _Expansion:
@@ -640,7 +639,7 @@ def _shifted_j0(a: float) -> _Expansion:
 
     def lattice(t):
         # the multiplication theorem (see _SHIFT_CAP) by Horner over the J rows
-        rows, x = _table(_j_rows)[:, : t.size], -0.5 * a2 / t
+        rows, x = _table("bessel_j_all", _TABLE_CAP)[:, : t.size], -0.5 * a2 / t
         out = rows[_TABLE_CAP]
         for j in range(_TABLE_CAP, 0, -1):
             out = rows[j - 1] + x / j * out
@@ -651,17 +650,9 @@ def _shifted_j0(a: float) -> _Expansion:
                    lattice if abs(a) <= _SHIFT_CAP else None)
 
 
-def _log_half(t):
-    return np.log(0.5 * t)
-
-
-def _inverse_t(t):
-    return 1.0 / t
-
-
-_LOG_HALF = _factor(_log_half, {0: np.array([[-specfun.CONSTANTS.log2], [1.0]])},
-                    lattice=_tabled(_log_half))
-_INVERSE_T = _factor(_inverse_t, {0: np.array([[0.0, 0.0, 1.0]])}, lattice=_tabled(_inverse_t))
+# Computed on the lattice's nodes: a ufunc of t costs little more than a table read
+_LOG_HALF = _factor(lambda t: np.log(0.5 * t), {0: np.array([[-specfun.CONSTANTS.log2], [1.0]])})
+_INVERSE_T = _factor(lambda t: 1.0 / t, {0: np.array([[0.0, 0.0, 1.0]])})
 
 # The [0, B] range's target error sum: 12 times the largest first-pass sum of
 # a served integral (8.4e-12, Corollary 6's), and the moments' registry tolerance

@@ -1,14 +1,10 @@
 import ast
 import math
-import os
-import subprocess
-import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
-import neumann_sici
 from neumann_sici import coeffs
 from neumann_sici.coeffs import (
     alpha,
@@ -243,7 +239,7 @@ def test_concurrent_callers_get_exact_harmonic_numbers():
     assert wrong == []
 
 
-def test_coefficients_at_ten_thousand_hold_no_prefixes():
+def test_coefficients_at_ten_thousand_hold_no_prefixes(fresh_interpreter):
     # alpha, beta and beta_variant at n = 10^4 take about 0.7 s; the prefix
     # lists of every H_k, A_k and Leibniz sum up to n used to raise the peak
     # RSS by 60 to 76 MB over the import.  In a subprocess, so that the peak is
@@ -254,10 +250,6 @@ def test_coefficients_at_ten_thousand_hold_no_prefixes():
         "coeffs.alpha(10**4); same = coeffs.beta(10**4) == coeffs.beta_variant(10**4)\n"
         "print([resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start, same])"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
-    )
-    assert done.returncode == 0, done.stderr
-    grown_kb, same = ast.literal_eval(done.stdout)
+    stdout = fresh_interpreter(code, 20)
+    grown_kb, same = ast.literal_eval(stdout)
     assert grown_kb < 30 * 1024 and same  # ru_maxrss is in KiB on Linux

@@ -20,7 +20,6 @@ every legal index, whose fits stall an order of magnitude below their limit.
 
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -30,7 +29,6 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-import neumann_sici
 from neumann_sici import coeffs, eulersum, harness, neumann, quad, specfun
 
 _SWEEP = r'''
@@ -93,11 +91,10 @@ print(json.dumps({"labels": labels, "failures": failures}))
 '''
 
 
-def test_estimates_bound_the_errors_across_each_domain():
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
+def test_estimates_bound_the_errors_across_each_domain(package_env):
     start = time.perf_counter()
     procs = [
-        subprocess.Popen([sys.executable, "-c", _SWEEP, str(shard)], env=env,
+        subprocess.Popen([sys.executable, "-c", _SWEEP, str(shard)], env=package_env,
                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         for shard in (0, 1)
     ]

@@ -1,12 +1,8 @@
 import math
-import os
-import subprocess
-import sys
 
 import mpmath as mp
 import pytest
 
-import neumann_sici
 from neumann_sici import coeffs, neumann, quad
 from neumann_sici import specfun as sf
 from neumann_sici.neumann import (
@@ -79,7 +75,7 @@ _TRUNCATIONS = ("neumann.si_neumann", "neumann.ci_neumann", "neumann.corollary5_
         "neumann.si_neumann(1e5)",
     ],
 )
-def test_huge_arguments_return(call):
+def test_huge_arguments_return(call, fresh_interpreter):
     # A Miller pass used to start 1.5 a steps deep, and each truncation's
     # tail bound summed 10^4 infinite majorant terms; the truncations then
     # summed 400 J orders to a wrong value, and now raise ValueError past
@@ -90,15 +86,11 @@ def test_huge_arguments_return(call):
         f"try:\n    print(repr({call}))\n"
         "except ValueError as exc:\n    print('ValueError:', exc)"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
-    )
-    assert done.returncode == 0, done.stderr
+    stdout = fresh_interpreter(code, 10)
     if call.startswith(_TRUNCATIONS):
-        assert done.stdout.startswith("ValueError: a must be finite"), done.stdout
+        assert stdout.startswith("ValueError: a must be finite"), stdout
     else:
-        assert "nan" not in done.stdout and "ValueError" not in done.stdout
+        assert "nan" not in stdout and "ValueError" not in stdout
 
 
 @pytest.mark.parametrize("a", (1e-100, 1e-60, 5e-324))
@@ -248,6 +240,28 @@ def test_addition_theorem_trivial_points():
 def test_addition_theorem_spot_checks(a, t):
     lhs, rhs = addition_theorem_check(a, t)
     assert abs(lhs - rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("a,t", [(53.0, 53.0), (1e6, 1e6)])
+def test_addition_theorem_raises_past_its_domain(monkeypatch, a, t):
+    # The right side is cut after 40 terms: at a = t = 1e6 it returned
+    # 1.6e-9 against a left side of 6.4e-4.  Where the bound on the terms
+    # left out exceeds neumann._TOL, ValueError names it before any J is
+    # computed
+    monkeypatch.setattr(neumann, "bessel_j_all", lambda *args: pytest.fail("computed a J"))
+    with pytest.raises(ValueError, match=r"reaches \S+ > neumann\._TOL = 1e-12"):
+        addition_theorem_check(a, t)
+
+
+@pytest.mark.parametrize("a,t", [(52.0, 52.0), (0.5, 1e4), (1e300, 1.0)])
+def test_addition_theorem_matches_mpmath_across_its_domain(a, t):
+    # Both sides against 40-digit mpmath at the domain's edge on the
+    # diagonal and where one argument is small
+    lhs, rhs = addition_theorem_check(a, t)
+    with mp.workdps(40):
+        x, y = mp.mpf(a), mp.mpf(t)
+        ref = mp.besselj(0, mp.sqrt(x * x + y * y)) - mp.besselj(0, x) * mp.besselj(0, y)
+    assert abs(lhs - ref) <= 1e-12 and abs(rhs - ref) <= 1e-12
 
 
 def test_convergence_table_contract():

@@ -1,10 +1,7 @@
 import dataclasses
 import functools
 import math
-import os
 import re
-import subprocess
-import sys
 import time
 import warnings
 from fractions import Fraction
@@ -13,7 +10,6 @@ import mpmath
 import numpy as np
 import pytest
 
-import neumann_sici
 from neumann_sici import coeffs, eulersum, harness, neumann, quad
 from neumann_sici import specfun as sf
 from neumann_sici.quad import (
@@ -416,7 +412,7 @@ def test_oscillatory_rejects_a_tail_that_does_not_decay_before_any_integrand_cal
     assert not calls
 
 
-def test_a_non_settling_integrand_raises_after_one_bisection_budget():
+def test_a_non_settling_integrand_raises_after_one_bisection_budget(fresh_interpreter):
     # J_1(t)/t plus a 1e-6 square wave of period 0.002, which no bisection
     # settles, with the J_1/t tail and no tables: one call for the [0, B]
     # panels and one per bisection, _MAX_SUBDIVISIONS in all for the call,
@@ -438,12 +434,8 @@ def test_a_non_settling_integrand_raises_after_one_bisection_budget():
         "except quad.QuadratureError as exc:\n"
         "    print(len(calls), sum(calls), exc)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
-    )
-    assert done.returncode == 0, done.stderr
-    calls, nodes, message = done.stdout.split(maxsplit=2)
+    stdout = fresh_interpreter(code, 30)
+    calls, nodes, message = stdout.split(maxsplit=2)
     assert 1 < int(calls) <= quad._MAX_SUBDIVISIONS + 1
     assert int(nodes) == 15 * len(quad._edges(1)) + 30 * (int(calls) - 1)
     assert message.startswith(f"no convergence after {quad._MAX_SUBDIVISIONS} bisections")
@@ -538,14 +530,13 @@ def test_bessel_moment_is_one_integrand_call_up_to_the_tail(monkeypatch, n):
     assert calls == ([] if order <= quad._TABLE_CAP else [("bessel_j", 15 * r.subdivisions)])
 
 
+# Each table's key: the specfun kernel that fills it and its leading arguments
 _TABLE_KERNELS = {
-    "J_0..J_25": quad._j_rows,
-    "Y_0": quad._bessel(0, True).f,
-    "Y_1": quad._bessel(1, True).f,
-    "Si": quad._sici(False).f,
-    "glmc": quad._sici(True).f,
-    "log_half": quad._LOG_HALF.f,
-    "inverse_t": quad._INVERSE_T.f,
+    "J_0..J_25": ("bessel_j_all", quad._TABLE_CAP),
+    "Y_0": ("bessel_y", 0),
+    "Y_1": ("bessel_y", 1),
+    "Si": ("si",),
+    "glmc": ("gamma_log_minus_ci",),
 }
 
 
@@ -555,9 +546,9 @@ def _panel_nodes(order):
     return quad._nodes(np.r_[0.0, high[:-1]], high).ravel()
 
 
-def test_kernel_tables_are_lazy_read_only_and_bounded():
+def test_kernel_tables_are_lazy_read_only_and_bounded(fresh_interpreter):
     # Neither importing the package nor the exact checks build a table; a
-    # moment builds those of its three factors
+    # moment builds those of its two kernel factors, and computes its 1/t
     code = (
         "from neumann_sici import harness, quad\n"
         "print(quad._table.cache_info().currsize)\n"
@@ -566,16 +557,14 @@ def test_kernel_tables_are_lazy_read_only_and_bounded():
         "quad.ci_bessel_integral(3)\n"
         "print(quad._table.cache_info().currsize)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "0", "3"]
-    # one table for each of seven kernels, 0.39 MB in all
-    assert quad._table.cache_parameters()["maxsize"] == len(_TABLE_KERNELS) == 7
-    tables = [quad._table(kernel) for kernel in _TABLE_KERNELS.values()]
-    assert sum(table.nbytes for table in tables) < 0.4e6
+    stdout = fresh_interpreter(code, 30)
+    assert stdout.split() == ["0", "0", "2"]
+    # one table for each of five kernel calls, 0.36 MB in all; log(t/2) and
+    # 1/t have none
+    assert quad._table.cache_parameters()["maxsize"] == len(_TABLE_KERNELS) == 5
+    assert quad._LOG_HALF.lattice is quad._INVERSE_T.lattice is None
+    tables = [quad._table(*key) for key in _TABLE_KERNELS.values()]
+    assert sum(table.nbytes for table in tables) < 0.37e6
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -589,9 +578,22 @@ def test_every_table_equals_its_kernel_on_the_lattice(name, odd):
     # prefix of it, and the top odd order, 25, all of it.  Either equals the
     # kernel evaluated on that order's nodes alone
     top = quad._TABLE_CAP - (quad._TABLE_CAP % 2 != odd)
-    kernel, t = _TABLE_KERNELS[name], _panel_nodes(top)
-    assert np.array_equal(quad._table(kernel)[..., : t.size], kernel(t))
-    assert quad._table(kernel).shape[-1] == _panel_nodes(quad._TABLE_CAP).size
+    (kernel, *args), t = _TABLE_KERNELS[name], _panel_nodes(top)
+    table = quad._table(kernel, *args)
+    assert np.array_equal(table[..., : t.size], getattr(sf, kernel)(*args, t))
+    assert table.shape[-1] == _panel_nodes(quad._TABLE_CAP).size
+
+
+@pytest.mark.parametrize("name,factor", [
+    ("Y_0", quad._bessel(0, True)), ("Y_1", quad._bessel(1, True)),
+    ("Si", quad._sici(False)), ("glmc", quad._sici(True)),
+], ids=["Y_0", "Y_1", "Si", "glmc"])
+def test_each_kernel_factor_reads_its_own_table(name, factor):
+    # The J factors read their rows (see the prefix test below); each other
+    # factor with a kernel reads the table keyed by the call its f makes
+    t = _panel_nodes(quad._TABLE_CAP)
+    assert np.array_equal(factor.on_lattice(t), quad._table(*_TABLE_KERNELS[name]))
+    assert np.array_equal(factor.on_lattice(t), factor.f(t))
 
 
 # For a kernel table: the float kernel, the nodes at which the array kernel
@@ -617,7 +619,7 @@ def test_each_y_table_equals_the_float_kernel_at_every_node(name):
     # element, and agrees to rounding (Y_1 at t = 18.06 by 4.8e-18, Si and
     # gamma + log t - Ci by 1.8e-16)
     kernel, exact, count = _FLOAT_KERNELS[name]
-    table, t = quad._table(_TABLE_KERNELS[name]), _panel_nodes(quad._TABLE_CAP)
+    table, t = quad._table(*_TABLE_KERNELS[name]), _panel_nodes(quad._TABLE_CAP)
     assert table.shape[-1] == t.size == 1515
     floats = np.array([kernel(v) for v in t.tolist()]).T
     below = exact(t)
@@ -633,7 +635,7 @@ def test_each_tabled_order_reads_a_prefix_of_its_lattice(order):
     # An order's panels, integer or not, are the first panels of the tables'
     # lattice, edge for edge.  An integer order's J factor reads its row of
     # J_0 .. J_25 there; Corollary 5's integrand of a non-integer a reads the
-    # gamma + log t - Ci and 1/t tables, and J_0(sqrt(a^2 + t^2)) from the J
+    # gamma + log t - Ci table, computes 1/t, and J_0(sqrt(a^2 + t^2)) from the J
     # rows up to the shift bound, within the two routes' errors against
     # mpmath (at most 5.4e-15 and 1.5e-14 up to a = 6) times the other
     # factors, (gamma + log t - Ci)/t < 1, else from its kernel
@@ -682,11 +684,11 @@ def test_a_tabled_moment_bisects_through_the_direct_integrand(monkeypatch):
     # A J_1 table whose panel 5 is off by 1e-6 at one node forces that panel's
     # refinement: its halves, and only they, call the direct integrand, and
     # the result is within its estimate of alpha_0 = 1
-    table = quad._table(quad._j_rows).copy()
+    j_rows = _TABLE_KERNELS["J_0..J_25"]
+    table = quad._table(*j_rows).copy()
     table[1, 15 * 5 + 3] += 1e-6
     tables = quad._table
-    monkeypatch.setattr(quad, "_table", lambda kernel: table if kernel is quad._j_rows
-                        else tables(kernel))
+    monkeypatch.setattr(quad, "_table", lambda *key: table if key == j_rows else tables(*key))
     calls = _counting_kernels(monkeypatch, ("bessel_j",))
     r = si_bessel_integral(0)
     assert calls and set(calls) == {("bessel_j", 30)}
@@ -844,7 +846,7 @@ def test_indexed_operations_take_only_integers(fn, arg, smallest):
         ("1e300", "ValueError"),
     ],
 )
-def test_corollary5_rhs_rejects_unreachable_arguments(a, error):
+def test_corollary5_rhs_rejects_unreachable_arguments(a, error, fresh_interpreter):
     # nan leaked int()'s conversion error, and inf and 1e300 counted skipped
     # edges forever (1e300 then raised QuadratureError, past |a| = 400).  In
     # a subprocess, so that a regression fails here instead of hanging the
@@ -856,12 +858,8 @@ def test_corollary5_rhs_rejects_unreachable_arguments(a, error):
         "except (ValueError, quad.QuadratureError) as exc:\n"
         "    print(type(exc).__name__)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == error
+    stdout = fresh_interpreter(code, 10)
+    assert stdout.strip() == error
 
 
 def test_corollary5_rhs_matches_series():

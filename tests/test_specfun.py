@@ -1,8 +1,6 @@
 import ast
 import functools
 import math
-import os
-import subprocess
 import sys
 import warnings
 
@@ -10,7 +8,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-import neumann_sici
 from neumann_sici import specfun as sf
 from neumann_sici.specfun import (
     CONSTANTS,
@@ -108,22 +105,18 @@ def test_bessel_j_all_tiny_arguments_match_mpmath(nmax, x):
         assert v == bessel_j(n, x)
 
 
-def test_bessel_j_all_is_linear_in_nmax():
+def test_bessel_j_all_is_linear_in_nmax(fresh_interpreter):
     # Each Miller rescale used to multiply every stored entry by 1e-250, so a
     # pass was quadratic in nmax: 1.6 s at 4e4, about 40 s at 2e5.  In a
     # subprocess, so that a regression fails here instead of hanging the suite.
     code = "from neumann_sici import specfun; print(repr(specfun.bessel_j_all(200000, 2.0)[:4]))"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=5
-    )
-    assert done.returncode == 0, done.stderr
-    for n, v in enumerate(ast.literal_eval(done.stdout)):
+    stdout = fresh_interpreter(code, 5)
+    for n, v in enumerate(ast.literal_eval(stdout)):
         ref = float(mp.besselj(n, 2))
         assert abs(v - ref) <= 1e-15 * abs(ref), (n, v, ref)
 
 
-def test_bessel_j_returns_at_once_where_it_underflows():
+def test_bessel_j_returns_at_once_where_it_underflows(fresh_interpreter):
     # |J_n(x)| <= (x/2)^n / n! (DLMF 10.14.4).  Where that first term is below
     # e^-745, J rounds to 0; these calls used to run a Miller pass of
     # n + 1.5 x + 40 steps first, 7.3 s for J_(10^7)(10^4).  In a subprocess, so
@@ -133,15 +126,11 @@ def test_bessel_j_returns_at_once_where_it_underflows():
         "print([bessel_j(10**7, 1e4), bessel_j(10**6, 1e4), bessel_j(10**7, 7.3e6), "
         "*bessel_j(10**7, np.array([1e4, 3.0])).tolist()])"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=5
-    )
-    assert done.returncode == 0, done.stderr
-    assert ast.literal_eval(done.stdout) == [0.0] * 5
+    stdout = fresh_interpreter(code, 5)
+    assert ast.literal_eval(stdout) == [0.0] * 5
 
 
-def test_bessel_j_returns_at_once_where_kapteyns_bound_underflows():
+def test_bessel_j_returns_at_once_where_kapteyns_bound_underflows(fresh_interpreter):
     # |J_n(n z)| <= (z e^s / (1 + s))^n, s = sqrt(1 - z^2) (DLMF 10.14.8), is
     # below e^-746 at J_(10^6)(7.4e5) and J_(10^6)(9.9e5), whose first terms
     # are about e^5500 and e^293,000: the first ran a Miller pass of 2.1e6
@@ -154,17 +143,13 @@ def test_bessel_j_returns_at_once_where_kapteyns_bound_underflows():
         "values = [bessel_j(10**6, 7.4e5), *bessel_j(10**6, np.array([7.4e5, 9.9e5])).tolist()]\n"
         "print([time.perf_counter() - start, values])"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
-    )
-    assert done.returncode == 0, done.stderr
-    seconds, values = ast.literal_eval(done.stdout)
+    stdout = fresh_interpreter(code, 20)
+    seconds, values = ast.literal_eval(stdout)
     assert values == [0.0, 0.0, 0.0]
     assert seconds < 0.05
 
 
-def test_miller_pass_is_bounded():
+def test_miller_pass_is_bounded(fresh_interpreter):
     # A Miller pass runs order + 1.5 x + 40 steps: bessel_j(10**7, 1e10) ran
     # for about an hour.  Past sf._MILLER_MAX_STEPS it raises at once, for a
     # float and an array, and bessel_j_all before it allocates a list.  The
@@ -183,17 +168,13 @@ def test_miller_pass_is_bounded():
         "        raise AssertionError(call)\n"
         "print([bessel_j(10**6, 7.4e5), bessel_j(10**5, 1e6), len(bessel_j_all(200000, 2.0))])"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
-    )
-    assert done.returncode == 0, done.stderr
-    zero, value, count = ast.literal_eval(done.stdout)
+    stdout = fresh_interpreter(code, 20)
+    zero, value, count = ast.literal_eval(stdout)
     assert zero == 0.0 and 0.0 < abs(value) < 1e-3  # the amplitude is about 8e-4
     assert count == 200001
 
 
-def test_bessel_j_all_bounds_nmax_on_every_branch():
+def test_bessel_j_all_bounds_nmax_on_every_branch(fresh_interpreter):
     # The tiny-x series and the large-x branch used to build nmax + 1 entries
     # for any nmax up to 2^53; past sf._MILLER_MAX_STEPS they raise before
     # they allocate.  In a subprocess, so that a regression fails here
@@ -208,14 +189,10 @@ def test_bessel_j_all_bounds_nmax_on_every_branch():
         "    else:\n"
         "        raise AssertionError(x)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
-    )
-    assert done.returncode == 0, done.stderr
+    fresh_interpreter(code, 10)
 
 
-def test_huge_orders_run_the_upward_recurrence():
+def test_huge_orders_run_the_upward_recurrence(fresh_interpreter):
     # Above max(25, order) J_order comes from order upward steps, however
     # large x is: a Miller pass for J_(10^6)(1e9) would run 1.5e9 steps, and
     # bessel_j_all(10**5, 1e12) took 7 s as 10^5 Hankel calls.  mpmath gives
@@ -226,12 +203,8 @@ def test_huge_orders_run_the_upward_recurrence():
         "start = time.perf_counter(); j = bessel_j_all(10**5, 1e12)\n"
         "print([bessel_j(10**6, 1e9), time.perf_counter() - start, j[:4], j[::997], j[-1]])"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
-    )
-    assert done.returncode == 0, done.stderr
-    value, seconds, first, sampled, last = ast.literal_eval(done.stdout)
+    stdout = fresh_interpreter(code, 10)
+    value, seconds, first, sampled, last = ast.literal_eval(stdout)
     assert math.isfinite(value) and abs(value) <= 1.01 * math.sqrt(2.0 / math.pi / 1e9)
     assert seconds < 1.0
     amp = math.sqrt(2.0 / math.pi / 1e12)
@@ -593,16 +566,7 @@ def test_continued_fraction_steps_are_per_octave():
     assert [v.tolist() for v in alone] == [(e1.imag + 0.5 * math.pi).tolist(), (-e1.real).tolist()]
 
 
-def _fresh_interpreter(code: str) -> str:
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(neumann_sici.__path__[0]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
-def test_a_cold_si_pass_does_not_import_numpy_ma():
+def test_a_cold_si_pass_does_not_import_numpy_ma(fresh_interpreter):
     # The octaves are listed without np.unique, whose first call imports
     # numpy.ma (14-20 ms) while the first Si table is built.  In a fresh
     # interpreter, as the import happens once per process
@@ -612,10 +576,10 @@ def test_a_cold_si_pass_does_not_import_numpy_ma():
         "status = cli.main(['--check', 'si_coeff_integral.*', '--out', os.devnull])\n"
         "print(status, 'numpy.ma' in sys.modules)\n"
     )
-    assert _fresh_interpreter(code).split() == ["0", "False"]
+    assert fresh_interpreter(code, 30).split() == ["0", "False"]
 
 
-def test_a_bare_import_loads_the_library_layer_only():
+def test_a_bare_import_loads_the_library_layer_only(fresh_interpreter):
     # quad, eulersum and harness are the verification layer: they load on
     # first attribute access or import, never with the package
     code = (
@@ -632,7 +596,7 @@ def test_a_bare_import_loads_the_library_layer_only():
         "except AttributeError as exc:\n"
         "    print(type(exc).__name__)\n"
     )
-    lines = _fresh_interpreter(code).splitlines()
+    lines = fresh_interpreter(code, 30).splitlines()
     assert lines[0] == str(
         ["neumann_sici", "neumann_sici.coeffs", "neumann_sici.neumann", "neumann_sici.specfun"]
     )
@@ -642,7 +606,7 @@ def test_a_bare_import_loads_the_library_layer_only():
     assert lines[4] == "AttributeError"
 
 
-def test_a_library_users_first_calls_import_nothing():
+def test_a_library_users_first_calls_import_nothing(fresh_interpreter):
     # Every module a kernel or an expansion reads loads with the package, so
     # a first call pays no import: a lazy import inside neumann would move
     # set-up cost into the first call, where no set-up metric sees it
@@ -663,7 +627,7 @@ def test_a_library_users_first_calls_import_nothing():
         "nm.addition_theorem_check(1.0, 2.0), nm.convergence_table([1.0], [5])\n"
         "print(sorted({m for m in sys.modules if m.startswith('neumann_sici')} - before))\n"
     )
-    assert _fresh_interpreter(code).split() == ["[]"]
+    assert fresh_interpreter(code, 30).split() == ["[]"]
 
 
 def test_si_ci_domain_errors():
