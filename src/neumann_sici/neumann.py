@@ -14,9 +14,10 @@ over the majorant finds the first n whose tail bound is <= ``_TOL`` before
 any J_m(a) is computed, at most 400 up to |a| = ``_MAX_A`` (ci_neumann first
 needs more at a ~ 571.1), past which ValueError is raised instead.
 
-The addition theorem's right side sums 40 terms; its domain is where a
-bound on the rest is <= ``_TOL`` (up to a = t = 52, and any a when t is
-small), past which ValueError is raised before any J is computed.
+The addition theorem's right side is the same truncation in the smaller of
+its two arguments, whose coefficients 2 (-1)^n J_{2n} of the larger are
+bounded by 2 (|J_k| <= 1, DLMF 10.14.1), so its domain is min(|a|, |t|) <=
+``_MAX_A`` for any finite larger argument.
 """
 
 from __future__ import annotations
@@ -45,16 +46,19 @@ __all__ = [
 _MAX_TERMS = 400
 _TOL = 1e-12
 _MAX_A = 570
-# The addition theorem's right side sums this many terms
-_ADDITION_TERMS = 40
 
 
 @dataclass
 class SeriesEval:
+    """A truncated series: its ``value``, the ``terms_used`` it sums and a
+    ``tail_bound`` on |value - series| that includes the sum's rounding.
+    ``converged`` is always True: every truncation meets ``_TOL`` in its
+    domain and raises ValueError outside it."""
+
     value: float
     terms_used: int
     tail_bound: float
-    converged: bool  # always True: every truncation converges in its domain
+    converged: bool
 
 
 @functools.cache
@@ -107,15 +111,21 @@ def _tail_bounds(a: float, first: int, parity: int, bound, floor: float):
     return lambda n: tails[min(n, len(tails) - 1)]
 
 
-def _partial_sums(a: float, start: float, first: int, parity: int, coeff, terms: int):
-    """start + sum_{first <= n < first + N} coeff(n) J_{2n+parity}(a) for N = 0 .. terms."""
-    j = bessel_j_all(max(0, 2 * (first + terms - 1) + parity), a)
+def _partial_sums(a: float, start: float, first: int, parity: int, coeff, terms: int, other=None):
+    """start + sum_{first <= n < first + N} coeff(n) J_{2n+parity}(a) for N = 0 .. terms,
+    each term times J_{2n+parity}(other) too if other is given."""
+    order = max(0, 2 * (first + terms - 1) + parity)
+    j = bessel_j_all(order, a)
+    if other is not None:
+        j = [x * y for x, y in zip(j, bessel_j_all(order, other))]
     products = (coeff(n) * j[2 * n + parity] for n in range(first, first + terms))
     return list(itertools.accumulate(products, initial=start))
 
 
-def _truncate(a: float, start: float, first: int, parity: int, coeff, bound) -> SeriesEval:
-    """start + sum_{n >= first} coeff(n) J_{2n+parity}(a), where |coeff(n)| <= bound(n).
+def _truncate(a: float, start: float, first: int, parity: int, coeff, bound,
+              other=None) -> SeriesEval:
+    """start + sum_{n >= first} coeff(n) J_{2n+parity}(a), where |coeff(n)| <= bound(n);
+    given other, each term has one more factor J_{2n+parity}(other), which bound(n) covers.
 
     Sums up to the first n whose tail bound is <= ``_TOL``.  The majorant
     pass runs down to terms of 1e-4 ``_TOL``, so tails near it are explicit
@@ -124,7 +134,7 @@ def _truncate(a: float, start: float, first: int, parity: int, coeff, bound) -> 
     """
     tail = _tail_bounds(a, first, parity, bound, 1e-4 * _TOL)
     used = next(n for n in range(1, _MAX_TERMS + 1) if tail(n) <= _TOL)
-    sums = _partial_sums(a, start, first, parity, coeff, used)
+    sums = _partial_sums(a, start, first, parity, coeff, used, other)
     rounding = math.ulp(1.0) * math.fsum(map(abs, sums))
     return SeriesEval(sums[-1], used, tail(used) + rounding, True)
 
@@ -156,54 +166,23 @@ def corollary5_series(a: float) -> SeriesEval:
     )
 
 
-def _addition_left_out(a: float, t: float) -> float:
-    """A bound on what the addition theorem's right side leaves out past n = _ADDITION_TERMS.
-
-    The bound is 2 sum_{n > _ADDITION_TERMS} m(a, 2n) m(t, 2n), m(z, k) =
-    min(1, (z/2)^k / k!) >= |J_k(z)| (DLMF 10.14.1, 10.14.4), formed in logs
-    so that no power overflows.  m(z, k + 2) / m(z, k) is at most 1 where
-    m(z, k) = 1, else (z/2)^2 / ((k + 1)(k + 2)), which falls with k and, at
-    the first order left out, k = 82, is below 0.15 (m < 1 there means z/2 <
-    82!^(1/82) < 31.4).  So a geometric factor closes the sum after its first
-    term unless both m are 1; that first term, 2, already exceeds ``_TOL``
-    and is returned alone.
-    """
-    k = 2 * _ADDITION_TERMS + 2
-    log_term, log_ratio = math.log(2.0), 0.0
-    for z in (a, t):
-        half = math.log(z) - math.log(2.0) if z else -math.inf  # z/2 underflows at 5e-324
-        log_m = k * half - math.lgamma(k + 1.0)
-        if log_m < 0.0:
-            log_term += log_m
-            log_ratio += 2.0 * half - math.log((k + 1.0) * (k + 2.0))
-    term = math.exp(log_term)
-    return term / (1.0 - math.exp(log_ratio)) if log_ratio < 0.0 else term
-
-
-def addition_theorem_check(a: float, t: float) -> tuple[float, float]:
+def addition_theorem_check(a: float, t: float) -> tuple[float, SeriesEval]:
     """LHS and truncated RHS of the phi = pi/2 Neumann addition theorem:
 
     J_0(sqrt(a^2+t^2)) - J_0(a) J_0(t) = 2 sum_{n>=1} (-1)^n J_{2n}(a) J_{2n}(t)
 
-    with the right side cut after 40 terms, where ``_addition_left_out`` bounds the
-    rest by ``_TOL`` (t = 1 admits a = 1e300); elsewhere ValueError.
+    for min(|a|, |t|) <= 570 and any finite larger argument; the right side is
+    truncated in the smaller, with tail bound <= ``_TOL`` plus its rounding.
     """
+    message = f"a and t must be finite with min(|a|, |t|) <= {_MAX_A}"
     # even orders only: both sides are even in a and t
-    a, t = abs(_real(a, "a must be finite")), abs(_real(t, "t must be finite"))
-    left_out = _addition_left_out(a, t)
-    if left_out > _TOL:
-        raise ValueError(
-            f"a = {a}, t = {t} is outside the addition theorem's domain: the bound on the "
-            f"terms past n = {_ADDITION_TERMS}, 2 sum_(n>{_ADDITION_TERMS}) m(a, 2n) m(t, 2n) with "
-            f"m(z, k) = min(1, (z/2)^k / k!), reaches {left_out:.1e} > neumann._TOL = {_TOL}")
-    ja = bessel_j_all(2 * _ADDITION_TERMS, a)
-    jt = bessel_j_all(2 * _ADDITION_TERMS, t)
-    # same Miller path for all three J_0 evaluations keeps the trivial
-    # points (a = 0 or t = 0) exactly zero
-    lhs = bessel_j_all(0, math.hypot(a, t))[0] - ja[0] * jt[0]
-    rhs = 2.0 * math.fsum(((-1) ** n) * ja[2 * n] * jt[2 * n]
-                          for n in range(1, _ADDITION_TERMS + 1))
-    return lhs, rhs
+    a, t = abs(_real(a, message)), abs(_real(t, message))
+    small, large = sorted((a, t))
+    if small > _MAX_A:
+        raise ValueError(message)
+    # one path for all three J_0 keeps both sides exactly 0 at a = 0 or t = 0
+    lhs = bessel_j_all(0, math.hypot(a, t))[0] - bessel_j_all(0, a)[0] * bessel_j_all(0, t)[0]
+    return lhs, _truncate(small, 0.0, 1, 0, lambda n: 2.0 * (-1) ** n, lambda n: 2.0, large)
 
 
 def convergence_table(

@@ -111,7 +111,7 @@ def test_corollary5_suite():
             assert abs(series.value - integral.value) <= 1e-6, f"a={a}"
         for a, t in ((2.0, 3.0), (1.0, 5.0), (4.0, 0.5)):
             lhs, rhs = neumann.addition_theorem_check(a, t)
-            assert abs(lhs - rhs) <= 1e-12, f"addition identity ({a},{t})"
+            assert abs(lhs - rhs.value) <= 1e-12, f"addition identity ({a},{t})"
 
 
 def test_harness_contract(tmp_path):

@@ -111,7 +111,7 @@ def test_expansions_at_tiny_arguments_match_mpmath(a):
         assert r.converged and close(r.value, float(-mp.besselj(2, x) + mp.besselj(4, x)))
         lhs, rhs = addition_theorem_check(a, 1.0)
         ref = float(mp.besselj(0, mp.sqrt(x * x + 1)) - mp.besselj(0, x) * mp.besselj(0, 1))
-        assert abs(lhs - ref) <= 1e-16 and abs(rhs - ref) <= 1e-16
+        assert rhs.converged and abs(lhs - ref) <= 1e-16 and abs(rhs.value - ref) <= 1e-16
 
 
 @pytest.mark.parametrize("a", (0.5, 2.0, 10.0, 20.0))
@@ -121,10 +121,14 @@ def test_tail_bound_soundness(a):
         x = mp.mpf(a)
         beta = [mp.mpf(b.numerator) / b.denominator for b in map(coeffs.beta, range(1, 80))]
         cor5 = mp.fsum((-1) ** n * mp.besselj(2 * n, x) * beta[n - 1] / n for n in range(1, 80))
+        addition = 2 * mp.fsum(
+            (-1) ** n * mp.besselj(2 * n, x) * mp.besselj(2 * n, 3) for n in range(1, 80)
+        )
         cases = [
             (si_neumann(a), mp.si(x)),
             (ci_neumann(a), mp.ci(x)),
             (corollary5_series(a), cor5),
+            (addition_theorem_check(a, 3.0)[1], addition),
         ]
         for r, ref in cases:
             assert r.converged and abs(r.value - ref) <= r.tail_bound
@@ -168,22 +172,26 @@ def _tails(monkeypatch):
     return tails
 
 
+# the three expansions and the addition theorem's right side on the diagonal
+_SERIES = (si_neumann, ci_neumann, corollary5_series, lambda a: addition_theorem_check(a, a)[1])
+
+
 def test_converged_flag_consistent_with_bound(monkeypatch):
     # every truncation in the domain meets _TOL (at _MAX_A as well, below),
     # so converged is always True; the reported bound is that tail plus the
     # sum's rounding
     tails = _tails(monkeypatch)
-    for fn in (si_neumann, ci_neumann, corollary5_series):
+    for fn in _SERIES:
         for a in (1e-300, 5.0, 100.0):
             r = fn(a)
             tail = tails[-1](r.terms_used)
             assert r.converged and tail <= neumann._TOL and tail <= r.tail_bound, (fn, a)
 
 
-@pytest.mark.parametrize("fn", (si_neumann, ci_neumann, corollary5_series))
+@pytest.mark.parametrize("fn", _SERIES)
 def test_expansions_stop_at_the_term_cap(monkeypatch, fn):
-    # at _MAX_A each truncation meets _TOL within _MAX_TERMS terms (399, 400
-    # and 396); ci_neumann is the first to miss, at a ~ 571.1.  Past _MAX_A
+    # at _MAX_A each truncation meets _TOL within _MAX_TERMS terms (399, 400,
+    # 396 and 399); ci_neumann is the first to miss, at a ~ 571.1.  Past _MAX_A
     # they summed 400 terms to values off by 1.6 and 7.8 with converged False
     tails = _tails(monkeypatch)
     r = fn(neumann._MAX_A)
@@ -191,12 +199,12 @@ def test_expansions_stop_at_the_term_cap(monkeypatch, fn):
     assert tails[0](r.terms_used) <= neumann._TOL
 
 
-@pytest.mark.parametrize("fn", (si_neumann, ci_neumann, corollary5_series))
+@pytest.mark.parametrize("fn", _SERIES)
 @pytest.mark.parametrize("a", (neumann._MAX_A + 1, 1e300))
 def test_expansions_past_their_bound_raise_before_any_call(monkeypatch, fn, a):
     calls = []
     monkeypatch.setattr(neumann, "bessel_j_all", lambda *args: calls.append(args))
-    with pytest.raises(ValueError, match=r"a must be finite .*570\]?$"):
+    with pytest.raises(ValueError, match=r"a (and t )?must be finite .*570\]?$"):
         fn(a)
     if fn is corollary5_series:
         with pytest.raises(ValueError, match="570"):
@@ -231,37 +239,36 @@ def test_corollary5_series_even_in_a():
 
 def test_addition_theorem_trivial_points():
     lhs, rhs = addition_theorem_check(0.0, 3.0)
-    assert lhs == 0.0 and rhs == 0.0
+    assert lhs == 0.0 and rhs.value == 0.0
     lhs, rhs = addition_theorem_check(3.0, 0.0)
-    assert lhs == 0.0 and rhs == 0.0
+    assert lhs == 0.0 and rhs.value == 0.0
 
 
-@pytest.mark.parametrize("a,t", [(2.0, 3.0), (1.0, 5.0), (4.0, 0.5)])
-def test_addition_theorem_spot_checks(a, t):
-    lhs, rhs = addition_theorem_check(a, t)
-    assert abs(lhs - rhs) <= 1e-12
-
-
-@pytest.mark.parametrize("a,t", [(53.0, 53.0), (1e6, 1e6)])
+@pytest.mark.parametrize("a,t", [(570.0000001, 570.0000001), (571.0, 1e6), (1e6, 1e6)])
 def test_addition_theorem_raises_past_its_domain(monkeypatch, a, t):
-    # The right side is cut after 40 terms: at a = t = 1e6 it returned
-    # 1.6e-9 against a left side of 6.4e-4.  Where the bound on the terms
-    # left out exceeds neumann._TOL, ValueError names it before any J is
-    # computed
+    # The right side was cut after 40 terms: at a = t = 1e6 it returned
+    # 1.6e-9 against a left side of 6.4e-4.  Past min(|a|, |t|) = 570,
+    # ValueError names the domain before any J is computed
     monkeypatch.setattr(neumann, "bessel_j_all", lambda *args: pytest.fail("computed a J"))
-    with pytest.raises(ValueError, match=r"reaches \S+ > neumann\._TOL = 1e-12"):
+    with pytest.raises(ValueError, match=r"min\(\|a\|, \|t\|\) <= 570$"):
         addition_theorem_check(a, t)
 
 
-@pytest.mark.parametrize("a,t", [(52.0, 52.0), (0.5, 1e4), (1e300, 1.0)])
+@pytest.mark.parametrize(
+    "a,t",
+    [(2.0, 3.0), (1.0, 5.0), (4.0, 0.5),
+     (60.0, 60.0), (570.0, 570.0), (570.0, 1e300), (0.5, 1e4), (1e300, 1.0)],
+)
 def test_addition_theorem_matches_mpmath_across_its_domain(a, t):
-    # Both sides against 40-digit mpmath at the domain's edge on the
-    # diagonal and where one argument is small
+    # Both sides against 40-digit mpmath at the registry's points, at the
+    # domain's edge on the diagonal and where one argument is large; the
+    # 40-term cut raised at (60, 60) and (570, 570)
     lhs, rhs = addition_theorem_check(a, t)
     with mp.workdps(40):
         x, y = mp.mpf(a), mp.mpf(t)
         ref = mp.besselj(0, mp.sqrt(x * x + y * y)) - mp.besselj(0, x) * mp.besselj(0, y)
-    assert abs(lhs - ref) <= 1e-12 and abs(rhs - ref) <= 1e-12
+    assert rhs.converged and abs(lhs - rhs.value) <= 1e-12
+    assert abs(lhs - ref) <= 1e-12 and abs(rhs.value - ref) <= 1e-12
 
 
 def test_convergence_table_contract():
