@@ -515,8 +515,8 @@ def _edges(order: float) -> np.ndarray:
 # to |a| = _SHIFT_CAP, so the first pass of an integrand of such an order
 # calls no special function.  log(t/2) and 1/t are computed on the nodes, in
 # 2.3-2.6 and 1.4 us against 0.2 us for a table read.  The 5 tables take
-# 0.36 MB (0.32 MB the J rows) and 5.6-6.2 ms to build (the J rows 0.7-0.9
-# ms, Y_0 and Y_1 1.6-2.1 each, Si and gamma + log t - Ci 0.65-0.85 each),
+# 0.36 MB (0.32 MB the J rows) and 4.9-5.4 ms to build (the J rows 0.7-0.9
+# ms, Y_0 and Y_1 1.3-1.5 each, Si and gamma + log t - Ci 0.75-0.85 each),
 # where the first pass of a moment of order 25 evaluates f in 1.5 ms direct
 # and 0.024 ms on the lattice; the J rows' size grows as the cube of the cap
 # (in-process, warm, best of 5, on a 2-core x86-64 host).  Orders past the

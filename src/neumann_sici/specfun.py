@@ -86,9 +86,9 @@ _Y_ASYMPTOTIC_MIN = 17.0
 _J_SERIES_TOL = 1e-17
 _SICI_SERIES_TOL = 1e-18
 
-# A Miller pass runs nmax + 1.5 x + 40 steps or so, about 0.26 us each for a
-# float, and the upward recurrence nmax steps; each raises ValueError where
-# its count (nmax + 1.5 x, or nmax) exceeds this (about 1 s).
+# The most a Miller or upward pass may cost (_charge raises past it), in float
+# steps of 0.14-0.29 us (about 1 s): an array step costs 32 float steps (numpy's
+# per-call overhead) plus one per 64 elements (2-4 ns an element).
 _MILLER_MAX_STEPS = 4_000_000
 
 # Every J branch takes the order as a double, which holds each integer up to
@@ -211,23 +211,39 @@ def _bessel_j_series(x: float, order: int) -> float:
     return total
 
 
+def _charge(steps: int, x) -> None:
+    cost = steps * (32 + x.size / 64) if isinstance(x, np.ndarray) else steps
+    if cost > _MILLER_MAX_STEPS:
+        raise ValueError(f"{steps} steps cost {cost:.3g} float steps > specfun._MILLER_MAX_STEPS")
+
+
+def _miller_start(nmax: int, x):
+    # The even order m from which a Miller pass for J_0 .. J_nmax runs, for a
+    # float or each array element: its relative error at order n, about |J_m Y_n
+    # / (Y_m J_n)| (Gautschi 1967), is below e^-40 by the Debye envelope (DLMF
+    # 10.19.8) once 2 acosh(t) (m - top) >= 40, t = top / x, top = max(nmax,
+    # 1.36 x ~ e x / 2).  acosh(t) >= 8 (r - 1) / (r + 1), r^4 = t + sqrt(t^2 -
+    # 1), takes only correctly rounded steps, so an element gets the float's m.
+    lib = np if isinstance(x, np.ndarray) else math
+    top = np.maximum(nmax, np.ceil(1.36 * x)) if lib is np else max(nmax, math.ceil(1.36 * x))
+    r = lib.sqrt(lib.sqrt(top / x + lib.sqrt((top / x) * (top / x) - 1.0)))
+    m = top + lib.ceil(2.5 * (r + 1.0) / (r - 1.0)) + 1  # top + 26 at most
+    return (m + m % 2).astype(np.int64) if lib is np else m + m % 2
+
+
 def _miller(nmax, x, first: int = 0):
     # J_first .. J_nmax at x by the backward (Miller) recurrence normalized by
     # J_0 + 2 sum J_2k = 1 (Numerical Recipes 6.5): floats for a float, arrays
-    # for an array.  Each element starts at its own even depth m = nmax +
-    # ceil(1.5 x) + 40 with j = 1e-30; above it its j and jp are 0, so the
-    # steps there add exact zeros and an element equals the float.  j is
-    # rescaled by 1e-250 past 1e250; an entry stored before a rescale takes it
-    # at the end, but at most three, as three take any double to a signed 0,
-    # so a pass stays linear in nmax.
+    # for an array.  Each element starts at its own _miller_start with j =
+    # 1e-30; above it its j and jp are 0, so the steps there add exact zeros
+    # and an element equals the float.  j is rescaled by 1e-250 past 1e250; an
+    # entry stored before a rescale takes it at the end, but at most three, as
+    # three take any double to a signed 0, so a pass stays linear in nmax.
     array = isinstance(x, np.ndarray)
-    steps = nmax + 1.5 * x
-    if (steps.max(initial=0.0) if array else steps) > _MILLER_MAX_STEPS:
-        raise ValueError(f"nmax + 1.5 x exceeds specfun._MILLER_MAX_STEPS = {_MILLER_MAX_STEPS}")
-    m = nmax + (np.ceil(1.5 * x).astype(np.int64) if array else int(math.ceil(1.5 * x))) + 40
-    m += m % 2
-    size = nmax + 1
+    m = _miller_start(nmax, x)
     depths = sorted(set(m.tolist()), reverse=True) if array else [m]
+    _charge(depths[0], x)
+    size = nmax + 1
     j = jp = even_sum = 0.0 * x  # no step writes in place, so they may share
     rescales = 0 * m  # so far, for each element
     out, marks = [0.0] * (size - first), [0] * (size - first)  # and rescales before each
@@ -256,8 +272,7 @@ def _upward(nmax, x, first: int = 0):
     # J_first .. J_nmax at x >= max(25, nmax), floats for a float and arrays for
     # an array, by J_k+1 = (2k / x) J_k - J_k-1 from the Hankel J_0 and J_1:
     # stable while k < x (Numerical Recipes 6.5 bessj; A&S 9.1.27)
-    if nmax > _MILLER_MAX_STEPS:
-        raise ValueError(f"order exceeds specfun._MILLER_MAX_STEPS = {_MILLER_MAX_STEPS}")
+    _charge(nmax, x)
     jp, j = _hankel(0, x, True), _hankel(1, x, True)
     out = [jp, j][first:nmax + 1]
     for k in range(1, nmax):
@@ -317,11 +332,11 @@ def bessel_j_all(nmax: int, x: float | np.ndarray) -> list[float] | np.ndarray:
 
     One Miller pass below x = max(25, nmax), and one upward recurrence from
     the Hankel J_0(x) and J_1(x) from there on (nmax steps, where a Miller
-    pass would run about 1.5 x).  Where (x/2)^2 < 2^-53 each order's series
+    pass would run about 1.36 x).  Where (x/2)^2 < 2^-53 each order's series
     is its first term (the backward recurrence would overflow).  A float
     ndarray gives an array of shape (nmax + 1, *x.shape), row n holding J_n,
-    each element on the float's branch; nmax + 1 times its size, or times 32
-    for fewer elements, may be at most _MILLER_MAX_STEPS.
+    each element on the float's branch; nmax + 1 times its size (at least 32),
+    and its pass's cost in float steps, may be at most _MILLER_MAX_STEPS.
     """
     message = f"nmax must be an integer in [0, specfun._MILLER_MAX_STEPS = {_MILLER_MAX_STEPS}]"
     nmax = _integer(nmax, message, 0, _MILLER_MAX_STEPS)
@@ -380,9 +395,9 @@ def _bessel_y_bridge(x: float, order: int) -> float:
     # Neumann-series identities (GR 8.515.7 / 8.514.9) expressing Y_0, Y_1
     # through J_n; accurate to machine precision for moderate x where both
     # the ascending series and the asymptotic expansion fall short of 1e-12.
-    # It sums to nmax = ceil(x) + 30, where its terms are below 1e-60, from
-    # one Miller pass.
-    nmax = int(math.ceil(x)) + 30
+    # It sums to nmax = ceil(0.75 x) + 12, from one Miller pass: what it
+    # leaves out is below (x/2)^(2 nmax + 1) / (2 nmax + 1)! < 1e-18 on (8, 17).
+    nmax = math.ceil(0.75 * x) + 12
     j = _miller(2 * nmax + 1, x)
     lg = math.log(0.5 * x) + _EULER_GAMMA
     s, sign = 0.0, 1.0

@@ -118,9 +118,9 @@ def test_bessel_j_all_is_linear_in_nmax(fresh_interpreter):
 
 def test_bessel_j_returns_at_once_where_it_underflows(fresh_interpreter):
     # |J_n(x)| <= (x/2)^n / n! (DLMF 10.14.4).  Where that first term is below
-    # e^-745, J rounds to 0; these calls used to run a Miller pass of
-    # n + 1.5 x + 40 steps first, 7.3 s for J_(10^7)(10^4).  In a subprocess, so
-    # that a regression fails here instead of hanging the suite.
+    # e^-745, J rounds to 0; these calls used to run a Miller pass first (from
+    # n + 1.5 x + 40, the start then), 7.3 s for J_(10^7)(10^4).  In a
+    # subprocess, so that a regression fails here instead of hanging the suite.
     code = (
         "import numpy as np; from neumann_sici.specfun import bessel_j; "
         "print([bessel_j(10**7, 1e4), bessel_j(10**6, 1e4), bessel_j(10**7, 7.3e6), "
@@ -150,10 +150,11 @@ def test_bessel_j_returns_at_once_where_kapteyns_bound_underflows(fresh_interpre
 
 
 def test_miller_pass_is_bounded(fresh_interpreter):
-    # A Miller pass runs order + 1.5 x + 40 steps: bessel_j(10**7, 1e10) ran
-    # for about an hour.  Past sf._MILLER_MAX_STEPS it raises at once, for a
-    # float and an array, and bessel_j_all before it allocates a list.  The
-    # last two calls below the bound take about 0.3 and 0.15 s (J_(10^6)(7.4e5)
+    # A Miller pass runs from sf._miller_start, at most max(order, 1.36 x) +
+    # 27 (order + 1.5 x + 40 when bessel_j(10**7, 1e10) ran for about an
+    # hour).  Past sf._MILLER_MAX_STEPS it raises at once, for a float and
+    # an array, and bessel_j_all before it allocates a list.  The last two
+    # calls below the bound take about 0.02 and 0.12 s (J_(10^6)(7.4e5)
     # underflows, and returns at once).  In a subprocess, so that a
     # regression fails here instead of hanging the suite.
     code = (
@@ -230,6 +231,66 @@ def test_bessel_j_upward_band_matches_mpmath():
             scale = max(abs(float(ref)), math.sqrt(2.0 / math.pi / xi))
             assert float(abs(v - ref)) <= 4e-15 * scale, (order, xi, v)
             assert abs(a - v) <= 1e-14 * max(1.0, abs(v)), (order, xi, a, v)
+
+
+def _edge_grid(lo, hi):
+    # both sides of each edge and 16 points between them
+    xs = [e * s for e in (lo, hi) for s in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)]
+    return xs + np.geomspace(lo, hi, 18)[1:-1].tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _j_rows_oracle(x):
+    # J_0(x) .. J_60(x): mpmath's J_61 and J_60 carried down by the
+    # recurrence, which is stable downward, in 40-digit arithmetic
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        rows = [mp.besselj(61, x), mp.besselj(60, x)]
+        for k in range(60, 0, -1):
+            rows.append(2 * k / x * rows[-1] - rows[-2])
+        return rows[:0:-1]
+
+
+def test_miller_band_matches_mpmath():
+    # J_n's Miller band _j_series_max(n) < x < max(25, n), and bessel_j_all(n,
+    # x)'s _J_ALL_TINY < x < max(25, n), n = 0..60, scaled as in the upward
+    # band's test.  Against 30-digit mpmath, the Miller nodes of this grid
+    # were within 1.38e-15 (J_n) and 2.22e-15 (the rows) with the start
+    # n + 1.5 x + 40, and the nodes on the other side of each edge (series,
+    # first terms, upward) within 1.33e-14 (the J series at x = 8) and
+    # 3.19e-15.
+    for n in range(61):
+        lo, hi = sf._j_series_max(n), max(25.0, n)
+        for xi in _edge_grid(lo, hi):
+            with mp.workdps(30):
+                ref = mp.besselj(n, xi)
+            scale = max(abs(float(ref)), math.sqrt(2.0 / math.pi / xi))
+            bound = 1.4e-15 if lo < xi < hi else 1.4e-14
+            assert float(abs(bessel_j(n, xi) - ref)) <= bound * scale, (n, xi)
+        lo = sf._J_ALL_TINY
+        for xi in _edge_grid(lo, hi):
+            refs = _j_rows_oracle(xi)
+            bound = 2.3e-15 if lo < xi < hi else 3.2e-15
+            for k, v in enumerate(bessel_j_all(n, xi)):
+                scale = max(abs(float(refs[k])), math.sqrt(2.0 / math.pi / xi))
+                assert float(abs(v - refs[k])) <= bound * scale, (n, k, xi)
+
+
+def test_miller_start_is_the_floats_for_each_array_element():
+    # An array element must start where the float does, or the two differ in
+    # the last bits: _miller_start takes only correctly rounded operations.
+    # Its margin past top = max(nmax, ceil(1.36 x)) meets 2 acosh(top / x)
+    # (m - top) >= 40 and is at most 26, plus one to make m even.
+    x = sf._J_ALL_TINY * (100.0 / sf._J_ALL_TINY) ** np.random.default_rng(7).random(10**4)
+    x[0] = 100.0
+    for nmax in [*range(61), 400, 10**5]:
+        starts = sf._miller_start(nmax, x)
+        assert starts.tolist() == [sf._miller_start(nmax, v) for v in x.tolist()], nmax
+    for nmax in (0, 30, 400, 10**5):
+        for xi, m in zip(x.tolist(), sf._miller_start(nmax, x).tolist()):
+            top = max(nmax, math.ceil(1.36 * xi))
+            assert m % 2 == 0 and 2.0 * math.acosh(top / xi) * (m - top) >= 40.0, (nmax, xi, m)
+            assert m - top <= 27, (nmax, xi, m)
 
 
 @pytest.mark.parametrize("order", [400, 1000])
@@ -344,6 +405,28 @@ def test_bessel_j_all_bounds_an_arrays_values():
         bessel_j_all(3, np.array([1.0, -1.0]))
 
 
+def test_bessel_j_charges_an_array_pass_its_size(fresh_interpreter):
+    # A recurrence step on an array costs what 32 float steps do plus one per
+    # 64 elements, charged against sf._MILLER_MAX_STEPS: J_100000(9.9e4) took
+    # 0.032 s for a float and 0.81 s for a one-element array, whose steps
+    # were not charged.  Such a call now returns within 1 s or raises at
+    # once.  In a subprocess, so that a regression fails here instead of
+    # hanging the suite.
+    code = (
+        "import time; import numpy as np; from neumann_sici.specfun import bessel_j\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    bessel_j(100000, np.array([9.9e4]))\n"
+        "except ValueError as exc:\n"
+        "    assert '_MILLER_MAX_STEPS' in str(exc), exc\n"
+        "    print([True, time.perf_counter() - start])\n"
+        "else:\n"
+        "    print([False, time.perf_counter() - start])\n"
+    )
+    raised, seconds = ast.literal_eval(fresh_interpreter(code, 2))
+    assert seconds < (0.05 if raised else 1.0), (raised, seconds)
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
 def test_even_order_normalization(a):
     # J_0(a) + 2 sum_{n=1..N} J_{2n}(a) = 1 with N = ceil(a) + 40
@@ -400,6 +483,27 @@ def test_bessel_y1_is_negative_derivative_of_y0():
 @pytest.mark.parametrize("x", [1e-4, 0.3, 1.0, 4.0, 8.9, 9.1, 12.0, 16.9, 17.1, 30.0, 64.0, 100.0])
 def test_bessel_y_absolute_accuracy(order, x):
     assert abs(bessel_y(order, x) - float(mp.bessely(order, x))) <= 1e-12
+
+
+def test_bessel_y_bridge_leaves_out_below_1e_18():
+    # The bridge sums Y_0's (4/pi) sum (-1)^n J_2n / n to n = N = ceil(0.75 x)
+    # + 12 and Y_1's (2/pi) sum (-1)^n (2n + 1) / (n (n + 1)) J_2n+1 to N - 1.
+    # Both leave out only orders k >= 2N + 1, and with |J_k| <= (x/2)^k / k!
+    # (DLMF 10.14.4) what each leaves out is at most the majorant (x/2)^(2N+1)
+    # / (2N+1)!, itself at most 1e-18 on (8, 17) ((x/2)^2N / (2N)! is not:
+    # 1.03e-18 at x = 14.63).  At fixed N both rise with x, so the grid holds
+    # the last x of each N.
+    def term(k, x):
+        return math.exp(k * math.log(0.5 * x) - math.lgamma(k + 1))
+
+    xs = np.linspace(8.0, 17.0, 901)[1:].tolist() + [4.0 * k / 3.0 for k in range(7, 13)]
+    for x in xs:
+        big_n = math.ceil(0.75 * x) + 12
+        majorant = term(2 * big_n + 1, x)
+        y0 = 4.0 / math.pi * sum(term(2 * n, x) / n for n in range(big_n + 1, big_n + 40))
+        y1 = 2.0 / math.pi * sum((2 * n + 1) / (n * (n + 1.0)) * term(2 * n + 1, x)
+                                 for n in range(big_n, big_n + 40))
+        assert max(y0, y1) <= majorant <= 1e-18, (x, y0, y1, majorant)
 
 
 @pytest.mark.parametrize("x", [5e-324, 1.5e-323, 1e-310])
@@ -738,7 +842,8 @@ def test_bessel_j_array_matches_scalar(order):
 @pytest.mark.parametrize("order", [0, 1])
 def test_bessel_y_array_matches_scalar(order):
     # exact on the series and bridge nodes: an array runs the float bridge
-    # element by element, each with its own Miller pass and ceil(x) + 30 terms
+    # element by element, each with its own Miller pass and ceil(0.75 x) + 12
+    # terms
     x = np.concatenate([_branch_grid(), np.linspace(8.0, 17.0, 201)])
     _assert_matches_scalar(lambda v: bessel_y(order, v), x, lambda xi: xi < 17.0)
 
